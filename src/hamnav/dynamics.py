@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import HamiltonianSpec, PhaseState, hamiltonian, potential_grad
+from .energy import HamiltonianSpec, PhaseState, evaluate, potential_grad
 from .workspace import signed_distances
 
 DIVERGENCE_FACTOR = 1e3
@@ -136,14 +136,15 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
     selectors = PortSelectors(dim=z0.q.size, frame=spec.fixed.layout.frame)
     p_scale = max(1.0, float(np.linalg.norm(z0.p)))
     states = [z0.copy()]
-    energies = [hamiltonian(z0, spec)]
+    ev = evaluate(z0.q, spec, z0.p)
+    energies = [ev.H]
     clearances = [_spec_clearance(z0.q, spec)]
     score_norms = []
     diverged = False
     z = z0.copy()
     grad_fn = lambda q: potential_grad(q, spec)
     for _ in range(cfg.horizon):
-        g = grad_fn(z.q)
+        g = ev.grad
         v = z.p / spec.mass
         drift = np.concatenate([v, -g - selectors.gamma_diag(mu) * v + selectors.embed_port(u_f)])
         score_norms.append(float(np.linalg.norm(drift)))
@@ -160,7 +161,8 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
             diverged = True
             break
         states.append(z.copy())
-        energies.append(hamiltonian(z, spec))
+        ev = evaluate(z.q, spec, z.p)  # H now, the gradient for the next step
+        energies.append(ev.H)
         clearances.append(_spec_clearance(z.q, spec))
     n = len(states)
     return Trajectory(

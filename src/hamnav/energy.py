@@ -281,21 +281,80 @@ def sensor_energy(q, fixed: FixedTerms):
     return fixed.sensor_gain * float(np.dot(y, y))
 
 
+class Evaluation:
+    """The energy of one state, from one ``features`` call.
+
+    ``phi``, the weight vector ``eta`` and the kinetic energy are formed
+    once; the gradient, the potential R(q), H and the logged terms are
+    derived from them each time they are read.  ``H`` is kinetic + R(q), as
+    ``hamiltonian`` returns it; ``parts["H"]`` sums the logged terms one by
+    one, as ``energy_breakdown`` returns it, so the two may differ in the
+    last ulp.
+    """
+
+    def __init__(self, q, spec: HamiltonianSpec, p=None):
+        self.q = np.array(q, dtype=float)  # a copy: the properties read q later
+        if p is not None and self.q.size != spec.fixed.layout.dim:
+            raise ValueError("phase state dimension does not match the spec layout")
+        self.spec = spec
+        self.kinetic = 0.0 if p is None else kinetic(p, spec.mass)
+        self.phi, self.grads = features(self.q, spec.context, spec.fixed.d_hat, spec.fixed)
+        self.eta = _weight_vector(spec.weights, spec.context)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Analytic gradient of the potential with respect to q."""
+        sensor = self.spec.fixed.layout.sensor
+        out = self.eta @ self.grads
+        out[sensor] += 2.0 * self.spec.fixed.sensor_gain * self.q[sensor]
+        return out
+
+    @property
+    def potential(self) -> float:
+        """Context-shaped potential R(q)."""
+        return sensor_energy(self.q, self.spec.fixed) + float(self.eta @ self.phi)
+
+    @property
+    def H(self) -> float:
+        return self.kinetic + self.potential
+
+    @property
+    def parts(self) -> dict:
+        """Per-term values for the step log (CSV columns)."""
+        phi, eta = self.phi, self.eta
+        e_sensor = sensor_energy(self.q, self.spec.fixed)
+        e_goal = eta[0] * phi[0]
+        e_obj = eta[1] * phi[1]
+        e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
+        return {
+            "E_sensor": e_sensor,
+            "E_goal": e_goal,
+            "E_obj": e_obj,
+            "E_barrier_total": e_barrier,
+            "H": self.kinetic + e_sensor + e_goal + e_obj + e_barrier,
+        }
+
+
+def evaluate(q, spec: HamiltonianSpec, p=None) -> Evaluation:
+    """Evaluate the state (q, p) once; ``p=None`` is a state at rest.
+
+    Raises ValueError when a phase state (p given) does not match the layout.
+
+    ``potential``, ``potential_grad``, ``hamiltonian`` and
+    ``energy_breakdown`` are views of this evaluation; a loop that needs
+    several of them at one state should call it once and read them all.
+    """
+    return Evaluation(q, spec, p)
+
+
 def potential(q, spec: HamiltonianSpec) -> float:
     """Context-shaped potential R(q)."""
-    phi, _ = features(q, spec.context, spec.fixed.d_hat, spec.fixed)
-    eta = _weight_vector(spec.weights, spec.context)
-    return sensor_energy(q, spec.fixed) + float(eta @ phi)
+    return evaluate(q, spec).potential
 
 
 def potential_grad(q, spec: HamiltonianSpec) -> np.ndarray:
     """Analytic gradient of the potential with respect to q."""
-    q = np.asarray(q, dtype=float)
-    _, grads = features(q, spec.context, spec.fixed.d_hat, spec.fixed)
-    eta = _weight_vector(spec.weights, spec.context)
-    out = eta @ grads
-    out[spec.fixed.layout.sensor] += 2.0 * spec.fixed.sensor_gain * q[spec.fixed.layout.sensor]
-    return out
+    return evaluate(q, spec).grad
 
 
 def kinetic(p, mass) -> float:
@@ -305,23 +364,9 @@ def kinetic(p, mass) -> float:
 
 def hamiltonian(z: PhaseState, spec: HamiltonianSpec) -> float:
     """Reduced Hamiltonian H = (1/2) p^T M^-1 p + R(q)."""
-    if z.q.size != spec.fixed.layout.dim:
-        raise ValueError("phase state dimension does not match the spec layout")
-    return kinetic(z.p, spec.mass) + potential(z.q, spec)
+    return evaluate(z.q, spec, z.p).H
 
 
 def energy_breakdown(z: PhaseState, spec: HamiltonianSpec) -> dict:
     """Per-term values for the step log (CSV columns)."""
-    phi, _ = features(z.q, spec.context, spec.fixed.d_hat, spec.fixed)
-    eta = _weight_vector(spec.weights, spec.context)
-    e_sensor = sensor_energy(z.q, spec.fixed)
-    e_goal = spec.weights.beta * phi[0]
-    e_obj = spec.weights.lam * phi[1]
-    e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
-    return {
-        "E_sensor": e_sensor,
-        "E_goal": e_goal,
-        "E_obj": e_obj,
-        "E_barrier_total": e_barrier,
-        "H": kinetic(z.p, spec.mass) + e_sensor + e_goal + e_obj + e_barrier,
-    }
+    return evaluate(z.q, spec, z.p).parts

@@ -29,7 +29,7 @@ from .energy import (
     HamiltonianSpec,
     PhaseState,
     energy_breakdown,
-    potential_grad,
+    evaluate,
 )
 from .ring import RingParams, RingShapeModel
 from .workspace import (
@@ -42,7 +42,6 @@ from .workspace import (
     grid_sdf_world,
     sense,
     signed_distances,
-    stage_openings,
 )
 
 
@@ -59,15 +58,20 @@ class Observables:
 
 
 def compute_observables(z_next: PhaseState, ctx_obstacles, x_g, shape_qoi_clearances,
-                        mass, layout=POINT_LAYOUT, shape=None, d_hat=1.0) -> Observables:
+                        mass, layout=POINT_LAYOUT, shape=None, d_hat=1.0,
+                        clearance=None) -> Observables:
     """Observables after a step.
 
     Clearance is the min over the new configuration's obstacle distances and
     any clearances collected from the shape rollout; it is capped at d_hat
     so the clearance channel stays bounded when nothing is active.
+    ``clearance`` is the first of these (z_next against ``ctx_obstacles``)
+    when the caller has measured it already.
     """
     q, p = z_next.q, z_next.p
-    if shape is not None:
+    if clearance is not None:
+        clr = clearance
+    elif shape is not None:
         clr = shape.min_clearance(q, ctx_obstacles)
     elif ctx_obstacles:
         clr = float(signed_distances(ctx_obstacles, q[layout.frame]).min())
@@ -227,7 +231,6 @@ class AdaptConfig:
     v_min: float = 0.2
     fixed_targets: tuple = (0.3, 0.0, 0.5)
     update_form: str = "additive"
-    learn_port_sensitivity: bool = False
     clearance_deadband: bool = True  # only ever request clearance increases
     zeta_cap: tuple = (8.0, 8.0, 15.0, 12.0)  # ceilings for beta, lam, alpha, mu
 
@@ -544,8 +547,7 @@ class _Episode:
         self.contact_clrs = deque(maxlen=max(cfg.contact_window, 1))
         self.u_f = np.zeros(2)
         self.J = np.zeros((3, 3 + cfg.adapt.k_alpha))
-        self.P_learn = np.zeros((3, 2))
-        self.prev_y = self.prev_zeta = self.prev_u = None
+        self.prev_y = self.prev_zeta = None
         self.prev_slots = None
         self.recent = deque(maxlen=cfg.stuck_window + 1)
         self.log = {k: [] for k in
@@ -563,11 +565,15 @@ class _Episode:
             if self.shape is not None:
                 base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
             return base
-        if not self.ws.obstacles:
-            return np.inf
+        return self.clearance(q, self.ws.obstacles)
+
+    def clearance(self, q, obstacles) -> float:
+        """Clearance of q against obstacles, +inf when there are none."""
         if self.shape is not None:
-            return self.shape.min_clearance(q, self.ws.obstacles)
-        return float(signed_distances(self.ws.obstacles, q[self.layout.frame]).min())
+            return self.shape.min_clearance(q, obstacles)
+        if not obstacles:
+            return np.inf
+        return float(signed_distances(obstacles, q[self.layout.frame]).min())
 
     def active_pairs(self, q):
         """Memory obstacles whose barrier can be non-zero at q.
@@ -597,22 +603,22 @@ class _Episode:
                            sensor_gain=self.cfg.sensor_gain, shape=self.shape)
         return HamiltonianSpec(mass=self.mass, weights=weights, context=ctx, fixed=fixed)
 
-    def observe(self, z, act_obs, shape_clearances=()):
+    def observe(self, z, act_obs, shape_clearances=(), clearance=None):
         return compute_observables(z, act_obs, self.ws.goal, shape_clearances, self.mass,
-                                   self.layout, self.shape, self.cfg.d_hat)
+                                   self.layout, self.shape, self.cfg.d_hat, clearance)
 
     # -- logging ------------------------------------------------------------
 
-    def log_state(self, spec, act, y: Observables):
+    def log_state(self, parts, true_clr, act, y: Observables):
+        """Log self.z with its energy terms and its ground-truth clearance."""
         lg = self.log
         lg["t"].append(len(lg["t"]) * self.cfg.tau)
         lg["q"].append(self.z.q.copy())
         lg["p"].append(self.z.p.copy())
-        parts = energy_breakdown(self.z, spec)
         for k in ("E_sensor", "E_goal", "E_obj", "E_barrier_total", "H"):
             lg[k].append(parts[k])
         lg["clr"].append(y.clearance)
-        lg["true_clr"].append(self.true_clearance(self.z.q))
+        lg["true_clr"].append(true_clr)
         lg["dist"].append(y.goal_dist)
         lg["speed"].append(y.speed)
         lg["beta"].append(self.weights.beta)
@@ -659,12 +665,18 @@ class _Episode:
         t_wall = time.perf_counter()
         cfg, ad = self.cfg, self.cfg.adapt
         t_y, t_f, t_o = cfg.horizons
-        if self.true_clearance(self.z.q) < 0:
+        # measured once per state, when the state is committed
+        true_clr = self.true_clearance(self.z.q)
+        if true_clr < 0:
             act = []
-            self.log_state(self.spec_for(act), act, self.observe(self.z, []))
+            self.log_state(energy_breakdown(self.z, self.spec_for(act)), true_clr, act,
+                           self.observe(self.z, []))
             return self.result("collision", t_wall)
         termination = "timeout"
         n = 0
+        # clearance of self.z against the active set it was measured on after
+        # the last step; reused while the active set holds the same obstacles
+        clr_obs = clr_next = None
         while True:
             c = self.z.q[self.layout.frame]
             if float(np.linalg.norm(c - self.ws.goal)) < cfg.eps_goal:
@@ -719,21 +731,25 @@ class _Episode:
 
             act = self.active_pairs(self.z.q)
             act_obs = [ob for _, ob in act]
+            same = clr_obs is not None and len(clr_obs) == len(act_obs) and all(
+                a is b for a, b in zip(clr_obs, act_obs))
+            clr = clr_next if same else self.clearance(self.z.q, act_obs)
 
             # (B) shape horizon: refresh the clearance-dependent scale target
             shape_clearances = []
             if self.shape is not None:
                 if n % t_o == 0:
-                    self.shape.refresh_target(self.z.q, act_obs)
-                shape_clearances = [self.shape.min_clearance(self.z.q, act_obs)]
+                    self.shape.refresh_target(self.z.q, act_obs, d_min=clr)
+                shape_clearances = [clr]
 
-            # (D) compose the surrogate Hamiltonian on the active set
+            # (D) compose the surrogate Hamiltonian on the active set and
+            # evaluate it once: the step takes its gradient, the log its terms
             spec = self.spec_for(act)
+            ev = evaluate(self.z.q, spec, self.z.p)
 
             # (E) one port-Hamiltonian step (damping scale models plant mismatch)
-            grad = potential_grad(self.z.q, spec)
             try:
-                z_next = step_symplectic_euler(self.z, grad,
+                z_next = step_symplectic_euler(self.z, ev.grad,
                                                self.weights.mu * self.damping_scale,
                                                self.u_f, self.mass, cfg.tau,
                                                self.selectors, self.structural)
@@ -748,7 +764,8 @@ class _Episode:
                     z_next.p[self.layout.scale] = 0.0  # inelastic stop at the limits
 
             # (F) observables from the committed step
-            y_obs = self.observe(z_next, act_obs, shape_clearances)
+            clr_obs, clr_next = act_obs, self.clearance(z_next.q, act_obs)
+            y_obs = self.observe(z_next, act_obs, shape_clearances, clr_next)
             self.contact_clrs.append(y_obs.clearance)
             y_vec = y_obs.vector()
             dy_des = observable_target(y_obs, ad.target_mode, ad.setpoints()) - y_vec
@@ -786,35 +803,29 @@ class _Episode:
             # (H) port correction each frame horizon (zero-order hold between)
             if n % t_f == 0:
                 r = dy_des - self.J @ dzeta
-                if ad.learn_port_sensitivity:
-                    if self.prev_u is not None:
-                        self.P_learn = secant_jacobian_update(
-                            self.P_learn, y_vec - self.prev_y, self.u_f - self.prev_u,
-                            ad.rho, ad.eps)
-                    P = self.P_learn
+                v_frame = z_next.p[self.layout.frame] / self.mass[self.layout.frame]
+                sp = float(np.linalg.norm(v_frame))
+                P = np.zeros((3, 2))
+                if sp > 1e-6:
+                    P[2] = -ad.kappa_v * v_frame / sp  # braking raises y3 = -speed
                 else:
-                    v_frame = z_next.p[self.layout.frame] / self.mass[self.layout.frame]
-                    sp = float(np.linalg.norm(v_frame))
-                    P = np.zeros((3, 2))
-                    if sp > 1e-6:
-                        P[2] = -ad.kappa_v * v_frame / sp  # braking raises y3 = -speed
-                    else:
-                        # from rest, "more speed" means toward the stage goal
-                        to_goal = self.stage_goal - z_next.q[self.layout.frame]
-                        dg = float(np.linalg.norm(to_goal))
-                        if dg > 1e-9:
-                            P[2] = -ad.kappa_v * to_goal / dg
-                self.prev_u = self.u_f.copy()
+                    # from rest, "more speed" means toward the stage goal
+                    to_goal = self.stage_goal - z_next.q[self.layout.frame]
+                    dg = float(np.linalg.norm(to_goal))
+                    if dg > 1e-9:
+                        P[2] = -ad.kappa_v * to_goal / dg
                 self.u_f = port_correction(P, r, ad.lam_u, ad.u_box)
             self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
 
             # (I) commit and log
-            self.log_state(spec, act, self.observe(self.z, act_obs, shape_clearances))
+            self.log_state(ev.parts, true_clr, act,
+                           self.observe(self.z, act_obs, shape_clearances, clr))
             self.z = z_next
+            true_clr = self.true_clearance(self.z.q)
             self.recent.append(z_next.q[self.layout.frame].copy())
             n += 1
 
-            if self.true_clearance(self.z.q) < 0 and cfg.collision_stop:
+            if true_clr < 0 and cfg.collision_stop:
                 termination = "collision"
                 break
             if len(self.recent) == cfg.stuck_window + 1:
@@ -823,7 +834,8 @@ class _Episode:
                     break
 
         act = self.active_pairs(self.z.q)
-        self.log_state(self.spec_for(act), act, self.observe(self.z, [ob for _, ob in act]))
+        self.log_state(energy_breakdown(self.z, self.spec_for(act)), true_clr, act,
+                       self.observe(self.z, [ob for _, ob in act]))
         return self.result(termination, t_wall)
 
 

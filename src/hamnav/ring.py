@@ -47,23 +47,6 @@ class SplineBasis:
     weights: np.ndarray
 
 
-@dataclass
-class RingState:
-    """Reduced shape state: center (= frame center), scale, conjugate momenta."""
-
-    center: np.ndarray
-    scale: float
-    p_scale: float = 0.0
-    p_frame: np.ndarray = None
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.scale <= 0:
-            raise ValueError("ring scale must be > 0")
-        if self.p_frame is None:
-            self.p_frame = np.zeros(2)
-
-
 def reference_control_points(n_ctrl: int, r_base: float) -> np.ndarray:
     """Rest control polygon: r_base * (cos, sin)(2 pi i / n), i = 1..n."""
     if n_ctrl < 3:
@@ -103,39 +86,6 @@ def spline_basis(n_ctrl: int, K: int) -> SplineBasis:
         B[rows, cols] += b_w[:, off]
         D[rows, cols] += d_w[:, off]
     return SplineBasis(B=B, D=D, weights=np.full(K, 1.0 / K))
-
-
-def boundary_samples(ring: RingState, params: RingParams, basis: SplineBasis):
-    """Boundary points, unit tangents and arc-length weights ||X'_j||."""
-    if ring.scale <= 0:
-        raise ValueError("degenerate ring: scale must be > 0")
-    p0 = reference_control_points(params.n_ctrl, params.r_base)
-    pts = ring.center[None, :] + ring.scale * (basis.B @ p0)
-    deriv = ring.scale * (basis.D @ p0)
-    lengths = np.linalg.norm(deriv, axis=1)
-    tangents = deriv / lengths[:, None]
-    return pts, tangents, lengths
-
-
-def ring_barrier_energy(ring: RingState, obstacles, d_hat: float, params: RingParams = None,
-                        basis: SplineBasis = None):
-    """Boundary-integrated contact energy and the minimum sample clearance.
-
-    sum_j sum_k w_j ||X'_j|| weight_k * b(d_jk); returns (energy, d_min)
-    with d_min = +inf when there are no obstacles.
-    """
-    params = params or RingParams()
-    basis = basis or spline_basis(params.n_ctrl, params.n_samples)
-    pts, _, lengths = boundary_samples(ring, params, basis)
-    if not obstacles:
-        return 0.0, np.inf
-    centers = np.stack([ob.center for ob in obstacles])
-    radii = np.array([ob.radius for ob in obstacles])
-    wts = np.array([ob.weight for ob in obstacles])
-    d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) - radii[None, :]
-    b = ipc_barrier(d, d_hat)
-    energy = float(np.sum(basis.weights[:, None] * lengths[:, None] * wts[None, :] * b))
-    return energy, float(d.min())
 
 
 def scale_target(d_min: float, s_0: float, delta: float) -> float:
@@ -193,6 +143,11 @@ class RingShapeModel:
         c, s = self._unpack(q)
         return c[None, :] + s * self._x0
 
+    def arc_lengths(self, q) -> np.ndarray:
+        """Arc-length weights ||X'_j|| = s ||X0'_j|| of the boundary samples."""
+        _, s = self._unpack(q)
+        return s * self._l0
+
     def obj_feature(self, q):
         """Bulk potential and its gradient over q (scale coordinate only)."""
         _, s = self._unpack(q)
@@ -215,7 +170,7 @@ class RingShapeModel:
         b = ipc_barrier(d, d_hat, v_penalty)
         db = ipc_barrier_grad(d, d_hat)
         w = self.basis.weights * obstacle.weight
-        lengths = s * self._l0
+        lengths = self.arc_lengths(q)
         val = float(np.sum(w * lengths * b))
         grad = np.zeros_like(np.asarray(q, float))
         safe = dist > 1e-12
@@ -238,9 +193,14 @@ class RingShapeModel:
         d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) - radii[None, :]
         return float(d.min())
 
-    def refresh_target(self, q, obstacles):
-        """Re-evaluate the clearance-dependent scale target (per shape horizon)."""
-        d_min = self.min_clearance(q, obstacles)
+    def refresh_target(self, q, obstacles, d_min=None):
+        """Re-evaluate the clearance-dependent scale target (per shape horizon).
+
+        ``d_min`` is ``min_clearance(q, obstacles)`` when the caller has it
+        already; it is measured when None.
+        """
+        if d_min is None:
+            d_min = self.min_clearance(q, obstacles)
         if np.isinf(d_min):
             d_min = 10.0 / self.params.delta  # saturated tanh: expand in free space
         self.s_target = scale_target(d_min, self.params.s_min, self.params.delta)

@@ -1,0 +1,143 @@
+"""Golden behaviour digests: three short runs must reproduce the pinned output.
+
+Each case hashes (sha256) its trajectory (``qs``, ``ps``, termination) and its
+logged observables (energies and clearances) and compares both with
+``tests/golden/bench_digest.json``.  The file also keeps the arrays and the
+numpy version it was made with.  When numpy's major.minor matches that
+version the digests must match exactly, bit for bit.  Under another numpy,
+whose math routines may round differently in the last ulp, the termination
+and the step count must still match exactly and every array must agree with
+the stored one to ``np.allclose(rtol=1e-12, atol=0)``.
+
+A change that moves a digest on purpose must say why; regenerate the file
+with ``PYTHONPATH=src python tests/test_bench_digest.py --write``.
+"""
+
+import hashlib
+import json
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hamnav.dynamics import IntegratorConfig, rollout
+from hamnav.energy import PhaseState
+from hamnav.generation import generate_dungeon, generate_workspace
+from hamnav.learning import _scene_spec, make_reference_dataset, scene_rollout
+from hamnav.navigator import EpisodeConfig, dungeon_setup, run_episode
+from hamnav.ring import RingParams
+
+GOLDEN = Path(__file__).parent / "golden" / "bench_digest.json"
+
+TRAJECTORY = ("qs", "ps")
+OBSERVED = {
+    "ring_episode": ("energies", "clearances", "true_clearances"),
+    "point_episode": ("energies", "clearances", "true_clearances"),
+    "scene_rollout": ("energies", "clearances"),
+}
+
+
+def _episode(res):
+    arrays = {k: getattr(res, k) for k in TRAJECTORY + OBSERVED["ring_episode"]}
+    return res.termination, res.n_steps, arrays
+
+
+def ring_episode():
+    cfg = EpisodeConfig(ring=RingParams(), n_max=200)
+    return _episode(run_episode(generate_workspace("test_id", 0), cfg))
+
+
+def point_episode():
+    cfg, meta = dungeon_setup(n_max=200)
+    return _episode(run_episode(generate_dungeon(0, cells=3), cfg, meta))
+
+
+def scene_rollout_case():
+    """``scene_rollout`` for (qs, velocities), and the rollout under it for the
+    energies and clearances it records."""
+    scene = make_reference_dataset(1, seed=0)[0]
+    w = scene.ref_weights()
+    qs, vs = scene_rollout(scene, w, horizon=250, tau=0.03, d_hat=1.0)
+    spec = _scene_spec(scene.obstacles, scene.goal, w, 1.0)
+    traj = rollout(PhaseState(scene.q0.copy(), np.zeros(4)), spec,
+                   IntegratorConfig(tau=0.03, horizon=250), mu=w.mu)
+    termination = "diverged" if traj.diverged else "horizon"
+    arrays = {"qs": qs, "ps": vs, "energies": traj.energies,
+              "clearances": traj.clearances}
+    return termination, len(traj) - 1, arrays
+
+
+CASES = {
+    "ring_episode": ring_episode,
+    "point_episode": point_episode,
+    "scene_rollout": scene_rollout_case,
+}
+
+
+def sha256(arrays, names, termination=None):
+    h = hashlib.sha256()
+    for name in names:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+    if termination is not None:
+        h.update(termination.encode())
+    return h.hexdigest()
+
+
+def record(name):
+    termination, n_steps, arrays = CASES[name]()
+    return {
+        "termination": termination,
+        "n_steps": n_steps,
+        "trajectory_sha256": sha256(arrays, TRAJECTORY, termination),
+        "observed_sha256": sha256(arrays, OBSERVED[name]),
+        "arrays": {k: {"shape": list(np.shape(v)),
+                       "data": np.asarray(v, float).ravel().tolist()}
+                   for k, v in arrays.items()},
+    }
+
+
+def major_minor(version):
+    return tuple(version.split(".")[:2])
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_digest(name, golden):
+    want = golden["cases"][name]
+    got = record(name)
+    assert got["termination"] == want["termination"]
+    assert got["n_steps"] == want["n_steps"]
+    if major_minor(np.__version__) == major_minor(golden["numpy"]):
+        assert got["trajectory_sha256"] == want["trajectory_sha256"]
+        assert got["observed_sha256"] == want["observed_sha256"]
+        return
+    for key, stored in want["arrays"].items():
+        arr = np.asarray(got["arrays"][key]["data"], float)
+        ref = np.asarray(stored["data"], float)
+        assert got["arrays"][key]["shape"] == stored["shape"], key
+        assert np.allclose(arr, ref, rtol=1e-12, atol=0), key
+
+
+def write_golden(path=GOLDEN):
+    doc = {"numpy": np.__version__, "cases": {n: record(n) for n in sorted(CASES)}}
+    text = json.dumps(doc, indent=1)
+    # one line per array: collapse the innermost lists of numbers
+    text = re.sub(r"\[\s*([^\[\]{}\"]*?)\s*\]",
+                  lambda m: "[" + ", ".join(x.strip() for x in m.group(1).split(",")) + "]"
+                  if m.group(1).strip() else "[]", text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_bench_digest.py --write")
+    write_golden()
+    print(f"wrote {GOLDEN}")

@@ -14,6 +14,7 @@ from hamnav.energy import (
     PhaseState,
     barrier_knots,
     energy_breakdown,
+    evaluate,
     features,
     hamiltonian,
     ipc_barrier,
@@ -24,6 +25,7 @@ from hamnav.energy import (
     potential_grad,
     sensor_energy,
 )
+from hamnav.ring import RingShapeModel
 from hamnav.workspace import EnvironmentContext, Obstacle
 
 from conftest import central_diff
@@ -302,6 +304,102 @@ class TestFeatures:
             for j in range(phi.size):
                 fd = central_diff(lambda x: features(x, ctx, fixed.d_hat, fixed)[0][j], q)
                 np.testing.assert_allclose(grads[j], fd, rtol=1e-4, atol=1e-8)
+
+
+# one obstacle: direction from the robot (point) or boundary sample (ring), gap
+# to the nearest sample (below the clamp distance d_c ~ 0.005 d_hat, inside
+# the activation distance, beyond it, or penetrating), radius, barrier weight
+OBSTACLE = st.tuples(
+    st.floats(0.0, 2 * np.pi),
+    st.one_of(st.floats(1e-6, 4e-3), st.floats(4e-3, 1.5), st.floats(-0.3, 0.0)),
+    st.floats(0.05, 0.6),
+    st.floats(0.0, 5.0),
+)
+
+
+def random_state(data, ring):
+    """A spec with 0-3 obstacles placed at drawn gaps, and a state (q, p)."""
+    layout = RING_LAYOUT if ring else POINT_LAYOUT
+    model = RingShapeModel() if ring else None
+    fl = lambda lo, hi: data.draw(st.floats(lo, hi))
+    q = np.array([fl(-1, 1), fl(-1, 1), fl(-3, 3), fl(-3, 3)]
+                 + ([fl(-1, 1), fl(0.3, 1.3)] if ring else []))
+    p = np.array([fl(-2, 2) for _ in range(layout.dim)])
+    d_hat = fl(0.3, 1.5)
+    obstacles, alpha = [], {}
+    for k, (ang, gap, r, a) in enumerate(data.draw(st.lists(OBSTACLE, max_size=3))):
+        if ring:
+            pts = model.boundary(q)
+            x = pts[int(ang / (2 * np.pi) * (len(pts) - 1))]
+            u = (x - q[2:4]) / np.linalg.norm(x - q[2:4])
+        else:
+            x, u = q[2:4], np.array([np.cos(ang), np.sin(ang)])
+        obstacles.append(Obstacle(x + (gap + r) * u, r, weight=fl(0.5, 2.0)))
+        alpha[k] = a
+    goal = np.array([fl(-3, 3), fl(-3, 3)])
+    fixed = FixedTerms(layout=layout, goal=goal, d_hat=d_hat, sensor_gain=fl(0.1, 2.0),
+                       shape=model)
+    if ring:
+        model.s_target = fl(0.5, 1.0)
+    weights = EnergyWeights(beta=fl(0, 3), lam=fl(0, 3), alpha=alpha)
+    mass = np.array([fl(0.5, 2.0) for _ in range(layout.dim)])
+    spec = HamiltonianSpec(mass=mass, weights=weights, context=make_ctx(obstacles, goal),
+                           fixed=fixed)
+    return q, p, spec
+
+
+def separate_formulas(q, p, spec):
+    """Gradient, potential, H and logged terms, each from its own features
+    call, written out as the energy module computes them."""
+    fixed, w = spec.fixed, spec.weights
+    phi, grads = features(q, spec.context, fixed.d_hat, fixed)
+    eta = np.concatenate(([w.beta, w.lam], [w.alpha.get(i, 0.0)
+                                            for i in sorted(i for i, _ in spec.context.obstacles)]))
+    grad = eta @ grads
+    grad[fixed.layout.sensor] += 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
+    pot = sensor_energy(q, fixed) + float(eta @ phi)
+    phi, _ = features(q, spec.context, fixed.d_hat, fixed)
+    e_sensor = sensor_energy(q, fixed)
+    e_goal, e_obj = w.beta * phi[0], w.lam * phi[1]
+    e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
+    parts = {"E_sensor": e_sensor, "E_goal": e_goal, "E_obj": e_obj,
+             "E_barrier_total": e_barrier,
+             "H": kinetic(p, spec.mass) + e_sensor + e_goal + e_obj + e_barrier}
+    return grad, pot, kinetic(p, spec.mass) + pot, parts
+
+
+class TestEvaluate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_single_evaluation_is_bitwise_equal(self, ring, data):
+        q, p, spec = random_state(data, ring)
+        ev = evaluate(q, spec, p)
+        z = PhaseState(q, p)
+        grad, pot, H, parts = separate_formulas(q, p, spec)
+        np.testing.assert_array_equal(ev.grad, grad)
+        np.testing.assert_array_equal(ev.grad, potential_grad(q, spec))
+        assert ev.potential == pot == potential(q, spec)
+        assert ev.H == H == hamiltonian(z, spec)
+        assert ev.parts == parts == energy_breakdown(z, spec)
+        np.testing.assert_array_equal(ev.phi, features(q, spec.context, spec.fixed.d_hat,
+                                                       spec.fixed)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_refresh_target_with_precomputed_clearance(self, data):
+        q, _, spec = random_state(data, ring=True)
+        obstacles = [ob for _, ob in spec.context.obstacles]
+        measured, given_d = RingShapeModel(), RingShapeModel()
+        want = measured.refresh_target(q, obstacles)
+        got = given_d.refresh_target(q, obstacles, d_min=given_d.min_clearance(q, obstacles))
+        assert got == want and given_d.s_target == measured.s_target
+
+    def test_state_at_rest_and_layout_check(self):
+        spec = point_spec([Obstacle(np.array([0.5, 0.0]), 0.1)], (1.0, 1.0), EnergyWeights())
+        q = np.array([0.2, 0.0, 0.0, 0.0])
+        assert evaluate(q, spec).H == evaluate(q, spec).potential == potential(q, spec)
+        with pytest.raises(ValueError):
+            evaluate(np.zeros(6), spec, np.zeros(6))
 
 
 class TestWeights:

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from hamnav.energy import V_PENALTY
 from hamnav.ring import (
     RingParams,
     RingShapeModel,
-    RingState,
-    boundary_samples,
     bulk_potential,
     bulk_potential_grad,
     reference_control_points,
-    ring_barrier_energy,
     scale_target,
     shoelace_area,
     spline_basis,
@@ -94,56 +92,61 @@ class TestSplineBasis:
             np.testing.assert_allclose(basis.D[j] @ ctrl, fd, atol=1e-6)
 
 
+def ring_q(center=(0.0, 0.0), scale=1.0):
+    """Ring configuration (sensor y, frame c, angle, scale s)."""
+    return np.array([0.0, 0.0, center[0], center[1], 0.0, scale])
+
+
+def ring_barrier(model, q, obstacles, d_hat):
+    """Boundary-integrated contact energy (the summed obstacle features) and
+    the minimum sample clearance, +inf without obstacles."""
+    energy = sum(model.obstacle_feature(q, ob, d_hat, V_PENALTY)[0] for ob in obstacles)
+    return float(energy), model.min_clearance(q, obstacles)
+
+
 class TestBoundarySamples:
     def test_radially_uniform(self):
-        params = RingParams()
-        basis = spline_basis(params.n_ctrl, params.n_samples)
-        ring = RingState(np.zeros(2), 1.0)
-        pts, _, _ = boundary_samples(ring, params, basis)
+        pts = RingShapeModel(RingParams()).boundary(ring_q())
         r = np.linalg.norm(pts, axis=1)
         r_eff = r.mean()
         assert np.max(np.abs(r - r_eff)) / r_eff < 1e-3
 
     def test_translation_equivariance(self):
-        params = RingParams()
-        basis = spline_basis(params.n_ctrl, params.n_samples)
+        model = RingShapeModel(RingParams())
         v = np.array([1.25, -0.5])
-        p0, _, l0 = boundary_samples(RingState(np.zeros(2), 0.8), params, basis)
-        p1, _, l1 = boundary_samples(RingState(v, 0.8), params, basis)
-        np.testing.assert_array_equal(p1, p0 + v)
-        np.testing.assert_array_equal(l1, l0)
+        q0, q1 = ring_q(scale=0.8), ring_q(v, 0.8)
+        np.testing.assert_array_equal(model.boundary(q1), model.boundary(q0) + v)
+        np.testing.assert_array_equal(model.arc_lengths(q1), model.arc_lengths(q0))
 
     def test_scale_doubles_lengths(self):
-        params = RingParams()
-        basis = spline_basis(params.n_ctrl, params.n_samples)
-        _, _, l1 = boundary_samples(RingState(np.zeros(2), 0.5), params, basis)
-        _, _, l2 = boundary_samples(RingState(np.zeros(2), 1.0), params, basis)
+        model = RingShapeModel(RingParams())
+        l1 = model.arc_lengths(ring_q(scale=0.5))
+        l2 = model.arc_lengths(ring_q(scale=1.0))
         np.testing.assert_allclose(l2, 2 * l1)
 
     def test_degenerate_scale(self):
         with pytest.raises(ValueError):
-            RingState(np.zeros(2), 0.0)
+            RingShapeModel().boundary(ring_q(scale=0.0))
 
 
 class TestRingBarrier:
     def test_zero_beyond_activation(self):
-        ring = RingState(np.zeros(2), 1.0)
         far = [Obstacle(np.array([10.0, 0.0]), 0.5)]
-        e, d_min = ring_barrier_energy(ring, far, d_hat=1.0)
+        e, d_min = ring_barrier(RingShapeModel(), ring_q(), far, d_hat=1.0)
         assert e == 0.0
         assert d_min > 1.0
 
     def test_no_obstacles(self):
-        e, d_min = ring_barrier_energy(RingState(np.zeros(2), 1.0), [], d_hat=1.0)
+        e, d_min = ring_barrier(RingShapeModel(), ring_q(), [], d_hat=1.0)
         assert e == 0.0 and np.isinf(d_min)
 
     def test_weight_linearity(self):
-        ring = RingState(np.zeros(2), 1.0)
+        model, q = RingShapeModel(), ring_q()
         obs1 = [Obstacle(np.array([0.9, 0.0]), 0.3, weight=1.0),
                 Obstacle(np.array([-0.9, 0.2]), 0.2, weight=2.0)]
         obs2 = [Obstacle(o.center, o.radius, 2 * o.weight) for o in obs1]
-        e1, _ = ring_barrier_energy(ring, obs1, d_hat=1.0)
-        e2, _ = ring_barrier_energy(ring, obs2, d_hat=1.0)
+        e1, _ = ring_barrier(model, q, obs1, d_hat=1.0)
+        e2, _ = ring_barrier(model, q, obs2, d_hat=1.0)
         assert e2 == pytest.approx(2 * e1, rel=1e-12)
         assert e1 > 0
 
@@ -151,20 +154,19 @@ class TestRingBarrier:
         # one obstacle close to a single stretch of boundary
         params = RingParams()
         fine = RingParams(n_ctrl=params.n_ctrl, n_samples=960)
-        ring = RingState(np.zeros(2), 1.0)
         ob = [Obstacle(np.array([params.r_base + 0.15, 0.0]), 0.05)]
-        e, _ = ring_barrier_energy(ring, ob, 0.5, params)
-        e_fine, _ = ring_barrier_energy(ring, ob, 0.5, fine)
+        e, _ = ring_barrier(RingShapeModel(params), ring_q(), ob, 0.5)
+        e_fine, _ = ring_barrier(RingShapeModel(fine), ring_q(), ob, 0.5)
         assert e == pytest.approx(e_fine, rel=0.05)
         assert e > 0
 
     def test_rigid_translation_invariance(self):
-        params = RingParams()
+        model = RingShapeModel(RingParams())
         ob = [Obstacle(np.array([0.5, 0.1]), 0.2), Obstacle(np.array([-0.4, -0.3]), 0.15)]
         v = np.array([3.2, -1.7])
-        e0, d0 = ring_barrier_energy(RingState(np.zeros(2), 0.9), ob, 0.8, params)
+        e0, d0 = ring_barrier(model, ring_q(scale=0.9), ob, 0.8)
         ob_t = [Obstacle(o.center + v, o.radius, o.weight) for o in ob]
-        e1, d1 = ring_barrier_energy(RingState(v, 0.9), ob_t, 0.8, params)
+        e1, d1 = ring_barrier(model, ring_q(v, 0.9), ob_t, 0.8)
         assert e1 == pytest.approx(e0, rel=1e-12)
         assert d1 == pytest.approx(d0, abs=1e-12)
 
@@ -235,12 +237,17 @@ class TestShapeModel:
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_min_clearance_matches_barrier_dmin(self):
+        # the clearance is the smallest distance from a barrier sample X_j
         model = RingShapeModel()
         obstacles = [Obstacle(np.array([0.8, 0.0]), 0.25)]
         q = self.make_q()
-        ring = RingState(q[2:4], q[5])
-        _, d_min = ring_barrier_energy(ring, obstacles, 1.0, model.params, model.basis)
+        pts = model.boundary(q)
+        d_min = float(np.min(np.linalg.norm(pts - obstacles[0].center, axis=1)
+                             - obstacles[0].radius))
         assert model.min_clearance(q, obstacles) == pytest.approx(d_min, abs=1e-12)
+        # and the barrier switches on exactly when d_hat passes that clearance
+        assert ring_barrier(model, q, obstacles, d_hat=1.001 * d_min)[0] > 0
+        assert ring_barrier(model, q, obstacles, d_hat=d_min)[0] == 0.0
 
     def test_refresh_target_free_space(self):
         model = RingShapeModel()
