@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,12 @@ from .workspace import (
     CoverageTracker,
     DeadEndError,
     EnvironmentContext,
+    ObstacleMemory,
     StageManager,
     Workspace,
     grid_sdf_world,
     grid_to_sdf,
+    row_norms,
     sense,
     signed_distances,
 )
@@ -221,41 +224,47 @@ class DWAResult:
 def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig) -> DWAResult:
     """Sample (v_x, v_y) on a grid, roll out, score, hard-reject collisions.
 
-    Ties go to the lowest candidate index (row-major over the grid).
+    All ``n_per_axis**2`` candidates are rolled out and scored at once.  A
+    candidate is rejected when a rollout point leaves ``cfg.stage_bounds`` or
+    its clearance is below 0; with every candidate rejected the result is
+    ``blocked``.  Ties go to the lowest candidate index (row-major over the
+    grid, v_y outer).
+
+    Norm forms: the clearance is ``np.linalg.norm(..., axis=-1)``, as in
+    signed_distances; the goal distances in ``progress`` are row_norms, equal
+    to the scalar ``np.linalg.norm`` of each vector.
     """
     position = np.asarray(position, float)
     axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
+    vel = np.column_stack([np.tile(axis, cfg.n_per_axis), np.repeat(axis, cfg.n_per_axis)])
     obstacles = ctx.obstacle_list()
     goal = np.asarray(stage_goal, float)
     d0 = float(np.linalg.norm(position - goal))
     # shorten the lookahead near the goal so the coarse grid can close in
     horizon = max(1, min(cfg.horizon, int(np.ceil(d0 / (cfg.v_max * cfg.dt)))))
-    best = None  # (score, index, velocity)
-    idx = -1
-    for vy in axis:
-        for vx in axis:
-            idx += 1
-            v = np.array([vx, vy])
-            pts = position[None, :] + np.outer(np.arange(1, horizon + 1) * cfg.dt, v)
-            if cfg.stage_bounds is not None:
-                x0, y0, x1, y1 = cfg.stage_bounds
-                if np.any((pts[:, 0] < x0) | (pts[:, 0] > x1)
-                          | (pts[:, 1] < y0) | (pts[:, 1] > y1)):
-                    continue
-            if obstacles:
-                clr = np.min([signed_distances(obstacles, p) for p in pts]) - cfg.robot_radius
-            else:
-                clr = cfg.d_hat
-            if clr < 0:
-                continue  # hard rejection of colliding candidates
-            progress = d0 - float(np.linalg.norm(pts[-1] - goal))
-            score = (cfg.w_progress * progress + cfg.w_clearance * min(clr, cfg.d_hat)
-                     + cfg.w_speed * float(np.hypot(vx, vy)))
-            if best is None or score > best[0]:
-                best = (score, idx, v)
-    if best is None:
+    ts = np.arange(1, horizon + 1) * cfg.dt
+    pts = position + ts[None, :, None] * vel[:, None, :]  # (candidate, step, xy)
+    ok = np.ones(len(vel), dtype=bool)
+    if cfg.stage_bounds is not None:
+        x0, y0, x1, y1 = cfg.stage_bounds
+        x, y = pts[..., 0], pts[..., 1]
+        ok = ~((x < x0) | (x > x1) | (y < y0) | (y > y1)).any(axis=1)
+    if obstacles:
+        centers = np.stack([ob.center for ob in obstacles])
+        radii = np.array([ob.radius for ob in obstacles])
+        dist = np.linalg.norm(centers - pts[:, :, None, :], axis=-1) - radii
+        clr = dist.min(axis=(1, 2)) - cfg.robot_radius
+    else:
+        clr = np.full(len(vel), cfg.d_hat)
+    ok &= ~(clr < 0)  # hard rejection of colliding candidates
+    if not ok.any():
         return DWAResult(np.zeros(2), True, -np.inf, -1)
-    return DWAResult(best[2], False, best[0], best[1])
+    progress = d0 - row_norms(pts[:, -1] - goal)
+    score = (cfg.w_progress * progress + cfg.w_clearance * np.minimum(clr, cfg.d_hat)
+             + cfg.w_speed * np.hypot(vel[:, 0], vel[:, 1]))
+    survivors = np.flatnonzero(ok)
+    best = int(survivors[np.argmax(score[survivors])])
+    return DWAResult(vel[best].copy(), False, float(score[best]), best)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +293,12 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         dwa_cfg = DWAConfig(robot_radius=robot_radius, d_hat=cfg.d_hat)
     pos = ws.start.copy()
     stage_goal = ws.goal.copy()
-    memory = {}
+    memory = ObstacleMemory()
     current_stage = None
     rows = {k: [] for k in ("q", "clr", "true_clr", "dist", "speed")}
     dt = cfg.tau
     termination = "timeout"
-    recent = []
+    recent = deque(maxlen=cfg.stuck_window + 1)
 
     def true_clear(p):
         if ws.grid is not None:
@@ -300,8 +309,9 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
 
     def log(p, v):
         if ws.grid is not None:
-            obs = [memory[i] for i in sorted(memory)]
-            clr = float(signed_distances(obs, p).min()) - robot_radius if obs else cfg.d_hat
+            clr = cfg.d_hat
+            if len(memory):
+                clr = float(memory.signed_distances(p).min()) - robot_radius
         else:
             clr = true_clear(p)
         rows["q"].append(np.concatenate([np.zeros(2), p]))
@@ -318,7 +328,7 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         n = 0
         v = np.zeros(2)
         exits = ExitSelector(stages, ws, cfg.eps_stage, cfg.exit_merge_radius)
-        exit_dists = []
+        exit_dists = deque(maxlen=cfg.retarget_window)
         while True:
             if float(np.linalg.norm(pos - ws.goal)) < cfg.eps_goal:
                 termination = "success"
@@ -327,8 +337,6 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
                 break
             stage_hit = float(np.linalg.norm(pos - stage_goal)) < cfg.eps_stage
             exit_dists.append(float(np.linalg.norm(pos - stage_goal)))
-            if len(exit_dists) > cfg.retarget_window:
-                exit_dists.pop(0)
             no_progress = (len(exit_dists) == cfg.retarget_window
                            and exit_dists[0] - min(exit_dists) < cfg.retarget_eps
                            and not np.array_equal(stage_goal, ws.goal))
@@ -345,13 +353,12 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
                 except DeadEndError:
                     termination = "dead_end"
                     break
-                for idx, ob in ctx.obstacles:
-                    memory[idx] = ob
+                memory.add(ctx.obstacles)
                 if no_progress or not np.array_equal(ctx.stage_goal, stage_goal):
                     exit_dists.clear()
                 stage_goal = ctx.stage_goal
                 current_stage = stage_idx
-            pairs = sorted(memory.items())
+            pairs = memory.pairs()
             local = EnvironmentContext(stage_goal, pairs, pos.copy(), cfg.d_hat)
             if method == "pf":
                 # PF plans in the rigid disc's configuration space
@@ -375,8 +382,8 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
             if true_clear(pos) < 0 and cfg.collision_stop:
                 termination = "collision"
                 break
-            if len(recent) > cfg.stuck_window:
-                if float(np.linalg.norm(recent[-1] - recent[-1 - cfg.stuck_window])) < cfg.eps_stuck:
+            if len(recent) == cfg.stuck_window + 1:
+                if float(np.linalg.norm(recent[-1] - recent[0])) < cfg.eps_stuck:
                     termination = "stuck"
                     break
     log(pos, np.zeros(2))

@@ -177,7 +177,14 @@ def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_
         p0[2:4] = speed * toward
         z = PhaseState(q0, p0)
         from .energy import potential_grad  # local import to avoid cycle noise
-        grad_fn = lambda q: potential_grad(q, spec)
+        # step_leapfrog ends at the new q and the next step starts there with
+        # the same array, so keep the last gradient for that array
+        last = [None, None]
+
+        def grad_fn(q):
+            if q is not last[0]:
+                last[:] = q, potential_grad(q, spec)
+            return last[1]
         clr = float(signed_distances(obstacles, z.q[2:4]).min())
         for _ in range(t_steps):
             z = step_leapfrog(z, grad_fn, spec.mass, 0.03)

@@ -37,9 +37,11 @@ from .workspace import (
     CoverageTracker,
     DeadEndError,
     EnvironmentContext,
+    ObstacleMemory,
     StageManager,
     Workspace,
     grid_sdf_world,
+    row_norms,
     sense,
     signed_distances,
 )
@@ -168,15 +170,14 @@ class MetaTokens:
 
 
 def build_tokens(q, p, pairs, stage_goal, mass, layout) -> MetaTokens:
+    """Tokens of the obstacles in ``pairs`` (an ObstacleMemory or (id, Obstacle)
+    pairs, one per id), in ascending id order."""
     c = q[layout.frame]
-    ids, rows = [], []
-    for idx, ob in sorted(pairs, key=lambda kv: kv[0]):
-        rel = ob.center - c
-        ids.append(idx)
-        rows.append([rel[0], rel[1], ob.radius, float(np.linalg.norm(rel)) - ob.radius])
-    tokens = np.asarray(rows, float).reshape(len(ids), 4)
+    memory = pairs if isinstance(pairs, ObstacleMemory) else ObstacleMemory(pairs)
+    rel = memory.centers - c
+    tokens = np.column_stack([rel, memory.radii, row_norms(rel) - memory.radii])
     speed = float(np.linalg.norm(p / np.asarray(mass, float)))
-    return MetaTokens(ids, tokens, np.asarray(stage_goal, float) - c, speed)
+    return MetaTokens(memory.ids.tolist(), tokens, np.asarray(stage_goal, float) - c, speed)
 
 
 @dataclass
@@ -538,7 +539,7 @@ class _Episode:
             q[self.layout.scale] = 1.0
         self.z = PhaseState(q, np.zeros(self.layout.dim))
         self.weights = _WeightState()
-        self.memory = {}
+        self.memory = ObstacleMemory()
         self.stage_goal = ws.goal.copy()
         self.current_stage = None
         self.exits = ExitSelector(self.stages, ws, cfg.eps_stage,
@@ -581,16 +582,11 @@ class _Episode:
         For the ring the activation test expands by the current ring radius,
         since the barrier acts on boundary samples rather than the center.
         """
-        c = q[self.layout.frame]
         reach = self.cfg.d_hat
         if self.shape is not None:
             reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
-        out = []
-        for idx in sorted(self.memory):
-            ob = self.memory[idx]
-            if float(np.linalg.norm(c - ob.center)) - ob.radius <= reach:
-                out.append((idx, ob))
-        return out
+        mem = self.memory
+        return mem.pairs(row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach)
 
     def spec_for(self, act):
         w = self.weights
@@ -717,14 +713,13 @@ class _Episode:
                 except DeadEndError:
                     termination = "dead_end"
                     break
-                for idx, ob in ctx.obstacles:
-                    self.memory[idx] = ob
+                self.memory.add(ctx.obstacles)
                 if no_progress or not np.array_equal(ctx.stage_goal, self.stage_goal):
                     self.exit_dists.clear()
                     self.contact_clrs.clear()
                 self.stage_goal = ctx.stage_goal
-                tokens = build_tokens(self.z.q, self.z.p, list(self.memory.items()),
-                                      self.stage_goal, self.mass, self.layout)
+                tokens = build_tokens(self.z.q, self.z.p, self.memory, self.stage_goal,
+                                      self.mass, self.layout)
                 prop = self.meta.propose(tokens)
                 self.weights.merge_proposal(prop)
                 self.current_stage = stage_idx

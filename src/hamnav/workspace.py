@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy import ndimage
@@ -48,12 +49,28 @@ def signed_distance(obstacle: Obstacle, point) -> float:
 
 
 def signed_distances(obstacles, point) -> np.ndarray:
-    """Vectorized signed_distance over a list of obstacles."""
+    """Vectorized signed_distance over a list of obstacles.
+
+    The distances are ``np.linalg.norm(..., axis=1)`` reductions, which can
+    differ in the last bit from the scalar ``np.linalg.norm`` of
+    signed_distance (see row_norms).
+    """
     if not obstacles:
         return np.empty(0)
     centers = np.stack([ob.center for ob in obstacles])
     radii = np.array([ob.radius for ob in obstacles])
     return np.linalg.norm(centers - np.asarray(point, float), axis=1) - radii
+
+
+def row_norms(d) -> np.ndarray:
+    """Euclidean norm of each row of an (n, k) array.
+
+    Bit-identical to ``np.linalg.norm(row)`` called on each row alone (a dot
+    product), which ``np.linalg.norm(d, axis=1)`` is not: that one sums the
+    squares separately and rounds differently in the last bit for some rows.
+    """
+    d = np.asarray(d, float)
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -206,6 +223,66 @@ class EnvironmentContext:
 
     def obstacle_list(self):
         return [ob for _, ob in self.obstacles]
+
+
+class ObstacleMemory:
+    """Episode-local memory of sensed discs, kept as arrays in ascending id order.
+
+    ``ids`` (int64; hallucinated discs have negative ids), ``centers`` (M, 2)
+    and ``radii`` (M,) are parallel to the stored (id, Obstacle) pairs.  A
+    re-sensed id overwrites its entry, so the object of the latest sensing
+    event is the one served.
+    """
+
+    def __init__(self, pairs=()):
+        self.ids = np.empty(0, dtype=np.int64)
+        self.centers = np.empty((0, 2))
+        self.radii = np.empty(0)
+        self._pairs = []
+        self._by_id = {}
+        self.add(pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def add(self, pairs):
+        """Store (id, Obstacle) pairs; a later pair for the same id wins."""
+        # obstacle-list worlds hand out the same objects on every sensing
+        # event, so usually nothing changes
+        fresh = {i: ob for i, ob in dict(pairs).items() if self._by_id.get(i) is not ob}
+        if not fresh:
+            return
+        self._by_id.update(fresh)
+        ids = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
+        entries = list(zip(ids.tolist(), fresh.values()))
+        centers = np.stack([ob.center for ob in fresh.values()])
+        radii = np.array([ob.radius for ob in fresh.values()], dtype=float)
+        slot = np.searchsorted(self.ids, ids)
+        known = slot < len(self.ids)
+        known[known] = self.ids[slot[known]] == ids[known]
+        for k, entry in zip(slot[known].tolist(), compress(entries, known.tolist())):
+            self._pairs[k] = entry
+        self.centers[slot[known]] = centers[known]
+        self.radii[slot[known]] = radii[known]
+        new = ~known
+        if new.any():
+            merged = np.concatenate([self.ids, ids[new]])
+            order = np.argsort(merged)
+            self.ids = merged[order]
+            self.centers = np.concatenate([self.centers, centers[new]])[order]
+            self.radii = np.concatenate([self.radii, radii[new]])[order]
+            entries = self._pairs + list(compress(entries, new.tolist()))
+            self._pairs = [entries[k] for k in order.tolist()]
+
+    def pairs(self, mask=None):
+        """(id, Obstacle) pairs in ascending id order, where ``mask`` is True."""
+        if mask is None:
+            return list(self._pairs)
+        return list(compress(self._pairs, mask.tolist()))
+
+    def signed_distances(self, point) -> np.ndarray:
+        """signed_distances of point to every stored disc, in id order."""
+        return np.linalg.norm(self.centers - np.asarray(point, float), axis=1) - self.radii
 
 
 def disc_intersects_window(obstacle: Obstacle, center, half_extent) -> bool:

@@ -2,6 +2,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamnav.baselines import (
     DWAConfig,
@@ -14,7 +16,13 @@ from hamnav.baselines import (
     run_baseline_episode,
 )
 from hamnav.navigator import EpisodeConfig
-from hamnav.workspace import EnvironmentContext, Obstacle, OccupancyGrid, Workspace
+from hamnav.workspace import (
+    EnvironmentContext,
+    Obstacle,
+    OccupancyGrid,
+    Workspace,
+    signed_distances,
+)
 
 
 def dijkstra_cost(free, start, goal, cell):
@@ -238,6 +246,120 @@ class TestDWA:
         out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg)
         # every fast candidate exits the stage; the chosen one stays inside
         assert np.max(np.abs(out.velocity)) * 0.5 * 5 <= 0.5 + 1e-9
+
+
+def dwa_reference(position, ctx, stage_goal, cfg):
+    """The per-candidate loop dwa_step replaced, kept as its oracle."""
+    position = np.asarray(position, float)
+    axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
+    obstacles = ctx.obstacle_list()
+    goal = np.asarray(stage_goal, float)
+    d0 = float(np.linalg.norm(position - goal))
+    horizon = max(1, min(cfg.horizon, int(np.ceil(d0 / (cfg.v_max * cfg.dt)))))
+    best = None  # (score, index, velocity)
+    idx = -1
+    for vy in axis:
+        for vx in axis:
+            idx += 1
+            v = np.array([vx, vy])
+            pts = position[None, :] + np.outer(np.arange(1, horizon + 1) * cfg.dt, v)
+            if cfg.stage_bounds is not None:
+                x0, y0, x1, y1 = cfg.stage_bounds
+                if np.any((pts[:, 0] < x0) | (pts[:, 0] > x1)
+                          | (pts[:, 1] < y0) | (pts[:, 1] > y1)):
+                    continue
+            if obstacles:
+                clr = np.min([signed_distances(obstacles, p) for p in pts]) - cfg.robot_radius
+            else:
+                clr = cfg.d_hat
+            if clr < 0:
+                continue
+            progress = d0 - float(np.linalg.norm(pts[-1] - goal))
+            score = (cfg.w_progress * progress + cfg.w_clearance * min(clr, cfg.d_hat)
+                     + cfg.w_speed * float(np.hypot(vx, vy)))
+            if best is None or score > best[0]:
+                best = (score, idx, v)
+    if best is None:
+        return np.zeros(2), True, -np.inf, -1
+    return best[2], False, best[0], best[1]
+
+
+def assert_same_as_reference(position, obstacles, goal, cfg):
+    ctx = ctx_of(obstacles, goal)
+    out = dwa_step(position, ctx, goal, cfg)
+    velocity, blocked, score, index = dwa_reference(position, ctx, goal, cfg)
+    assert (out.index, out.blocked) == (index, blocked)
+    assert out.velocity.tobytes() == np.asarray(velocity, float).tobytes()
+    assert np.float64(out.score).tobytes() == np.float64(score).tobytes()
+    return out
+
+
+class TestDWAOracle:
+    """dwa_step against the per-candidate loop, bit for bit."""
+
+    @given(st.integers(0, 12), st.integers(0, 10_000), st.booleans(),
+           st.floats(0.0, 0.5), st.floats(0.05, 3.0), st.integers(2, 9),
+           st.integers(1, 10))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_loop(self, n_obstacles, seed, bounded, robot_radius, goal_dist,
+                          n_per_axis, horizon):
+        r = np.random.default_rng(seed)
+        position = r.uniform(-1.0, 1.0, 2)
+        obstacles = [Obstacle(position + r.uniform(-2.0, 2.0, 2), r.uniform(0.1, 0.6))
+                     for _ in range(n_obstacles)]
+        # goal_dist below v_max * dt * horizon clips the horizon
+        ang = r.uniform(0, 2 * np.pi)
+        goal = position + goal_dist * np.array([np.cos(ang), np.sin(ang)])
+        bounds = None
+        if bounded:
+            lo, hi = position - r.uniform(0.1, 1.5, 2), position + r.uniform(0.1, 1.5, 2)
+            bounds = (lo[0], lo[1], hi[0], hi[1])
+        cfg = DWAConfig(v_max=r.uniform(0.3, 1.5), n_per_axis=n_per_axis, horizon=horizon,
+                        dt=r.uniform(0.05, 0.3), w_progress=r.uniform(0.5, 2.0),
+                        w_clearance=r.uniform(0.0, 1.0), w_speed=r.uniform(0.0, 0.2),
+                        robot_radius=robot_radius, d_hat=r.uniform(0.3, 1.5),
+                        stage_bounds=bounds)
+        assert_same_as_reference(position, obstacles, goal, cfg)
+
+    @given(st.integers(0, 4), st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]),
+           st.sampled_from([3, 5, 9]))
+    @settings(max_examples=40, deadline=None)
+    def test_mirror_symmetric_ties(self, n_pairs, seed, v_max, n_per_axis):
+        # an exactly symmetric velocity grid, a goal on the x axis and discs
+        # mirrored about it: every candidate ties with its mirror image
+        r = np.random.default_rng(seed)
+        obstacles = [Obstacle(np.array([0.6, 0.0]), 0.3)]
+        for _ in range(n_pairs):
+            x, y, rad = r.uniform(-2, 2), r.uniform(0.2, 2), r.uniform(0.1, 0.5)
+            obstacles += [Obstacle(np.array([x, y]), rad), Obstacle(np.array([x, -y]), rad)]
+        cfg = DWAConfig(v_max=v_max, n_per_axis=n_per_axis, horizon=8, dt=0.1)
+        assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
+
+    def test_tie_goes_to_lowest_index(self):
+        # the disc ahead blocks v_y = 0; the best pair (v_x, +-v_y) ties exactly
+        # and the row-major order puts the negative v_y first
+        obstacles = [Obstacle(np.array([0.6, 0.0]), 0.3)]
+        cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=8, dt=0.1, w_clearance=0.0)
+        out = assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
+        mirror = dwa_step((0.0, 0.0), ctx_of(obstacles, (3.0, 0.0)), (3.0, 0.0),
+                          DWAConfig(v_max=1.0, n_per_axis=5, horizon=8, dt=0.1,
+                                    w_clearance=0.0, stage_bounds=(-9, 0.0, 9, 9)))
+        assert out.velocity[1] < 0 < mirror.velocity[1]
+        assert out.score == mirror.score
+        assert out.velocity[0] == mirror.velocity[0]
+
+    def test_touching_candidate_survives(self):
+        # the step (1, 0) * 0.5 ends exactly on the disc surface: clearance 0
+        # is contact, not collision
+        obstacles = [Obstacle(np.array([1.0, 0.0]), 0.5)]
+        cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=1, dt=0.5, w_clearance=0.0)
+        out = assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
+        np.testing.assert_array_equal(out.velocity, [1.0, 0.0])
+
+    def test_blocked_matches_loop(self):
+        out = assert_same_as_reference((0.0, 0.0), [Obstacle(np.zeros(2), 0.5)], (5.0, 0.0),
+                                       DWAConfig(v_max=0.1, n_per_axis=5, horizon=3))
+        assert out.blocked
 
 
 class TestBaselineEpisodes:

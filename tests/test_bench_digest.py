@@ -1,7 +1,12 @@
-"""Golden behaviour digests: three short runs must reproduce the pinned output.
+"""Golden behaviour digests: short runs must reproduce the pinned output.
 
-Each case hashes (sha256) its trajectory (``qs``, ``ps``, termination) and its
-logged observables (energies and clearances) and compares both with
+The cases are a ring episode, a dungeon point-robot episode, a
+``scene_rollout``, and the PF and DWA baselines (DWA as a point robot and as
+a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).  Each
+case hashes (sha256) its trajectory (``qs``, ``ps``, termination; the
+baselines have no momenta, so ``qs`` alone) and its logged observables
+(energies and clearances; clearances only for the baselines) and compares both
+with
 ``tests/golden/bench_digest.json``.  The file also keeps the arrays and the
 numpy version it was made with.  When numpy's major.minor matches that
 version the digests must match exactly, bit for bit.  Under another numpy,
@@ -22,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hamnav.baselines import run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import PhaseState
 from hamnav.generation import generate_dungeon, generate_workspace
@@ -31,16 +37,12 @@ from hamnav.ring import RingParams
 
 GOLDEN = Path(__file__).parent / "golden" / "bench_digest.json"
 
-TRAJECTORY = ("qs", "ps")
-OBSERVED = {
-    "ring_episode": ("energies", "clearances", "true_clearances"),
-    "point_episode": ("energies", "clearances", "true_clearances"),
-    "scene_rollout": ("energies", "clearances"),
-}
+EPISODE = ("qs", "ps"), ("energies", "clearances", "true_clearances")
+BASELINE = ("qs",), ("clearances", "true_clearances")
 
 
-def _episode(res):
-    arrays = {k: getattr(res, k) for k in TRAJECTORY + OBSERVED["ring_episode"]}
+def _episode(res, names=EPISODE):
+    arrays = {k: getattr(res, k) for k in names[0] + names[1]}
     return res.termination, res.n_steps, arrays
 
 
@@ -69,10 +71,24 @@ def scene_rollout_case():
     return termination, len(traj) - 1, arrays
 
 
+def baseline_case(method, robot_radius=0.0, dungeon=False):
+    if dungeon:
+        ws, cfg = generate_dungeon(0, cells=3), dungeon_setup(n_max=300)[0]
+    else:
+        ws, cfg = generate_workspace("test_id", 0), EpisodeConfig()
+    return lambda: _episode(run_baseline_episode(ws, method, cfg, robot_radius=robot_radius),
+                            BASELINE)
+
+
+# name -> (run, trajectory arrays, observed arrays)
 CASES = {
-    "ring_episode": ring_episode,
-    "point_episode": point_episode,
-    "scene_rollout": scene_rollout_case,
+    "ring_episode": (ring_episode, *EPISODE),
+    "point_episode": (point_episode, *EPISODE),
+    "scene_rollout": (scene_rollout_case, ("qs", "ps"), ("energies", "clearances")),
+    "dwa_point": (baseline_case("dwa"), *BASELINE),
+    "dwa_disc": (baseline_case("dwa", robot_radius=0.4), *BASELINE),
+    "dwa_dungeon": (baseline_case("dwa", dungeon=True), *BASELINE),
+    "pf_disc": (baseline_case("pf", robot_radius=0.4), *BASELINE),
 }
 
 
@@ -87,12 +103,13 @@ def sha256(arrays, names, termination=None):
 
 
 def record(name):
-    termination, n_steps, arrays = CASES[name]()
+    run, trajectory, observed = CASES[name]
+    termination, n_steps, arrays = run()
     return {
         "termination": termination,
         "n_steps": n_steps,
-        "trajectory_sha256": sha256(arrays, TRAJECTORY, termination),
-        "observed_sha256": sha256(arrays, OBSERVED[name]),
+        "trajectory_sha256": sha256(arrays, trajectory, termination),
+        "observed_sha256": sha256(arrays, observed),
         "arrays": {k: {"shape": list(np.shape(v)),
                        "data": np.asarray(v, float).ravel().tolist()}
                    for k, v in arrays.items()},

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamnav.baselines import astar_rigid
 from hamnav.dynamics import IntegratorConfig, rollout
@@ -15,6 +17,8 @@ from hamnav.navigator import (
     DefaultMetaPolicy,
     EpisodeConfig,
     Observables,
+    _Episode,
+    build_tokens,
     compute_observables,
     observable_target,
     port_correction,
@@ -23,7 +27,8 @@ from hamnav.navigator import (
     secant_jacobian_update,
     tikhonov_step,
 )
-from hamnav.workspace import EnvironmentContext, Obstacle, Workspace
+from hamnav.ring import RingParams
+from hamnav.workspace import EnvironmentContext, Obstacle, ObstacleMemory, Workspace
 
 
 class TestObservables:
@@ -278,3 +283,69 @@ class TestRunEpisode:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             EpisodeConfig(horizons=(0, 1, 1))
+
+
+def sensed_memory(r, n_events):
+    """A dict memory and an ObstacleMemory fed the same sensing events; ids
+    recur (re-sensing) and include negative (hallucinated) ones."""
+    ref, memory = {}, ObstacleMemory()
+    for _ in range(n_events):
+        event = [(int(r.integers(-6, 30)), Obstacle(r.uniform(0, 10, 2), r.uniform(0.1, 0.8)))
+                 for _ in range(int(r.integers(0, 10)))]
+        memory.add(event)
+        for idx, ob in event:
+            ref[idx] = ob
+    return ref, memory
+
+
+def reference_active_pairs(ep, memory, q):
+    """_Episode.active_pairs as the loop over a dict memory it replaced."""
+    c = q[ep.layout.frame]
+    reach = ep.cfg.d_hat
+    if ep.shape is not None:
+        reach += float(q[ep.layout.scale][0]) * ep.shape.params.r_base * 1.05
+    out = []
+    for idx in sorted(memory):
+        ob = memory[idx]
+        if float(np.linalg.norm(c - ob.center)) - ob.radius <= reach:
+            out.append((idx, ob))
+    return out
+
+
+def reference_tokens(q, pairs, layout):
+    """build_tokens' token rows as the per-obstacle loop it replaced."""
+    c = q[layout.frame]
+    ids, rows = [], []
+    for idx, ob in sorted(pairs, key=lambda kv: kv[0]):
+        rel = ob.center - c
+        ids.append(idx)
+        rows.append([rel[0], rel[1], ob.radius, float(np.linalg.norm(rel)) - ob.radius])
+    return ids, np.asarray(rows, float).reshape(len(ids), 4)
+
+
+class TestObstacleMemoryInEpisode:
+    """Active set and meta tokens from an ObstacleMemory equal the dict loops."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_active_pairs_and_tokens(self, seed, n_events, ring):
+        r = np.random.default_rng(seed)
+        ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
+        cfg = EpisodeConfig(ring=RingParams() if ring else None, d_hat=r.uniform(0.3, 2.0))
+        ep = _Episode(ws, cfg, DefaultMetaPolicy())
+        ref, ep.memory = sensed_memory(r, n_events)
+        q = ep.z.q.copy()
+        q[ep.layout.frame] = r.uniform(0, 10, 2)
+        if ep.layout.scale is not None:
+            q[ep.layout.scale] = r.uniform(0.25, 1.3)
+        got, want = ep.active_pairs(q), reference_active_pairs(ep, ref, q)
+        assert [i for i, _ in got] == [i for i, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+        p = r.normal(size=q.shape)
+        for pairs in (ep.memory, list(ref.items())):
+            tokens = build_tokens(q, p, pairs, ws.goal, ep.mass, ep.layout)
+            ids, rows = reference_tokens(q, ref.items(), ep.layout)
+            assert tokens.obstacle_ids == ids
+            assert tokens.tokens.shape == rows.shape
+            assert tokens.tokens.tobytes() == rows.tobytes()

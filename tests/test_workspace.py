@@ -11,6 +11,7 @@ from hamnav.workspace import (
     DeadEndError,
     EnvironmentContext,
     Obstacle,
+    ObstacleMemory,
     OccupancyGrid,
     OutOfBoundsError,
     StageManager,
@@ -20,6 +21,7 @@ from hamnav.workspace import (
     extract_circles,
     grid_to_sdf,
     mapping_ratio,
+    row_norms,
     sense,
     signed_distance,
     signed_distances,
@@ -125,6 +127,81 @@ class TestActiveSet:
         a = set(active_set((0.0, 0.0), ctx, d1))
         b = set(active_set((0.0, 0.0), ctx, d2))
         assert a <= b
+
+
+class TestRowNorms:
+    """row_norms equals the scalar np.linalg.norm of each row, bit for bit."""
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_norm(self, rows):
+        d = np.array(rows, float).reshape(-1, 2)
+        want = np.array([np.linalg.norm(row) for row in d])
+        assert row_norms(d).tobytes() == want.tobytes()
+
+    def test_many_random_rows(self, rng):
+        d = rng.normal(size=(20_000, 2)) * rng.uniform(1e-3, 1e3, (20_000, 1))
+        want = np.array([np.linalg.norm(row) for row in d])
+        assert row_norms(d).tobytes() == want.tobytes()
+
+    def test_empty(self):
+        assert row_norms(np.empty((0, 2))).shape == (0,)
+
+
+def sensing_events(r, n_events, id_range=(-6, 20)):
+    """Random sensing events: (id, Obstacle) lists whose ids recur across
+    events (re-sensing) and include negative (hallucinated) ids."""
+    return [[(int(r.integers(*id_range)), Obstacle(r.uniform(-4, 4, 2), r.uniform(0.1, 0.8)))
+             for _ in range(int(r.integers(0, 8)))] for _ in range(n_events)]
+
+
+class TestObstacleMemory:
+    """ObstacleMemory against the dict it replaced (``memory[idx] = ob``)."""
+
+    @given(st.integers(0, 10_000), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dict(self, seed, n_events):
+        r = np.random.default_rng(seed)
+        memory, ref = ObstacleMemory(), {}
+        for event in sensing_events(r, n_events):
+            memory.add(event)
+            for idx, ob in event:
+                ref[idx] = ob
+            want = sorted(ref.items())
+            got = memory.pairs()
+            assert [i for i, _ in got] == [i for i, _ in want]
+            assert all(a is b for (_, a), (_, b) in zip(got, want))
+            assert len(memory) == len(want)
+            assert memory.ids.tolist() == [i for i, _ in want]
+            for k, (_, ob) in enumerate(want):
+                assert memory.centers[k].tobytes() == ob.center.tobytes()
+                assert memory.radii[k] == ob.radius
+            mask = r.uniform(size=len(want)) < 0.5
+            assert memory.pairs(mask) == [p for p, keep in zip(want, mask) if keep]
+            if want:
+                point = r.uniform(-4, 4, 2)
+                assert (memory.signed_distances(point).tobytes()
+                        == signed_distances([ob for _, ob in want], point).tobytes())
+
+    def test_resensed_id_serves_new_object(self):
+        first, second = Obstacle(np.zeros(2), 0.5), Obstacle(np.ones(2), 0.3)
+        memory = ObstacleMemory([(-3, first), (4, first)])
+        memory.add([(4, second)])
+        assert memory.pairs() == [(-3, first), (4, second)]
+        assert memory.pairs()[1][1] is second
+        np.testing.assert_array_equal(memory.centers, [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(memory.radii, [0.5, 0.3])
+
+    def test_later_pair_wins_within_one_add(self):
+        a, b = Obstacle(np.zeros(2), 0.5), Obstacle(np.ones(2), 0.3)
+        memory = ObstacleMemory([(2, a), (2, b)])
+        assert memory.pairs() == [(2, b)]
+
+    def test_empty(self):
+        memory = ObstacleMemory()
+        memory.add([])
+        assert len(memory) == 0 and memory.pairs() == []
+        assert memory.centers.shape == (0, 2) and memory.radii.shape == (0,)
 
 
 class TestStageExit:
