@@ -1,10 +1,10 @@
 """Reference planners: grid A* (rigid and deformable), potential fields, DWA.
 
 The A* planners see the full map and provide the reference path length used
-by SPL and detour metrics.  PF and DWA are local reactive controllers run
-under exactly the same stage manager, sensing window, and coverage
-accounting as the adaptive navigator; they consume only the sensed
-EnvironmentContext, never the workspace itself.
+by SPL and detour metrics.  PF and DWA are local reactive controllers driven
+by the navigator's own StagewiseSensing (the same stages, exit selection,
+sensing cadence, retargeting and coverage accounting); they steer by the
+sensed obstacle memory and the stage goal, never by the workspace itself.
 """
 
 from __future__ import annotations
@@ -12,25 +12,20 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .navigator import EpisodeConfig, EpisodeResult, ExitSelector
+from .navigator import EpisodeConfig, EpisodeResult, StagewiseSensing
 from .energy import POINT_LAYOUT
 from .workspace import (
-    CircleRegistry,
-    Obstacle,
-    CoverageTracker,
     DeadEndError,
     EnvironmentContext,
-    ObstacleMemory,
-    StageManager,
+    Obstacle,
     Workspace,
     grid_sdf_world,
     grid_to_sdf,
     row_norms,
-    sense,
     signed_distances,
 )
 
@@ -281,20 +276,14 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
     if method not in ("pf", "dwa"):
         raise ValueError(f"unknown baseline method {method!r}")
     t_wall = time.perf_counter()
-    t_y = cfg.horizons[0]
-    stages = StageManager(ws.side, cfg.stage_w, cfg.stage_h, cfg.stage_overlap,
-                          cfg.r_inflate, cfg.passable_width)
-    tracker = CoverageTracker(ws.side, cfg.window / cfg.coverage_cells_per_window)
-    registry = CircleRegistry() if ws.grid is not None else None
+    sensing = StagewiseSensing(ws, cfg)
+    memory = sensing.memory
     sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
     if pf_gains is None:
         pf_gains = PFGains(d_hat=cfg.d_hat)
     if dwa_cfg is None:
         dwa_cfg = DWAConfig(robot_radius=robot_radius, d_hat=cfg.d_hat)
     pos = ws.start.copy()
-    stage_goal = ws.goal.copy()
-    memory = ObstacleMemory()
-    current_stage = None
     rows = {k: [] for k in ("q", "clr", "true_clr", "dist", "speed")}
     dt = cfg.tau
     termination = "timeout"
@@ -320,44 +309,23 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         rows["dist"].append(float(np.linalg.norm(p - ws.goal)))
         rows["speed"].append(float(np.linalg.norm(v)))
 
+    n = 0
     if true_clear(pos) < 0:
         log(pos, np.zeros(2))
         termination = "collision"
-        n = 0
     else:
-        n = 0
-        v = np.zeros(2)
-        exits = ExitSelector(stages, ws, cfg.eps_stage, cfg.exit_merge_radius)
-        exit_dists = deque(maxlen=cfg.retarget_window)
         while True:
             if float(np.linalg.norm(pos - ws.goal)) < cfg.eps_goal:
                 termination = "success"
                 break
             if n >= cfg.n_max:
                 break
-            stage_hit = float(np.linalg.norm(pos - stage_goal)) < cfg.eps_stage
-            exit_dists.append(float(np.linalg.norm(pos - stage_goal)))
-            no_progress = (len(exit_dists) == cfg.retarget_window
-                           and exit_dists[0] - min(exit_dists) < cfg.retarget_eps
-                           and not np.array_equal(stage_goal, ws.goal))
-            if (stage_hit or no_progress) and not np.array_equal(stage_goal, ws.goal):
-                exits.record(stage_goal, attained=stage_hit)
-            stage_idx = stages.stage_of(np.clip(pos, 0, ws.side),
-                                        current=None if stage_hit else current_stage)
-            if n % t_y == 0 or stage_idx != current_stage or stage_hit or no_progress:
-                try:
-                    ctx = sense(ws, np.clip(pos, 0, ws.side), cfg.window,
-                                tracker=tracker, registry=registry,
-                                circle_params={"d_hat_cells": cfg.circle_d_hat_cells})
-                    ctx.stage_goal = exits.select(np.clip(pos, 0, ws.side), stage_idx)
-                except DeadEndError:
-                    termination = "dead_end"
-                    break
-                memory.add(ctx.obstacles)
-                if no_progress or not np.array_equal(ctx.stage_goal, stage_goal):
-                    exit_dists.clear()
-                stage_goal = ctx.stage_goal
-                current_stage = stage_idx
+            try:
+                sensing.refresh(pos, n)
+            except DeadEndError:
+                termination = "dead_end"
+                break
+            stage_goal = sensing.stage_goal
             pairs = memory.pairs()
             local = EnvironmentContext(stage_goal, pairs, pos.copy(), cfg.d_hat)
             if method == "pf":
@@ -370,7 +338,7 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
             else:
                 # pad the stage box so exit-adjacent candidates survive the
                 # leave-stage rejection (tiles overlap by more than this)
-                x0, y0, x1, y1 = stages.stage_bounds(stage_idx)
+                x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
                 pad = cfg.eps_stage
                 dwa_cfg.stage_bounds = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
                 out = dwa_step(pos, local, stage_goal, dwa_cfg)
@@ -403,8 +371,8 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         breakdown={k: zeros.copy() for k in ("E_sensor", "E_goal", "E_obj",
                                              "E_barrier_total")},
         termination=termination,
-        coverage=tracker.covered_fraction(),
+        coverage=sensing.tracker.covered_fraction(),
         layout=POINT_LAYOUT,
         wall_time=time.perf_counter() - t_wall,
-        tracker=tracker,
+        tracker=sensing.tracker,
     )

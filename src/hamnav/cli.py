@@ -20,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,13 +34,12 @@ import numpy as np
 
 from . import svg
 from .baselines import DWAConfig, PFGains, astar_deformable, astar_rigid, run_baseline_episode
-from .evalkit import ROBUSTNESS_LEVELS, PerturbedWorkspace, aggregate, episode_metrics, spl
+from .evalkit import episode_metrics, spl
 from .generation import FAMILIES, generate_bottleneck, generate_dungeon, generate_workspace, gap_statistics
 from .learning import MetaRegressor, SceneDatum, TrainConfig, make_reference_dataset, train_offline
-from .navigator import (AdaptConfig, DefaultMetaPolicy, EpisodeConfig,
-                        dungeon_setup, run_episode)
+from .navigator import DefaultMetaPolicy, EpisodeConfig, dungeon_setup, run_episode
 from .ring import RingParams
-from .workspace import Workspace, load_workspace, save_workspace
+from .workspace import Workspace, load_workspace, save_workspace, workspace_from_json
 
 SCHEMA_VERSION = 1
 
@@ -148,32 +148,34 @@ def to_dict(obj):
     return obj
 
 
-def _build(cls, data):
-    """Rebuild a dataclass tree from parsed TOML/JSON."""
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        val = data[f.name]
-        target = f.type if isinstance(f.type, type) else None
-        if f.name == "ring" and val is not None:
-            val = _build(RingParams, val)
-        elif f.name == "adapt":
-            val = _build(AdaptConfig, val)
-        elif f.name == "episode":
-            val = _build(EpisodeConfig, val)
-        elif f.name == "meta":
-            val = _build(MetaPolicyConfig, val)
-        elif f.name == "train":
-            val = _build(TrainConfig, val)
-        elif f.name == "pf":
-            val = _build(PFGains, val)
-        elif f.name == "dwa":
-            val = _build(DWAConfig, val)
-        elif isinstance(val, list) and isinstance(getattr(cls(), f.name, None), tuple):
-            val = tuple(val)
-        kwargs[f.name] = val
-    return cls(**kwargs)
+def _build(cls, data, path=""):
+    """Rebuild a dataclass tree from parsed TOML/JSON by the fields' type hints.
+
+    Tables become the dataclass their field names (``RingParams | None``
+    included), lists become tuples where the field is a tuple, and a key that
+    is not a field raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config field {path.rstrip('.') or cls.__name__} must be a table")
+    hints = typing.get_type_hints(cls)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in fields:
+            raise ValueError(f"unknown config field {path}{key}: "
+                             f"{cls.__name__} has no field {key!r}")
+    return cls(**{key: _field_value(hints[key], val, f"{path}{key}.")
+                  for key, val in data.items()})
+
+
+def _field_value(hint, val, path):
+    if val is None:
+        return None
+    for kind in typing.get_args(hint) or (hint,):
+        if dataclasses.is_dataclass(kind):
+            return _build(kind, val, path)
+        if kind is tuple and isinstance(val, list):
+            return tuple(val)
+    return val
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -334,6 +336,16 @@ def run_method(ws: Workspace, cfg: RunConfig, method=None):
     raise ValueError(f"{method} is a planner; use plan_method")
 
 
+def reference_length(ws: Workspace, cfg: RunConfig) -> float:
+    """A* length of a rigid disc (the ring's rigid radius, or one grid cell
+    for a point robot in a grid world); nan when it cannot pass."""
+    radius = cfg.rigid_radius
+    if cfg.robot == "point" and ws.grid is not None:
+        radius = ws.grid.cell_size
+    ref = astar_rigid(ws, cfg.astar_resolution, radius)
+    return ref.length if ref.feasible else np.nan
+
+
 def plan_method(ws: Workspace, cfg: RunConfig, method=None):
     method = method or cfg.method
     if method == "astar_rigid":
@@ -389,9 +401,6 @@ def cmd_run(args) -> int:
         cfg.robot = "point"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ref = astar_rigid(ws, cfg.astar_resolution,
-                      cfg.rigid_radius if cfg.robot == "ring" else ws.grid.cell_size
-                      if ws.grid else cfg.rigid_radius)
     if cfg.method in ("astar_rigid", "astar_deform"):
         plan = plan_method(ws, cfg)
         doc = {
@@ -412,11 +421,12 @@ def cmd_run(args) -> int:
         print(f"{cfg.method}: feasible={plan.feasible} L={plan.length:.3f}")
         return 0
     result = run_method(ws, cfg)
-    metrics = episode_metrics(result, ref.length if ref.feasible else np.nan, cfg.d_thr)
+    lref = reference_length(ws, cfg)
+    metrics = episode_metrics(result, lref, cfg.d_thr)
     write_steps_csv(result, out / "steps.csv")
     write_summary(result, metrics, out / "summary.json",
                   extra={"method": cfg.method, "seed": cfg.seed,
-                         "L_ref": float(ref.length) if ref.feasible else None,
+                         "L_ref": float(lref) if np.isfinite(lref) else None,
                          "workspace": str(args.workspace)})
     if result.boundary_snapshots:
         step = max(1, len(result.boundary_snapshots) // 12)
@@ -478,28 +488,27 @@ def cmd_make_dataset(args) -> int:
 
 
 def _eval_one(packed):
-    cfg_doc, ws_doc, method, index = packed
-    from .workspace import workspace_from_json
-
+    """Every method on one workspace, against one A* reference length."""
+    cfg_doc, ws_doc, methods = packed
     cfg = config_from_dict(cfg_doc)
     ws = workspace_from_json(ws_doc)
     if ws.grid is not None:
         cfg.robot = "point"
-    ref = astar_rigid(ws, cfg.astar_resolution, cfg.rigid_radius if cfg.robot == "ring"
-                      else ws.grid.cell_size)
-    lref = ref.length if ref.feasible else np.nan
-    if method in ("astar_rigid", "astar_deform"):
-        plan = plan_method(ws, cfg, method)
-        row = {
-            "success": int(plan.feasible), "spl": spl(plan.feasible, plan.length, lref),
-            "detour": plan.length / lref if plan.feasible and np.isfinite(lref) else np.nan,
-            "min_clearance": cfg.rigid_radius if method == "astar_rigid" else cfg.deform_r_min,
-            "mapping_ratio": 1.0,
-        }
-        return index, method, row
-    result = run_method(ws, cfg, method)
-    m = episode_metrics(result, lref, cfg.d_thr)
-    return index, method, m.row()
+    lref = reference_length(ws, cfg)
+    rows = {}
+    for method in methods:
+        if method in ("astar_rigid", "astar_deform"):
+            plan = plan_method(ws, cfg, method)
+            row = {
+                "success": int(plan.feasible), "spl": spl(plan.feasible, plan.length, lref),
+                "detour": plan.length / lref if plan.feasible and np.isfinite(lref) else np.nan,
+                "min_clearance": cfg.rigid_radius if method == "astar_rigid" else cfg.deform_r_min,
+                "mapping_ratio": 1.0,
+            }
+        else:
+            row = episode_metrics(run_method(ws, cfg, method), lref, cfg.d_thr).row()
+        rows[method] = row
+    return rows
 
 
 def cmd_eval(args) -> int:
@@ -515,22 +524,15 @@ def cmd_eval(args) -> int:
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .workspace import workspace_to_json
-
-    jobs = []
     cfg_doc = to_dict(cfg)
-    for method in methods:
-        for i, p in enumerate(ws_paths):
-            jobs.append((cfg_doc, json.loads(p.read_text()), method, i))
+    jobs = [(cfg_doc, json.loads(p.read_text()), methods) for p in ws_paths]
     workers = int(os.environ.get("HAMNAV_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_one, jobs))
     else:
         results = [_eval_one(j) for j in jobs]
-    per_method = {m: {} for m in methods}
-    for index, method, row in results:
-        per_method[method][index] = row
+    per_method = {m: {i: rows[m] for i, rows in enumerate(results)} for m in methods}
 
     table_rows = []
     for method in methods:

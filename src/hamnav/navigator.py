@@ -7,8 +7,9 @@ corrects the weights with a smoothed secant-Jacobian / Tikhonov update.  The
 residual the weight update cannot explain drives a port-force correction,
 recomputed once per frame horizon (zero-order hold in between).
 
-Sensing is stagewise: the world is re-sensed every T_y steps (or on stage
-change / stage-goal attainment), discovered obstacles accumulate in an
+Sensing is stagewise (StagewiseSensing, shared with the PF/DWA baselines):
+the world is re-sensed every T_y steps, on a stage change, and when an exit
+is attained or abandoned; discovered obstacles accumulate in an
 episode-local memory, and only obstacles near the robot enter the energy.
 """
 
@@ -276,8 +277,6 @@ class EpisodeConfig:
     circle_d_hat_cells: float = 8.0
     retarget_window: int = 80   # steps without exit progress before retarget
     retarget_eps: float = 0.02
-    contact_clearance: float = 0.0   # sustained-contact retarget threshold (off at 0)
-    contact_window: int = 60
     exit_merge_radius: float = 1.2
 
     def __post_init__(self):
@@ -300,8 +299,7 @@ def dungeon_setup(n_max=12000):
                         eps_goal=0.4, eps_stage=1.0, stage_w=6.0, stage_h=6.0,
                         stage_overlap=1.0 / 6.0, r_inflate=0.8, passable_width=0.5,
                         adapt=AdaptConfig(m_safe=0.5, v_min=0.3),
-                        circle_d_hat_cells=3.0, contact_clearance=0.45,
-                        contact_window=20)
+                        circle_d_hat_cells=3.0)
     meta = DefaultMetaPolicy(beta=1.0, lam=0.0, alpha=3.0, mu=6.0,
                              r_offset=0.0, mu_boost=0.5)
     return cfg, meta
@@ -407,11 +405,10 @@ class ExitSelector:
         return out
 
     def _build_route(self):
-        from collections import deque as _dq
         nx, ny = self.stages.nx, self.stages.ny
         goal_stage = self.stages.stage_of(self.ws.goal)
         dist = {goal_stage: 0}
-        frontier = _dq([goal_stage])
+        frontier = deque([goal_stage])
         parent_dir = {}
         while frontier:
             cur = frontier.popleft()
@@ -487,6 +484,63 @@ class ExitSelector:
         return scored[0][-1]
 
 
+class StagewiseSensing:
+    """The stagewise sensing regime the navigator and the PF/DWA baselines share.
+
+    It owns the stage tiling, the coverage raster, the disc registry of grid
+    worlds, the exit selector and the obstacle memory, and keeps the current
+    ``stage`` and its ``stage_goal`` (an exit on the stage boundary, or the
+    global goal once it lies inside the stage).
+    """
+
+    def __init__(self, ws: Workspace, cfg: EpisodeConfig):
+        self.ws, self.cfg = ws, cfg
+        self.stages = StageManager(ws.side, cfg.stage_w, cfg.stage_h, cfg.stage_overlap,
+                                   cfg.r_inflate, cfg.passable_width)
+        self.tracker = CoverageTracker(ws.side, cfg.window / cfg.coverage_cells_per_window)
+        self.registry = CircleRegistry() if ws.grid is not None else None
+        self.exits = ExitSelector(self.stages, ws, cfg.eps_stage, cfg.exit_merge_radius)
+        self.memory = ObstacleMemory()
+        self.stage_goal = ws.goal.copy()
+        self.stage = None
+        self.exit_dists = deque(maxlen=cfg.retarget_window)  # distances to the exit
+
+    def refresh(self, c, n) -> bool:
+        """Stage bookkeeping at step ``n`` with the robot at ``c``; True if it sensed.
+
+        An exit within eps_stage is attained and hands off to the neighboring
+        stage; an exit the robot made less than retarget_eps of progress
+        toward over the last retarget_window steps is abandoned.  Both are
+        recorded with the exit selector.  The robot re-senses every T_y steps,
+        on a stage change, and on an attained or abandoned exit, and then
+        takes the exit the selector routes it to.  Raises DeadEndError when
+        the stage is cut off from the goal; the window is sensed (and charged
+        to coverage) first.
+        """
+        cfg = self.cfg
+        pos = np.clip(c, 0.0, self.ws.side)
+        dist = float(np.linalg.norm(c - self.stage_goal))
+        self.exit_dists.append(dist)
+        stage_hit = dist < cfg.eps_stage
+        on_exit = not np.array_equal(self.stage_goal, self.ws.goal)
+        no_progress = (on_exit and len(self.exit_dists) == cfg.retarget_window
+                       and self.exit_dists[0] - min(self.exit_dists) < cfg.retarget_eps)
+        if on_exit and (stage_hit or no_progress):
+            self.exits.record(self.stage_goal, attained=stage_hit)
+        # the active stage is sticky while it still contains the robot
+        stage = self.stages.stage_of(pos, current=None if stage_hit else self.stage)
+        if not (n % cfg.horizons[0] == 0 or stage != self.stage or stage_hit or no_progress):
+            return False
+        ctx = sense(self.ws, pos, cfg.window, tracker=self.tracker, registry=self.registry,
+                    circle_params={"d_hat_cells": cfg.circle_d_hat_cells})
+        goal = self.exits.select(pos, stage)
+        self.memory.add(ctx.obstacles)
+        if no_progress or not np.array_equal(goal, self.stage_goal):
+            self.exit_dists.clear()
+        self.stage_goal, self.stage = goal, stage
+        return True
+
+
 class _WeightState:
     """Persistent weight map: adapted values survive sensing refreshes."""
 
@@ -528,10 +582,7 @@ class _Episode:
             self.structural = np.zeros(4)
         self.selectors = PortSelectors(dim=self.layout.dim, frame=self.layout.frame)
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
-        self.stages = StageManager(ws.side, cfg.stage_w, cfg.stage_h, cfg.stage_overlap,
-                                   cfg.r_inflate, cfg.passable_width)
-        self.tracker = CoverageTracker(ws.side, cfg.window / cfg.coverage_cells_per_window)
-        self.registry = CircleRegistry() if ws.grid is not None else None
+        self.sensing = StagewiseSensing(ws, cfg)
         self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
         q = np.zeros(self.layout.dim)
         q[self.layout.frame] = ws.start
@@ -539,13 +590,6 @@ class _Episode:
             q[self.layout.scale] = 1.0
         self.z = PhaseState(q, np.zeros(self.layout.dim))
         self.weights = _WeightState()
-        self.memory = ObstacleMemory()
-        self.stage_goal = ws.goal.copy()
-        self.current_stage = None
-        self.exits = ExitSelector(self.stages, ws, cfg.eps_stage,
-                                  cfg.exit_merge_radius)
-        self.exit_dists = deque(maxlen=cfg.retarget_window)
-        self.contact_clrs = deque(maxlen=max(cfg.contact_window, 1))
         self.u_f = np.zeros(2)
         self.J = np.zeros((3, 3 + cfg.adapt.k_alpha))
         self.prev_y = self.prev_zeta = None
@@ -585,7 +629,7 @@ class _Episode:
         reach = self.cfg.d_hat
         if self.shape is not None:
             reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
-        mem = self.memory
+        mem = self.sensing.memory
         return mem.pairs(row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach)
 
     def spec_for(self, act):
@@ -593,9 +637,9 @@ class _Episode:
         weights = EnergyWeights(beta=w.beta, lam=w.lam,
                                 alpha={i: w.alpha.get(i, 0.0) for i, _ in act},
                                 mu=w.mu, u_f=self.u_f.copy())
-        ctx = EnvironmentContext(self.stage_goal, act,
-                                 self.z.q[self.layout.frame].copy(), self.cfg.d_hat)
-        fixed = FixedTerms(layout=self.layout, goal=self.stage_goal, d_hat=self.cfg.d_hat,
+        goal = self.sensing.stage_goal
+        ctx = EnvironmentContext(goal, act, self.z.q[self.layout.frame].copy(), self.cfg.d_hat)
+        fixed = FixedTerms(layout=self.layout, goal=goal, d_hat=self.cfg.d_hat,
                            sensor_gain=self.cfg.sensor_gain, shape=self.shape)
         return HamiltonianSpec(mass=self.mass, weights=weights, context=ctx, fixed=fixed)
 
@@ -646,10 +690,10 @@ class _Episode:
             breakdown={k: np.asarray(lg[k]) for k in ("E_sensor", "E_goal", "E_obj",
                                                       "E_barrier_total")},
             termination=termination,
-            coverage=self.tracker.covered_fraction(),
+            coverage=self.sensing.tracker.covered_fraction(),
             layout=self.layout,
             wall_time=time.perf_counter() - t_wall,
-            tracker=self.tracker,
+            tracker=self.sensing.tracker,
             boundary_snapshots=self.snapshots,
             final_weights={"beta": self.weights.beta, "lam": self.weights.lam,
                            "mu": self.weights.mu, "alpha": dict(self.weights.alpha)},
@@ -660,7 +704,7 @@ class _Episode:
     def run(self) -> EpisodeResult:
         t_wall = time.perf_counter()
         cfg, ad = self.cfg, self.cfg.adapt
-        t_y, t_f, t_o = cfg.horizons
+        _, t_f, t_o = cfg.horizons
         # measured once per state, when the state is committed
         true_clr = self.true_clearance(self.z.q)
         if true_clr < 0:
@@ -682,47 +726,17 @@ class _Episode:
                 termination = "timeout"
                 break
 
-            # (A) sensing refresh and stage bookkeeping
-            pos = np.clip(c, 0.0, self.ws.side)
-            stage_hit = float(np.linalg.norm(c - self.stage_goal)) < cfg.eps_stage
-            # an exit the robot cannot make progress toward (blocked from the
-            # inside) gets blacklisted and the stage re-queried
-            self.exit_dists.append(float(np.linalg.norm(c - self.stage_goal)))
-            no_progress = (len(self.exit_dists) == cfg.retarget_window
-                           and self.exit_dists[0] - min(self.exit_dists) < cfg.retarget_eps
-                           and not np.array_equal(self.stage_goal, self.ws.goal))
-            # leaning on a wall toward an unreachable exit counts as no progress
-            if (cfg.contact_clearance > 0 and len(self.contact_clrs) == cfg.contact_window
-                    and max(self.contact_clrs) < cfg.contact_clearance
-                    and not np.array_equal(self.stage_goal, self.ws.goal)):
-                no_progress = True
-                self.contact_clrs.clear()
-            if (stage_hit or no_progress) and not np.array_equal(self.stage_goal, self.ws.goal):
-                self.exits.record(self.stage_goal, attained=stage_hit)
-            # attaining an exit hands off to the neighboring stage; otherwise
-            # the active stage is sticky while it still contains the robot
-            stage_idx = self.stages.stage_of(
-                pos, current=None if stage_hit else self.current_stage)
-            new_stage = stage_idx != self.current_stage
-            if n % t_y == 0 or new_stage or stage_hit or no_progress:
-                try:
-                    ctx = sense(self.ws, pos, cfg.window, tracker=self.tracker,
-                                registry=self.registry,
-                                circle_params={"d_hat_cells": cfg.circle_d_hat_cells})
-                    ctx.stage_goal = self.exits.select(pos, stage_idx)
-                except DeadEndError:
-                    termination = "dead_end"
-                    break
-                self.memory.add(ctx.obstacles)
-                if no_progress or not np.array_equal(ctx.stage_goal, self.stage_goal):
-                    self.exit_dists.clear()
-                    self.contact_clrs.clear()
-                self.stage_goal = ctx.stage_goal
-                tokens = build_tokens(self.z.q, self.z.p, self.memory, self.stage_goal,
-                                      self.mass, self.layout)
-                prop = self.meta.propose(tokens)
-                self.weights.merge_proposal(prop)
-                self.current_stage = stage_idx
+            # (A) sensing refresh and stage bookkeeping; the meta policy
+            # re-proposes weights on every sensing event
+            try:
+                sensed = self.sensing.refresh(c, n)
+            except DeadEndError:
+                termination = "dead_end"
+                break
+            if sensed:
+                tokens = build_tokens(self.z.q, self.z.p, self.sensing.memory,
+                                      self.sensing.stage_goal, self.mass, self.layout)
+                self.weights.merge_proposal(self.meta.propose(tokens))
 
             act = self.active_pairs(self.z.q)
             act_obs = [ob for _, ob in act]
@@ -761,7 +775,6 @@ class _Episode:
             # (F) observables from the committed step
             clr_obs, clr_next = act_obs, self.clearance(z_next.q, act_obs)
             y_obs = self.observe(z_next, act_obs, shape_clearances, clr_next)
-            self.contact_clrs.append(y_obs.clearance)
             y_vec = y_obs.vector()
             dy_des = observable_target(y_obs, ad.target_mode, ad.setpoints()) - y_vec
             if ad.clearance_deadband:
@@ -805,7 +818,7 @@ class _Episode:
                     P[2] = -ad.kappa_v * v_frame / sp  # braking raises y3 = -speed
                 else:
                     # from rest, "more speed" means toward the stage goal
-                    to_goal = self.stage_goal - z_next.q[self.layout.frame]
+                    to_goal = self.sensing.stage_goal - z_next.q[self.layout.frame]
                     dg = float(np.linalg.norm(to_goal))
                     if dg > 1e-9:
                         P[2] = -ad.kappa_v * to_goal / dg

@@ -95,9 +95,6 @@ class OccupancyGrid:
         ny, nx = self.occupied.shape
         return nx * self.cell_size, ny * self.cell_size
 
-    def cell_center(self, row, col):
-        return np.array([(col + 0.5) * self.cell_size, (row + 0.5) * self.cell_size])
-
     @classmethod
     def from_ascii(cls, text: str, cell_size: float = 1.0) -> "OccupancyGrid":
         """Parse ASCII art: '#' occupied, '.' free, one row per line."""
@@ -306,21 +303,17 @@ class CircleRegistry:
             self._obstacles.append(obstacle)
         return self._ids[key]
 
-    def all_pairs(self):
-        return list(enumerate(self._obstacles))
 
-
-def sense(workspace: Workspace, position, half_extent, stages=None, tracker=None,
-          registry=None, circle_params=None, stage_index=None,
-          exit_avoid=(), exit_avoid_radius=0.3) -> EnvironmentContext:
+def sense(workspace: Workspace, position, half_extent, tracker=None,
+          registry=None, circle_params=None) -> EnvironmentContext:
     """Sense the axis-aligned window [position +- half_extent]^2.
 
     Returns every obstacle whose disc intersects the window.  For dungeon
     workspaces the walls inside the window are first fitted with discs (see
     extract_circles); a registry keeps their indices stable across windows.
-    The window is charged to the coverage tracker when one is given, and the
-    stage manager supplies the exit goal (global goal when absent);
-    ``stage_index`` / ``exit_avoid`` forward to stage_exit_goal.
+    The window is charged to the coverage tracker when one is given.  The
+    context's stage goal is the global goal; the exit of the active stage is
+    the caller's (navigator.ExitSelector).
     """
     position = np.asarray(position, float)
     if not workspace.inside(position):
@@ -341,27 +334,10 @@ def sense(workspace: Workspace, position, half_extent, stages=None, tracker=None
     corrupt = getattr(workspace, "corrupt_context", None)
     if corrupt is not None:
         pairs = corrupt(pairs, (position, half_extent))
-    if stages is not None:
-        stage_goal = stage_exit_goal(stages, workspace, position,
-                                     stage_index=stage_index, avoid=exit_avoid,
-                                     avoid_radius=exit_avoid_radius)
-    else:
-        stage_goal = workspace.goal.copy()
     if tracker is not None:
         tracker.add_window(position, half_extent)
-    return EnvironmentContext(stage_goal=stage_goal, obstacles=pairs,
+    return EnvironmentContext(stage_goal=workspace.goal.copy(), obstacles=pairs,
                               window_center=position.copy(), half_extent=half_extent)
-
-
-def active_set(q_position, ctx: EnvironmentContext, d_hat: float):
-    """Indices of context obstacles within activation distance d_hat."""
-    if d_hat <= 0:
-        raise ValueError("d_hat must be > 0")
-    out = []
-    for idx, ob in ctx.obstacles:
-        if signed_distance(ob, q_position) <= d_hat:
-            out.append(idx)
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +347,11 @@ def active_set(q_position, ctx: EnvironmentContext, d_hat: float):
 class StageManager:
     """Overlapping rectangular tiling of [0, L]^2.
 
-    Exit goals sit on stage boundaries at the midpoint of the best free
-    opening.  Opening widths are capped at ``passable_width`` before ranking:
-    any opening at least that wide counts the same, and ties are broken by
-    distance of the opening midpoint to the global goal.
+    Stages overlap by ``overlap`` of their size, and the last row and column
+    are shifted back inside the square.  ``r_inflate`` (the clearance an edge
+    point needs to count as free) and ``passable_width`` (the opening width
+    at which wider stops ranking higher) parametrize the exit openings that
+    navigator.ExitSelector cuts from the stage edges.
     """
 
     side: float
@@ -471,69 +448,6 @@ def _edge_blocked_intervals(p0, p1, workspace, r_inflate):
                 half = np.sqrt(r * r - h2)
                 blocked.append((t0 - half, t0 + half))
     return length, blocked
-
-
-def stage_openings(stages: StageManager, workspace: Workspace, stage_index):
-    """Free openings of a stage, ranked best first.
-
-    Opening widths are capped at ``stages.passable_width`` (any opening at
-    least that wide counts the same), ranked by capped width and then by
-    midpoint distance to the global goal.  Returns (score, dist, midpoint)
-    tuples; boundary edges of the workspace carry no openings.
-    """
-    x0, y0, x1, y1 = stages.stage_bounds(stage_index)
-    L = workspace.side
-    edges = []
-    if y1 < L - 1e-9:
-        edges.append(((x0, y1), (x1, y1)))  # north
-    if y0 > 1e-9:
-        edges.append(((x0, y0), (x1, y0)))  # south
-    if x1 < L - 1e-9:
-        edges.append(((x1, y0), (x1, y1)))  # east
-    if x0 > 1e-9:
-        edges.append(((x0, y0), (x0, y1)))  # west
-    out = []
-    for p0, p1 in edges:
-        length, blocked = _edge_blocked_intervals(p0, p1, workspace, stages.r_inflate)
-        u = (np.asarray(p1, float) - np.asarray(p0, float)) / length
-        for a, b in _free_intervals(length, blocked):
-            width = b - a
-            if width <= 1e-9:
-                continue
-            mid = np.asarray(p0, float) + u * ((a + b) / 2.0)
-            score = min(width, stages.passable_width)
-            dist = float(np.linalg.norm(mid - workspace.goal))
-            out.append((score, dist, mid))
-    out.sort(key=lambda t: (-round(t[0], 9), t[1]))
-    return out
-
-
-def stage_exit_goal(stages: StageManager, workspace: Workspace, q_position,
-                    stage_index=None, avoid=(), avoid_radius=0.3) -> np.ndarray:
-    """Exit point for the active stage.
-
-    Midpoint of the best free opening (widest after capping, ties to the one
-    closest to the global goal); the global goal itself when it lies inside
-    the stage.  ``avoid`` lists previously attained exits: candidates within
-    ``avoid_radius`` of one are deferred so revisited stages hand out their
-    next-best opening instead of cycling.
-    """
-    idx = stages.stage_of(q_position) if stage_index is None else stage_index
-    x0, y0, x1, y1 = stages.stage_bounds(idx)
-    goal = workspace.goal
-    if x0 <= goal[0] <= x1 and y0 <= goal[1] <= y1:
-        return goal.copy()
-    ranked = stage_openings(stages, workspace, idx)
-    if not ranked:
-        raise DeadEndError(f"stage {idx} has no free opening")
-    for _, _, mid in ranked:
-        if all(float(np.linalg.norm(mid - np.asarray(a, float))) >= avoid_radius for a in avoid):
-            return mid
-    # every opening is on the avoid list: hand out the most novel one
-    def novelty(mid):
-        return min(float(np.linalg.norm(mid - np.asarray(a, float))) for a in avoid)
-
-    return max(ranked, key=lambda t: novelty(t[2]))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden behaviour digests: short runs must reproduce the pinned output.
 
-The cases are a ring episode, a dungeon point-robot episode, a
-``scene_rollout``, and the PF and DWA baselines (DWA as a point robot and as
+The cases are a ring episode, a dungeon point-robot episode, a point-robot
+episode that abandons an exit for lack of progress, a ``scene_rollout``, and the PF and DWA baselines (DWA as a point robot and as
 a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).  Each
 case hashes (sha256) its trajectory (``qs``, ``ps``, termination; the
 baselines have no momenta, so ``qs`` alone) and its logged observables
@@ -56,6 +56,14 @@ def point_episode():
     return _episode(run_episode(generate_dungeon(0, cells=3), cfg, meta))
 
 
+def abandon_episode():
+    """Point robot on test_id 1: no progress toward its exit makes it record a
+    failure and re-sense at steps 203, 283 and 363; the third failure retires
+    that opening."""
+    cfg = EpisodeConfig(n_max=400)
+    return _episode(run_episode(generate_workspace("test_id", 1), cfg))
+
+
 def scene_rollout_case():
     """``scene_rollout`` for (qs, velocities), and the rollout under it for the
     energies and clearances it records."""
@@ -84,6 +92,7 @@ def baseline_case(method, robot_radius=0.0, dungeon=False):
 CASES = {
     "ring_episode": (ring_episode, *EPISODE),
     "point_episode": (point_episode, *EPISODE),
+    "abandon_episode": (abandon_episode, *EPISODE),
     "scene_rollout": (scene_rollout_case, ("qs", "ps"), ("energies", "clearances")),
     "dwa_point": (baseline_case("dwa"), *BASELINE),
     "dwa_disc": (baseline_case("dwa", robot_radius=0.4), *BASELINE),

@@ -15,7 +15,9 @@ from hamnav.cli import (
     save_config,
     to_dict,
 )
+from hamnav.baselines import astar_rigid
 from hamnav.generation import gap_statistics
+from hamnav.ring import RingParams
 from hamnav.workspace import load_workspace
 
 
@@ -62,6 +64,25 @@ class TestConfigRoundTrip:
         doc["episode"]["horizons"] = [4, 2, 1]
         cfg = config_from_dict(doc)
         assert cfg.episode.horizons == (4, 2, 1)
+
+    def test_nested_tables_rebuilt_from_hints(self):
+        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3, 4]}},
+               "dwa": {"stage_bounds": [0, 0, 1, 1]}}
+        cfg = config_from_dict(doc)
+        assert cfg.episode.ring == RingParams(r_base=0.3)
+        assert cfg.episode.adapt.zeta_cap == (1, 2, 3, 4)
+        assert cfg.dwa.stage_bounds == (0, 0, 1, 1)
+        assert config_from_dict({"episode": {"ring": None}}).episode.ring is None
+
+    def test_unknown_nested_key_rejected(self, tmp_path):
+        p = tmp_path / "old.toml"
+        p.write_text("[episode]\ncontact_window = 20\n")
+        with pytest.raises(ValueError, match=r"EpisodeConfig.*'contact_window'"):
+            load_config(p)
+        with pytest.raises(ValueError, match=r"episode\.adapt\.bogus"):
+            config_from_dict({"episode": {"adapt": {"bogus": 1}}})
+        with pytest.raises(ValueError, match="must be a table"):
+            config_from_dict({"meta": 3.0})
 
 
 class TestGenerateCommand:
@@ -149,6 +170,16 @@ class TestRunCommand:
         assert rc == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_unknown_config_field_exits_with_its_name(self, tmp_path, workspace_file,
+                                                      capsys):
+        old = tmp_path / "old.toml"
+        old.write_text("[episode]\ncontact_window = 20\n")
+        rc = main(["run", "--config", str(old), "--workspace", str(workspace_file),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "episode.contact_window" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestPlotCommand:
     def test_polyline_matches_csv_after_view_transform(self, tmp_path, workspace_file):
@@ -207,6 +238,30 @@ class TestEvalCommand:
         assert float(by_method["astar_rigid"][4]) == 1.0
         md = (out / "comparison.md").read_text()
         assert "| Method | SPL | Detour | MinClear | Mapping |" in md
+
+    def test_one_reference_plan_per_workspace(self, tmp_path, monkeypatch):
+        import hamnav.cli as cli
+
+        calls = []
+
+        def counted(ws, resolution, radius):
+            calls.append(radius)
+            return astar_rigid(ws, resolution, radius)
+
+        monkeypatch.setattr(cli, "astar_rigid", counted)
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "2", "--seed", "21",
+              "--out", str(ws_dir)])
+        cfgp = tmp_path / "point.toml"
+        save_config(RunConfig(robot="point"), cfgp)
+        assert main(["eval", "--config", str(cfgp), "--workspaces", str(ws_dir),
+                     "--methods", "astar_deform,astar_rigid", "--out", str(tmp_path / "e")]) == 0
+        # one reference per workspace, plus the astar_rigid method's own plan
+        assert len(calls) == 4
+        calls.clear()
+        assert main(["run", "--workspace", str(ws_dir / "test_id_0000.json"), "--method",
+                     "astar_deform", "--out", str(tmp_path / "r")]) == 0
+        assert calls == []
 
     def test_no_methods_error(self, tmp_path):
         assert main(["eval", "--workspaces", str(tmp_path), "--methods", "",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamnav.baselines import astar_rigid
+from hamnav.baselines import astar_rigid, run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     POINT_LAYOUT,
@@ -17,6 +17,7 @@ from hamnav.navigator import (
     DefaultMetaPolicy,
     EpisodeConfig,
     Observables,
+    StagewiseSensing,
     _Episode,
     build_tokens,
     compute_observables,
@@ -28,7 +29,14 @@ from hamnav.navigator import (
     tikhonov_step,
 )
 from hamnav.ring import RingParams
-from hamnav.workspace import EnvironmentContext, Obstacle, ObstacleMemory, Workspace
+from hamnav.workspace import (
+    DeadEndError,
+    EnvironmentContext,
+    Obstacle,
+    ObstacleMemory,
+    StageManager,
+    Workspace,
+)
 
 
 class TestObservables:
@@ -285,6 +293,77 @@ class TestRunEpisode:
             EpisodeConfig(horizons=(0, 1, 1))
 
 
+def walled_in_start():
+    """A 12-m world whose start stage is walled off on all four edges."""
+    stages = StageManager(12.0, 2.6, 2.0, 0.3)
+    start = np.array([1.3, 6.6])
+    x0, y0, x1, y1 = stages.stage_bounds(stages.stage_of(start))
+    walls = [Obstacle(np.array([xa + t * (xb - xa), ya + t * (yb - ya)]), 0.4)
+             for xa, ya, xb, yb in ((x0, y1, x1, y1), (x0, y0, x1, y0),
+                                    (x1, y0, x1, y1), (x0, y0, x0, y1))
+             for t in np.linspace(0, 1, 12)]
+    return Workspace(12.0, walls, start, (11.0, 6.6))
+
+
+class TestStagewiseSensing:
+    """The sensing/retarget loop the navigator and the baselines share."""
+
+    ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
+
+    def test_senses_every_t_y_steps(self):
+        sensing = StagewiseSensing(self.ws, EpisodeConfig(horizons=(7, 5, 1)))
+        c = np.array([1.0, 6.0])
+        sensed = [n for n in range(40) if sensing.refresh(c, n)]
+        assert sensed == [0, 7, 14, 21, 28, 35]
+        assert len(sensing.tracker.windows) == len(sensed)
+        x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
+        assert sensing.stage_goal[0] == pytest.approx(x1)  # the east exit
+
+    def test_attained_exit_hands_off(self):
+        sensing = StagewiseSensing(self.ws, EpisodeConfig(horizons=(100, 5, 1)))
+        assert sensing.refresh(np.array([1.0, 6.0]), 0)
+        first_stage, exit0 = sensing.stage, sensing.stage_goal.copy()
+        assert not sensing.refresh(np.array([1.2, 6.0]), 1)
+        assert sensing.refresh(exit0, 2)
+        assert sensing.stage[0] == first_stage[0] + 1
+        assert len(sensing.exits.traversals) == 1 and not sensing.exits.failures
+        np.testing.assert_array_equal(sensing.exits.traversals[0][0], exit0)
+        assert sensing.stage_goal[0] > exit0[0]
+        assert len(sensing.exit_dists) == 0
+
+    def test_no_progress_abandons_exit(self):
+        cfg = EpisodeConfig(horizons=(100, 5, 1), retarget_window=10)
+        sensing = StagewiseSensing(self.ws, cfg)
+        c = np.array([1.0, 6.0])
+        assert sensing.refresh(c, 0)
+        exit0 = sensing.stage_goal.copy()
+        assert not any(sensing.refresh(c, n) for n in range(1, 10))
+        assert len(sensing.exit_dists) == 9
+        assert sensing.refresh(c, 10)  # ten steps without progress
+        assert len(sensing.exits.failures) == 1 and not sensing.exits.traversals
+        np.testing.assert_array_equal(sensing.exits.failures[0][0], exit0)
+        assert len(sensing.exit_dists) == 0
+        assert len(sensing.tracker.windows) == 2
+
+    def test_dead_end_raises_after_sensing(self):
+        ws = walled_in_start()
+        sensing = StagewiseSensing(ws, EpisodeConfig())
+        with pytest.raises(DeadEndError):
+            sensing.refresh(ws.start, 0)
+        assert len(sensing.tracker.windows) == 1  # the window is charged first
+
+    @pytest.mark.parametrize("method", ["grlsnam", "pf", "dwa"])
+    def test_dead_end_episode(self, method):
+        ws, cfg = walled_in_start(), EpisodeConfig()
+        if method == "grlsnam":
+            res = run_episode(ws, cfg, DefaultMetaPolicy(r_offset=0.0))
+        else:
+            res = run_baseline_episode(ws, method, cfg)
+        assert res.termination == "dead_end"
+        assert res.n_steps == 0
+        assert len(res.tracker.windows) == 1 and res.coverage > 0
+
+
 def sensed_memory(r, n_events):
     """A dict memory and an ObstacleMemory fed the same sensing events; ids
     recur (re-sensing) and include negative (hallucinated) ones."""
@@ -333,7 +412,7 @@ class TestObstacleMemoryInEpisode:
         ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
         cfg = EpisodeConfig(ring=RingParams() if ring else None, d_hat=r.uniform(0.3, 2.0))
         ep = _Episode(ws, cfg, DefaultMetaPolicy())
-        ref, ep.memory = sensed_memory(r, n_events)
+        ref, ep.sensing.memory = sensed_memory(r, n_events)
         q = ep.z.q.copy()
         q[ep.layout.frame] = r.uniform(0, 10, 2)
         if ep.layout.scale is not None:
@@ -343,7 +422,7 @@ class TestObstacleMemoryInEpisode:
         assert all(a is b for (_, a), (_, b) in zip(got, want))
 
         p = r.normal(size=q.shape)
-        for pairs in (ep.memory, list(ref.items())):
+        for pairs in (ep.sensing.memory, list(ref.items())):
             tokens = build_tokens(q, p, pairs, ws.goal, ep.mass, ep.layout)
             ids, rows = reference_tokens(q, ref.items(), ep.layout)
             assert tokens.obstacle_ids == ids

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamnav.navigator import ExitSelector
 from hamnav.workspace import (
     CircleRegistry,
     CoverageTracker,
     DeadEndError,
-    EnvironmentContext,
     Obstacle,
     ObstacleMemory,
     OccupancyGrid,
     OutOfBoundsError,
     StageManager,
     Workspace,
-    active_set,
     disc_intersects_window,
     extract_circles,
     grid_to_sdf,
@@ -25,7 +24,6 @@ from hamnav.workspace import (
     sense,
     signed_distance,
     signed_distances,
-    stage_exit_goal,
     workspace_from_json,
     workspace_to_json,
 )
@@ -96,37 +94,6 @@ class TestSense:
         sense(ws, (5.0, 5.0), 1.0, tracker=tracker)
         assert len(tracker.windows) == 1
         assert tracker.covered_fraction() > 0
-
-
-class TestActiveSet:
-    def ctx_of(self, obstacles):
-        return EnvironmentContext(np.zeros(2), list(enumerate(obstacles)), np.zeros(2), 10.0)
-
-    def test_empty(self):
-        assert active_set((0, 0), self.ctx_of([]), 1.0) == []
-
-    def test_all_within(self):
-        obs = [Obstacle(np.array([0.5, 0.0]), 0.2), Obstacle(np.array([0.0, 0.6]), 0.1)]
-        assert active_set((0, 0), self.ctx_of(obs), 1.0) == [0, 1]
-
-    def test_mixed_against_bruteforce(self, rng):
-        obs = [Obstacle(rng.uniform(-3, 3, 2), rng.uniform(0.1, 0.5)) for _ in range(12)]
-        ctx = self.ctx_of(obs)
-        q = rng.uniform(-1, 1, 2)
-        got = active_set(q, ctx, 1.2)
-        expected = sorted(i for i, ob in enumerate(obs)
-                          if np.linalg.norm(q - ob.center) - ob.radius <= 1.2)
-        assert got == expected
-
-    @given(st.floats(0.2, 1.0), st.floats(1.0, 3.0), st.integers(0, 500))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_in_dhat(self, d1, d2, seed):
-        r = np.random.default_rng(seed)
-        obs = [Obstacle(r.uniform(-3, 3, 2), r.uniform(0.1, 0.5)) for _ in range(8)]
-        ctx = self.ctx_of(obs)
-        a = set(active_set((0.0, 0.0), ctx, d1))
-        b = set(active_set((0.0, 0.0), ctx, d2))
-        assert a <= b
 
 
 class TestRowNorms:
@@ -204,18 +171,27 @@ class TestObstacleMemory:
         assert memory.centers.shape == (0, 2) and memory.radii.shape == (0,)
 
 
+def stage_exit(stages, ws, pos):
+    """The exit ExitSelector hands out in the stage holding ``pos``."""
+    pos = np.asarray(pos, float)
+    return ExitSelector(stages, ws, eps_stage=0.3).select(pos, stages.stage_of(pos))
+
+
 class TestStageExit:
+    """ExitSelector.select: the goal inside the stage, else an opening on the
+    stage edge routed toward the goal stage."""
+
     def test_goal_inside_stage(self):
         ws = empty_workspace(L=4.0, goal=(2.0, 1.0))
         stages = StageManager(4.0, stage_w=2.6, stage_h=2.0)
-        out = stage_exit_goal(stages, ws, (1.5, 0.8))
+        out = stage_exit(stages, ws, (1.5, 0.8))
         np.testing.assert_array_equal(out, ws.goal)
 
     def test_empty_stage_goal_east(self):
         ws = empty_workspace(L=12.0, start=(1.0, 6.0), goal=(11.0, 6.0))
         stages = StageManager(12.0, stage_w=2.6, stage_h=2.0, r_inflate=0.2)
         pos = np.array([1.3, 6.0])
-        out = stage_exit_goal(stages, ws, pos)
+        out = stage_exit(stages, ws, pos)
         x0, y0, x1, y1 = stages.stage_bounds(stages.stage_of(pos))
         assert out[0] == pytest.approx(x1)
         assert out[1] == pytest.approx((y0 + y1) / 2)
@@ -227,7 +203,7 @@ class TestStageExit:
         x0, y0, x1, y1 = stages.stage_bounds(stages.stage_of(pos))
         ob = Obstacle(np.array([x1, y0 + 0.25 * (y1 - y0)]), 0.4)
         ws = Workspace(12.0, [ob], (1.0, 6.0), (11.0, 6.0))
-        out = stage_exit_goal(stages, ws, pos)
+        out = stage_exit(stages, ws, pos)
         # oracle: sweep 1000 boundary samples of the east edge
         ys = np.linspace(y0, y1, 1000)
         free = np.array([np.linalg.norm([x1 - ob.center[0], y - ob.center[1]])
@@ -258,7 +234,7 @@ class TestStageExit:
                 obstacles.append(Obstacle(np.array([cx, cy]), 0.4))
         ws = Workspace(12.0, obstacles, (1.0, 6.0), (11.0, 6.0))
         with pytest.raises(DeadEndError):
-            stage_exit_goal(stages, ws, pos)
+            stage_exit(stages, ws, pos)
 
     def test_exit_on_stage_boundary_or_goal(self, rng):
         ws_obs = [Obstacle(rng.uniform(0, 12, 2), rng.uniform(0.2, 0.6)) for _ in range(10)]
@@ -267,7 +243,7 @@ class TestStageExit:
         for _ in range(20):
             pos = rng.uniform(0.2, 11.8, 2)
             try:
-                out = stage_exit_goal(stages, ws, pos)
+                out = stage_exit(stages, ws, pos)
             except DeadEndError:
                 continue
             if np.array_equal(out, ws.goal):
