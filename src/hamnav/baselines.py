@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -283,6 +283,8 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         pf_gains = PFGains(d_hat=cfg.d_hat)
     if dwa_cfg is None:
         dwa_cfg = DWAConfig(robot_radius=robot_radius, d_hat=cfg.d_hat)
+    else:  # the stage box is written into it each step: keep the caller's intact
+        dwa_cfg = replace(dwa_cfg)
     pos = ws.start.copy()
     rows = {k: [] for k in ("q", "clr", "true_clr", "dist", "speed")}
     dt = cfg.tau

@@ -452,8 +452,20 @@ def _emit_plots(ws, result, out: Path):
         fh.write(svg.plot_timeseries(result.times, series))
 
 
+def _checked_config(path):
+    """The validated RunConfig in ``path`` (the defaults without one), or None
+    after printing ``config error: ...`` for a malformed file."""
+    try:
+        return (load_config(path) if path else RunConfig()).validate()
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return None
+
+
 def cmd_train(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _checked_config(args.config)
+    if cfg is None:
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset_dir = Path(args.dataset)
@@ -512,7 +524,9 @@ def _eval_one(packed):
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _checked_config(args.config)
+    if cfg is None:
+        return 2
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         print("error: no methods given", file=sys.stderr)

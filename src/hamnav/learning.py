@@ -12,29 +12,37 @@ multi-start robustness penalty rolled out from perturbed near-obstacle
 starts.  Loss sensitivities with respect to the predicted weights come from
 central finite differences through the short rollouts; everything upstream
 of the weights is differentiated analytically.
+
+A scene's finite-difference stencil is scored as one batch.  Its members
+differ only in their weight vectors: they start from the same ``q0`` and
+draw the same multi-start trials (the trial rng is seeded per scene), so
+their point-robot trajectories are independent rows of one state array.
+The batched gradient takes the same distances and the same per-row weight
+contraction as ``energy.potential_grad``, so every member's loss equals the
+one it would get alone, bit for bit.  The navigator keeps the scalar path.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, PortSelectors, rollout, step_leapfrog
+from .dynamics import DIVERGENCE_FACTOR
 from .energy import (
     POINT_LAYOUT,
     EnergyWeights,
     FixedTerms,
     HamiltonianSpec,
-    PhaseState,
     features,
+    ipc_barrier_grad,
     log_barrier,
-    sensor_energy,
 )
 from .navigator import MetaTokens, WeightProposal, build_tokens
-from .workspace import EnvironmentContext, Obstacle, signed_distances
+from .workspace import EnvironmentContext, Obstacle, row_norms, signed_distances
 
 
 class PersistentExcitationError(RuntimeError):
@@ -127,6 +135,12 @@ def meta_loss(qs, q_refs, vs, v_refs, mu, mu_ref, weights, l_multi) -> float:
 EPS_FLOOR = 1e-6
 
 
+def _penalties(clearances, r_min, d_hat, literal_form):
+    """``penalty_from_clearances`` of each row of an (S, m) array, (S,)."""
+    args = (r_min - clearances) if literal_form else np.maximum(clearances - r_min, EPS_FLOOR)
+    return log_barrier(args, d_hat).mean(axis=1)
+
+
 def penalty_from_clearances(clearances, r_min, d_hat, literal_form=False) -> float:
     """Mean barrier penalty over the per-trial minimum clearances.
 
@@ -137,19 +151,121 @@ def penalty_from_clearances(clearances, r_min, d_hat, literal_form=False) -> flo
     with safety margin and blows up as clr approaches r_min.  literal_form
     uses b(r_min - clr) instead, for reproduction attempts.
     """
-    vals = []
-    for clr in clearances:
-        arg = (r_min - clr) if literal_form else max(clr - r_min, EPS_FLOOR)
-        vals.append(log_barrier(arg, d_hat))
-    return float(np.mean(vals)) if vals else 0.0
+    clearances = np.asarray(clearances, float)
+    if not clearances.size:
+        return 0.0
+    return float(_penalties(clearances[None], r_min, d_hat, literal_form)[0])
 
 
 def _scene_spec(obstacles, goal, weights: EnergyWeights, d_hat) -> HamiltonianSpec:
+    """The point robot's Hamiltonian in a training scene (unit mass).
+
+    ``_PointBatch`` integrates exactly this spec, many weight sets at once.
+    """
     ctx = EnvironmentContext(np.asarray(goal, float), list(enumerate(obstacles)),
                              np.zeros(2), d_hat)
     fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.asarray(goal, float), d_hat=d_hat,
                        sensor_gain=1.0)
     return HamiltonianSpec(mass=np.ones(4), weights=weights, context=ctx, fixed=fixed)
+
+
+def _weight_rows(weights, n_obstacles) -> np.ndarray:
+    """(S, 2 + K) weight rows [beta, lam, alpha_0, ..., alpha_{K-1}] in the
+    feature order of ``energy.features`` (a missing alpha_i is zero)."""
+    return np.array([[w.beta, w.lam] + [w.alpha.get(i, 0.0) for i in range(n_obstacles)]
+                     for w in weights], dtype=float)
+
+
+class _PointBatch:
+    """A scene's obstacles as arrays, for many point-robot states at once.
+
+    The states q are a (B, 4) array, each row with its own weight row.  Row b
+    of ``grad`` equals ``energy.potential_grad(q[b], spec)`` bit for bit:
+    the distances are ``row_norms`` (the scalar path's ``np.linalg.norm`` of
+    one vector, not ``norm(axis=...)``) and each row's weights contract its
+    feature gradients as one (1, 2 + K) @ (2 + K, 4) product, the same call
+    as the scalar ``eta @ grads``.  ``clearance`` matches ``signed_distances``
+    of each row, which does use ``norm(axis=...)``.
+    """
+
+    def __init__(self, scene, d_hat):
+        obstacles = scene.obstacles
+        self.k = len(obstacles)
+        self.centers = np.array([ob.center for ob in obstacles], float).reshape(self.k, 2)
+        self.radii = np.array([ob.radius for ob in obstacles], float)
+        self.weights = np.array([ob.weight for ob in obstacles], float)
+        self.goal = np.asarray(scene.goal, float)
+        self.d_hat = d_hat
+
+    def grad(self, q, eta) -> np.ndarray:
+        """Potential gradients (B, 4) of states q (B, 4) under weight rows eta."""
+        n = len(q)
+        c = q[:, 2:4]
+        grads = np.zeros((n, 2 + self.k, 4))
+        grads[:, 0, 2:4] = 2.0 * (c - self.goal)
+        delta = c[:, None, :] - self.centers
+        dist = row_norms(delta.reshape(n * self.k, 2)).reshape(n, self.k)
+        at_center = dist < 1e-12
+        if at_center.any():
+            warnings.warn("configuration coincides with an obstacle center; "
+                          "degenerate barrier gradient set to zero", RuntimeWarning)
+        slope = self.weights * ipc_barrier_grad(dist - self.radii, self.d_hat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = slope[..., None] * (delta / dist[..., None])
+        rows[at_center] = 0.0
+        grads[:, 2:, 2:4] = rows
+        out = (eta[:, None, :] @ grads)[:, 0]
+        out[:, 0:2] += 2.0 * q[:, 0:2]  # sensor term, gain 1
+        return out
+
+    def clearance(self, q) -> np.ndarray:
+        """Least signed obstacle distance of each state's frame, (B,)."""
+        return (np.linalg.norm(self.centers - q[:, None, 2:4], axis=2) - self.radii).min(axis=1)
+
+
+def _trial_start(obstacles, d_hat, rng):
+    """A start near a random obstacle, with momentum aimed at its centre."""
+    ob = obstacles[int(rng.integers(len(obstacles)))]
+    ang = float(rng.uniform(0, 2 * np.pi))
+    offset = ob.radius + float(rng.uniform(0.3, 0.9)) * d_hat
+    pos = ob.center + offset * np.array([np.cos(ang), np.sin(ang)])
+    q0 = np.array([0.0, 0.0, pos[0], pos[1]])
+    toward = (ob.center - pos) / max(float(np.linalg.norm(ob.center - pos)), 1e-9)
+    speed = float(rng.uniform(0.5, 1.0))
+    p0 = np.zeros(4)
+    p0[2:4] = speed * toward
+    return q0, p0
+
+
+def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
+                          literal_form=False) -> np.ndarray:
+    """``multi_start_penalty`` under each of S weight sets, (S,).
+
+    The m_trials starts are drawn from ``rng`` once and shared by every
+    weight set, so the S x m_trials leapfrog trajectories run as one
+    (S * m_trials, 4) batch.  Entry s equals ``multi_start_penalty`` with
+    weights[s] and an ``rng`` in the same state, bit for bit.
+    """
+    obstacles = scene.obstacles
+    if not obstacles or m_trials < 1:
+        return np.zeros(len(weights))
+    tau = 0.03
+    starts = [_trial_start(obstacles, d_hat, rng) for _ in range(m_trials)]
+    q = np.tile([q0 for q0, _ in starts], (len(weights), 1))  # row s * m + j: trial j
+    p = np.tile([p0 for _, p0 in starts], (len(weights), 1))
+    eta = np.repeat(_weight_rows(weights, len(obstacles)), m_trials, axis=0)
+    batch = _PointBatch(scene, d_hat)
+    clr = batch.clearance(q)
+    g = batch.grad(q, eta)
+    for _ in range(t_steps):  # kick-drift-kick, unit mass
+        p_half = p - 0.5 * tau * g
+        q = q + tau * p_half
+        g = batch.grad(q, eta)
+        p = p_half - 0.5 * tau * g
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise FloatingPointError("non-finite state after leapfrog step")
+        clr = np.minimum(clr, batch.clearance(q))
+    return _penalties(clr.reshape(len(weights), m_trials), r_min, d_hat, literal_form)
 
 
 def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_min,
@@ -160,37 +276,8 @@ def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_
     at it, integrate t_steps conservatively, record the minimum clearance,
     and average the barrier penalty of the safety margins.
     """
-    obstacles = scene.obstacles
-    if not obstacles or m_trials < 1:
-        return 0.0
-    spec = _scene_spec(obstacles, scene.goal, eta_weights, d_hat)
-    clearances = []
-    for _ in range(m_trials):
-        ob = obstacles[int(rng.integers(len(obstacles)))]
-        ang = float(rng.uniform(0, 2 * np.pi))
-        offset = ob.radius + float(rng.uniform(0.3, 0.9)) * d_hat
-        pos = ob.center + offset * np.array([np.cos(ang), np.sin(ang)])
-        q0 = np.array([0.0, 0.0, pos[0], pos[1]])
-        toward = (ob.center - pos) / max(float(np.linalg.norm(ob.center - pos)), 1e-9)
-        speed = float(rng.uniform(0.5, 1.0))
-        p0 = np.zeros(4)
-        p0[2:4] = speed * toward
-        z = PhaseState(q0, p0)
-        from .energy import potential_grad  # local import to avoid cycle noise
-        # step_leapfrog ends at the new q and the next step starts there with
-        # the same array, so keep the last gradient for that array
-        last = [None, None]
-
-        def grad_fn(q):
-            if q is not last[0]:
-                last[:] = q, potential_grad(q, spec)
-            return last[1]
-        clr = float(signed_distances(obstacles, z.q[2:4]).min())
-        for _ in range(t_steps):
-            z = step_leapfrog(z, grad_fn, spec.mass, 0.03)
-            clr = min(clr, float(signed_distances(obstacles, z.q[2:4]).min()))
-        clearances.append(clr)
-    return penalty_from_clearances(clearances, r_min, d_hat, literal_form)
+    return float(multi_start_penalties(scene, [eta_weights], m_trials, t_steps, r_min,
+                                       d_hat, rng, literal_form)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +328,50 @@ class SceneDatum:
         )
 
 
+def scene_rollouts(scene: SceneDatum, weights, horizon, tau, d_hat):
+    """``scene_rollout`` under each of S weight sets: (qs, vs), each (S, horizon + 1, 4).
+
+    Every member starts at rest from ``scene.q0``, so the S damped
+    symplectic-Euler rollouts run as one (S, 4) batch.  Member s equals
+    ``dynamics.rollout`` under ``_scene_spec(..., weights[s], ...)`` and
+    mu = weights[s].mu, bit for bit, including where it diverges: from then
+    on its rows hold its last state.
+    """
+    q0 = np.asarray(scene.q0, float)
+    if not np.all(np.isfinite(q0)):
+        raise FloatingPointError("non-finite initial state")
+    batch = _PointBatch(scene, d_hat)
+    eta = _weight_rows(weights, batch.k)
+    damping = np.zeros((len(weights), 4))  # Gamma(mu): mu on the frame momenta
+    damping[:, 2:4] = np.array([w.mu for w in weights], float)[:, None]
+    q = np.tile(q0, (len(weights), 1))
+    p = np.zeros_like(q)
+    qs, ps = [q], [p]
+    live = np.ones(len(weights), bool)
+    for _ in range(horizon):
+        g = batch.grad(q, eta)
+        ok = live & np.isfinite(np.hstack([q, p, g])).all(axis=1)
+        # unit mass, so v = p; the port input is zero, and p never holds a
+        # -0.0 for "+ tau * 0" to turn into +0.0
+        p_new = p - tau * g - tau * damping * p
+        q_new = q + tau * p_new
+        # the momentum bound is DIVERGENCE_FACTOR x max(1, |p0|) = DIVERGENCE_FACTOR
+        ok &= np.isfinite(q_new).all(axis=1) & ~(row_norms(p_new) > DIVERGENCE_FACTOR)
+        live = ok
+        q = np.where(live[:, None], q_new, q)
+        p = np.where(live[:, None], p_new, p)
+        qs.append(q)
+        ps.append(p)
+    return np.stack(qs, axis=1), np.stack(ps, axis=1)
+
+
 def scene_rollout(scene: SceneDatum, weights: EnergyWeights, horizon, tau, d_hat):
-    """Short damped rollout; returns (qs, vs) including the initial state."""
-    spec = _scene_spec(scene.obstacles, scene.goal, weights, d_hat)
-    z0 = PhaseState(scene.q0.copy(), np.zeros(4))
-    traj = rollout(z0, spec, IntegratorConfig(tau=tau, horizon=horizon),
-                   mu=weights.mu)
-    qs = np.stack([s.q for s in traj.states])
-    vs = np.stack([s.p / spec.mass for s in traj.states])
-    if len(traj) < horizon + 1:  # diverged: pad by holding the last state
-        pad = horizon + 1 - len(traj)
-        qs = np.vstack([qs, np.repeat(qs[-1:], pad, axis=0)])
-        vs = np.vstack([vs, np.repeat(vs[-1:], pad, axis=0)])
-    return qs, vs
+    """Short damped rollout; returns (qs, vs) including the initial state.
+
+    A diverged rollout is padded to horizon + 1 rows by holding its last state.
+    """
+    qs, vs = scene_rollouts(scene, [weights], horizon, tau, d_hat)
+    return qs[0], vs[0]
 
 
 def make_reference_dataset(n_scenes, seed, horizon=6, tau=0.03, d_hat=1.0,
@@ -458,21 +576,28 @@ class TrainConfig:
     literal_multi_form: bool = False
 
 
-def _scene_loss(scene: SceneDatum, prop: WeightProposal, cfg: TrainConfig, horizon, rng_seed):
-    """Composite loss of one scene under proposed weights (rollout inside)."""
-    ids = list(range(len(scene.obstacles)))
-    w = EnergyWeights(beta=prop.beta, lam=prop.lam,
-                      alpha={i: prop.alpha.get(i, 0.0) for i in ids}, mu=prop.mu)
-    qs, vs = scene_rollout(scene, w, horizon, cfg.tau, cfg.d_hat)
-    l_multi = 0.0
+def _scene_losses(scene: SceneDatum, props, cfg: TrainConfig, horizon, rng_seed):
+    """Composite loss of one scene under each proposed weight set.
+
+    All proposals roll out as one batch (``scene_rollouts``) and score one
+    batch of multi-start trials (``multi_start_penalties``): they share the
+    start ``scene.q0`` and the trials drawn from ``rng_seed``.
+    """
+    ids = range(len(scene.obstacles))
+    weights = [EnergyWeights(beta=prop.beta, lam=prop.lam,
+                             alpha={i: prop.alpha.get(i, 0.0) for i in ids}, mu=prop.mu)
+               for prop in props]
+    qs, vs = scene_rollouts(scene, weights, horizon, cfg.tau, cfg.d_hat)
+    l_multi = [0.0] * len(props)
     if cfg.weights[3] > 0:
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
-        l_multi = multi_start_penalty(scene, w, cfg.m_trials, cfg.multi_steps,
-                                      cfg.r_min, cfg.d_hat, rng,
-                                      cfg.literal_multi_form)
-    n = min(len(qs), len(scene.q_ref))
-    return meta_loss(qs[:n], scene.q_ref[:n], vs[:n], scene.v_ref[:n],
-                     prop.mu, scene.mu_ref, cfg.weights, l_multi)
+        l_multi = multi_start_penalties(scene, weights, cfg.m_trials, cfg.multi_steps,
+                                        cfg.r_min, cfg.d_hat, rng,
+                                        cfg.literal_multi_form).tolist()
+    n = min(horizon + 1, len(scene.q_ref))
+    return [meta_loss(q[:n], scene.q_ref[:n], v[:n], scene.v_ref[:n],
+                      prop.mu, scene.mu_ref, cfg.weights, l)
+            for q, v, prop, l in zip(qs, vs, props, l_multi)]
 
 
 def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None):
@@ -481,6 +606,11 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
     Loss sensitivities w.r.t. the predicted weights are central finite
     differences through the short rollouts; the regressor itself is
     backpropagated analytically.  Gradients are clipped at cfg.clip_norm.
+    A scene's stencil (the proposal, then each of beta, lam, mu and alpha_i
+    moved up and down by cfg.fd_step, clamped at zero) is scored as one
+    batch: its members differ only in their weights, with the same start
+    and the same multi-start trials, so each member's loss is the one it
+    would get alone, bit for bit.
     Returns (model, loss_curve).
     """
     if not dataset:
@@ -490,6 +620,7 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     curve = []
     mass = np.ones(4)
+    h = cfg.fd_step
     for epoch in range(cfg.epochs):
         total = 0.0
         for si, scene in enumerate(dataset):
@@ -497,34 +628,25 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
             tokens = build_tokens(scene.q0, np.zeros(4), list(enumerate(scene.obstacles)),
                                   scene.goal, mass, POINT_LAYOUT)
             prop, cache = model.forward(tokens)
-            base = _scene_loss(scene, prop, cfg, horizon, rng_seed=cfg.seed + si)
+            stencil, spans = [prop], []  # spans: up - down of each central difference
+            for name in ("beta", "lam", "mu"):
+                x = getattr(prop, name)
+                up, dn = x + h, max(x - h, 0.0)
+                stencil += [replace(prop, **{name: up}), replace(prop, **{name: dn})]
+                spans.append(up - dn)
+            for i, x in prop.alpha.items():
+                up, dn = x + h, max(x - h, 0.0)
+                stencil += [replace(prop, alpha={**prop.alpha, i: up}),
+                            replace(prop, alpha={**prop.alpha, i: dn})]
+                spans.append(up - dn)
+            losses = _scene_losses(scene, stencil, cfg, horizon, rng_seed=cfg.seed + si)
+            base = losses[0]
             if not np.isfinite(base):
                 raise FloatingPointError(f"divergent loss on scene {si}")
             total += base
-
-            def perturbed(**kw):
-                q = WeightProposal(beta=prop.beta, lam=prop.lam,
-                                   alpha=dict(prop.alpha), mu=prop.mu)
-                for k, v in kw.items():
-                    if k == "alpha":
-                        q.alpha = v
-                    else:
-                        setattr(q, k, v)
-                return _scene_loss(scene, q, cfg, horizon, rng_seed=cfg.seed + si)
-
-            h = cfg.fd_step
-            d_beta = (perturbed(beta=prop.beta + h) - perturbed(beta=max(prop.beta - h, 0.0))) / (
-                prop.beta + h - max(prop.beta - h, 0.0))
-            d_lam = (perturbed(lam=prop.lam + h) - perturbed(lam=max(prop.lam - h, 0.0))) / (
-                prop.lam + h - max(prop.lam - h, 0.0))
-            d_mu = (perturbed(mu=prop.mu + h) - perturbed(mu=max(prop.mu - h, 0.0))) / (
-                prop.mu + h - max(prop.mu - h, 0.0))
-            d_alpha = {}
-            for i in prop.alpha:
-                up = dict(prop.alpha); up[i] = prop.alpha[i] + h
-                dn = dict(prop.alpha); dn[i] = max(prop.alpha[i] - h, 0.0)
-                d_alpha[i] = (perturbed(alpha=up) - perturbed(alpha=dn)) / (
-                    up[i] - dn[i])
+            d = [(losses[2 * j + 1] - losses[2 * j + 2]) / span for j, span in enumerate(spans)]
+            d_beta, d_lam, d_mu = d[:3]
+            d_alpha = dict(zip(prop.alpha, d[3:]))
             grads = model.backward(cache, d_beta, d_lam, d_mu, d_alpha)
             norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             scale = min(1.0, cfg.clip_norm / norm) if norm > 0 else 1.0

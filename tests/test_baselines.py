@@ -15,6 +15,7 @@ from hamnav.baselines import (
     pf_step,
     run_baseline_episode,
 )
+from hamnav.generation import generate_workspace
 from hamnav.navigator import EpisodeConfig
 from hamnav.workspace import (
     EnvironmentContext,
@@ -380,6 +381,18 @@ class TestBaselineEpisodes:
         ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
         with pytest.raises(ValueError):
             run_baseline_episode(ws, "rrt", EpisodeConfig(ring=None))
+
+    def test_dwa_leaves_the_callers_config_unchanged(self):
+        # each DWA step writes its stage box into the episode's own copy
+        ws = generate_workspace("test_id", 0)
+        cfg = EpisodeConfig(n_max=5)
+        dwa_cfg = DWAConfig(d_hat=cfg.d_hat)
+        first = run_baseline_episode(ws, "dwa", cfg, dwa_cfg=dwa_cfg)
+        assert first.n_steps == 5
+        assert dwa_cfg == DWAConfig(d_hat=cfg.d_hat)
+        again = run_baseline_episode(ws, "dwa", cfg, dwa_cfg=dwa_cfg)
+        fresh = run_baseline_episode(ws, "dwa", cfg)
+        assert np.array_equal(again.qs, first.qs) and np.array_equal(fresh.qs, first.qs)
 
     def test_deterministic(self):
         ws = Workspace(12.0, [Obstacle(np.array([5.0, 6.3]), 0.8)], (1.0, 6.0), (11.0, 6.0))

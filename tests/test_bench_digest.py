@@ -1,12 +1,14 @@
 """Golden behaviour digests: short runs must reproduce the pinned output.
 
 The cases are a ring episode, a dungeon point-robot episode, a point-robot
-episode that abandons an exit for lack of progress, a ``scene_rollout``, and the PF and DWA baselines (DWA as a point robot and as
-a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).  Each
-case hashes (sha256) its trajectory (``qs``, ``ps``, termination; the
-baselines have no momenta, so ``qs`` alone) and its logged observables
-(energies and clearances; clearances only for the baselines) and compares both
-with
+episode that abandons an exit for lack of progress, a ``scene_rollout``, a
+short ``train_offline``, and the PF and DWA baselines (DWA as a point robot
+and as a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).
+Each case hashes (sha256) its trajectory (``qs``, ``ps``, termination; the
+baselines have no momenta, so ``qs`` alone; the trained parameters for
+``train_offline``) and its logged observables (energies and clearances;
+clearances only for the baselines; the loss curve for ``train_offline``) and
+compares both with
 ``tests/golden/bench_digest.json``.  The file also keeps the arrays and the
 numpy version it was made with.  When numpy's major.minor matches that
 version the digests must match exactly, bit for bit.  Under another numpy,
@@ -31,7 +33,8 @@ from hamnav.baselines import run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import PhaseState
 from hamnav.generation import generate_dungeon, generate_workspace
-from hamnav.learning import _scene_spec, make_reference_dataset, scene_rollout
+from hamnav.learning import (TrainConfig, _scene_spec, make_reference_dataset, scene_rollout,
+                            train_offline)
 from hamnav.navigator import EpisodeConfig, dungeon_setup, run_episode
 from hamnav.ring import RingParams
 
@@ -79,6 +82,15 @@ def scene_rollout_case():
     return termination, len(traj) - 1, arrays
 
 
+def train_offline_case():
+    """Three epochs on four reference scenes with the multi-start term on
+    (``weights[3] > 0``): the loss curve and the trained parameters."""
+    cfg = TrainConfig(epochs=3)
+    assert cfg.weights[3] > 0
+    model, curve = train_offline(make_reference_dataset(4, seed=0), cfg)
+    return "trained", cfg.epochs, {"params": model.get_flat(), "loss_curve": curve}
+
+
 def baseline_case(method, robot_radius=0.0, dungeon=False):
     if dungeon:
         ws, cfg = generate_dungeon(0, cells=3), dungeon_setup(n_max=300)[0]
@@ -94,6 +106,7 @@ CASES = {
     "point_episode": (point_episode, *EPISODE),
     "abandon_episode": (abandon_episode, *EPISODE),
     "scene_rollout": (scene_rollout_case, ("qs", "ps"), ("energies", "clearances")),
+    "train_offline": (train_offline_case, ("params",), ("loss_curve",)),
     "dwa_point": (baseline_case("dwa"), *BASELINE),
     "dwa_disc": (baseline_case("dwa", robot_radius=0.4), *BASELINE),
     "dwa_dungeon": (baseline_case("dwa", dungeon=True), *BASELINE),

@@ -17,6 +17,7 @@ from hamnav.cli import (
 )
 from hamnav.baselines import astar_rigid
 from hamnav.generation import gap_statistics
+from hamnav.learning import SceneDatum, scene_rollout
 from hamnav.ring import RingParams
 from hamnav.workspace import load_workspace
 
@@ -267,6 +268,27 @@ class TestEvalCommand:
         assert main(["eval", "--workspaces", str(tmp_path), "--methods", "",
                      "--out", str(tmp_path)]) == 2
 
+    def test_unknown_config_field_exits_with_its_name(self, tmp_path, capsys):
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "1", "--seed", "21",
+              "--out", str(ws_dir)])
+        old = tmp_path / "old.toml"
+        old.write_text("[episode]\ncontact_window = 20\n")
+        rc = main(["eval", "--config", str(old), "--workspaces", str(ws_dir),
+                   "--methods", "pf", "--out", str(tmp_path / "e")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "episode.contact_window" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_out_of_range_config_exits_with_message(self, tmp_path, capsys):
+        bad = tmp_path / "bad.toml"
+        bad.write_text("[episode]\ntau = -5.0\n")
+        rc = main(["eval", "--config", str(bad), "--workspaces", str(tmp_path),
+                   "--methods", "pf", "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert "config error: " in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_dataset_then_train(self, tmp_path):
@@ -284,6 +306,36 @@ class TestTrainCommand:
         with open(out / "loss_curve.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "loss"] and len(rows) == 3
+
+    def test_unknown_config_field_exits_with_its_name(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["make-dataset", "--count", "1", "--seed", "5",
+                     "--out", str(data)]) == 0
+        old = tmp_path / "old.toml"
+        old.write_text("[episode]\ncontact_window = 20\n")
+        rc = main(["train", "--dataset", str(data), "--config", str(old),
+                   "--out", str(tmp_path / "model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "episode.contact_window" in err
+        assert not (tmp_path / "model").exists()
+
+    def test_obstacle_free_scene_trains(self, tmp_path):
+        # a scene with no obstacles: no alpha weights and no multi-start trials
+        data = tmp_path / "data"
+        data.mkdir()
+        scene = SceneDatum([], np.array([4.0, 4.0]), np.array([0.0, 0.0, 1.0, 1.0]),
+                           2.0, 1.5, 0.0, 4.0)
+        scene.q_ref, scene.v_ref = scene_rollout(scene, scene.ref_weights(), 6, 0.03, 1.0)
+        (data / "scene_0000.json").write_text(json.dumps(scene.to_json()))
+        cfgp = tmp_path / "cfg.toml"
+        cfg = RunConfig()
+        cfg.train.epochs = 2
+        save_config(cfg, cfgp)
+        assert main(["train", "--dataset", str(data), "--config", str(cfgp),
+                     "--out", str(tmp_path / "model")]) == 0
+        with open(tmp_path / "model" / "loss_curve.csv") as fh:
+            assert len(list(csv.reader(fh))) == 3
 
     def test_empty_dataset_errors(self, tmp_path):
         empty = tmp_path / "none"

@@ -1,34 +1,47 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamnav.dynamics import IntegratorConfig, rollout
+from hamnav.dynamics import IntegratorConfig, rollout, step_leapfrog
 from hamnav.energy import (
     POINT_LAYOUT,
     EnergyWeights,
     FixedTerms,
     HamiltonianSpec,
     PhaseState,
+    barrier_knots,
+    log_barrier,
+    potential_grad,
 )
 from hamnav.learning import (
+    EPS_FLOOR,
     MetaRegressor,
     PersistentExcitationError,
     RegressionProblem,
     SceneDatum,
     TrainConfig,
+    _scene_losses,
+    _scene_spec,
     gram_matrix,
     identification_loss,
     identification_loss_grad,
     identify_weights,
     make_reference_dataset,
     meta_loss,
+    multi_start_penalties,
     multi_start_penalty,
     penalty_from_clearances,
     regression_from_rollout,
     scene_rollout,
+    scene_rollouts,
     train_offline,
 )
-from hamnav.navigator import MetaTokens, build_tokens
-from hamnav.workspace import EnvironmentContext, Obstacle
+from hamnav.navigator import MetaTokens, WeightProposal, build_tokens
+from hamnav.workspace import EnvironmentContext, Obstacle, signed_distances
 
 # frozen with mpmath from -(d - dhat)^2 log(d / dhat)
 B_07 = 0.032100744954485914
@@ -319,3 +332,222 @@ class TestTraining:
         np.testing.assert_allclose(clone.q_ref, scene.q_ref)
         assert clone.mu_ref == scene.mu_ref
         np.testing.assert_allclose(clone.obstacles[0].center, scene.obstacles[0].center)
+
+
+# ---------------------------------------------------------------------------
+# The per-member loop that train_offline ran before a stencil was scored as
+# one batch: the oracle for scene_rollouts, multi_start_penalties and
+# _scene_losses.
+
+def reference_rollout(scene, w, horizon, tau, d_hat):
+    spec = _scene_spec(scene.obstacles, scene.goal, w, d_hat)
+    traj = rollout(PhaseState(scene.q0.copy(), np.zeros(4)), spec,
+                   IntegratorConfig(tau=tau, horizon=horizon), mu=w.mu)
+    qs = np.stack([s.q for s in traj.states])
+    vs = np.stack([s.p / spec.mass for s in traj.states])
+    if len(traj) < horizon + 1:
+        pad = horizon + 1 - len(traj)
+        qs = np.vstack([qs, np.repeat(qs[-1:], pad, axis=0)])
+        vs = np.vstack([vs, np.repeat(vs[-1:], pad, axis=0)])
+    return qs, vs, traj.diverged
+
+
+def reference_penalty(clearances, r_min, d_hat, literal_form=False):
+    vals = []
+    for clr in clearances:
+        arg = (r_min - clr) if literal_form else max(clr - r_min, EPS_FLOOR)
+        vals.append(log_barrier(arg, d_hat))
+    return float(np.mean(vals)) if vals else 0.0
+
+
+def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng,
+                          literal_form=False):
+    obstacles = scene.obstacles
+    if not obstacles or m_trials < 1:
+        return 0.0
+    spec = _scene_spec(obstacles, scene.goal, w, d_hat)
+    clearances = []
+    for _ in range(m_trials):
+        ob = obstacles[int(rng.integers(len(obstacles)))]
+        ang = float(rng.uniform(0, 2 * np.pi))
+        offset = ob.radius + float(rng.uniform(0.3, 0.9)) * d_hat
+        pos = ob.center + offset * np.array([np.cos(ang), np.sin(ang)])
+        q0 = np.array([0.0, 0.0, pos[0], pos[1]])
+        toward = (ob.center - pos) / max(float(np.linalg.norm(ob.center - pos)), 1e-9)
+        speed = float(rng.uniform(0.5, 1.0))
+        p0 = np.zeros(4)
+        p0[2:4] = speed * toward
+        z = PhaseState(q0, p0)
+        clr = float(signed_distances(obstacles, z.q[2:4]).min())
+        for _ in range(t_steps):
+            z = step_leapfrog(z, lambda q: potential_grad(q, spec), spec.mass, 0.03)
+            clr = min(clr, float(signed_distances(obstacles, z.q[2:4]).min()))
+        clearances.append(clr)
+    return reference_penalty(clearances, r_min, d_hat, literal_form)
+
+
+def reference_scene_loss(scene, prop, cfg, horizon, rng_seed):
+    ids = list(range(len(scene.obstacles)))
+    w = EnergyWeights(beta=prop.beta, lam=prop.lam,
+                      alpha={i: prop.alpha.get(i, 0.0) for i in ids}, mu=prop.mu)
+    qs, vs, _ = reference_rollout(scene, w, horizon, cfg.tau, cfg.d_hat)
+    l_multi = 0.0
+    if cfg.weights[3] > 0:
+        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
+        l_multi = reference_multi_start(scene, w, cfg.m_trials, cfg.multi_steps,
+                                        cfg.r_min, cfg.d_hat, rng, cfg.literal_multi_form)
+    n = min(len(qs), len(scene.q_ref))
+    return meta_loss(qs[:n], scene.q_ref[:n], vs[:n], scene.v_ref[:n],
+                     prop.mu, scene.mu_ref, cfg.weights, l_multi)
+
+
+def same_bits(a, b):
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+START_KINDS = ("free", "barrier_linear", "inside_disc", "on_center")
+
+
+def random_scene(r, n_obstacles, start_kind="free", d_hat=1.0):
+    """Obstacles between a start and a goal; the start is free, within the
+    barrier's linear branch 0 < d < d_c of obstacle 0, inside it, or on its
+    centre."""
+    start, goal = r.uniform(0.0, 1.5, 2), r.uniform(3.0, 6.0, 2)
+    obstacles = [Obstacle(start + r.uniform(0.2, 0.8) * (goal - start) + r.uniform(-0.8, 0.8, 2),
+                          r.uniform(0.3, 0.6)) for _ in range(n_obstacles)]
+    if obstacles and start_kind != "free":
+        ob, ang = obstacles[0], r.uniform(0, 2 * np.pi)
+        d_c = barrier_knots(d_hat)[0]
+        dist = {"barrier_linear": ob.radius + r.uniform(0.05, 0.95) * d_c,
+                "inside_disc": r.uniform(0.05, 0.95) * ob.radius, "on_center": 0.0}[start_kind]
+        start = ob.center + dist * np.array([np.cos(ang), np.sin(ang)])
+    scene = SceneDatum(obstacles, goal, np.array([0.0, 0.0, *start]), 2.0, 1.5, 0.0, 4.0)
+    scene.q_ref, scene.v_ref, _ = reference_rollout(scene, scene.ref_weights(), 6, 0.03, d_hat)
+    return scene
+
+
+def random_weight(r):
+    """Zero, below the FD step (clamped at 0 in its stencil), moderate, or
+    large enough to make a damped rollout diverge within a few steps."""
+    kind = r.integers(4)
+    return [0.0, r.uniform(0.0, 1e-4), r.uniform(0.0, 5.0), r.uniform(1e3, 1e5)][kind]
+
+
+def random_stencil(r, n_obstacles, h=1e-4):
+    """A proposal and its central-difference stencil, as train_offline builds it."""
+    prop = WeightProposal(beta=random_weight(r), lam=random_weight(r),
+                          alpha={i: random_weight(r) for i in range(n_obstacles)},
+                          mu=r.uniform(0.0, 8.0) if r.integers(3) else r.uniform(0.0, 1e-4))
+    stencil = [prop]
+    for name in ("beta", "lam", "mu"):
+        x = getattr(prop, name)
+        stencil += [replace(prop, **{name: x + h}), replace(prop, **{name: max(x - h, 0.0)})]
+    for i, x in prop.alpha.items():
+        stencil += [replace(prop, alpha={**prop.alpha, i: x + h}),
+                    replace(prop, alpha={**prop.alpha, i: max(x - h, 0.0)})]
+    return stencil
+
+
+def energy_weights(props, n_obstacles):
+    return [EnergyWeights(beta=p.beta, lam=p.lam, mu=p.mu,
+                          alpha={i: p.alpha.get(i, 0.0) for i in range(n_obstacles)})
+            for p in props]
+
+
+def center_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, any("obstacle center" in str(w.message) for w in caught)
+
+
+class TestBatchedStencil:
+    """A stencil scored as one batch against the per-member loop, bit for bit."""
+
+    @given(st.integers(0, 3), st.integers(0, 10_000), st.sampled_from(START_KINDS),
+           st.integers(0, 9), st.sampled_from([0.01, 0.03, 0.08]))
+    @settings(max_examples=80, deadline=None)
+    def test_rollouts_match_loop(self, n_obstacles, seed, start_kind, horizon, tau):
+        r = np.random.default_rng(seed)
+        scene = random_scene(r, n_obstacles, start_kind)
+        weights = energy_weights(random_stencil(r, n_obstacles), n_obstacles)
+        (qs, vs), warned = center_warnings(
+            lambda: scene_rollouts(scene, weights, horizon, tau, 1.0))
+        assert qs.shape == vs.shape == (len(weights), horizon + 1, 4)
+        ref_warned = False
+        for s, w in enumerate(weights):
+            (ref_q, ref_v, _), hit = center_warnings(
+                lambda: reference_rollout(scene, w, horizon, tau, 1.0))
+            ref_warned |= hit
+            assert same_bits(qs[s], ref_q) and same_bits(vs[s], ref_v), s
+        # a zero-step rollout takes no gradient, so only the loop warns there
+        assert warned == (ref_warned and horizon > 0)
+        one_q, one_v = scene_rollout(scene, weights[-1], horizon, tau, 1.0)
+        assert same_bits(one_q, qs[-1]) and same_bits(one_v, vs[-1])
+
+    @given(st.integers(0, 3), st.integers(0, 10_000), st.integers(0, 12),
+           st.integers(0, 8), st.booleans(), st.floats(0.0, 0.6))
+    @settings(max_examples=80, deadline=None)
+    def test_multi_start_matches_loop(self, n_obstacles, seed, m_trials, t_steps,
+                                      literal_form, r_min):
+        r = np.random.default_rng(seed)
+        scene = random_scene(r, n_obstacles)
+        weights = energy_weights(random_stencil(r, n_obstacles), n_obstacles)
+        got = multi_start_penalties(scene, weights, m_trials, t_steps, r_min, 1.0,
+                                    np.random.default_rng(seed), literal_form)
+        assert got.shape == (len(weights),)
+        for s, w in enumerate(weights):
+            ref = reference_multi_start(scene, w, m_trials, t_steps, r_min, 1.0,
+                                        np.random.default_rng(seed), literal_form)
+            assert same_bits(got[s], ref), s
+            one = multi_start_penalty(scene, w, m_trials, t_steps, r_min, 1.0,
+                                      np.random.default_rng(seed), literal_form)
+            assert same_bits(one, ref), s
+
+    @given(st.integers(0, 3), st.integers(0, 10_000), st.sampled_from(START_KINDS),
+           st.integers(0, 8), st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_scene_losses_match_loop(self, n_obstacles, seed, start_kind, horizon, w_d):
+        r = np.random.default_rng(seed)
+        scene = random_scene(r, n_obstacles, start_kind)
+        stencil = random_stencil(r, n_obstacles)
+        cfg = TrainConfig(weights=(1.0, 1.0, 0.1, w_d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _scene_losses(scene, stencil, cfg, horizon, rng_seed=seed)
+            want = [reference_scene_loss(scene, p, cfg, horizon, rng_seed=seed)
+                    for p in stencil]
+        assert same_bits(got, want)
+
+    def test_diverging_member_is_padded_like_alone(self):
+        r = np.random.default_rng(3)
+        scene = random_scene(r, 2)
+        calm = EnergyWeights(beta=1.5, alpha={0: 2.0, 1: 2.0}, mu=4.0)
+        wild = EnergyWeights(beta=5e4, alpha={0: 2.0, 1: 2.0}, mu=4.0)
+        qs, vs = scene_rollouts(scene, [calm, wild, calm], 12, 0.03, 1.0)
+        for s, w in enumerate([calm, wild, calm]):
+            ref_q, ref_v, diverged = reference_rollout(scene, w, 12, 0.03, 1.0)
+            assert diverged == (w is wild)
+            assert same_bits(qs[s], ref_q) and same_bits(vs[s], ref_v)
+        assert np.array_equal(qs[1, -1], qs[1, -2])  # held after divergence
+
+    def test_start_on_center_warns(self):
+        scene = random_scene(np.random.default_rng(4), 1, "on_center")
+        w = scene.ref_weights()
+        with pytest.warns(RuntimeWarning, match="obstacle center"):
+            qs, vs = scene_rollouts(scene, [w, w], 3, 0.03, 1.0)
+        with pytest.warns(RuntimeWarning, match="obstacle center"):
+            ref_q, ref_v, _ = reference_rollout(scene, w, 3, 0.03, 1.0)
+        assert same_bits(qs[1], ref_q) and same_bits(vs[1], ref_v)
+
+    def test_non_finite_leapfrog_raises(self):
+        scene = random_scene(np.random.default_rng(5), 2)
+        calm = scene.ref_weights()
+        huge = EnergyWeights(beta=1e308, alpha={0: 1.0, 1: 1.0})
+        with pytest.raises(FloatingPointError):
+            reference_multi_start(scene, huge, 3, 4, 0.2, 1.0, np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way
+            with pytest.raises(FloatingPointError):
+                multi_start_penalties(scene, [calm, huge], 3, 4, 0.2, 1.0,
+                                      np.random.default_rng(0))
