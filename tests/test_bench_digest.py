@@ -1,6 +1,7 @@
 """Golden behaviour digests: short runs must reproduce the pinned output.
 
-The cases are a ring episode, a dungeon point-robot episode, a point-robot
+The cases are a ring episode, a ring squeezing through a bottleneck between
+two fence discs, a dungeon point-robot episode, a point-robot
 episode that abandons an exit for lack of progress, a ``scene_rollout``, a
 short ``train_offline``, and the PF and DWA baselines (DWA as a point robot
 and as a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).
@@ -17,7 +18,9 @@ and the step count must still match exactly and every array must agree with
 the stored one to ``np.allclose(rtol=1e-12, atol=0)``.
 
 A change that moves a digest on purpose must say why; regenerate the file
-with ``PYTHONPATH=src python tests/test_bench_digest.py --write``.
+with ``PYTHONPATH=src python tests/test_bench_digest.py --write``.  A new
+case is added without rewriting the others by naming it:
+``--write ring_bottleneck`` regenerates only the named cases.
 """
 
 import hashlib
@@ -32,7 +35,7 @@ import pytest
 from hamnav.baselines import run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import PhaseState
-from hamnav.generation import generate_dungeon, generate_workspace
+from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
 from hamnav.learning import (TrainConfig, _scene_spec, make_reference_dataset, scene_rollout,
                             train_offline)
 from hamnav.navigator import EpisodeConfig, dungeon_setup, run_episode
@@ -52,6 +55,13 @@ def _episode(res, names=EPISODE):
 def ring_episode():
     cfg = EpisodeConfig(ring=RingParams(), n_max=200)
     return _episode(run_episode(generate_workspace("test_id", 0), cfg))
+
+
+def ring_bottleneck():
+    """Ring on bottleneck 0: it reaches the fence and squeezes to the scale
+    floor with two fence discs active for about half of its steps."""
+    cfg = EpisodeConfig(ring=RingParams(), n_max=250)
+    return _episode(run_episode(generate_bottleneck(0), cfg))
 
 
 def point_episode():
@@ -103,6 +113,7 @@ def baseline_case(method, robot_radius=0.0, dungeon=False):
 # name -> (run, trajectory arrays, observed arrays)
 CASES = {
     "ring_episode": (ring_episode, *EPISODE),
+    "ring_bottleneck": (ring_bottleneck, *EPISODE),
     "point_episode": (point_episode, *EPISODE),
     "abandon_episode": (abandon_episode, *EPISODE),
     "scene_rollout": (scene_rollout_case, ("qs", "ps"), ("energies", "clearances")),
@@ -164,8 +175,20 @@ def test_digest(name, golden):
         assert np.allclose(arr, ref, rtol=1e-12, atol=0), key
 
 
-def write_golden(path=GOLDEN):
-    doc = {"numpy": np.__version__, "cases": {n: record(n) for n in sorted(CASES)}}
+def write_golden(path=GOLDEN, names=None):
+    """Record every case, or only ``names`` into the existing file."""
+    if names:
+        unknown = sorted(set(names) - set(CASES))
+        if unknown:
+            raise SystemExit(f"unknown cases {unknown}; known: {sorted(CASES)}")
+        doc = json.loads(path.read_text())
+        if major_minor(doc["numpy"]) != major_minor(np.__version__):
+            raise SystemExit(f"{path.name} was made with numpy {doc['numpy']}; "
+                             f"regenerate every case under numpy {np.__version__}")
+        doc["cases"].update((n, record(n)) for n in names)
+        doc["cases"] = dict(sorted(doc["cases"].items()))
+    else:
+        doc = {"numpy": np.__version__, "cases": {n: record(n) for n in sorted(CASES)}}
     text = json.dumps(doc, indent=1)
     # one line per array: collapse the innermost lists of numbers
     text = re.sub(r"\[\s*([^\[\]{}\"]*?)\s*\]",
@@ -176,7 +199,7 @@ def write_golden(path=GOLDEN):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_bench_digest.py --write")
-    write_golden()
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_bench_digest.py --write [NAME...]")
+    write_golden(names=sys.argv[2:])
     print(f"wrote {GOLDEN}")
