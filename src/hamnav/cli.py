@@ -466,16 +466,21 @@ def cmd_train(args) -> int:
     cfg = _checked_config(args.config)
     if cfg is None:
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset_dir = Path(args.dataset)
     scenes = []
     if dataset_dir.exists():
         for p in sorted(dataset_dir.glob("scene_*.json")):
-            scenes.append(SceneDatum.from_json(json.loads(p.read_text())))
+            scene = SceneDatum.from_json(json.loads(p.read_text()))
+            if scene.q_ref is None or scene.v_ref is None:
+                print(f"error: {p}: no reference rollout (q_ref and v_ref must be set)",
+                      file=sys.stderr)
+                return 2
+            scenes.append(scene)
     if not scenes:
         print("error: no scene_*.json files in the dataset directory", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     model, curve = train_offline(scenes, cfg.train)
     model.save(out / "checkpoint.bin")
     with open(out / "loss_curve.csv", "w", newline="") as fh:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .workspace import EnvironmentContext
+from .workspace import EnvironmentContext, row_norms
 
 BARRIER_CLAMP = 200.0
 GRAD_CLAMP = 200.0
@@ -30,19 +30,29 @@ GRAD_CLAMP = 200.0
 V_PENALTY = 200.0
 
 
-def _log_branch(d, d_hat, v_penalty):
-    """-(d - d_hat)^2 log(d / d_hat) on 0 < d < d_hat, 0 beyond, v_penalty at d <= 0."""
+def _log_terms(d, d_hat):
+    """(d, inside, e, log_r): d as an array, the mask 0 < d < d_hat, and on
+    it e = d - d_hat and log(d / d_hat), which the barrier and its slope share."""
     if d_hat <= 0:
         raise ValueError("d_hat must be > 0")
     d = np.asarray(d, dtype=float)
-    out = np.zeros_like(d)
     inside = (d > 0) & (d < d_hat)
-    if np.any(inside):
-        di = d[inside]
-        with np.errstate(divide="ignore"):
-            out[inside] = -((di - d_hat) ** 2) * np.log(di / d_hat)
+    di = d[inside]
+    with np.errstate(divide="ignore"):
+        log_r = np.log(di / d_hat)
+    return d, inside, di - d_hat, log_r
+
+
+def _log_branch(d, inside, e, log_r, v_penalty):
+    """-(d - d_hat)^2 log(d / d_hat) on 0 < d < d_hat, 0 beyond, v_penalty at d <= 0."""
+    out = np.zeros_like(d)
+    out[inside] = -(e ** 2) * log_r
     out[d <= 0] = v_penalty
-    return d, out, inside
+    return out
+
+
+def _array_or_float(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def log_barrier(d, d_hat, v_penalty=V_PENALTY):
@@ -53,13 +63,13 @@ def log_barrier(d, d_hat, v_penalty=V_PENALTY):
     [0, BARRIER_CLAMP].  It grows like log(1/d) as d -> 0+, so it is not the
     antiderivative of ``ipc_barrier_grad``; the energy uses ``ipc_barrier``.
     """
-    _, out, _ = _log_branch(d, d_hat, v_penalty)
-    out = np.clip(out, 0.0, BARRIER_CLAMP)
-    return float(out) if out.ndim == 0 else out
+    out = _log_branch(*_log_terms(d, d_hat), v_penalty)
+    return _array_or_float(np.clip(out, 0.0, BARRIER_CLAMP))
 
 
-def _log_barrier_grad(d, d_hat):
-    return -2.0 * (d - d_hat) * np.log(d / d_hat) - (d - d_hat) ** 2 / d
+def _log_slope(d, e, log_r):
+    """The log barrier's slope at 0 < d < d_hat, from e = d - d_hat and log(d / d_hat)."""
+    return -2.0 * e * log_r - e ** 2 / d
 
 
 def _bisect(f, lo, hi):
@@ -87,10 +97,10 @@ def barrier_knots(d_hat: float):
     if d_hat <= 0:
         raise ValueError("d_hat must be > 0")
     lo = d_hat * min(1e-3, d_hat / 400.0)  # there b'(lo) < -GRAD_CLAMP
-    d_c = _bisect(lambda x: _log_barrier_grad(x, d_hat) + GRAD_CLAMP, lo, d_hat)
+    d_c = _bisect(lambda x: _log_slope(x, x - d_hat, np.log(x / d_hat)) + GRAD_CLAMP, lo, d_hat)
 
     def raw(x):  # the log barrier without the value clamp
-        return float(_log_branch(x, d_hat, 0.0)[1])
+        return float(_log_branch(*_log_terms(x, d_hat), 0.0))
 
     b_c = raw(d_c)
     if b_c + GRAD_CLAMP * d_c <= BARRIER_CLAMP:
@@ -100,6 +110,24 @@ def barrier_knots(d_hat: float):
     else:
         d_sat = _bisect(lambda x: BARRIER_CLAMP - raw(x), d_c, d_hat)
     return d_c, b_c, d_sat
+
+
+def _barrier(d, inside, e, log_r, d_hat, v_penalty):
+    out = _log_branch(d, inside, e, log_r, v_penalty)
+    d_c, b_c, _ = barrier_knots(d_hat)
+    below = inside & (d < d_c)
+    out[below] = b_c + GRAD_CLAMP * (d_c - d[below])
+    return np.clip(out, 0.0, BARRIER_CLAMP)
+
+
+def _barrier_slope(d, inside, e, log_r, d_hat):
+    out = np.zeros_like(d)
+    out[inside] = _log_slope(d[inside], e, log_r)
+    np.clip(out, -GRAD_CLAMP, GRAD_CLAMP, out=out)
+    _, _, d_sat = barrier_knots(d_hat)
+    if d_sat > 0:
+        out[(d > 0) & (d < d_sat)] = 0.0
+    return out
 
 
 def ipc_barrier(d, d_hat, v_penalty=V_PENALTY):
@@ -112,13 +140,7 @@ def ipc_barrier(d, d_hat, v_penalty=V_PENALTY):
     its slope is the clamped gradient.  Flat penalty v_penalty for
     penetration d <= 0; value clamped to [0, BARRIER_CLAMP].
     """
-    d, out, inside = _log_branch(d, d_hat, v_penalty)
-    d_c, b_c, _ = barrier_knots(d_hat)
-    below = inside & (d < d_c)
-    if np.any(below):
-        out[below] = b_c + GRAD_CLAMP * (d_c - d[below])
-    out = np.clip(out, 0.0, BARRIER_CLAMP)
-    return float(out) if out.ndim == 0 else out
+    return _array_or_float(_barrier(*_log_terms(d, d_hat), d_hat, v_penalty))
 
 
 def ipc_barrier_grad(d, d_hat):
@@ -129,20 +151,14 @@ def ipc_barrier_grad(d, d_hat):
     penetration plateau d <= 0 (integrators must stay finite after a
     penetration event) and where the value saturates at BARRIER_CLAMP.
     """
-    if d_hat <= 0:
-        raise ValueError("d_hat must be > 0")
-    d = np.asarray(d, dtype=float)
-    out = np.zeros_like(d)
-    inside = (d > 0) & (d < d_hat)
-    if np.any(inside):
-        di = d[inside]
-        with np.errstate(divide="ignore"):
-            out[inside] = _log_barrier_grad(di, d_hat)
-    np.clip(out, -GRAD_CLAMP, GRAD_CLAMP, out=out)
-    _, _, d_sat = barrier_knots(d_hat)
-    if d_sat > 0:
-        out[(d > 0) & (d < d_sat)] = 0.0
-    return float(out) if out.ndim == 0 else out
+    return _array_or_float(_barrier_slope(*_log_terms(d, d_hat), d_hat))
+
+
+def ipc_barrier_and_grad(d, d_hat, v_penalty=V_PENALTY):
+    """``(ipc_barrier(d), ipc_barrier_grad(d))`` from one evaluation of log(d / d_hat)."""
+    terms = _log_terms(d, d_hat)
+    return (_array_or_float(_barrier(*terms, d_hat, v_penalty)),
+            _array_or_float(_barrier_slope(*terms, d_hat)))
 
 
 @dataclass(frozen=True)
@@ -226,33 +242,43 @@ class HamiltonianSpec:
             raise ValueError("mass diagonal must be positive definite")
 
 
-def _point_obstacle_feature(q, layout, obstacle, d_hat, v_penalty):
-    """Barrier feature of a point robot: (b(d_i(c)), grad over q)."""
+def _point_obstacle_features(q, layout, obstacles, d_hat, v_penalty):
+    """Barrier features of a point robot: (M,) values b(d_i(c)), (M, dim) gradients."""
     c = q[layout.frame]
-    delta = c - obstacle.center
-    dist = float(np.linalg.norm(delta))
-    d = dist - obstacle.radius
-    val = ipc_barrier(d, d_hat, v_penalty) * obstacle.weight
-    grad = np.zeros_like(q)
-    if dist < 1e-12:
+    delta = c - np.stack([ob.center for ob in obstacles])
+    dist = row_norms(delta)  # each row as np.linalg.norm of that row alone
+    d = dist - np.array([ob.radius for ob in obstacles])
+    weights = np.array([ob.weight for ob in obstacles], dtype=float)
+    b, db = ipc_barrier_and_grad(d, d_hat, v_penalty)
+    vals = b * weights
+    grads = np.zeros((len(obstacles), q.size))
+    safe = ~(dist < 1e-12)  # a NaN distance keeps its NaN gradient
+    if not safe.all():
         warnings.warn("configuration coincides with an obstacle center; "
                       "degenerate barrier gradient set to zero", RuntimeWarning)
-        return val, grad
-    grad[layout.frame] = obstacle.weight * ipc_barrier_grad(d, d_hat) * (delta / dist)
-    return val, grad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = delta / dist[:, None]
+    grads[:, layout.frame] = np.where(safe[:, None],
+                                      (weights * db)[:, None] * unit, 0.0)
+    return vals, grads
 
 
-def features(q, ctx: EnvironmentContext, d_hat: float, fixed: FixedTerms):
+def features(q, ctx: EnvironmentContext, d_hat: float, fixed: FixedTerms, contact=None):
     """Linear-in-weights view of the potential.
 
     Returns (phi, grads) with phi = [E_goal, E_obj, b_1, ..., b_m] ordered by
     ascending obstacle index, and grads the stacked per-feature gradients
     (rows match phi).  R(q; weights) = E_sensor + eta . phi by construction.
+
+    For a ring, ``contact`` is its ``ContactPass`` at q against those
+    obstacles in that order, when the caller has made it already; it is made
+    here when None.
     """
     q = np.asarray(q, dtype=float)
     layout = fixed.layout
     c = q[layout.frame]
-    m = len(ctx.obstacles)
+    obstacles = [ob for _, ob in sorted(ctx.obstacles, key=lambda kv: kv[0])]
+    m = len(obstacles)
     phi = np.zeros(2 + m)
     grads = np.zeros((2 + m, q.size))
     diff = c - fixed.goal
@@ -260,12 +286,14 @@ def features(q, ctx: EnvironmentContext, d_hat: float, fixed: FixedTerms):
     grads[0, layout.frame] = 2.0 * diff
     if fixed.shape is not None:
         phi[1], grads[1] = fixed.shape.obj_feature(q)
-    pairs = sorted(ctx.obstacles, key=lambda kv: kv[0])
-    for row, (idx, ob) in enumerate(pairs, start=2):
-        if fixed.shape is not None:
-            phi[row], grads[row] = fixed.shape.obstacle_feature(q, ob, d_hat, fixed.v_penalty)
-        else:
-            phi[row], grads[row] = _point_obstacle_feature(q, layout, ob, d_hat, fixed.v_penalty)
+        if contact is None:
+            contact = fixed.shape.contact(q, obstacles)
+        elif not contact.covers(obstacles):
+            raise ValueError("contact pass was made against other obstacles")
+        phi[2:], grads[2:] = contact.features(d_hat, fixed.v_penalty)
+    elif m:
+        phi[2:], grads[2:] = _point_obstacle_features(q, layout, obstacles, d_hat,
+                                                      fixed.v_penalty)
     return phi, grads
 
 
@@ -292,13 +320,14 @@ class Evaluation:
     last ulp.
     """
 
-    def __init__(self, q, spec: HamiltonianSpec, p=None):
+    def __init__(self, q, spec: HamiltonianSpec, p=None, contact=None):
         self.q = np.array(q, dtype=float)  # a copy: the properties read q later
         if p is not None and self.q.size != spec.fixed.layout.dim:
             raise ValueError("phase state dimension does not match the spec layout")
         self.spec = spec
         self.kinetic = 0.0 if p is None else kinetic(p, spec.mass)
-        self.phi, self.grads = features(self.q, spec.context, spec.fixed.d_hat, spec.fixed)
+        self.phi, self.grads = features(self.q, spec.context, spec.fixed.d_hat, spec.fixed,
+                                        contact)
         self.eta = _weight_vector(spec.weights, spec.context)
 
     @property
@@ -335,8 +364,11 @@ class Evaluation:
         }
 
 
-def evaluate(q, spec: HamiltonianSpec, p=None) -> Evaluation:
+def evaluate(q, spec: HamiltonianSpec, p=None, contact=None) -> Evaluation:
     """Evaluate the state (q, p) once; ``p=None`` is a state at rest.
+
+    ``contact`` is a ring's contact pass at q against the context's
+    obstacles (see ``features``), when the caller has it already.
 
     Raises ValueError when a phase state (p given) does not match the layout.
 
@@ -344,7 +376,7 @@ def evaluate(q, spec: HamiltonianSpec, p=None) -> Evaluation:
     ``energy_breakdown`` are views of this evaluation; a loop that needs
     several of them at one state should call it once and read them all.
     """
-    return Evaluation(q, spec, p)
+    return Evaluation(q, spec, p, contact)
 
 
 def potential(q, spec: HamiltonianSpec) -> float:

@@ -238,7 +238,7 @@ def _trial_start(obstacles, d_hat, rng):
 
 
 def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
-                          literal_form=False) -> np.ndarray:
+                          literal_form=False, tau=0.03) -> np.ndarray:
     """``multi_start_penalty`` under each of S weight sets, (S,).
 
     The m_trials starts are drawn from ``rng`` once and shared by every
@@ -249,7 +249,6 @@ def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
     obstacles = scene.obstacles
     if not obstacles or m_trials < 1:
         return np.zeros(len(weights))
-    tau = 0.03
     starts = [_trial_start(obstacles, d_hat, rng) for _ in range(m_trials)]
     q = np.tile([q0 for q0, _ in starts], (len(weights), 1))  # row s * m + j: trial j
     p = np.tile([p0 for _, p0 in starts], (len(weights), 1))
@@ -269,15 +268,16 @@ def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
 
 
 def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_min,
-                        d_hat, rng, literal_form=False) -> float:
+                        d_hat, rng, literal_form=False, tau=0.03) -> float:
     """Robustness penalty from perturbed near-obstacle leapfrog rollouts.
 
     For each trial: seed a state near a random obstacle with momentum aimed
-    at it, integrate t_steps conservatively, record the minimum clearance,
-    and average the barrier penalty of the safety margins.
+    at it, integrate t_steps leapfrog steps of length tau conservatively,
+    record the minimum clearance, and average the barrier penalty of the
+    safety margins.
     """
     return float(multi_start_penalties(scene, [eta_weights], m_trials, t_steps, r_min,
-                                       d_hat, rng, literal_form)[0])
+                                       d_hat, rng, literal_form, tau)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +593,7 @@ def _scene_losses(scene: SceneDatum, props, cfg: TrainConfig, horizon, rng_seed)
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
         l_multi = multi_start_penalties(scene, weights, cfg.m_trials, cfg.multi_steps,
                                         cfg.r_min, cfg.d_hat, rng,
-                                        cfg.literal_multi_form).tolist()
+                                        cfg.literal_multi_form, cfg.tau).tolist()
     n = min(horizon + 1, len(scene.q_ref))
     return [meta_loss(q[:n], scene.q_ref[:n], v[:n], scene.v_ref[:n],
                       prop.mu, scene.mu_ref, cfg.weights, l)

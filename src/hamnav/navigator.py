@@ -29,7 +29,6 @@ from .energy import (
     FixedTerms,
     HamiltonianSpec,
     PhaseState,
-    energy_breakdown,
     evaluate,
 )
 from .ring import RingParams, RingShapeModel
@@ -584,6 +583,11 @@ class _Episode:
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
         self.sensing = StagewiseSensing(ws, cfg)
         self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
+        if ws.obstacles:
+            self.world = (np.stack([ob.center for ob in ws.obstacles]),
+                          np.array([ob.radius for ob in ws.obstacles]))
+        else:
+            self.world = (np.empty((0, 2)), np.empty(0))
         q = np.zeros(self.layout.dim)
         q[self.layout.frame] = ws.start
         if self.layout.scale is not None:
@@ -610,15 +614,23 @@ class _Episode:
             if self.shape is not None:
                 base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
             return base
-        return self.clearance(q, self.ws.obstacles)
-
-    def clearance(self, q, obstacles) -> float:
-        """Clearance of q against obstacles, +inf when there are none."""
+        centers, radii = self.world
         if self.shape is not None:
-            return self.shape.min_clearance(q, obstacles)
-        if not obstacles:
+            return self.shape.pruned_clearance(q, centers, radii)
+        if not len(radii):
             return np.inf
-        return float(signed_distances(obstacles, q[self.layout.frame]).min())
+        # signed_distances, on the world arrays built once per episode
+        return float((np.linalg.norm(centers - q[self.layout.frame], axis=1) - radii).min())
+
+    def contact_at(self, q, obstacles, held=None):
+        """The ring's contact pass at q against obstacles (None for a point
+        robot).  ``held``, a pass made at q already, is reused when it was made
+        against the same obstacle objects."""
+        if self.shape is None:
+            return None
+        if held is not None and held.covers(obstacles):
+            return held
+        return self.shape.contact(q, obstacles)
 
     def active_pairs(self, q):
         """Memory obstacles whose barrier can be non-zero at q.
@@ -643,7 +655,10 @@ class _Episode:
                            sensor_gain=self.cfg.sensor_gain, shape=self.shape)
         return HamiltonianSpec(mass=self.mass, weights=weights, context=ctx, fixed=fixed)
 
-    def observe(self, z, act_obs, shape_clearances=(), clearance=None):
+    def observe(self, z, act_obs, shape_clearances=(), contact=None):
+        """Observables of z; ``contact``, the ring's pass at z against act_obs,
+        gives the clearance."""
+        clearance = None if contact is None else contact.clearance
         return compute_observables(z, act_obs, self.ws.goal, shape_clearances, self.mass,
                                    self.layout, self.shape, self.cfg.d_hat, clearance)
 
@@ -669,6 +684,14 @@ class _Episode:
         lg["u_f"].append(self.u_f.copy())
         if self.shape is not None:
             self.snapshots.append(self.shape.boundary(self.z.q))
+
+    def finish(self, termination, t_wall, true_clr, act, contact=None) -> EpisodeResult:
+        """Log the last state, which no step follows, and build the result."""
+        act_obs = [ob for _, ob in act]
+        contact = self.contact_at(self.z.q, act_obs, contact)
+        ev = evaluate(self.z.q, self.spec_for(act), self.z.p, contact)
+        self.log_state(ev.parts, true_clr, act, self.observe(self.z, act_obs, (), contact))
+        return self.result(termination, t_wall)
 
     def result(self, termination, t_wall) -> EpisodeResult:
         lg = self.log
@@ -708,15 +731,12 @@ class _Episode:
         # measured once per state, when the state is committed
         true_clr = self.true_clearance(self.z.q)
         if true_clr < 0:
-            act = []
-            self.log_state(energy_breakdown(self.z, self.spec_for(act)), true_clr, act,
-                           self.observe(self.z, []))
-            return self.result("collision", t_wall)
+            return self.finish("collision", t_wall, true_clr, [])
         termination = "timeout"
         n = 0
-        # clearance of self.z against the active set it was measured on after
-        # the last step; reused while the active set holds the same obstacles
-        clr_obs = clr_next = None
+        # the ring's contact pass at self.z, made with the state after the last
+        # step; reused while the active set holds the same obstacles
+        contact = None
         while True:
             c = self.z.q[self.layout.frame]
             if float(np.linalg.norm(c - self.ws.goal)) < cfg.eps_goal:
@@ -740,13 +760,12 @@ class _Episode:
 
             act = self.active_pairs(self.z.q)
             act_obs = [ob for _, ob in act]
-            same = clr_obs is not None and len(clr_obs) == len(act_obs) and all(
-                a is b for a, b in zip(clr_obs, act_obs))
-            clr = clr_next if same else self.clearance(self.z.q, act_obs)
+            contact = self.contact_at(self.z.q, act_obs, contact)
 
             # (B) shape horizon: refresh the clearance-dependent scale target
             shape_clearances = []
             if self.shape is not None:
+                clr = contact.clearance
                 if n % t_o == 0:
                     self.shape.refresh_target(self.z.q, act_obs, d_min=clr)
                 shape_clearances = [clr]
@@ -754,7 +773,7 @@ class _Episode:
             # (D) compose the surrogate Hamiltonian on the active set and
             # evaluate it once: the step takes its gradient, the log its terms
             spec = self.spec_for(act)
-            ev = evaluate(self.z.q, spec, self.z.p)
+            ev = evaluate(self.z.q, spec, self.z.p, contact)
 
             # (E) one port-Hamiltonian step (damping scale models plant mismatch)
             try:
@@ -773,8 +792,8 @@ class _Episode:
                     z_next.p[self.layout.scale] = 0.0  # inelastic stop at the limits
 
             # (F) observables from the committed step
-            clr_obs, clr_next = act_obs, self.clearance(z_next.q, act_obs)
-            y_obs = self.observe(z_next, act_obs, shape_clearances, clr_next)
+            contact_next = self.contact_at(z_next.q, act_obs)
+            y_obs = self.observe(z_next, act_obs, shape_clearances, contact_next)
             y_vec = y_obs.vector()
             dy_des = observable_target(y_obs, ad.target_mode, ad.setpoints()) - y_vec
             if ad.clearance_deadband:
@@ -827,8 +846,8 @@ class _Episode:
 
             # (I) commit and log
             self.log_state(ev.parts, true_clr, act,
-                           self.observe(self.z, act_obs, shape_clearances, clr))
-            self.z = z_next
+                           self.observe(self.z, act_obs, shape_clearances, contact))
+            self.z, contact = z_next, contact_next
             true_clr = self.true_clearance(self.z.q)
             self.recent.append(z_next.q[self.layout.frame].copy())
             n += 1
@@ -841,10 +860,7 @@ class _Episode:
                     termination = "stuck"
                     break
 
-        act = self.active_pairs(self.z.q)
-        self.log_state(energy_breakdown(self.z, self.spec_for(act)), true_clr, act,
-                       self.observe(self.z, [ob for _, ob in act]))
-        return self.result(termination, t_wall)
+        return self.finish(termination, t_wall, true_clr, self.active_pairs(self.z.q), contact)
 
 
 def run_episode(ws: Workspace, cfg: EpisodeConfig, meta=None) -> EpisodeResult:

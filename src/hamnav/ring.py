@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import RING_LAYOUT, ipc_barrier, ipc_barrier_grad
+from .energy import RING_LAYOUT, ipc_barrier_and_grad
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,9 @@ class RingShapeModel:
         self._dx0 = self.basis.D @ p0
         self._l0 = np.linalg.norm(self._dx0, axis=1)
         self.a_ref = shoelace_area(self._x0)  # rest area from the s=1 boundary
+        # every sample's distance from the centre at unit scale, rounded up far
+        # past the rounding error of the distances it bounds
+        self._reach = float(np.max(np.linalg.norm(self._x0, axis=1))) * (1.0 + 1e-9) + 1e-12
         self.s_target = 1.0
 
     def _unpack(self, q):
@@ -156,42 +159,42 @@ class RingShapeModel:
         grad[self.layout.scale] = bulk_potential_grad(s, self.s_target, self.params.k_bulk, self.a_ref)
         return val, grad
 
-    def obstacle_feature(self, q, obstacle, d_hat, v_penalty):
-        """Boundary-integrated barrier against one obstacle, with gradient.
+    def contact(self, q, obstacles) -> "ContactPass":
+        """The contact pass of the ring at q against a list of discs."""
+        obstacles = tuple(obstacles)
+        if obstacles:
+            centers = np.stack([ob.center for ob in obstacles])
+            radii = np.array([ob.radius for ob in obstacles])
+            weights = np.array([ob.weight for ob in obstacles], dtype=float)
+        else:
+            centers, radii, weights = np.empty((0, 2)), np.empty(0), np.empty(0)
+        return ContactPass(self, q, centers, radii, weights, obstacles)
 
-        d_jk depends on the frame through X_j and on the scale through both
-        X_j and the arc weights l_j = s * l0_j.
-        """
-        c, s = self._unpack(q)
-        pts = c[None, :] + s * self._x0
-        delta = pts - obstacle.center[None, :]
-        dist = np.linalg.norm(delta, axis=1)
-        d = dist - obstacle.radius
-        b = ipc_barrier(d, d_hat, v_penalty)
-        db = ipc_barrier_grad(d, d_hat)
-        w = self.basis.weights * obstacle.weight
-        lengths = self.arc_lengths(q)
-        val = float(np.sum(w * lengths * b))
-        grad = np.zeros_like(np.asarray(q, float))
-        safe = dist > 1e-12
-        unit = np.zeros_like(delta)
-        unit[safe] = delta[safe] / dist[safe, None]
-        coeff = w * lengths * db
-        grad[self.layout.frame] = coeff @ unit
-        grad[self.layout.scale] = float(
-            np.sum(w * self._l0 * b) + np.sum(coeff * np.einsum("ij,ij->i", unit, self._x0))
-        )
-        return val, grad
+    def obstacle_feature(self, q, obstacle, d_hat, v_penalty):
+        """Boundary-integrated barrier against one obstacle, with gradient."""
+        vals, grads = self.contact(q, [obstacle]).features(d_hat, v_penalty)
+        return float(vals[0]), grads[0]
 
     def min_clearance(self, q, obstacles) -> float:
-        c, s = self._unpack(q)
-        if not obstacles:
+        """Least signed distance from a boundary sample to a disc (+inf for none)."""
+        return self.contact(q, obstacles).clearance
+
+    def pruned_clearance(self, q, centers, radii) -> float:
+        """``min_clearance`` against discs given as (M, 2) centres and (M,) radii.
+
+        A disc whose lower bound (centre distance - ring reach - radius) is
+        above the smallest upper bound (centre distance + reach - radius)
+        cannot hold the minimum and is skipped; the minimum over the rest is
+        the same number, bit for bit.
+        """
+        if len(radii) == 0:
             return np.inf
-        pts = c[None, :] + s * self._x0
-        centers = np.stack([ob.center for ob in obstacles])
-        radii = np.array([ob.radius for ob in obstacles])
-        d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) - radii[None, :]
-        return float(d.min())
+        c, s = self._unpack(q)
+        reach = s * self._reach
+        off = centers - c
+        gap = np.hypot(off[:, 0], off[:, 1]) - radii
+        keep = ~(gap - reach > np.min(gap + reach))  # NaN keeps every disc
+        return ContactPass(self, q, centers[keep], radii[keep]).clearance
 
     def refresh_target(self, q, obstacles, d_min=None):
         """Re-evaluate the clearance-dependent scale target (per shape horizon).
@@ -205,3 +208,60 @@ class RingShapeModel:
             d_min = 10.0 / self.params.delta  # saturated tanh: expand in free space
         self.s_target = scale_target(d_min, self.params.s_min, self.params.delta)
         return self.s_target
+
+
+class ContactPass:
+    """The ring at one state against an ordered set of discs, formed once.
+
+    ``d[m, j]`` is the signed distance from boundary sample j to disc m.  Each
+    disc's samples are one contiguous row, so a per-disc sum over the samples
+    reduces a (K,) row, as a loop over the discs would, and gives the same
+    bits.  The clearance is formed with the pass; the barrier features when
+    ``features`` is called, which needs the discs' (M,) ``weights``.
+    ``obstacles`` are the disc objects the rows stand for, when the pass was
+    made from a list of them (``RingShapeModel.contact``).
+    """
+
+    def __init__(self, model: RingShapeModel, q, centers, radii, weights=None, obstacles=()):
+        c, s = model._unpack(q)
+        self.model, self.s, self.dim = model, s, np.size(q)
+        self.obstacles = obstacles
+        self.weights = weights
+        self.delta = (c + s * model._x0) - centers[:, None, :]  # (M, K, 2)
+        dx, dy = self.delta[..., 0], self.delta[..., 1]
+        self.dist = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(delta, axis=2), bit for bit
+        self.d = self.dist - radii[:, None]
+        self.clearance = float(self.d.min()) if len(radii) else np.inf
+
+    def covers(self, obstacles) -> bool:
+        """Whether the rows stand for exactly these disc objects, in this order."""
+        return len(obstacles) == len(self.obstacles) == len(self.d) and all(
+            a is b for a, b in zip(obstacles, self.obstacles))
+
+    def features(self, d_hat, v_penalty):
+        """Each disc's boundary-integrated barrier and its gradient over q.
+
+        Returns (M,) values and (M, dim) gradients.  d_mj depends on the frame
+        through X_j and on the scale through both X_j and the arc weights
+        l_j = s * l0_j.
+        """
+        model, layout = self.model, self.model.layout
+        b, db = ipc_barrier_and_grad(self.d, d_hat, v_penalty)
+        w = model.basis.weights[None, :] * self.weights[:, None]
+        wl = w * (self.s * model._l0)
+        vals = (wl * b).sum(axis=1)
+        safe = self.dist > 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = self.delta / self.dist[:, :, None]
+        if not safe.all():
+            unit[~safe] = 0.0
+        coeff = wl * db
+        grads = np.zeros((len(vals), self.dim))
+        # a stack of (1, K) @ (K, 2) products: each row's bits are those of
+        # coeff_m @ unit_m alone, which an einsum over the stack would not keep
+        grads[:, layout.frame] = np.matmul(coeff[:, None, :], unit)[:, 0]
+        x0 = model._x0
+        radial = unit[..., 0] * x0[:, 0] + unit[..., 1] * x0[:, 1]  # unit . X0_j
+        grads[:, layout.scale] = ((w * model._l0 * b).sum(axis=1)
+                                  + (coeff * radial).sum(axis=1))[:, None]
+        return vals, grads

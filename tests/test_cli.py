@@ -17,7 +17,7 @@ from hamnav.cli import (
 )
 from hamnav.baselines import astar_rigid
 from hamnav.generation import gap_statistics
-from hamnav.learning import SceneDatum, scene_rollout
+from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
 from hamnav.ring import RingParams
 from hamnav.workspace import load_workspace
 
@@ -336,6 +336,20 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "model")]) == 0
         with open(tmp_path / "model" / "loss_curve.csv") as fh:
             assert len(list(csv.reader(fh))) == 3
+
+    @pytest.mark.parametrize("field", ["q_ref", "v_ref"])
+    def test_scene_without_reference_exits_with_its_name(self, tmp_path, capsys, field):
+        data = tmp_path / "data"
+        data.mkdir()
+        doc = make_reference_dataset(1, seed=5)[0].to_json()
+        doc[field] = None
+        bad = data / "scene_0000.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "q_ref" in err
+        assert not (tmp_path / "model").exists()
 
     def test_empty_dataset_errors(self, tmp_path):
         empty = tmp_path / "none"

@@ -1,0 +1,264 @@
+"""The ring's contact pass and the point robot's batched features against the
+per-obstacle code they replaced.
+
+``reference_obstacle_feature``, ``reference_min_clearance``,
+``reference_point_feature`` and ``reference_features`` are that code, kept
+as the oracle: one obstacle at a time, with its own boundary points,
+distances, barrier and gradient.  The batched pass must give the same
+numbers bit for bit (``np.array_equal``), in every branch of the barrier:
+penetration, the clamped linear branch, the saturated plateau (d_hat > 6.97),
+the log branch, beyond d_hat, and a sample (or the point robot) on a disc's
+centre.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hamnav.energy import (
+    POINT_LAYOUT,
+    RING_LAYOUT,
+    V_PENALTY,
+    FixedTerms,
+    barrier_knots,
+    features,
+    ipc_barrier,
+    ipc_barrier_grad,
+)
+from hamnav.ring import RingShapeModel
+from hamnav.workspace import EnvironmentContext, Obstacle
+
+from conftest import central_diff
+
+MODEL = RingShapeModel()
+
+
+def reference_obstacle_feature(model, q, obstacle, d_hat, v_penalty):
+    c, s = q[2:4], float(q[5])
+    pts = c[None, :] + s * model._x0
+    delta = pts - obstacle.center[None, :]
+    dist = np.linalg.norm(delta, axis=1)
+    d = dist - obstacle.radius
+    b = ipc_barrier(d, d_hat, v_penalty)
+    db = ipc_barrier_grad(d, d_hat)
+    w = model.basis.weights * obstacle.weight
+    lengths = model.arc_lengths(q)
+    val = float(np.sum(w * lengths * b))
+    grad = np.zeros_like(np.asarray(q, float))
+    safe = dist > 1e-12
+    unit = np.zeros_like(delta)
+    unit[safe] = delta[safe] / dist[safe, None]
+    coeff = w * lengths * db
+    grad[2:4] = coeff @ unit
+    grad[5] = float(np.sum(w * model._l0 * b)
+                    + np.sum(coeff * np.einsum("ij,ij->i", unit, model._x0)))
+    return val, grad
+
+
+def reference_min_clearance(model, q, obstacles):
+    if not obstacles:
+        return np.inf
+    pts = model.boundary(q)
+    centers = np.stack([ob.center for ob in obstacles])
+    radii = np.array([ob.radius for ob in obstacles])
+    d = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) - radii[None, :]
+    return float(d.min())
+
+
+def reference_point_feature(q, layout, obstacle, d_hat, v_penalty):
+    c = q[layout.frame]
+    delta = c - obstacle.center
+    dist = float(np.linalg.norm(delta))
+    d = dist - obstacle.radius
+    val = ipc_barrier(d, d_hat, v_penalty) * obstacle.weight
+    grad = np.zeros_like(q)
+    if dist < 1e-12:
+        warnings.warn("configuration coincides with an obstacle center; "
+                      "degenerate barrier gradient set to zero", RuntimeWarning)
+        return val, grad
+    grad[layout.frame] = obstacle.weight * ipc_barrier_grad(d, d_hat) * (delta / dist)
+    return val, grad
+
+
+def reference_features(q, ctx, d_hat, fixed):
+    layout = fixed.layout
+    m = len(ctx.obstacles)
+    phi = np.zeros(2 + m)
+    grads = np.zeros((2 + m, q.size))
+    diff = q[layout.frame] - fixed.goal
+    phi[0] = float(np.dot(diff, diff))
+    grads[0, layout.frame] = 2.0 * diff
+    if fixed.shape is not None:
+        phi[1], grads[1] = fixed.shape.obj_feature(q)
+    for row, (_, ob) in enumerate(sorted(ctx.obstacles, key=lambda kv: kv[0]), start=2):
+        if fixed.shape is not None:
+            phi[row], grads[row] = reference_obstacle_feature(fixed.shape, q, ob, d_hat,
+                                                              fixed.v_penalty)
+        else:
+            phi[row], grads[row] = reference_point_feature(q, layout, ob, d_hat,
+                                                           fixed.v_penalty)
+    return phi, grads
+
+
+GAP_KINDS = ("penetrating", "clamp", "saturated", "log", "beyond", "on_centre")
+
+
+def gap_of(data, kind, d_hat, radius):
+    """A signed distance of the requested branch from an anchor to a disc."""
+    d_c, _, d_sat = barrier_knots(d_hat)
+    fl = lambda lo, hi: data.draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    if kind == "penetrating":
+        return fl(-radius, 0.0)
+    if kind == "clamp":
+        return fl(0.0, d_c)
+    if kind == "saturated" and d_sat > 0:
+        return fl(0.0, d_sat)
+    if kind == "beyond":
+        return fl(d_hat, 2.0 * d_hat)
+    return fl(d_c, d_hat)
+
+
+def draw_discs(data, anchors, d_hat, n):
+    """n discs, each placed at a drawn gap outward from a drawn anchor row of
+    ``anchors`` (a disc "on_centre" is centred exactly on its anchor)."""
+    discs = []
+    for _ in range(n):
+        x = anchors[data.draw(st.integers(0, len(anchors) - 1))]
+        kind = data.draw(st.sampled_from(GAP_KINDS))
+        radius = data.draw(st.floats(0.05, 1.0))
+        weight = data.draw(st.sampled_from([0.25, 1.7, 3.0]))
+        if kind == "on_centre":
+            center = x.copy()
+        else:
+            ang = data.draw(st.floats(0.0, 2 * np.pi))
+            center = x + (gap_of(data, kind, d_hat, radius) + radius) * np.array(
+                [np.cos(ang), np.sin(ang)])
+        discs.append(Obstacle(center, radius, weight=weight))
+    return discs
+
+
+def ring_state(data):
+    fl = lambda lo, hi: data.draw(st.floats(lo, hi))
+    return np.array([fl(-1, 1), fl(-1, 1), fl(-2, 2), fl(-2, 2), fl(-3, 3), fl(0.25, 1.3)])
+
+
+D_HATS = st.sampled_from([0.3, 1.0, 8.0])  # 8.0 > 6.97: the barrier saturates
+
+
+class TestRingContactPass:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), D_HATS, st.data())
+    def test_features_match_per_obstacle_loop(self, m, d_hat, data):
+        q = ring_state(data)
+        discs = draw_discs(data, MODEL.boundary(q), d_hat, m)
+        vals, grads = MODEL.contact(q, discs).features(d_hat, V_PENALTY)
+        assert vals.shape == (m,) and grads.shape == (m, 6)
+        for k, ob in enumerate(discs):
+            val, grad = reference_obstacle_feature(MODEL, q, ob, d_hat, V_PENALTY)
+            assert vals[k] == val
+            assert np.array_equal(grads[k], grad)
+            one_val, one_grad = MODEL.obstacle_feature(q, ob, d_hat, V_PENALTY)
+            assert one_val == val and np.array_equal(one_grad, grad)
+
+        # energy.features, with and without a pass made beforehand
+        ids = data.draw(st.permutations(range(m)))
+        ctx = EnvironmentContext(np.zeros(2), list(zip(ids, discs)), q[2:4], d_hat)
+        fixed = FixedTerms(layout=RING_LAYOUT, goal=np.array([1.0, -2.0]), d_hat=d_hat,
+                           shape=MODEL)
+        want_phi, want_grads = reference_features(q, ctx, d_hat, fixed)
+        ordered = [ob for _, ob in sorted(ctx.obstacles, key=lambda kv: kv[0])]
+        for contact in (None, MODEL.contact(q, ordered)):
+            phi, grads = features(q, ctx, d_hat, fixed, contact)
+            assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 8), D_HATS, st.data())
+    def test_clearances_match_all_pairs(self, m, n_far, d_hat, data):
+        q = ring_state(data)
+        discs = draw_discs(data, MODEL.boundary(q), d_hat, m)
+        want = reference_min_clearance(MODEL, q, discs)
+        assert MODEL.contact(q, discs).clearance == want
+        assert MODEL.min_clearance(q, discs) == want
+        # a world: the drawn discs among others farther out and "twins" (a
+        # disc turned about the ring's centre, within 1e-3 of its centre
+        # distance: which of the two holds the minimum turns on the spline's
+        # ripple), in any order; pruning drops discs, never the minimum
+        c = q[2:4]
+        far = [Obstacle(c + data.draw(st.floats(1.0, 15.0)) * np.array(
+            [np.cos(a), np.sin(a)]), data.draw(st.floats(0.05, 1.0)))
+            for a in data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n_far,
+                                        max_size=n_far))]
+        twins = []
+        for ob in discs:
+            a = data.draw(st.floats(0.0, 2 * np.pi))
+            r = np.linalg.norm(ob.center - c) + data.draw(st.floats(-1e-3, 1e-3))
+            twins.append(Obstacle(c + r * np.array([np.cos(a), np.sin(a)]), ob.radius))
+        world = data.draw(st.permutations(discs + far + twins))
+        centers = np.stack([ob.center for ob in world])
+        radii = np.array([ob.radius for ob in world])
+        assert MODEL.pruned_clearance(q, centers, radii) == reference_min_clearance(
+            MODEL, q, world)
+
+    def test_no_discs(self):
+        q = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.8])
+        contact = MODEL.contact(q, [])
+        vals, grads = contact.features(1.0, V_PENALTY)
+        assert contact.clearance == np.inf and vals.shape == (0,) and grads.shape == (0, 6)
+        assert MODEL.pruned_clearance(q, np.empty((0, 2)), np.empty(0)) == np.inf
+
+    def test_pass_for_other_discs_is_refused(self):
+        q = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        a, b = Obstacle(np.array([0.9, 0.0]), 0.3), Obstacle(np.array([-0.9, 0.0]), 0.3)
+        ctx = EnvironmentContext(np.zeros(2), [(0, a), (1, b)], q[2:4], 1.0)
+        fixed = FixedTerms(layout=RING_LAYOUT, goal=np.zeros(2), d_hat=1.0, shape=MODEL)
+        try:
+            features(q, ctx, 1.0, fixed, MODEL.contact(q, [b, a]))
+        except ValueError as e:
+            assert "other obstacles" in str(e)
+        else:
+            raise AssertionError("a pass made against other obstacles was accepted")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_multi_obstacle_rows_match_finite_differences(self, m, data):
+        """Each row of a multi-disc pass is the gradient of its own value.
+
+        Every sample keeps d > 0.2 from every disc, so each row is smooth
+        (the log branch, or zero beyond d_hat) within the difference step.
+        """
+        q = ring_state(data)
+        d_hat = data.draw(st.sampled_from([0.8, 1.0, 1.5]))
+        discs = []
+        for _ in range(m):
+            ang = data.draw(st.floats(0.0, 2 * np.pi))
+            radius = data.draw(st.floats(0.1, 0.8))
+            reach = 0.4 * q[5] * 1.01 + data.draw(st.floats(0.2, d_hat))
+            discs.append(Obstacle(q[2:4] + (reach + radius) * np.array([np.cos(ang),
+                                                                        np.sin(ang)]),
+                                  radius, weight=data.draw(st.floats(0.5, 2.0))))
+        vals, grads = MODEL.contact(q, discs).features(d_hat, V_PENALTY)
+        for k in range(m):
+            fd = central_diff(lambda x: MODEL.contact(x, discs).features(d_hat, V_PENALTY)[0][k],
+                              q, h=1e-7)
+            np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-7)
+
+
+class TestPointFeatures:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), D_HATS, st.data())
+    def test_match_per_obstacle_loop(self, m, d_hat, data):
+        fl = lambda lo, hi: data.draw(st.floats(lo, hi))
+        q = np.array([fl(-1, 1), fl(-1, 1), fl(-3, 3), fl(-3, 3)])
+        discs = draw_discs(data, q[None, 2:4], d_hat, m)
+        ctx = EnvironmentContext(np.zeros(2), list(enumerate(discs)), q[2:4], d_hat)
+        fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]), d_hat=d_hat)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want_phi, want_grads = reference_features(q, ctx, d_hat, fixed)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            phi, grads = features(q, ctx, d_hat, fixed)
+        assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
+        assert bool(warned) == bool(want_warned)

@@ -231,6 +231,24 @@ class TestMultiStart:
         b = multi_start_penalty(scene, w, 6, 6, 0.2, 1.0, np.random.default_rng(5))
         assert a == b and a >= 0.0
 
+    def test_penalty_follows_tau(self):
+        scene = make_reference_dataset(1, seed=0)[0]
+        w = scene.ref_weights()
+
+        def penalty(**kw):
+            return multi_start_penalty(scene, w, 4, 6, 0.2, 1.0, np.random.default_rng(0), **kw)
+
+        assert penalty(tau=0.01) != penalty(tau=0.03) == penalty()
+        # _scene_losses integrates the trials at TrainConfig.tau: with only the
+        # multi-start term weighted, the loss is that penalty
+        props = [WeightProposal(beta=w.beta, lam=w.lam, alpha=dict(w.alpha), mu=w.mu)]
+        for tau in (0.01, 0.03):
+            cfg = TrainConfig(tau=tau, weights=(0.0, 0.0, 0.0, 1.0))
+            rng = np.random.default_rng(np.random.SeedSequence([7, 0x3A]))
+            want = multi_start_penalty(scene, w, cfg.m_trials, cfg.multi_steps, cfg.r_min,
+                                       cfg.d_hat, rng, tau=tau)
+            assert _scene_losses(scene, props, cfg, 4, rng_seed=7) == [want]
+
     def test_literal_form_differs(self):
         lit = penalty_from_clearances([0.4], 0.5, 1.0, literal_form=True)
         ours = penalty_from_clearances([0.4], 0.5, 1.0, literal_form=False)
@@ -361,7 +379,7 @@ def reference_penalty(clearances, r_min, d_hat, literal_form=False):
 
 
 def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng,
-                          literal_form=False):
+                          literal_form=False, tau=0.03):
     obstacles = scene.obstacles
     if not obstacles or m_trials < 1:
         return 0.0
@@ -380,7 +398,7 @@ def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng,
         z = PhaseState(q0, p0)
         clr = float(signed_distances(obstacles, z.q[2:4]).min())
         for _ in range(t_steps):
-            z = step_leapfrog(z, lambda q: potential_grad(q, spec), spec.mass, 0.03)
+            z = step_leapfrog(z, lambda q: potential_grad(q, spec), spec.mass, tau)
             clr = min(clr, float(signed_distances(obstacles, z.q[2:4]).min()))
         clearances.append(clr)
     return reference_penalty(clearances, r_min, d_hat, literal_form)
@@ -395,7 +413,8 @@ def reference_scene_loss(scene, prop, cfg, horizon, rng_seed):
     if cfg.weights[3] > 0:
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
         l_multi = reference_multi_start(scene, w, cfg.m_trials, cfg.multi_steps,
-                                        cfg.r_min, cfg.d_hat, rng, cfg.literal_multi_form)
+                                        cfg.r_min, cfg.d_hat, rng, cfg.literal_multi_form,
+                                        cfg.tau)
     n = min(len(qs), len(scene.q_ref))
     return meta_loss(qs[:n], scene.q_ref[:n], vs[:n], scene.v_ref[:n],
                      prop.mu, scene.mu_ref, cfg.weights, l_multi)
@@ -505,13 +524,13 @@ class TestBatchedStencil:
             assert same_bits(one, ref), s
 
     @given(st.integers(0, 3), st.integers(0, 10_000), st.sampled_from(START_KINDS),
-           st.integers(0, 8), st.sampled_from([0.0, 0.5]))
+           st.integers(0, 8), st.sampled_from([0.0, 0.5]), st.sampled_from([0.01, 0.03]))
     @settings(max_examples=60, deadline=None)
-    def test_scene_losses_match_loop(self, n_obstacles, seed, start_kind, horizon, w_d):
+    def test_scene_losses_match_loop(self, n_obstacles, seed, start_kind, horizon, w_d, tau):
         r = np.random.default_rng(seed)
         scene = random_scene(r, n_obstacles, start_kind)
         stencil = random_stencil(r, n_obstacles)
-        cfg = TrainConfig(weights=(1.0, 1.0, 0.1, w_d))
+        cfg = TrainConfig(weights=(1.0, 1.0, 0.1, w_d), tau=tau)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = _scene_losses(scene, stencil, cfg, horizon, rng_seed=seed)
