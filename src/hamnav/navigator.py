@@ -583,11 +583,8 @@ class _Episode:
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
         self.sensing = StagewiseSensing(ws, cfg)
         self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
-        if ws.obstacles:
-            self.world = (np.stack([ob.center for ob in ws.obstacles]),
-                          np.array([ob.radius for ob in ws.obstacles]))
-        else:
-            self.world = (np.empty((0, 2)), np.empty(0))
+        self.world = (np.array([ob.center for ob in ws.obstacles], dtype=float).reshape(-1, 2),
+                      np.array([ob.radius for ob in ws.obstacles], dtype=float))
         q = np.zeros(self.layout.dim)
         q[self.layout.frame] = ws.start
         if self.layout.scale is not None:

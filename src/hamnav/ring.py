@@ -162,12 +162,9 @@ class RingShapeModel:
     def contact(self, q, obstacles) -> "ContactPass":
         """The contact pass of the ring at q against a list of discs."""
         obstacles = tuple(obstacles)
-        if obstacles:
-            centers = np.stack([ob.center for ob in obstacles])
-            radii = np.array([ob.radius for ob in obstacles])
-            weights = np.array([ob.weight for ob in obstacles], dtype=float)
-        else:
-            centers, radii, weights = np.empty((0, 2)), np.empty(0), np.empty(0)
+        centers = np.array([ob.center for ob in obstacles], dtype=float).reshape(-1, 2)
+        radii = np.array([ob.radius for ob in obstacles], dtype=float)
+        weights = np.array([ob.weight for ob in obstacles], dtype=float)
         return ContactPass(self, q, centers, radii, weights, obstacles)
 
     def obstacle_feature(self, q, obstacle, d_hat, v_penalty):
