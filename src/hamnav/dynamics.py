@@ -112,13 +112,19 @@ class Trajectory:
         return np.stack([s.q[frame] for s in self.states])
 
 
-def _spec_clearance(q, spec: HamiltonianSpec) -> float:
-    obstacles = spec.context.obstacle_list()
+def _evaluate_with_clearance(q, spec: HamiltonianSpec, p):
+    """evaluate(q, spec, p) and the min obstacle clearance at q.
+
+    A ring forms one contact pass at q, which serves both.
+    """
+    obstacles = spec.context.ordered_obstacles()
     if spec.fixed.shape is not None:
-        return spec.fixed.shape.min_clearance(q, obstacles)
+        contact = spec.fixed.shape.contact(q, obstacles)
+        return evaluate(q, spec, p, contact), contact.clearance
     if not obstacles:
-        return spec.fixed.d_hat
-    return float(signed_distances(obstacles, q[spec.fixed.layout.frame]).min())
+        return evaluate(q, spec, p), spec.fixed.d_hat
+    frame = spec.fixed.layout.frame
+    return evaluate(q, spec, p), float(signed_distances(obstacles, q[frame]).min())
 
 
 def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
@@ -136,9 +142,9 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
     selectors = PortSelectors(dim=z0.q.size, frame=spec.fixed.layout.frame)
     p_scale = max(1.0, float(np.linalg.norm(z0.p)))
     states = [z0.copy()]
-    ev = evaluate(z0.q, spec, z0.p)
+    ev, clearance = _evaluate_with_clearance(z0.q, spec, z0.p)
     energies = [ev.H]
-    clearances = [_spec_clearance(z0.q, spec)]
+    clearances = [clearance]
     score_norms = []
     diverged = False
     z = z0.copy()
@@ -161,9 +167,9 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
             diverged = True
             break
         states.append(z.copy())
-        ev = evaluate(z.q, spec, z.p)  # H now, the gradient for the next step
+        ev, clearance = _evaluate_with_clearance(z.q, spec, z.p)  # H now, the next step's gradient
         energies.append(ev.H)
-        clearances.append(_spec_clearance(z.q, spec))
+        clearances.append(clearance)
     n = len(states)
     return Trajectory(
         states=states,

@@ -277,7 +277,7 @@ def features(q, ctx: EnvironmentContext, d_hat: float, fixed: FixedTerms, contac
     q = np.asarray(q, dtype=float)
     layout = fixed.layout
     c = q[layout.frame]
-    obstacles = [ob for _, ob in sorted(ctx.obstacles, key=lambda kv: kv[0])]
+    obstacles = ctx.ordered_obstacles()
     m = len(obstacles)
     phi = np.zeros(2 + m)
     grads = np.zeros((2 + m, q.size))

@@ -11,6 +11,7 @@ so the mapping budget of an episode can be audited afterwards.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress
@@ -221,6 +222,10 @@ class EnvironmentContext:
     def obstacle_list(self):
         return [ob for _, ob in self.obstacles]
 
+    def ordered_obstacles(self):
+        """The obstacles in ascending index order (the order of the feature rows)."""
+        return [ob for _, ob in sorted(self.obstacles, key=lambda kv: kv[0])]
+
 
 class ObstacleMemory:
     """Episode-local memory of sensed discs, kept as arrays in ascending id order.
@@ -290,11 +295,19 @@ def disc_intersects_window(obstacle: Obstacle, center, half_extent) -> bool:
 
 
 class CircleRegistry:
-    """Stable ids for discs fitted from a grid, keyed by rounded geometry."""
+    """Stable ids for discs fitted from one grid, keyed by rounded geometry.
+
+    A registry serves one grid (one per episode).  It also keeps every
+    window's fit: the disc cover depends only on the window's cell bounds
+    (window_cells) and the fitting parameters, so ``fit`` keys its cache on
+    those and hands a repeated window the same (id, Obstacle) pairs, with
+    the same objects, as its first fit.
+    """
 
     def __init__(self):
         self._ids = {}
         self._obstacles = []
+        self._fits = {}
 
     def intern(self, obstacle: Obstacle) -> int:
         key = (round(obstacle.center[0], 6), round(obstacle.center[1], 6), round(obstacle.radius, 6))
@@ -303,6 +316,15 @@ class CircleRegistry:
             self._obstacles.append(obstacle)
         return self._ids[key]
 
+    def fit(self, grid: OccupancyGrid, window, params) -> list:
+        """Interned (id, Obstacle) pairs of extract_circles(grid, window, **params)."""
+        key = (window_cells(grid, window), tuple(sorted(params.items())))
+        pairs = self._fits.get(key)
+        if pairs is None:
+            pairs = [(self.intern(ob), ob) for ob in extract_circles(grid, window, **params)]
+            self._fits[key] = pairs
+        return list(pairs)
+
 
 def sense(workspace: Workspace, position, half_extent, tracker=None,
           registry=None, circle_params=None) -> EnvironmentContext:
@@ -310,8 +332,11 @@ def sense(workspace: Workspace, position, half_extent, tracker=None,
 
     Returns every obstacle whose disc intersects the window.  For dungeon
     workspaces the walls inside the window are first fitted with discs (see
-    extract_circles); a registry keeps their indices stable across windows.
-    The window is charged to the coverage tracker when one is given.  The
+    extract_circles); a registry keeps their indices stable across windows
+    and caches each window's fit, so a window with the cell bounds of an
+    earlier one (with the same circle_params) is not fitted again and
+    returns the earlier fit's pairs and objects (CircleRegistry.fit).  The
+    window is charged to the coverage tracker when one is given.  The
     context's stage goal is the global goal; the exit of the active stage is
     the caller's (navigator.ExitSelector).
     """
@@ -320,11 +345,11 @@ def sense(workspace: Workspace, position, half_extent, tracker=None,
         raise OutOfBoundsError(f"sense position {position} outside workspace")
     if workspace.grid is not None:
         params = circle_params or {}
-        discs = extract_circles(workspace.grid, (position, half_extent), **params)
+        window = (position, half_extent)
         if registry is None:
-            pairs = list(enumerate(discs))
+            pairs = list(enumerate(extract_circles(workspace.grid, window, **params)))
         else:
-            pairs = [(registry.intern(ob), ob) for ob in discs]
+            pairs = registry.fit(workspace.grid, window, params)
     else:
         pairs = [
             (i, ob)
@@ -504,29 +529,65 @@ def grid_sdf_world(grid: OccupancyGrid):
     """Bilinear world-coordinate sampler of the cell SDF, in world units.
 
     The sampler is cached on the grid object; outside the raster it clamps to
-    the border cell.
+    the border cell.  ``sample`` takes (n, 2) points and returns (n,) values,
+    or one point and returns a float.  A finite single point is read with
+    Python float arithmetic in the array path's order of operations, so it
+    returns the same bits as ``sample(point[None])[0]`` without the array
+    overhead; a non-finite one goes through the array path.
     """
     cache = getattr(grid, "_sdf_cache", None)
     if cache is None:
-        sdf = grid_to_sdf(grid) * grid.cell_size
+        cs = grid.cell_size
+        sdf = grid_to_sdf(grid) * cs
         ny, nx = sdf.shape
+        at = sdf.item
 
-        def sample(points):
+        def sample_array(points):
             pts = np.atleast_2d(np.asarray(points, float))
-            fx = np.clip(pts[:, 0] / grid.cell_size - 0.5, 0, nx - 1)
-            fy = np.clip(pts[:, 1] / grid.cell_size - 0.5, 0, ny - 1)
+            fx = np.clip(pts[:, 0] / cs - 0.5, 0, nx - 1)
+            fy = np.clip(pts[:, 1] / cs - 0.5, 0, ny - 1)
             x0 = np.clip(np.floor(fx).astype(int), 0, nx - 2) if nx > 1 else np.zeros(len(pts), int)
             y0 = np.clip(np.floor(fy).astype(int), 0, ny - 2) if ny > 1 else np.zeros(len(pts), int)
             tx, ty = fx - x0, fy - y0
             x1 = np.minimum(x0 + 1, nx - 1)
             y1 = np.minimum(y0 + 1, ny - 1)
-            v = (sdf[y0, x0] * (1 - tx) * (1 - ty) + sdf[y0, x1] * tx * (1 - ty)
-                 + sdf[y1, x0] * (1 - tx) * ty + sdf[y1, x1] * tx * ty)
-            return v if np.asarray(points).ndim > 1 else float(v[0])
+            return (sdf[y0, x0] * (1 - tx) * (1 - ty) + sdf[y0, x1] * tx * (1 - ty)
+                    + sdf[y1, x0] * (1 - tx) * ty + sdf[y1, x1] * tx * ty)
+
+        def sample(points):
+            if np.ndim(points) > 1:
+                return sample_array(points)
+            x, y = float(points[0]), float(points[1])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return float(sample_array(points)[0])
+            # np.clip(a, lo, hi) is min(max(a, lo), hi) with max(a, lo) = a if
+            # a > lo else lo; max(lo, a) and min(hi, m) pick the same operands
+            fx = min(nx - 1.0, max(0.0, x / cs - 0.5))
+            fy = min(ny - 1.0, max(0.0, y / cs - 0.5))
+            x0 = min(nx - 2, max(0, math.floor(fx))) if nx > 1 else 0
+            y0 = min(ny - 2, max(0, math.floor(fy))) if ny > 1 else 0
+            tx, ty = fx - x0, fy - y0
+            x1 = min(x0 + 1, nx - 1)
+            y1 = min(y0 + 1, ny - 1)
+            return (at(y0, x0) * (1 - tx) * (1 - ty) + at(y0, x1) * tx * (1 - ty)
+                    + at(y1, x0) * (1 - tx) * ty + at(y1, x1) * tx * ty)
 
         cache = sample
         object.__setattr__(grid, "_sdf_cache", cache)
     return cache
+
+
+def window_cells(grid: OccupancyGrid, window):
+    """(c0, c1, r0, r1): the inclusive column and row bounds of the grid cells
+    a sensing window (center, half_extent) reaches, clipped to the raster."""
+    center, half_extent = window
+    cs = grid.cell_size
+    ny, nx = grid.shape
+    c0 = max(0, math.floor((center[0] - half_extent) / cs))
+    c1 = min(nx - 1, math.ceil((center[0] + half_extent) / cs))
+    r0 = max(0, math.floor((center[1] - half_extent) / cs))
+    r1 = min(ny - 1, math.ceil((center[1] + half_extent) / cs))
+    return c0, c1, r0, r1
 
 
 def extract_circles(grid: OccupancyGrid, window, d_hat_cells=8.0, max_discs=16):
@@ -537,13 +598,8 @@ def extract_circles(grid: OccupancyGrid, window, d_hat_cells=8.0, max_discs=16):
     cells.  Cells within one cell of a placed disc count as covered.  Returns
     world-coordinate obstacles, at most ``max_discs`` of them.
     """
-    center, half_extent = window
     cs = grid.cell_size
-    ny, nx = grid.shape
-    c0 = max(0, int(np.floor((center[0] - half_extent) / cs)))
-    c1 = min(nx - 1, int(np.ceil((center[0] + half_extent) / cs)))
-    r0 = max(0, int(np.floor((center[1] - half_extent) / cs)))
-    r1 = min(ny - 1, int(np.ceil((center[1] + half_extent) / cs)))
+    c0, c1, r0, r1 = window_cells(grid, window)
     if c0 > c1 or r0 > r1:
         return []
     sub = grid.occupied[r0 : r1 + 1, c0 : c1 + 1]

@@ -17,12 +17,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamnav import ring
+from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     POINT_LAYOUT,
     RING_LAYOUT,
     V_PENALTY,
+    EnergyWeights,
     FixedTerms,
+    HamiltonianSpec,
+    PhaseState,
     barrier_knots,
+    evaluate,
     features,
     ipc_barrier,
     ipc_barrier_grad,
@@ -262,3 +268,41 @@ class TestPointFeatures:
             phi, grads = features(q, ctx, d_hat, fixed)
         assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
         assert bool(warned) == bool(want_warned)
+
+
+class TestRolloutContact:
+    def test_one_pass_per_state(self, monkeypatch):
+        """A 50-step ring rollout forms one contact pass per state (51), and
+        records the energies and clearances of an evaluate and a
+        min_clearance made apart, bit for bit."""
+        model = RingShapeModel()
+        model.s_target = 0.8
+        discs = [Obstacle(np.array([2.0, 0.4]), 0.5), Obstacle(np.array([1.2, -1.0]), 0.4),
+                 Obstacle(np.array([0.9, 0.9]), 0.3, 2.0)]
+        goal = np.array([4.0, 0.0])
+        # ids out of order: the feature rows are sorted, the context list is not
+        ctx = EnvironmentContext(goal, [(4, discs[0]), (1, discs[1]), (2, discs[2])],
+                                 np.zeros(2), 1.5)
+        w = EnergyWeights(beta=1.3, lam=0.9, alpha={4: 0.8, 1: 1.7, 2: 1.1})
+        fixed = FixedTerms(layout=RING_LAYOUT, goal=goal, d_hat=1.5, sensor_gain=0.7,
+                           shape=model)
+        spec = HamiltonianSpec(np.array([1, 1, 1, 1, 1, 4.0]), w, ctx, fixed)
+        z0 = PhaseState(np.array([0.1, -0.2, 0.0, 0.0, 0.0, 1.0]),
+                        np.array([0.0, 0.0, 0.3, 0.1, 0.0, -0.05]))
+        made = []
+        init = ring.ContactPass.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ring.ContactPass, "__init__", counting_init)
+        traj = rollout(z0, spec, IntegratorConfig(0.02, 50), mu=0.5)
+        monkeypatch.undo()
+        assert len(traj) == 51 and not traj.diverged
+        assert len(made) == 51
+        want_H = [evaluate(z.q, spec, z.p).H for z in traj.states]
+        want_clr = [model.min_clearance(z.q, ctx.obstacle_list()) for z in traj.states]
+        assert np.array_equal(traj.energies, want_H)
+        assert np.array_equal(traj.clearances, want_clr)
+        assert traj.clearances.min() < 1.5  # the barrier is active on the way

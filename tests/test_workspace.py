@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamnav.navigator import ExitSelector
+from hamnav import navigator, workspace
+from hamnav.generation import generate_dungeon
+from hamnav.navigator import ExitSelector, dungeon_setup, run_episode
 from hamnav.workspace import (
     CircleRegistry,
     CoverageTracker,
@@ -18,12 +21,14 @@ from hamnav.workspace import (
     Workspace,
     disc_intersects_window,
     extract_circles,
+    grid_sdf_world,
     grid_to_sdf,
     mapping_ratio,
     row_norms,
     sense,
     signed_distance,
     signed_distances,
+    window_cells,
     workspace_from_json,
     workspace_to_json,
 )
@@ -420,3 +425,115 @@ class TestRegistry:
         assert reg.intern(a) == 0
         assert reg.intern(b) == 1
         assert reg.intern(Obstacle(np.array([1.0, 2.0]), 0.5)) == 0
+
+
+class TestWindowFitCache:
+    """The registry's per-window fit cache against uncached fitting.
+
+    Every window a point-robot episode in a 3-cell dungeon senses is fitted
+    again with extract_circles and interned, in the same order, on a fresh
+    registry: the cached pairs must carry the same ids and the same bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def sensed(self):
+        fit = extract_circles
+        calls, events = [], []
+        real_sense = navigator.sense
+
+        def counting_fit(grid, window, **params):
+            calls.append(window_cells(grid, window))
+            return fit(grid, window, **params)
+
+        def recording_sense(ws, position, half_extent, **kwargs):
+            ctx = real_sense(ws, position, half_extent, **kwargs)
+            events.append((ws.grid, (np.array(position, float), half_extent),
+                           kwargs["registry"], kwargs["circle_params"], list(ctx.obstacles)))
+            return ctx
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workspace, "extract_circles", counting_fit)
+            mp.setattr(navigator, "sense", recording_sense)
+            cfg, meta = dungeon_setup(n_max=400)
+            run_episode(generate_dungeon(0, cells=3), cfg, meta)
+        return calls, events
+
+    @staticmethod
+    def key(event):
+        grid, window, _, params, _ = event
+        return window_cells(grid, window), tuple(sorted(params.items()))
+
+    def test_one_fit_per_distinct_window(self, sensed):
+        calls, events = sensed
+        keys = [self.key(e) for e in events]
+        assert len(set(keys)) < len(events)  # the episode re-senses windows
+        assert len(calls) == len(set(keys))
+        assert calls == [k[0] for k in dict.fromkeys(keys)]
+
+    def test_pairs_match_uncached_fit(self, sensed):
+        _, events = sensed
+        fresh = CircleRegistry()
+        for grid, window, _, params, pairs in events:
+            want = [(fresh.intern(ob), ob) for ob in extract_circles(grid, window, **params)]
+            assert [i for i, _ in pairs] == [i for i, _ in want]
+            for (_, got), (_, ob) in zip(pairs, want):
+                assert got.center.tobytes() == ob.center.tobytes()
+                assert got.radius == ob.radius and got.weight == ob.weight
+
+    def test_repeated_window_returns_the_same_objects(self, sensed):
+        _, events = sensed
+        first = {}
+        repeats = 0
+        for event in events:
+            pairs = event[-1]
+            seen = first.setdefault(self.key(event), pairs)
+            if seen is pairs:
+                continue
+            repeats += 1
+            assert [i for i, _ in pairs] == [i for i, _ in seen]
+            assert all(a is b for (_, a), (_, b) in zip(pairs, seen))
+            memory = ObstacleMemory(seen)
+            ids, centers, radii = memory.ids, memory.centers, memory.radii
+            memory.add(pairs)
+            assert memory.ids is ids and memory.centers is centers and memory.radii is radii
+        assert repeats > 0
+
+    def test_registry_serves_a_copy(self, sensed):
+        _, events = sensed
+        grid, window, registry, params, pairs = events[-1]
+        served = registry.fit(grid, window, params)
+        served.clear()
+        assert registry.fit(grid, window, params) == pairs
+
+
+class TestGridSdfSampler:
+    """One-point sampling against the array path, bit for bit."""
+
+    GRIDS = [
+        (np.random.default_rng(3).random((9, 12)) < 0.3, 0.5),
+        (np.random.default_rng(4).random((11, 7)) < 0.4, 0.3),
+        (np.array([[True, False, False, True, False, False]]), 1.0),  # ny == 1
+        (np.array([[False], [True], [False], [False], [True]]), 0.7),  # nx == 1
+    ]
+
+    @pytest.mark.parametrize("occ, cs", GRIDS)
+    def test_one_point_matches_array_path(self, occ, cs):
+        grid = OccupancyGrid(occ, cell_size=cs)
+        sample = grid_sdf_world(grid)
+        ny, nx = occ.shape
+        rng = np.random.default_rng(11)
+        pts = [rng.uniform([-1.5, -1.5], [nx * cs + 1.5, ny * cs + 1.5]) for _ in range(300)]
+        centres = (np.arange(max(nx, ny)) + 0.5) * cs
+        edges = np.arange(max(nx, ny) + 1) * cs
+        pts += [np.array([x, y]) for x in centres[:nx] for y in centres[:ny]]
+        pts += [np.array([x, y]) for x in edges[: nx + 1] for y in edges[: ny + 1]]
+        pts += [np.array(p) for p in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                      (-np.inf, -np.inf), (np.nan, np.inf), (1e300, -1e300))]
+        for p in pts:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the cast of a NaN
+                want = sample(p[None])[0]
+                got = sample(p)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), p
+        assert sample([0.25, 0.25]) == sample(np.array([[0.25, 0.25]]))[0]
