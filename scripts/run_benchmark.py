@@ -5,9 +5,8 @@ with rigid A* as the path-length reference."""
 import argparse
 import time
 
-import numpy as np
-
 from hamnav.baselines import PFGains, astar_rigid, run_baseline_episode
+from hamnav.evalkit import aggregate, episode_metrics
 from hamnav.generation import generate_workspace
 from hamnav.navigator import DefaultMetaPolicy, EpisodeConfig, run_episode
 from hamnav.ring import RingParams
@@ -29,20 +28,16 @@ def main():
         ours = run_episode(ws, cfg, DefaultMetaPolicy())
         pf = run_baseline_episode(ws, "pf", cfg, robot_radius=0.4,
                                   pf_gains=PFGains(d_hat=cfg.d_hat))
-        s = ours.termination == "success" and ours.true_clearances.min() > 0
-        rows["ours"].append((s, ours.path_length(), lref, ours.coverage))
-        rows["pf"].append((pf.termination == "success", pf.path_length(), lref,
-                           pf.coverage))
+        rows["ours"].append(episode_metrics(ours, lref))
+        rows["pf"].append(episode_metrics(pf, lref))
 
     print(f"{args.family} x {args.episodes} episodes "
           f"({time.perf_counter() - t0:.0f}s)")
     print(f"{'method':8s} {'SPL':>6s} {'Detour':>7s} {'Succ':>5s} {'Mapping':>8s}")
-    for name, data in rows.items():
-        spl = np.mean([(lr / max(L, lr) if s else 0.0) for s, L, lr, _ in data])
-        det = [L / lr for s, L, lr, _ in data if s]
-        print(f"{name:8s} {spl:6.3f} {np.mean(det) if det else float('nan'):7.3f} "
-              f"{sum(d[0] for d in data):5d} "
-              f"{np.mean([c for _, _, _, c in data]):8.3f}")
+    for name, metrics in rows.items():
+        agg = aggregate(metrics)
+        print(f"{name:8s} {agg['mean_spl']:6.3f} {agg['success_only_mean_detour']:7.3f} "
+              f"{sum(m.success for m in metrics):5d} {agg['mean_mapping_ratio']:8.3f}")
 
 
 if __name__ == "__main__":

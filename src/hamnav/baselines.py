@@ -10,23 +10,19 @@ sensed obstacle memory and the stage goal, never by the workspace itself.
 from __future__ import annotations
 
 import heapq
-import time
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .navigator import EpisodeConfig, EpisodeResult, StagewiseSensing
+from .navigator import EpisodeConfig, EpisodeRecorder, EpisodeResult, Observables, StagewiseSensing
 from .energy import POINT_LAYOUT
 from .workspace import (
     DeadEndError,
     EnvironmentContext,
     Obstacle,
     Workspace,
-    grid_sdf_world,
     grid_to_sdf,
     row_norms,
-    signed_distances,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -203,9 +199,7 @@ class DWAConfig:
     w_progress: float = 1.0
     w_clearance: float = 0.4
     w_speed: float = 0.05
-    robot_radius: float = 0.0
     d_hat: float = 0.8
-    stage_bounds: tuple = None  # (x0, y0, x1, y1); leaving it rejects a candidate
 
 
 @dataclass
@@ -216,14 +210,15 @@ class DWAResult:
     index: int
 
 
-def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig) -> DWAResult:
+def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig,
+             robot_radius: float = 0.0, stage_bounds=None) -> DWAResult:
     """Sample (v_x, v_y) on a grid, roll out, score, hard-reject collisions.
 
-    All ``n_per_axis**2`` candidates are rolled out and scored at once.  A
-    candidate is rejected when a rollout point leaves ``cfg.stage_bounds`` or
-    its clearance is below 0; with every candidate rejected the result is
-    ``blocked``.  Ties go to the lowest candidate index (row-major over the
-    grid, v_y outer).
+    All ``n_per_axis**2`` candidates are rolled out and scored at once for a
+    disc of ``robot_radius``.  A candidate is rejected when a rollout point
+    leaves ``stage_bounds`` (x0, y0, x1, y1) or its clearance is below 0;
+    with every candidate rejected the result is ``blocked``.  Ties go to the
+    lowest candidate index (row-major over the grid, v_y outer).
 
     Norm forms: the clearance is ``np.linalg.norm(..., axis=-1)``, as in
     signed_distances; the goal distances in ``progress`` are row_norms, equal
@@ -240,15 +235,15 @@ def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig) -> D
     ts = np.arange(1, horizon + 1) * cfg.dt
     pts = position + ts[None, :, None] * vel[:, None, :]  # (candidate, step, xy)
     ok = np.ones(len(vel), dtype=bool)
-    if cfg.stage_bounds is not None:
-        x0, y0, x1, y1 = cfg.stage_bounds
+    if stage_bounds is not None:
+        x0, y0, x1, y1 = stage_bounds
         x, y = pts[..., 0], pts[..., 1]
         ok = ~((x < x0) | (x > x1) | (y < y0) | (y > y1)).any(axis=1)
     if obstacles:
         centers = np.stack([ob.center for ob in obstacles])
         radii = np.array([ob.radius for ob in obstacles])
         dist = np.linalg.norm(centers - pts[:, :, None, :], axis=-1) - radii
-        clr = dist.min(axis=(1, 2)) - cfg.robot_radius
+        clr = dist.min(axis=(1, 2)) - robot_radius
     else:
         clr = np.full(len(vel), cfg.d_hat)
     ok &= ~(clr < 0)  # hard rejection of colliding candidates
@@ -270,111 +265,60 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
                          dwa_cfg: DWAConfig = None) -> EpisodeResult:
     """Run PF or DWA as a rigid disc under the navigator's sensing regime.
 
-    Emits the same EpisodeResult artifact as the adaptive navigator so one
-    evaluation pipeline covers every method.
+    Both plan for the disc of ``robot_radius`` they are judged as.  The
+    navigator's EpisodeRecorder logs the episode, so one evaluation pipeline
+    covers every method.
     """
     if method not in ("pf", "dwa"):
         raise ValueError(f"unknown baseline method {method!r}")
-    t_wall = time.perf_counter()
     sensing = StagewiseSensing(ws, cfg)
+    rec = EpisodeRecorder(ws, cfg, sensing.tracker, POINT_LAYOUT, radius=robot_radius)
     memory = sensing.memory
-    sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
     if pf_gains is None:
         pf_gains = PFGains(d_hat=cfg.d_hat)
     if dwa_cfg is None:
-        dwa_cfg = DWAConfig(robot_radius=robot_radius, d_hat=cfg.d_hat)
-    else:  # the stage box is written into it each step: keep the caller's intact
-        dwa_cfg = replace(dwa_cfg)
-    pos = ws.start.copy()
-    rows = {k: [] for k in ("q", "clr", "true_clr", "dist", "speed")}
-    dt = cfg.tau
-    termination = "timeout"
-    recent = deque(maxlen=cfg.stuck_window + 1)
+        dwa_cfg = DWAConfig(d_hat=cfg.d_hat)
 
-    def true_clear(p):
-        if ws.grid is not None:
-            return float(sdf(p)) - robot_radius
-        if not ws.obstacles:
-            return np.inf
-        return float(signed_distances(ws.obstacles, p).min()) - robot_radius
-
-    def log(p, v):
-        if ws.grid is not None:
-            clr = cfg.d_hat
-            if len(memory):
-                clr = float(memory.signed_distances(p).min()) - robot_radius
+    def observe(pos, v):
+        """The sensed observables at pos, commanding v."""
+        if ws.grid is None:
+            clr = rec.true_clr
+        elif len(memory):
+            clr = float(memory.signed_distances(pos).min()) - robot_radius
         else:
-            clr = true_clear(p)
-        rows["q"].append(np.concatenate([np.zeros(2), p]))
-        rows["clr"].append(min(clr, cfg.d_hat))
-        rows["true_clr"].append(true_clear(p))
-        rows["dist"].append(float(np.linalg.norm(p - ws.goal)))
-        rows["speed"].append(float(np.linalg.norm(v)))
+            clr = cfg.d_hat
+        return Observables(min(clr, cfg.d_hat), float(np.linalg.norm(pos - ws.goal)),
+                           float(np.linalg.norm(v)))
 
-    n = 0
-    if true_clear(pos) < 0:
-        log(pos, np.zeros(2))
-        termination = "collision"
-    else:
-        while True:
-            if float(np.linalg.norm(pos - ws.goal)) < cfg.eps_goal:
-                termination = "success"
-                break
-            if n >= cfg.n_max:
-                break
-            try:
-                sensing.refresh(pos, n)
-            except DeadEndError:
-                termination = "dead_end"
-                break
-            stage_goal = sensing.stage_goal
-            pairs = memory.pairs()
-            local = EnvironmentContext(stage_goal, pairs, pos.copy(), cfg.d_hat)
-            if method == "pf":
-                # PF plans in the rigid disc's configuration space
-                if robot_radius > 0:
-                    inflated = [(i, Obstacle(ob.center, ob.radius + robot_radius, ob.weight))
-                                for i, ob in pairs]
-                    local = EnvironmentContext(stage_goal, inflated, pos.copy(), cfg.d_hat)
-                v = pf_step(pos, local, stage_goal, pf_gains)
-            else:
-                # pad the stage box so exit-adjacent candidates survive the
-                # leave-stage rejection (tiles overlap by more than this)
-                x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
-                pad = cfg.eps_stage
-                dwa_cfg.stage_bounds = (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
-                out = dwa_step(pos, local, stage_goal, dwa_cfg)
-                v = out.velocity
-            log(pos, v)
-            pos = pos + dt * v
-            recent.append(pos.copy())
-            n += 1
-            if true_clear(pos) < 0 and cfg.collision_stop:
-                termination = "collision"
-                break
-            if len(recent) == cfg.stuck_window + 1:
-                if float(np.linalg.norm(recent[-1] - recent[0])) < cfg.eps_stuck:
-                    termination = "stuck"
-                    break
-    log(pos, np.zeros(2))
-    m = len(rows["q"])
-    zeros = np.zeros(m)
-    return EpisodeResult(
-        times=dt * np.arange(m),
-        qs=np.stack(rows["q"]),
-        ps=np.zeros((m, 4)),
-        energies=zeros.copy(),
-        clearances=np.asarray(rows["clr"]),
-        true_clearances=np.asarray(rows["true_clr"]),
-        goal_dists=np.asarray(rows["dist"]),
-        speeds=np.asarray(rows["speed"]),
-        betas=zeros.copy(), lams=zeros.copy(), alpha_sums=zeros.copy(),
-        active_counts=zeros.copy(), mus=zeros.copy(), u_fs=np.zeros((m, 2)),
-        breakdown={k: zeros.copy() for k in ("E_sensor", "E_goal", "E_obj",
-                                             "E_barrier_total")},
-        termination=termination,
-        coverage=sensing.tracker.covered_fraction(),
-        layout=POINT_LAYOUT,
-        wall_time=time.perf_counter() - t_wall,
-        tracker=sensing.tracker,
-    )
+    pos = ws.start.copy()
+    q = np.concatenate([np.zeros(2), pos])  # the point layout: (sensor, frame)
+    termination = rec.start(q)
+    while termination is None:
+        try:
+            sensing.refresh(pos, rec.n)
+        except DeadEndError:
+            termination = "dead_end"
+            break
+        stage_goal = sensing.stage_goal
+        pairs = memory.pairs()
+        local = EnvironmentContext(stage_goal, pairs, pos.copy(), cfg.d_hat)
+        if method == "pf":
+            # PF plans in the rigid disc's configuration space
+            if robot_radius > 0:
+                inflated = [(i, Obstacle(ob.center, ob.radius + robot_radius, ob.weight))
+                            for i, ob in pairs]
+                local = EnvironmentContext(stage_goal, inflated, pos.copy(), cfg.d_hat)
+            v = pf_step(pos, local, stage_goal, pf_gains)
+        else:
+            # pad the stage box so exit-adjacent candidates survive the
+            # leave-stage rejection (tiles overlap by more than this)
+            x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
+            pad = cfg.eps_stage
+            v = dwa_step(pos, local, stage_goal, dwa_cfg, robot_radius,
+                         (x0 - pad, y0 - pad, x1 + pad, y1 + pad)).velocity
+        rec.record(q, observe(pos, v))
+        pos = pos + cfg.tau * v
+        q = np.concatenate([np.zeros(2), pos])
+        termination = rec.step(q)
+    rec.record(q, observe(pos, np.zeros(2)))
+    return rec.result(termination)

@@ -11,6 +11,8 @@ Sensing is stagewise (StagewiseSensing, shared with the PF/DWA baselines):
 the world is re-sensed every T_y steps, on a stage change, and when an exit
 is attained or abandoned; discovered obstacles accumulate in an
 episode-local memory, and only obstacles near the robot enter the energy.
+EpisodeRecorder, shared with the baselines too, logs each state and decides
+when the episode ends.
 """
 
 from __future__ import annotations
@@ -540,6 +542,120 @@ class StagewiseSensing:
         return True
 
 
+class EpisodeRecorder:
+    """One episode's log, termination checks and result, shared by the
+    navigator and the PF/DWA baselines.
+
+    ``start`` and ``step`` take each state the episode reaches: they measure
+    its ground-truth clearance once (``true_clr``) and return why the episode
+    ends there, or None.  ``record`` logs a state as one row of COLUMNS;
+    ``result`` zero-fills the columns a loop never recorded.  A rigid disc of
+    ``radius`` is judged by its centre's clearance less the radius.
+    """
+
+    # every loop records the first five; the navigator also records the rest
+    COLUMNS = ("q", "clr", "true_clr", "dist", "speed", "p", "u_f", "H", "E_sensor",
+               "E_goal", "E_obj", "E_barrier_total", "beta", "lam", "alpha_sum", "active",
+               "mu")
+
+    def __init__(self, ws: Workspace, cfg: EpisodeConfig, tracker: CoverageTracker,
+                 layout, shape=None, radius=0.0):
+        self.t_wall = time.perf_counter()
+        self.ws, self.cfg, self.tracker = ws, cfg, tracker
+        self.layout, self.shape, self.radius = layout, shape, radius
+        self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
+        self.world = (np.array([ob.center for ob in ws.obstacles], dtype=float).reshape(-1, 2),
+                      np.array([ob.radius for ob in ws.obstacles], dtype=float))
+        self.rows = []
+        self.snapshots = []
+        self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
+        self.n = 0  # steps taken
+        self.true_clr = None
+
+    def true_clearance(self, q) -> float:
+        """Clearance against the ground-truth world (not the sensed one)."""
+        c = q[self.layout.frame]
+        if self.ws.grid is not None:
+            base = float(self.sdf(c)) - self.radius
+            if self.shape is not None:
+                base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
+            return base
+        centers, radii = self.world
+        if self.shape is not None:
+            return self.shape.pruned_clearance(q, centers, radii)
+        if not len(radii):
+            return np.inf
+        # signed_distances, on the world arrays built once per episode
+        return float((np.linalg.norm(centers - c, axis=1) - radii).min()) - self.radius
+
+    def start(self, q):
+        """Measure the start state: 'collision' if it collides, else as ``_at``."""
+        self.true_clr = self.true_clearance(q)
+        return "collision" if self.true_clr < 0 else self._at(q)
+
+    def step(self, q):
+        """Measure the state a step reached: 'collision' (with collision_stop),
+        'stuck' when the frame moved less than eps_stuck over the last
+        stuck_window steps, else as ``_at``."""
+        cfg = self.cfg
+        self.n += 1
+        self.true_clr = self.true_clearance(q)
+        self.recent.append(q[self.layout.frame].copy())
+        if self.true_clr < 0 and cfg.collision_stop:
+            return "collision"
+        if len(self.recent) == cfg.stuck_window + 1:
+            if float(np.linalg.norm(self.recent[-1] - self.recent[0])) < cfg.eps_stuck:
+                return "stuck"
+        return self._at(q)
+
+    def _at(self, q):
+        """'success' at the goal, 'timeout' after n_max steps, else None."""
+        if float(np.linalg.norm(q[self.layout.frame] - self.ws.goal)) < self.cfg.eps_goal:
+            return "success"
+        return "timeout" if self.n >= self.cfg.n_max else None
+
+    def record(self, q, y: Observables, *extra):
+        """Log the state last measured, q, with its observables y and
+        ``extra``, the values of the COLUMNS after "speed" in order."""
+        self.rows.append((q.copy(), y.clearance, self.true_clr, y.goal_dist, y.speed) + extra)
+        if self.shape is not None:
+            self.snapshots.append(self.shape.boundary(q))
+
+    def result(self, termination, final_weights=None) -> EpisodeResult:
+        m = len(self.rows)
+        cols = dict(zip(self.COLUMNS, zip(*self.rows)))
+
+        def column(name, width=0):
+            if name not in cols:
+                return np.zeros((m, width) if width else m)
+            return np.stack(cols[name]) if width else np.asarray(cols[name])
+
+        return EpisodeResult(
+            times=self.cfg.tau * np.arange(m),
+            qs=np.stack(cols["q"]),
+            ps=column("p", self.layout.dim),
+            energies=column("H"),
+            clearances=column("clr"),
+            true_clearances=column("true_clr"),
+            goal_dists=column("dist"),
+            speeds=column("speed"),
+            betas=column("beta"),
+            lams=column("lam"),
+            alpha_sums=column("alpha_sum"),
+            active_counts=column("active"),
+            mus=column("mu"),
+            u_fs=column("u_f", 2),
+            breakdown={k: column(k) for k in ("E_sensor", "E_goal", "E_obj", "E_barrier_total")},
+            termination=termination,
+            coverage=self.tracker.covered_fraction(),
+            layout=self.layout,
+            wall_time=time.perf_counter() - self.t_wall,
+            tracker=self.tracker,
+            boundary_snapshots=self.snapshots,
+            final_weights=final_weights or {},
+        )
+
+
 class _WeightState:
     """Persistent weight map: adapted values survive sensing refreshes."""
 
@@ -582,9 +698,6 @@ class _Episode:
         self.selectors = PortSelectors(dim=self.layout.dim, frame=self.layout.frame)
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
         self.sensing = StagewiseSensing(ws, cfg)
-        self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
-        self.world = (np.array([ob.center for ob in ws.obstacles], dtype=float).reshape(-1, 2),
-                      np.array([ob.radius for ob in ws.obstacles], dtype=float))
         q = np.zeros(self.layout.dim)
         q[self.layout.frame] = ws.start
         if self.layout.scale is not None:
@@ -595,29 +708,8 @@ class _Episode:
         self.J = np.zeros((3, 3 + cfg.adapt.k_alpha))
         self.prev_y = self.prev_zeta = None
         self.prev_slots = None
-        self.recent = deque(maxlen=cfg.stuck_window + 1)
-        self.log = {k: [] for k in
-                    ("t", "q", "p", "H", "clr", "true_clr", "dist", "speed", "beta",
-                     "lam", "alpha_sum", "active", "mu", "u_f", "E_sensor", "E_goal",
-                     "E_obj", "E_barrier_total")}
-        self.snapshots = []
 
     # -- geometry helpers ---------------------------------------------------
-
-    def true_clearance(self, q) -> float:
-        """Clearance against the ground-truth world (not the sensed one)."""
-        if self.ws.grid is not None:
-            base = float(self.sdf(q[self.layout.frame]))
-            if self.shape is not None:
-                base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
-            return base
-        centers, radii = self.world
-        if self.shape is not None:
-            return self.shape.pruned_clearance(q, centers, radii)
-        if not len(radii):
-            return np.inf
-        # signed_distances, on the world arrays built once per episode
-        return float((np.linalg.norm(centers - q[self.layout.frame], axis=1) - radii).min())
 
     def contact_at(self, q, obstacles, held=None):
         """The ring's contact pass at q against obstacles (None for a point
@@ -661,87 +753,38 @@ class _Episode:
 
     # -- logging ------------------------------------------------------------
 
-    def log_state(self, parts, true_clr, act, y: Observables):
-        """Log self.z with its energy terms and its ground-truth clearance."""
-        lg = self.log
-        lg["t"].append(len(lg["t"]) * self.cfg.tau)
-        lg["q"].append(self.z.q.copy())
-        lg["p"].append(self.z.p.copy())
-        for k in ("E_sensor", "E_goal", "E_obj", "E_barrier_total", "H"):
-            lg[k].append(parts[k])
-        lg["clr"].append(y.clearance)
-        lg["true_clr"].append(true_clr)
-        lg["dist"].append(y.goal_dist)
-        lg["speed"].append(y.speed)
-        lg["beta"].append(self.weights.beta)
-        lg["lam"].append(self.weights.lam)
-        lg["alpha_sum"].append(sum(self.weights.alpha.get(i, 0.0) for i, _ in act))
-        lg["active"].append(len(act))
-        lg["mu"].append(self.weights.mu)
-        lg["u_f"].append(self.u_f.copy())
-        if self.shape is not None:
-            self.snapshots.append(self.shape.boundary(self.z.q))
+    def columns(self, parts, act):
+        """The state's values of the recorder's COLUMNS after "speed"."""
+        w = self.weights
+        return (self.z.p.copy(), self.u_f.copy(), parts["H"], parts["E_sensor"],
+                parts["E_goal"], parts["E_obj"], parts["E_barrier_total"], w.beta, w.lam,
+                sum(w.alpha.get(i, 0.0) for i, _ in act), len(act), w.mu)
 
-    def finish(self, termination, t_wall, true_clr, act, contact=None) -> EpisodeResult:
-        """Log the last state, which no step follows, and build the result."""
+    def finish(self, rec: EpisodeRecorder, termination, contact) -> EpisodeResult:
+        """Record the last state, which no step follows, and build the result."""
+        act = self.active_pairs(self.z.q)
         act_obs = [ob for _, ob in act]
         contact = self.contact_at(self.z.q, act_obs, contact)
         ev = evaluate(self.z.q, self.spec_for(act), self.z.p, contact)
-        self.log_state(ev.parts, true_clr, act, self.observe(self.z, act_obs, (), contact))
-        return self.result(termination, t_wall)
-
-    def result(self, termination, t_wall) -> EpisodeResult:
-        lg = self.log
-        return EpisodeResult(
-            times=np.asarray(lg["t"]),
-            qs=np.stack(lg["q"]),
-            ps=np.stack(lg["p"]),
-            energies=np.asarray(lg["H"]),
-            clearances=np.asarray(lg["clr"]),
-            true_clearances=np.asarray(lg["true_clr"]),
-            goal_dists=np.asarray(lg["dist"]),
-            speeds=np.asarray(lg["speed"]),
-            betas=np.asarray(lg["beta"]),
-            lams=np.asarray(lg["lam"]),
-            alpha_sums=np.asarray(lg["alpha_sum"]),
-            active_counts=np.asarray(lg["active"]),
-            mus=np.asarray(lg["mu"]),
-            u_fs=np.stack(lg["u_f"]),
-            breakdown={k: np.asarray(lg[k]) for k in ("E_sensor", "E_goal", "E_obj",
-                                                      "E_barrier_total")},
-            termination=termination,
-            coverage=self.sensing.tracker.covered_fraction(),
-            layout=self.layout,
-            wall_time=time.perf_counter() - t_wall,
-            tracker=self.sensing.tracker,
-            boundary_snapshots=self.snapshots,
-            final_weights={"beta": self.weights.beta, "lam": self.weights.lam,
-                           "mu": self.weights.mu, "alpha": dict(self.weights.alpha)},
-        )
+        rec.record(self.z.q, self.observe(self.z, act_obs, (), contact),
+                   *self.columns(ev.parts, act))
+        w = self.weights
+        return rec.result(termination, {"beta": w.beta, "lam": w.lam, "mu": w.mu,
+                                        "alpha": dict(w.alpha)})
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> EpisodeResult:
-        t_wall = time.perf_counter()
+        rec = EpisodeRecorder(self.ws, self.cfg, self.sensing.tracker, self.layout, self.shape)
         cfg, ad = self.cfg, self.cfg.adapt
         _, t_f, t_o = cfg.horizons
-        # measured once per state, when the state is committed
-        true_clr = self.true_clearance(self.z.q)
-        if true_clr < 0:
-            return self.finish("collision", t_wall, true_clr, [])
-        termination = "timeout"
-        n = 0
+        termination = rec.start(self.z.q)
         # the ring's contact pass at self.z, made with the state after the last
         # step; reused while the active set holds the same obstacles
         contact = None
-        while True:
+        while termination is None:
+            n = rec.n
             c = self.z.q[self.layout.frame]
-            if float(np.linalg.norm(c - self.ws.goal)) < cfg.eps_goal:
-                termination = "success"
-                break
-            if n >= cfg.n_max:
-                termination = "timeout"
-                break
 
             # (A) sensing refresh and stage bookkeeping; the meta policy
             # re-proposes weights on every sensing event
@@ -841,23 +884,13 @@ class _Episode:
                 self.u_f = port_correction(P, r, ad.lam_u, ad.u_box)
             self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
 
-            # (I) commit and log
-            self.log_state(ev.parts, true_clr, act,
-                           self.observe(self.z, act_obs, shape_clearances, contact))
+            # (I) log, then commit
+            rec.record(self.z.q, self.observe(self.z, act_obs, shape_clearances, contact),
+                       *self.columns(ev.parts, act))
             self.z, contact = z_next, contact_next
-            true_clr = self.true_clearance(self.z.q)
-            self.recent.append(z_next.q[self.layout.frame].copy())
-            n += 1
+            termination = rec.step(self.z.q)
 
-            if true_clr < 0 and cfg.collision_stop:
-                termination = "collision"
-                break
-            if len(self.recent) == cfg.stuck_window + 1:
-                if float(np.linalg.norm(self.recent[-1] - self.recent[0])) < cfg.eps_stuck:
-                    termination = "stuck"
-                    break
-
-        return self.finish(termination, t_wall, true_clr, self.active_pairs(self.z.q), contact)
+        return self.finish(rec, termination, contact)
 
 
 def run_episode(ws: Workspace, cfg: EpisodeConfig, meta=None) -> EpisodeResult:

@@ -242,14 +242,14 @@ class TestDWA:
         np.testing.assert_array_equal(out.velocity, np.zeros(2))
 
     def test_stage_bound_rejection(self):
-        cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=5, dt=0.5,
-                        stage_bounds=(-0.5, -0.5, 0.5, 0.5))
-        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg)
+        cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=5, dt=0.5)
+        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg,
+                       stage_bounds=(-0.5, -0.5, 0.5, 0.5))
         # every fast candidate exits the stage; the chosen one stays inside
         assert np.max(np.abs(out.velocity)) * 0.5 * 5 <= 0.5 + 1e-9
 
 
-def dwa_reference(position, ctx, stage_goal, cfg):
+def dwa_reference(position, ctx, stage_goal, cfg, robot_radius=0.0, stage_bounds=None):
     """The per-candidate loop dwa_step replaced, kept as its oracle."""
     position = np.asarray(position, float)
     axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
@@ -264,13 +264,13 @@ def dwa_reference(position, ctx, stage_goal, cfg):
             idx += 1
             v = np.array([vx, vy])
             pts = position[None, :] + np.outer(np.arange(1, horizon + 1) * cfg.dt, v)
-            if cfg.stage_bounds is not None:
-                x0, y0, x1, y1 = cfg.stage_bounds
+            if stage_bounds is not None:
+                x0, y0, x1, y1 = stage_bounds
                 if np.any((pts[:, 0] < x0) | (pts[:, 0] > x1)
                           | (pts[:, 1] < y0) | (pts[:, 1] > y1)):
                     continue
             if obstacles:
-                clr = np.min([signed_distances(obstacles, p) for p in pts]) - cfg.robot_radius
+                clr = np.min([signed_distances(obstacles, p) for p in pts]) - robot_radius
             else:
                 clr = cfg.d_hat
             if clr < 0:
@@ -285,10 +285,12 @@ def dwa_reference(position, ctx, stage_goal, cfg):
     return best[2], False, best[0], best[1]
 
 
-def assert_same_as_reference(position, obstacles, goal, cfg):
+def assert_same_as_reference(position, obstacles, goal, cfg, robot_radius=0.0,
+                             stage_bounds=None):
     ctx = ctx_of(obstacles, goal)
-    out = dwa_step(position, ctx, goal, cfg)
-    velocity, blocked, score, index = dwa_reference(position, ctx, goal, cfg)
+    out = dwa_step(position, ctx, goal, cfg, robot_radius, stage_bounds)
+    velocity, blocked, score, index = dwa_reference(position, ctx, goal, cfg, robot_radius,
+                                                    stage_bounds)
     assert (out.index, out.blocked) == (index, blocked)
     assert out.velocity.tobytes() == np.asarray(velocity, float).tobytes()
     assert np.float64(out.score).tobytes() == np.float64(score).tobytes()
@@ -318,9 +320,8 @@ class TestDWAOracle:
         cfg = DWAConfig(v_max=r.uniform(0.3, 1.5), n_per_axis=n_per_axis, horizon=horizon,
                         dt=r.uniform(0.05, 0.3), w_progress=r.uniform(0.5, 2.0),
                         w_clearance=r.uniform(0.0, 1.0), w_speed=r.uniform(0.0, 0.2),
-                        robot_radius=robot_radius, d_hat=r.uniform(0.3, 1.5),
-                        stage_bounds=bounds)
-        assert_same_as_reference(position, obstacles, goal, cfg)
+                        d_hat=r.uniform(0.3, 1.5))
+        assert_same_as_reference(position, obstacles, goal, cfg, robot_radius, bounds)
 
     @given(st.integers(0, 4), st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]),
            st.sampled_from([3, 5, 9]))
@@ -342,9 +343,8 @@ class TestDWAOracle:
         obstacles = [Obstacle(np.array([0.6, 0.0]), 0.3)]
         cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=8, dt=0.1, w_clearance=0.0)
         out = assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
-        mirror = dwa_step((0.0, 0.0), ctx_of(obstacles, (3.0, 0.0)), (3.0, 0.0),
-                          DWAConfig(v_max=1.0, n_per_axis=5, horizon=8, dt=0.1,
-                                    w_clearance=0.0, stage_bounds=(-9, 0.0, 9, 9)))
+        mirror = dwa_step((0.0, 0.0), ctx_of(obstacles, (3.0, 0.0)), (3.0, 0.0), cfg,
+                          stage_bounds=(-9, 0.0, 9, 9))
         assert out.velocity[1] < 0 < mirror.velocity[1]
         assert out.score == mirror.score
         assert out.velocity[0] == mirror.velocity[0]
@@ -383,7 +383,8 @@ class TestBaselineEpisodes:
             run_baseline_episode(ws, "rrt", EpisodeConfig(ring=None))
 
     def test_dwa_leaves_the_callers_config_unchanged(self):
-        # each DWA step writes its stage box into the episode's own copy
+        # the stage box is an argument of each DWA step, never written into
+        # the config
         ws = generate_workspace("test_id", 0)
         cfg = EpisodeConfig(n_max=5)
         dwa_cfg = DWAConfig(d_hat=cfg.d_hat)

@@ -12,11 +12,12 @@ from hamnav.cli import (
     load_config,
     loads_toml,
     main,
+    run_method,
     save_config,
     to_dict,
 )
-from hamnav.baselines import astar_rigid
-from hamnav.generation import gap_statistics
+from hamnav.baselines import astar_rigid, run_baseline_episode
+from hamnav.generation import gap_statistics, generate_workspace
 from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
 from hamnav.ring import RingParams
 from hamnav.workspace import load_workspace
@@ -67,12 +68,14 @@ class TestConfigRoundTrip:
         assert cfg.episode.horizons == (4, 2, 1)
 
     def test_nested_tables_rebuilt_from_hints(self):
-        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3, 4]}},
-               "dwa": {"stage_bounds": [0, 0, 1, 1]}}
+        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3, 4],
+                                                               "fixed_targets": [0.1, 0, 1]}},
+               "dwa": {"horizon": 4}}
         cfg = config_from_dict(doc)
         assert cfg.episode.ring == RingParams(r_base=0.3)
         assert cfg.episode.adapt.zeta_cap == (1, 2, 3, 4)
-        assert cfg.dwa.stage_bounds == (0, 0, 1, 1)
+        assert cfg.episode.adapt.fixed_targets == (0.1, 0, 1)
+        assert cfg.dwa.horizon == 4
         assert config_from_dict({"episode": {"ring": None}}).episode.ring is None
 
     def test_unknown_nested_key_rejected(self, tmp_path):
@@ -82,6 +85,9 @@ class TestConfigRoundTrip:
             load_config(p)
         with pytest.raises(ValueError, match=r"episode\.adapt\.bogus"):
             config_from_dict({"episode": {"adapt": {"bogus": 1}}})
+        # DWA plans with the rigid_radius it is judged by; it has no radius of its own
+        with pytest.raises(ValueError, match=r"dwa\.robot_radius"):
+            config_from_dict({"dwa": {"robot_radius": 0.4}})
         with pytest.raises(ValueError, match="must be a table"):
             config_from_dict({"meta": 3.0})
 
@@ -180,6 +186,16 @@ class TestRunCommand:
         assert rc == 2
         assert "episode.contact_window" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+class TestRunMethod:
+    def test_dwa_plans_for_the_disc_it_is_judged_as(self):
+        # the ring robot's baselines are rigid discs of rigid_radius (0.4)
+        ws, cfg = generate_workspace("test_id", 0), RunConfig()
+        res = run_method(ws, cfg, "dwa")
+        ref = run_baseline_episode(ws, "dwa", cfg.episode_config(), robot_radius=0.4)
+        np.testing.assert_array_equal(res.qs, ref.qs)
+        assert res.true_clearances.min() > 0
 
 
 class TestPlotCommand:

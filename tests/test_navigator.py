@@ -363,6 +363,23 @@ class TestStagewiseSensing:
         assert res.n_steps == 0
         assert len(res.tracker.windows) == 1 and res.coverage > 0
 
+    @pytest.mark.parametrize("method", ["grlsnam", "pf", "dwa"])
+    def test_start_collision_episode(self, method):
+        # the ring at rest (radius 0.4) and the 0.4-m disc both overlap the disc
+        ws = Workspace(10.0, [Obstacle(np.array([1.0, 1.8]), 0.5)], (1.0, 1.0), (9.0, 9.0))
+        if method == "grlsnam":
+            res = run_episode(ws, EpisodeConfig(ring=RingParams()))
+        else:
+            res = run_baseline_episode(ws, method, EpisodeConfig(), robot_radius=0.4)
+        assert res.termination == "collision"
+        assert res.n_steps == 0
+        for arr in (res.times, res.qs, res.ps, res.energies, res.clearances,
+                    res.true_clearances, res.goal_dists, res.speeds, res.betas, res.lams,
+                    res.alpha_sums, res.active_counts, res.mus, res.u_fs,
+                    *res.breakdown.values()):
+            assert len(arr) == 1
+        assert res.true_clearances[0] < 0
+
 
 def sensed_memory(r, n_events):
     """A dict memory and an ObstacleMemory fed the same sensing events; ids
