@@ -14,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .navigator import EpisodeConfig, EpisodeRecorder, EpisodeResult, Observables, StagewiseSensing
+from .navigator import (
+    EpisodeConfig,
+    EpisodeRecorder,
+    EpisodeResult,
+    Observables,
+    StagewiseSensing,
+    norm2,
+)
 from .energy import POINT_LAYOUT
 from .workspace import (
     DeadEndError,
     EnvironmentContext,
-    Obstacle,
     Workspace,
     grid_to_sdf,
     row_norms,
@@ -173,18 +179,22 @@ class PFGains:
     d_floor: float = 1e-3  # distance floor inside repulsion to keep it finite
 
 
-def pf_step(position, ctx: EnvironmentContext, stage_goal, gains: PFGains) -> np.ndarray:
-    """Attractive pull to the stage exit plus inverse-square repulsion."""
+def pf_step(position, centers, radii, stage_goal, gains: PFGains) -> np.ndarray:
+    """Attractive pull to the stage exit plus inverse-square repulsion.
+
+    ``centers`` (M, 2) and ``radii`` (M,) are the discs PF steers by.  The
+    discs inside ``gains.d_hat`` are found in one pass; their repulsion
+    terms are added one at a time in the discs' order.
+    """
     position = np.asarray(position, float)
     v = gains.k_att * (np.asarray(stage_goal, float) - position)
-    for _, ob in ctx.obstacles:
-        delta = position - ob.center
-        dist = float(np.linalg.norm(delta))
-        d = max(dist - ob.radius, gains.d_floor)
-        if d < gains.d_hat and dist > 1e-12:
-            mag = gains.k_rep * (1.0 / d - 1.0 / gains.d_hat) / (d * d)
-            v = v + mag * (delta / dist)
-    speed = float(np.linalg.norm(v))
+    delta = position - centers
+    dist = row_norms(delta)  # each as np.linalg.norm(delta[k])
+    d = np.maximum(dist - radii, gains.d_floor)
+    for k in np.flatnonzero((d < gains.d_hat) & (dist > 1e-12)).tolist():
+        mag = gains.k_rep * (1.0 / d[k] - 1.0 / gains.d_hat) / (d[k] * d[k])
+        v = v + mag * (delta[k] / dist[k])
+    speed = norm2(v)
     if speed > gains.v_max:
         v = v * (gains.v_max / speed)
     return v
@@ -199,7 +209,6 @@ class DWAConfig:
     w_progress: float = 1.0
     w_clearance: float = 0.4
     w_speed: float = 0.05
-    d_hat: float = 0.8
 
 
 @dataclass
@@ -210,12 +219,13 @@ class DWAResult:
     index: int
 
 
-def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig,
+def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig, d_hat: float,
              robot_radius: float = 0.0, stage_bounds=None) -> DWAResult:
     """Sample (v_x, v_y) on a grid, roll out, score, hard-reject collisions.
 
     All ``n_per_axis**2`` candidates are rolled out and scored at once for a
-    disc of ``robot_radius``.  A candidate is rejected when a rollout point
+    disc of ``robot_radius``; the clearance term saturates at ``d_hat`` (the
+    episode's barrier activation distance).  A candidate is rejected when a rollout point
     leaves ``stage_bounds`` (x0, y0, x1, y1) or its clearance is below 0;
     with every candidate rejected the result is ``blocked``.  Ties go to the
     lowest candidate index (row-major over the grid, v_y outer).
@@ -229,7 +239,7 @@ def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig,
     vel = np.column_stack([np.tile(axis, cfg.n_per_axis), np.repeat(axis, cfg.n_per_axis)])
     obstacles = ctx.obstacle_list()
     goal = np.asarray(stage_goal, float)
-    d0 = float(np.linalg.norm(position - goal))
+    d0 = norm2(position - goal)
     # shorten the lookahead near the goal so the coarse grid can close in
     horizon = max(1, min(cfg.horizon, int(np.ceil(d0 / (cfg.v_max * cfg.dt)))))
     ts = np.arange(1, horizon + 1) * cfg.dt
@@ -245,12 +255,12 @@ def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig,
         dist = np.linalg.norm(centers - pts[:, :, None, :], axis=-1) - radii
         clr = dist.min(axis=(1, 2)) - robot_radius
     else:
-        clr = np.full(len(vel), cfg.d_hat)
+        clr = np.full(len(vel), d_hat)
     ok &= ~(clr < 0)  # hard rejection of colliding candidates
     if not ok.any():
         return DWAResult(np.zeros(2), True, -np.inf, -1)
     progress = d0 - row_norms(pts[:, -1] - goal)
-    score = (cfg.w_progress * progress + cfg.w_clearance * np.minimum(clr, cfg.d_hat)
+    score = (cfg.w_progress * progress + cfg.w_clearance * np.minimum(clr, d_hat)
              + cfg.w_speed * np.hypot(vel[:, 0], vel[:, 1]))
     survivors = np.flatnonzero(ok)
     best = int(survivors[np.argmax(score[survivors])])
@@ -277,7 +287,7 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
     if pf_gains is None:
         pf_gains = PFGains(d_hat=cfg.d_hat)
     if dwa_cfg is None:
-        dwa_cfg = DWAConfig(d_hat=cfg.d_hat)
+        dwa_cfg = DWAConfig()
 
     def observe(pos, v):
         """The sensed observables at pos, commanding v."""
@@ -287,8 +297,7 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
             clr = float(memory.signed_distances(pos).min()) - robot_radius
         else:
             clr = cfg.d_hat
-        return Observables(min(clr, cfg.d_hat), float(np.linalg.norm(pos - ws.goal)),
-                           float(np.linalg.norm(v)))
+        return Observables(min(clr, cfg.d_hat), norm2(pos - ws.goal), norm2(v))
 
     pos = ws.start.copy()
     q = np.concatenate([np.zeros(2), pos])  # the point layout: (sensor, frame)
@@ -300,21 +309,16 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
             termination = "dead_end"
             break
         stage_goal = sensing.stage_goal
-        pairs = memory.pairs()
-        local = EnvironmentContext(stage_goal, pairs, pos.copy(), cfg.d_hat)
         if method == "pf":
             # PF plans in the rigid disc's configuration space
-            if robot_radius > 0:
-                inflated = [(i, Obstacle(ob.center, ob.radius + robot_radius, ob.weight))
-                            for i, ob in pairs]
-                local = EnvironmentContext(stage_goal, inflated, pos.copy(), cfg.d_hat)
-            v = pf_step(pos, local, stage_goal, pf_gains)
+            v = pf_step(pos, memory.centers, memory.radii + robot_radius, stage_goal, pf_gains)
         else:
             # pad the stage box so exit-adjacent candidates survive the
             # leave-stage rejection (tiles overlap by more than this)
             x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
             pad = cfg.eps_stage
-            v = dwa_step(pos, local, stage_goal, dwa_cfg, robot_radius,
+            local = EnvironmentContext(stage_goal, memory.pairs(), pos.copy(), cfg.d_hat)
+            v = dwa_step(pos, local, stage_goal, dwa_cfg, cfg.d_hat, robot_radius,
                          (x0 - pad, y0 - pad, x1 + pad, y1 + pad)).velocity
         rec.record(q, observe(pos, v))
         pos = pos + cfg.tau * v

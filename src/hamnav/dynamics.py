@@ -74,7 +74,7 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
     q, p = z.q, z.p
     mass = np.asarray(mass, dtype=float)
     grad_q = np.asarray(grad_q, dtype=float)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and np.all(np.isfinite(grad_q))):
+    if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(grad_q).all()):
         raise FloatingPointError("non-finite state or gradient")
     v = p / mass
     damping = selectors.gamma_diag(mu)

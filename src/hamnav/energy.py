@@ -238,7 +238,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         self.mass = np.asarray(self.mass, dtype=float)
-        if np.any(self.mass <= 0):
+        if (self.mass <= 0).any():
             raise ValueError("mass diagonal must be positive definite")
 
 
@@ -391,7 +391,7 @@ def potential_grad(q, spec: HamiltonianSpec) -> np.ndarray:
 
 def kinetic(p, mass) -> float:
     p = np.asarray(p, dtype=float)
-    return 0.5 * float(np.sum(p * p / np.asarray(mass, float)))
+    return 0.5 * float((p * p / np.asarray(mass, float)).sum())
 
 
 def hamiltonian(z: PhaseState, spec: HamiltonianSpec) -> float:

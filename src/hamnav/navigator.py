@@ -17,8 +17,10 @@ when the episode ends.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
+from functools import lru_cache
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,16 @@ from .workspace import (
     sense,
     signed_distances,
 )
+
+
+def norm2(v) -> float:
+    """Euclidean norm of a contiguous 1-D float array, ``np.linalg.norm(v)`` bit
+    for bit: that is its own formula, sqrt(v.dot(v)), without its wrapper.
+
+    Not ``math.hypot`` or sqrt(x*x + y*y): the dot product may fuse a
+    multiply-add, so those round differently for some vectors.
+    """
+    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -84,8 +96,8 @@ def compute_observables(z_next: PhaseState, ctx_obstacles, x_g, shape_qoi_cleara
     for extra in shape_qoi_clearances or ():
         clr = min(clr, float(extra))
     clr = min(clr, d_hat)
-    dist = float(np.linalg.norm(q[layout.frame] - np.asarray(x_g, float)))
-    speed = float(np.linalg.norm(p / np.asarray(mass, float)))
+    dist = norm2(q[layout.frame] - np.asarray(x_g, float))
+    speed = norm2(p / np.asarray(mass, float))
     return Observables(clearance=clr, goal_dist=dist, speed=speed)
 
 
@@ -114,10 +126,18 @@ def secant_jacobian_update(J_prev, dy, dzeta, rho, eps):
     return rho * np.asarray(J_prev, float) + (1.0 - rho) * J_tilde
 
 
+@lru_cache(maxsize=64)
+def _ridge(lam, n):
+    """lam * I_n, formed once per (lam, n) and read-only."""
+    out = lam * np.eye(n)
+    out.setflags(write=False)
+    return out
+
+
 def tikhonov_step(J, dy_des, lam):
     """Solve (J^T J + lam I) dzeta = J^T dy_des via an SPD factorization."""
     J = np.asarray(J, float)
-    A = J.T @ J + lam * np.eye(J.shape[1])
+    A = J.T @ J + _ridge(lam, J.shape[1])
     rhs = J.T @ np.asarray(dy_des, float)
     try:
         L = np.linalg.cholesky(A)
@@ -131,11 +151,12 @@ def project_update(zeta, dzeta, kappa, form="additive"):
 
     additive (default): zeta' = max(0, zeta + kappa .* dzeta)
     convex variant:     zeta' = max(0, (1 - kappa) .* zeta + kappa .* dzeta)
+
+    ``kappa``'s components lie in [0, 1); AdaptConfig.kappa_vector checks
+    them once per episode.
     """
     zeta = np.asarray(zeta, float)
     kappa = np.asarray(kappa, float)
-    if np.any(kappa < 0) or np.any(kappa >= 1):
-        raise ValueError("kappa components must lie in [0, 1)")
     if form == "additive":
         out = zeta + kappa * np.asarray(dzeta, float)
     elif form == "convex":
@@ -151,9 +172,9 @@ def port_correction(P, r, lam_u, box):
     lam_u = inf disables the port exactly (returns zeros).
     """
     P = np.asarray(P, float)
-    if np.isinf(lam_u):
+    if math.isinf(lam_u):
         return np.zeros(P.shape[1])
-    A = P.T @ P + lam_u * np.eye(P.shape[1])
+    A = P.T @ P + _ridge(lam_u, P.shape[1])
     u = np.linalg.solve(A, P.T @ np.asarray(r, float))
     return np.clip(u, -box, box)
 
@@ -178,7 +199,7 @@ def build_tokens(q, p, pairs, stage_goal, mass, layout) -> MetaTokens:
     memory = pairs if isinstance(pairs, ObstacleMemory) else ObstacleMemory(pairs)
     rel = memory.centers - c
     tokens = np.column_stack([rel, memory.radii, row_norms(rel) - memory.radii])
-    speed = float(np.linalg.norm(p / np.asarray(mass, float)))
+    speed = norm2(p / np.asarray(mass, float))
     return MetaTokens(memory.ids.tolist(), tokens, np.asarray(stage_goal, float) - c, speed)
 
 
@@ -243,8 +264,17 @@ class AdaptConfig:
         return self.fixed_targets
 
     def kappa_vector(self, n_alpha):
-        return np.array([self.kappa_beta, self.kappa_gamma]
-                        + [self.kappa_alpha] * n_alpha + [self.kappa_gamma])
+        """The step sizes of [beta, lam, alpha_1..n_alpha, mu], each in [0, 1)."""
+        kappa = np.array([self.kappa_beta, self.kappa_gamma]
+                         + [self.kappa_alpha] * n_alpha + [self.kappa_gamma])
+        if np.any(kappa < 0) or np.any(kappa >= 1):
+            raise ValueError("kappa components must lie in [0, 1)")
+        return kappa
+
+    def caps(self, n_alpha):
+        """The ceilings of [beta, lam, alpha_1..n_alpha, mu] (zeta_cap)."""
+        b_cap, l_cap, a_cap, m_cap = self.zeta_cap
+        return np.array([b_cap, l_cap] + [a_cap] * n_alpha + [m_cap])
 
 
 @dataclass
@@ -401,7 +431,7 @@ class ExitSelector:
                     continue
                 mid = p0 + u * ((a + b) / 2.0)
                 score = min(width, self.stages.passable_width)
-                out.append((score, float(np.linalg.norm(mid - self.ws.goal)), mid))
+                out.append((score, norm2(mid - self.ws.goal), mid))
         self._openings[key] = out
         return out
 
@@ -433,7 +463,7 @@ class ExitSelector:
     @staticmethod
     def _bump(table, point, merge_radius):
         for entry in table:
-            if float(np.linalg.norm(entry[0] - point)) < merge_radius:
+            if norm2(entry[0] - point) < merge_radius:
                 entry[1] += 1
                 return
         table.append([np.asarray(point, float).copy(), 1])
@@ -441,7 +471,7 @@ class ExitSelector:
     @staticmethod
     def _lookup(table, mid, merge_radius):
         for point, count in table:
-            if float(np.linalg.norm(point - mid)) < merge_radius:
+            if norm2(point - mid) < merge_radius:
                 return count
         return 0
 
@@ -480,7 +510,7 @@ class ExitSelector:
              for k, (score, dist, mid) in enumerate(alive)),
             key=lambda t: t[:5])
         for *_, mid in scored:
-            if float(np.linalg.norm(mid - position)) >= self.eps:
+            if norm2(mid - position) >= self.eps:
                 return mid
         return scored[0][-1]
 
@@ -519,11 +549,11 @@ class StagewiseSensing:
         to coverage) first.
         """
         cfg = self.cfg
-        pos = np.clip(c, 0.0, self.ws.side)
-        dist = float(np.linalg.norm(c - self.stage_goal))
+        pos = c.clip(0.0, self.ws.side)
+        dist = norm2(c - self.stage_goal)
         self.exit_dists.append(dist)
         stage_hit = dist < cfg.eps_stage
-        on_exit = not np.array_equal(self.stage_goal, self.ws.goal)
+        on_exit = not (self.stage_goal == self.ws.goal).all()
         no_progress = (on_exit and len(self.exit_dists) == cfg.retarget_window
                        and self.exit_dists[0] - min(self.exit_dists) < cfg.retarget_eps)
         if on_exit and (stage_hit or no_progress):
@@ -536,7 +566,7 @@ class StagewiseSensing:
                     circle_params={"d_hat_cells": cfg.circle_d_hat_cells})
         goal = self.exits.select(pos, stage)
         self.memory.add(ctx.obstacles)
-        if no_progress or not np.array_equal(goal, self.stage_goal):
+        if no_progress or not (goal == self.stage_goal).all():
             self.exit_dists.clear()
         self.stage_goal, self.stage = goal, stage
         return True
@@ -604,13 +634,13 @@ class EpisodeRecorder:
         if self.true_clr < 0 and cfg.collision_stop:
             return "collision"
         if len(self.recent) == cfg.stuck_window + 1:
-            if float(np.linalg.norm(self.recent[-1] - self.recent[0])) < cfg.eps_stuck:
+            if norm2(self.recent[-1] - self.recent[0]) < cfg.eps_stuck:
                 return "stuck"
         return self._at(q)
 
     def _at(self, q):
         """'success' at the goal, 'timeout' after n_max steps, else None."""
-        if float(np.linalg.norm(q[self.layout.frame] - self.ws.goal)) < self.cfg.eps_goal:
+        if norm2(q[self.layout.frame] - self.ws.goal) < self.cfg.eps_goal:
             return "success"
         return "timeout" if self.n >= self.cfg.n_max else None
 
@@ -676,6 +706,35 @@ class _WeightState:
                 self.alpha_base[idx] = a
 
 
+class ActiveSet:
+    """The memory discs whose barrier can act at one state.
+
+    ``pairs`` are their (id, Obstacle) pairs in ascending id order and
+    ``obstacles`` the discs alone; ``ids``, ``centers`` (M, 2) and ``radii``
+    (M,) are the memory's arrays under the same mask.
+    """
+
+    def __init__(self, memory: ObstacleMemory, mask):
+        self.pairs = memory.pairs(mask)
+        self.obstacles = [ob for _, ob in self.pairs]
+        self.ids = memory.ids[mask]
+        self.centers = memory.centers[mask]
+        self.radii = memory.radii[mask]
+
+    def clearance(self, c) -> float:
+        """The least signed distance from the point c to the discs (inf when
+        there are none): signed_distances, bit for bit."""
+        if not len(self.radii):
+            return np.inf
+        return float((np.linalg.norm(self.centers - c, axis=1) - self.radii).min())
+
+    def nearest(self, c, k) -> list:
+        """Ids of the k discs whose surfaces lie nearest c, ties in id order: a
+        stable sort by each disc's np.linalg.norm(c - center) - radius."""
+        d = row_norms(self.centers - c) - self.radii
+        return self.ids[np.argsort(d, kind="stable")[:k]].tolist()
+
+
 class _Episode:
     """One episode's mutable state; run() drives the loop."""
 
@@ -705,9 +764,15 @@ class _Episode:
         self.z = PhaseState(q, np.zeros(self.layout.dim))
         self.weights = _WeightState()
         self.u_f = np.zeros(2)
-        self.J = np.zeros((3, 3 + cfg.adapt.k_alpha))
+        ad = cfg.adapt
+        self.J = np.zeros((3, 3 + ad.k_alpha))
         self.prev_y = self.prev_zeta = None
         self.prev_slots = None
+        # the adaptation's constants, formed (and kappa checked) once
+        self.kappa = ad.kappa_vector(ad.k_alpha)
+        self.caps = ad.caps(ad.k_alpha)
+        self.setpoints = ad.setpoints()
+        self.fixed = None  # the FixedTerms of the current stage goal
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -721,7 +786,7 @@ class _Episode:
             return held
         return self.shape.contact(q, obstacles)
 
-    def active_pairs(self, q):
+    def active_set(self, q) -> ActiveSet:
         """Memory obstacles whose barrier can be non-zero at q.
 
         For the ring the activation test expands by the current ring radius,
@@ -731,43 +796,57 @@ class _Episode:
         if self.shape is not None:
             reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
         mem = self.sensing.memory
-        return mem.pairs(row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach)
+        return ActiveSet(mem, row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach)
 
-    def spec_for(self, act):
+    def spec_for(self, act: ActiveSet):
         w = self.weights
         weights = EnergyWeights(beta=w.beta, lam=w.lam,
-                                alpha={i: w.alpha.get(i, 0.0) for i, _ in act},
+                                alpha={i: w.alpha.get(i, 0.0) for i, _ in act.pairs},
                                 mu=w.mu, u_f=self.u_f.copy())
         goal = self.sensing.stage_goal
-        ctx = EnvironmentContext(goal, act, self.z.q[self.layout.frame].copy(), self.cfg.d_hat)
-        fixed = FixedTerms(layout=self.layout, goal=goal, d_hat=self.cfg.d_hat,
-                           sensor_gain=self.cfg.sensor_gain, shape=self.shape)
-        return HamiltonianSpec(mass=self.mass, weights=weights, context=ctx, fixed=fixed)
+        if self.fixed is None or self.fixed.goal is not goal:
+            self.fixed = FixedTerms(layout=self.layout, goal=goal, d_hat=self.cfg.d_hat,
+                                    sensor_gain=self.cfg.sensor_gain, shape=self.shape)
+        ctx = EnvironmentContext(goal, act.pairs, self.z.q[self.layout.frame].copy(),
+                                 self.cfg.d_hat)
+        return HamiltonianSpec(mass=self.mass, weights=weights, context=ctx, fixed=self.fixed)
 
-    def observe(self, z, act_obs, shape_clearances=(), contact=None):
-        """Observables of z; ``contact``, the ring's pass at z against act_obs,
+    def clearance(self, q, act: ActiveSet, contact) -> float:
+        """The sensed clearance at q against act: the ring's contact pass at q
+        (``contact``), or the point's distance to the discs."""
+        return act.clearance(q[self.layout.frame]) if contact is None else contact.clearance
+
+    def observe(self, z, act: ActiveSet, shape_clearances=(), contact=None):
+        """Observables of z; ``contact``, the ring's pass at z against act,
         gives the clearance."""
-        clearance = None if contact is None else contact.clearance
-        return compute_observables(z, act_obs, self.ws.goal, shape_clearances, self.mass,
-                                   self.layout, self.shape, self.cfg.d_hat, clearance)
+        return compute_observables(z, act.obstacles, self.ws.goal, shape_clearances, self.mass,
+                                   self.layout, self.shape, self.cfg.d_hat,
+                                   self.clearance(z.q, act, contact))
 
     # -- logging ------------------------------------------------------------
 
-    def columns(self, parts, act):
+    def logged(self, y, act: ActiveSet, contact) -> Observables:
+        """Observables of self.z for its log row.  ``y``, measured by the step
+        that reached self.z (None at the start), gives the goal distance and
+        speed; the clearance is taken against the current active set."""
+        if y is None:
+            return self.observe(self.z, act, (), contact)
+        return Observables(min(self.clearance(self.z.q, act, contact), self.cfg.d_hat),
+                           y.goal_dist, y.speed)
+
+    def columns(self, parts, act: ActiveSet):
         """The state's values of the recorder's COLUMNS after "speed"."""
         w = self.weights
         return (self.z.p.copy(), self.u_f.copy(), parts["H"], parts["E_sensor"],
                 parts["E_goal"], parts["E_obj"], parts["E_barrier_total"], w.beta, w.lam,
-                sum(w.alpha.get(i, 0.0) for i, _ in act), len(act), w.mu)
+                sum(w.alpha.get(i, 0.0) for i, _ in act.pairs), len(act.pairs), w.mu)
 
-    def finish(self, rec: EpisodeRecorder, termination, contact) -> EpisodeResult:
+    def finish(self, rec: EpisodeRecorder, termination, contact, y) -> EpisodeResult:
         """Record the last state, which no step follows, and build the result."""
-        act = self.active_pairs(self.z.q)
-        act_obs = [ob for _, ob in act]
-        contact = self.contact_at(self.z.q, act_obs, contact)
+        act = self.active_set(self.z.q)
+        contact = self.contact_at(self.z.q, act.obstacles, contact)
         ev = evaluate(self.z.q, self.spec_for(act), self.z.p, contact)
-        rec.record(self.z.q, self.observe(self.z, act_obs, (), contact),
-                   *self.columns(ev.parts, act))
+        rec.record(self.z.q, self.logged(y, act, contact), *self.columns(ev.parts, act))
         w = self.weights
         return rec.result(termination, {"beta": w.beta, "lam": w.lam, "mu": w.mu,
                                         "alpha": dict(w.alpha)})
@@ -782,6 +861,7 @@ class _Episode:
         # the ring's contact pass at self.z, made with the state after the last
         # step; reused while the active set holds the same obstacles
         contact = None
+        y = None  # the observables (F) measured at self.z
         while termination is None:
             n = rec.n
             c = self.z.q[self.layout.frame]
@@ -798,16 +878,15 @@ class _Episode:
                                       self.sensing.stage_goal, self.mass, self.layout)
                 self.weights.merge_proposal(self.meta.propose(tokens))
 
-            act = self.active_pairs(self.z.q)
-            act_obs = [ob for _, ob in act]
-            contact = self.contact_at(self.z.q, act_obs, contact)
+            act = self.active_set(self.z.q)
+            contact = self.contact_at(self.z.q, act.obstacles, contact)
 
             # (B) shape horizon: refresh the clearance-dependent scale target
             shape_clearances = []
             if self.shape is not None:
                 clr = contact.clearance
                 if n % t_o == 0:
-                    self.shape.refresh_target(self.z.q, act_obs, d_min=clr)
+                    self.shape.refresh_target(self.z.q, act.obstacles, d_min=clr)
                 shape_clearances = [clr]
 
             # (D) compose the surrogate Hamiltonian on the active set and
@@ -822,7 +901,7 @@ class _Episode:
                                                self.u_f, self.mass, cfg.tau,
                                                self.selectors, self.structural)
             except FloatingPointError:
-                termination = "collision"
+                termination = "diverged"
                 break
             if self.layout.scale is not None:
                 s_val = float(z_next.q[self.layout.scale][0])
@@ -832,18 +911,16 @@ class _Episode:
                     z_next.p[self.layout.scale] = 0.0  # inelastic stop at the limits
 
             # (F) observables from the committed step
-            contact_next = self.contact_at(z_next.q, act_obs)
-            y_obs = self.observe(z_next, act_obs, shape_clearances, contact_next)
+            contact_next = self.contact_at(z_next.q, act.obstacles)
+            y_obs = self.observe(z_next, act, shape_clearances, contact_next)
             y_vec = y_obs.vector()
-            dy_des = observable_target(y_obs, ad.target_mode, ad.setpoints()) - y_vec
+            dy_des = observable_target(y_obs, ad.target_mode, self.setpoints) - y_vec
             if ad.clearance_deadband:
                 # safety margin, not a setpoint: never pull clearance down
                 dy_des[0] = min(dy_des[0], 0.0)
 
             # (G) secant / Tikhonov adaptation over [beta, lam, alpha_I, mu]
-            near = sorted(act, key=lambda kv: float(
-                np.linalg.norm(z_next.q[self.layout.frame] - kv[1].center)) - kv[1].radius)
-            slots = [i for i, _ in near[: ad.k_alpha]]
+            slots = act.nearest(z_next.q[self.layout.frame], ad.k_alpha)
             w = self.weights
             zeta = np.array([w.beta, w.lam]
                             + [w.alpha.get(i, 0.0) for i in slots]
@@ -857,11 +934,8 @@ class _Episode:
                 # barrier weights only grow while clearance is in deficit;
                 # otherwise progress gets misattributed to alpha via J
                 dzeta[2: 2 + ad.k_alpha] = np.minimum(dzeta[2: 2 + ad.k_alpha], 0.0)
-            zeta_new = project_update(zeta, dzeta, ad.kappa_vector(ad.k_alpha),
-                                      ad.update_form)
-            b_cap, l_cap, a_cap, m_cap = ad.zeta_cap
-            caps = np.array([b_cap, l_cap] + [a_cap] * ad.k_alpha + [m_cap])
-            zeta_new = np.minimum(zeta_new, caps)
+            zeta_new = np.minimum(project_update(zeta, dzeta, self.kappa, ad.update_form),
+                                  self.caps)
             w.beta, w.lam, w.mu = float(zeta_new[0]), float(zeta_new[1]), float(zeta_new[-1])
             for k, idx in enumerate(slots):
                 # adaptation may strengthen a barrier but never disable it
@@ -871,33 +945,33 @@ class _Episode:
             if n % t_f == 0:
                 r = dy_des - self.J @ dzeta
                 v_frame = z_next.p[self.layout.frame] / self.mass[self.layout.frame]
-                sp = float(np.linalg.norm(v_frame))
+                sp = norm2(v_frame)
                 P = np.zeros((3, 2))
                 if sp > 1e-6:
                     P[2] = -ad.kappa_v * v_frame / sp  # braking raises y3 = -speed
                 else:
                     # from rest, "more speed" means toward the stage goal
                     to_goal = self.sensing.stage_goal - z_next.q[self.layout.frame]
-                    dg = float(np.linalg.norm(to_goal))
+                    dg = norm2(to_goal)
                     if dg > 1e-9:
                         P[2] = -ad.kappa_v * to_goal / dg
                 self.u_f = port_correction(P, r, ad.lam_u, ad.u_box)
             self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
 
-            # (I) log, then commit
-            rec.record(self.z.q, self.observe(self.z, act_obs, shape_clearances, contact),
-                       *self.columns(ev.parts, act))
-            self.z, contact = z_next, contact_next
+            # (I) log, then commit; the goal distance and speed of self.z are
+            # those (F) measured one step earlier
+            rec.record(self.z.q, self.logged(y, act, contact), *self.columns(ev.parts, act))
+            self.z, contact, y = z_next, contact_next, y_obs
             termination = rec.step(self.z.q)
 
-        return self.finish(rec, termination, contact)
+        return self.finish(rec, termination, contact, y)
 
 
 def run_episode(ws: Workspace, cfg: EpisodeConfig, meta=None) -> EpisodeResult:
     """Execute the full online loop on one workspace.
 
-    Terminates with one of success / timeout / collision / stuck / dead_end.
-    Deterministic: identical (workspace, config, meta) give bit-identical
-    results.
+    Terminates with one of success / timeout / collision / stuck / dead_end /
+    diverged (a non-finite state or gradient).  Deterministic: identical
+    (workspace, config, meta) give bit-identical results.
     """
     return _Episode(ws, cfg, meta or DefaultMetaPolicy()).run()

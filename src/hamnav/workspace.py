@@ -393,11 +393,15 @@ class StageManager:
         self.ny = max(1, int(np.ceil((self.side - self.stage_h) / step_y)) + 1) if self.side > self.stage_h else 1
         self.origins_x = np.minimum(np.arange(self.nx) * step_x, max(self.side - self.stage_w, 0.0))
         self.origins_y = np.minimum(np.arange(self.ny) * step_y, max(self.side - self.stage_h, 0.0))
+        self._bounds = {}
+        for i, x0 in enumerate(self.origins_x):
+            for j, y0 in enumerate(self.origins_y):
+                self._bounds[i, j] = (x0, y0, min(x0 + self.stage_w, self.side),
+                                      min(y0 + self.stage_h, self.side))
 
     def stage_bounds(self, index):
         i, j = index
-        x0, y0 = self.origins_x[i], self.origins_y[j]
-        return (x0, y0, min(x0 + self.stage_w, self.side), min(y0 + self.stage_h, self.side))
+        return self._bounds[i, j]
 
     def stage_of(self, position, current=None):
         """Active stage: among stages containing position, nearest center.

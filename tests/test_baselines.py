@@ -160,44 +160,90 @@ def ctx_of(obstacles, goal=(5.0, 0.0)):
                               np.zeros(2), 1.0)
 
 
+def discs_of(obstacles):
+    """The (M, 2) centres and (M,) radii pf_step takes."""
+    return (np.array([ob.center for ob in obstacles], float).reshape(-1, 2),
+            np.array([ob.radius for ob in obstacles], float))
+
+
+# the clearance saturation the DWA unit tests score with (EpisodeConfig's d_hat)
+D_HAT = 0.8
+
+
 class TestPotentialField:
     def test_no_obstacles_points_at_goal(self):
         g = PFGains(k_att=1.0, v_max=10.0)
-        v = pf_step((0.0, 0.0), ctx_of([]), (3.0, 4.0), g)
+        v = pf_step((0.0, 0.0), *discs_of([]), (3.0, 4.0), g)
         np.testing.assert_allclose(v, [3.0, 4.0])
 
     def test_symmetric_pair_cancels_lateral(self):
         obs = [Obstacle(np.array([2.0, 0.7]), 0.3), Obstacle(np.array([2.0, -0.7]), 0.3)]
         g = PFGains(k_rep=1.0, d_hat=1.5, v_max=10.0)
-        v = pf_step((2.0, 0.0), ctx_of(obs), (5.0, 0.0), g)
+        v = pf_step((2.0, 0.0), *discs_of(obs), (5.0, 0.0), g)
         assert v[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_head_on_magnitude(self):
         ob = Obstacle(np.array([1.0, 0.0]), 0.4)
         g = PFGains(k_att=0.0, k_rep=0.7, d_hat=1.0, v_max=100.0)
-        v = pf_step((0.0, 0.0), ctx_of([ob]), (5.0, 0.0), g)
+        v = pf_step((0.0, 0.0), *discs_of([ob]), (5.0, 0.0), g)
         d = 1.0 - 0.4
         expected = 0.7 * (1 / d - 1 / 1.0) / d ** 2
         np.testing.assert_allclose(v, [-expected, 0.0], rtol=1e-12)
 
     def test_speed_clamp(self):
         g = PFGains(k_att=10.0, v_max=1.2)
-        v = pf_step((0.0, 0.0), ctx_of([]), (100.0, 0.0), g)
+        v = pf_step((0.0, 0.0), *discs_of([]), (100.0, 0.0), g)
         assert np.linalg.norm(v) == pytest.approx(1.2)
+
+
+def pf_reference(position, obstacles, stage_goal, gains):
+    """The per-obstacle loop pf_step replaced, kept as its oracle."""
+    position = np.asarray(position, float)
+    v = gains.k_att * (np.asarray(stage_goal, float) - position)
+    for ob in obstacles:
+        delta = position - ob.center
+        dist = float(np.linalg.norm(delta))
+        d = max(dist - ob.radius, gains.d_floor)
+        if d < gains.d_hat and dist > 1e-12:
+            mag = gains.k_rep * (1.0 / d - 1.0 / gains.d_hat) / (d * d)
+            v = v + mag * (delta / dist)
+    speed = float(np.linalg.norm(v))
+    if speed > gains.v_max:
+        v = v * (gains.v_max / speed)
+    return v
+
+
+class TestPotentialFieldOracle:
+    """pf_step on centre/radius arrays against the per-obstacle loop, bit for bit."""
+
+    @given(st.integers(0, 12), st.integers(0, 10_000), st.floats(0.0, 0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop(self, n_obstacles, seed, robot_radius):
+        r = np.random.default_rng(seed)
+        position = r.uniform(0.0, 10.0, 2)
+        obstacles = [Obstacle(position + r.uniform(-2.0, 2.0, 2), r.uniform(0.1, 0.6))
+                     for _ in range(n_obstacles)]
+        gains = PFGains(k_att=r.uniform(0.5, 2.0), k_rep=r.uniform(0.1, 1.0),
+                        d_hat=r.uniform(0.3, 1.5), v_max=r.uniform(0.5, 3.0))
+        goal = r.uniform(0.0, 10.0, 2)
+        centers, radii = discs_of(obstacles)
+        got = pf_step(position, centers, radii + robot_radius, goal, gains)
+        inflated = [Obstacle(ob.center, ob.radius + robot_radius) for ob in obstacles]
+        assert got.tobytes() == pf_reference(position, inflated, goal, gains).tobytes()
 
 
 class TestDWA:
     def test_empty_picks_max_speed_toward_goal(self):
         cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=4, dt=0.1,
                         w_progress=1.0, w_clearance=0.0, w_speed=0.01)
-        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg)
+        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg, D_HAT)
         assert not out.blocked
         np.testing.assert_allclose(out.velocity, [1.0, 0.0])
 
     def test_hard_rejection_keeps_clear(self):
         ob = Obstacle(np.array([0.5, 0.0]), 0.3)
         cfg = DWAConfig(v_max=1.0, n_per_axis=7, horizon=8, dt=0.2)
-        out = dwa_step((0.0, 0.0), ctx_of([ob]), (2.0, 0.0), cfg)
+        out = dwa_step((0.0, 0.0), ctx_of([ob]), (2.0, 0.0), cfg, D_HAT)
         assert not out.blocked
         pts = np.array([np.array([0.0, 0.0]) + k * 0.2 * out.velocity for k in range(1, 9)])
         clr = np.min([np.linalg.norm(pts - ob.center, axis=1) - ob.radius])
@@ -207,8 +253,8 @@ class TestDWA:
         obstacles = [Obstacle(rng.uniform(-1.5, 1.5, 2), 0.3) for _ in range(3)]
         goal = rng.uniform(-3, 3, 2)
         cfg = DWAConfig(v_max=0.8, n_per_axis=5, horizon=5, dt=0.15,
-                        w_progress=1.0, w_clearance=0.4, w_speed=0.05, d_hat=1.0)
-        out = dwa_step((0.0, 0.0), ctx_of(obstacles, goal), goal, cfg)
+                        w_progress=1.0, w_clearance=0.4, w_speed=0.05)
+        out = dwa_step((0.0, 0.0), ctx_of(obstacles, goal), goal, cfg, 1.0)
         # independent re-scoring of every candidate
         axis = np.linspace(-0.8, 0.8, 5)
         best, best_idx = -np.inf, -1
@@ -237,19 +283,19 @@ class TestDWA:
         # velocity, stays in collision
         ob = Obstacle(np.array([0.0, 0.0]), 0.5)
         cfg = DWAConfig(v_max=0.1, n_per_axis=5, horizon=3, dt=0.1)
-        out = dwa_step((0.0, 0.0), ctx_of([ob]), (5.0, 0.0), cfg)
+        out = dwa_step((0.0, 0.0), ctx_of([ob]), (5.0, 0.0), cfg, D_HAT)
         assert out.blocked
         np.testing.assert_array_equal(out.velocity, np.zeros(2))
 
     def test_stage_bound_rejection(self):
         cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=5, dt=0.5)
-        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg,
+        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg, D_HAT,
                        stage_bounds=(-0.5, -0.5, 0.5, 0.5))
         # every fast candidate exits the stage; the chosen one stays inside
         assert np.max(np.abs(out.velocity)) * 0.5 * 5 <= 0.5 + 1e-9
 
 
-def dwa_reference(position, ctx, stage_goal, cfg, robot_radius=0.0, stage_bounds=None):
+def dwa_reference(position, ctx, stage_goal, cfg, d_hat, robot_radius=0.0, stage_bounds=None):
     """The per-candidate loop dwa_step replaced, kept as its oracle."""
     position = np.asarray(position, float)
     axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
@@ -272,11 +318,11 @@ def dwa_reference(position, ctx, stage_goal, cfg, robot_radius=0.0, stage_bounds
             if obstacles:
                 clr = np.min([signed_distances(obstacles, p) for p in pts]) - robot_radius
             else:
-                clr = cfg.d_hat
+                clr = d_hat
             if clr < 0:
                 continue
             progress = d0 - float(np.linalg.norm(pts[-1] - goal))
-            score = (cfg.w_progress * progress + cfg.w_clearance * min(clr, cfg.d_hat)
+            score = (cfg.w_progress * progress + cfg.w_clearance * min(clr, d_hat)
                      + cfg.w_speed * float(np.hypot(vx, vy)))
             if best is None or score > best[0]:
                 best = (score, idx, v)
@@ -286,11 +332,11 @@ def dwa_reference(position, ctx, stage_goal, cfg, robot_radius=0.0, stage_bounds
 
 
 def assert_same_as_reference(position, obstacles, goal, cfg, robot_radius=0.0,
-                             stage_bounds=None):
+                             stage_bounds=None, d_hat=D_HAT):
     ctx = ctx_of(obstacles, goal)
-    out = dwa_step(position, ctx, goal, cfg, robot_radius, stage_bounds)
-    velocity, blocked, score, index = dwa_reference(position, ctx, goal, cfg, robot_radius,
-                                                    stage_bounds)
+    out = dwa_step(position, ctx, goal, cfg, d_hat, robot_radius, stage_bounds)
+    velocity, blocked, score, index = dwa_reference(position, ctx, goal, cfg, d_hat,
+                                                    robot_radius, stage_bounds)
     assert (out.index, out.blocked) == (index, blocked)
     assert out.velocity.tobytes() == np.asarray(velocity, float).tobytes()
     assert np.float64(out.score).tobytes() == np.float64(score).tobytes()
@@ -319,9 +365,9 @@ class TestDWAOracle:
             bounds = (lo[0], lo[1], hi[0], hi[1])
         cfg = DWAConfig(v_max=r.uniform(0.3, 1.5), n_per_axis=n_per_axis, horizon=horizon,
                         dt=r.uniform(0.05, 0.3), w_progress=r.uniform(0.5, 2.0),
-                        w_clearance=r.uniform(0.0, 1.0), w_speed=r.uniform(0.0, 0.2),
-                        d_hat=r.uniform(0.3, 1.5))
-        assert_same_as_reference(position, obstacles, goal, cfg, robot_radius, bounds)
+                        w_clearance=r.uniform(0.0, 1.0), w_speed=r.uniform(0.0, 0.2))
+        d_hat = r.uniform(0.3, 1.5)
+        assert_same_as_reference(position, obstacles, goal, cfg, robot_radius, bounds, d_hat)
 
     @given(st.integers(0, 4), st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]),
            st.sampled_from([3, 5, 9]))
@@ -343,7 +389,7 @@ class TestDWAOracle:
         obstacles = [Obstacle(np.array([0.6, 0.0]), 0.3)]
         cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=8, dt=0.1, w_clearance=0.0)
         out = assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
-        mirror = dwa_step((0.0, 0.0), ctx_of(obstacles, (3.0, 0.0)), (3.0, 0.0), cfg,
+        mirror = dwa_step((0.0, 0.0), ctx_of(obstacles, (3.0, 0.0)), (3.0, 0.0), cfg, D_HAT,
                           stage_bounds=(-9, 0.0, 9, 9))
         assert out.velocity[1] < 0 < mirror.velocity[1]
         assert out.score == mirror.score
@@ -387,10 +433,10 @@ class TestBaselineEpisodes:
         # the config
         ws = generate_workspace("test_id", 0)
         cfg = EpisodeConfig(n_max=5)
-        dwa_cfg = DWAConfig(d_hat=cfg.d_hat)
+        dwa_cfg = DWAConfig()
         first = run_baseline_episode(ws, "dwa", cfg, dwa_cfg=dwa_cfg)
         assert first.n_steps == 5
-        assert dwa_cfg == DWAConfig(d_hat=cfg.d_hat)
+        assert dwa_cfg == DWAConfig()
         again = run_baseline_episode(ws, "dwa", cfg, dwa_cfg=dwa_cfg)
         fresh = run_baseline_episode(ws, "dwa", cfg)
         assert np.array_equal(again.qs, first.qs) and np.array_equal(fresh.qs, first.qs)

@@ -17,8 +17,9 @@ from hamnav.cli import (
     to_dict,
 )
 from hamnav.baselines import astar_rigid, run_baseline_episode
-from hamnav.generation import gap_statistics, generate_workspace
+from hamnav.generation import gap_statistics, generate_dungeon, generate_workspace
 from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
+from hamnav.navigator import dungeon_setup
 from hamnav.ring import RingParams
 from hamnav.workspace import load_workspace
 
@@ -90,6 +91,11 @@ class TestConfigRoundTrip:
             config_from_dict({"dwa": {"robot_radius": 0.4}})
         with pytest.raises(ValueError, match="must be a table"):
             config_from_dict({"meta": 3.0})
+
+    def test_dwa_has_no_d_hat_of_its_own(self):
+        # DWA saturates its clearance term at the episode's d_hat
+        with pytest.raises(ValueError, match=r"unknown config field dwa\.d_hat"):
+            config_from_dict({"dwa": {"d_hat": 0.8}})
 
 
 class TestGenerateCommand:
@@ -196,6 +202,14 @@ class TestRunMethod:
         ref = run_baseline_episode(ws, "dwa", cfg.episode_config(), robot_radius=0.4)
         np.testing.assert_array_equal(res.qs, ref.qs)
         assert res.true_clearances.min() > 0
+
+    def test_dwa_in_a_dungeon_scores_with_the_episode_d_hat(self):
+        # the CLI's dungeon DWA is the baseline under dungeon_setup, d_hat 1.5
+        ws = generate_dungeon(0, cells=3)
+        res = run_method(ws, RunConfig(), "dwa")
+        ref = run_baseline_episode(ws, "dwa", dungeon_setup()[0])
+        assert res.termination == ref.termination
+        np.testing.assert_array_equal(res.qs, ref.qs)
 
 
 class TestPlotCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,15 @@ from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     POINT_LAYOUT,
     EnergyWeights,
+    Evaluation,
     FixedTerms,
     HamiltonianSpec,
     PhaseState,
 )
+from hamnav.evalkit import episode_metrics
+from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
 from hamnav.navigator import (
+    ActiveSet,
     AdaptConfig,
     DefaultMetaPolicy,
     EpisodeConfig,
@@ -21,6 +27,8 @@ from hamnav.navigator import (
     _Episode,
     build_tokens,
     compute_observables,
+    dungeon_setup,
+    norm2,
     observable_target,
     port_correction,
     project_update,
@@ -36,6 +44,7 @@ from hamnav.workspace import (
     ObstacleMemory,
     StageManager,
     Workspace,
+    signed_distances,
 )
 
 
@@ -147,8 +156,15 @@ class TestProjectUpdate:
         assert out[0] == pytest.approx(0.75 + 0.75)
 
     def test_kappa_validated(self):
+        # the loop's kappa comes from AdaptConfig.kappa_vector, checked once
+        # per episode rather than on every project_update
         with pytest.raises(ValueError):
-            project_update(np.ones(2), np.ones(2), np.array([1.0, 0.5]))
+            AdaptConfig(kappa_alpha=1.0).kappa_vector(2)
+        with pytest.raises(ValueError):
+            AdaptConfig(kappa_beta=-0.1).kappa_vector(0)
+        ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
+        with pytest.raises(ValueError):
+            run_episode(ws, EpisodeConfig(ring=None, adapt=AdaptConfig(kappa_gamma=1.0)))
 
 
 class TestPortCorrection:
@@ -199,6 +215,24 @@ class TestRunEpisode:
         res = run_episode(ws, empty_point_cfg(n_max=0), DefaultMetaPolicy())
         assert res.termination == "timeout"
         assert res.n_steps == 0
+
+    def test_nonfinite_gradient_is_diverged(self, monkeypatch):
+        # the gradient turns NaN at the sixth step: the integrator refuses the
+        # step, the episode ends "diverged" (not "collision") with the five
+        # finite states it reached, and it scores as a failure
+        grad, calls = Evaluation.grad.fget, []
+
+        def nan_after_five(ev):
+            calls.append(None)
+            return grad(ev) if len(calls) <= 5 else np.full(ev.q.size, np.nan)
+
+        monkeypatch.setattr(Evaluation, "grad", property(nan_after_five))
+        ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
+        res = run_episode(ws, empty_point_cfg(), DefaultMetaPolicy(r_offset=0.0))
+        assert res.termination == "diverged"
+        assert res.n_steps == 5
+        assert np.isfinite(res.qs).all() and np.isfinite(res.ps).all()
+        assert episode_metrics(res, 10.0).success == 0
 
     def test_start_inside_obstacle_collides(self):
         ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
@@ -395,7 +429,7 @@ def sensed_memory(r, n_events):
 
 
 def reference_active_pairs(ep, memory, q):
-    """_Episode.active_pairs as the loop over a dict memory it replaced."""
+    """_Episode.active_set's pairs as the loop over a dict memory it replaced."""
     c = q[ep.layout.frame]
     reach = ep.cfg.d_hat
     if ep.shape is not None:
@@ -434,9 +468,15 @@ class TestObstacleMemoryInEpisode:
         q[ep.layout.frame] = r.uniform(0, 10, 2)
         if ep.layout.scale is not None:
             q[ep.layout.scale] = r.uniform(0.25, 1.3)
-        got, want = ep.active_pairs(q), reference_active_pairs(ep, ref, q)
+        act, want = ep.active_set(q), reference_active_pairs(ep, ref, q)
+        got = act.pairs
         assert [i for i, _ in got] == [i for i, _ in want]
         assert all(a is b for (_, a), (_, b) in zip(got, want))
+        assert act.obstacles == [ob for _, ob in want]
+        assert act.ids.tolist() == [i for i, _ in want]
+        assert act.centers.reshape(-1, 2).tobytes() == np.array(
+            [ob.center for _, ob in want]).reshape(-1, 2).tobytes()
+        assert act.radii.tobytes() == np.array([ob.radius for _, ob in want]).tobytes()
 
         p = r.normal(size=q.shape)
         for pairs in (ep.sensing.memory, list(ref.items())):
@@ -445,3 +485,135 @@ class TestObstacleMemoryInEpisode:
             assert tokens.obstacle_ids == ids
             assert tokens.tokens.shape == rows.shape
             assert tokens.tokens.tobytes() == rows.tobytes()
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e200,
+           math.inf, -math.inf, math.nan]
+
+
+class TestNorm2:
+    """norm2 is np.linalg.norm of a 1-D float vector, bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        assert isinstance(got, float)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                              st.sampled_from(SPECIAL)), min_size=0, max_size=7))
+    @settings(max_examples=400, deadline=None)
+    def test_contiguous_vectors(self, values):
+        v = np.array(values, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (v, -v, v * 1e-3):
+                self.same(norm2(x), float(np.linalg.norm(x)))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6), st.integers(0, 6),
+           st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_of_q(self, values, a, b):
+        q = np.array(values, float)
+        for x in (q[2:4], q[0:2], q[4:6], q[min(a, b):max(a, b)], q[2:4] - q[0:2]):
+            assert x.flags.c_contiguous
+            self.same(norm2(x), float(np.linalg.norm(x)))
+
+
+def logged_episode(monkeypatch, ws, cfg, meta=None):
+    """Run an episode and keep each (q, ActiveSet) the loop formed, in order:
+    one per logged row (the last for the final state)."""
+    calls, active_set = [], _Episode.active_set
+
+    def recording(self, q):
+        act = active_set(self, q)
+        calls.append((q.copy(), act))
+        return act
+
+    monkeypatch.setattr(_Episode, "active_set", recording)
+    ep = _Episode(ws, cfg, meta or DefaultMetaPolicy())
+    return ep, ep.run(), calls
+
+
+class TestLoggedObservables:
+    """Each logged (clearance, goal distance, speed) row is compute_observables
+    at that state and that step's active set, measured from scratch."""
+
+    CASES = {
+        "ring": lambda: (generate_workspace("test_id", 0),
+                         EpisodeConfig(ring=RingParams(), n_max=200), None),
+        "bottleneck": lambda: (generate_bottleneck(0),
+                               EpisodeConfig(ring=RingParams(), n_max=250), None),
+        "dungeon": lambda: (generate_dungeon(0, cells=3), *dungeon_setup(n_max=200)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_match_recomputed(self, monkeypatch, case):
+        ws, cfg, meta = self.CASES[case]()
+        ep, res, calls = logged_episode(monkeypatch, ws, cfg, meta)
+        assert len(calls) == len(res.qs) > 100
+        assert any(len(act.pairs) for _, act in calls)
+        got = np.column_stack([res.clearances, res.goal_dists, res.speeds])
+        for i, (q, act) in enumerate(calls):
+            assert q.tobytes() == res.qs[i].tobytes()
+            y = compute_observables(PhaseState(res.qs[i], res.ps[i]), act.obstacles, ws.goal,
+                                    (), ep.mass, ep.layout, ep.shape, cfg.d_hat)
+            want = np.array([y.clearance, y.goal_dist, y.speed])
+            assert got[i].tobytes() == want.tobytes(), i
+
+
+def ranked_by_sort(act, c):
+    """The k_alpha slot order as the sorted() over pairs it replaced."""
+    return [i for i, _ in sorted(act.pairs, key=lambda kv: float(
+        np.linalg.norm(c - kv[1].center)) - kv[1].radius)]
+
+
+class TestSlotRanking:
+    """ActiveSet.nearest ranks the discs as a stable sort by surface distance."""
+
+    def test_mirror_image_fence_discs_tie_in_id_order(self):
+        # two fence discs mirrored about the robot tie exactly; the lower id
+        # comes first, as in a stable sort over the id-ordered pairs
+        c = np.array([5.0, 5.0])
+        memory = ObstacleMemory([(7, Obstacle(np.array([5.0, 5.5]), 0.25)),
+                                 (3, Obstacle(np.array([5.0, 4.5]), 0.25)),
+                                 (5, Obstacle(np.array([6.0, 5.0]), 0.75)),
+                                 (9, Obstacle(np.array([8.0, 8.0]), 0.5))])
+        act = ActiveSet(memory, np.ones(len(memory), dtype=bool))
+        want = ranked_by_sort(act, c)
+        assert want[:3] == [3, 5, 7]  # a three-way tie: 0.5 - 0.25 == 1.0 - 0.75
+        for k in range(len(memory) + 2):
+            assert act.nearest(c, k) == want[:k]
+
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_random_mirror_pairs(self, seed, n_pairs, n_single):
+        # dyadic coordinates keep every difference exact, so mirrored discs
+        # tie bit for bit
+        r = np.random.default_rng(seed)
+        c = r.integers(128, 512, 2) / 64.0
+        ids = r.permutation(200)[: 2 * n_pairs + n_single].tolist()
+        pairs = []
+        for k in range(n_pairs):
+            off, rad = r.integers(-128, 128, 2) / 64.0, r.integers(4, 32) / 64.0
+            pairs += [(ids[2 * k], Obstacle(c + off, rad)), (ids[2 * k + 1], Obstacle(c - off, rad))]
+        for idx in ids[2 * n_pairs:]:
+            pairs.append((idx, Obstacle(c + r.integers(-128, 128, 2) / 64.0,
+                                        r.integers(4, 32) / 64.0)))
+        memory = ObstacleMemory(pairs)
+        mask = r.random(len(memory)) < 0.8
+        act = ActiveSet(memory, mask)
+        want = ranked_by_sort(act, c)
+        for k in range(len(act.pairs) + 1):
+            assert act.nearest(c, k) == want[:k]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_clearance_is_signed_distances(self, seed):
+        r = np.random.default_rng(seed)
+        _, memory = sensed_memory(r, 3)
+        act = ActiveSet(memory, r.random(len(memory)) < 0.7)
+        c = r.uniform(0, 10, 2)
+        want = float(signed_distances(act.obstacles, c).min()) if act.obstacles else np.inf
+        assert np.float64(act.clearance(c)).tobytes() == np.float64(want).tobytes()
