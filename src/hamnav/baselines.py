@@ -14,20 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .navigator import (
-    EpisodeConfig,
-    EpisodeRecorder,
-    EpisodeResult,
-    Observables,
-    StagewiseSensing,
-    norm2,
-)
+from .navigator import EpisodeConfig, EpisodeRecorder, EpisodeResult, Observables, StagewiseSensing
 from .energy import POINT_LAYOUT
 from .workspace import (
     DeadEndError,
     EnvironmentContext,
     Workspace,
     grid_to_sdf,
+    norm2,
     row_norms,
 )
 
@@ -224,9 +218,9 @@ def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig, d_ha
     """Sample (v_x, v_y) on a grid, roll out, score, hard-reject collisions.
 
     All ``n_per_axis**2`` candidates are rolled out and scored at once for a
-    disc of ``robot_radius``; the clearance term saturates at ``d_hat`` (the
-    episode's barrier activation distance).  A candidate is rejected when a rollout point
-    leaves ``stage_bounds`` (x0, y0, x1, y1) or its clearance is below 0;
+    disc of ``robot_radius``; the clearance term saturates at ``d_hat``, the
+    episode's barrier activation distance.  A candidate is rejected when a
+    rollout point leaves ``stage_bounds`` (x0, y0, x1, y1) or its clearance is below 0;
     with every candidate rejected the result is ``blocked``.  Ties go to the
     lowest candidate index (row-major over the grid, v_y outer).
 

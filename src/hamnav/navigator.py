@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from functools import lru_cache
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,21 +44,13 @@ from .workspace import (
     ObstacleMemory,
     StageManager,
     Workspace,
+    disc_distances,
     grid_sdf_world,
+    norm2,
     row_norms,
     sense,
     signed_distances,
 )
-
-
-def norm2(v) -> float:
-    """Euclidean norm of a contiguous 1-D float array, ``np.linalg.norm(v)`` bit
-    for bit: that is its own formula, sqrt(v.dot(v)), without its wrapper.
-
-    Not ``math.hypot`` or sqrt(x*x + y*y): the dot product may fuse a
-    multiply-add, so those round differently for some vectors.
-    """
-    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -616,7 +608,7 @@ class EpisodeRecorder:
         if not len(radii):
             return np.inf
         # signed_distances, on the world arrays built once per episode
-        return float((np.linalg.norm(centers - c, axis=1) - radii).min()) - self.radius
+        return float(disc_distances(centers, radii, c).min()) - self.radius
 
     def start(self, q):
         """Measure the start state: 'collision' if it collides, else as ``_at``."""
@@ -709,12 +701,13 @@ class _WeightState:
 class ActiveSet:
     """The memory discs whose barrier can act at one state.
 
-    ``pairs`` are their (id, Obstacle) pairs in ascending id order and
-    ``obstacles`` the discs alone; ``ids``, ``centers`` (M, 2) and ``radii``
-    (M,) are the memory's arrays under the same mask.
+    ``mask`` selects them from the memory; ``pairs`` are their (id, Obstacle)
+    pairs in ascending id order and ``obstacles`` the discs alone; ``ids``,
+    ``centers`` (M, 2) and ``radii`` (M,) are the memory's arrays under the mask.
     """
 
     def __init__(self, memory: ObstacleMemory, mask):
+        self.mask = mask
         self.pairs = memory.pairs(mask)
         self.obstacles = [ob for _, ob in self.pairs]
         self.ids = memory.ids[mask]
@@ -723,14 +716,16 @@ class ActiveSet:
 
     def clearance(self, c) -> float:
         """The least signed distance from the point c to the discs (inf when
-        there are none): signed_distances, bit for bit."""
+        there are none), as signed_distances gives it."""
         if not len(self.radii):
             return np.inf
-        return float((np.linalg.norm(self.centers - c, axis=1) - self.radii).min())
+        return float(disc_distances(self.centers, self.radii, c).min())
 
     def nearest(self, c, k) -> list:
         """Ids of the k discs whose surfaces lie nearest c, ties in id order: a
         stable sort by each disc's np.linalg.norm(c - center) - radius."""
+        if not len(self.radii):
+            return []
         d = row_norms(self.centers - c) - self.radii
         return self.ids[np.argsort(d, kind="stable")[:k]].tolist()
 
@@ -786,17 +781,22 @@ class _Episode:
             return held
         return self.shape.contact(q, obstacles)
 
-    def active_set(self, q) -> ActiveSet:
+    def active_set(self, q, held=None) -> ActiveSet:
         """Memory obstacles whose barrier can be non-zero at q.
 
         For the ring the activation test expands by the current ring radius,
         since the barrier acts on boundary samples rather than the center.
+        ``held``, a set formed from the memory as it is now, is reused when it
+        selects the same discs.
         """
         reach = self.cfg.d_hat
         if self.shape is not None:
             reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
         mem = self.sensing.memory
-        return ActiveSet(mem, row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach)
+        mask = row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach
+        if held is not None and (held.mask == mask).all():
+            return held
+        return ActiveSet(mem, mask)
 
     def spec_for(self, act: ActiveSet):
         w = self.weights
@@ -860,7 +860,7 @@ class _Episode:
         termination = rec.start(self.z.q)
         # the ring's contact pass at self.z, made with the state after the last
         # step; reused while the active set holds the same obstacles
-        contact = None
+        contact = act = None
         y = None  # the observables (F) measured at self.z
         while termination is None:
             n = rec.n
@@ -878,7 +878,8 @@ class _Episode:
                                       self.sensing.stage_goal, self.mass, self.layout)
                 self.weights.merge_proposal(self.meta.propose(tokens))
 
-            act = self.active_set(self.z.q)
+            # the memory changes only when the robot senses
+            act = self.active_set(self.z.q, None if sensed else act)
             contact = self.contact_at(self.z.q, act.obstacles, contact)
 
             # (B) shape horizon: refresh the clearance-dependent scale target

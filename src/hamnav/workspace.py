@@ -44,9 +44,28 @@ class Obstacle:
             raise ValueError(f"obstacle weight must be >= 0, got {self.weight}")
 
 
+def norm2(v) -> float:
+    """Euclidean norm of a contiguous 1-D float array, ``np.linalg.norm(v)`` bit
+    for bit: that is its own formula, sqrt(v.dot(v)), without its wrapper.
+
+    Not ``math.hypot`` or sqrt(x*x + y*y): the dot product may fuse a
+    multiply-add, so those round differently for some vectors.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def signed_distance(obstacle: Obstacle, point) -> float:
     """Euclidean distance from point to the disc surface; negative inside."""
-    return float(np.linalg.norm(np.asarray(point, float) - obstacle.center)) - obstacle.radius
+    return norm2(np.asarray(point, float) - obstacle.center) - obstacle.radius
+
+
+def disc_distances(centers, radii, point) -> np.ndarray:
+    """Signed distances from point to the discs of (M, 2) ``centers`` and (M,)
+    ``radii``: ``np.linalg.norm(centers - point, axis=1) - radii`` bit for bit,
+    as that norm's own formula (the square root of each row's sum of
+    squares) without its wrapper."""
+    d = centers - np.asarray(point, float)
+    return np.sqrt((d * d).sum(axis=1)) - radii
 
 
 def signed_distances(obstacles, point) -> np.ndarray:
@@ -60,7 +79,7 @@ def signed_distances(obstacles, point) -> np.ndarray:
         return np.empty(0)
     centers = np.stack([ob.center for ob in obstacles])
     radii = np.array([ob.radius for ob in obstacles])
-    return np.linalg.norm(centers - np.asarray(point, float), axis=1) - radii
+    return disc_distances(centers, radii, point)
 
 
 def row_norms(d) -> np.ndarray:
@@ -284,14 +303,14 @@ class ObstacleMemory:
 
     def signed_distances(self, point) -> np.ndarray:
         """signed_distances of point to every stored disc, in id order."""
-        return np.linalg.norm(self.centers - np.asarray(point, float), axis=1) - self.radii
+        return disc_distances(self.centers, self.radii, point)
 
 
 def disc_intersects_window(obstacle: Obstacle, center, half_extent) -> bool:
     """Exact disc vs axis-aligned-square test by closest-point clamping."""
     c = np.asarray(center, float)
     closest = np.clip(obstacle.center, c - half_extent, c + half_extent)
-    return float(np.linalg.norm(closest - obstacle.center)) <= obstacle.radius
+    return norm2(closest - obstacle.center) <= obstacle.radius
 
 
 class CircleRegistry:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +26,6 @@ from hamnav.navigator import (
     build_tokens,
     compute_observables,
     dungeon_setup,
-    norm2,
     observable_target,
     port_correction,
     project_update,
@@ -487,47 +484,18 @@ class TestObstacleMemoryInEpisode:
             assert tokens.tokens.tobytes() == rows.tobytes()
 
 
-SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e200,
-           math.inf, -math.inf, math.nan]
-
-
-class TestNorm2:
-    """norm2 is np.linalg.norm of a 1-D float vector, bit for bit."""
-
-    @staticmethod
-    def same(got, want):
-        assert isinstance(got, float)
-        if math.isnan(want):
-            assert math.isnan(got)
-        else:
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-    @given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64),
-                              st.sampled_from(SPECIAL)), min_size=0, max_size=7))
-    @settings(max_examples=400, deadline=None)
-    def test_contiguous_vectors(self, values):
-        v = np.array(values, float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x in (v, -v, v * 1e-3):
-                self.same(norm2(x), float(np.linalg.norm(x)))
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6), st.integers(0, 6),
-           st.integers(0, 6))
-    @settings(max_examples=200, deadline=None)
-    def test_slices_of_q(self, values, a, b):
-        q = np.array(values, float)
-        for x in (q[2:4], q[0:2], q[4:6], q[min(a, b):max(a, b)], q[2:4] - q[0:2]):
-            assert x.flags.c_contiguous
-            self.same(norm2(x), float(np.linalg.norm(x)))
-
-
 def logged_episode(monkeypatch, ws, cfg, meta=None):
-    """Run an episode and keep each (q, ActiveSet) the loop formed, in order:
-    one per logged row (the last for the final state)."""
+    """Run an episode and keep each (q, ActiveSet) the loop used, in order: one
+    per logged row (the last for the final state).  Each is checked against
+    the set formed afresh from the memory at that moment."""
     calls, active_set = [], _Episode.active_set
 
-    def recording(self, q):
-        act = active_set(self, q)
+    def recording(self, q, held=None):
+        act, fresh = active_set(self, q, held), active_set(self, q)
+        assert act.ids.tolist() == fresh.ids.tolist()
+        assert all(a is b for a, b in zip(act.obstacles, fresh.obstacles))
+        assert act.centers.tobytes() == fresh.centers.tobytes()
+        assert act.radii.tobytes() == fresh.radii.tobytes()
         calls.append((q.copy(), act))
         return act
 
@@ -597,7 +565,8 @@ class TestSlotRanking:
         pairs = []
         for k in range(n_pairs):
             off, rad = r.integers(-128, 128, 2) / 64.0, r.integers(4, 32) / 64.0
-            pairs += [(ids[2 * k], Obstacle(c + off, rad)), (ids[2 * k + 1], Obstacle(c - off, rad))]
+            pairs += [(ids[2 * k], Obstacle(c + off, rad)),
+                      (ids[2 * k + 1], Obstacle(c - off, rad))]
         for idx in ids[2 * n_pairs:]:
             pairs.append((idx, Obstacle(c + r.integers(-128, 128, 2) / 64.0,
                                         r.integers(4, 32) / 64.0)))

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -19,11 +20,13 @@ from hamnav.workspace import (
     OutOfBoundsError,
     StageManager,
     Workspace,
+    disc_distances,
     disc_intersects_window,
     extract_circles,
     grid_sdf_world,
     grid_to_sdf,
     mapping_ratio,
+    norm2,
     row_norms,
     sense,
     signed_distance,
@@ -118,6 +121,60 @@ class TestRowNorms:
 
     def test_empty(self):
         assert row_norms(np.empty((0, 2))).shape == (0,)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e200,
+           math.inf, -math.inf, math.nan]
+
+
+class TestNorm2:
+    """norm2 is np.linalg.norm of a 1-D float vector, bit for bit."""
+
+    @staticmethod
+    def same(got, want):
+        assert isinstance(got, float)
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                              st.sampled_from(SPECIAL)), min_size=0, max_size=7))
+    @settings(max_examples=400, deadline=None)
+    def test_contiguous_vectors(self, values):
+        v = np.array(values, float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (v, -v, v * 1e-3):
+                self.same(norm2(x), float(np.linalg.norm(x)))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6), st.integers(0, 6),
+           st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_of_q(self, values, a, b):
+        q = np.array(values, float)
+        for x in (q[2:4], q[0:2], q[4:6], q[min(a, b):max(a, b)], q[2:4] - q[0:2]):
+            assert x.flags.c_contiguous
+            self.same(norm2(x), float(np.linalg.norm(x)))
+
+
+class TestDiscDistances:
+    """disc_distances equals np.linalg.norm(..., axis=1) - radii, bit for bit."""
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0, 10)),
+                    max_size=40), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_axis_norm(self, discs, px, py):
+        a = np.array(discs, float).reshape(-1, 3)
+        centers, radii, point = a[:, :2], a[:, 2], np.array([px, py])
+        want = np.linalg.norm(centers - point, axis=1) - radii
+        assert disc_distances(centers, radii, point).tobytes() == want.tobytes()
+
+    def test_many_random_discs(self, rng):
+        centers = rng.normal(size=(20_000, 2)) * rng.uniform(1e-3, 1e3, (20_000, 1))
+        radii = rng.uniform(0, 2, 20_000)
+        point = rng.normal(size=2)
+        want = np.linalg.norm(centers - point, axis=1) - radii
+        assert disc_distances(centers, radii, point).tobytes() == want.tobytes()
 
 
 def sensing_events(r, n_events, id_range=(-6, 20)):
