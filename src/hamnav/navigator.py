@@ -263,11 +263,6 @@ class AdaptConfig:
             raise ValueError("kappa components must lie in [0, 1)")
         return kappa
 
-    def caps(self, n_alpha):
-        """The ceilings of [beta, lam, alpha_1..n_alpha, mu] (zeta_cap)."""
-        b_cap, l_cap, a_cap, m_cap = self.zeta_cap
-        return np.array([b_cap, l_cap] + [a_cap] * n_alpha + [m_cap])
-
 
 @dataclass
 class EpisodeConfig:
@@ -765,7 +760,8 @@ class _Episode:
         self.prev_slots = None
         # the adaptation's constants, formed (and kappa checked) once
         self.kappa = ad.kappa_vector(ad.k_alpha)
-        self.caps = ad.caps(ad.k_alpha)
+        b_cap, l_cap, a_cap, m_cap = ad.zeta_cap
+        self.caps = np.array([b_cap, l_cap] + [a_cap] * ad.k_alpha + [m_cap])
         self.setpoints = ad.setpoints()
         self.fixed = None  # the FixedTerms of the current stage goal
 
