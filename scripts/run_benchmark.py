@@ -5,7 +5,7 @@ with rigid A* as the path-length reference."""
 import argparse
 import time
 
-from hamnav.baselines import PFGains, astar_rigid, run_baseline_episode
+from hamnav.baselines import astar_rigid, run_baseline_episode
 from hamnav.evalkit import aggregate, episode_metrics
 from hamnav.generation import generate_workspace
 from hamnav.navigator import DefaultMetaPolicy, EpisodeConfig, run_episode
@@ -26,8 +26,7 @@ def main():
         lref = astar_rigid(ws, 0.1, 0.4).length
         cfg = EpisodeConfig(ring=RingParams(), n_max=6000)
         ours = run_episode(ws, cfg, DefaultMetaPolicy())
-        pf = run_baseline_episode(ws, "pf", cfg, robot_radius=0.4,
-                                  pf_gains=PFGains(d_hat=cfg.d_hat))
+        pf = run_baseline_episode(ws, "pf", cfg, robot_radius=0.4)
         rows["ours"].append(episode_metrics(ours, lref))
         rows["pf"].append(episode_metrics(pf, lref))
 

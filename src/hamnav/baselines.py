@@ -10,20 +10,14 @@ sensed obstacle memory and the stage goal, never by the workspace itself.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .navigator import EpisodeConfig, EpisodeRecorder, EpisodeResult, Observables, StagewiseSensing
 from .energy import POINT_LAYOUT
-from .workspace import (
-    DeadEndError,
-    EnvironmentContext,
-    Workspace,
-    grid_to_sdf,
-    norm2,
-    row_norms,
-)
+from .workspace import DeadEndError, Workspace, grid_to_sdf, norm2, row_norms
 
 _SQRT2 = np.sqrt(2.0)
 _STEPS = [(-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
@@ -69,12 +63,15 @@ def _to_cell(point, cell, shape):
 def _astar(free, start_rc, goal_rc, cell, edge_multiplier=None):
     """8-connected A* with octile heuristic; returns (path, cost, expansions).
 
-    edge_multiplier(r, c) >= 1 scales the geometric cost of edges entering
-    cell (r, c); the heuristic stays admissible.
+    ``edge_multiplier``, an array of free's shape whose cells are >= 1,
+    scales the geometric cost of edges entering each cell; the heuristic
+    stays admissible.
     """
     ny, nx = free.shape
     if not (free[start_rc] and free[goal_rc]):
         return None, np.inf, 0
+    free = free.tolist()  # nested lists: the loop reads one cell at a time
+    mult = None if edge_multiplier is None else edge_multiplier.tolist()
 
     def h(rc):
         dy, dx = abs(rc[0] - goal_rc[0]), abs(rc[1] - goal_rc[1])
@@ -100,11 +97,11 @@ def _astar(free, start_rc, goal_rc, cell, edge_multiplier=None):
         r, c = cur
         for dr, dc, w in _STEPS:
             nr, nc = r + dr, c + dc
-            if not (0 <= nr < ny and 0 <= nc < nx) or not free[nr, nc]:
+            if not (0 <= nr < ny and 0 <= nc < nx) or not free[nr][nc]:
                 continue
             step = w * cell
-            if edge_multiplier is not None:
-                step *= edge_multiplier(nr, nc)
+            if mult is not None:
+                step *= mult[nr][nc]
             cand = g[cur] + step
             if cand < g.get((nr, nc), np.inf):
                 g[(nr, nc)] = cand
@@ -149,15 +146,14 @@ def astar_deformable(ws: Workspace, resolution: float, r_min: float,
     r_rest = r_min * 2.0 if r_rest is None else r_rest
     clear, cell = clearance_raster(ws, resolution)
     free = clear > r_min
-
-    def multiplier(r, c):
-        clr = clear[r, c]
-        squeeze = max(0.0, r_rest - clr)
-        return 1.0 + penalty_gain * squeeze / (clr - r_min)
-
+    multiplier = None
+    if penalty_gain > 0:
+        clr = clear[free]
+        multiplier = np.ones_like(clear)
+        multiplier[free] = 1.0 + penalty_gain * np.maximum(0.0, r_rest - clr) / (clr - r_min)
     start = _to_cell(ws.start, cell, free.shape)
     goal = _to_cell(ws.goal, cell, free.shape)
-    path, cost, exp = _astar(free, start, goal, cell, multiplier if penalty_gain > 0 else None)
+    path, cost, exp = _astar(free, start, goal, cell, multiplier)
     return _plan_from(path, cost, exp, cell)
 
 
@@ -168,7 +164,7 @@ def astar_deformable(ws: Workspace, resolution: float, r_min: float,
 class PFGains:
     k_att: float = 1.0
     k_rep: float = 0.3
-    d_hat: float = 0.8
+    d_hat: float | None = None  # repulsion range; the episode's d_hat when None
     v_max: float = 1.2
     d_floor: float = 1e-3  # distance floor inside repulsion to keep it finite
 
@@ -213,25 +209,37 @@ class DWAResult:
     index: int
 
 
-def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig, d_hat: float,
+@lru_cache(maxsize=16)
+def _velocity_grid(v_max, n_per_axis):
+    """DWA's (n**2, 2) candidate velocities (row-major, v_y outer) and their
+    speeds, formed once per (v_max, n) and read-only."""
+    axis = np.linspace(-v_max, v_max, n_per_axis)
+    vel = np.column_stack([np.tile(axis, n_per_axis), np.repeat(axis, n_per_axis)])
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    vel.setflags(write=False)
+    speed.setflags(write=False)
+    return vel, speed
+
+
+def dwa_step(position, centers, radii, stage_goal, cfg: DWAConfig, d_hat: float,
              robot_radius: float = 0.0, stage_bounds=None) -> DWAResult:
     """Sample (v_x, v_y) on a grid, roll out, score, hard-reject collisions.
 
     All ``n_per_axis**2`` candidates are rolled out and scored at once for a
-    disc of ``robot_radius``; the clearance term saturates at ``d_hat``, the
-    episode's barrier activation distance.  A candidate is rejected when a
-    rollout point leaves ``stage_bounds`` (x0, y0, x1, y1) or its clearance is below 0;
-    with every candidate rejected the result is ``blocked``.  Ties go to the
-    lowest candidate index (row-major over the grid, v_y outer).
+    disc of ``robot_radius`` among the discs of (M, 2) ``centers`` and (M,)
+    ``radii``; the clearance term saturates at ``d_hat``, the episode's
+    barrier activation distance.  A candidate is rejected when a rollout
+    point leaves ``stage_bounds`` (x0, y0, x1, y1) or its clearance is below
+    0; with every candidate rejected the result is ``blocked``.  Ties go to
+    the lowest candidate index (row-major over the grid, v_y outer).
 
-    Norm forms: the clearance is ``np.linalg.norm(..., axis=-1)``, as in
-    signed_distances; the goal distances in ``progress`` are row_norms, equal
+    Norm forms: the clearance is sqrt(dx*dx + dy*dy), the formula of
+    ``np.linalg.norm(..., axis=-1)`` over a length-2 axis, as in
+    disc_distances; the goal distances in ``progress`` are row_norms, equal
     to the scalar ``np.linalg.norm`` of each vector.
     """
     position = np.asarray(position, float)
-    axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
-    vel = np.column_stack([np.tile(axis, cfg.n_per_axis), np.repeat(axis, cfg.n_per_axis)])
-    obstacles = ctx.obstacle_list()
+    vel, speed = _velocity_grid(cfg.v_max, cfg.n_per_axis)
     goal = np.asarray(stage_goal, float)
     d0 = norm2(position - goal)
     # shorten the lookahead near the goal so the coarse grid can close in
@@ -243,10 +251,10 @@ def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig, d_ha
         x0, y0, x1, y1 = stage_bounds
         x, y = pts[..., 0], pts[..., 1]
         ok = ~((x < x0) | (x > x1) | (y < y0) | (y > y1)).any(axis=1)
-    if obstacles:
-        centers = np.stack([ob.center for ob in obstacles])
-        radii = np.array([ob.radius for ob in obstacles])
-        dist = np.linalg.norm(centers - pts[:, :, None, :], axis=-1) - radii
+    if len(radii):
+        dx = pts[:, :, None, 0] - centers[:, 0]  # (candidate, step, disc)
+        dy = pts[:, :, None, 1] - centers[:, 1]
+        dist = np.sqrt(dx * dx + dy * dy) - radii
         clr = dist.min(axis=(1, 2)) - robot_radius
     else:
         clr = np.full(len(vel), d_hat)
@@ -255,7 +263,7 @@ def dwa_step(position, ctx: EnvironmentContext, stage_goal, cfg: DWAConfig, d_ha
         return DWAResult(np.zeros(2), True, -np.inf, -1)
     progress = d0 - row_norms(pts[:, -1] - goal)
     score = (cfg.w_progress * progress + cfg.w_clearance * np.minimum(clr, d_hat)
-             + cfg.w_speed * np.hypot(vel[:, 0], vel[:, 1]))
+             + cfg.w_speed * speed)
     survivors = np.flatnonzero(ok)
     best = int(survivors[np.argmax(score[survivors])])
     return DWAResult(vel[best].copy(), False, float(score[best]), best)
@@ -269,7 +277,8 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
                          dwa_cfg: DWAConfig = None) -> EpisodeResult:
     """Run PF or DWA as a rigid disc under the navigator's sensing regime.
 
-    Both plan for the disc of ``robot_radius`` they are judged as.  The
+    Both plan for the disc of ``robot_radius`` they are judged as, and both
+    take the episode's ``d_hat`` unless ``pf_gains`` sets its own.  The
     navigator's EpisodeRecorder logs the episode, so one evaluation pipeline
     covers every method.
     """
@@ -279,7 +288,9 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
     rec = EpisodeRecorder(ws, cfg, sensing.tracker, POINT_LAYOUT, radius=robot_radius)
     memory = sensing.memory
     if pf_gains is None:
-        pf_gains = PFGains(d_hat=cfg.d_hat)
+        pf_gains = PFGains()
+    if pf_gains.d_hat is None:
+        pf_gains = replace(pf_gains, d_hat=cfg.d_hat)
     if dwa_cfg is None:
         dwa_cfg = DWAConfig()
 
@@ -311,9 +322,8 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
             # leave-stage rejection (tiles overlap by more than this)
             x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
             pad = cfg.eps_stage
-            local = EnvironmentContext(stage_goal, memory.pairs(), pos.copy(), cfg.d_hat)
-            v = dwa_step(pos, local, stage_goal, dwa_cfg, cfg.d_hat, robot_radius,
-                         (x0 - pad, y0 - pad, x1 + pad, y1 + pad)).velocity
+            v = dwa_step(pos, memory.centers, memory.radii, stage_goal, dwa_cfg, cfg.d_hat,
+                         robot_radius, (x0 - pad, y0 - pad, x1 + pad, y1 + pad)).velocity
         rec.record(q, observe(pos, v))
         pos = pos + cfg.tau * v
         q = np.concatenate([np.zeros(2), pos])

@@ -23,6 +23,7 @@ import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 try:
@@ -33,7 +34,7 @@ except ModuleNotFoundError:  # python 3.10: parse the subset we emit
 import numpy as np
 
 from . import svg
-from .baselines import DWAConfig, PFGains, astar_deformable, astar_rigid, run_baseline_episode
+from .baselines import DWAConfig, GridPlan, PFGains, astar_deformable, astar_rigid, run_baseline_episode
 from .evalkit import episode_metrics, spl
 from .generation import FAMILIES, generate_bottleneck, generate_dungeon, generate_workspace, gap_statistics
 from .learning import MetaRegressor, SceneDatum, TrainConfig, make_reference_dataset, train_offline
@@ -157,14 +158,20 @@ def _build(cls, data, path=""):
     """
     if not isinstance(data, dict):
         raise ValueError(f"config field {path.rstrip('.') or cls.__name__} must be a table")
-    hints = typing.get_type_hints(cls)
-    fields = {f.name for f in dataclasses.fields(cls)}
+    hints = _type_hints(cls)
     for key in data:
-        if key not in fields:
+        if key not in hints:
             raise ValueError(f"unknown config field {path}{key}: "
                              f"{cls.__name__} has no field {key!r}")
     return cls(**{key: _field_value(hints[key], val, f"{path}{key}.")
                   for key, val in data.items()})
+
+
+@lru_cache(maxsize=None)
+def _type_hints(cls):
+    """The resolved type hint of each of the dataclass ``cls``'s fields."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def _field_value(hint, val, path):
@@ -336,14 +343,17 @@ def run_method(ws: Workspace, cfg: RunConfig, method=None):
     raise ValueError(f"{method} is a planner; use plan_method")
 
 
-def reference_length(ws: Workspace, cfg: RunConfig) -> float:
-    """A* length of a rigid disc (the ring's rigid radius, or one grid cell
-    for a point robot in a grid world); nan when it cannot pass."""
-    radius = cfg.rigid_radius
+def _reference_radius(ws: Workspace, cfg: RunConfig) -> float:
+    """The radius of the rigid disc whose A* plan is the reference: the ring's
+    rigid radius, or one grid cell for a point robot in a grid world."""
     if cfg.robot == "point" and ws.grid is not None:
-        radius = ws.grid.cell_size
-    ref = astar_rigid(ws, cfg.astar_resolution, radius)
-    return ref.length if ref.feasible else np.nan
+        return ws.grid.cell_size
+    return cfg.rigid_radius
+
+
+def reference_plan(ws: Workspace, cfg: RunConfig) -> GridPlan:
+    """The rigid disc's A* plan, whose length SPL and detour are measured against."""
+    return astar_rigid(ws, cfg.astar_resolution, _reference_radius(ws, cfg))
 
 
 def plan_method(ws: Workspace, cfg: RunConfig, method=None):
@@ -421,7 +431,8 @@ def cmd_run(args) -> int:
         print(f"{cfg.method}: feasible={plan.feasible} L={plan.length:.3f}")
         return 0
     result = run_method(ws, cfg)
-    lref = reference_length(ws, cfg)
+    ref = reference_plan(ws, cfg)
+    lref = ref.length if ref.feasible else np.nan
     metrics = episode_metrics(result, lref, cfg.d_thr)
     write_steps_csv(result, out / "steps.csv")
     write_summary(result, metrics, out / "summary.json",
@@ -505,17 +516,25 @@ def cmd_make_dataset(args) -> int:
 
 
 def _eval_one(packed):
-    """Every method on one workspace, against one A* reference length."""
+    """Every method on one workspace, against one A* reference plan.
+
+    The reference plan is also the ``astar_rigid`` row's plan when it is
+    planned for ``rigid_radius`` (always, on disc workspaces).
+    """
     cfg_doc, ws_doc, methods = packed
     cfg = config_from_dict(cfg_doc)
     ws = workspace_from_json(ws_doc)
     if ws.grid is not None:
         cfg.robot = "point"
-    lref = reference_length(ws, cfg)
+    ref = reference_plan(ws, cfg)
+    lref = ref.length if ref.feasible else np.nan
     rows = {}
     for method in methods:
         if method in ("astar_rigid", "astar_deform"):
-            plan = plan_method(ws, cfg, method)
+            if method == "astar_rigid" and _reference_radius(ws, cfg) == cfg.rigid_radius:
+                plan = ref
+            else:
+                plan = plan_method(ws, cfg, method)
             row = {
                 "success": int(plan.feasible), "spl": spl(plan.feasible, plan.length, lref),
                 "detour": plan.length / lref if plan.feasible and np.isfinite(lref) else np.nan,

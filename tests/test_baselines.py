@@ -1,10 +1,12 @@
 import heapq
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamnav.baselines as baselines
 from hamnav.baselines import (
     DWAConfig,
     PFGains,
@@ -15,7 +17,7 @@ from hamnav.baselines import (
     pf_step,
     run_baseline_episode,
 )
-from hamnav.generation import generate_workspace
+from hamnav.generation import generate_dungeon, generate_workspace
 from hamnav.navigator import EpisodeConfig
 from hamnav.workspace import (
     EnvironmentContext,
@@ -155,13 +157,96 @@ class TestAstarDeformable:
             assert oracle == np.inf
 
 
+def astar_reference(free, start_rc, goal_rc, cell, edge_multiplier=None):
+    """The A* loop as it ran with a per-neighbour ``edge_multiplier(r, c)``
+    closure, before astar_deformable's multipliers became one raster; kept as
+    its oracle.  Returns (path, cost, expansions)."""
+    ny, nx = free.shape
+    if not (free[start_rc] and free[goal_rc]):
+        return None, np.inf, 0
+
+    def h(rc):
+        dy, dx = abs(rc[0] - goal_rc[0]), abs(rc[1] - goal_rc[1])
+        return cell * (max(dy, dx) + (np.sqrt(2.0) - 1.0) * min(dy, dx))
+
+    g, came, closed, expansions = {start_rc: 0.0}, {}, set(), 0
+    pq = [(h(start_rc), start_rc)]
+    steps = [(-1, -1, np.sqrt(2.0)), (-1, 0, 1.0), (-1, 1, np.sqrt(2.0)), (0, -1, 1.0),
+             (0, 1, 1.0), (1, -1, np.sqrt(2.0)), (1, 0, 1.0), (1, 1, np.sqrt(2.0))]
+    while pq:
+        _, cur = heapq.heappop(pq)
+        if cur in closed:
+            continue
+        closed.add(cur)
+        expansions += 1
+        if cur == goal_rc:
+            path = [cur]
+            while cur in came:
+                cur = came[cur]
+                path.append(cur)
+            return path[::-1], g[goal_rc], expansions
+        r, c = cur
+        for dr, dc, w in steps:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < ny and 0 <= nc < nx) or not free[nr, nc]:
+                continue
+            step = w * cell
+            if edge_multiplier is not None:
+                step *= edge_multiplier(nr, nc)
+            cand = g[cur] + step
+            if cand < g.get((nr, nc), np.inf):
+                g[(nr, nc)] = cand
+                came[(nr, nc)] = cur
+                heapq.heappush(pq, (cand + h((nr, nc)), (nr, nc)))
+    return None, np.inf, expansions
+
+
+def deformable_reference(ws, resolution, r_min, penalty_gain, r_rest):
+    """astar_deformable's search with its edge multiplier as a closure."""
+    clear, cell = clearance_raster(ws, resolution)
+    free = clear > r_min
+
+    def multiplier(r, c):
+        clr = clear[r, c]
+        squeeze = max(0.0, r_rest - clr)
+        return 1.0 + penalty_gain * squeeze / (clr - r_min)
+
+    start = baselines._to_cell(ws.start, cell, free.shape)
+    goal = baselines._to_cell(ws.goal, cell, free.shape)
+    return astar_reference(free, start, goal, cell, multiplier if penalty_gain > 0 else None)
+
+
+class TestDeformableMultiplierOracle:
+    """astar_deformable's multiplier raster against the closure, bit for bit."""
+
+    @pytest.mark.parametrize("gain", [0.0, 0.5, 1.0, 3.0])
+    def test_matches_closure(self, gain, monkeypatch):
+        searches = []
+
+        def spy(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        search = baselines._astar
+        monkeypatch.setattr(baselines, "_astar", spy)
+        # the CLI's rest radius, and one so wide that every path squeezes
+        worlds = [(generate_workspace("test_id", i), 0.2) for i in range(3)]
+        worlds.append((generate_dungeon(0, cells=3), 0.0))
+        for (ws, r_min), r_rest in itertools.product(worlds, (0.4, 3.0)):
+            plan = astar_deformable(ws, 0.1, r_min, gain, r_rest)
+            path, cost, expansions = deformable_reference(ws, 0.1, r_min, gain, r_rest)
+            assert path is not None and plan.path_cells == path
+            assert np.float64(searches[-1][1]).tobytes() == np.float64(cost).tobytes()
+            assert searches[-1][2] == plan.expansions == expansions
+
+
 def ctx_of(obstacles, goal=(5.0, 0.0)):
     return EnvironmentContext(np.asarray(goal, float), list(enumerate(obstacles)),
                               np.zeros(2), 1.0)
 
 
 def discs_of(obstacles):
-    """The (M, 2) centres and (M,) radii pf_step takes."""
+    """The (M, 2) centres and (M,) radii pf_step and dwa_step take."""
     return (np.array([ob.center for ob in obstacles], float).reshape(-1, 2),
             np.array([ob.radius for ob in obstacles], float))
 
@@ -172,7 +257,7 @@ D_HAT = 0.8
 
 class TestPotentialField:
     def test_no_obstacles_points_at_goal(self):
-        g = PFGains(k_att=1.0, v_max=10.0)
+        g = PFGains(k_att=1.0, d_hat=0.8, v_max=10.0)
         v = pf_step((0.0, 0.0), *discs_of([]), (3.0, 4.0), g)
         np.testing.assert_allclose(v, [3.0, 4.0])
 
@@ -191,7 +276,7 @@ class TestPotentialField:
         np.testing.assert_allclose(v, [-expected, 0.0], rtol=1e-12)
 
     def test_speed_clamp(self):
-        g = PFGains(k_att=10.0, v_max=1.2)
+        g = PFGains(k_att=10.0, d_hat=0.8, v_max=1.2)
         v = pf_step((0.0, 0.0), *discs_of([]), (100.0, 0.0), g)
         assert np.linalg.norm(v) == pytest.approx(1.2)
 
@@ -236,14 +321,14 @@ class TestDWA:
     def test_empty_picks_max_speed_toward_goal(self):
         cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=4, dt=0.1,
                         w_progress=1.0, w_clearance=0.0, w_speed=0.01)
-        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg, D_HAT)
+        out = dwa_step((0.0, 0.0), *discs_of([]), (10.0, 0.0), cfg, D_HAT)
         assert not out.blocked
         np.testing.assert_allclose(out.velocity, [1.0, 0.0])
 
     def test_hard_rejection_keeps_clear(self):
         ob = Obstacle(np.array([0.5, 0.0]), 0.3)
         cfg = DWAConfig(v_max=1.0, n_per_axis=7, horizon=8, dt=0.2)
-        out = dwa_step((0.0, 0.0), ctx_of([ob]), (2.0, 0.0), cfg, D_HAT)
+        out = dwa_step((0.0, 0.0), *discs_of([ob]), (2.0, 0.0), cfg, D_HAT)
         assert not out.blocked
         pts = np.array([np.array([0.0, 0.0]) + k * 0.2 * out.velocity for k in range(1, 9)])
         clr = np.min([np.linalg.norm(pts - ob.center, axis=1) - ob.radius])
@@ -254,7 +339,7 @@ class TestDWA:
         goal = rng.uniform(-3, 3, 2)
         cfg = DWAConfig(v_max=0.8, n_per_axis=5, horizon=5, dt=0.15,
                         w_progress=1.0, w_clearance=0.4, w_speed=0.05)
-        out = dwa_step((0.0, 0.0), ctx_of(obstacles, goal), goal, cfg, 1.0)
+        out = dwa_step((0.0, 0.0), *discs_of(obstacles), goal, cfg, 1.0)
         # independent re-scoring of every candidate
         axis = np.linspace(-0.8, 0.8, 5)
         best, best_idx = -np.inf, -1
@@ -283,13 +368,13 @@ class TestDWA:
         # velocity, stays in collision
         ob = Obstacle(np.array([0.0, 0.0]), 0.5)
         cfg = DWAConfig(v_max=0.1, n_per_axis=5, horizon=3, dt=0.1)
-        out = dwa_step((0.0, 0.0), ctx_of([ob]), (5.0, 0.0), cfg, D_HAT)
+        out = dwa_step((0.0, 0.0), *discs_of([ob]), (5.0, 0.0), cfg, D_HAT)
         assert out.blocked
         np.testing.assert_array_equal(out.velocity, np.zeros(2))
 
     def test_stage_bound_rejection(self):
         cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=5, dt=0.5)
-        out = dwa_step((0.0, 0.0), ctx_of([]), (10.0, 0.0), cfg, D_HAT,
+        out = dwa_step((0.0, 0.0), *discs_of([]), (10.0, 0.0), cfg, D_HAT,
                        stage_bounds=(-0.5, -0.5, 0.5, 0.5))
         # every fast candidate exits the stage; the chosen one stays inside
         assert np.max(np.abs(out.velocity)) * 0.5 * 5 <= 0.5 + 1e-9
@@ -333,10 +418,9 @@ def dwa_reference(position, ctx, stage_goal, cfg, d_hat, robot_radius=0.0, stage
 
 def assert_same_as_reference(position, obstacles, goal, cfg, robot_radius=0.0,
                              stage_bounds=None, d_hat=D_HAT):
-    ctx = ctx_of(obstacles, goal)
-    out = dwa_step(position, ctx, goal, cfg, d_hat, robot_radius, stage_bounds)
-    velocity, blocked, score, index = dwa_reference(position, ctx, goal, cfg, d_hat,
-                                                    robot_radius, stage_bounds)
+    out = dwa_step(position, *discs_of(obstacles), goal, cfg, d_hat, robot_radius, stage_bounds)
+    velocity, blocked, score, index = dwa_reference(position, ctx_of(obstacles, goal), goal, cfg,
+                                                    d_hat, robot_radius, stage_bounds)
     assert (out.index, out.blocked) == (index, blocked)
     assert out.velocity.tobytes() == np.asarray(velocity, float).tobytes()
     assert np.float64(out.score).tobytes() == np.float64(score).tobytes()
@@ -389,7 +473,7 @@ class TestDWAOracle:
         obstacles = [Obstacle(np.array([0.6, 0.0]), 0.3)]
         cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=8, dt=0.1, w_clearance=0.0)
         out = assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
-        mirror = dwa_step((0.0, 0.0), ctx_of(obstacles, (3.0, 0.0)), (3.0, 0.0), cfg, D_HAT,
+        mirror = dwa_step((0.0, 0.0), *discs_of(obstacles), (3.0, 0.0), cfg, D_HAT,
                           stage_bounds=(-9, 0.0, 9, 9))
         assert out.velocity[1] < 0 < mirror.velocity[1]
         assert out.score == mirror.score
@@ -402,6 +486,24 @@ class TestDWAOracle:
         cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=1, dt=0.5, w_clearance=0.0)
         out = assert_same_as_reference((0.0, 0.0), obstacles, (3.0, 0.0), cfg)
         np.testing.assert_array_equal(out.velocity, [1.0, 0.0])
+
+    def test_no_discs(self):
+        cfg = DWAConfig(v_max=1.0, n_per_axis=5, horizon=4, dt=0.1)
+        out = dwa_step((0.0, 0.0), np.empty((0, 2)), np.empty(0), (3.0, 1.0), cfg, D_HAT)
+        ref = assert_same_as_reference((0.0, 0.0), [], (3.0, 1.0), cfg)
+        assert (out.index, out.score) == (ref.index, ref.score) and not out.blocked
+
+    def test_tangent_candidate_survives(self):
+        # the step (1, 0) * 0.5 ends at (0.5, 0), where the path is tangent to
+        # the disc: its distance to the centre is exactly the radius
+        cfg = DWAConfig(v_max=1.0, n_per_axis=3, horizon=1, dt=0.5, w_clearance=0.0)
+        tangent = [Obstacle(np.array([0.5, 0.5]), 0.5)]
+        out = assert_same_as_reference((0.0, 0.0), tangent, (3.0, 0.0), cfg)
+        np.testing.assert_array_equal(out.velocity, [1.0, 0.0])
+        # one ulp more radius and that candidate collides
+        crossing = [Obstacle(np.array([0.5, 0.5]), np.nextafter(0.5, 1.0))]
+        out = assert_same_as_reference((0.0, 0.0), crossing, (3.0, 0.0), cfg)
+        assert out.velocity.tolist() != [1.0, 0.0]
 
     def test_blocked_matches_loop(self):
         out = assert_same_as_reference((0.0, 0.0), [Obstacle(np.zeros(2), 0.5)], (5.0, 0.0),

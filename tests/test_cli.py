@@ -7,21 +7,24 @@ import pytest
 
 from hamnav.cli import (
     RunConfig,
+    _eval_one,
     config_from_dict,
     dumps_toml,
     load_config,
     loads_toml,
     main,
+    plan_method,
     run_method,
     save_config,
     to_dict,
 )
 from hamnav.baselines import astar_rigid, run_baseline_episode
+from hamnav.evalkit import episode_metrics, spl
 from hamnav.generation import gap_statistics, generate_dungeon, generate_workspace
 from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
 from hamnav.navigator import dungeon_setup
 from hamnav.ring import RingParams
-from hamnav.workspace import load_workspace
+from hamnav.workspace import load_workspace, workspace_to_json
 
 
 class TestConfigRoundTrip:
@@ -211,6 +214,14 @@ class TestRunMethod:
         assert res.termination == ref.termination
         np.testing.assert_array_equal(res.qs, ref.qs)
 
+    def test_pf_in_a_dungeon_repels_within_the_episode_d_hat(self):
+        # PFGains.d_hat None is the episode's d_hat (1.5 under dungeon_setup)
+        ws = generate_dungeon(0, cells=3)
+        res = run_method(ws, RunConfig(), "pf")
+        ref = run_baseline_episode(ws, "pf", dungeon_setup()[0])
+        assert res.termination == ref.termination
+        np.testing.assert_array_equal(res.qs, ref.qs)
+
 
 class TestPlotCommand:
     def test_polyline_matches_csv_after_view_transform(self, tmp_path, workspace_file):
@@ -287,12 +298,63 @@ class TestEvalCommand:
         save_config(RunConfig(robot="point"), cfgp)
         assert main(["eval", "--config", str(cfgp), "--workspaces", str(ws_dir),
                      "--methods", "astar_deform,astar_rigid", "--out", str(tmp_path / "e")]) == 0
-        # one reference per workspace, plus the astar_rigid method's own plan
-        assert len(calls) == 4
+        # one reference plan per workspace, which is also the astar_rigid row's
+        assert calls == [0.4, 0.4]
         calls.clear()
         assert main(["run", "--workspace", str(ws_dir / "test_id_0000.json"), "--method",
                      "astar_deform", "--out", str(tmp_path / "r")]) == 0
         assert calls == []
+
+    @pytest.mark.parametrize("robot", ["ring", "point", "grid"])
+    def test_rows_as_from_separate_reference_and_plans(self, robot):
+        # the rows _eval_one builds from one reference plan equal those built
+        # from a reference plan of their own and one plan per planner row
+        methods = ["pf", "astar_rigid", "astar_deform"]
+        cfg = RunConfig(robot="ring" if robot == "ring" else "point")
+        ws = generate_workspace("test_id", 1)
+        if robot == "grid":
+            # a disc wider than the 0.5-m cells plans a longer path than the
+            # one-cell reference disc
+            cfg.rigid_radius, ws = 0.6, generate_dungeon(0, cells=3)
+        rows = _eval_one((to_dict(cfg), workspace_to_json(ws), methods))
+        radius = ws.grid.cell_size if robot == "grid" else cfg.rigid_radius
+        ref = astar_rigid(ws, cfg.astar_resolution, radius)
+        lref = ref.length if ref.feasible else np.nan
+        for method in methods:
+            if method == "pf":
+                want = episode_metrics(run_method(ws, cfg, "pf"), lref, cfg.d_thr).row()
+                del want["wall_time"], rows[method]["wall_time"]
+            else:
+                plan = plan_method(ws, cfg, method)
+                r_min = cfg.rigid_radius if method == "astar_rigid" else cfg.deform_r_min
+                want = {"success": int(plan.feasible),
+                        "spl": spl(plan.feasible, plan.length, lref),
+                        "detour": plan.length / lref if plan.feasible else np.nan,
+                        "min_clearance": r_min, "mapping_ratio": 1.0}
+            assert json.dumps(rows[method], sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "2", "--seed", "0",
+              "--out", str(ws_dir)])
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HAMNAV_WORKERS", workers)
+            out = tmp_path / f"eval{workers}"
+            assert main(["eval", "--workspaces", str(ws_dir), "--methods",
+                         "pf,dwa,astar_rigid,astar_deform", "--out", str(out)]) == 0
+            outputs[workers] = out
+        serial, pooled = outputs["1"], outputs["2"]
+        assert (serial / "comparison.csv").read_bytes() == (pooled / "comparison.csv").read_bytes()
+
+        def rows(out):
+            doc = json.loads((out / "per_episode.json").read_text())
+            for by_ws in doc.values():
+                for row in by_ws.values():
+                    row.pop("wall_time", None)  # planner rows have none
+            return json.dumps(doc, sort_keys=True)
+
+        assert rows(serial) == rows(pooled)
 
     def test_no_methods_error(self, tmp_path):
         assert main(["eval", "--workspaces", str(tmp_path), "--methods", "",
