@@ -6,7 +6,7 @@ import argparse
 import time
 
 from hamnav.baselines import astar_rigid, run_baseline_episode
-from hamnav.evalkit import aggregate, episode_metrics
+from hamnav.evalkit import episode_metrics, table_row
 from hamnav.generation import generate_workspace
 from hamnav.navigator import DefaultMetaPolicy, EpisodeConfig, run_episode
 from hamnav.ring import RingParams
@@ -27,16 +27,16 @@ def main():
         cfg = EpisodeConfig(ring=RingParams(), n_max=6000)
         ours = run_episode(ws, cfg, DefaultMetaPolicy())
         pf = run_baseline_episode(ws, "pf", cfg, robot_radius=0.4)
-        rows["ours"].append(episode_metrics(ours, lref))
-        rows["pf"].append(episode_metrics(pf, lref))
+        rows["ours"].append(episode_metrics(ours, lref).row())
+        rows["pf"].append(episode_metrics(pf, lref).row())
 
     print(f"{args.family} x {args.episodes} episodes "
           f"({time.perf_counter() - t0:.0f}s)")
     print(f"{'method':8s} {'SPL':>6s} {'Detour':>7s} {'Succ':>5s} {'Mapping':>8s}")
-    for name, metrics in rows.items():
-        agg = aggregate(metrics)
-        print(f"{name:8s} {agg['mean_spl']:6.3f} {agg['success_only_mean_detour']:7.3f} "
-              f"{sum(m.success for m in metrics):5d} {agg['mean_mapping_ratio']:8.3f}")
+    for name, method_rows in rows.items():
+        row = table_row(method_rows)
+        print(f"{name:8s} {row['SPL']:6.3f} {row['Detour']:7.3f} "
+              f"{row['successes']:5d} {row['Mapping']:8.3f}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ pass; the rigid disc's infeasibility is certified by inflated-grid A*."""
 import argparse
 import time
 
+import numpy as np
+
 from hamnav.baselines import astar_rigid
+from hamnav.evalkit import episode_metrics
 from hamnav.generation import generate_bottleneck
 from hamnav.navigator import DefaultMetaPolicy, EpisodeConfig, run_episode
 from hamnav.ring import RingParams
@@ -24,8 +27,7 @@ def main():
         rigid = astar_rigid(ws, 0.1, 0.4)
         cfg = EpisodeConfig(ring=RingParams(), n_max=6000)
         res = run_episode(ws, cfg, DefaultMetaPolicy())
-        ok = (not rigid.feasible and res.termination == "success"
-              and res.true_clearances.min() > 0)
+        ok = not rigid.feasible and episode_metrics(res, np.nan).success
         wins += ok
         print(f"map {k:02d}: rigid_feasible={rigid.feasible} ours={res.termination} "
               f"min_clr={res.true_clearances.min():+.3f} "

@@ -10,7 +10,7 @@ ring        hyperelastic ring geometry (periodic B-spline boundary)
 navigator   the online adaptive navigation loop
 learning    offline weight identification and meta-regressor training
 baselines   A*, potential fields, DWA reference planners
-evalkit     metrics, perturbations, batch evaluation
+evalkit     metrics, perturbations, the eval table
 cli         command-line entry points and artifact emission
 """
 

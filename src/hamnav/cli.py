@@ -35,7 +35,7 @@ import numpy as np
 
 from . import svg
 from .baselines import DWAConfig, GridPlan, PFGains, astar_deformable, astar_rigid, run_baseline_episode
-from .evalkit import episode_metrics, spl
+from .evalkit import TABLE_COLUMNS, episode_metrics, spl, table_row
 from .generation import FAMILIES, generate_bottleneck, generate_dungeon, generate_workspace, gap_statistics
 from .learning import MetaRegressor, SceneDatum, TrainConfig, make_reference_dataset, train_offline
 from .navigator import DefaultMetaPolicy, EpisodeConfig, dungeon_setup, run_episode
@@ -519,7 +519,8 @@ def _eval_one(packed):
     """Every method on one workspace, against one A* reference plan.
 
     The reference plan is also the ``astar_rigid`` row's plan when it is
-    planned for ``rigid_radius`` (always, on disc workspaces).
+    planned for ``rigid_radius`` (always, on disc workspaces).  A method that
+    raises gets an error row, which the table counts as a failure.
     """
     cfg_doc, ws_doc, methods = packed
     cfg = config_from_dict(cfg_doc)
@@ -530,21 +531,27 @@ def _eval_one(packed):
     lref = ref.length if ref.feasible else np.nan
     rows = {}
     for method in methods:
-        if method in ("astar_rigid", "astar_deform"):
-            if method == "astar_rigid" and _reference_radius(ws, cfg) == cfg.rigid_radius:
-                plan = ref
-            else:
-                plan = plan_method(ws, cfg, method)
-            row = {
-                "success": int(plan.feasible), "spl": spl(plan.feasible, plan.length, lref),
-                "detour": plan.length / lref if plan.feasible and np.isfinite(lref) else np.nan,
-                "min_clearance": cfg.rigid_radius if method == "astar_rigid" else cfg.deform_r_min,
-                "mapping_ratio": 1.0,
-            }
-        else:
-            row = episode_metrics(run_method(ws, cfg, method), lref, cfg.d_thr).row()
-        rows[method] = row
+        try:
+            rows[method] = _method_row(ws, cfg, method, ref, lref)
+        except Exception as e:
+            rows[method] = {"success": 0, "spl": 0.0, "termination": "error",
+                            "error": f"{type(e).__name__}: {e}"}
     return rows
+
+
+def _method_row(ws, cfg, method, ref, lref):
+    if method not in ("astar_rigid", "astar_deform"):
+        return episode_metrics(run_method(ws, cfg, method), lref, cfg.d_thr).row()
+    if method == "astar_rigid" and _reference_radius(ws, cfg) == cfg.rigid_radius:
+        plan = ref
+    else:
+        plan = plan_method(ws, cfg, method)
+    return {
+        "success": int(plan.feasible), "spl": spl(plan.feasible, plan.length, lref),
+        "detour": plan.length / lref if plan.feasible and np.isfinite(lref) else np.nan,
+        "min_clearance": cfg.rigid_radius if method == "astar_rigid" else cfg.deform_r_min,
+        "mapping_ratio": 1.0,
+    }
 
 
 def cmd_eval(args) -> int:
@@ -571,34 +578,25 @@ def cmd_eval(args) -> int:
     else:
         results = [_eval_one(j) for j in jobs]
     per_method = {m: {i: rows[m] for i, rows in enumerate(results)} for m in methods}
+    for m, rows in per_method.items():
+        for i, row in rows.items():
+            if "error" in row:
+                print(f"warning: {m} on {ws_paths[i].name}: {row['error']}", file=sys.stderr)
 
-    table_rows = []
-    for method in methods:
-        rows = [per_method[method][i] for i in sorted(per_method[method])]
-        succ = [r for r in rows if r["success"]]
-        det = [r["detour"] for r in succ if np.isfinite(r.get("detour", np.nan))]
-        table_rows.append({
-            "method": method,
-            "SPL": float(np.mean([r["spl"] for r in rows])),
-            "Detour": float(np.mean(det)) if det else float("nan"),
-            "MinClear": float(np.mean([r["min_clearance"] for r in succ])) if succ else float("nan"),
-            "Mapping": float(np.mean([r["mapping_ratio"] for r in rows])),
-        })
+    table = [(m, table_row(list(per_method[m].values()))) for m in methods]
     with open(out / "comparison.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["method", "SPL", "Detour", "MinClear", "Mapping"])
-        for r in table_rows:
-            w.writerow([r["method"], f"{r['SPL']:.4f}", f"{r['Detour']:.4f}",
-                        f"{r['MinClear']:.4f}", f"{r['Mapping']:.4f}"])
+        w.writerow(["method", *TABLE_COLUMNS])
+        for m, r in table:
+            w.writerow([m] + [f"{r[c]:.4f}" for c in TABLE_COLUMNS])
     md = ["| Method | SPL | Detour | MinClear | Mapping |",
           "|---|---|---|---|---|"]
-    for r in table_rows:
-        md.append(f"| {r['method']} | {r['SPL']:.3f} | {r['Detour']:.3f} | "
+    for m, r in table:
+        md.append(f"| {m} | {r['SPL']:.3f} | {r['Detour']:.3f} | "
                   f"{r['MinClear']:.3f} | {100 * r['Mapping']:.1f}% |")
     (out / "comparison.md").write_text("\n".join(md) + "\n")
     with open(out / "per_episode.json", "w") as fh:
-        json.dump({m: per_method[m] for m in methods}, fh, indent=1, sort_keys=True,
-                  default=float)
+        json.dump(per_method, fh, indent=1, sort_keys=True, default=float)
     print("\n".join(md))
     return 0
 

@@ -1,16 +1,17 @@
-"""Metrics, perturbation harness, and batch evaluation.
+"""Metrics, perturbation harness, and the eval table.
 
 Per-episode metrics follow the benchmark conventions: success-weighted path
 length against a full-map reference planner, detour ratio, clearance
 statistics with hard collisions counted as steps of penetration, smoothness
 as mean absolute heading change, grazing against a fixed threshold, and the
 mapping ratio charged by the sensing windows.  Full-map planners carry a
-mapping ratio of 1 by convention.
+mapping ratio of 1 by convention.  ``table_row`` turns one method's episode
+rows into its columns of the comparison table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,39 +175,30 @@ class PerturbedWorkspace(Workspace):
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluation
+# Eval table
 
-def aggregate(metrics_list) -> dict:
-    """Means and medians per metric, plus success-only sub-aggregates."""
-    if not metrics_list:
-        return {}
-    keys = metrics_list[0].row().keys()
-    rows = [m.row() for m in metrics_list]
-    out = {"episodes": len(rows)}
-    for k in keys:
-        vals = np.array([r[k] for r in rows], dtype=float)
-        finite = vals[np.isfinite(vals)]
-        out[f"mean_{k}"] = float(finite.mean()) if finite.size else float("nan")
-        out[f"median_{k}"] = float(np.median(finite)) if finite.size else float("nan")
-    succ = [m for m in metrics_list if m.success]
-    out["success_rate"] = float(np.mean([m.success for m in metrics_list]))
-    for k in ("spl", "detour", "path_length", "min_clearance", "mapping_ratio"):
-        vals = np.array([getattr(m, k) for m in succ], dtype=float)
-        finite = vals[np.isfinite(vals)]
-        out[f"success_only_mean_{k}"] = float(finite.mean()) if finite.size else float("nan")
-    return out
+TABLE_COLUMNS = ("SPL", "Detour", "MinClear", "Mapping")
 
 
-def batch_eval(run_fn, workspaces, length_refs, d_thr=1.5):
-    """Evaluate one method over a workspace set.
+def table_row(rows) -> dict:
+    """One method's row of the eval table from its per-episode row dicts.
 
-    run_fn(workspace, index) -> EpisodeResult.  Returns (aggregate dict,
-    per-episode metrics).  Aggregation is order-invariant.
+    A row is an ``EpisodeMetrics.row()``, a planner row, or an error row
+    (``success`` 0, ``spl`` 0, no mapping ratio).  SPL is the mean over all
+    rows, Detour the mean of the successful rows' finite detours, MinClear
+    the mean over successful rows, and Mapping the mean over the rows that
+    carry a mapping ratio; a column with no such row is NaN.
     """
-    if not workspaces:
-        raise ValueError("empty workspace set")
-    metrics = []
-    for i, (ws, lref) in enumerate(zip(workspaces, length_refs)):
-        result = run_fn(ws, i)
-        metrics.append(episode_metrics(result, lref, d_thr))
-    return aggregate(metrics), metrics
+    succ = [r for r in rows if r["success"]]
+    return {
+        "episodes": len(rows),
+        "successes": len(succ),
+        "SPL": _mean([r["spl"] for r in rows]),
+        "Detour": _mean([r["detour"] for r in succ if np.isfinite(r["detour"])]),
+        "MinClear": _mean([r["min_clearance"] for r in succ]),
+        "Mapping": _mean([r["mapping_ratio"] for r in rows if "mapping_ratio" in r]),
+    }
+
+
+def _mean(values) -> float:
+    return float(np.mean(values)) if values else float("nan")

@@ -355,10 +355,6 @@ class EpisodeResult:
         return self.qs[:, self.layout.frame]
 
     @property
-    def success(self) -> bool:
-        return self.termination == "success"
-
-    @property
     def n_steps(self):
         return len(self.times) - 1
 

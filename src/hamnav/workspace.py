@@ -234,10 +234,6 @@ class EnvironmentContext:
     window_center: np.ndarray
     half_extent: float
 
-    @property
-    def constraint_count(self) -> int:
-        return len(self.obstacles)
-
     def obstacle_list(self):
         return [ob for _, ob in self.obstacles]
 

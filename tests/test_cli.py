@@ -265,6 +265,20 @@ class TestPlotCommand:
         assert "columns" in capsys.readouterr().err
 
 
+def per_episode_rows(out):
+    """``per_episode.json`` of an eval in ``out`` without the wall times."""
+    doc = json.loads((out / "per_episode.json").read_text())
+    for by_ws in doc.values():
+        for row in by_ws.values():
+            row.pop("wall_time", None)  # planner and error rows have none
+    return doc
+
+
+def same_json(a, b):
+    """Equal as sorted JSON text, so NaN fields compare equal."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 class TestEvalCommand:
     def test_table_schema_and_astar_mapping(self, tmp_path):
         ws_dir = tmp_path / "ws"
@@ -346,15 +360,42 @@ class TestEvalCommand:
             outputs[workers] = out
         serial, pooled = outputs["1"], outputs["2"]
         assert (serial / "comparison.csv").read_bytes() == (pooled / "comparison.csv").read_bytes()
+        assert same_json(per_episode_rows(serial), per_episode_rows(pooled))
 
-        def rows(out):
-            doc = json.loads((out / "per_episode.json").read_text())
-            for by_ws in doc.values():
-                for row in by_ws.values():
-                    row.pop("wall_time", None)  # planner rows have none
-            return json.dumps(doc, sort_keys=True)
+    def test_failing_episode_becomes_error_row(self, tmp_path, monkeypatch, capsys):
+        import hamnav.cli as cli
 
-        assert rows(serial) == rows(pooled)
+        monkeypatch.delenv("HAMNAV_WORKERS", raising=False)
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "2", "--seed", "21",
+              "--out", str(ws_dir)])
+        methods = "pf,astar_rigid"
+        clean = tmp_path / "clean"
+        assert main(["eval", "--workspaces", str(ws_dir), "--methods", methods,
+                     "--out", str(clean)]) == 0
+        real = cli.run_method
+
+        def flaky(ws, cfg, method=None):
+            if method == "pf" and ws.seed == 22:
+                raise RuntimeError("boom")
+            return real(ws, cfg, method)
+
+        monkeypatch.setattr(cli, "run_method", flaky)
+        faulty = tmp_path / "faulty"
+        capsys.readouterr()
+        assert main(["eval", "--workspaces", str(ws_dir), "--methods", methods,
+                     "--out", str(faulty)]) == 0
+        assert "pf on test_id_0001.json: RuntimeError: boom" in capsys.readouterr().err
+        got, want = per_episode_rows(faulty), per_episode_rows(clean)
+        assert got["pf"].pop("1") == {"success": 0, "spl": 0.0, "termination": "error",
+                                      "error": "RuntimeError: boom"}
+        del want["pf"]["1"]
+        assert same_json(got, want)
+        # the error row counts as a failure in SPL and carries no mapping ratio
+        table = {r[0]: r for r in csv.reader((faulty / "comparison.csv").read_text().splitlines())}
+        pf0 = want["pf"]["0"]
+        assert float(table["pf"][1]) == pytest.approx(pf0["spl"] / 2, abs=1e-4)
+        assert float(table["pf"][4]) == pytest.approx(pf0["mapping_ratio"], abs=1e-4)
 
     def test_no_methods_error(self, tmp_path):
         assert main(["eval", "--workspaces", str(tmp_path), "--methods", "",

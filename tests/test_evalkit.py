@@ -7,12 +7,11 @@ from hamnav.evalkit import (
     EpisodeMetrics,
     PerturbationSpec,
     PerturbedWorkspace,
-    aggregate,
-    batch_eval,
     episode_metrics,
     heading_changes,
     perturb_obstacles,
     spl,
+    table_row,
 )
 from hamnav.navigator import DefaultMetaPolicy, EpisodeConfig, EpisodeResult, run_episode
 from hamnav.workspace import CoverageTracker, Obstacle, Workspace
@@ -149,45 +148,67 @@ class TestPerturb:
 
 
 class TestAggregate:
+    """evalkit.table_row, the one builder of the eval table's rows."""
+
+    def planner_row(self, feasible, length, lref, r_min):
+        return {"success": int(feasible), "spl": spl(feasible, length, lref),
+                "detour": length / lref if feasible else np.nan,
+                "min_clearance": r_min, "mapping_ratio": 1.0}
+
     def test_single_episode(self):
-        res = make_result([[0, 0], [1, 0]])
-        m = episode_metrics(res, 1.0)
-        agg = aggregate([m])
-        assert agg["episodes"] == 1
-        assert agg["mean_spl"] == m.spl
-        assert agg["success_rate"] == 1.0
+        m = episode_metrics(make_result([[0, 0], [1, 0]], coverage=0.25), 1.0)
+        row = table_row([m.row()])
+        assert row == {"episodes": 1, "successes": 1, "SPL": m.spl, "Detour": m.detour,
+                       "MinClear": m.min_clearance, "Mapping": 0.25}
 
     def test_success_only_subaggregation(self):
-        good = episode_metrics(make_result([[0, 0], [1, 0]]), 1.0)
-        bad = episode_metrics(make_result([[0, 0], [0, 0]], termination="stuck"), 1.0)
-        agg = aggregate([good, bad])
-        assert agg["mean_spl"] == pytest.approx(0.5)
-        assert agg["success_only_mean_spl"] == pytest.approx(1.0)
+        # Detour and MinClear average the successful rows only; SPL and
+        # Mapping average every row
+        good = episode_metrics(make_result([[0, 0], [2, 0]], clearances=[0.5, 0.7],
+                                           coverage=0.2), 1.0)
+        bad = episode_metrics(make_result([[0, 0], [0, 1]], clearances=[0.1, 0.1],
+                                          termination="stuck", coverage=0.4), 1.0)
+        row = table_row([good.row(), bad.row()])
+        assert row["successes"] == 1 and row["episodes"] == 2
+        assert row["SPL"] == pytest.approx(0.25)
+        assert row["Detour"] == pytest.approx(2.0)
+        assert row["MinClear"] == pytest.approx(0.5)
+        assert row["Mapping"] == pytest.approx(0.3)
 
     def test_order_invariance(self):
-        ms = [episode_metrics(make_result([[0, 0], [k + 1.0, 0]]), 2.0)
-              for k in range(4)]
-        a = aggregate(ms)
-        b = aggregate(ms[::-1])
-        assert a == b
+        rows = [episode_metrics(make_result([[0, 0], [k + 1.0, 0]], coverage=0.1 * k),
+                                2.0).row() for k in range(6)]
+        rows.append(self.planner_row(True, 2.5, 2.0, 0.4))
+        rows.append({"success": 0, "spl": 0.0, "termination": "error", "error": "boom"})
+        want = table_row(rows)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            got = table_row([rows[i] for i in rng.permutation(len(rows))])
+            assert got == pytest.approx(want, rel=1e-12)
 
-    def test_batch_eval_reproducible(self):
-        ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
-        cfg = EpisodeConfig(ring=None, n_max=2000)
+    def test_no_success_gives_nan_columns(self):
+        rows = [episode_metrics(make_result([[0, 0], [0, 1]], termination="timeout"),
+                                1.0).row(),
+                self.planner_row(False, np.inf, 1.0, 0.4)]
+        row = table_row(rows)
+        assert row["successes"] == 0 and row["SPL"] == 0.0
+        assert np.isnan(row["Detour"]) and np.isnan(row["MinClear"])
+        assert row["Mapping"] == pytest.approx(0.55)
+        assert np.isnan(table_row([])["SPL"])
 
-        def run_fn(w, i):
-            return run_episode(w, cfg, DefaultMetaPolicy(r_offset=0.0))
+    def test_planner_rows(self):
+        # planner rows carry no path_length, clearance statistics or wall time
+        rows = [self.planner_row(True, 12.0, 10.0, 0.2), self.planner_row(True, 10.0, 10.0, 0.2)]
+        row = table_row(rows)
+        assert row == pytest.approx({"episodes": 2, "successes": 2, "SPL": (10 / 12 + 1) / 2,
+                                     "Detour": 1.1, "MinClear": 0.2, "Mapping": 1.0})
 
-        agg1, m1 = batch_eval(run_fn, [ws, ws], [10.0, 10.0])
-        agg2, m2 = batch_eval(run_fn, [ws, ws], [10.0, 10.0])
-        m1[0].wall_time = m2[0].wall_time = 0  # wall time is not deterministic
-        m1[1].wall_time = m2[1].wall_time = 0
-        assert m1[0].row().keys() == m2[0].row().keys()
-        for a, b in zip(m1, m2):
-            ra, rb = a.row(), b.row()
-            ra.pop("wall_time"), rb.pop("wall_time")
-            assert ra == rb
-
-    def test_batch_empty_raises(self):
-        with pytest.raises(ValueError):
-            batch_eval(lambda w, i: None, [], [])
+    def test_error_row_counts_as_failure(self):
+        ok = self.planner_row(True, 10.0, 10.0, 0.4)
+        row = table_row([ok, {"success": 0, "spl": 0.0, "termination": "error",
+                              "error": "RuntimeError: boom"}])
+        assert row["episodes"] == 2 and row["successes"] == 1
+        assert row["SPL"] == 0.5
+        assert row["Detour"] == 1.0 and row["MinClear"] == 0.4
+        # the error row has no mapping ratio, so Mapping averages the other row
+        assert row["Mapping"] == 1.0

@@ -66,7 +66,7 @@ class TestSense:
     def test_empty_workspace(self):
         ws = empty_workspace()
         ctx = sense(ws, (5.0, 5.0), 1.0)
-        assert ctx.constraint_count == 0
+        assert ctx.obstacles == []
         np.testing.assert_array_equal(ctx.stage_goal, ws.goal)
 
     def test_obstacle_inside_window(self):
