@@ -9,7 +9,8 @@ are TOML; machine artifacts are JSON and CSV.  The step CSV schema is
 
 and the summary JSON carries termination cause, metrics, coverage and the
 reference length when available.  HAMNAV_WORKERS > 1 runs eval episodes in
-a process pool.
+a process pool.  A malformed config, workspace file or HAMNAV_WORKERS value
+is reported on stderr and the command exits with status 2.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class RunConfig:
     seed: int = 0
     method: str = "grlsnam"
     robot: str = "ring"  # ring | point
-    dungeon_auto: bool = True  # grid workspaces pick the dungeon defaults
     d_thr: float = 1.5
     astar_resolution: float = 0.1
     rigid_radius: float = 0.4
@@ -321,13 +321,14 @@ def write_summary(result, metrics, path, extra=None):
 
 
 def run_method(ws: Workspace, cfg: RunConfig, method=None):
-    """Dispatch one episode (or plan) of the requested method.
+    """Dispatch one episode of the requested navigating method.
 
-    Grid workspaces use the dungeon point-robot defaults unless the caller
-    supplies an explicit episode config (cfg.dungeon_auto = False).
+    Grid workspaces always run the dungeon point-robot defaults
+    (``dungeon_setup``), with the configured checkpoint's policy when one is
+    set; disc workspaces run the configured episode and meta-policy.
     """
     method = method or cfg.method
-    if ws.grid is not None and cfg.dungeon_auto:
+    if ws.grid is not None:
         ep, meta = dungeon_setup()
         if cfg.meta.checkpoint:
             meta = cfg.meta_policy()
@@ -406,7 +407,10 @@ def cmd_run(args) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    ws = load_workspace(args.workspace)
+    checked = _checked_workspace(args.workspace)
+    if checked is None:
+        return 2
+    ws = checked[1]
     if ws.grid is not None:
         cfg.robot = "point"
     out = Path(args.out)
@@ -471,6 +475,34 @@ def _checked_config(path):
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return None
+
+
+def _checked_workspace(path):
+    """The JSON document in ``path`` and the Workspace it holds, or None after
+    printing ``error: <path>: <message>`` for a file that holds none."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        return doc, workspace_from_json(doc)
+    # workspace_from_json indexes and converts the parsed JSON as it goes
+    except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
+        reason = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+        print(f"error: {path}: {reason}", file=sys.stderr)
+        return None
+
+
+def _worker_count():
+    """HAMNAV_WORKERS as a positive int (1 when unset), or None after printing
+    an error for any other value."""
+    raw = os.environ.get("HAMNAV_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"error: HAMNAV_WORKERS must be a positive integer, got {raw!r}",
+              file=sys.stderr)
+        return None
+    return workers
 
 
 def cmd_train(args) -> int:
@@ -562,16 +594,22 @@ def cmd_eval(args) -> int:
     if not methods:
         print("error: no methods given", file=sys.stderr)
         return 2
+    workers = _worker_count()
+    if workers is None:
+        return 2
     ws_paths = sorted(Path(args.workspaces).glob("*.json"))
     ws_paths = [p for p in ws_paths if not p.name.endswith("_stats.json")]
     if not ws_paths:
         print("error: no workspace JSON files found", file=sys.stderr)
         return 2
+    # every file is checked before any episode runs
+    checked = [_checked_workspace(p) for p in ws_paths]
+    if any(c is None for c in checked):
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_doc = to_dict(cfg)
-    jobs = [(cfg_doc, json.loads(p.read_text()), methods) for p in ws_paths]
-    workers = int(os.environ.get("HAMNAV_WORKERS", "1"))
+    jobs = [(cfg_doc, doc, methods) for doc, _ in checked]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_one, jobs))

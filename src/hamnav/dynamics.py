@@ -6,8 +6,9 @@ exogenous port acting only on the frame momentum block:
     p' = p - tau * grad_R(q) - tau * Gamma(mu) M^-1 p + tau * G u_f
     q' = q + tau * M^-1 p'
 
-Offline training rollouts use conservative kick-drift-kick leapfrog, which is
-exactly time-reversible up to roundoff.
+``step_leapfrog`` is the conservative kick-drift-kick step (no damping, no
+port), exactly time-reversible up to roundoff; offline training's
+multi-start trials use it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import HamiltonianSpec, PhaseState, evaluate, potential_grad
+from .energy import HamiltonianSpec, PhaseState, evaluate
 from .workspace import signed_distances
 
 DIVERGENCE_FACTOR = 1e3
@@ -26,15 +27,12 @@ DIVERGENCE_FACTOR = 1e3
 class IntegratorConfig:
     tau: float
     horizon: int
-    scheme: str = "symplectic_euler"  # or "leapfrog"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if self.scheme not in ("symplectic_euler", "leapfrog"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,12 @@ def _evaluate_with_clearance(q, spec: HamiltonianSpec, p):
 
 def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
             mu: float = 0.0, u_f=None, structural_damping=None) -> Trajectory:
-    """Integrate the spec's Hamiltonian for cfg.horizon steps.
+    """Integrate the spec's Hamiltonian for cfg.horizon symplectic Euler steps.
 
     Records per-step energy, score-field norm, and min obstacle clearance.
     A rollout is truncated with ``diverged=True`` when momentum exceeds
     DIVERGENCE_FACTOR x its initial scale or a non-finite state appears.
     """
-    if cfg.scheme == "leapfrog" and (mu != 0.0 or (u_f is not None and np.any(np.asarray(u_f) != 0.0))):
-        raise ValueError("leapfrog rollouts are reserved for the conservative case")
     if not np.all(np.isfinite(z0.q)) or not np.all(np.isfinite(z0.p)):
         raise FloatingPointError("non-finite initial state")
     selectors = PortSelectors(dim=z0.q.size, frame=spec.fixed.layout.frame)
@@ -148,18 +144,14 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
     score_norms = []
     diverged = False
     z = z0.copy()
-    grad_fn = lambda q: potential_grad(q, spec)
     for _ in range(cfg.horizon):
         g = ev.grad
         v = z.p / spec.mass
         drift = np.concatenate([v, -g - selectors.gamma_diag(mu) * v + selectors.embed_port(u_f)])
         score_norms.append(float(np.linalg.norm(drift)))
         try:
-            if cfg.scheme == "symplectic_euler":
-                z = step_symplectic_euler(z, g, mu, u_f, spec.mass, cfg.tau, selectors,
-                                          structural_damping)
-            else:
-                z = step_leapfrog(z, grad_fn, spec.mass, cfg.tau)
+            z = step_symplectic_euler(z, g, mu, u_f, spec.mass, cfg.tau, selectors,
+                                      structural_damping)
         except FloatingPointError:
             diverged = True
             break

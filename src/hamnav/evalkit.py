@@ -107,21 +107,11 @@ class PerturbationSpec:
 
     sigma_pos: float = 0.0
     sigma_radius: float = 0.0
-    drop_prob: float = 0.0
-    hallucinate_prob: float = 0.0
     damping_scale: float = 1.0
-    sigma_velocity: float = 0.0
-
-    def __post_init__(self):
-        for p in (self.drop_prob, self.hallucinate_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
 
     @property
     def is_identity(self):
-        return (self.sigma_pos == 0 and self.sigma_radius == 0 and self.drop_prob == 0
-                and self.hallucinate_prob == 0 and self.damping_scale == 1.0
-                and self.sigma_velocity == 0)
+        return self.sigma_pos == 0 and self.sigma_radius == 0 and self.damping_scale == 1.0
 
 
 ROBUSTNESS_LEVELS = {
@@ -131,25 +121,17 @@ ROBUSTNESS_LEVELS = {
 }
 
 
-def perturb_obstacles(obstacles, spec: PerturbationSpec, rng, window=None):
-    """One sensing event's corrupted view of an obstacle list.
-
-    I.i.d. Gaussian center jitter, multiplicative radius error, Bernoulli
-    drops, and hallucinated discs placed uniformly in the window.
-    """
+def perturb_obstacles(obstacles, spec: PerturbationSpec, rng):
+    """One sensing event's corrupted view of an obstacle list: i.i.d.
+    Gaussian center jitter and a multiplicative radius error per disc, with
+    every disc kept under its id."""
     if spec.is_identity:
         return list(obstacles)
     out = []
     for idx, ob in obstacles:
-        if spec.drop_prob > 0 and rng.random() < spec.drop_prob:
-            continue
         center = ob.center + rng.normal(0.0, spec.sigma_pos, 2) if spec.sigma_pos else ob.center
         radius = ob.radius * max(1.0 + (rng.normal(0.0, spec.sigma_radius) if spec.sigma_radius else 0.0), 0.05)
         out.append((idx, Obstacle(np.asarray(center, float), float(radius), ob.weight)))
-    if spec.hallucinate_prob > 0 and window is not None and rng.random() < spec.hallucinate_prob:
-        center, half = window
-        pos = np.asarray(center, float) + rng.uniform(-half, half, 2)
-        out.append((-1 - int(rng.integers(1 << 30)), Obstacle(pos, float(rng.uniform(0.2, 0.6)), 1.0)))
     return out
 
 
@@ -170,8 +152,8 @@ class PerturbedWorkspace(Workspace):
         self.damping_scale = spec.damping_scale
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E2]))
 
-    def corrupt_context(self, pairs, window):
-        return perturb_obstacles(pairs, self.perturbation, self._rng, window=window)
+    def corrupt_context(self, pairs):
+        return perturb_obstacles(pairs, self.perturbation, self._rng)
 
 
 # ---------------------------------------------------------------------------

@@ -135,26 +135,24 @@ def meta_loss(qs, q_refs, vs, v_refs, mu, mu_ref, weights, l_multi) -> float:
 EPS_FLOOR = 1e-6
 
 
-def _penalties(clearances, r_min, d_hat, literal_form):
+def _penalties(clearances, r_min, d_hat):
     """``penalty_from_clearances`` of each row of an (S, m) array, (S,)."""
-    args = (r_min - clearances) if literal_form else np.maximum(clearances - r_min, EPS_FLOOR)
-    return log_barrier(args, d_hat).mean(axis=1)
+    return log_barrier(np.maximum(clearances - r_min, EPS_FLOOR), d_hat).mean(axis=1)
 
 
-def penalty_from_clearances(clearances, r_min, d_hat, literal_form=False) -> float:
+def penalty_from_clearances(clearances, r_min, d_hat) -> float:
     """Mean barrier penalty over the per-trial minimum clearances.
 
     b is the plain log barrier ``energy.log_barrier``, -(d - d_hat)^2
     log(d / d_hat), not the energy's linearly continued ``ipc_barrier``: the
     penalty has no gradient to agree with, and it should keep growing like
-    log(1/d) near contact.  Default: b(max(clr - r_min, eps)) which decays
-    with safety margin and blows up as clr approaches r_min.  literal_form
-    uses b(r_min - clr) instead, for reproduction attempts.
+    log(1/d) near contact.  Each trial scores b(max(clr - r_min, eps)), which
+    decays with the safety margin and blows up as clr approaches r_min.
     """
     clearances = np.asarray(clearances, float)
     if not clearances.size:
         return 0.0
-    return float(_penalties(clearances[None], r_min, d_hat, literal_form)[0])
+    return float(_penalties(clearances[None], r_min, d_hat)[0])
 
 
 def _scene_spec(obstacles, goal, weights: EnergyWeights, d_hat) -> HamiltonianSpec:
@@ -238,7 +236,7 @@ def _trial_start(obstacles, d_hat, rng):
 
 
 def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
-                          literal_form=False, tau=0.03) -> np.ndarray:
+                          tau=0.03) -> np.ndarray:
     """``multi_start_penalty`` under each of S weight sets, (S,).
 
     The m_trials starts are drawn from ``rng`` once and shared by every
@@ -264,11 +262,11 @@ def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise FloatingPointError("non-finite state after leapfrog step")
         clr = np.minimum(clr, batch.clearance(q))
-    return _penalties(clr.reshape(len(weights), m_trials), r_min, d_hat, literal_form)
+    return _penalties(clr.reshape(len(weights), m_trials), r_min, d_hat)
 
 
 def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_min,
-                        d_hat, rng, literal_form=False, tau=0.03) -> float:
+                        d_hat, rng, tau=0.03) -> float:
     """Robustness penalty from perturbed near-obstacle leapfrog rollouts.
 
     For each trial: seed a state near a random obstacle with momentum aimed
@@ -277,7 +275,7 @@ def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_
     safety margins.
     """
     return float(multi_start_penalties(scene, [eta_weights], m_trials, t_steps, r_min,
-                                       d_hat, rng, literal_form, tau)[0])
+                                       d_hat, rng, tau)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +571,6 @@ class TrainConfig:
     r_min: float = 0.2
     fd_step: float = 1e-4
     seed: int = 0
-    literal_multi_form: bool = False
 
 
 def _scene_losses(scene: SceneDatum, props, cfg: TrainConfig, horizon, rng_seed):
@@ -592,8 +589,7 @@ def _scene_losses(scene: SceneDatum, props, cfg: TrainConfig, horizon, rng_seed)
     if cfg.weights[3] > 0:
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
         l_multi = multi_start_penalties(scene, weights, cfg.m_trials, cfg.multi_steps,
-                                        cfg.r_min, cfg.d_hat, rng,
-                                        cfg.literal_multi_form, cfg.tau).tolist()
+                                        cfg.r_min, cfg.d_hat, rng, cfg.tau).tolist()
     n = min(horizon + 1, len(scene.q_ref))
     return [meta_loss(q[:n], scene.q_ref[:n], v[:n], scene.v_ref[:n],
                       prop.mu, scene.mu_ref, cfg.weights, l)

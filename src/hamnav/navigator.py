@@ -93,21 +93,12 @@ def compute_observables(z_next: PhaseState, ctx_obstacles, x_g, shape_qoi_cleara
     return Observables(clearance=clr, goal_dist=dist, speed=speed)
 
 
-def observable_target(y: Observables, mode: str, setpoints) -> np.ndarray:
-    """Target observable vector y*.
-
-    relative mode (main loop): clearance held at -m_safe, distance asked to
-    shrink by eps_prog, speed floored at v_min while clearance is safe.
-    fixed mode: the design setpoints verbatim.
-    """
-    if mode == "relative":
-        m_safe, eps_prog, v_min = setpoints
-        floor = v_min if y.clearance >= m_safe else 0.0
-        return np.array([-m_safe, y.goal_dist - eps_prog, -max(y.speed, floor)])
-    if mode == "fixed":
-        clr_star, dist_star, speed_star = setpoints
-        return np.array([-clr_star, dist_star, -speed_star])
-    raise ValueError(f"unknown target mode {mode!r}")
+def observable_target(y: Observables, m_safe, eps_prog, v_min) -> np.ndarray:
+    """Target observable vector y*, relative to the current observables y:
+    clearance held at -m_safe, distance asked to shrink by eps_prog, speed
+    floored at v_min while clearance is safe."""
+    floor = v_min if y.clearance >= m_safe else 0.0
+    return np.array([-m_safe, y.goal_dist - eps_prog, -max(y.speed, floor)])
 
 
 def secant_jacobian_update(J_prev, dy, dzeta, rho, eps):
@@ -138,24 +129,16 @@ def tikhonov_step(J, dy_des, lam):
     return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
-def project_update(zeta, dzeta, kappa, form="additive"):
-    """Damped weight step projected onto the nonnegative orthant.
-
-    additive (default): zeta' = max(0, zeta + kappa .* dzeta)
-    convex variant:     zeta' = max(0, (1 - kappa) .* zeta + kappa .* dzeta)
+def project_update(zeta, dzeta, kappa):
+    """Damped weight step projected onto the nonnegative orthant:
+    zeta' = max(0, zeta + kappa .* dzeta).
 
     ``kappa``'s components lie in [0, 1); AdaptConfig.kappa_vector checks
     them once per episode.
     """
     zeta = np.asarray(zeta, float)
     kappa = np.asarray(kappa, float)
-    if form == "additive":
-        out = zeta + kappa * np.asarray(dzeta, float)
-    elif form == "convex":
-        out = (1.0 - kappa) * zeta + kappa * np.asarray(dzeta, float)
-    else:
-        raise ValueError(f"unknown update form {form!r}")
-    return np.maximum(out, 0.0)
+    return np.maximum(zeta + kappa * np.asarray(dzeta, float), 0.0)
 
 
 def port_correction(P, r, lam_u, box):
@@ -241,19 +224,10 @@ class AdaptConfig:
     kappa_v: float = 1.0
     u_box: float = 1.5
     k_alpha: int = 2
-    target_mode: str = "relative"
     m_safe: float = 0.2
     eps_prog: float = 0.05
     v_min: float = 0.2
-    fixed_targets: tuple = (0.3, 0.0, 0.5)
-    update_form: str = "additive"
-    clearance_deadband: bool = True  # only ever request clearance increases
     zeta_cap: tuple = (8.0, 8.0, 15.0, 12.0)  # ceilings for beta, lam, alpha, mu
-
-    def setpoints(self):
-        if self.target_mode == "relative":
-            return (self.m_safe, self.eps_prog, self.v_min)
-        return self.fixed_targets
 
     def kappa_vector(self, n_alpha):
         """The step sizes of [beta, lam, alpha_1..n_alpha, mu], each in [0, 1)."""
@@ -280,7 +254,6 @@ class EpisodeConfig:
     inertia: float = 0.6
     gamma_theta: float = 1.6
     gamma_scale: float = 2.0
-    shape_damping_on: bool = True  # switch for the conservative-shape variant
     ring: RingParams | None = None
     stage_w: float = 2.6
     stage_h: float = 2.0
@@ -289,7 +262,6 @@ class EpisodeConfig:
     passable_width: float = 0.1
     scale_floor: float = 0.25
     scale_cap: float = 1.3
-    collision_stop: bool = True
     coverage_cells_per_window: int = 8  # h_cov = d_hat / 8
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
     circle_d_hat_cells: float = 8.0
@@ -607,14 +579,14 @@ class EpisodeRecorder:
         return "collision" if self.true_clr < 0 else self._at(q)
 
     def step(self, q):
-        """Measure the state a step reached: 'collision' (with collision_stop),
+        """Measure the state a step reached: 'collision' when it collides,
         'stuck' when the frame moved less than eps_stuck over the last
         stuck_window steps, else as ``_at``."""
         cfg = self.cfg
         self.n += 1
         self.true_clr = self.true_clearance(q)
         self.recent.append(q[self.layout.frame].copy())
-        if self.true_clr < 0 and cfg.collision_stop:
+        if self.true_clr < 0:
             return "collision"
         if len(self.recent) == cfg.stuck_window + 1:
             if norm2(self.recent[-1] - self.recent[0]) < cfg.eps_stuck:
@@ -732,9 +704,8 @@ class _Episode:
             self.mass = np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame,
                                   cfg.inertia, cfg.ring.mass_scale])
             self.structural = np.zeros(6)
-            if cfg.shape_damping_on:
-                self.structural[4] = cfg.gamma_theta
-                self.structural[5] = cfg.gamma_scale
+            self.structural[4] = cfg.gamma_theta
+            self.structural[5] = cfg.gamma_scale
         else:
             self.layout = POINT_LAYOUT
             self.shape = None
@@ -758,7 +729,6 @@ class _Episode:
         self.kappa = ad.kappa_vector(ad.k_alpha)
         b_cap, l_cap, a_cap, m_cap = ad.zeta_cap
         self.caps = np.array([b_cap, l_cap] + [a_cap] * ad.k_alpha + [m_cap])
-        self.setpoints = ad.setpoints()
         self.fixed = None  # the FixedTerms of the current stage goal
 
     # -- geometry helpers ---------------------------------------------------
@@ -907,10 +877,9 @@ class _Episode:
             contact_next = self.contact_at(z_next.q, act.obstacles)
             y_obs = self.observe(z_next, act, shape_clearances, contact_next)
             y_vec = y_obs.vector()
-            dy_des = observable_target(y_obs, ad.target_mode, self.setpoints) - y_vec
-            if ad.clearance_deadband:
-                # safety margin, not a setpoint: never pull clearance down
-                dy_des[0] = min(dy_des[0], 0.0)
+            dy_des = observable_target(y_obs, ad.m_safe, ad.eps_prog, ad.v_min) - y_vec
+            # safety margin, not a setpoint: never pull clearance down
+            dy_des[0] = min(dy_des[0], 0.0)
 
             # (G) secant / Tikhonov adaptation over [beta, lam, alpha_I, mu]
             slots = act.nearest(z_next.q[self.layout.frame], ad.k_alpha)
@@ -923,12 +892,11 @@ class _Episode:
                 self.J = secant_jacobian_update(self.J, y_vec - self.prev_y,
                                                 zeta - self.prev_zeta, ad.rho, ad.eps)
             dzeta = tikhonov_step(self.J, dy_des, ad.lam_zeta)
-            if ad.clearance_deadband and dy_des[0] >= 0.0:
+            if dy_des[0] >= 0.0:
                 # barrier weights only grow while clearance is in deficit;
                 # otherwise progress gets misattributed to alpha via J
                 dzeta[2: 2 + ad.k_alpha] = np.minimum(dzeta[2: 2 + ad.k_alpha], 0.0)
-            zeta_new = np.minimum(project_update(zeta, dzeta, self.kappa, ad.update_form),
-                                  self.caps)
+            zeta_new = np.minimum(project_update(zeta, dzeta, self.kappa), self.caps)
             w.beta, w.lam, w.mu = float(zeta_new[0]), float(zeta_new[1]), float(zeta_new[-1])
             for k, idx in enumerate(slots):
                 # adaptation may strengthen a barrier but never disable it

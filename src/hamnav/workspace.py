@@ -245,7 +245,7 @@ class EnvironmentContext:
 class ObstacleMemory:
     """Episode-local memory of sensed discs, kept as arrays in ascending id order.
 
-    ``ids`` (int64; hallucinated discs have negative ids), ``centers`` (M, 2)
+    ``ids`` (int64), ``centers`` (M, 2)
     and ``radii`` (M,) are parallel to the stored (id, Obstacle) pairs.  A
     re-sensed id overwrites its entry, so the object of the latest sensing
     event is the one served.
@@ -312,11 +312,12 @@ def disc_intersects_window(obstacle: Obstacle, center, half_extent) -> bool:
 class CircleRegistry:
     """Stable ids for discs fitted from one grid, keyed by rounded geometry.
 
-    A registry serves one grid (one per episode).  It also keeps every
-    window's fit: the disc cover depends only on the window's cell bounds
-    (window_cells) and the fitting parameters, so ``fit`` keys its cache on
-    those and hands a repeated window the same (id, Obstacle) pairs, with
-    the same objects, as its first fit.
+    A registry serves one grid (one per episode).  It hands out the first
+    object fitted for each id, so windows that share a disc share its object.
+    It also keeps every window's fit: the disc cover depends only on the
+    window's cell bounds (window_cells) and the fitting parameters, so
+    ``fit`` keys its cache on those and hands a repeated window the same
+    (id, Obstacle) pairs as its first fit.
     """
 
     def __init__(self):
@@ -336,7 +337,8 @@ class CircleRegistry:
         key = (window_cells(grid, window), tuple(sorted(params.items())))
         pairs = self._fits.get(key)
         if pairs is None:
-            pairs = [(self.intern(ob), ob) for ob in extract_circles(grid, window, **params)]
+            ids = [self.intern(ob) for ob in extract_circles(grid, window, **params)]
+            pairs = [(i, self._obstacles[i]) for i in ids]
             self._fits[key] = pairs
         return list(pairs)
 
@@ -373,7 +375,7 @@ def sense(workspace: Workspace, position, half_extent, tracker=None,
         ]
     corrupt = getattr(workspace, "corrupt_context", None)
     if corrupt is not None:
-        pairs = corrupt(pairs, (position, half_extent))
+        pairs = corrupt(pairs)
     if tracker is not None:
         tracker.add_window(position, half_extent)
     return EnvironmentContext(stage_goal=workspace.goal.copy(), obstacles=pairs,

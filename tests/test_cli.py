@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,16 @@ class TestConfigRoundTrip:
         save_config(cfg, p)
         assert to_dict(load_config(p)) == to_dict(cfg)
 
+    def test_readme_example_loads(self, tmp_path):
+        # the documented config must keep parsing as the schema changes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```toml\n(.*?)```", readme, re.S)
+        p = tmp_path / "readme.toml"
+        p.write_text(example)
+        cfg = load_config(p)
+        assert cfg.episode.horizons == (10, 5, 1)
+        assert cfg.episode.adapt.kappa_alpha == 0.4 and cfg.meta.mu == 4.0
+
     def test_toml_subset_parser(self):
         text = dumps_toml({"a": 1, "b": [1.5, 2.0], "sec": {"c": "hi", "d": True}})
         doc = loads_toml(text)
@@ -72,13 +83,11 @@ class TestConfigRoundTrip:
         assert cfg.episode.horizons == (4, 2, 1)
 
     def test_nested_tables_rebuilt_from_hints(self):
-        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3, 4],
-                                                               "fixed_targets": [0.1, 0, 1]}},
+        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3, 4]}},
                "dwa": {"horizon": 4}}
         cfg = config_from_dict(doc)
         assert cfg.episode.ring == RingParams(r_base=0.3)
         assert cfg.episode.adapt.zeta_cap == (1, 2, 3, 4)
-        assert cfg.episode.adapt.fixed_targets == (0.1, 0, 1)
         assert cfg.dwa.horizon == 4
         assert config_from_dict({"episode": {"ring": None}}).episode.ring is None
 
@@ -94,6 +103,22 @@ class TestConfigRoundTrip:
             config_from_dict({"dwa": {"robot_radius": 0.4}})
         with pytest.raises(ValueError, match="must be a table"):
             config_from_dict({"meta": 3.0})
+        # retired variant switches: each default is now the only behaviour
+        retired = {"dungeon_auto": True,
+                   "episode.shape_damping_on": True,
+                   "episode.collision_stop": True,
+                   "episode.adapt.target_mode": "relative",
+                   "episode.adapt.fixed_targets": [0.3, 0.0, 0.5],
+                   "episode.adapt.update_form": "additive",
+                   "episode.adapt.clearance_deadband": True,
+                   "train.literal_multi_form": False}
+        for path, value in retired.items():
+            *tables, key = path.split(".")
+            doc = {key: value}
+            for table in reversed(tables):
+                doc = {table: doc}
+            with pytest.raises(ValueError, match=rf"^unknown config field {re.escape(path)}:"):
+                config_from_dict(doc)
 
     def test_dwa_has_no_d_hat_of_its_own(self):
         # DWA saturates its clearance term at the episode's d_hat
@@ -142,6 +167,10 @@ class TestGenerateCommand:
                      "--seed", "2", "--out", str(out)]) == 0
         ws = load_workspace(out / "dungeon_0000.json")
         assert ws.grid is not None
+
+
+# a workspace document whose start lies outside [0, L]^2
+MALFORMED_START = {"L": 10.0, "obstacles": [], "start": [-1.0, 1.0], "goal": [9.0, 9.0]}
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +224,26 @@ class TestRunCommand:
         assert rc == 2
         assert "episode.contact_window" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        (json.dumps(MALFORMED_START), "outside [0,10.0]^2"),
+        (json.dumps({"obstacles": [], "start": [1, 1], "goal": [9, 9]}), "missing field 'L'"),
+        ("[1, 2]", "list indices must be integers"),
+    ], ids=["bad_json", "start_outside", "missing_L", "not_an_object"])
+    def test_malformed_workspace_exits_with_message(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["run", "--workspace", str(bad), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_workspace_exits_with_message(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["run", "--workspace", str(missing), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {missing}: ")
 
 
 class TestRunMethod:
@@ -396,6 +445,42 @@ class TestEvalCommand:
         pf0 = want["pf"]["0"]
         assert float(table["pf"][1]) == pytest.approx(pf0["spl"] / 2, abs=1e-4)
         assert float(table["pf"][4]) == pytest.approx(pf0["mapping_ratio"], abs=1e-4)
+
+    @pytest.mark.parametrize("text", ["{not json", json.dumps(MALFORMED_START)],
+                             ids=["bad_json", "start_outside"])
+    def test_malformed_workspace_stops_the_batch_first(self, tmp_path, monkeypatch, capsys,
+                                                       text):
+        import hamnav.cli as cli
+
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "2", "--seed", "21",
+              "--out", str(ws_dir)])
+        bad = ws_dir / "test_id_0000b.json"  # sorted between the two good files
+        bad.write_text(text)
+        ran = []
+        monkeypatch.delenv("HAMNAV_WORKERS", raising=False)
+        monkeypatch.setattr(cli, "_eval_one", ran.append)
+        capsys.readouterr()
+        rc = main(["eval", "--workspaces", str(ws_dir), "--methods", "pf",
+                   "--out", str(tmp_path / "e")])
+        assert rc == 2 and ran == []
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("workers", ["two", "0", "-1", "1.5", ""])
+    def test_bad_worker_count_exits_with_message(self, tmp_path, monkeypatch, capsys,
+                                                 workers):
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "1", "--seed", "21",
+              "--out", str(ws_dir)])
+        monkeypatch.setenv("HAMNAV_WORKERS", workers)
+        capsys.readouterr()
+        rc = main(["eval", "--workspaces", str(ws_dir), "--methods", "astar_rigid",
+                   "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert (f"error: HAMNAV_WORKERS must be a positive integer, got {workers!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "e").exists()
 
     def test_no_methods_error(self, tmp_path):
         assert main(["eval", "--workspaces", str(tmp_path), "--methods", "",

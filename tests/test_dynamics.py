@@ -167,12 +167,6 @@ class TestRollout:
         for za, zb in zip(a.states, b.states):
             assert np.array_equal(za.q, zb.q) and np.array_equal(za.p, zb.p)
 
-    def test_leapfrog_rejects_ports(self):
-        spec = goal_spec((1.0, 0.0))
-        z0 = PhaseState(np.zeros(4), np.zeros(4))
-        with pytest.raises(ValueError):
-            rollout(z0, spec, IntegratorConfig(0.03, 10, scheme="leapfrog"), mu=1.0)
-
     def test_records_clearance(self):
         ob = Obstacle(np.array([1.0, 0.0]), 0.5)
         spec = goal_spec((2.0, 0.0), obstacles=[ob], alpha={0: 1.0})
@@ -203,10 +197,6 @@ class TestConfigValidation:
     def test_bad_tau(self):
         with pytest.raises(ValueError):
             IntegratorConfig(tau=0.0, horizon=5)
-
-    def test_bad_scheme(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(tau=0.1, horizon=5, scheme="rk4")
 
     def test_gamma_zero_at_zero_mu(self):
         sel = PortSelectors(dim=6)

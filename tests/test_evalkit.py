@@ -99,11 +99,6 @@ class TestPerturb:
         out = perturb_obstacles(obs, PerturbationSpec(), rng)
         assert out[0][1] is obs[0][1]
 
-    def test_drop_probability_one(self, rng):
-        obs = [(i, Obstacle(np.array([i, 0.0]), 0.3)) for i in range(5)]
-        out = perturb_obstacles(obs, PerturbationSpec(drop_prob=1.0), rng)
-        assert out == []
-
     def test_jitter_statistics(self):
         rng = np.random.default_rng(0)
         spec = PerturbationSpec(sigma_pos=0.05)
@@ -114,17 +109,6 @@ class TestPerturb:
             deltas.append(out[0][1].center - ob.center)
         std = np.asarray(deltas).std()
         assert std == pytest.approx(0.05, rel=0.03)
-
-    def test_hallucination_in_window(self):
-        rng = np.random.default_rng(3)
-        spec = PerturbationSpec(hallucinate_prob=1.0)
-        out = perturb_obstacles([], spec, rng, window=(np.array([5.0, 5.0]), 1.0))
-        assert len(out) == 1
-        assert np.all(np.abs(out[0][1].center - 5.0) <= 1.0)
-
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            PerturbationSpec(drop_prob=1.5)
 
     def test_named_levels(self):
         assert ROBUSTNESS_LEVELS["nominal"].is_identity

@@ -249,15 +249,13 @@ class TestMultiStart:
                                        cfg.d_hat, rng, tau=tau)
             assert _scene_losses(scene, props, cfg, 4, rng_seed=7) == [want]
 
-    def test_literal_form_differs(self):
-        lit = penalty_from_clearances([0.4], 0.5, 1.0, literal_form=True)
-        ours = penalty_from_clearances([0.4], 0.5, 1.0, literal_form=False)
-        # literal puts b(0.1) on an unsafe state; ours hits the eps floor,
+    def test_eps_floor_and_ordering(self):
+        # an unsafe trial (clearance under r_min) hits the eps floor,
         # b(1e-6, 1) frozen with mpmath
-        assert lit == pytest.approx(B_01, abs=1e-12)
-        assert ours == pytest.approx(13.815482926956974, abs=1e-10)
-        # deep violations penalize harder than near misses in our form
-        assert ours > penalty_from_clearances([0.55], 0.5, 1.0) > 0.0
+        unsafe = penalty_from_clearances([0.4], 0.5, 1.0)
+        assert unsafe == pytest.approx(13.815482926956974, abs=1e-10)
+        # deep violations penalize harder than near misses
+        assert unsafe > penalty_from_clearances([0.55], 0.5, 1.0) > 0.0
 
 
 def random_tokens(rng, m=4):
@@ -370,16 +368,14 @@ def reference_rollout(scene, w, horizon, tau, d_hat):
     return qs, vs, traj.diverged
 
 
-def reference_penalty(clearances, r_min, d_hat, literal_form=False):
+def reference_penalty(clearances, r_min, d_hat):
     vals = []
     for clr in clearances:
-        arg = (r_min - clr) if literal_form else max(clr - r_min, EPS_FLOOR)
-        vals.append(log_barrier(arg, d_hat))
+        vals.append(log_barrier(max(clr - r_min, EPS_FLOOR), d_hat))
     return float(np.mean(vals)) if vals else 0.0
 
 
-def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng,
-                          literal_form=False, tau=0.03):
+def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng, tau=0.03):
     obstacles = scene.obstacles
     if not obstacles or m_trials < 1:
         return 0.0
@@ -401,7 +397,7 @@ def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng,
             z = step_leapfrog(z, lambda q: potential_grad(q, spec), spec.mass, tau)
             clr = min(clr, float(signed_distances(obstacles, z.q[2:4]).min()))
         clearances.append(clr)
-    return reference_penalty(clearances, r_min, d_hat, literal_form)
+    return reference_penalty(clearances, r_min, d_hat)
 
 
 def reference_scene_loss(scene, prop, cfg, horizon, rng_seed):
@@ -413,8 +409,7 @@ def reference_scene_loss(scene, prop, cfg, horizon, rng_seed):
     if cfg.weights[3] > 0:
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
         l_multi = reference_multi_start(scene, w, cfg.m_trials, cfg.multi_steps,
-                                        cfg.r_min, cfg.d_hat, rng, cfg.literal_multi_form,
-                                        cfg.tau)
+                                        cfg.r_min, cfg.d_hat, rng, cfg.tau)
     n = min(len(qs), len(scene.q_ref))
     return meta_loss(qs[:n], scene.q_ref[:n], vs[:n], scene.v_ref[:n],
                      prop.mu, scene.mu_ref, cfg.weights, l_multi)
@@ -505,22 +500,21 @@ class TestBatchedStencil:
         assert same_bits(one_q, qs[-1]) and same_bits(one_v, vs[-1])
 
     @given(st.integers(0, 3), st.integers(0, 10_000), st.integers(0, 12),
-           st.integers(0, 8), st.booleans(), st.floats(0.0, 0.6))
+           st.integers(0, 8), st.floats(0.0, 0.6))
     @settings(max_examples=80, deadline=None)
-    def test_multi_start_matches_loop(self, n_obstacles, seed, m_trials, t_steps,
-                                      literal_form, r_min):
+    def test_multi_start_matches_loop(self, n_obstacles, seed, m_trials, t_steps, r_min):
         r = np.random.default_rng(seed)
         scene = random_scene(r, n_obstacles)
         weights = energy_weights(random_stencil(r, n_obstacles), n_obstacles)
         got = multi_start_penalties(scene, weights, m_trials, t_steps, r_min, 1.0,
-                                    np.random.default_rng(seed), literal_form)
+                                    np.random.default_rng(seed))
         assert got.shape == (len(weights),)
         for s, w in enumerate(weights):
             ref = reference_multi_start(scene, w, m_trials, t_steps, r_min, 1.0,
-                                        np.random.default_rng(seed), literal_form)
+                                        np.random.default_rng(seed))
             assert same_bits(got[s], ref), s
             one = multi_start_penalty(scene, w, m_trials, t_steps, r_min, 1.0,
-                                      np.random.default_rng(seed), literal_form)
+                                      np.random.default_rng(seed))
             assert same_bits(one, ref), s
 
     @given(st.integers(0, 3), st.integers(0, 10_000), st.sampled_from(START_KINDS),

@@ -75,22 +75,13 @@ class TestObservables:
 class TestObservableTarget:
     def test_relative_speed_floor_on(self):
         y = Observables(clearance=0.5, goal_dist=3.0, speed=0.05)
-        t = observable_target(y, "relative", (0.2, 0.1, 0.3))
+        t = observable_target(y, 0.2, 0.1, 0.3)
         np.testing.assert_allclose(t, [-0.2, 2.9, -0.3])
 
     def test_relative_floor_off_when_unsafe(self):
         y = Observables(clearance=0.1, goal_dist=3.0, speed=0.05)
-        t = observable_target(y, "relative", (0.2, 0.1, 0.3))
+        t = observable_target(y, 0.2, 0.1, 0.3)
         assert t[2] == pytest.approx(-0.05)
-
-    def test_fixed_mode_verbatim(self):
-        y = Observables(clearance=0.5, goal_dist=3.0, speed=1.0)
-        t = observable_target(y, "fixed", (0.3, 0.0, 0.5))
-        np.testing.assert_allclose(t, [-0.3, 0.0, -0.5])
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            observable_target(Observables(1, 1, 1), "other", (0, 0, 0))
 
 
 class TestSecant:
@@ -146,11 +137,6 @@ class TestProjectUpdate:
     def test_damped_step(self):
         out = project_update(np.array([1.0]), np.array([2.0]), np.array([0.25]))
         assert out[0] == pytest.approx(1.5)
-
-    def test_convex_form(self):
-        out = project_update(np.array([1.0]), np.array([3.0]), np.array([0.25]),
-                             form="convex")
-        assert out[0] == pytest.approx(0.75 + 0.75)
 
     def test_kappa_validated(self):
         # the loop's kappa comes from AdaptConfig.kappa_vector, checked once
@@ -414,7 +400,7 @@ class TestStagewiseSensing:
 
 def sensed_memory(r, n_events):
     """A dict memory and an ObstacleMemory fed the same sensing events; ids
-    recur (re-sensing) and include negative (hallucinated) ones."""
+    recur (re-sensing) and include negative ones (any int64 id is stored)."""
     ref, memory = {}, ObstacleMemory()
     for _ in range(n_events):
         event = [(int(r.integers(-6, 30)), Obstacle(r.uniform(0, 10, 2), r.uniform(0.1, 0.8)))

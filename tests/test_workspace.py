@@ -179,7 +179,7 @@ class TestDiscDistances:
 
 def sensing_events(r, n_events, id_range=(-6, 20)):
     """Random sensing events: (id, Obstacle) lists whose ids recur across
-    events (re-sensing) and include negative (hallucinated) ids."""
+    events (re-sensing) and include negative ids (any int64 id is stored)."""
     return [[(int(r.integers(*id_range)), Obstacle(r.uniform(-4, 4, 2), r.uniform(0.1, 0.8)))
              for _ in range(int(r.integers(0, 8)))] for _ in range(n_events)]
 
@@ -554,6 +554,18 @@ class TestWindowFitCache:
             memory.add(pairs)
             assert memory.ids is ids and memory.centers is centers and memory.radii is radii
         assert repeats > 0
+
+    def test_windows_sharing_a_disc_share_its_object(self, sensed):
+        # so ObstacleMemory.add finds a known disc unchanged and keeps its arrays
+        _, events = sensed
+        first, shared = {}, 0
+        for event in events:
+            for idx, ob in event[-1]:
+                key, seen = first.setdefault(idx, (self.key(event), ob))
+                if key != self.key(event):
+                    shared += 1
+                    assert ob is seen, idx
+        assert shared > 0
 
     def test_registry_serves_a_copy(self, sensed):
         _, events = sensed
