@@ -17,8 +17,7 @@ def penetration_steps(model, scenes):
     mass = np.ones(4)
     total = 0
     for sc in scenes:
-        tokens = build_tokens(sc.q0, np.zeros(4), list(enumerate(sc.obstacles)),
-                              sc.goal, mass, POINT_LAYOUT)
+        tokens = build_tokens(sc.q0, np.zeros(4), sc.discs, sc.goal, mass, POINT_LAYOUT)
         prop = model.propose(tokens)
         w = EnergyWeights(beta=prop.beta, lam=prop.lam,
                           alpha={i: prop.alpha.get(i, 0.0)
@@ -53,8 +52,7 @@ def main():
         mass = np.ones(4)
         mus = []
         for sc in held_out:
-            tokens = build_tokens(sc.q0, np.zeros(4), list(enumerate(sc.obstacles)),
-                                  sc.goal, mass, POINT_LAYOUT)
+            tokens = build_tokens(sc.q0, np.zeros(4), sc.discs, sc.goal, mass, POINT_LAYOUT)
             mus.append(model.propose(tokens).mu)
         pen = penetration_steps(model, held_out)
         print(f"{name:20s} {curve[-1]:9.4f} {np.mean(mus):8.2f} {pen:12d}")

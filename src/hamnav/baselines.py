@@ -286,7 +286,6 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         raise ValueError(f"unknown baseline method {method!r}")
     sensing = StagewiseSensing(ws, cfg)
     rec = EpisodeRecorder(ws, cfg, sensing.tracker, POINT_LAYOUT, radius=robot_radius)
-    memory = sensing.memory
     if pf_gains is None:
         pf_gains = PFGains()
     if pf_gains.d_hat is None:
@@ -296,12 +295,9 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
 
     def observe(pos, v):
         """The sensed observables at pos, commanding v."""
-        if ws.grid is None:
-            clr = rec.true_clr
-        elif len(memory):
-            clr = float(memory.signed_distances(pos).min()) - robot_radius
-        else:
-            clr = cfg.d_hat
+        # no sensed disc: an infinite clearance, capped at d_hat
+        clr = rec.true_clr if ws.grid is None else (
+            sensing.memory.discs.clearance(pos) - robot_radius)
         return Observables(min(clr, cfg.d_hat), norm2(pos - ws.goal), norm2(v))
 
     pos = ws.start.copy()
@@ -313,16 +309,16 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         except DeadEndError:
             termination = "dead_end"
             break
-        stage_goal = sensing.stage_goal
+        stage_goal, discs = sensing.stage_goal, sensing.memory.discs
         if method == "pf":
             # PF plans in the rigid disc's configuration space
-            v = pf_step(pos, memory.centers, memory.radii + robot_radius, stage_goal, pf_gains)
+            v = pf_step(pos, discs.centers, discs.radii + robot_radius, stage_goal, pf_gains)
         else:
             # pad the stage box so exit-adjacent candidates survive the
             # leave-stage rejection (tiles overlap by more than this)
             x0, y0, x1, y1 = sensing.stages.stage_bounds(sensing.stage)
             pad = cfg.eps_stage
-            v = dwa_step(pos, memory.centers, memory.radii, stage_goal, dwa_cfg, cfg.d_hat,
+            v = dwa_step(pos, discs.centers, discs.radii, stage_goal, dwa_cfg, cfg.d_hat,
                          robot_radius, (x0 - pad, y0 - pad, x1 + pad, y1 + pad)).velocity
         rec.record(q, observe(pos, v))
         pos = pos + cfg.tau * v

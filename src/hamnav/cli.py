@@ -41,7 +41,7 @@ from .generation import FAMILIES, generate_bottleneck, generate_dungeon, generat
 from .learning import MetaRegressor, SceneDatum, TrainConfig, make_reference_dataset, train_offline
 from .navigator import DefaultMetaPolicy, EpisodeConfig, dungeon_setup, run_episode
 from .ring import RingParams
-from .workspace import Workspace, load_workspace, save_workspace, workspace_from_json
+from .workspace import Workspace, save_workspace, workspace_from_json
 
 SCHEMA_VERSION = 1
 
@@ -407,7 +407,7 @@ def cmd_run(args) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    checked = _checked_workspace(args.workspace)
+    checked = _checked_file(args.workspace, workspace_from_json)
     if checked is None:
         return 2
     ws = checked[1]
@@ -477,13 +477,14 @@ def _checked_config(path):
         return None
 
 
-def _checked_workspace(path):
-    """The JSON document in ``path`` and the Workspace it holds, or None after
-    printing ``error: <path>: <message>`` for a file that holds none."""
+def _checked_file(path, parse):
+    """The JSON document in ``path`` and ``parse(doc)`` (workspace_from_json,
+    SceneDatum.from_json), or None after printing ``error: <path>: <message>``
+    for a file that is missing, not JSON, or rejected by ``parse``."""
     try:
         doc = json.loads(Path(path).read_text())
-        return doc, workspace_from_json(doc)
-    # workspace_from_json indexes and converts the parsed JSON as it goes
+        return doc, parse(doc)
+    # parse indexes and converts the parsed JSON as it goes
     except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
         reason = f"missing field {e}" if isinstance(e, KeyError) else str(e)
         print(f"error: {path}: {reason}", file=sys.stderr)
@@ -513,7 +514,10 @@ def cmd_train(args) -> int:
     scenes = []
     if dataset_dir.exists():
         for p in sorted(dataset_dir.glob("scene_*.json")):
-            scene = SceneDatum.from_json(json.loads(p.read_text()))
+            checked = _checked_file(p, SceneDatum.from_json)
+            if checked is None:
+                return 2
+            scene = checked[1]
             if scene.q_ref is None or scene.v_ref is None:
                 print(f"error: {p}: no reference rollout (q_ref and v_ref must be set)",
                       file=sys.stderr)
@@ -603,7 +607,7 @@ def cmd_eval(args) -> int:
         print("error: no workspace JSON files found", file=sys.stderr)
         return 2
     # every file is checked before any episode runs
-    checked = [_checked_workspace(p) for p in ws_paths]
+    checked = [_checked_file(p, workspace_from_json) for p in ws_paths]
     if any(c is None for c in checked):
         return 2
     out = Path(args.out)
@@ -647,7 +651,10 @@ def cmd_plot(args) -> int:
         print("error: episode artifacts (summary.json, steps.csv) not found",
               file=sys.stderr)
         return 2
-    summary = json.loads(summary_path.read_text())
+    checked = _checked_file(summary_path, dict)
+    if checked is None:
+        return 2
+    summary = checked[1]
     with open(steps_path) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -659,7 +666,12 @@ def cmd_plot(args) -> int:
         return 2
     cols = {name: i for i, name in enumerate(header)}
     data = np.asarray(rows) if rows else np.zeros((0, len(header)))
-    ws = load_workspace(summary["workspace"]) if "workspace" in summary else None
+    ws = None
+    if "workspace" in summary:
+        checked = _checked_file(summary["workspace"], workspace_from_json)
+        if checked is None:
+            return 2
+        ws = checked[1]
     out = Path(args.out or run_dir)
     out.mkdir(parents=True, exist_ok=True)
     positions = data[:, [cols["q2"], cols["q3"]]] if len(data) else np.zeros((0, 2))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import HamiltonianSpec, PhaseState, evaluate
-from .workspace import signed_distances
 
 DIVERGENCE_FACTOR = 1e3
 
@@ -115,14 +114,13 @@ def _evaluate_with_clearance(q, spec: HamiltonianSpec, p):
 
     A ring forms one contact pass at q, which serves both.
     """
-    obstacles = spec.context.ordered_obstacles()
+    discs = spec.discs
     if spec.fixed.shape is not None:
-        contact = spec.fixed.shape.contact(q, obstacles)
+        contact = spec.fixed.shape.contact(q, discs)
         return evaluate(q, spec, p, contact), contact.clearance
-    if not obstacles:
+    if not len(discs):
         return evaluate(q, spec, p), spec.fixed.d_hat
-    frame = spec.fixed.layout.frame
-    return evaluate(q, spec, p), float(signed_distances(obstacles, q[frame]).min())
+    return evaluate(q, spec, p), discs.clearance(q[spec.fixed.layout.frame])
 
 
 def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,

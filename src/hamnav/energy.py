@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .workspace import EnvironmentContext, row_norms
+from .workspace import DiscSet, row_norms
 
 BARRIER_CLAMP = 200.0
 GRAD_CLAMP = 200.0
@@ -233,7 +233,7 @@ class HamiltonianSpec:
 
     mass: np.ndarray  # diagonal of the SPD mass matrix
     weights: EnergyWeights
-    context: EnvironmentContext
+    discs: DiscSet  # the discs whose barriers enter the potential
     fixed: FixedTerms
 
     def __post_init__(self):
@@ -242,16 +242,13 @@ class HamiltonianSpec:
             raise ValueError("mass diagonal must be positive definite")
 
 
-def _point_obstacle_features(q, layout, obstacles, d_hat, v_penalty):
+def _point_obstacle_features(q, layout, discs: DiscSet, d_hat, v_penalty):
     """Barrier features of a point robot: (M,) values b(d_i(c)), (M, dim) gradients."""
-    c = q[layout.frame]
-    delta = c - np.stack([ob.center for ob in obstacles])
+    delta = q[layout.frame] - discs.centers
     dist = row_norms(delta)  # each row as np.linalg.norm of that row alone
-    d = dist - np.array([ob.radius for ob in obstacles])
-    weights = np.array([ob.weight for ob in obstacles], dtype=float)
-    b, db = ipc_barrier_and_grad(d, d_hat, v_penalty)
-    vals = b * weights
-    grads = np.zeros((len(obstacles), q.size))
+    b, db = ipc_barrier_and_grad(dist - discs.radii, d_hat, v_penalty)
+    vals = b * discs.weights
+    grads = np.zeros((len(discs), q.size))
     safe = ~(dist < 1e-12)  # a NaN distance keeps its NaN gradient
     if not safe.all():
         warnings.warn("configuration coincides with an obstacle center; "
@@ -259,49 +256,47 @@ def _point_obstacle_features(q, layout, obstacles, d_hat, v_penalty):
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = delta / dist[:, None]
     grads[:, layout.frame] = np.where(safe[:, None],
-                                      (weights * db)[:, None] * unit, 0.0)
+                                      (discs.weights * db)[:, None] * unit, 0.0)
     return vals, grads
 
 
-def features(q, ctx: EnvironmentContext, d_hat: float, fixed: FixedTerms, contact=None):
+def features(q, discs: DiscSet, d_hat: float, fixed: FixedTerms, contact=None):
     """Linear-in-weights view of the potential.
 
-    Returns (phi, grads) with phi = [E_goal, E_obj, b_1, ..., b_m] ordered by
-    ascending obstacle index, and grads the stacked per-feature gradients
-    (rows match phi).  R(q; weights) = E_sensor + eta . phi by construction.
+    Returns (phi, grads) with phi = [E_goal, E_obj, b_1, ..., b_m], one
+    barrier per disc of ``discs`` in its (ascending id) order, and grads the
+    stacked per-feature gradients (rows match phi).  R(q; weights) =
+    E_sensor + eta . phi by construction.
 
-    For a ring, ``contact`` is its ``ContactPass`` at q against those
-    obstacles in that order, when the caller has made it already; it is made
-    here when None.
+    For a ring, ``contact`` is its ``ContactPass`` at q against ``discs``
+    (that object), when the caller has made it already; it is made here when
+    None.
     """
     q = np.asarray(q, dtype=float)
     layout = fixed.layout
-    c = q[layout.frame]
-    obstacles = ctx.ordered_obstacles()
-    m = len(obstacles)
+    m = len(discs)
     phi = np.zeros(2 + m)
     grads = np.zeros((2 + m, q.size))
-    diff = c - fixed.goal
+    diff = q[layout.frame] - fixed.goal
     phi[0] = float(np.dot(diff, diff))
     grads[0, layout.frame] = 2.0 * diff
     if fixed.shape is not None:
         phi[1], grads[1] = fixed.shape.obj_feature(q)
         if contact is None:
-            contact = fixed.shape.contact(q, obstacles)
-        elif not contact.covers(obstacles):
-            raise ValueError("contact pass was made against other obstacles")
+            contact = fixed.shape.contact(q, discs)
+        elif contact.discs is not discs:
+            raise ValueError("contact pass was made against another disc set")
         phi[2:], grads[2:] = contact.features(d_hat, fixed.v_penalty)
     elif m:
-        phi[2:], grads[2:] = _point_obstacle_features(q, layout, obstacles, d_hat,
+        phi[2:], grads[2:] = _point_obstacle_features(q, layout, discs, d_hat,
                                                       fixed.v_penalty)
     return phi, grads
 
 
-def _weight_vector(weights: EnergyWeights, ctx: EnvironmentContext):
+def _weight_vector(weights: EnergyWeights, discs: DiscSet):
     """Weights aligned with the feature ordering (alpha defaults to zero)."""
-    idxs = sorted(i for i, _ in ctx.obstacles)
     return np.concatenate(([weights.beta, weights.lam],
-                           [weights.alpha.get(i, 0.0) for i in idxs]))
+                           [weights.alpha.get(i, 0.0) for i in discs.ids.tolist()]))
 
 
 def sensor_energy(q, fixed: FixedTerms):
@@ -326,9 +321,9 @@ class Evaluation:
             raise ValueError("phase state dimension does not match the spec layout")
         self.spec = spec
         self.kinetic = 0.0 if p is None else kinetic(p, spec.mass)
-        self.phi, self.grads = features(self.q, spec.context, spec.fixed.d_hat, spec.fixed,
+        self.phi, self.grads = features(self.q, spec.discs, spec.fixed.d_hat, spec.fixed,
                                         contact)
-        self.eta = _weight_vector(spec.weights, spec.context)
+        self.eta = _weight_vector(spec.weights, spec.discs)
 
     @property
     def grad(self) -> np.ndarray:
@@ -367,8 +362,8 @@ class Evaluation:
 def evaluate(q, spec: HamiltonianSpec, p=None, contact=None) -> Evaluation:
     """Evaluate the state (q, p) once; ``p=None`` is a state at rest.
 
-    ``contact`` is a ring's contact pass at q against the context's
-    obstacles (see ``features``), when the caller has it already.
+    ``contact`` is a ring's contact pass at q against the spec's discs (see
+    ``features``), when the caller has it already.
 
     Raises ValueError when a phase state (p given) does not match the layout.
 

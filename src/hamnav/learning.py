@@ -28,6 +28,7 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .energy import (
     log_barrier,
 )
 from .navigator import MetaTokens, WeightProposal, build_tokens
-from .workspace import EnvironmentContext, Obstacle, row_norms, signed_distances
+from .workspace import DiscSet, Obstacle, row_norms, signed_distances
 
 
 class PersistentExcitationError(RuntimeError):
@@ -64,7 +65,7 @@ class RegressionProblem:
             raise ValueError("configuration dimensions disagree")
 
 
-def regression_from_rollout(traj, ctx: EnvironmentContext, fixed: FixedTerms,
+def regression_from_rollout(traj, discs: DiscSet, fixed: FixedTerms,
                             tau: float, ridge: float = 0.0) -> RegressionProblem:
     """Build the identification problem from a conservative rollout.
 
@@ -77,7 +78,7 @@ def regression_from_rollout(traj, ctx: EnvironmentContext, fixed: FixedTerms,
         y = (traj.states[t].p - traj.states[t + 1].p) / tau
         y = y.copy()
         y[fixed.layout.sensor] -= 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
-        _, g = features(q, ctx, fixed.d_hat, fixed)
+        _, g = features(q, discs, fixed.d_hat, fixed)
         targets.append(y)
         grads.append(g)
     return RegressionProblem(np.stack(targets), np.stack(grads), ridge)
@@ -155,16 +156,14 @@ def penalty_from_clearances(clearances, r_min, d_hat) -> float:
     return float(_penalties(clearances[None], r_min, d_hat)[0])
 
 
-def _scene_spec(obstacles, goal, weights: EnergyWeights, d_hat) -> HamiltonianSpec:
+def _scene_spec(discs: DiscSet, goal, weights: EnergyWeights, d_hat) -> HamiltonianSpec:
     """The point robot's Hamiltonian in a training scene (unit mass).
 
     ``_PointBatch`` integrates exactly this spec, many weight sets at once.
     """
-    ctx = EnvironmentContext(np.asarray(goal, float), list(enumerate(obstacles)),
-                             np.zeros(2), d_hat)
     fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.asarray(goal, float), d_hat=d_hat,
                        sensor_gain=1.0)
-    return HamiltonianSpec(mass=np.ones(4), weights=weights, context=ctx, fixed=fixed)
+    return HamiltonianSpec(mass=np.ones(4), weights=weights, discs=discs, fixed=fixed)
 
 
 def _weight_rows(weights, n_obstacles) -> np.ndarray:
@@ -175,7 +174,7 @@ def _weight_rows(weights, n_obstacles) -> np.ndarray:
 
 
 class _PointBatch:
-    """A scene's obstacles as arrays, for many point-robot states at once.
+    """A scene's potential gradient, for many point-robot states at once.
 
     The states q are a (B, 4) array, each row with its own weight row.  Row b
     of ``grad`` equals ``energy.potential_grad(q[b], spec)`` bit for bit:
@@ -187,11 +186,9 @@ class _PointBatch:
     """
 
     def __init__(self, scene, d_hat):
-        obstacles = scene.obstacles
-        self.k = len(obstacles)
-        self.centers = np.array([ob.center for ob in obstacles], float).reshape(self.k, 2)
-        self.radii = np.array([ob.radius for ob in obstacles], float)
-        self.weights = np.array([ob.weight for ob in obstacles], float)
+        discs = scene.discs
+        self.k = len(discs)
+        self.centers, self.radii, self.weights = discs.centers, discs.radii, discs.weights
         self.goal = np.asarray(scene.goal, float)
         self.d_hat = d_hat
 
@@ -295,6 +292,18 @@ class SceneDatum:
     q_ref: np.ndarray = None  # (T+1, 4)
     v_ref: np.ndarray = None
 
+    def __post_init__(self):
+        if np.shape(self.goal) != (2,) or np.shape(self.q0) != (4,):
+            raise ValueError("a scene needs a goal of 2 numbers and a q0 of 4")
+        if any(r is not None and (np.ndim(r) != 2 or np.shape(r)[1] != 4)
+               for r in (self.q_ref, self.v_ref)):
+            raise ValueError("q_ref and v_ref must be (T, 4) arrays")
+
+    @cached_property
+    def discs(self) -> DiscSet:
+        """The obstacles as a DiscSet, obstacle i under id i."""
+        return DiscSet.of(enumerate(self.obstacles))
+
     def ref_weights(self) -> EnergyWeights:
         return EnergyWeights(beta=self.beta_ref, lam=self.lam_ref,
                              alpha={i: self.alpha_ref for i in range(len(self.obstacles))},
@@ -317,12 +326,12 @@ class SceneDatum:
         return cls(
             obstacles=[Obstacle(np.array(o["c"]), o["r"], o.get("w", 1.0))
                        for o in doc["obstacles"]],
-            goal=np.array(doc["goal"]),
-            q0=np.array(doc["q0"]),
+            goal=np.array(doc["goal"], float),
+            q0=np.array(doc["q0"], float),
             alpha_ref=doc["alpha_ref"], beta_ref=doc["beta_ref"],
             lam_ref=doc["lam_ref"], mu_ref=doc["mu_ref"],
-            q_ref=None if doc.get("q_ref") is None else np.array(doc["q_ref"]),
-            v_ref=None if doc.get("v_ref") is None else np.array(doc["v_ref"]),
+            q_ref=None if doc.get("q_ref") is None else np.array(doc["q_ref"], float),
+            v_ref=None if doc.get("v_ref") is None else np.array(doc["v_ref"], float),
         )
 
 
@@ -621,8 +630,8 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
         total = 0.0
         for si, scene in enumerate(dataset):
             horizon = cfg.horizons[(epoch + si) % len(cfg.horizons)]
-            tokens = build_tokens(scene.q0, np.zeros(4), list(enumerate(scene.obstacles)),
-                                  scene.goal, mass, POINT_LAYOUT)
+            tokens = build_tokens(scene.q0, np.zeros(4), scene.discs, scene.goal, mass,
+                                  POINT_LAYOUT)
             prop, cache = model.forward(tokens)
             stencil, spans = [prop], []  # spans: up - down of each central difference
             for name in ("beta", "lam", "mu"):

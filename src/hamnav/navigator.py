@@ -10,7 +10,8 @@ recomputed once per frame horizon (zero-order hold in between).
 Sensing is stagewise (StagewiseSensing, shared with the PF/DWA baselines):
 the world is re-sensed every T_y steps, on a stage change, and when an exit
 is attained or abandoned; discovered obstacles accumulate in an
-episode-local memory, and only obstacles near the robot enter the energy.
+episode-local memory (one DiscSet), and only the active set, the memory's
+discs near the robot, enters the energy.
 EpisodeRecorder, shared with the baselines too, logs each state and decides
 when the episode ends.
 """
@@ -40,16 +41,14 @@ from .workspace import (
     CircleRegistry,
     CoverageTracker,
     DeadEndError,
-    EnvironmentContext,
+    DiscSet,
     ObstacleMemory,
     StageManager,
     Workspace,
-    disc_distances,
     grid_sdf_world,
     norm2,
     row_norms,
     sense,
-    signed_distances,
 )
 
 
@@ -65,27 +64,18 @@ class Observables:
         return np.array([-self.clearance, self.goal_dist, -self.speed])
 
 
-def compute_observables(z_next: PhaseState, ctx_obstacles, x_g, shape_qoi_clearances,
-                        mass, layout=POINT_LAYOUT, shape=None, d_hat=1.0,
-                        clearance=None) -> Observables:
+def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances,
+                        mass, layout, d_hat) -> Observables:
     """Observables after a step.
 
-    Clearance is the min over the new configuration's obstacle distances and
-    any clearances collected from the shape rollout; it is capped at d_hat
-    so the clearance channel stays bounded when nothing is active.
-    ``clearance`` is the first of these (z_next against ``ctx_obstacles``)
-    when the caller has measured it already.
+    Clearance is the min of ``clearance``, the new configuration's measured
+    distance to the active discs (+inf for none), and any clearances
+    collected from the shape rollout; it is capped at d_hat so the clearance
+    channel stays bounded when nothing is active.
     """
     q, p = z_next.q, z_next.p
-    if clearance is not None:
-        clr = clearance
-    elif shape is not None:
-        clr = shape.min_clearance(q, ctx_obstacles)
-    elif ctx_obstacles:
-        clr = float(signed_distances(ctx_obstacles, q[layout.frame]).min())
-    else:
-        clr = np.inf
-    for extra in shape_qoi_clearances or ():
+    clr = clearance
+    for extra in shape_qoi_clearances:
         clr = min(clr, float(extra))
     clr = min(clr, d_hat)
     dist = norm2(q[layout.frame] - np.asarray(x_g, float))
@@ -167,15 +157,13 @@ class MetaTokens:
     speed: float
 
 
-def build_tokens(q, p, pairs, stage_goal, mass, layout) -> MetaTokens:
-    """Tokens of the obstacles in ``pairs`` (an ObstacleMemory or (id, Obstacle)
-    pairs, one per id), in ascending id order."""
+def build_tokens(q, p, discs: DiscSet, stage_goal, mass, layout) -> MetaTokens:
+    """Tokens of the discs of a DiscSet, in its (ascending id) order."""
     c = q[layout.frame]
-    memory = pairs if isinstance(pairs, ObstacleMemory) else ObstacleMemory(pairs)
-    rel = memory.centers - c
-    tokens = np.column_stack([rel, memory.radii, row_norms(rel) - memory.radii])
+    rel = discs.centers - c
+    tokens = np.column_stack([rel, discs.radii, row_norms(rel) - discs.radii])
     speed = norm2(p / np.asarray(mass, float))
-    return MetaTokens(memory.ids.tolist(), tokens, np.asarray(stage_goal, float) - c, speed)
+    return MetaTokens(discs.ids.tolist(), tokens, np.asarray(stage_goal, float) - c, speed)
 
 
 @dataclass
@@ -549,8 +537,7 @@ class EpisodeRecorder:
         self.ws, self.cfg, self.tracker = ws, cfg, tracker
         self.layout, self.shape, self.radius = layout, shape, radius
         self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
-        self.world = (np.array([ob.center for ob in ws.obstacles], dtype=float).reshape(-1, 2),
-                      np.array([ob.radius for ob in ws.obstacles], dtype=float))
+        self.world = DiscSet.of(enumerate(ws.obstacles))
         self.rows = []
         self.snapshots = []
         self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
@@ -565,13 +552,9 @@ class EpisodeRecorder:
             if self.shape is not None:
                 base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
             return base
-        centers, radii = self.world
         if self.shape is not None:
-            return self.shape.pruned_clearance(q, centers, radii)
-        if not len(radii):
-            return np.inf
-        # signed_distances, on the world arrays built once per episode
-        return float(disc_distances(centers, radii, c).min()) - self.radius
+            return self.shape.pruned_clearance(q, self.world)
+        return self.world.clearance(c) - self.radius
 
     def start(self, q):
         """Measure the start state: 'collision' if it collides, else as ``_at``."""
@@ -661,38 +644,6 @@ class _WeightState:
                 self.alpha_base[idx] = a
 
 
-class ActiveSet:
-    """The memory discs whose barrier can act at one state.
-
-    ``mask`` selects them from the memory; ``pairs`` are their (id, Obstacle)
-    pairs in ascending id order and ``obstacles`` the discs alone; ``ids``,
-    ``centers`` (M, 2) and ``radii`` (M,) are the memory's arrays under the mask.
-    """
-
-    def __init__(self, memory: ObstacleMemory, mask):
-        self.mask = mask
-        self.pairs = memory.pairs(mask)
-        self.obstacles = [ob for _, ob in self.pairs]
-        self.ids = memory.ids[mask]
-        self.centers = memory.centers[mask]
-        self.radii = memory.radii[mask]
-
-    def clearance(self, c) -> float:
-        """The least signed distance from the point c to the discs (inf when
-        there are none), as signed_distances gives it."""
-        if not len(self.radii):
-            return np.inf
-        return float(disc_distances(self.centers, self.radii, c).min())
-
-    def nearest(self, c, k) -> list:
-        """Ids of the k discs whose surfaces lie nearest c, ties in id order: a
-        stable sort by each disc's np.linalg.norm(c - center) - radius."""
-        if not len(self.radii):
-            return []
-        d = row_norms(self.centers - c) - self.radii
-        return self.ids[np.argsort(d, kind="stable")[:k]].tolist()
-
-
 class _Episode:
     """One episode's mutable state; run() drives the loop."""
 
@@ -730,64 +681,64 @@ class _Episode:
         b_cap, l_cap, a_cap, m_cap = ad.zeta_cap
         self.caps = np.array([b_cap, l_cap] + [a_cap] * ad.k_alpha + [m_cap])
         self.fixed = None  # the FixedTerms of the current stage goal
+        self.active = (None, None, None)  # the last active set: (memory discs, mask, set)
 
     # -- geometry helpers ---------------------------------------------------
 
-    def contact_at(self, q, obstacles, held=None):
-        """The ring's contact pass at q against obstacles (None for a point
+    def contact_at(self, q, discs: DiscSet, held=None):
+        """The ring's contact pass at q against discs (None for a point
         robot).  ``held``, a pass made at q already, is reused when it was made
-        against the same obstacle objects."""
+        against this DiscSet object."""
         if self.shape is None:
             return None
-        if held is not None and held.covers(obstacles):
+        if held is not None and held.discs is discs:
             return held
-        return self.shape.contact(q, obstacles)
+        return self.shape.contact(q, discs)
 
-    def active_set(self, q, held=None) -> ActiveSet:
-        """Memory obstacles whose barrier can be non-zero at q.
+    def active_set(self, q) -> DiscSet:
+        """The memory's discs whose barrier can be non-zero at q.
 
         For the ring the activation test expands by the current ring radius,
         since the barrier acts on boundary samples rather than the center.
-        ``held``, a set formed from the memory as it is now, is reused when it
-        selects the same discs.
+        The set last formed is handed back, the same object, while the
+        memory's DiscSet and the mask are unchanged.
         """
         reach = self.cfg.d_hat
         if self.shape is not None:
             reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
-        mem = self.sensing.memory
+        mem = self.sensing.memory.discs
         mask = row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach
-        if held is not None and (held.mask == mask).all():
+        held_mem, held_mask, held = self.active
+        if held_mem is mem and (held_mask == mask).all():
             return held
-        return ActiveSet(mem, mask)
+        self.active = (mem, mask, mem[mask])
+        return self.active[2]
 
-    def spec_for(self, act: ActiveSet):
+    def spec_for(self, act: DiscSet):
         w = self.weights
         weights = EnergyWeights(beta=w.beta, lam=w.lam,
-                                alpha={i: w.alpha.get(i, 0.0) for i, _ in act.pairs},
+                                alpha={i: w.alpha.get(i, 0.0) for i in act.ids.tolist()},
                                 mu=w.mu, u_f=self.u_f.copy())
         goal = self.sensing.stage_goal
         if self.fixed is None or self.fixed.goal is not goal:
             self.fixed = FixedTerms(layout=self.layout, goal=goal, d_hat=self.cfg.d_hat,
                                     sensor_gain=self.cfg.sensor_gain, shape=self.shape)
-        ctx = EnvironmentContext(goal, act.pairs, self.z.q[self.layout.frame].copy(),
-                                 self.cfg.d_hat)
-        return HamiltonianSpec(mass=self.mass, weights=weights, context=ctx, fixed=self.fixed)
+        return HamiltonianSpec(mass=self.mass, weights=weights, discs=act, fixed=self.fixed)
 
-    def clearance(self, q, act: ActiveSet, contact) -> float:
+    def clearance(self, q, act: DiscSet, contact) -> float:
         """The sensed clearance at q against act: the ring's contact pass at q
         (``contact``), or the point's distance to the discs."""
         return act.clearance(q[self.layout.frame]) if contact is None else contact.clearance
 
-    def observe(self, z, act: ActiveSet, shape_clearances=(), contact=None):
+    def observe(self, z, act: DiscSet, shape_clearances=(), contact=None):
         """Observables of z; ``contact``, the ring's pass at z against act,
         gives the clearance."""
-        return compute_observables(z, act.obstacles, self.ws.goal, shape_clearances, self.mass,
-                                   self.layout, self.shape, self.cfg.d_hat,
-                                   self.clearance(z.q, act, contact))
+        return compute_observables(z, self.clearance(z.q, act, contact), self.ws.goal,
+                                   shape_clearances, self.mass, self.layout, self.cfg.d_hat)
 
     # -- logging ------------------------------------------------------------
 
-    def logged(self, y, act: ActiveSet, contact) -> Observables:
+    def logged(self, y, act: DiscSet, contact) -> Observables:
         """Observables of self.z for its log row.  ``y``, measured by the step
         that reached self.z (None at the start), gives the goal distance and
         speed; the clearance is taken against the current active set."""
@@ -796,17 +747,17 @@ class _Episode:
         return Observables(min(self.clearance(self.z.q, act, contact), self.cfg.d_hat),
                            y.goal_dist, y.speed)
 
-    def columns(self, parts, act: ActiveSet):
+    def columns(self, parts, act: DiscSet):
         """The state's values of the recorder's COLUMNS after "speed"."""
         w = self.weights
         return (self.z.p.copy(), self.u_f.copy(), parts["H"], parts["E_sensor"],
                 parts["E_goal"], parts["E_obj"], parts["E_barrier_total"], w.beta, w.lam,
-                sum(w.alpha.get(i, 0.0) for i, _ in act.pairs), len(act.pairs), w.mu)
+                sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()), len(act), w.mu)
 
     def finish(self, rec: EpisodeRecorder, termination, contact, y) -> EpisodeResult:
         """Record the last state, which no step follows, and build the result."""
         act = self.active_set(self.z.q)
-        contact = self.contact_at(self.z.q, act.obstacles, contact)
+        contact = self.contact_at(self.z.q, act, contact)
         ev = evaluate(self.z.q, self.spec_for(act), self.z.p, contact)
         rec.record(self.z.q, self.logged(y, act, contact), *self.columns(ev.parts, act))
         w = self.weights
@@ -821,8 +772,8 @@ class _Episode:
         _, t_f, t_o = cfg.horizons
         termination = rec.start(self.z.q)
         # the ring's contact pass at self.z, made with the state after the last
-        # step; reused while the active set holds the same obstacles
-        contact = act = None
+        # step; reused while the active set is the same DiscSet
+        contact = None
         y = None  # the observables (F) measured at self.z
         while termination is None:
             n = rec.n
@@ -836,20 +787,19 @@ class _Episode:
                 termination = "dead_end"
                 break
             if sensed:
-                tokens = build_tokens(self.z.q, self.z.p, self.sensing.memory,
+                tokens = build_tokens(self.z.q, self.z.p, self.sensing.memory.discs,
                                       self.sensing.stage_goal, self.mass, self.layout)
                 self.weights.merge_proposal(self.meta.propose(tokens))
 
-            # the memory changes only when the robot senses
-            act = self.active_set(self.z.q, None if sensed else act)
-            contact = self.contact_at(self.z.q, act.obstacles, contact)
+            act = self.active_set(self.z.q)
+            contact = self.contact_at(self.z.q, act, contact)
 
             # (B) shape horizon: refresh the clearance-dependent scale target
             shape_clearances = []
             if self.shape is not None:
                 clr = contact.clearance
                 if n % t_o == 0:
-                    self.shape.refresh_target(self.z.q, act.obstacles, d_min=clr)
+                    self.shape.refresh_target(clr)
                 shape_clearances = [clr]
 
             # (D) compose the surrogate Hamiltonian on the active set and
@@ -874,7 +824,7 @@ class _Episode:
                     z_next.p[self.layout.scale] = 0.0  # inelastic stop at the limits
 
             # (F) observables from the committed step
-            contact_next = self.contact_at(z_next.q, act.obstacles)
+            contact_next = self.contact_at(z_next.q, act)
             y_obs = self.observe(z_next, act, shape_clearances, contact_next)
             y_vec = y_obs.vector()
             dy_des = observable_target(y_obs, ad.m_safe, ad.eps_prog, ad.v_min) - y_vec

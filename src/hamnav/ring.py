@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import RING_LAYOUT, ipc_barrier_and_grad
+from .workspace import DiscSet
 
 
 @dataclass(frozen=True)
@@ -159,48 +160,40 @@ class RingShapeModel:
         grad[self.layout.scale] = bulk_potential_grad(s, self.s_target, self.params.k_bulk, self.a_ref)
         return val, grad
 
-    def contact(self, q, obstacles) -> "ContactPass":
-        """The contact pass of the ring at q against a list of discs."""
-        obstacles = tuple(obstacles)
-        centers = np.array([ob.center for ob in obstacles], dtype=float).reshape(-1, 2)
-        radii = np.array([ob.radius for ob in obstacles], dtype=float)
-        weights = np.array([ob.weight for ob in obstacles], dtype=float)
-        return ContactPass(self, q, centers, radii, weights, obstacles)
+    def contact(self, q, discs: DiscSet) -> "ContactPass":
+        """The contact pass of the ring at q against a DiscSet."""
+        return ContactPass(self, q, discs)
 
     def obstacle_feature(self, q, obstacle, d_hat, v_penalty):
         """Boundary-integrated barrier against one obstacle, with gradient."""
-        vals, grads = self.contact(q, [obstacle]).features(d_hat, v_penalty)
+        vals, grads = self.contact(q, DiscSet.of([(0, obstacle)])).features(d_hat, v_penalty)
         return float(vals[0]), grads[0]
 
-    def min_clearance(self, q, obstacles) -> float:
+    def min_clearance(self, q, discs: DiscSet) -> float:
         """Least signed distance from a boundary sample to a disc (+inf for none)."""
-        return self.contact(q, obstacles).clearance
+        return self.contact(q, discs).clearance
 
-    def pruned_clearance(self, q, centers, radii) -> float:
-        """``min_clearance`` against discs given as (M, 2) centres and (M,) radii.
+    def pruned_clearance(self, q, discs: DiscSet) -> float:
+        """``min_clearance``, skipping the discs that cannot hold the minimum.
 
         A disc whose lower bound (centre distance - ring reach - radius) is
         above the smallest upper bound (centre distance + reach - radius)
         cannot hold the minimum and is skipped; the minimum over the rest is
         the same number, bit for bit.
         """
-        if len(radii) == 0:
+        if not len(discs):
             return np.inf
         c, s = self._unpack(q)
         reach = s * self._reach
-        off = centers - c
-        gap = np.hypot(off[:, 0], off[:, 1]) - radii
+        off = discs.centers - c
+        gap = np.hypot(off[:, 0], off[:, 1]) - discs.radii
         keep = ~(gap - reach > np.min(gap + reach))  # NaN keeps every disc
-        return ContactPass(self, q, centers[keep], radii[keep]).clearance
+        return ContactPass(self, q, discs[keep]).clearance
 
-    def refresh_target(self, q, obstacles, d_min=None):
-        """Re-evaluate the clearance-dependent scale target (per shape horizon).
-
-        ``d_min`` is ``min_clearance(q, obstacles)`` when the caller has it
-        already; it is measured when None.
-        """
-        if d_min is None:
-            d_min = self.min_clearance(q, obstacles)
+    def refresh_target(self, d_min):
+        """Re-evaluate the clearance-dependent scale target (per shape horizon)
+        from the ring's clearance ``d_min`` (``min_clearance``, +inf with no
+        discs)."""
         if np.isinf(d_min):
             d_min = 10.0 / self.params.delta  # saturated tanh: expand in free space
         self.s_target = scale_target(d_min, self.params.s_min, self.params.delta)
@@ -208,32 +201,23 @@ class RingShapeModel:
 
 
 class ContactPass:
-    """The ring at one state against an ordered set of discs, formed once.
+    """The ring at one state against a DiscSet, formed once.
 
-    ``d[m, j]`` is the signed distance from boundary sample j to disc m.  Each
-    disc's samples are one contiguous row, so a per-disc sum over the samples
-    reduces a (K,) row, as a loop over the discs would, and gives the same
-    bits.  The clearance is formed with the pass; the barrier features when
-    ``features`` is called, which needs the discs' (M,) ``weights``.
-    ``obstacles`` are the disc objects the rows stand for, when the pass was
-    made from a list of them (``RingShapeModel.contact``).
+    ``d[m, j]`` is the signed distance from boundary sample j to disc m of
+    ``discs``.  Each disc's samples are one contiguous row, so a per-disc sum
+    over the samples reduces a (K,) row, as a loop over the discs would, and
+    gives the same bits.  The clearance is formed with the pass; the barrier
+    features when ``features`` is called.
     """
 
-    def __init__(self, model: RingShapeModel, q, centers, radii, weights=None, obstacles=()):
+    def __init__(self, model: RingShapeModel, q, discs: DiscSet):
         c, s = model._unpack(q)
-        self.model, self.s, self.dim = model, s, np.size(q)
-        self.obstacles = obstacles
-        self.weights = weights
-        self.delta = (c + s * model._x0) - centers[:, None, :]  # (M, K, 2)
+        self.model, self.s, self.dim, self.discs = model, s, np.size(q), discs
+        self.delta = (c + s * model._x0) - discs.centers[:, None, :]  # (M, K, 2)
         dx, dy = self.delta[..., 0], self.delta[..., 1]
         self.dist = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(delta, axis=2), bit for bit
-        self.d = self.dist - radii[:, None]
-        self.clearance = float(self.d.min()) if len(radii) else np.inf
-
-    def covers(self, obstacles) -> bool:
-        """Whether the rows stand for exactly these disc objects, in this order."""
-        return len(obstacles) == len(self.obstacles) == len(self.d) and all(
-            a is b for a, b in zip(obstacles, self.obstacles))
+        self.d = self.dist - discs.radii[:, None]
+        self.clearance = float(self.d.min()) if len(discs) else np.inf
 
     def features(self, d_hat, v_penalty):
         """Each disc's boundary-integrated barrier and its gradient over q.
@@ -244,7 +228,7 @@ class ContactPass:
         """
         model, layout = self.model, self.model.layout
         b, db = ipc_barrier_and_grad(self.d, d_hat, v_penalty)
-        w = model.basis.weights[None, :] * self.weights[:, None]
+        w = model.basis.weights[None, :] * self.discs.weights[:, None]
         wl = w * (self.s * model._l0)
         vals = (wl * b).sum(axis=1)
         safe = self.dist > 1e-12

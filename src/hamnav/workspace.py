@@ -5,7 +5,9 @@ obstacles; dungeon workspaces carry an occupancy grid instead and expose
 circular obstacles fitted on the fly inside each sensing window.  Sensing is
 windowed: the agent only ever sees obstacles intersecting an axis-aligned
 square around its position, and every window is charged to a coverage raster
-so the mapping budget of an episode can be audited afterwards.
+so the mapping budget of an episode can be audited afterwards.  Sensed discs
+accumulate in an ObstacleMemory as one DiscSet, the arrays every later layer
+reads.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -227,79 +228,79 @@ def load_workspace(path) -> Workspace:
 
 @dataclass
 class EnvironmentContext:
-    """Locally sensed world: visible obstacles plus the current stage goal."""
+    """What one sensing event saw: (id, Obstacle) pairs, ids stable across windows."""
 
-    stage_goal: np.ndarray
-    obstacles: list  # (index, Obstacle) pairs, index stable across windows
-    window_center: np.ndarray
-    half_extent: float
+    obstacles: list
 
-    def obstacle_list(self):
-        return [ob for _, ob in self.obstacles]
 
-    def ordered_obstacles(self):
-        """The obstacles in ascending index order (the order of the feature rows)."""
-        return [ob for _, ob in sorted(self.obstacles, key=lambda kv: kv[0])]
+@dataclass(frozen=True, eq=False)
+class DiscSet:
+    """Discs as parallel arrays in ascending id order.
+
+    ``ids`` (M,) int64, ``centers`` (M, 2), ``radii`` (M,) and ``weights``
+    (M,).  The sensing memory forms one whenever it changes; the navigator's
+    active set is that one under a mask (``discs[mask]``); the energy, the
+    ring's contact pass, the training batch and the PF/DWA loop read the
+    arrays.  A DiscSet is never modified, so the object stands for its discs.
+    """
+
+    ids: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, pairs) -> "DiscSet":
+        """The discs of (id, Obstacle) pairs with distinct ids."""
+        pairs = sorted(pairs, key=lambda kv: kv[0])
+        return cls(np.array([i for i, _ in pairs], dtype=np.int64),
+                   np.array([ob.center for _, ob in pairs], dtype=float).reshape(-1, 2),
+                   np.array([ob.radius for _, ob in pairs], dtype=float),
+                   np.array([ob.weight for _, ob in pairs], dtype=float))
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, mask) -> "DiscSet":
+        return DiscSet(self.ids[mask], self.centers[mask], self.radii[mask], self.weights[mask])
+
+    def clearance(self, point) -> float:
+        """The least signed distance from point to the discs (inf when there
+        are none), as signed_distances gives it."""
+        if not len(self.radii):
+            return np.inf
+        return float(disc_distances(self.centers, self.radii, point).min())
+
+    def nearest(self, point, k) -> list:
+        """Ids of the k discs whose surfaces lie nearest point, ties in id
+        order: a stable sort by each disc's np.linalg.norm(point - center) - radius."""
+        if not len(self.radii):
+            return []
+        d = row_norms(self.centers - point) - self.radii
+        return self.ids[np.argsort(d, kind="stable")[:k]].tolist()
 
 
 class ObstacleMemory:
-    """Episode-local memory of sensed discs, kept as arrays in ascending id order.
+    """Episode-local memory of sensed discs; ``discs`` is a DiscSet of them all.
 
-    ``ids`` (int64), ``centers`` (M, 2)
-    and ``radii`` (M,) are parallel to the stored (id, Obstacle) pairs.  A
-    re-sensed id overwrites its entry, so the object of the latest sensing
-    event is the one served.
+    A re-sensed id overwrites its entry, so the disc of the latest sensing
+    event is the one served.  ``discs`` is formed again only when an ``add``
+    changes an entry, and otherwise stays the same object.
     """
 
     def __init__(self, pairs=()):
-        self.ids = np.empty(0, dtype=np.int64)
-        self.centers = np.empty((0, 2))
-        self.radii = np.empty(0)
-        self._pairs = []
         self._by_id = {}
+        self.discs = DiscSet.of(())
         self.add(pairs)
-
-    def __len__(self):
-        return len(self._pairs)
 
     def add(self, pairs):
         """Store (id, Obstacle) pairs; a later pair for the same id wins."""
         # obstacle-list worlds hand out the same objects on every sensing
         # event, so usually nothing changes
         fresh = {i: ob for i, ob in dict(pairs).items() if self._by_id.get(i) is not ob}
-        if not fresh:
-            return
-        self._by_id.update(fresh)
-        ids = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
-        entries = list(zip(ids.tolist(), fresh.values()))
-        centers = np.stack([ob.center for ob in fresh.values()])
-        radii = np.array([ob.radius for ob in fresh.values()], dtype=float)
-        slot = np.searchsorted(self.ids, ids)
-        known = slot < len(self.ids)
-        known[known] = self.ids[slot[known]] == ids[known]
-        for k, entry in zip(slot[known].tolist(), compress(entries, known.tolist())):
-            self._pairs[k] = entry
-        self.centers[slot[known]] = centers[known]
-        self.radii[slot[known]] = radii[known]
-        new = ~known
-        if new.any():
-            merged = np.concatenate([self.ids, ids[new]])
-            order = np.argsort(merged)
-            self.ids = merged[order]
-            self.centers = np.concatenate([self.centers, centers[new]])[order]
-            self.radii = np.concatenate([self.radii, radii[new]])[order]
-            entries = self._pairs + list(compress(entries, new.tolist()))
-            self._pairs = [entries[k] for k in order.tolist()]
-
-    def pairs(self, mask=None):
-        """(id, Obstacle) pairs in ascending id order, where ``mask`` is True."""
-        if mask is None:
-            return list(self._pairs)
-        return list(compress(self._pairs, mask.tolist()))
-
-    def signed_distances(self, point) -> np.ndarray:
-        """signed_distances of point to every stored disc, in id order."""
-        return disc_distances(self.centers, self.radii, point)
+        if fresh:
+            self._by_id.update(fresh)
+            self.discs = DiscSet.of(self._by_id.items())
 
 
 def disc_intersects_window(obstacle: Obstacle, center, half_extent) -> bool:
@@ -352,21 +353,16 @@ def sense(workspace: Workspace, position, half_extent, tracker=None,
     extract_circles); a registry keeps their indices stable across windows
     and caches each window's fit, so a window with the cell bounds of an
     earlier one (with the same circle_params) is not fitted again and
-    returns the earlier fit's pairs and objects (CircleRegistry.fit).  The
-    window is charged to the coverage tracker when one is given.  The
-    context's stage goal is the global goal; the exit of the active stage is
-    the caller's (navigator.ExitSelector).
+    returns the earlier fit's pairs and objects (CircleRegistry.fit); without
+    one, a fresh registry numbers the window's discs from 0.  The window is
+    charged to the coverage tracker when one is given.
     """
     position = np.asarray(position, float)
     if not workspace.inside(position):
         raise OutOfBoundsError(f"sense position {position} outside workspace")
     if workspace.grid is not None:
-        params = circle_params or {}
-        window = (position, half_extent)
-        if registry is None:
-            pairs = list(enumerate(extract_circles(workspace.grid, window, **params)))
-        else:
-            pairs = registry.fit(workspace.grid, window, params)
+        registry = CircleRegistry() if registry is None else registry
+        pairs = registry.fit(workspace.grid, (position, half_extent), circle_params or {})
     else:
         pairs = [
             (i, ob)
@@ -378,8 +374,7 @@ def sense(workspace: Workspace, position, half_extent, tracker=None,
         pairs = corrupt(pairs)
     if tracker is not None:
         tracker.add_window(position, half_extent)
-    return EnvironmentContext(stage_goal=workspace.goal.copy(), obstacles=pairs,
-                              window_center=position.copy(), half_extent=half_extent)
+    return EnvironmentContext(pairs)
 
 
 # ---------------------------------------------------------------------------

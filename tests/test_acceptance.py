@@ -50,7 +50,7 @@ from hamnav.navigator import (
 from hamnav.ring import RingParams, RingShapeModel
 from hamnav.workspace import (
     CoverageTracker,
-    EnvironmentContext,
+    DiscSet,
     Obstacle,
     OccupancyGrid,
     Workspace,
@@ -92,13 +92,12 @@ def _fd_check_family(scenes, attach_ring, rng):
     shape = RingShapeModel(RingParams()) if attach_ring else None
     layout = RING_LAYOUT if attach_ring else POINT_LAYOUT
     for ws in scenes:
-        pairs = list(enumerate(ws.obstacles))
-        ctx = EnvironmentContext(ws.goal, pairs, ws.start, 5.0)
+        discs = DiscSet.of(enumerate(ws.obstacles))
         fixed = FixedTerms(layout=layout, goal=ws.goal, d_hat=1.0, sensor_gain=1.0,
                            shape=shape)
         w = EnergyWeights(beta=1.2, lam=0.8 if attach_ring else 0.0,
-                          alpha={i: 1.0 + 0.1 * i for i, _ in pairs}, mu=0.0)
-        spec = HamiltonianSpec(np.ones(layout.dim), w, ctx, fixed)
+                          alpha={i: 1.0 + 0.1 * i for i in discs.ids.tolist()}, mu=0.0)
+        spec = HamiltonianSpec(np.ones(layout.dim), w, discs, fixed)
         if shape is not None:
             shape.s_target = 0.8
         n_target = 100 // len(scenes) + 1
@@ -190,14 +189,14 @@ def test_criterion_04_identifiability():
     goal = np.array([4.0, 0.0])
     eta_true = np.array([1.3, 0.9, 0.8, 1.7])
     w = EnergyWeights(beta=1.3, lam=0.9, alpha={0: 0.8, 1: 1.7})
-    ctx = EnvironmentContext(goal, list(enumerate(obstacles)), np.zeros(2), 1.5)
+    discs = DiscSet.of(enumerate(obstacles))
     fixed = FixedTerms(layout=RING_LAYOUT, goal=goal, d_hat=1.5, sensor_gain=0.7,
                        shape=shape)
-    spec = HamiltonianSpec(np.array([1, 1, 1, 1, 1, 4.0]), w, ctx, fixed)
+    spec = HamiltonianSpec(np.array([1, 1, 1, 1, 1, 4.0]), w, discs, fixed)
     q0 = np.array([0.1, -0.2, 0.0, 0.0, 0.0, 1.0])
     p0 = np.array([0.0, 0.0, 0.3, 0.1, 0.0, -0.05])
     traj = rollout(PhaseState(q0, p0), spec, IntegratorConfig(0.02, 40))
-    problem = regression_from_rollout(traj, ctx, fixed, tau=0.02)
+    problem = regression_from_rollout(traj, discs, fixed, tau=0.02)
     G, mineig = gram_matrix(problem)
     err = float(np.max(np.abs(identify_weights(problem) - eta_true)))
     recovery_ok = mineig > 1e-6 and err < 1e-8
@@ -405,8 +404,7 @@ def test_criterion_11_ablation_directionality():
     def penetration_steps(model):
         total = 0
         for sc in scenes:
-            tokens = build_tokens(sc.q0, np.zeros(4), list(enumerate(sc.obstacles)),
-                                  sc.goal, mass, POINT_LAYOUT)
+            tokens = build_tokens(sc.q0, np.zeros(4), sc.discs, sc.goal, mass, POINT_LAYOUT)
             prop = model.propose(tokens)
             w = EnergyWeights(beta=prop.beta, lam=prop.lam,
                               alpha={i: prop.alpha.get(i, 0.0)

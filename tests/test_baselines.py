@@ -20,7 +20,6 @@ from hamnav.baselines import (
 from hamnav.generation import generate_dungeon, generate_workspace
 from hamnav.navigator import EpisodeConfig
 from hamnav.workspace import (
-    EnvironmentContext,
     Obstacle,
     OccupancyGrid,
     Workspace,
@@ -240,11 +239,6 @@ class TestDeformableMultiplierOracle:
             assert searches[-1][2] == plan.expansions == expansions
 
 
-def ctx_of(obstacles, goal=(5.0, 0.0)):
-    return EnvironmentContext(np.asarray(goal, float), list(enumerate(obstacles)),
-                              np.zeros(2), 1.0)
-
-
 def discs_of(obstacles):
     """The (M, 2) centres and (M,) radii pf_step and dwa_step take."""
     return (np.array([ob.center for ob in obstacles], float).reshape(-1, 2),
@@ -380,11 +374,11 @@ class TestDWA:
         assert np.max(np.abs(out.velocity)) * 0.5 * 5 <= 0.5 + 1e-9
 
 
-def dwa_reference(position, ctx, stage_goal, cfg, d_hat, robot_radius=0.0, stage_bounds=None):
+def dwa_reference(position, obstacles, stage_goal, cfg, d_hat, robot_radius=0.0,
+                  stage_bounds=None):
     """The per-candidate loop dwa_step replaced, kept as its oracle."""
     position = np.asarray(position, float)
     axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
-    obstacles = ctx.obstacle_list()
     goal = np.asarray(stage_goal, float)
     d0 = float(np.linalg.norm(position - goal))
     horizon = max(1, min(cfg.horizon, int(np.ceil(d0 / (cfg.v_max * cfg.dt)))))
@@ -419,7 +413,7 @@ def dwa_reference(position, ctx, stage_goal, cfg, d_hat, robot_radius=0.0, stage
 def assert_same_as_reference(position, obstacles, goal, cfg, robot_radius=0.0,
                              stage_bounds=None, d_hat=D_HAT):
     out = dwa_step(position, *discs_of(obstacles), goal, cfg, d_hat, robot_radius, stage_bounds)
-    velocity, blocked, score, index = dwa_reference(position, ctx_of(obstacles, goal), goal, cfg,
+    velocity, blocked, score, index = dwa_reference(position, obstacles, goal, cfg,
                                                     d_hat, robot_radius, stage_bounds)
     assert (out.index, out.blocked) == (index, blocked)
     assert out.velocity.tobytes() == np.asarray(velocity, float).tobytes()

@@ -83,7 +83,7 @@ def scene_rollout_case():
     scene = make_reference_dataset(1, seed=0)[0]
     w = scene.ref_weights()
     qs, vs = scene_rollout(scene, w, horizon=250, tau=0.03, d_hat=1.0)
-    spec = _scene_spec(scene.obstacles, scene.goal, w, 1.0)
+    spec = _scene_spec(scene.discs, scene.goal, w, 1.0)
     traj = rollout(PhaseState(scene.q0.copy(), np.zeros(4)), spec,
                    IntegratorConfig(tau=0.03, horizon=250), mu=w.mu)
     termination = "diverged" if traj.diverged else "horizon"

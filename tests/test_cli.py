@@ -313,6 +313,30 @@ class TestPlotCommand:
         assert main(["plot", "--episode", str(ep)]) == 2
         assert "columns" in capsys.readouterr().err
 
+    def test_malformed_summary_exits_with_message(self, tmp_path, capsys):
+        ep = tmp_path / "broken"
+        ep.mkdir()
+        (ep / "summary.json").write_text("{")
+        (ep / "steps.csv").write_text("t,q2,q3\n0,1,1\n")
+        assert main(["plot", "--episode", str(ep)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ep / 'summary.json'}: ")
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_unreadable_workspace_exits_with_message(self, tmp_path, workspace_file, capsys,
+                                                     damage):
+        moved = tmp_path / "ws.json"
+        moved.write_text(workspace_file.read_text())
+        out = tmp_path / "ep"
+        assert main(["run", "--workspace", str(moved), "--method", "pf", "--out", str(out)]) == 0
+        if damage == "deleted":
+            moved.unlink()
+        else:
+            moved.write_text(moved.read_text()[:40])
+        capsys.readouterr()
+        assert main(["plot", "--episode", str(out), "--out", str(tmp_path / "replot")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {moved}: ")
+        assert not (tmp_path / "replot").exists()
+
 
 def per_episode_rows(out):
     """``per_episode.json`` of an eval in ``out`` without the wall times."""
@@ -567,6 +591,29 @@ class TestTrainCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err and "q_ref" in err
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: json.dumps(doc)[:100], "line 1 column"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "goal"}),
+         "missing field 'goal'"),
+        (lambda doc: json.dumps({**doc, "obstacles": [{"c": [1.0, 1.0], "r": -0.5}]}),
+         "radius must be > 0"),
+        (lambda doc: json.dumps({**doc, "goal": [1.0, 2.0, 3.0]}), "a goal of 2 numbers"),
+        (lambda doc: json.dumps({**doc, "q_ref": [[0.0, 1.0]]}), "(T, 4) arrays"),
+        (lambda doc: "[1, 2]", "list indices must be integers"),
+    ], ids=["truncated", "missing_goal", "bad_radius", "goal_of_3", "narrow_q_ref",
+            "not_an_object"])
+    def test_malformed_scene_exits_with_message(self, tmp_path, capsys, edit, message):
+        data = tmp_path / "data"
+        assert main(["make-dataset", "--count", "2", "--seed", "5", "--out", str(data)]) == 0
+        bad = data / "scene_0001.json"
+        bad.write_text(edit(json.loads(bad.read_text())))
+        capsys.readouterr()
+        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "model")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}: ") and message in err
         assert not (tmp_path / "model").exists()
 
     def test_empty_dataset_errors(self, tmp_path):

@@ -34,11 +34,16 @@ from hamnav.energy import (
     ipc_barrier_grad,
 )
 from hamnav.ring import RingShapeModel
-from hamnav.workspace import EnvironmentContext, Obstacle
+from hamnav.workspace import DiscSet, Obstacle
 
 from conftest import central_diff
 
 MODEL = RingShapeModel()
+
+
+def of(obstacles):
+    """The DiscSet of a list of obstacles, obstacle i under id i."""
+    return DiscSet.of(enumerate(obstacles))
 
 
 def reference_obstacle_feature(model, q, obstacle, d_hat, v_penalty):
@@ -88,9 +93,9 @@ def reference_point_feature(q, layout, obstacle, d_hat, v_penalty):
     return val, grad
 
 
-def reference_features(q, ctx, d_hat, fixed):
+def reference_features(q, pairs, d_hat, fixed):
     layout = fixed.layout
-    m = len(ctx.obstacles)
+    m = len(pairs)
     phi = np.zeros(2 + m)
     grads = np.zeros((2 + m, q.size))
     diff = q[layout.frame] - fixed.goal
@@ -98,7 +103,7 @@ def reference_features(q, ctx, d_hat, fixed):
     grads[0, layout.frame] = 2.0 * diff
     if fixed.shape is not None:
         phi[1], grads[1] = fixed.shape.obj_feature(q)
-    for row, (_, ob) in enumerate(sorted(ctx.obstacles, key=lambda kv: kv[0]), start=2):
+    for row, (_, ob) in enumerate(sorted(pairs, key=lambda kv: kv[0]), start=2):
         if fixed.shape is not None:
             phi[row], grads[row] = reference_obstacle_feature(fixed.shape, q, ob, d_hat,
                                                               fixed.v_penalty)
@@ -159,7 +164,7 @@ class TestRingContactPass:
     def test_features_match_per_obstacle_loop(self, m, d_hat, data):
         q = ring_state(data)
         discs = draw_discs(data, MODEL.boundary(q), d_hat, m)
-        vals, grads = MODEL.contact(q, discs).features(d_hat, V_PENALTY)
+        vals, grads = MODEL.contact(q, of(discs)).features(d_hat, V_PENALTY)
         assert vals.shape == (m,) and grads.shape == (m, 6)
         for k, ob in enumerate(discs):
             val, grad = reference_obstacle_feature(MODEL, q, ob, d_hat, V_PENALTY)
@@ -169,14 +174,13 @@ class TestRingContactPass:
             assert one_val == val and np.array_equal(one_grad, grad)
 
         # energy.features, with and without a pass made beforehand
-        ids = data.draw(st.permutations(range(m)))
-        ctx = EnvironmentContext(np.zeros(2), list(zip(ids, discs)), q[2:4], d_hat)
+        pairs = list(zip(data.draw(st.permutations(range(m))), discs))
         fixed = FixedTerms(layout=RING_LAYOUT, goal=np.array([1.0, -2.0]), d_hat=d_hat,
                            shape=MODEL)
-        want_phi, want_grads = reference_features(q, ctx, d_hat, fixed)
-        ordered = [ob for _, ob in sorted(ctx.obstacles, key=lambda kv: kv[0])]
-        for contact in (None, MODEL.contact(q, ordered)):
-            phi, grads = features(q, ctx, d_hat, fixed, contact)
+        want_phi, want_grads = reference_features(q, pairs, d_hat, fixed)
+        disc_set = DiscSet.of(pairs)
+        for contact in (None, MODEL.contact(q, disc_set)):
+            phi, grads = features(q, disc_set, d_hat, fixed, contact)
             assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
 
     @settings(max_examples=300, deadline=None)
@@ -185,8 +189,8 @@ class TestRingContactPass:
         q = ring_state(data)
         discs = draw_discs(data, MODEL.boundary(q), d_hat, m)
         want = reference_min_clearance(MODEL, q, discs)
-        assert MODEL.contact(q, discs).clearance == want
-        assert MODEL.min_clearance(q, discs) == want
+        assert MODEL.contact(q, of(discs)).clearance == want
+        assert MODEL.min_clearance(q, of(discs)) == want
         # a world: the drawn discs among others farther out and "twins" (a
         # disc turned about the ring's centre, within 1e-3 of its centre
         # distance: which of the two holds the minimum turns on the spline's
@@ -202,29 +206,29 @@ class TestRingContactPass:
             r = np.linalg.norm(ob.center - c) + data.draw(st.floats(-1e-3, 1e-3))
             twins.append(Obstacle(c + r * np.array([np.cos(a), np.sin(a)]), ob.radius))
         world = data.draw(st.permutations(discs + far + twins))
-        centers = np.stack([ob.center for ob in world])
-        radii = np.array([ob.radius for ob in world])
-        assert MODEL.pruned_clearance(q, centers, radii) == reference_min_clearance(
-            MODEL, q, world)
+        assert MODEL.pruned_clearance(q, of(world)) == reference_min_clearance(MODEL, q, world)
 
     def test_no_discs(self):
         q = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.8])
-        contact = MODEL.contact(q, [])
+        contact = MODEL.contact(q, of([]))
         vals, grads = contact.features(1.0, V_PENALTY)
         assert contact.clearance == np.inf and vals.shape == (0,) and grads.shape == (0, 6)
-        assert MODEL.pruned_clearance(q, np.empty((0, 2)), np.empty(0)) == np.inf
+        assert MODEL.pruned_clearance(q, of([])) == np.inf
 
     def test_pass_for_other_discs_is_refused(self):
         q = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         a, b = Obstacle(np.array([0.9, 0.0]), 0.3), Obstacle(np.array([-0.9, 0.0]), 0.3)
-        ctx = EnvironmentContext(np.zeros(2), [(0, a), (1, b)], q[2:4], 1.0)
+        discs = of([a, b])
         fixed = FixedTerms(layout=RING_LAYOUT, goal=np.zeros(2), d_hat=1.0, shape=MODEL)
-        try:
-            features(q, ctx, 1.0, fixed, MODEL.contact(q, [b, a]))
-        except ValueError as e:
-            assert "other obstacles" in str(e)
-        else:
-            raise AssertionError("a pass made against other obstacles was accepted")
+        # the same discs in another DiscSet object: the pass stands for its own set
+        for other in (of([b, a]), of([a, b])):
+            try:
+                features(q, discs, 1.0, fixed, MODEL.contact(q, other))
+            except ValueError as e:
+                assert "another disc set" in str(e)
+            else:
+                raise AssertionError("a pass made against another disc set was accepted")
+        features(q, discs, 1.0, fixed, MODEL.contact(q, discs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.data())
@@ -244,10 +248,10 @@ class TestRingContactPass:
             discs.append(Obstacle(q[2:4] + (reach + radius) * np.array([np.cos(ang),
                                                                         np.sin(ang)]),
                                   radius, weight=data.draw(st.floats(0.5, 2.0))))
-        vals, grads = MODEL.contact(q, discs).features(d_hat, V_PENALTY)
+        vals, grads = MODEL.contact(q, of(discs)).features(d_hat, V_PENALTY)
         for k in range(m):
-            fd = central_diff(lambda x: MODEL.contact(x, discs).features(d_hat, V_PENALTY)[0][k],
-                              q, h=1e-7)
+            fd = central_diff(
+                lambda x: MODEL.contact(x, of(discs)).features(d_hat, V_PENALTY)[0][k], q, h=1e-7)
             np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-7)
 
 
@@ -258,14 +262,13 @@ class TestPointFeatures:
         fl = lambda lo, hi: data.draw(st.floats(lo, hi))
         q = np.array([fl(-1, 1), fl(-1, 1), fl(-3, 3), fl(-3, 3)])
         discs = draw_discs(data, q[None, 2:4], d_hat, m)
-        ctx = EnvironmentContext(np.zeros(2), list(enumerate(discs)), q[2:4], d_hat)
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]), d_hat=d_hat)
         with warnings.catch_warnings(record=True) as want_warned:
             warnings.simplefilter("always")
-            want_phi, want_grads = reference_features(q, ctx, d_hat, fixed)
+            want_phi, want_grads = reference_features(q, list(enumerate(discs)), d_hat, fixed)
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            phi, grads = features(q, ctx, d_hat, fixed)
+            phi, grads = features(q, of(discs), d_hat, fixed)
         assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
         assert bool(warned) == bool(want_warned)
 
@@ -280,13 +283,12 @@ class TestRolloutContact:
         discs = [Obstacle(np.array([2.0, 0.4]), 0.5), Obstacle(np.array([1.2, -1.0]), 0.4),
                  Obstacle(np.array([0.9, 0.9]), 0.3, 2.0)]
         goal = np.array([4.0, 0.0])
-        # ids out of order: the feature rows are sorted, the context list is not
-        ctx = EnvironmentContext(goal, [(4, discs[0]), (1, discs[1]), (2, discs[2])],
-                                 np.zeros(2), 1.5)
+        # ids out of order: the feature rows are sorted, the pairs are not
+        disc_set = DiscSet.of([(4, discs[0]), (1, discs[1]), (2, discs[2])])
         w = EnergyWeights(beta=1.3, lam=0.9, alpha={4: 0.8, 1: 1.7, 2: 1.1})
         fixed = FixedTerms(layout=RING_LAYOUT, goal=goal, d_hat=1.5, sensor_gain=0.7,
                            shape=model)
-        spec = HamiltonianSpec(np.array([1, 1, 1, 1, 1, 4.0]), w, ctx, fixed)
+        spec = HamiltonianSpec(np.array([1, 1, 1, 1, 1, 4.0]), w, disc_set, fixed)
         z0 = PhaseState(np.array([0.1, -0.2, 0.0, 0.0, 0.0, 1.0]),
                         np.array([0.0, 0.0, 0.3, 0.1, 0.0, -0.05]))
         made = []
@@ -302,7 +304,7 @@ class TestRolloutContact:
         assert len(traj) == 51 and not traj.diverged
         assert len(made) == 51
         want_H = [evaluate(z.q, spec, z.p).H for z in traj.states]
-        want_clr = [model.min_clearance(z.q, ctx.obstacle_list()) for z in traj.states]
+        want_clr = [model.min_clearance(z.q, disc_set) for z in traj.states]
         assert np.array_equal(traj.energies, want_H)
         assert np.array_equal(traj.clearances, want_clr)
         assert traj.clearances.min() < 1.5  # the barrier is active on the way

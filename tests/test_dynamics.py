@@ -18,17 +18,15 @@ from hamnav.energy import (
     HamiltonianSpec,
     PhaseState,
 )
-from hamnav.workspace import EnvironmentContext, Obstacle
+from hamnav.workspace import DiscSet, Obstacle
 
 
 def goal_spec(goal, beta=1.0, mass=None, sensor_gain=0.0, obstacles=(), alpha=None, d_hat=1.0):
-    ctx = EnvironmentContext(np.asarray(goal, float), list(enumerate(obstacles)),
-                             np.zeros(2), 10.0)
     fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.asarray(goal, float), d_hat=d_hat,
                        sensor_gain=sensor_gain)
     w = EnergyWeights(beta=beta, alpha=alpha or {})
     return HamiltonianSpec(mass=np.ones(4) if mass is None else np.asarray(mass, float),
-                           weights=w, context=ctx, fixed=fixed)
+                           weights=w, discs=DiscSet.of(enumerate(obstacles)), fixed=fixed)
 
 
 SEL = PortSelectors(dim=4)

@@ -25,8 +25,8 @@ from hamnav.energy import (
     potential_grad,
     sensor_energy,
 )
-from hamnav.ring import RingShapeModel
-from hamnav.workspace import EnvironmentContext, Obstacle
+from hamnav.ring import RingShapeModel, scale_target
+from hamnav.workspace import DiscSet, Obstacle
 
 from conftest import central_diff
 
@@ -35,20 +35,15 @@ B_HALF = 0.17328679513998633
 DB_HALF = -1.1931471805599453
 
 
-def make_ctx(obstacles, goal=(0.0, 0.0)):
-    return EnvironmentContext(
-        stage_goal=np.asarray(goal, float),
-        obstacles=list(enumerate(obstacles)),
-        window_center=np.zeros(2),
-        half_extent=5.0,
-    )
+def discs_of(obstacles):
+    return DiscSet.of(enumerate(obstacles))
 
 
 def point_spec(obstacles, goal, weights, d_hat=1.0, sensor_gain=1.0):
-    ctx = make_ctx(obstacles, goal)
     fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.asarray(goal, float), d_hat=d_hat,
                        sensor_gain=sensor_gain)
-    return HamiltonianSpec(mass=np.ones(4), weights=weights, context=ctx, fixed=fixed)
+    return HamiltonianSpec(mass=np.ones(4), weights=weights, discs=discs_of(obstacles),
+                           fixed=fixed)
 
 
 class TestBarrier:
@@ -207,9 +202,8 @@ class TestPotential:
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([4.0, 4.0]), d_hat=2.0)
         base = None
         for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [1, 0, 4, 3, 2]):
-            ctx = EnvironmentContext(np.zeros(2), [(i, obstacles[i]) for i in order],
-                                     np.zeros(2), 5.0)
-            spec = HamiltonianSpec(np.ones(4), w, ctx, fixed)
+            discs = DiscSet.of([(i, obstacles[i]) for i in order])
+            spec = HamiltonianSpec(np.ones(4), w, discs, fixed)
             val = potential(q, spec)
             base = val if base is None else base
             assert val == pytest.approx(base, abs=1e-14)
@@ -268,9 +262,8 @@ class TestHamiltonian:
 
 class TestFeatures:
     def test_no_obstacles(self):
-        ctx = make_ctx([], goal=(1.0, 0.0))
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([1.0, 0.0]), d_hat=1.0)
-        phi, grads = features(np.array([0.0, 0.0, 0.0, 0.0]), ctx, 1.0, fixed)
+        phi, grads = features(np.array([0.0, 0.0, 0.0, 0.0]), discs_of([]), 1.0, fixed)
         assert phi.shape == (2,)
         assert phi[0] == pytest.approx(1.0)
         assert phi[1] == 0.0  # no shape attached
@@ -279,14 +272,14 @@ class TestFeatures:
     def test_dot_product_reconstructs_potential(self, rng):
         obstacles = [Obstacle(rng.uniform(0, 6, 2), 0.5) for _ in range(4)]
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([5.0, 3.0]), d_hat=1.4)
-        ctx = make_ctx(obstacles, goal=(5.0, 3.0))
+        discs = discs_of(obstacles)
         for _ in range(50):
             q = np.concatenate([rng.normal(0, 1, 2), rng.uniform(0, 6, 2)])
             beta, lam = rng.uniform(0, 2, 2)
             alphas = rng.uniform(0, 2, 4)
             w = EnergyWeights(beta=beta, lam=lam, alpha=dict(enumerate(alphas)))
-            spec = HamiltonianSpec(np.ones(4), w, ctx, fixed)
-            phi, _ = features(q, ctx, fixed.d_hat, fixed)
+            spec = HamiltonianSpec(np.ones(4), w, discs, fixed)
+            phi, _ = features(q, discs, fixed.d_hat, fixed)
             eta = np.concatenate([[beta, lam], alphas])
             assert potential(q, spec) == pytest.approx(
                 sensor_energy(q, fixed) + eta @ phi, rel=1e-12)
@@ -294,15 +287,15 @@ class TestFeatures:
     def test_feature_gradients_match_fd(self, rng):
         obstacles = [Obstacle(np.array([2.0, 0.0]), 0.5), Obstacle(np.array([0.0, 3.0]), 0.8)]
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([4.0, 4.0]), d_hat=1.5)
-        ctx = make_ctx(obstacles)
+        discs = discs_of(obstacles)
         for _ in range(20):
             q = np.concatenate([rng.normal(0, 1, 2), rng.uniform(0.5, 4, 2)])
             d = np.array([np.linalg.norm(q[2:4] - ob.center) - ob.radius for ob in obstacles])
             if np.any(np.abs(d) < 1e-2) or np.any(np.abs(d - 1.5) < 1e-2):
                 continue
-            phi, grads = features(q, ctx, fixed.d_hat, fixed)
+            phi, grads = features(q, discs, fixed.d_hat, fixed)
             for j in range(phi.size):
-                fd = central_diff(lambda x: features(x, ctx, fixed.d_hat, fixed)[0][j], q)
+                fd = central_diff(lambda x: features(x, discs, fixed.d_hat, fixed)[0][j], q)
                 np.testing.assert_allclose(grads[j], fd, rtol=1e-4, atol=1e-8)
 
 
@@ -343,8 +336,7 @@ def random_state(data, ring):
         model.s_target = fl(0.5, 1.0)
     weights = EnergyWeights(beta=fl(0, 3), lam=fl(0, 3), alpha=alpha)
     mass = np.array([fl(0.5, 2.0) for _ in range(layout.dim)])
-    spec = HamiltonianSpec(mass=mass, weights=weights, context=make_ctx(obstacles, goal),
-                           fixed=fixed)
+    spec = HamiltonianSpec(mass=mass, weights=weights, discs=discs_of(obstacles), fixed=fixed)
     return q, p, spec
 
 
@@ -352,13 +344,13 @@ def separate_formulas(q, p, spec):
     """Gradient, potential, H and logged terms, each from its own features
     call, written out as the energy module computes them."""
     fixed, w = spec.fixed, spec.weights
-    phi, grads = features(q, spec.context, fixed.d_hat, fixed)
+    phi, grads = features(q, spec.discs, fixed.d_hat, fixed)
     eta = np.concatenate(([w.beta, w.lam], [w.alpha.get(i, 0.0)
-                                            for i in sorted(i for i, _ in spec.context.obstacles)]))
+                                            for i in sorted(spec.discs.ids.tolist())]))
     grad = eta @ grads
     grad[fixed.layout.sensor] += 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
     pot = sensor_energy(q, fixed) + float(eta @ phi)
-    phi, _ = features(q, spec.context, fixed.d_hat, fixed)
+    phi, _ = features(q, spec.discs, fixed.d_hat, fixed)
     e_sensor = sensor_energy(q, fixed)
     e_goal, e_obj = w.beta * phi[0], w.lam * phi[1]
     e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
@@ -381,18 +373,18 @@ class TestEvaluate:
         assert ev.potential == pot == potential(q, spec)
         assert ev.H == H == hamiltonian(z, spec)
         assert ev.parts == parts == energy_breakdown(z, spec)
-        np.testing.assert_array_equal(ev.phi, features(q, spec.context, spec.fixed.d_hat,
+        np.testing.assert_array_equal(ev.phi, features(q, spec.discs, spec.fixed.d_hat,
                                                        spec.fixed)[0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_refresh_target_with_precomputed_clearance(self, data):
         q, _, spec = random_state(data, ring=True)
-        obstacles = [ob for _, ob in spec.context.obstacles]
-        measured, given_d = RingShapeModel(), RingShapeModel()
-        want = measured.refresh_target(q, obstacles)
-        got = given_d.refresh_target(q, obstacles, d_min=given_d.min_clearance(q, obstacles))
-        assert got == want and given_d.s_target == measured.s_target
+        model = RingShapeModel()
+        d_min = model.min_clearance(q, spec.discs)
+        p = model.params
+        want = scale_target(10.0 / p.delta if d_min == np.inf else d_min, p.s_min, p.delta)
+        assert model.refresh_target(d_min) == want and model.s_target == want
 
     def test_state_at_rest_and_layout_check(self):
         spec = point_spec([Obstacle(np.array([0.5, 0.0]), 0.1)], (1.0, 1.0), EnergyWeights())
@@ -410,7 +402,7 @@ class TestWeights:
             EnergyWeights(alpha={0: -1.0})
 
     def test_mass_must_be_positive(self):
-        ctx = make_ctx([])
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.zeros(2), d_hat=1.0)
         with pytest.raises(ValueError):
-            HamiltonianSpec(np.array([1.0, -1.0, 1.0, 1.0]), EnergyWeights(), ctx, fixed)
+            HamiltonianSpec(np.array([1.0, -1.0, 1.0, 1.0]), EnergyWeights(), discs_of([]),
+                            fixed)

@@ -41,7 +41,7 @@ from hamnav.learning import (
     train_offline,
 )
 from hamnav.navigator import MetaTokens, WeightProposal, build_tokens
-from hamnav.workspace import EnvironmentContext, Obstacle, signed_distances
+from hamnav.workspace import DiscSet, Obstacle, signed_distances
 
 # frozen with mpmath from -(d - dhat)^2 log(d / dhat)
 B_07 = 0.032100744954485914
@@ -102,15 +102,15 @@ class TestIdentify:
         obstacles = [Obstacle(np.array([2.0, 0.4]), 0.5), Obstacle(np.array([1.2, -1.0]), 0.4)]
         goal = np.array([4.0, 0.0])
         w = EnergyWeights(beta=1.3, lam=0.9, alpha={0: 0.8, 1: 1.7})
-        ctx = EnvironmentContext(goal, list(enumerate(obstacles)), np.zeros(2), 1.5)
+        discs = DiscSet.of(enumerate(obstacles))
         fixed = FixedTerms(layout=RING_LAYOUT, goal=goal, d_hat=1.5, sensor_gain=0.7,
                            shape=shape)
         mass = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 4.0])  # heavy scale: no collapse
-        spec = HamiltonianSpec(mass, w, ctx, fixed)
+        spec = HamiltonianSpec(mass, w, discs, fixed)
         q0 = np.array([0.1, -0.2, 0.0, 0.0, 0.0, 1.0])
         p0 = np.array([0.0, 0.0, 0.3, 0.1, 0.0, -0.05])  # excite frame and scale
         traj = rollout(PhaseState(q0, p0), spec, IntegratorConfig(tau=0.02, horizon=40))
-        problem = regression_from_rollout(traj, ctx, fixed, tau=0.02)
+        problem = regression_from_rollout(traj, discs, fixed, tau=0.02)
         G, mineig = gram_matrix(problem)
         assert mineig > 1e-6
         eta_hat = identify_weights(problem)
@@ -356,7 +356,7 @@ class TestTraining:
 # _scene_losses.
 
 def reference_rollout(scene, w, horizon, tau, d_hat):
-    spec = _scene_spec(scene.obstacles, scene.goal, w, d_hat)
+    spec = _scene_spec(scene.discs, scene.goal, w, d_hat)
     traj = rollout(PhaseState(scene.q0.copy(), np.zeros(4)), spec,
                    IntegratorConfig(tau=tau, horizon=horizon), mu=w.mu)
     qs = np.stack([s.q for s in traj.states])
@@ -379,7 +379,7 @@ def reference_multi_start(scene, w, m_trials, t_steps, r_min, d_hat, rng, tau=0.
     obstacles = scene.obstacles
     if not obstacles or m_trials < 1:
         return 0.0
-    spec = _scene_spec(obstacles, scene.goal, w, d_hat)
+    spec = _scene_spec(scene.discs, scene.goal, w, d_hat)
     clearances = []
     for _ in range(m_trials):
         ob = obstacles[int(rng.integers(len(obstacles)))]

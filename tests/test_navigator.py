@@ -16,7 +16,6 @@ from hamnav.energy import (
 from hamnav.evalkit import episode_metrics
 from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
 from hamnav.navigator import (
-    ActiveSet,
     AdaptConfig,
     DefaultMetaPolicy,
     EpisodeConfig,
@@ -36,7 +35,7 @@ from hamnav.navigator import (
 from hamnav.ring import RingParams
 from hamnav.workspace import (
     DeadEndError,
-    EnvironmentContext,
+    DiscSet,
     Obstacle,
     ObstacleMemory,
     StageManager,
@@ -44,31 +43,40 @@ from hamnav.workspace import (
     signed_distances,
 )
 
+from conftest import assert_discs_hold
+
+
+def point_observables(z, obstacles, goal, shape_clearances, d_hat):
+    """compute_observables of a point robot with unit masses, with the
+    clearance measured against ``obstacles`` (+inf for none)."""
+    clr = float(signed_distances(obstacles, z.q[2:4]).min()) if obstacles else np.inf
+    return compute_observables(z, clr, goal, shape_clearances, np.ones(4), POINT_LAYOUT, d_hat)
+
 
 class TestObservables:
     def test_at_goal_at_rest(self):
         z = PhaseState(np.array([0.0, 0.0, 2.0, 2.0]), np.zeros(4))
         obs = [Obstacle(np.array([5.0, 5.0]), 0.5)]
-        y = compute_observables(z, obs, (2.0, 2.0), [], np.ones(4), d_hat=1.0)
+        y = point_observables(z, obs, (2.0, 2.0), [], d_hat=1.0)
         vec = y.vector()
         assert vec[1] == 0.0 and vec[2] == 0.0
         assert vec[0] == -y.clearance
 
     def test_empty_min_capped_at_dhat(self):
         z = PhaseState(np.zeros(4), np.zeros(4))
-        y = compute_observables(z, [], (1.0, 0.0), [], np.ones(4), d_hat=0.8)
+        y = point_observables(z, [], (1.0, 0.0), [], d_hat=0.8)
         assert y.clearance == 0.8
 
     def test_penetration_negative(self):
         z = PhaseState(np.array([0.0, 0.0, 5.0, 5.0]), np.zeros(4))
         obs = [Obstacle(np.array([5.0, 5.0]), 0.5)]
-        y = compute_observables(z, obs, (9.0, 9.0), [], np.ones(4), d_hat=1.0)
+        y = point_observables(z, obs, (9.0, 9.0), [], d_hat=1.0)
         assert y.clearance < 0
         assert y.vector()[0] > 0
 
     def test_shape_qoi_folds_in(self):
         z = PhaseState(np.zeros(4), np.zeros(4))
-        y = compute_observables(z, [], (1.0, 0.0), [0.25], np.ones(4), d_hat=0.8)
+        y = point_observables(z, [], (1.0, 0.0), [0.25], d_hat=0.8)
         assert y.clearance == 0.25
 
 
@@ -278,11 +286,10 @@ class TestRunEpisode:
         meta = DefaultMetaPolicy(beta=1.5, lam=0.0, alpha=0.0, mu=2.0, mu_boost=0.0)
         res = run_episode(ws, cfg, meta)
         assert res.termination == "timeout"  # eps tiny: never "reaches"
-        ctx = EnvironmentContext(ws.goal, [], ws.start, cfg.d_hat)
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=ws.goal, d_hat=cfg.d_hat,
                            sensor_gain=cfg.sensor_gain)
         spec = HamiltonianSpec(np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame]),
-                               EnergyWeights(beta=1.5, lam=0.0, mu=2.0), ctx, fixed)
+                               EnergyWeights(beta=1.5, lam=0.0, mu=2.0), DiscSet.of(()), fixed)
         q0 = np.zeros(4)
         q0[2:4] = ws.start
         ref = rollout(PhaseState(q0, np.zeros(4)), spec,
@@ -412,7 +419,7 @@ def sensed_memory(r, n_events):
 
 
 def reference_active_pairs(ep, memory, q):
-    """_Episode.active_set's pairs as the loop over a dict memory it replaced."""
+    """_Episode.active_set as the loop over a dict memory it replaced."""
     c = q[ep.layout.frame]
     reach = ep.cfg.d_hat
     if ep.shape is not None:
@@ -451,48 +458,74 @@ class TestObstacleMemoryInEpisode:
         q[ep.layout.frame] = r.uniform(0, 10, 2)
         if ep.layout.scale is not None:
             q[ep.layout.scale] = r.uniform(0.25, 1.3)
-        act, want = ep.active_set(q), reference_active_pairs(ep, ref, q)
-        got = act.pairs
-        assert [i for i, _ in got] == [i for i, _ in want]
-        assert all(a is b for (_, a), (_, b) in zip(got, want))
-        assert act.obstacles == [ob for _, ob in want]
-        assert act.ids.tolist() == [i for i, _ in want]
-        assert act.centers.reshape(-1, 2).tobytes() == np.array(
-            [ob.center for _, ob in want]).reshape(-1, 2).tobytes()
-        assert act.radii.tobytes() == np.array([ob.radius for _, ob in want]).tobytes()
+        assert_discs_hold(ep.active_set(q), reference_active_pairs(ep, ref, q))
 
         p = r.normal(size=q.shape)
-        for pairs in (ep.sensing.memory, list(ref.items())):
-            tokens = build_tokens(q, p, pairs, ws.goal, ep.mass, ep.layout)
+        for discs in (ep.sensing.memory.discs, DiscSet.of(ref.items())):
+            tokens = build_tokens(q, p, discs, ws.goal, ep.mass, ep.layout)
             ids, rows = reference_tokens(q, ref.items(), ep.layout)
             assert tokens.obstacle_ids == ids
             assert tokens.tokens.shape == rows.shape
             assert tokens.tokens.tobytes() == rows.tobytes()
 
 
-def logged_episode(monkeypatch, ws, cfg, meta=None):
-    """Run an episode and keep each (q, ActiveSet) the loop used, in order: one
-    per logged row (the last for the final state).  Each is checked against
-    the set formed afresh from the memory at that moment."""
-    calls, active_set = [], _Episode.active_set
+def logged_episode(mp, ws, cfg, meta=None):
+    """Run an episode under ``mp`` (a MonkeyPatch) and keep the (q, active
+    pairs) of each active set the loop used, in order: one per logged row
+    (the last for the final state).
 
-    def recording(self, q, held=None):
-        act, fresh = active_set(self, q, held), active_set(self, q)
-        assert act.ids.tolist() == fresh.ids.tolist()
-        assert all(a is b for a, b in zip(act.obstacles, fresh.obstacles))
-        assert act.centers.tobytes() == fresh.centers.tobytes()
-        assert act.radii.tobytes() == fresh.radii.tobytes()
-        calls.append((q.copy(), act))
+    Each active set is checked against the dict loop over the memory as it
+    is then, and each contact pass against one made afresh at its state.
+    ``reuse`` counts the sets and passes handed back again and those formed;
+    it is asserted that a set comes back (the same object) exactly while the
+    memory's DiscSet and the selected discs are unchanged, and that a pass
+    comes back exactly when it was made against the same DiscSet object.
+    """
+    calls, ref, last = [], {}, {}
+    reuse = dict.fromkeys(("active_reused", "active_formed", "contact_reused",
+                           "contact_made"), 0)
+    add, active_set, contact_at = ObstacleMemory.add, _Episode.active_set, _Episode.contact_at
+
+    def recording_add(self, pairs):
+        pairs = list(pairs)
+        add(self, pairs)
+        ref.update(pairs)
+
+    def recording_active_set(self, q):
+        act, mem = active_set(self, q), self.sensing.memory.discs
+        want = reference_active_pairs(self, ref, q)
+        assert_discs_hold(act, want)
+        held = last.get("act")
+        reused = (last.get("mem") is mem and held.ids.tolist() == act.ids.tolist())
+        assert (act is held) == reused
+        reuse["active_reused" if reused else "active_formed"] += 1
+        last.update(mem=mem, act=act)
+        calls.append((q.copy(), want))
         return act
 
-    monkeypatch.setattr(_Episode, "active_set", recording)
+    def recording_contact_at(self, q, discs, held=None):
+        got = contact_at(self, q, discs, held)
+        if self.shape is None:
+            assert got is None
+            return got
+        reused = held is not None and held.discs is discs
+        assert (got is held) == reused and got.discs is discs
+        fresh = self.shape.contact(q, discs)
+        assert got.d.tobytes() == fresh.d.tobytes() and got.clearance == fresh.clearance
+        reuse["contact_reused" if reused else "contact_made"] += 1
+        return got
+
+    mp.setattr(ObstacleMemory, "add", recording_add)
+    mp.setattr(_Episode, "active_set", recording_active_set)
+    mp.setattr(_Episode, "contact_at", recording_contact_at)
     ep = _Episode(ws, cfg, meta or DefaultMetaPolicy())
-    return ep, ep.run(), calls
+    return ep, ep.run(), calls, reuse
 
 
 class TestLoggedObservables:
     """Each logged (clearance, goal distance, speed) row is compute_observables
-    at that state and that step's active set, measured from scratch."""
+    at that state, with the clearance measured from scratch against that
+    step's active set."""
 
     CASES = {
         "ring": lambda: (generate_workspace("test_id", 0),
@@ -502,43 +535,68 @@ class TestLoggedObservables:
         "dungeon": lambda: (generate_dungeon(0, cells=3), *dungeon_setup(n_max=200)),
     }
 
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Each case's logged_episode, run once for the class."""
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for case, make in self.CASES.items():
+                ws, cfg, meta = make()
+                out[case] = (ws, cfg, *logged_episode(mp, ws, cfg, meta))
+                mp.undo()
+        return out
+
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_rows_match_recomputed(self, monkeypatch, case):
-        ws, cfg, meta = self.CASES[case]()
-        ep, res, calls = logged_episode(monkeypatch, ws, cfg, meta)
+    def test_rows_match_recomputed(self, runs, case):
+        ws, cfg, ep, res, calls, _ = runs[case]
         assert len(calls) == len(res.qs) > 100
-        assert any(len(act.pairs) for _, act in calls)
+        assert any(len(pairs) for _, pairs in calls)
         got = np.column_stack([res.clearances, res.goal_dists, res.speeds])
-        for i, (q, act) in enumerate(calls):
+        for i, (q, pairs) in enumerate(calls):
             assert q.tobytes() == res.qs[i].tobytes()
-            y = compute_observables(PhaseState(res.qs[i], res.ps[i]), act.obstacles, ws.goal,
-                                    (), ep.mass, ep.layout, ep.shape, cfg.d_hat)
+            z = PhaseState(res.qs[i], res.ps[i])
+            if ep.shape is not None:
+                clr = ep.shape.min_clearance(q, DiscSet.of(pairs))
+            elif pairs:
+                clr = float(signed_distances([ob for _, ob in pairs], q[2:4]).min())
+            else:
+                clr = np.inf
+            y = compute_observables(z, clr, ws.goal, (), ep.mass, ep.layout, cfg.d_hat)
             want = np.array([y.clearance, y.goal_dist, y.speed])
             assert got[i].tobytes() == want.tobytes(), i
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reuse_rules_fire(self, runs, case):
+        """Both reuse rules (asserted on every call by logged_episode) are
+        taken, and so is forming afresh."""
+        reuse = runs[case][-1]
+        assert reuse["active_reused"] > 0 and reuse["active_formed"] > 1
+        if case != "dungeon":
+            assert reuse["contact_reused"] > 0 and reuse["contact_made"] > 0
 
-def ranked_by_sort(act, c):
-    """The k_alpha slot order as the sorted() over pairs it replaced."""
-    return [i for i, _ in sorted(act.pairs, key=lambda kv: float(
+
+def ranked_by_sort(pairs, c):
+    """The k_alpha slot order as the sorted() over id-ordered pairs it replaced."""
+    return [i for i, _ in sorted(pairs, key=lambda kv: float(
         np.linalg.norm(c - kv[1].center)) - kv[1].radius)]
 
 
 class TestSlotRanking:
-    """ActiveSet.nearest ranks the discs as a stable sort by surface distance."""
+    """DiscSet.nearest ranks the discs as a stable sort by surface distance."""
 
     def test_mirror_image_fence_discs_tie_in_id_order(self):
         # two fence discs mirrored about the robot tie exactly; the lower id
         # comes first, as in a stable sort over the id-ordered pairs
         c = np.array([5.0, 5.0])
-        memory = ObstacleMemory([(7, Obstacle(np.array([5.0, 5.5]), 0.25)),
-                                 (3, Obstacle(np.array([5.0, 4.5]), 0.25)),
-                                 (5, Obstacle(np.array([6.0, 5.0]), 0.75)),
-                                 (9, Obstacle(np.array([8.0, 8.0]), 0.5))])
-        act = ActiveSet(memory, np.ones(len(memory), dtype=bool))
-        want = ranked_by_sort(act, c)
+        pairs = [(7, Obstacle(np.array([5.0, 5.5]), 0.25)),
+                 (3, Obstacle(np.array([5.0, 4.5]), 0.25)),
+                 (5, Obstacle(np.array([6.0, 5.0]), 0.75)),
+                 (9, Obstacle(np.array([8.0, 8.0]), 0.5))]
+        discs = DiscSet.of(pairs)
+        want = ranked_by_sort(sorted(pairs, key=lambda kv: kv[0]), c)
         assert want[:3] == [3, 5, 7]  # a three-way tie: 0.5 - 0.25 == 1.0 - 0.75
-        for k in range(len(memory) + 2):
-            assert act.nearest(c, k) == want[:k]
+        for k in range(len(pairs) + 2):
+            assert discs.nearest(c, k) == want[:k]
 
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
@@ -556,19 +614,21 @@ class TestSlotRanking:
         for idx in ids[2 * n_pairs:]:
             pairs.append((idx, Obstacle(c + r.integers(-128, 128, 2) / 64.0,
                                         r.integers(4, 32) / 64.0)))
-        memory = ObstacleMemory(pairs)
-        mask = r.random(len(memory)) < 0.8
-        act = ActiveSet(memory, mask)
-        want = ranked_by_sort(act, c)
-        for k in range(len(act.pairs) + 1):
+        pairs.sort(key=lambda kv: kv[0])
+        mask = r.random(len(pairs)) < 0.8
+        act = DiscSet.of(pairs)[mask]
+        want = ranked_by_sort([p for p, keep in zip(pairs, mask) if keep], c)
+        for k in range(len(act) + 1):
             assert act.nearest(c, k) == want[:k]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_clearance_is_signed_distances(self, seed):
         r = np.random.default_rng(seed)
-        _, memory = sensed_memory(r, 3)
-        act = ActiveSet(memory, r.random(len(memory)) < 0.7)
+        ref, memory = sensed_memory(r, 3)
+        mask = r.random(len(ref)) < 0.7
+        act = memory.discs[mask]
+        obstacles = [ob for (_, ob), keep in zip(sorted(ref.items()), mask) if keep]
         c = r.uniform(0, 10, 2)
-        want = float(signed_distances(act.obstacles, c).min()) if act.obstacles else np.inf
+        want = float(signed_distances(obstacles, c).min()) if obstacles else np.inf
         assert np.float64(act.clearance(c)).tobytes() == np.float64(want).tobytes()

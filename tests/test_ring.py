@@ -12,7 +12,7 @@ from hamnav.ring import (
     shoelace_area,
     spline_basis,
 )
-from hamnav.workspace import Obstacle
+from hamnav.workspace import DiscSet, Obstacle
 
 from conftest import central_diff
 
@@ -101,7 +101,7 @@ def ring_barrier(model, q, obstacles, d_hat):
     """Boundary-integrated contact energy (the summed obstacle features) and
     the minimum sample clearance, +inf without obstacles."""
     energy = sum(model.obstacle_feature(q, ob, d_hat, V_PENALTY)[0] for ob in obstacles)
-    return float(energy), model.min_clearance(q, obstacles)
+    return float(energy), model.min_clearance(q, DiscSet.of(enumerate(obstacles)))
 
 
 class TestBoundarySamples:
@@ -244,14 +244,15 @@ class TestShapeModel:
         pts = model.boundary(q)
         d_min = float(np.min(np.linalg.norm(pts - obstacles[0].center, axis=1)
                              - obstacles[0].radius))
-        assert model.min_clearance(q, obstacles) == pytest.approx(d_min, abs=1e-12)
+        assert model.min_clearance(q, DiscSet.of(enumerate(obstacles))) == pytest.approx(
+            d_min, abs=1e-12)
         # and the barrier switches on exactly when d_hat passes that clearance
         assert ring_barrier(model, q, obstacles, d_hat=1.001 * d_min)[0] > 0
         assert ring_barrier(model, q, obstacles, d_hat=d_min)[0] == 0.0
 
     def test_refresh_target_free_space(self):
         model = RingShapeModel()
-        s_t = model.refresh_target(self.make_q(), [])
+        s_t = model.refresh_target(model.min_clearance(self.make_q(), DiscSet.of(())))
         assert s_t == pytest.approx(1.0, abs=1e-6)
 
     def test_params_validation(self):

@@ -36,6 +36,8 @@ from hamnav.workspace import (
     workspace_to_json,
 )
 
+from conftest import assert_discs_hold
+
 
 def empty_workspace(L=10.0, start=(1.0, 1.0), goal=(9.0, 9.0)):
     return Workspace(side=L, obstacles=[], start=start, goal=goal)
@@ -67,7 +69,6 @@ class TestSense:
         ws = empty_workspace()
         ctx = sense(ws, (5.0, 5.0), 1.0)
         assert ctx.obstacles == []
-        np.testing.assert_array_equal(ctx.stage_goal, ws.goal)
 
     def test_obstacle_inside_window(self):
         ws = Workspace(10.0, [Obstacle(np.array([5.2, 5.2]), 0.3)], (1, 1), (9, 9))
@@ -95,6 +96,23 @@ class TestSense:
                 assert exact and not hit
                 closest = np.clip(ob.center, center - half, center + half)
                 assert abs(np.linalg.norm(closest - ob.center) - ob.radius) < 2e-2
+
+    def test_grid_without_registry_numbers_the_fit(self):
+        """Without a registry, a grid window's discs are its extract_circles
+        fit numbered from 0 in fitting order (a fresh registry's ids)."""
+        ws = generate_dungeon(0, cells=3)
+        params = {"d_hat_cells": 3.0}
+        rng = np.random.default_rng(8)
+        sensed = 0
+        for pos in rng.uniform(0.0, ws.side, (40, 2)):
+            got = sense(ws, pos, 4.0, circle_params=params).obstacles
+            want = list(enumerate(extract_circles(ws.grid, (pos, 4.0), **params)))
+            assert [i for i, _ in got] == [i for i, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert a.center.tobytes() == b.center.tobytes()
+                assert a.radius == b.radius and a.weight == b.weight
+            sensed += len(got)
+        assert sensed > 0
 
     def test_registers_window(self):
         ws = empty_workspace()
@@ -185,7 +203,7 @@ def sensing_events(r, n_events, id_range=(-6, 20)):
 
 
 class TestObstacleMemory:
-    """ObstacleMemory against the dict it replaced (``memory[idx] = ob``)."""
+    """ObstacleMemory's DiscSet against the dict it replaced (``memory[idx] = ob``)."""
 
     @given(st.integers(0, 10_000), st.integers(0, 8))
     @settings(max_examples=80, deadline=None)
@@ -193,44 +211,45 @@ class TestObstacleMemory:
         r = np.random.default_rng(seed)
         memory, ref = ObstacleMemory(), {}
         for event in sensing_events(r, n_events):
+            before = memory.discs
             memory.add(event)
             for idx, ob in event:
                 ref[idx] = ob
             want = sorted(ref.items())
-            got = memory.pairs()
-            assert [i for i, _ in got] == [i for i, _ in want]
-            assert all(a is b for (_, a), (_, b) in zip(got, want))
-            assert len(memory) == len(want)
-            assert memory.ids.tolist() == [i for i, _ in want]
-            for k, (_, ob) in enumerate(want):
-                assert memory.centers[k].tobytes() == ob.center.tobytes()
-                assert memory.radii[k] == ob.radius
+            assert_discs_hold(memory.discs, want)
+            # every drawn pair is a new object: the set is formed again
+            assert (memory.discs is before) == (not event)
+            # stored objects sensed again change nothing: the same set is kept
+            before = memory.discs
+            memory.add([want[k] for k in r.permutation(len(want))[:3].tolist()])
+            assert memory.discs is before
             mask = r.uniform(size=len(want)) < 0.5
-            assert memory.pairs(mask) == [p for p, keep in zip(want, mask) if keep]
+            assert_discs_hold(memory.discs[mask], [p for p, keep in zip(want, mask) if keep])
             if want:
                 point = r.uniform(-4, 4, 2)
-                assert (memory.signed_distances(point).tobytes()
-                        == signed_distances([ob for _, ob in want], point).tobytes())
+                got = np.float64(memory.discs.clearance(point))
+                assert got.tobytes() == signed_distances([ob for _, ob in want],
+                                                         point).min().tobytes()
 
     def test_resensed_id_serves_new_object(self):
-        first, second = Obstacle(np.zeros(2), 0.5), Obstacle(np.ones(2), 0.3)
+        first, second = Obstacle(np.zeros(2), 0.5), Obstacle(np.ones(2), 0.3, weight=2.0)
         memory = ObstacleMemory([(-3, first), (4, first)])
         memory.add([(4, second)])
-        assert memory.pairs() == [(-3, first), (4, second)]
-        assert memory.pairs()[1][1] is second
-        np.testing.assert_array_equal(memory.centers, [[0.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(memory.radii, [0.5, 0.3])
+        assert_discs_hold(memory.discs, [(-3, first), (4, second)])
 
     def test_later_pair_wins_within_one_add(self):
         a, b = Obstacle(np.zeros(2), 0.5), Obstacle(np.ones(2), 0.3)
         memory = ObstacleMemory([(2, a), (2, b)])
-        assert memory.pairs() == [(2, b)]
+        assert_discs_hold(memory.discs, [(2, b)])
+        before = memory.discs
+        memory.add([(2, a), (2, b)])  # b is stored already
+        assert memory.discs is before
 
     def test_empty(self):
         memory = ObstacleMemory()
         memory.add([])
-        assert len(memory) == 0 and memory.pairs() == []
-        assert memory.centers.shape == (0, 2) and memory.radii.shape == (0,)
+        assert len(memory.discs) == 0 and memory.discs.clearance(np.zeros(2)) == np.inf
+        assert memory.discs.centers.shape == (0, 2) and memory.discs.radii.shape == (0,)
 
 
 def stage_exit(stages, ws, pos):
@@ -550,13 +569,13 @@ class TestWindowFitCache:
             assert [i for i, _ in pairs] == [i for i, _ in seen]
             assert all(a is b for (_, a), (_, b) in zip(pairs, seen))
             memory = ObstacleMemory(seen)
-            ids, centers, radii = memory.ids, memory.centers, memory.radii
+            discs = memory.discs
             memory.add(pairs)
-            assert memory.ids is ids and memory.centers is centers and memory.radii is radii
+            assert memory.discs is discs
         assert repeats > 0
 
     def test_windows_sharing_a_disc_share_its_object(self, sensed):
-        # so ObstacleMemory.add finds a known disc unchanged and keeps its arrays
+        # so ObstacleMemory.add finds a known disc unchanged and keeps its DiscSet
         _, events = sensed
         first, shared = {}, 0
         for event in events:
