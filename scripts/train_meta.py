@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from hamnav.energy import POINT_LAYOUT, EnergyWeights
+from hamnav.energy import POINT_LAYOUT
 from hamnav.learning import TrainConfig, make_reference_dataset, scene_rollout, train_offline
 from hamnav.navigator import build_tokens
 from hamnav.workspace import signed_distances
@@ -18,12 +18,7 @@ def penetration_steps(model, scenes):
     total = 0
     for sc in scenes:
         tokens = build_tokens(sc.q0, np.zeros(4), sc.discs, sc.goal, mass, POINT_LAYOUT)
-        prop = model.propose(tokens)
-        w = EnergyWeights(beta=prop.beta, lam=prop.lam,
-                          alpha={i: prop.alpha.get(i, 0.0)
-                                 for i in range(len(sc.obstacles))},
-                          mu=prop.mu)
-        qs, _ = scene_rollout(sc, w, horizon=250, tau=0.03, d_hat=1.0)
+        qs, _ = scene_rollout(sc, model.propose(tokens), horizon=250, tau=0.03, d_hat=1.0)
         clr = np.array([signed_distances(sc.obstacles, q[2:4]).min() for q in qs])
         total += int(np.sum(clr < 0))
     return total

@@ -96,7 +96,12 @@ class RunConfig:
         "episode.adapt.kappa_alpha": (0.0, 0.999),
         "episode.adapt.lam_zeta": (0.0, 1e6),
         "episode.adapt.lam_u": (0.0, float("inf")),
+        "meta.beta": (0.0, float("inf")),
+        "meta.lam": (0.0, float("inf")),
+        "meta.alpha": (0.0, float("inf")),
         "meta.mu": (0.0, 100.0),
+        "meta.mu_boost": (0.0, float("inf")),
+        "meta.d_ref": (1e-6, float("inf")),
         "train.lr": (1e-8, 1.0),
         "train.momentum": (0.0, 0.999),
         "d_thr": (0.0, 100.0),
@@ -341,7 +346,8 @@ def run_method(ws: Workspace, cfg: RunConfig, method=None):
         radius = cfg.rigid_radius if (cfg.robot == "ring" and ws.grid is None) else 0.0
         return run_baseline_episode(ws, method, ep, robot_radius=radius,
                                     pf_gains=cfg.pf, dwa_cfg=cfg.dwa)
-    raise ValueError(f"{method} is a planner; use plan_method")
+    raise ValueError(f"unknown method {method!r} for run_method (grlsnam, pf or dwa; "
+                     "the A* planners run through plan_method)")
 
 
 def _reference_radius(ws: Workspace, cfg: RunConfig) -> float:
@@ -598,6 +604,11 @@ def cmd_eval(args) -> int:
     if not methods:
         print("error: no methods given", file=sys.stderr)
         return 2
+    unknown = [m for m in methods if m not in RunConfig.METHODS]
+    if unknown:
+        print(f"error: unknown methods {unknown}; choose from {list(RunConfig.METHODS)}",
+              file=sys.stderr)
+        return 2
     workers = _worker_count()
     if workers is None:
         return 2
@@ -643,6 +654,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _steps_table(path):
+    """The header of a steps CSV and its rows as an array; ValueError for an
+    empty file, a row whose length is not the header's, or a non-number."""
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise ValueError("empty file")
+    header, rows = lines[0], lines[1:]
+    for k, r in enumerate(rows, start=2):
+        if len(r) != len(header):
+            raise ValueError(f"line {k}: {len(r)} cells under {len(header)} columns")
+    return header, np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def cmd_plot(args) -> int:
     run_dir = Path(args.episode)
     summary_path = run_dir / "summary.json"
@@ -655,17 +680,17 @@ def cmd_plot(args) -> int:
     if checked is None:
         return 2
     summary = checked[1]
-    with open(steps_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, r)) for r in reader]
+    try:
+        header, data = _steps_table(steps_path)
+    except (OSError, ValueError) as e:
+        print(f"error: {steps_path}: {e}", file=sys.stderr)
+        return 2
     required = {"t", "q2", "q3"}
     if not required.issubset(header):
         print(f"error: steps.csv lacks columns {sorted(required - set(header))}",
               file=sys.stderr)
         return 2
     cols = {name: i for i, name in enumerate(header)}
-    data = np.asarray(rows) if rows else np.zeros((0, len(header)))
     ws = None
     if "workspace" in summary:
         checked = _checked_file(summary["workspace"], workspace_from_json)

@@ -43,11 +43,11 @@ def _log_terms(d, d_hat):
     return d, inside, di - d_hat, log_r
 
 
-def _log_branch(d, inside, e, log_r, v_penalty):
-    """-(d - d_hat)^2 log(d / d_hat) on 0 < d < d_hat, 0 beyond, v_penalty at d <= 0."""
+def _log_branch(d, inside, e, log_r):
+    """-(d - d_hat)^2 log(d / d_hat) on 0 < d < d_hat, 0 beyond, V_PENALTY at d <= 0."""
     out = np.zeros_like(d)
     out[inside] = -(e ** 2) * log_r
-    out[d <= 0] = v_penalty
+    out[d <= 0] = V_PENALTY
     return out
 
 
@@ -55,15 +55,15 @@ def _array_or_float(out):
     return float(out) if out.ndim == 0 else out
 
 
-def log_barrier(d, d_hat, v_penalty=V_PENALTY):
+def log_barrier(d, d_hat):
     """The plain IPC log barrier, without the gradient-clamp continuation.
 
     b(d) = -(d - d_hat)^2 (log d - log d_hat) on 0 < d < d_hat, zero beyond
-    the activation distance, v_penalty for penetration; value clamped to
+    the activation distance, V_PENALTY for penetration; value clamped to
     [0, BARRIER_CLAMP].  It grows like log(1/d) as d -> 0+, so it is not the
     antiderivative of ``ipc_barrier_grad``; the energy uses ``ipc_barrier``.
     """
-    out = _log_branch(*_log_terms(d, d_hat), v_penalty)
+    out = _log_branch(*_log_terms(d, d_hat))
     return _array_or_float(np.clip(out, 0.0, BARRIER_CLAMP))
 
 
@@ -100,7 +100,7 @@ def barrier_knots(d_hat: float):
     d_c = _bisect(lambda x: _log_slope(x, x - d_hat, np.log(x / d_hat)) + GRAD_CLAMP, lo, d_hat)
 
     def raw(x):  # the log barrier without the value clamp
-        return float(_log_branch(*_log_terms(x, d_hat), 0.0))
+        return float(_log_branch(*_log_terms(x, d_hat)))
 
     b_c = raw(d_c)
     if b_c + GRAD_CLAMP * d_c <= BARRIER_CLAMP:
@@ -112,8 +112,8 @@ def barrier_knots(d_hat: float):
     return d_c, b_c, d_sat
 
 
-def _barrier(d, inside, e, log_r, d_hat, v_penalty):
-    out = _log_branch(d, inside, e, log_r, v_penalty)
+def _barrier(d, inside, e, log_r, d_hat):
+    out = _log_branch(d, inside, e, log_r)
     d_c, b_c, _ = barrier_knots(d_hat)
     below = inside & (d < d_c)
     out[below] = b_c + GRAD_CLAMP * (d_c - d[below])
@@ -130,17 +130,17 @@ def _barrier_slope(d, inside, e, log_r, d_hat):
     return out
 
 
-def ipc_barrier(d, d_hat, v_penalty=V_PENALTY):
+def ipc_barrier(d, d_hat):
     """Piecewise contact barrier, the antiderivative of ``ipc_barrier_grad``.
 
     -(d - d_hat)^2 (log d - log d_hat) on d_c <= d < d_hat, zero beyond the
     activation distance.  Below the clamp distance d_c (where the log
     barrier's slope reaches -GRAD_CLAMP, see ``barrier_knots``) the value
     continues linearly, b(d_c) + GRAD_CLAMP * (d_c - d) on 0 < d < d_c, so
-    its slope is the clamped gradient.  Flat penalty v_penalty for
+    its slope is the clamped gradient.  Flat penalty V_PENALTY for
     penetration d <= 0; value clamped to [0, BARRIER_CLAMP].
     """
-    return _array_or_float(_barrier(*_log_terms(d, d_hat), d_hat, v_penalty))
+    return _array_or_float(_barrier(*_log_terms(d, d_hat), d_hat))
 
 
 def ipc_barrier_grad(d, d_hat):
@@ -154,10 +154,10 @@ def ipc_barrier_grad(d, d_hat):
     return _array_or_float(_barrier_slope(*_log_terms(d, d_hat), d_hat))
 
 
-def ipc_barrier_and_grad(d, d_hat, v_penalty=V_PENALTY):
+def ipc_barrier_and_grad(d, d_hat):
     """``(ipc_barrier(d), ipc_barrier_grad(d))`` from one evaluation of log(d / d_hat)."""
     terms = _log_terms(d, d_hat)
-    return (_array_or_float(_barrier(*terms, d_hat, v_penalty)),
+    return (_array_or_float(_barrier(*terms, d_hat)),
             _array_or_float(_barrier_slope(*terms, d_hat)))
 
 
@@ -193,21 +193,23 @@ class PhaseState:
 
 @dataclass
 class EnergyWeights:
-    """Dual weights produced by the meta-policy, plus friction and port input."""
+    """The dual weights (beta, lam, {alpha_i}, mu): the meta-policy proposes
+    them, the secant/Tikhonov loop adapts them, the potential reads beta, lam
+    and alpha, and the integrator's frame damping is mu."""
 
     beta: float = 1.0
     lam: float = 0.0
-    alpha: dict = field(default_factory=dict)  # obstacle index -> weight
+    alpha: dict = field(default_factory=dict)  # obstacle id -> weight
     mu: float = 0.0
-    u_f: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        self.u_f = np.asarray(self.u_f, dtype=float)
         if self.beta < 0 or self.lam < 0 or self.mu < 0 or any(a < 0 for a in self.alpha.values()):
             raise ValueError("energy weights must be nonnegative")
 
-    def copy(self):
-        return EnergyWeights(self.beta, self.lam, dict(self.alpha), self.mu, self.u_f.copy())
+    def vector(self, ids) -> np.ndarray:
+        """[beta, lam, alpha_i for i in ids], the feature order of ``features``
+        (an id missing from alpha weighs zero)."""
+        return np.concatenate(([self.beta, self.lam], [self.alpha.get(i, 0.0) for i in ids]))
 
 
 @dataclass
@@ -218,7 +220,6 @@ class FixedTerms:
     goal: np.ndarray
     d_hat: float
     sensor_gain: float = 1.0
-    v_penalty: float = V_PENALTY
     shape: object = None  # optional shape coupling (see ring.RingShapeModel)
 
     def __post_init__(self):
@@ -242,11 +243,11 @@ class HamiltonianSpec:
             raise ValueError("mass diagonal must be positive definite")
 
 
-def _point_obstacle_features(q, layout, discs: DiscSet, d_hat, v_penalty):
+def _point_obstacle_features(q, layout, discs: DiscSet, d_hat):
     """Barrier features of a point robot: (M,) values b(d_i(c)), (M, dim) gradients."""
     delta = q[layout.frame] - discs.centers
     dist = row_norms(delta)  # each row as np.linalg.norm of that row alone
-    b, db = ipc_barrier_and_grad(dist - discs.radii, d_hat, v_penalty)
+    b, db = ipc_barrier_and_grad(dist - discs.radii, d_hat)
     vals = b * discs.weights
     grads = np.zeros((len(discs), q.size))
     safe = ~(dist < 1e-12)  # a NaN distance keeps its NaN gradient
@@ -260,13 +261,14 @@ def _point_obstacle_features(q, layout, discs: DiscSet, d_hat, v_penalty):
     return vals, grads
 
 
-def features(q, discs: DiscSet, d_hat: float, fixed: FixedTerms, contact=None):
+def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
     """Linear-in-weights view of the potential.
 
     Returns (phi, grads) with phi = [E_goal, E_obj, b_1, ..., b_m], one
     barrier per disc of ``discs`` in its (ascending id) order, and grads the
-    stacked per-feature gradients (rows match phi).  R(q; weights) =
-    E_sensor + eta . phi by construction.
+    stacked per-feature gradients (rows match phi), at the activation
+    distance ``fixed.d_hat``.  R(q; weights) = E_sensor + eta . phi by
+    construction, with eta = ``weights.vector(discs.ids.tolist())``.
 
     For a ring, ``contact`` is its ``ContactPass`` at q against ``discs``
     (that object), when the caller has made it already; it is made here when
@@ -286,17 +288,10 @@ def features(q, discs: DiscSet, d_hat: float, fixed: FixedTerms, contact=None):
             contact = fixed.shape.contact(q, discs)
         elif contact.discs is not discs:
             raise ValueError("contact pass was made against another disc set")
-        phi[2:], grads[2:] = contact.features(d_hat, fixed.v_penalty)
+        phi[2:], grads[2:] = contact.features(fixed.d_hat)
     elif m:
-        phi[2:], grads[2:] = _point_obstacle_features(q, layout, discs, d_hat,
-                                                      fixed.v_penalty)
+        phi[2:], grads[2:] = _point_obstacle_features(q, layout, discs, fixed.d_hat)
     return phi, grads
-
-
-def _weight_vector(weights: EnergyWeights, discs: DiscSet):
-    """Weights aligned with the feature ordering (alpha defaults to zero)."""
-    return np.concatenate(([weights.beta, weights.lam],
-                           [weights.alpha.get(i, 0.0) for i in discs.ids.tolist()]))
 
 
 def sensor_energy(q, fixed: FixedTerms):
@@ -321,9 +316,8 @@ class Evaluation:
             raise ValueError("phase state dimension does not match the spec layout")
         self.spec = spec
         self.kinetic = 0.0 if p is None else kinetic(p, spec.mass)
-        self.phi, self.grads = features(self.q, spec.discs, spec.fixed.d_hat, spec.fixed,
-                                        contact)
-        self.eta = _weight_vector(spec.weights, spec.discs)
+        self.phi, self.grads = features(self.q, spec.discs, spec.fixed, contact)
+        self.eta = spec.weights.vector(spec.discs.ids.tolist())
 
     @property
     def grad(self) -> np.ndarray:

@@ -11,7 +11,9 @@ velocity matching against references, a damping-alignment term, and a
 multi-start robustness penalty rolled out from perturbed near-obstacle
 starts.  Loss sensitivities with respect to the predicted weights come from
 central finite differences through the short rollouts; everything upstream
-of the weights is differentiated analytically.
+of the weights is differentiated analytically.  A proposal is an
+``energy.EnergyWeights``, the type the navigator's energy reads, with one
+alpha per token: a scene's rollouts take it as it is.
 
 A scene's finite-difference stencil is scored as one batch.  Its members
 differ only in their weight vectors: they start from the same ``q0`` and
@@ -42,7 +44,7 @@ from .energy import (
     ipc_barrier_grad,
     log_barrier,
 )
-from .navigator import MetaTokens, WeightProposal, build_tokens
+from .navigator import MetaTokens, build_tokens
 from .workspace import DiscSet, Obstacle, row_norms, signed_distances
 
 
@@ -78,7 +80,7 @@ def regression_from_rollout(traj, discs: DiscSet, fixed: FixedTerms,
         y = (traj.states[t].p - traj.states[t + 1].p) / tau
         y = y.copy()
         y[fixed.layout.sensor] -= 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
-        _, g = features(q, discs, fixed.d_hat, fixed)
+        _, g = features(q, discs, fixed)
         targets.append(y)
         grads.append(g)
     return RegressionProblem(np.stack(targets), np.stack(grads), ridge)
@@ -167,10 +169,9 @@ def _scene_spec(discs: DiscSet, goal, weights: EnergyWeights, d_hat) -> Hamilton
 
 
 def _weight_rows(weights, n_obstacles) -> np.ndarray:
-    """(S, 2 + K) weight rows [beta, lam, alpha_0, ..., alpha_{K-1}] in the
-    feature order of ``energy.features`` (a missing alpha_i is zero)."""
-    return np.array([[w.beta, w.lam] + [w.alpha.get(i, 0.0) for i in range(n_obstacles)]
-                     for w in weights], dtype=float)
+    """(S, 2 + K) weight rows, row s ``weights[s].vector(range(K))``: the
+    feature order of ``energy.features`` for obstacles 0..K-1."""
+    return np.array([w.vector(range(n_obstacles)) for w in weights], dtype=float)
 
 
 class _PointBatch:
@@ -480,7 +481,7 @@ class MetaRegressor:
         cache = dict(T=T, pre1=pre1, emb=emb, pool=pool, x2=x2, pre2=pre2, h=h,
                      pre_beta=pre_beta, pre_lam=pre_lam, pre_mu=pre_mu,
                      pre_alpha=pre_alpha, ids=list(tokens.obstacle_ids))
-        out = WeightProposal(
+        out = EnergyWeights(
             beta=float(_softplus(pre_beta)),
             lam=float(_softplus(pre_lam)),
             alpha={i: float(a) for i, a in zip(tokens.obstacle_ids, _softplus(pre_alpha))},
@@ -488,7 +489,7 @@ class MetaRegressor:
         )
         return out, cache
 
-    def propose(self, tokens: MetaTokens) -> WeightProposal:
+    def propose(self, tokens: MetaTokens) -> EnergyWeights:
         return self.forward(tokens)[0]
 
     def backward(self, cache, d_beta, d_lam, d_mu, d_alpha) -> dict:
@@ -582,27 +583,23 @@ class TrainConfig:
     seed: int = 0
 
 
-def _scene_losses(scene: SceneDatum, props, cfg: TrainConfig, horizon, rng_seed):
-    """Composite loss of one scene under each proposed weight set.
+def _scene_losses(scene: SceneDatum, weights, cfg: TrainConfig, horizon, rng_seed):
+    """Composite loss of one scene under each of its weight sets.
 
-    All proposals roll out as one batch (``scene_rollouts``) and score one
+    All weight sets roll out as one batch (``scene_rollouts``) and score one
     batch of multi-start trials (``multi_start_penalties``): they share the
     start ``scene.q0`` and the trials drawn from ``rng_seed``.
     """
-    ids = range(len(scene.obstacles))
-    weights = [EnergyWeights(beta=prop.beta, lam=prop.lam,
-                             alpha={i: prop.alpha.get(i, 0.0) for i in ids}, mu=prop.mu)
-               for prop in props]
     qs, vs = scene_rollouts(scene, weights, horizon, cfg.tau, cfg.d_hat)
-    l_multi = [0.0] * len(props)
+    l_multi = [0.0] * len(weights)
     if cfg.weights[3] > 0:
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
         l_multi = multi_start_penalties(scene, weights, cfg.m_trials, cfg.multi_steps,
                                         cfg.r_min, cfg.d_hat, rng, cfg.tau).tolist()
     n = min(horizon + 1, len(scene.q_ref))
     return [meta_loss(q[:n], scene.q_ref[:n], v[:n], scene.v_ref[:n],
-                      prop.mu, scene.mu_ref, cfg.weights, l)
-            for q, v, prop, l in zip(qs, vs, props, l_multi)]
+                      w.mu, scene.mu_ref, cfg.weights, l)
+            for q, v, w, l in zip(qs, vs, weights, l_multi)]
 
 
 def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None):

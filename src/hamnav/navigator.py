@@ -166,14 +166,6 @@ def build_tokens(q, p, discs: DiscSet, stage_goal, mass, layout) -> MetaTokens:
     return MetaTokens(discs.ids.tolist(), tokens, np.asarray(stage_goal, float) - c, speed)
 
 
-@dataclass
-class WeightProposal:
-    beta: float
-    lam: float
-    alpha: dict
-    mu: float
-
-
 class DefaultMetaPolicy:
     """Hand-tuned weights; the untrained fallback.
 
@@ -187,14 +179,14 @@ class DefaultMetaPolicy:
         self.beta, self.lam, self.alpha0, self.mu = beta, lam, alpha, mu
         self.mu_boost, self.d_ref, self.r_offset = mu_boost, d_ref, r_offset
 
-    def propose(self, tokens: MetaTokens) -> WeightProposal:
+    def propose(self, tokens: MetaTokens) -> EnergyWeights:
         mu = self.mu
         if len(tokens.obstacle_ids):
             d_nose = float(tokens.tokens[:, 3].min()) - self.r_offset
             closeness = 1.0 - min(max(d_nose, 0.0) / self.d_ref, 1.0)
             mu = self.mu * (1.0 + self.mu_boost * closeness)
-        return WeightProposal(self.beta, self.lam,
-                              {i: self.alpha0 for i in tokens.obstacle_ids}, mu)
+        return EnergyWeights(self.beta, self.lam,
+                             {i: self.alpha0 for i in tokens.obstacle_ids}, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -624,26 +616,6 @@ class EpisodeRecorder:
         )
 
 
-class _WeightState:
-    """Persistent weight map: adapted values survive sensing refreshes."""
-
-    def __init__(self):
-        self.beta = 1.0
-        self.lam = 0.0
-        self.mu = 0.0
-        self.alpha = {}
-        self.alpha_base = {}  # proposal values; adaptation never goes below
-
-    def merge_proposal(self, prop: WeightProposal):
-        # scalars re-anchor at every sensing event; per-obstacle barrier
-        # weights persist once proposed (the secant loop owns them)
-        self.beta, self.lam, self.mu = prop.beta, prop.lam, prop.mu
-        for idx, a in prop.alpha.items():
-            if idx not in self.alpha:
-                self.alpha[idx] = a
-                self.alpha_base[idx] = a
-
-
 class _Episode:
     """One episode's mutable state; run() drives the loop."""
 
@@ -670,7 +642,9 @@ class _Episode:
         if self.layout.scale is not None:
             q[self.layout.scale] = 1.0
         self.z = PhaseState(q, np.zeros(self.layout.dim))
-        self.weights = _WeightState()
+        # the weights the energy reads; adapted values survive sensing refreshes
+        self.weights = EnergyWeights()
+        self.alpha_base = {}  # proposed barrier weights; adaptation never goes below
         self.u_f = np.zeros(2)
         ad = cfg.adapt
         self.J = np.zeros((3, 3 + ad.k_alpha))
@@ -715,15 +689,12 @@ class _Episode:
         return self.active[2]
 
     def spec_for(self, act: DiscSet):
-        w = self.weights
-        weights = EnergyWeights(beta=w.beta, lam=w.lam,
-                                alpha={i: w.alpha.get(i, 0.0) for i in act.ids.tolist()},
-                                mu=w.mu, u_f=self.u_f.copy())
         goal = self.sensing.stage_goal
         if self.fixed is None or self.fixed.goal is not goal:
             self.fixed = FixedTerms(layout=self.layout, goal=goal, d_hat=self.cfg.d_hat,
                                     sensor_gain=self.cfg.sensor_gain, shape=self.shape)
-        return HamiltonianSpec(mass=self.mass, weights=weights, discs=act, fixed=self.fixed)
+        return HamiltonianSpec(mass=self.mass, weights=self.weights, discs=act,
+                               fixed=self.fixed)
 
     def clearance(self, q, act: DiscSet, contact) -> float:
         """The sensed clearance at q against act: the ring's contact pass at q
@@ -789,7 +760,13 @@ class _Episode:
             if sensed:
                 tokens = build_tokens(self.z.q, self.z.p, self.sensing.memory.discs,
                                       self.sensing.stage_goal, self.mass, self.layout)
-                self.weights.merge_proposal(self.meta.propose(tokens))
+                prop, w = self.meta.propose(tokens), self.weights
+                # the scalars re-anchor; a barrier weight persists once
+                # proposed (the secant loop owns it)
+                w.beta, w.lam, w.mu = prop.beta, prop.lam, prop.mu
+                for idx, a in prop.alpha.items():
+                    if idx not in w.alpha:
+                        w.alpha[idx] = self.alpha_base[idx] = a
 
             act = self.active_set(self.z.q)
             contact = self.contact_at(self.z.q, act, contact)
@@ -850,7 +827,7 @@ class _Episode:
             w.beta, w.lam, w.mu = float(zeta_new[0]), float(zeta_new[1]), float(zeta_new[-1])
             for k, idx in enumerate(slots):
                 # adaptation may strengthen a barrier but never disable it
-                w.alpha[idx] = max(float(zeta_new[2 + k]), w.alpha_base.get(idx, 0.0))
+                w.alpha[idx] = max(float(zeta_new[2 + k]), self.alpha_base.get(idx, 0.0))
 
             # (H) port correction each frame horizon (zero-order hold between)
             if n % t_f == 0:

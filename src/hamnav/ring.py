@@ -164,9 +164,9 @@ class RingShapeModel:
         """The contact pass of the ring at q against a DiscSet."""
         return ContactPass(self, q, discs)
 
-    def obstacle_feature(self, q, obstacle, d_hat, v_penalty):
+    def obstacle_feature(self, q, obstacle, d_hat):
         """Boundary-integrated barrier against one obstacle, with gradient."""
-        vals, grads = self.contact(q, DiscSet.of([(0, obstacle)])).features(d_hat, v_penalty)
+        vals, grads = self.contact(q, DiscSet.of([(0, obstacle)])).features(d_hat)
         return float(vals[0]), grads[0]
 
     def min_clearance(self, q, discs: DiscSet) -> float:
@@ -219,7 +219,7 @@ class ContactPass:
         self.d = self.dist - discs.radii[:, None]
         self.clearance = float(self.d.min()) if len(discs) else np.inf
 
-    def features(self, d_hat, v_penalty):
+    def features(self, d_hat):
         """Each disc's boundary-integrated barrier and its gradient over q.
 
         Returns (M,) values and (M, dim) gradients.  d_mj depends on the frame
@@ -227,7 +227,7 @@ class ContactPass:
         l_j = s * l0_j.
         """
         model, layout = self.model, self.model.layout
-        b, db = ipc_barrier_and_grad(self.d, d_hat, v_penalty)
+        b, db = ipc_barrier_and_grad(self.d, d_hat)
         w = model.basis.weights[None, :] * self.discs.weights[:, None]
         wl = w * (self.s * model._l0)
         vals = (wl * b).sum(axis=1)

@@ -405,12 +405,7 @@ def test_criterion_11_ablation_directionality():
         total = 0
         for sc in scenes:
             tokens = build_tokens(sc.q0, np.zeros(4), sc.discs, sc.goal, mass, POINT_LAYOUT)
-            prop = model.propose(tokens)
-            w = EnergyWeights(beta=prop.beta, lam=prop.lam,
-                              alpha={i: prop.alpha.get(i, 0.0)
-                                     for i in range(len(sc.obstacles))},
-                              mu=prop.mu)
-            qs, _ = scene_rollout(sc, w, horizon=250, tau=0.03, d_hat=1.0)
+            qs, _ = scene_rollout(sc, model.propose(tokens), horizon=250, tau=0.03, d_hat=1.0)
             clr = np.array([signed_distances(sc.obstacles, q[2:4]).min() for q in qs])
             total += int(np.sum(clr < 0))
         return total

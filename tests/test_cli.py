@@ -245,8 +245,28 @@ class TestRunCommand:
         assert main(["run", "--workspace", str(missing), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {missing}: ")
 
+    @pytest.mark.parametrize("line", ["beta = -1.0", "lam = -0.5", "alpha = -2.0",
+                                      "mu_boost = -5.0", "d_ref = 0.0"])
+    def test_bad_meta_weight_exits_with_its_name(self, tmp_path, workspace_file, capsys,
+                                                 line):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"[meta]\n{line}\n")
+        for args in (["run", "--workspace", str(workspace_file)],
+                     ["eval", "--workspaces", str(workspace_file.parent), "--methods", "grlsnam"]):
+            capsys.readouterr()
+            assert main(args + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and f"meta.{line.split()[0]}=" in err
+            assert not (tmp_path / "x").exists()
+
 
 class TestRunMethod:
+    @pytest.mark.parametrize("method", ["astar_rigid", "astar_rigd"])
+    def test_other_methods_are_unknown(self, method):
+        ws = generate_workspace("test_id", 21)
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            run_method(ws, RunConfig(), method)
+
     def test_dwa_plans_for_the_disc_it_is_judged_as(self):
         # the ring robot's baselines are rigid discs of rigid_radius (0.4)
         ws, cfg = generate_workspace("test_id", 0), RunConfig()
@@ -304,6 +324,21 @@ class TestPlotCommand:
         text = (out / "timeseries.svg").read_text()
         for name in ("beta", "lam", "alpha_sum", "mu"):
             assert f">{name}</text>" in text
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,q2,q3\n0,1,1\n1,1,x\n", "could not convert string to float: 'x'"),
+        ("t,q2,q3\n0,1,1\n1,1\n", "line 3: 2 cells under 3 columns"),
+        ("", "empty file"),
+    ], ids=["not_a_number", "short_row", "empty"])
+    def test_malformed_steps_exits_with_message(self, tmp_path, capsys, text, message):
+        ep = tmp_path / "broken"
+        ep.mkdir()
+        (ep / "summary.json").write_text("{}")
+        (ep / "steps.csv").write_text(text)
+        assert main(["plot", "--episode", str(ep), "--out", str(tmp_path / "replot")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ep / 'steps.csv'}: ") and message in err
+        assert not (tmp_path / "replot").exists()
 
     def test_missing_columns_schema_error(self, tmp_path, capsys):
         ep = tmp_path / "broken"
@@ -504,6 +539,23 @@ class TestEvalCommand:
         assert rc == 2
         assert (f"error: HAMNAV_WORKERS must be a positive integer, got {workers!r}"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "e").exists()
+
+    def test_unknown_method_stops_the_batch_first(self, tmp_path, monkeypatch, capsys):
+        import hamnav.cli as cli
+
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "1", "--seed", "21",
+              "--out", str(ws_dir)])
+        ran = []
+        monkeypatch.delenv("HAMNAV_WORKERS", raising=False)
+        monkeypatch.setattr(cli, "_eval_one", ran.append)
+        capsys.readouterr()
+        rc = main(["eval", "--workspaces", str(ws_dir), "--methods", "pf,astar_rigd",
+                   "--out", str(tmp_path / "e")])
+        assert rc == 2 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown methods ['astar_rigd']")
         assert not (tmp_path / "e").exists()
 
     def test_no_methods_error(self, tmp_path):

@@ -22,7 +22,6 @@ from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     POINT_LAYOUT,
     RING_LAYOUT,
-    V_PENALTY,
     EnergyWeights,
     FixedTerms,
     HamiltonianSpec,
@@ -46,13 +45,13 @@ def of(obstacles):
     return DiscSet.of(enumerate(obstacles))
 
 
-def reference_obstacle_feature(model, q, obstacle, d_hat, v_penalty):
+def reference_obstacle_feature(model, q, obstacle, d_hat):
     c, s = q[2:4], float(q[5])
     pts = c[None, :] + s * model._x0
     delta = pts - obstacle.center[None, :]
     dist = np.linalg.norm(delta, axis=1)
     d = dist - obstacle.radius
-    b = ipc_barrier(d, d_hat, v_penalty)
+    b = ipc_barrier(d, d_hat)
     db = ipc_barrier_grad(d, d_hat)
     w = model.basis.weights * obstacle.weight
     lengths = model.arc_lengths(q)
@@ -78,12 +77,12 @@ def reference_min_clearance(model, q, obstacles):
     return float(d.min())
 
 
-def reference_point_feature(q, layout, obstacle, d_hat, v_penalty):
+def reference_point_feature(q, layout, obstacle, d_hat):
     c = q[layout.frame]
     delta = c - obstacle.center
     dist = float(np.linalg.norm(delta))
     d = dist - obstacle.radius
-    val = ipc_barrier(d, d_hat, v_penalty) * obstacle.weight
+    val = ipc_barrier(d, d_hat) * obstacle.weight
     grad = np.zeros_like(q)
     if dist < 1e-12:
         warnings.warn("configuration coincides with an obstacle center; "
@@ -105,11 +104,9 @@ def reference_features(q, pairs, d_hat, fixed):
         phi[1], grads[1] = fixed.shape.obj_feature(q)
     for row, (_, ob) in enumerate(sorted(pairs, key=lambda kv: kv[0]), start=2):
         if fixed.shape is not None:
-            phi[row], grads[row] = reference_obstacle_feature(fixed.shape, q, ob, d_hat,
-                                                              fixed.v_penalty)
+            phi[row], grads[row] = reference_obstacle_feature(fixed.shape, q, ob, d_hat)
         else:
-            phi[row], grads[row] = reference_point_feature(q, layout, ob, d_hat,
-                                                           fixed.v_penalty)
+            phi[row], grads[row] = reference_point_feature(q, layout, ob, d_hat)
     return phi, grads
 
 
@@ -164,13 +161,13 @@ class TestRingContactPass:
     def test_features_match_per_obstacle_loop(self, m, d_hat, data):
         q = ring_state(data)
         discs = draw_discs(data, MODEL.boundary(q), d_hat, m)
-        vals, grads = MODEL.contact(q, of(discs)).features(d_hat, V_PENALTY)
+        vals, grads = MODEL.contact(q, of(discs)).features(d_hat)
         assert vals.shape == (m,) and grads.shape == (m, 6)
         for k, ob in enumerate(discs):
-            val, grad = reference_obstacle_feature(MODEL, q, ob, d_hat, V_PENALTY)
+            val, grad = reference_obstacle_feature(MODEL, q, ob, d_hat)
             assert vals[k] == val
             assert np.array_equal(grads[k], grad)
-            one_val, one_grad = MODEL.obstacle_feature(q, ob, d_hat, V_PENALTY)
+            one_val, one_grad = MODEL.obstacle_feature(q, ob, d_hat)
             assert one_val == val and np.array_equal(one_grad, grad)
 
         # energy.features, with and without a pass made beforehand
@@ -180,7 +177,7 @@ class TestRingContactPass:
         want_phi, want_grads = reference_features(q, pairs, d_hat, fixed)
         disc_set = DiscSet.of(pairs)
         for contact in (None, MODEL.contact(q, disc_set)):
-            phi, grads = features(q, disc_set, d_hat, fixed, contact)
+            phi, grads = features(q, disc_set, fixed, contact)
             assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
 
     @settings(max_examples=300, deadline=None)
@@ -211,7 +208,7 @@ class TestRingContactPass:
     def test_no_discs(self):
         q = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.8])
         contact = MODEL.contact(q, of([]))
-        vals, grads = contact.features(1.0, V_PENALTY)
+        vals, grads = contact.features(1.0)
         assert contact.clearance == np.inf and vals.shape == (0,) and grads.shape == (0, 6)
         assert MODEL.pruned_clearance(q, of([])) == np.inf
 
@@ -223,12 +220,12 @@ class TestRingContactPass:
         # the same discs in another DiscSet object: the pass stands for its own set
         for other in (of([b, a]), of([a, b])):
             try:
-                features(q, discs, 1.0, fixed, MODEL.contact(q, other))
+                features(q, discs, fixed, MODEL.contact(q, other))
             except ValueError as e:
                 assert "another disc set" in str(e)
             else:
                 raise AssertionError("a pass made against another disc set was accepted")
-        features(q, discs, 1.0, fixed, MODEL.contact(q, discs))
+        features(q, discs, fixed, MODEL.contact(q, discs))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.data())
@@ -248,10 +245,10 @@ class TestRingContactPass:
             discs.append(Obstacle(q[2:4] + (reach + radius) * np.array([np.cos(ang),
                                                                         np.sin(ang)]),
                                   radius, weight=data.draw(st.floats(0.5, 2.0))))
-        vals, grads = MODEL.contact(q, of(discs)).features(d_hat, V_PENALTY)
+        vals, grads = MODEL.contact(q, of(discs)).features(d_hat)
         for k in range(m):
             fd = central_diff(
-                lambda x: MODEL.contact(x, of(discs)).features(d_hat, V_PENALTY)[0][k], q, h=1e-7)
+                lambda x: MODEL.contact(x, of(discs)).features(d_hat)[0][k], q, h=1e-7)
             np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-7)
 
 
@@ -268,7 +265,7 @@ class TestPointFeatures:
             want_phi, want_grads = reference_features(q, list(enumerate(discs)), d_hat, fixed)
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            phi, grads = features(q, of(discs), d_hat, fixed)
+            phi, grads = features(q, of(discs), fixed)
         assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
         assert bool(warned) == bool(want_warned)
 

@@ -25,6 +25,7 @@ from hamnav.energy import (
     potential_grad,
     sensor_energy,
 )
+from hamnav.learning import _weight_rows
 from hamnav.ring import RingShapeModel, scale_target
 from hamnav.workspace import DiscSet, Obstacle
 
@@ -263,7 +264,7 @@ class TestHamiltonian:
 class TestFeatures:
     def test_no_obstacles(self):
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([1.0, 0.0]), d_hat=1.0)
-        phi, grads = features(np.array([0.0, 0.0, 0.0, 0.0]), discs_of([]), 1.0, fixed)
+        phi, grads = features(np.array([0.0, 0.0, 0.0, 0.0]), discs_of([]), fixed)
         assert phi.shape == (2,)
         assert phi[0] == pytest.approx(1.0)
         assert phi[1] == 0.0  # no shape attached
@@ -279,7 +280,7 @@ class TestFeatures:
             alphas = rng.uniform(0, 2, 4)
             w = EnergyWeights(beta=beta, lam=lam, alpha=dict(enumerate(alphas)))
             spec = HamiltonianSpec(np.ones(4), w, discs, fixed)
-            phi, _ = features(q, discs, fixed.d_hat, fixed)
+            phi, _ = features(q, discs, fixed)
             eta = np.concatenate([[beta, lam], alphas])
             assert potential(q, spec) == pytest.approx(
                 sensor_energy(q, fixed) + eta @ phi, rel=1e-12)
@@ -293,9 +294,9 @@ class TestFeatures:
             d = np.array([np.linalg.norm(q[2:4] - ob.center) - ob.radius for ob in obstacles])
             if np.any(np.abs(d) < 1e-2) or np.any(np.abs(d - 1.5) < 1e-2):
                 continue
-            phi, grads = features(q, discs, fixed.d_hat, fixed)
+            phi, grads = features(q, discs, fixed)
             for j in range(phi.size):
-                fd = central_diff(lambda x: features(x, discs, fixed.d_hat, fixed)[0][j], q)
+                fd = central_diff(lambda x: features(x, discs, fixed)[0][j], q)
                 np.testing.assert_allclose(grads[j], fd, rtol=1e-4, atol=1e-8)
 
 
@@ -344,13 +345,13 @@ def separate_formulas(q, p, spec):
     """Gradient, potential, H and logged terms, each from its own features
     call, written out as the energy module computes them."""
     fixed, w = spec.fixed, spec.weights
-    phi, grads = features(q, spec.discs, fixed.d_hat, fixed)
+    phi, grads = features(q, spec.discs, fixed)
     eta = np.concatenate(([w.beta, w.lam], [w.alpha.get(i, 0.0)
                                             for i in sorted(spec.discs.ids.tolist())]))
     grad = eta @ grads
     grad[fixed.layout.sensor] += 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
     pot = sensor_energy(q, fixed) + float(eta @ phi)
-    phi, _ = features(q, spec.discs, fixed.d_hat, fixed)
+    phi, _ = features(q, spec.discs, fixed)
     e_sensor = sensor_energy(q, fixed)
     e_goal, e_obj = w.beta * phi[0], w.lam * phi[1]
     e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
@@ -373,8 +374,7 @@ class TestEvaluate:
         assert ev.potential == pot == potential(q, spec)
         assert ev.H == H == hamiltonian(z, spec)
         assert ev.parts == parts == energy_breakdown(z, spec)
-        np.testing.assert_array_equal(ev.phi, features(q, spec.discs, spec.fixed.d_hat,
-                                                       spec.fixed)[0])
+        np.testing.assert_array_equal(ev.phi, features(q, spec.discs, spec.fixed)[0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -394,12 +394,38 @@ class TestEvaluate:
             evaluate(np.zeros(6), spec, np.zeros(6))
 
 
+WEIGHT_VALUES = st.one_of(st.floats(0.0, 1e6), st.integers(0, 5), st.just(-0.0),
+                          st.sampled_from([5e-324, 1e-4, 1e5]))
+
+
 class TestWeights:
     def test_nonnegativity_enforced(self):
         with pytest.raises(ValueError):
             EnergyWeights(beta=-0.1)
         with pytest.raises(ValueError):
             EnergyWeights(alpha={0: -1.0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(WEIGHT_VALUES, WEIGHT_VALUES,
+                              st.dictionaries(st.integers(0, 12), WEIGHT_VALUES, max_size=8),
+                              WEIGHT_VALUES), min_size=1, max_size=4),
+           st.lists(st.integers(0, 10), unique=True, max_size=8), st.integers(0, 8))
+    def test_vector_matches_the_weight_layouts_it_replaced(self, drawn, ids, k):
+        """``vector(ids)`` is, bit for bit, the array the navigator formed from
+        a copy of alpha restricted to the active ids, and each row of
+        ``learning._weight_rows``' nested lists; ids may be missing from alpha
+        and alpha may hold ids outside them."""
+        weights = [EnergyWeights(b, l, a, m) for b, l, a, m in drawn]
+        for w in weights:
+            restricted = {i: w.alpha.get(i, 0.0) for i in ids}
+            want = np.concatenate(([w.beta, w.lam], [restricted.get(i, 0.0) for i in ids]))
+            got = w.vector(ids)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        want_rows = np.array([[w.beta, w.lam] + [w.alpha.get(i, 0.0) for i in range(k)]
+                              for w in weights], dtype=float)
+        rows = _weight_rows(weights, k)
+        assert rows.shape == want_rows.shape == (len(weights), 2 + k)
+        assert rows.tobytes() == want_rows.tobytes()
 
     def test_mass_must_be_positive(self):
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.zeros(2), d_hat=1.0)

@@ -40,7 +40,7 @@ from hamnav.learning import (
     scene_rollouts,
     train_offline,
 )
-from hamnav.navigator import MetaTokens, WeightProposal, build_tokens
+from hamnav.navigator import MetaTokens, build_tokens
 from hamnav.workspace import DiscSet, Obstacle, signed_distances
 
 # frozen with mpmath from -(d - dhat)^2 log(d / dhat)
@@ -241,13 +241,12 @@ class TestMultiStart:
         assert penalty(tau=0.01) != penalty(tau=0.03) == penalty()
         # _scene_losses integrates the trials at TrainConfig.tau: with only the
         # multi-start term weighted, the loss is that penalty
-        props = [WeightProposal(beta=w.beta, lam=w.lam, alpha=dict(w.alpha), mu=w.mu)]
         for tau in (0.01, 0.03):
             cfg = TrainConfig(tau=tau, weights=(0.0, 0.0, 0.0, 1.0))
             rng = np.random.default_rng(np.random.SeedSequence([7, 0x3A]))
             want = multi_start_penalty(scene, w, cfg.m_trials, cfg.multi_steps, cfg.r_min,
                                        cfg.d_hat, rng, tau=tau)
-            assert _scene_losses(scene, props, cfg, 4, rng_seed=7) == [want]
+            assert _scene_losses(scene, [w], cfg, 4, rng_seed=7) == [want]
 
     def test_eps_floor_and_ordering(self):
         # an unsafe trial (clearance under r_min) hits the eps floor,
@@ -449,9 +448,9 @@ def random_weight(r):
 
 def random_stencil(r, n_obstacles, h=1e-4):
     """A proposal and its central-difference stencil, as train_offline builds it."""
-    prop = WeightProposal(beta=random_weight(r), lam=random_weight(r),
-                          alpha={i: random_weight(r) for i in range(n_obstacles)},
-                          mu=r.uniform(0.0, 8.0) if r.integers(3) else r.uniform(0.0, 1e-4))
+    prop = EnergyWeights(beta=random_weight(r), lam=random_weight(r),
+                         alpha={i: random_weight(r) for i in range(n_obstacles)},
+                         mu=r.uniform(0.0, 8.0) if r.integers(3) else r.uniform(0.0, 1e-4))
     stencil = [prop]
     for name in ("beta", "lam", "mu"):
         x = getattr(prop, name)
@@ -460,12 +459,6 @@ def random_stencil(r, n_obstacles, h=1e-4):
         stencil += [replace(prop, alpha={**prop.alpha, i: x + h}),
                     replace(prop, alpha={**prop.alpha, i: max(x - h, 0.0)})]
     return stencil
-
-
-def energy_weights(props, n_obstacles):
-    return [EnergyWeights(beta=p.beta, lam=p.lam, mu=p.mu,
-                          alpha={i: p.alpha.get(i, 0.0) for i in range(n_obstacles)})
-            for p in props]
 
 
 def center_warnings(fn):
@@ -484,7 +477,7 @@ class TestBatchedStencil:
     def test_rollouts_match_loop(self, n_obstacles, seed, start_kind, horizon, tau):
         r = np.random.default_rng(seed)
         scene = random_scene(r, n_obstacles, start_kind)
-        weights = energy_weights(random_stencil(r, n_obstacles), n_obstacles)
+        weights = random_stencil(r, n_obstacles)
         (qs, vs), warned = center_warnings(
             lambda: scene_rollouts(scene, weights, horizon, tau, 1.0))
         assert qs.shape == vs.shape == (len(weights), horizon + 1, 4)
@@ -505,7 +498,7 @@ class TestBatchedStencil:
     def test_multi_start_matches_loop(self, n_obstacles, seed, m_trials, t_steps, r_min):
         r = np.random.default_rng(seed)
         scene = random_scene(r, n_obstacles)
-        weights = energy_weights(random_stencil(r, n_obstacles), n_obstacles)
+        weights = random_stencil(r, n_obstacles)
         got = multi_start_penalties(scene, weights, m_trials, t_steps, r_min, 1.0,
                                     np.random.default_rng(seed))
         assert got.shape == (len(weights),)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamnav import navigator
 from hamnav.baselines import astar_rigid, run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
@@ -44,6 +45,27 @@ from hamnav.workspace import (
 )
 
 from conftest import assert_discs_hold
+
+
+class RisingMeta:
+    """A meta policy whose k-th proposal raises each weight of ``base``'s by
+    k / 4, and which records the episode's ``weights`` as each proposal meets
+    them: ``events`` holds (weights before the merge, proposal) pairs."""
+
+    def __init__(self, base):
+        self.base, self.weights, self.events = base, None, []
+
+    def propose(self, tokens):
+        up = len(self.events) / 4
+        p = self.base.propose(tokens)
+        prop = EnergyWeights(p.beta + up, p.lam + up,
+                             {i: a + up for i, a in p.alpha.items()}, p.mu + up)
+        self.events.append((snapshot(self.weights), prop))
+        return prop
+
+
+def snapshot(w):
+    return EnergyWeights(w.beta, w.lam, dict(w.alpha), w.mu)
 
 
 def point_observables(z, obstacles, goal, shape_clearances, d_hat):
@@ -244,7 +266,7 @@ class TestRunEpisode:
         for arr in (res.qs, res.ps, res.betas, res.mus, res.u_fs, res.clearances):
             assert len(arr) == n
 
-    def test_locality_far_obstacle_untouched(self):
+    def test_locality_far_obstacle_untouched(self, monkeypatch):
         # the far obstacle is sensed once but never active: its weight stays
         # at the proposed value bit-for-bit
         far = Obstacle(np.array([6.0, 11.0]), 0.5)
@@ -254,6 +276,47 @@ class TestRunEpisode:
         meta = DefaultMetaPolicy(alpha=1.25, r_offset=0.0)
         res = run_episode(ws, cfg, meta)
         assert res.final_weights["alpha"][1] == 1.25
+
+        # every sensing event re-anchors beta, lam and mu on the proposal,
+        # while a barrier weight keeps its adapted value, floored at its first
+        # proposal though each later proposal is higher.  The secant steps
+        # leave alpha where it is on this run, so a stand-in adaptation moves
+        # the bound ones: up 0.25 a step for 20 steps, then down 10 for 20.
+        rising = RisingMeta(meta)
+        ep = _Episode(ws, cfg, rising)
+        rising.weights = ep.weights
+        merged, seen, bound = [], [], []
+        real_evaluate, real_project = navigator.evaluate, navigator.project_update
+
+        def spy(q, spec, p=None, contact=None):
+            if len(merged) < len(rising.events):  # (D) of a step that sensed
+                merged.append(snapshot(spec.weights))
+            seen.append(dict(spec.weights.alpha))
+            return real_evaluate(q, spec, p, contact)
+
+        def stand_in(zeta, dzeta, kappa):
+            out = real_project(zeta, dzeta, kappa)
+            if zeta[2] > 0:  # the nearest slot is bound
+                out[2:-1] += 0.25 if len(bound) // 20 % 2 == 0 else -10.0
+                bound.append(None)
+            return np.maximum(out, 0.0)
+
+        monkeypatch.setattr(navigator, "evaluate", spy)
+        monkeypatch.setattr(navigator, "project_update", stand_in)
+        assert ep.run().final_weights["alpha"][1] == 1.25
+        assert len(merged) == len(rising.events) > 2
+        first = {}
+        for (pre, prop), post in zip(rising.events, merged):
+            assert (post.beta, post.lam, post.mu) == (prop.beta, prop.lam, prop.mu)
+            assert post.alpha == {**prop.alpha, **pre.alpha}
+            for i, a in prop.alpha.items():
+                first.setdefault(i, a)
+        assert ep.alpha_base == first
+        assert any(pre.beta != prop.beta for pre, prop in rising.events[1:])
+        assert any(pre.alpha[0] > first[0] for pre, _ in rising.events[1:])
+        assert all(a >= first[i] for alpha in seen for i, a in alpha.items())
+        raised = next(k for k, alpha in enumerate(seen) if alpha.get(0, 0.0) > first[0])
+        assert any(alpha[0] == first[0] for alpha in seen[raised:])  # the floor held
 
     def test_stuck_detection_fires(self):
         ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hamnav.energy import V_PENALTY
 from hamnav.ring import (
     RingParams,
     RingShapeModel,
@@ -100,7 +99,7 @@ def ring_q(center=(0.0, 0.0), scale=1.0):
 def ring_barrier(model, q, obstacles, d_hat):
     """Boundary-integrated contact energy (the summed obstacle features) and
     the minimum sample clearance, +inf without obstacles."""
-    energy = sum(model.obstacle_feature(q, ob, d_hat, V_PENALTY)[0] for ob in obstacles)
+    energy = sum(model.obstacle_feature(q, ob, d_hat)[0] for ob in obstacles)
     return float(energy), model.min_clearance(q, DiscSet.of(enumerate(obstacles)))
 
 
@@ -231,9 +230,9 @@ class TestShapeModel:
         model = RingShapeModel()
         ob = Obstacle(np.array([0.65, 0.1]), 0.2)
         q = self.make_q(c=(0.0, 0.0), s=0.9)
-        val, grad = model.obstacle_feature(q, ob, 0.8, 200.0)
+        val, grad = model.obstacle_feature(q, ob, 0.8)
         assert val > 0
-        fd = central_diff(lambda x: model.obstacle_feature(x, ob, 0.8, 200.0)[0], q, h=1e-7)
+        fd = central_diff(lambda x: model.obstacle_feature(x, ob, 0.8)[0], q, h=1e-7)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     def test_min_clearance_matches_barrier_dmin(self):
