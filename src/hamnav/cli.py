@@ -449,22 +449,20 @@ def cmd_run(args) -> int:
                   extra={"method": cfg.method, "seed": cfg.seed,
                          "L_ref": float(lref) if np.isfinite(lref) else None,
                          "workspace": str(args.workspace)})
-    if result.boundary_snapshots:
-        step = max(1, len(result.boundary_snapshots) // 12)
-        snaps = [s.tolist() for s in result.boundary_snapshots[::step]]
+    outlines = result.outlines()
+    if outlines:
         with open(out / "ring_snapshots.json", "w") as fh:
-            json.dump({"boundary": snaps}, fh)
+            json.dump({"boundary": [b.tolist() for b in outlines]}, fh)
     if args.plot:
-        _emit_plots(ws, result, out)
+        _emit_plots(ws, result, outlines, out)
     print(f"{cfg.method}: {result.termination} steps={result.n_steps} "
           f"len={result.path_length():.3f} SPL={metrics.spl:.3f}")
     return 0
 
 
-def _emit_plots(ws, result, out: Path):
+def _emit_plots(ws, result, outlines, out: Path):
     windows = result.tracker.windows if result.tracker else []
-    canvas = svg.plot_episode(ws, result.positions, windows,
-                              result.boundary_snapshots,
+    canvas = svg.plot_episode(ws, result.positions, windows, outlines,
                               extra_note=result.termination)
     canvas.save(out / "trajectory.svg")
     series = {"beta": result.betas, "lam": result.lams, "alpha_sum": result.alpha_sums,
@@ -701,12 +699,12 @@ def cmd_plot(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     positions = data[:, [cols["q2"], cols["q3"]]] if len(data) else np.zeros((0, 2))
     windows = [((w[0], w[1]), w[2]) for w in summary.get("windows", [])]
-    snaps = []
-    snap_path = run_dir / "ring_snapshots.json"
-    if snap_path.exists():
-        snaps = [np.asarray(b) for b in json.loads(snap_path.read_text())["boundary"]]
+    outlines = []
+    outline_path = run_dir / "ring_snapshots.json"
+    if outline_path.exists():
+        outlines = [np.asarray(b) for b in json.loads(outline_path.read_text())["boundary"]]
     if ws is not None:
-        canvas = svg.plot_episode(ws, positions, windows, snaps,
+        canvas = svg.plot_episode(ws, positions, windows, outlines,
                                   extra_note=summary.get("termination", ""))
         canvas.save(out / "trajectory.svg")
     series = {}

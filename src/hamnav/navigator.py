@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dynamics import PortSelectors, step_symplectic_euler
 from .energy import (
@@ -107,16 +108,31 @@ def _ridge(lam, n):
     return out
 
 
+# numpy.linalg's own LAPACK gufuncs are called directly, as np.linalg.cholesky
+# and np.linalg.solve call them: the same C routines on the same float64
+# arrays, so the same bits, without the wrappers' argument checks (these
+# callers form their square float64 systems themselves).  As in the wrappers,
+# an invalid result raises LinAlgError and the other flags are ignored.
+# tests/test_navigator.py compares both paths bit for bit.
+_LAPACK_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("singular normal equations: need lam > 0")
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def tikhonov_step(J, dy_des, lam):
     """Solve (J^T J + lam I) dzeta = J^T dy_des via an SPD factorization."""
     J = np.asarray(J, float)
     A = J.T @ J + _ridge(lam, J.shape[1])
     rhs = J.T @ np.asarray(dy_des, float)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("singular normal equations: need lam > 0")
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    with np.errstate(call=_not_positive_definite, **_LAPACK_FLAGS):
+        L = _umath_linalg.cholesky_lo(A)
+        return _umath_linalg.solve1(L.T, _umath_linalg.solve1(L, rhs))
 
 
 def project_update(zeta, dzeta, kappa):
@@ -140,7 +156,9 @@ def port_correction(P, r, lam_u, box):
     if math.isinf(lam_u):
         return np.zeros(P.shape[1])
     A = P.T @ P + _ridge(lam_u, P.shape[1])
-    u = np.linalg.solve(A, P.T @ np.asarray(r, float))
+    rhs = P.T @ np.asarray(r, float)
+    with np.errstate(call=_singular, **_LAPACK_FLAGS):
+        u = _umath_linalg.solve1(A, rhs)
     return np.clip(u, -box, box)
 
 
@@ -299,7 +317,7 @@ class EpisodeResult:
     layout: object
     wall_time: float
     tracker: CoverageTracker = None
-    boundary_snapshots: list = field(default_factory=list)
+    shape: RingShapeModel = None  # the ring's shape model; None for a point robot
     final_weights: dict = field(default_factory=dict)
 
     @property
@@ -313,6 +331,14 @@ class EpisodeResult:
     def path_length(self) -> float:
         d = np.diff(self.positions, axis=0)
         return float(np.linalg.norm(d, axis=1).sum())
+
+    def outlines(self) -> list:
+        """The ring's boundary (RingShapeModel.boundary) at every
+        max(1, len(qs) // 12)-th logged state from the first: about 12
+        outlines, at most 23.  A point robot has none."""
+        if self.shape is None:
+            return []
+        return [self.shape.boundary(q) for q in self.qs[::max(1, len(self.qs) // 12)]]
 
 
 class ExitSelector:
@@ -513,12 +539,16 @@ class EpisodeRecorder:
 
     ``start`` and ``step`` take each state the episode reaches: they measure
     its ground-truth clearance once (``true_clr``) and return why the episode
-    ends there, or None.  ``record`` logs a state as one row of COLUMNS;
-    ``result`` zero-fills the columns a loop never recorded.  A rigid disc of
-    ``radius`` is judged by its centre's clearance less the radius.
+    ends there, or None.  ``record`` writes a state into float64 column
+    buffers, the rows of one block that doubles its capacity when full;
+    ``result`` copies out each column's logged states, zeros in the columns a
+    loop never wrote.  A rigid disc of ``radius`` is judged by its centre's
+    clearance less the radius.
     """
 
-    # every loop records the first five; the navigator also records the rest
+    # every loop records the first five; the navigator also records the rest.
+    # In this order each takes rows of the buffer: q and p layout.dim rows,
+    # u_f two, the others one each.
     COLUMNS = ("q", "clr", "true_clr", "dist", "speed", "p", "u_f", "H", "E_sensor",
                "E_goal", "E_obj", "E_barrier_total", "beta", "lam", "alpha_sum", "active",
                "mu")
@@ -530,8 +560,15 @@ class EpisodeRecorder:
         self.layout, self.shape, self.radius = layout, shape, radius
         self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
         self.world = DiscSet.of(enumerate(ws.obstacles))
-        self.rows = []
-        self.snapshots = []
+        widths = {"q": layout.dim, "p": layout.dim, "u_f": 2}
+        self.rows, start = {}, 0  # column name -> its buffer row, or slice of rows
+        for name in self.COLUMNS:
+            width = widths.get(name)
+            self.rows[name] = start if width is None else slice(start, start + width)
+            start += width or 1
+        self.buffer = np.zeros((start, 64))
+        self.m = 0  # states logged
+        self.navigated = False  # whether the navigator's columns were logged
         self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
         self.n = 0  # steps taken
         self.true_clr = None
@@ -574,26 +611,34 @@ class EpisodeRecorder:
             return "success"
         return "timeout" if self.n >= self.cfg.n_max else None
 
-    def record(self, q, y: Observables, *extra):
-        """Log the state last measured, q, with its observables y and
-        ``extra``, the values of the COLUMNS after "speed" in order."""
-        self.rows.append((q.copy(), y.clearance, self.true_clr, y.goal_dist, y.speed) + extra)
-        if self.shape is not None:
-            self.snapshots.append(self.shape.boundary(q))
+    def record(self, q, y: Observables, p=None, u_f=None, terms=()):
+        """Log the state last measured, q, with its observables y; the
+        navigator also logs the momentum p, the port input u_f and ``terms``,
+        the values of the COLUMNS after "u_f" in order."""
+        if self.m == self.buffer.shape[1]:
+            self.buffer = np.concatenate([self.buffer, np.zeros_like(self.buffer)], axis=1)
+        d = self.layout.dim
+        col = self.buffer[:, self.m]
+        col[:d] = q
+        col[d:d + 4] = y.clearance, self.true_clr, y.goal_dist, y.speed
+        if p is not None:
+            col[d + 4:2 * d + 4] = p
+            col[2 * d + 4:2 * d + 6] = u_f
+            col[2 * d + 6:] = terms
+            self.navigated = True
+        self.m += 1
 
     def result(self, termination, final_weights=None) -> EpisodeResult:
-        m = len(self.rows)
-        cols = dict(zip(self.COLUMNS, zip(*self.rows)))
+        logged = self.buffer[:, :self.m]
 
-        def column(name, width=0):
-            if name not in cols:
-                return np.zeros((m, width) if width else m)
-            return np.stack(cols[name]) if width else np.asarray(cols[name])
+        def column(name):
+            return logged[self.rows[name]].T.copy()
 
+        active = column("active")
         return EpisodeResult(
-            times=self.cfg.tau * np.arange(m),
-            qs=np.stack(cols["q"]),
-            ps=column("p", self.layout.dim),
+            times=self.cfg.tau * np.arange(self.m),
+            qs=column("q"),
+            ps=column("p"),
             energies=column("H"),
             clearances=column("clr"),
             true_clearances=column("true_clr"),
@@ -602,16 +647,16 @@ class EpisodeRecorder:
             betas=column("beta"),
             lams=column("lam"),
             alpha_sums=column("alpha_sum"),
-            active_counts=column("active"),
+            active_counts=active.astype(np.int64) if self.navigated else active,
             mus=column("mu"),
-            u_fs=column("u_f", 2),
+            u_fs=column("u_f"),
             breakdown={k: column(k) for k in ("E_sensor", "E_goal", "E_obj", "E_barrier_total")},
             termination=termination,
             coverage=self.tracker.covered_fraction(),
             layout=self.layout,
             wall_time=time.perf_counter() - self.t_wall,
             tracker=self.tracker,
-            boundary_snapshots=self.snapshots,
+            shape=self.shape,
             final_weights=final_weights or {},
         )
 
@@ -718,19 +763,21 @@ class _Episode:
         return Observables(min(self.clearance(self.z.q, act, contact), self.cfg.d_hat),
                            y.goal_dist, y.speed)
 
-    def columns(self, parts, act: DiscSet):
-        """The state's values of the recorder's COLUMNS after "speed"."""
+    def log(self, rec: EpisodeRecorder, y, act: DiscSet, contact, parts):
+        """Record self.z with the observables ``logged`` gives, its momentum,
+        the port input, the energy terms ``parts`` and the weights."""
         w = self.weights
-        return (self.z.p.copy(), self.u_f.copy(), parts["H"], parts["E_sensor"],
-                parts["E_goal"], parts["E_obj"], parts["E_barrier_total"], w.beta, w.lam,
-                sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()), len(act), w.mu)
+        rec.record(self.z.q, self.logged(y, act, contact), self.z.p, self.u_f,
+                   (parts["H"], parts["E_sensor"], parts["E_goal"], parts["E_obj"],
+                    parts["E_barrier_total"], w.beta, w.lam,
+                    sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()), len(act), w.mu))
 
     def finish(self, rec: EpisodeRecorder, termination, contact, y) -> EpisodeResult:
         """Record the last state, which no step follows, and build the result."""
         act = self.active_set(self.z.q)
         contact = self.contact_at(self.z.q, act, contact)
         ev = evaluate(self.z.q, self.spec_for(act), self.z.p, contact)
-        rec.record(self.z.q, self.logged(y, act, contact), *self.columns(ev.parts, act))
+        self.log(rec, y, act, contact, ev.parts)
         w = self.weights
         return rec.result(termination, {"beta": w.beta, "lam": w.lam, "mu": w.mu,
                                         "alpha": dict(w.alpha)})
@@ -848,7 +895,7 @@ class _Episode:
 
             # (I) log, then commit; the goal distance and speed of self.z are
             # those (F) measured one step earlier
-            rec.record(self.z.q, self.logged(y, act, contact), *self.columns(ev.parts, act))
+            self.log(rec, y, act, contact, ev.parts)
             self.z, contact, y = z_next, contact_next, y_obs
             termination = rec.step(self.z.q)
 

@@ -99,8 +99,9 @@ def plot_workspace(canvas: SvgCanvas, ws):
     canvas.marker(ws.goal[0], ws.goal[1], "square", "#d00")
 
 
-def plot_episode(ws, positions, windows=(), boundary_snapshots=(), extra_note=""):
-    """Trajectory overlay: workspace, visited windows, path, ring outlines."""
+def plot_episode(ws, positions, windows=(), outlines=(), extra_note=""):
+    """Trajectory overlay: workspace, visited windows, path, and each of the
+    ring ``outlines`` (EpisodeResult.outlines, or ring_snapshots.json)."""
     canvas = SvgCanvas(0, 0, ws.side, ws.side)
     plot_workspace(canvas, ws)
     for center, half in windows:
@@ -109,10 +110,9 @@ def plot_episode(ws, positions, windows=(), boundary_snapshots=(), extra_note=""
     positions = np.asarray(positions, float)
     if positions.size:
         canvas.polyline(positions, stroke="#d22", stroke_width=2.0)
-    for k, snap in enumerate(boundary_snapshots):
-        if k % max(1, len(boundary_snapshots) // 12) == 0:
-            closed = np.vstack([snap, snap[:1]])
-            canvas.polyline(closed, stroke="#46a", stroke_width=0.8, opacity=0.7)
+    for outline in outlines:
+        closed = np.vstack([outline, outline[:1]])
+        canvas.polyline(closed, stroke="#46a", stroke_width=0.8, opacity=0.7)
     if extra_note:
         canvas.text(0.2, ws.side - 0.2, extra_note)
     return canvas

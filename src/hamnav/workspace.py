@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 
 class DeadEndError(RuntimeError):
@@ -529,7 +528,12 @@ def mapping_ratio(tracker: CoverageTracker, L: float) -> float:
 
 def grid_to_sdf(grid: OccupancyGrid) -> np.ndarray:
     """Per-cell signed distance in cell units: positive on free cells
-    (distance to the nearest occupied cell), negative on occupied cells."""
+    (distance to the nearest occupied cell), negative on occupied cells.
+
+    scipy.ndimage is imported here, on the first call, so that disc worlds
+    never load it."""
+    from scipy import ndimage
+
     occ = grid.occupied
     ny, nx = occ.shape
     cap = float(np.hypot(nx, ny))

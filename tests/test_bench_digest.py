@@ -5,6 +5,8 @@ two fence discs, a dungeon point-robot episode, a point-robot
 episode that abandons an exit for lack of progress, a ``scene_rollout``, a
 short ``train_offline``, and the PF and DWA baselines (DWA as a point robot
 and as a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).
+``all_columns`` pins the logged arrays the others leave out, for a ring, a
+point-robot and a DWA episode.
 Each case hashes (sha256) its trajectory (``qs``, ``ps``, termination; the
 baselines have no momenta, so ``qs`` alone; the trained parameters for
 ``train_offline``) and its logged observables (energies and clearances;
@@ -101,6 +103,29 @@ def train_offline_case():
     return "trained", cfg.epochs, {"params": model.get_flat(), "loss_curve": curve}
 
 
+COLUMNS = ("betas", "lams", "alpha_sums", "active_counts", "mus", "u_fs", "goal_dists",
+           "speeds", "times")
+
+
+def all_columns_case():
+    """Every logged array the cases above leave out (the weights, the active
+    counts, the port input, the energy terms, goal distance, speed and time),
+    for a ring, a point-robot and a DWA episode on ``test_id`` 1 (discs are
+    active from step 30; DWA reaches the goal).  The termination names each
+    episode's ending and the dtype of its ``active_counts``, which the hash
+    alone would not see."""
+    ws = generate_workspace("test_id", 1)
+    runs = {"ring": run_episode(ws, EpisodeConfig(ring=RingParams(), n_max=200)),
+            "point": run_episode(ws, EpisodeConfig(n_max=200)),
+            "dwa": run_baseline_episode(ws, "dwa", EpisodeConfig())}
+    arrays, endings = {}, []
+    for tag, res in runs.items():
+        endings.append(f"{tag}:{res.termination}:{res.active_counts.dtype}")
+        arrays.update((f"{tag}.{k}", getattr(res, k)) for k in COLUMNS)
+        arrays.update((f"{tag}.{k}", v) for k, v in sorted(res.breakdown.items()))
+    return " ".join(endings), sum(r.n_steps for r in runs.values()), arrays
+
+
 def baseline_case(method, robot_radius=0.0, dungeon=False):
     if dungeon:
         ws, cfg = generate_dungeon(0, cells=3), dungeon_setup(n_max=300)[0]
@@ -118,6 +143,10 @@ CASES = {
     "abandon_episode": (abandon_episode, *EPISODE),
     "scene_rollout": (scene_rollout_case, ("qs", "ps"), ("energies", "clearances")),
     "train_offline": (train_offline_case, ("params",), ("loss_curve",)),
+    "all_columns": (all_columns_case, (),
+                    tuple(f"{tag}.{k}" for tag in ("ring", "point", "dwa")
+                          for k in COLUMNS + ("E_barrier_total", "E_goal", "E_obj",
+                                              "E_sensor"))),
     "dwa_point": (baseline_case("dwa"), *BASELINE),
     "dwa_disc": (baseline_case("dwa", robot_radius=0.4), *BASELINE),
     "dwa_dungeon": (baseline_case("dwa", dungeon=True), *BASELINE),

@@ -33,7 +33,7 @@ from hamnav.navigator import (
     secant_jacobian_update,
     tikhonov_step,
 )
-from hamnav.ring import RingParams
+from hamnav.ring import RingParams, RingShapeModel
 from hamnav.workspace import (
     DeadEndError,
     DiscSet,
@@ -153,6 +153,32 @@ class TestTikhonov:
         J = np.zeros((3, 2))
         with pytest.raises(np.linalg.LinAlgError):
             tikhonov_step(J, np.ones(3), 0.0)
+
+    @pytest.mark.parametrize("outer", ["warn", "raise"])
+    def test_not_positive_definite_raises_linalg_error(self, outer):
+        """Under any floating-point state the caller holds, as np.linalg does."""
+        with np.errstate(all=outer):
+            with pytest.raises(np.linalg.LinAlgError):
+                tikhonov_step(np.ones((3, 2)), np.ones(3), -1.0)
+            with pytest.raises(np.linalg.LinAlgError):
+                port_correction(np.zeros((3, 2)), np.ones(3), 0.0, 1.0)
+
+    def test_lapack_gufuncs_match_np_linalg_bit_for_bit(self):
+        """tikhonov_step and port_correction call numpy.linalg's private LAPACK
+        gufuncs without the np.linalg wrappers; on random ridge systems of
+        each width the navigator uses and on random 2x2 port systems they must
+        return the wrappers' bits, so a numpy whose private module changes
+        fails here."""
+        rng = np.random.default_rng(20)
+        for n in range(5000):
+            J = rng.normal(size=(3, 3 + n % 3)) * 10.0 ** rng.uniform(-3, 2)
+            dy, lam = rng.normal(size=3), 10.0 ** rng.uniform(-4, 1)
+            L = np.linalg.cholesky(J.T @ J + lam * np.eye(J.shape[1]))
+            want = np.linalg.solve(L.T, np.linalg.solve(L, J.T @ dy))
+            assert tikhonov_step(J, dy, lam).tobytes() == want.tobytes(), n
+            P, r = rng.normal(size=(3, 2)), rng.normal(size=3)
+            want = np.linalg.solve(P.T @ P + lam * np.eye(2), P.T @ r)
+            assert port_correction(P, r, lam, np.inf).tobytes() == want.tobytes(), n
 
 
 class TestProjectUpdate:
@@ -627,6 +653,21 @@ class TestLoggedObservables:
             y = compute_observables(z, clr, ws.goal, (), ep.mass, ep.layout, cfg.d_hat)
             want = np.array([y.clearance, y.goal_dist, y.speed])
             assert got[i].tobytes() == want.tobytes(), i
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outlines_are_boundaries_of_logged_states(self, runs, case):
+        """EpisodeResult.outlines is RingShapeModel.boundary at every
+        max(1, len(qs) // 12)-th logged state, bit for bit; a point robot has
+        none."""
+        ws, cfg, ep, res, calls, _ = runs[case]
+        if cfg.ring is None:
+            assert res.outlines() == []
+            return
+        at = range(0, len(res.qs), max(1, len(res.qs) // 12))
+        assert len(res.outlines()) == len(at) >= 12
+        shape = RingShapeModel(cfg.ring)
+        for k, outline in zip(at, res.outlines()):
+            assert outline.tobytes() == shape.boundary(res.qs[k]).tobytes(), k
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reuse_rules_fire(self, runs, case):

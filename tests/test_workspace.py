@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,7 +386,34 @@ class TestCoverage:
         assert mapping_ratio(tr2, L) == pytest.approx(prev, abs=1e-15)
 
 
+# imports every hamnav module, then computes one grid SDF; prints whether
+# scipy.ndimage was loaded before and after, and the SDF's sha256
+LAZY_NDIMAGE = """
+import hashlib, importlib, pkgutil, sys
+import hamnav
+for mod in pkgutil.iter_modules(hamnav.__path__):
+    importlib.import_module("hamnav." + mod.name)
+before = "scipy.ndimage" in sys.modules
+from hamnav.generation import generate_dungeon
+from hamnav.workspace import grid_to_sdf
+sdf = grid_to_sdf(generate_dungeon(0, cells=3).grid)
+print(before, "scipy.ndimage" in sys.modules, hashlib.sha256(sdf.tobytes()).hexdigest())
+"""
+
+
 class TestGridSdf:
+    def test_ndimage_loads_on_the_first_grid_sdf(self):
+        """No hamnav import loads scipy.ndimage; the first grid SDF does, and
+        the SDF of dungeon 0 (cells=3) keeps its pinned bytes."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(workspace.__file__).parent.parent)]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run([sys.executable, "-c", LAZY_NDIMAGE], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout.split()
+        assert out == ["False", "True",
+                       "d1eb8725d6d767c69de331eb71d354b0db94988aca21ff86dee25ca69055a303"]
+
     def test_single_occupied_345(self):
         occ = np.zeros((8, 8), dtype=bool)
         occ[0, 0] = True
