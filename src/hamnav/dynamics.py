@@ -7,8 +7,9 @@ exogenous port acting only on the frame momentum block:
     q' = q + tau * M^-1 p'
 
 ``step_leapfrog`` is the conservative kick-drift-kick step (no damping, no
-port), exactly time-reversible up to roundoff; offline training's
-multi-start trials use it.
+port), exactly time-reversible up to roundoff.  Offline training runs its
+multi-start trials as one batch (``learning.multi_start_penalties``); this
+single-state step is that batch's reference.
 """
 
 from __future__ import annotations

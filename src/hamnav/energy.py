@@ -243,22 +243,23 @@ class HamiltonianSpec:
             raise ValueError("mass diagonal must be positive definite")
 
 
-def _point_obstacle_features(q, layout, discs: DiscSet, d_hat):
-    """Barrier features of a point robot: (M,) values b(d_i(c)), (M, dim) gradients."""
-    delta = q[layout.frame] - discs.centers
-    dist = row_norms(delta)  # each row as np.linalg.norm of that row alone
-    b, db = ipc_barrier_and_grad(dist - discs.radii, d_hat)
-    vals = b * discs.weights
-    grads = np.zeros((len(discs), q.size))
-    safe = ~(dist < 1e-12)  # a NaN distance keeps its NaN gradient
-    if not safe.all():
+def _point_barrier_terms(c, discs: DiscSet, d_hat):
+    """The ``_log_terms`` of the signed distances from point-robot frame positions
+    c (..., 2) to ``discs``, and the (..., M, 2) gradient rows w_i b'(d_i) n_i:
+    zero, with a warning, on a centre.  The distances are ``row_norms``, so a
+    batch of positions gets the bits each one gets alone."""
+    delta = c[..., None, :] - discs.centers
+    dist = row_norms(delta.reshape(-1, 2)).reshape(delta.shape[:-1])
+    terms = _log_terms(dist - discs.radii, d_hat)
+    slope = discs.weights * _barrier_slope(*terms, d_hat)
+    at_center = dist < 1e-12  # a NaN distance keeps its NaN row
+    if at_center.any():
         warnings.warn("configuration coincides with an obstacle center; "
                       "degenerate barrier gradient set to zero", RuntimeWarning)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = delta / dist[:, None]
-    grads[:, layout.frame] = np.where(safe[:, None],
-                                      (discs.weights * db)[:, None] * unit, 0.0)
-    return vals, grads
+        rows = slope[..., None] * (delta / dist[..., None])
+    rows[at_center] = 0.0
+    return terms, rows
 
 
 def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
@@ -290,8 +291,23 @@ def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
             raise ValueError("contact pass was made against another disc set")
         phi[2:], grads[2:] = contact.features(fixed.d_hat)
     elif m:
-        phi[2:], grads[2:] = _point_obstacle_features(q, layout, discs, fixed.d_hat)
+        terms, grads[2:, layout.frame] = _point_barrier_terms(q[layout.frame], discs, fixed.d_hat)
+        phi[2:] = _barrier(*terms, fixed.d_hat) * discs.weights
     return phi, grads
+
+
+def potential_grads(q, eta, discs: DiscSet, fixed: FixedTerms) -> np.ndarray:
+    """Potential gradients (B, dim) of point-robot states q (B, dim) under weight
+    rows eta (B, 2 + M) in the feature order of ``features``.  Row b equals
+    ``evaluate(q[b], spec).grad`` bit for bit (spec weights with vector eta[b]):
+    it contracts as one (1, 2 + M) @ (2 + M, dim) product, like ``eta @ grads``."""
+    layout = fixed.layout
+    grads = np.zeros((len(q), 2 + len(discs), layout.dim))
+    grads[:, 0, layout.frame] = 2.0 * (q[:, layout.frame] - fixed.goal)
+    _, grads[:, 2:, layout.frame] = _point_barrier_terms(q[:, layout.frame], discs, fixed.d_hat)
+    out = (eta[:, None, :] @ grads)[:, 0]
+    out[:, layout.sensor] += 2.0 * fixed.sensor_gain * q[:, layout.sensor]
+    return out
 
 
 def sensor_energy(q, fixed: FixedTerms):

@@ -19,16 +19,16 @@ A scene's finite-difference stencil is scored as one batch.  Its members
 differ only in their weight vectors: they start from the same ``q0`` and
 draw the same multi-start trials (the trial rng is seeded per scene), so
 their point-robot trajectories are independent rows of one state array.
-The batched gradient takes the same distances and the same per-row weight
-contraction as ``energy.potential_grad``, so every member's loss equals the
-one it would get alone, bit for bit.  The navigator keeps the scalar path.
+Their gradients are ``energy.potential_grads``, the navigator's point-robot
+barrier kernel over a batch of states, whose row b is ``potential_grad`` of
+state b bit for bit; so every member's loss equals the one it would get
+alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -41,11 +41,11 @@ from .energy import (
     FixedTerms,
     HamiltonianSpec,
     features,
-    ipc_barrier_grad,
     log_barrier,
+    potential_grads,
 )
 from .navigator import MetaTokens, build_tokens
-from .workspace import DiscSet, Obstacle, row_norms, signed_distances
+from .workspace import DiscSet, Obstacle, disc_distances, row_norms, signed_distances
 
 
 class PersistentExcitationError(RuntimeError):
@@ -161,7 +161,8 @@ def penalty_from_clearances(clearances, r_min, d_hat) -> float:
 def _scene_spec(discs: DiscSet, goal, weights: EnergyWeights, d_hat) -> HamiltonianSpec:
     """The point robot's Hamiltonian in a training scene (unit mass).
 
-    ``_PointBatch`` integrates exactly this spec, many weight sets at once.
+    The batched rollouts and trials integrate its ``fixed`` terms under many
+    weight sets at once (``energy.potential_grads``).
     """
     fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.asarray(goal, float), d_hat=d_hat,
                        sensor_gain=1.0)
@@ -172,51 +173,6 @@ def _weight_rows(weights, n_obstacles) -> np.ndarray:
     """(S, 2 + K) weight rows, row s ``weights[s].vector(range(K))``: the
     feature order of ``energy.features`` for obstacles 0..K-1."""
     return np.array([w.vector(range(n_obstacles)) for w in weights], dtype=float)
-
-
-class _PointBatch:
-    """A scene's potential gradient, for many point-robot states at once.
-
-    The states q are a (B, 4) array, each row with its own weight row.  Row b
-    of ``grad`` equals ``energy.potential_grad(q[b], spec)`` bit for bit:
-    the distances are ``row_norms`` (the scalar path's ``np.linalg.norm`` of
-    one vector, not ``norm(axis=...)``) and each row's weights contract its
-    feature gradients as one (1, 2 + K) @ (2 + K, 4) product, the same call
-    as the scalar ``eta @ grads``.  ``clearance`` matches ``signed_distances``
-    of each row, which does use ``norm(axis=...)``.
-    """
-
-    def __init__(self, scene, d_hat):
-        discs = scene.discs
-        self.k = len(discs)
-        self.centers, self.radii, self.weights = discs.centers, discs.radii, discs.weights
-        self.goal = np.asarray(scene.goal, float)
-        self.d_hat = d_hat
-
-    def grad(self, q, eta) -> np.ndarray:
-        """Potential gradients (B, 4) of states q (B, 4) under weight rows eta."""
-        n = len(q)
-        c = q[:, 2:4]
-        grads = np.zeros((n, 2 + self.k, 4))
-        grads[:, 0, 2:4] = 2.0 * (c - self.goal)
-        delta = c[:, None, :] - self.centers
-        dist = row_norms(delta.reshape(n * self.k, 2)).reshape(n, self.k)
-        at_center = dist < 1e-12
-        if at_center.any():
-            warnings.warn("configuration coincides with an obstacle center; "
-                          "degenerate barrier gradient set to zero", RuntimeWarning)
-        slope = self.weights * ipc_barrier_grad(dist - self.radii, self.d_hat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = slope[..., None] * (delta / dist[..., None])
-        rows[at_center] = 0.0
-        grads[:, 2:, 2:4] = rows
-        out = (eta[:, None, :] @ grads)[:, 0]
-        out[:, 0:2] += 2.0 * q[:, 0:2]  # sensor term, gain 1
-        return out
-
-    def clearance(self, q) -> np.ndarray:
-        """Least signed obstacle distance of each state's frame, (B,)."""
-        return (np.linalg.norm(self.centers - q[:, None, 2:4], axis=2) - self.radii).min(axis=1)
 
 
 def _trial_start(obstacles, d_hat, rng):
@@ -249,17 +205,22 @@ def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
     q = np.tile([q0 for q0, _ in starts], (len(weights), 1))  # row s * m + j: trial j
     p = np.tile([p0 for _, p0 in starts], (len(weights), 1))
     eta = np.repeat(_weight_rows(weights, len(obstacles)), m_trials, axis=0)
-    batch = _PointBatch(scene, d_hat)
-    clr = batch.clearance(q)
-    g = batch.grad(q, eta)
+    discs = scene.discs
+    fixed = _scene_spec(discs, scene.goal, EnergyWeights(), d_hat).fixed
+
+    def clearance(q):  # signed_distances of each row's frame, (B,)
+        return disc_distances(discs.centers, discs.radii, q[:, None, 2:4]).min(axis=1)
+
+    clr = clearance(q)
+    g = potential_grads(q, eta, discs, fixed)
     for _ in range(t_steps):  # kick-drift-kick, unit mass
         p_half = p - 0.5 * tau * g
         q = q + tau * p_half
-        g = batch.grad(q, eta)
+        g = potential_grads(q, eta, discs, fixed)
         p = p_half - 0.5 * tau * g
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise FloatingPointError("non-finite state after leapfrog step")
-        clr = np.minimum(clr, batch.clearance(q))
+        clr = np.minimum(clr, clearance(q))
     return _penalties(clr.reshape(len(weights), m_trials), r_min, d_hat)
 
 
@@ -348,8 +309,9 @@ def scene_rollouts(scene: SceneDatum, weights, horizon, tau, d_hat):
     q0 = np.asarray(scene.q0, float)
     if not np.all(np.isfinite(q0)):
         raise FloatingPointError("non-finite initial state")
-    batch = _PointBatch(scene, d_hat)
-    eta = _weight_rows(weights, batch.k)
+    discs = scene.discs
+    fixed = _scene_spec(discs, scene.goal, EnergyWeights(), d_hat).fixed
+    eta = _weight_rows(weights, len(discs))
     damping = np.zeros((len(weights), 4))  # Gamma(mu): mu on the frame momenta
     damping[:, 2:4] = np.array([w.mu for w in weights], float)[:, None]
     q = np.tile(q0, (len(weights), 1))
@@ -357,7 +319,7 @@ def scene_rollouts(scene: SceneDatum, weights, horizon, tau, d_hat):
     qs, ps = [q], [p]
     live = np.ones(len(weights), bool)
     for _ in range(horizon):
-        g = batch.grad(q, eta)
+        g = potential_grads(q, eta, discs, fixed)
         ok = live & np.isfinite(np.hstack([q, p, g])).all(axis=1)
         # unit mass, so v = p; the port input is zero, and p never holds a
         # -0.0 for "+ tau * 0" to turn into +0.0
@@ -581,6 +543,21 @@ class TrainConfig:
     r_min: float = 0.2
     fd_step: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("fd_step", "tau", "d_hat", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"train.{name} must be > 0")
+        if not self.epochs >= 1:
+            raise ValueError("train.epochs must be >= 1")
+        if not (self.m_trials >= 0 and self.multi_steps >= 0):
+            raise ValueError("train.m_trials and train.multi_steps must be >= 0")
+        if not (isinstance(self.horizons, (list, tuple)) and self.horizons
+                and all(isinstance(h, int) and h >= 0 for h in self.horizons)):
+            raise ValueError("train.horizons must be a non-empty list of ints >= 0")
+        if not (isinstance(self.weights, (list, tuple)) and len(self.weights) == 4
+                and all(w >= 0 for w in self.weights)):
+            raise ValueError("train.weights must be four loss weights >= 0")
 
 
 def _scene_losses(scene: SceneDatum, weights, cfg: TrainConfig, horizon, rng_seed):

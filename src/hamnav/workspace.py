@@ -60,12 +60,13 @@ def signed_distance(obstacle: Obstacle, point) -> float:
 
 
 def disc_distances(centers, radii, point) -> np.ndarray:
-    """Signed distances from point to the discs of (M, 2) ``centers`` and (M,)
-    ``radii``: ``np.linalg.norm(centers - point, axis=1) - radii`` bit for bit,
-    as that norm's own formula (the square root of each row's sum of
-    squares) without its wrapper."""
+    """Signed distances from points to the discs of (M, 2) ``centers`` and (M,)
+    ``radii``: ``np.linalg.norm(centers - point, axis=-1) - radii`` bit for
+    bit, as that norm's own formula (the square root of each row's sum of
+    squares) without its wrapper.  One point (2,) gives (M,); a stack of
+    points (..., 1, 2) gives (..., M)."""
     d = centers - np.asarray(point, float)
-    return np.sqrt((d * d).sum(axis=1)) - radii
+    return np.sqrt((d * d).sum(axis=-1)) - radii
 
 
 def signed_distances(obstacles, point) -> np.ndarray:

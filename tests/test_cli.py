@@ -628,6 +628,32 @@ class TestTrainCommand:
         assert err.startswith("config error: ") and "episode.contact_window" in err
         assert not (tmp_path / "model").exists()
 
+    @pytest.mark.parametrize("line, field", [
+        ("fd_step = 0.0", "fd_step"),
+        ("horizons = []", "horizons"),
+        ("horizons = [2, -1]", "horizons"),
+        ("epochs = 0", "epochs"),
+        ("epochs = -3", "epochs"),
+        ("weights = [1.0, 2.0]", "weights"),
+        ("weights = [1.0, 1.0, -0.1, 0.5]", "weights"),
+        ("d_hat = 0.0", "d_hat"),
+        ("tau = 0.0", "tau"),
+        ("clip_norm = nan", "clip_norm"),
+        ("m_trials = -1", "m_trials"),
+    ])
+    def test_malformed_train_config_exits_with_its_name(self, tmp_path, capsys, line, field):
+        data = tmp_path / "data"
+        assert main(["make-dataset", "--count", "1", "--seed", "5", "--out", str(data)]) == 0
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"[train]\n{line}\n")
+        capsys.readouterr()
+        rc = main(["train", "--dataset", str(data), "--config", str(bad),
+                   "--out", str(tmp_path / "model")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"train.{field}" in err
+        assert not (tmp_path / "model").exists()
+
     def test_obstacle_free_scene_trains(self, tmp_path):
         # a scene with no obstacles: no alpha weights and no multi-start trials
         data = tmp_path / "data"

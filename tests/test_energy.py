@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +25,7 @@ from hamnav.energy import (
     log_barrier,
     potential,
     potential_grad,
+    potential_grads,
     sensor_energy,
 )
 from hamnav.learning import _weight_rows
@@ -392,6 +395,67 @@ class TestEvaluate:
         assert evaluate(q, spec).H == evaluate(q, spec).potential == potential(q, spec)
         with pytest.raises(ValueError):
             evaluate(np.zeros(6), spec, np.zeros(6))
+
+
+FRAME_KINDS = ("free", "barrier_linear", "barrier_log", "inside_disc", "on_center", "nan")
+
+
+def center_warning_count(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, sum("obstacle center" in str(w.message) for w in caught)
+
+
+class TestPotentialGrads:
+    """Row b of the batched point-robot gradient is the single state's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 10_000),
+           st.lists(st.sampled_from(FRAME_KINDS), min_size=1, max_size=6),
+           st.sampled_from([0.5, 1.0, 8.0]), st.sampled_from([1.0, 0.7]))
+    def test_rows_match_evaluate(self, n_discs, seed, kinds, d_hat, sensor_gain):
+        r = np.random.default_rng(seed)
+        ids = sorted(r.choice(50, n_discs, replace=False).tolist())
+        obstacles = [Obstacle(r.uniform(-3, 3, 2), r.uniform(0.2, 0.8), r.uniform(0.0, 2.0))
+                     for _ in ids]
+        discs = DiscSet.of(zip(ids, obstacles))
+        fixed = FixedTerms(layout=POINT_LAYOUT, goal=r.uniform(-3, 3, 2), d_hat=d_hat,
+                           sensor_gain=sensor_gain)
+        d_c = barrier_knots(d_hat)[0]
+        q = np.concatenate([r.normal(0, 1, (len(kinds), 2)), r.uniform(-4, 4, (len(kinds), 2))],
+                           axis=1)
+        for b, kind in enumerate(kinds):
+            if kind == "nan":
+                q[b, r.integers(4)] = np.nan
+            elif obstacles and kind != "free":
+                ob, ang = obstacles[r.integers(n_discs)], r.uniform(0, 2 * np.pi)
+                dist = {"barrier_linear": ob.radius + r.uniform(0.05, 0.95) * d_c,
+                        "barrier_log": ob.radius + r.uniform(d_c, d_hat),
+                        "inside_disc": r.uniform(0.05, 0.95) * ob.radius,
+                        "on_center": 0.0}[kind]
+                q[b, 2:4] = ob.center + dist * np.array([np.cos(ang), np.sin(ang)])
+        weights = [EnergyWeights(beta=r.uniform(0, 3), lam=r.uniform(0, 3),
+                                 alpha={i: r.choice([0.0, r.uniform(0, 5)]) for i in ids})
+                   for _ in kinds]
+        eta = np.array([w.vector(ids) for w in weights])
+        on_center = any(k == "on_center" for k in kinds) and n_discs > 0
+        with np.errstate(all="ignore"):
+            got, n_warned = center_warning_count(lambda: potential_grads(q, eta, discs, fixed))
+            assert got.shape == q.shape
+            assert n_warned == on_center
+            for b, w in enumerate(weights):
+                want, _ = center_warning_count(
+                    lambda: evaluate(q[b], HamiltonianSpec(np.ones(4), w, discs, fixed)).grad)
+                assert got[b].tobytes() == want.tobytes(), (b, kinds[b])
+
+    def test_frame_on_a_center_warns_once(self):
+        discs = discs_of([Obstacle(np.array([1.0, 1.0]), 0.5), Obstacle(np.array([3.0, 1.0]), 0.5)])
+        fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([5.0, 5.0]), d_hat=1.0)
+        q = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 2.0, 1.0]])
+        g, n_warned = center_warning_count(
+            lambda: potential_grads(q, np.ones((3, 4)), discs, fixed))
+        assert n_warned == 1 and np.all(np.isfinite(g))
 
 
 WEIGHT_VALUES = st.one_of(st.floats(0.0, 1e6), st.integers(0, 5), st.just(-0.0),

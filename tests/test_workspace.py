@@ -180,16 +180,20 @@ class TestNorm2:
 
 
 class TestDiscDistances:
-    """disc_distances equals np.linalg.norm(..., axis=1) - radii, bit for bit."""
+    """disc_distances equals np.linalg.norm(..., axis=-1) - radii, bit for bit."""
 
     @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0, 10)),
-                    max_size=40), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+                    max_size=40), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+           st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=8))
     @settings(max_examples=100, deadline=None)
-    def test_matches_axis_norm(self, discs, px, py):
+    def test_matches_axis_norm(self, discs, px, py, stack):
         a = np.array(discs, float).reshape(-1, 3)
-        centers, radii, point = a[:, :2], a[:, 2], np.array([px, py])
-        want = np.linalg.norm(centers - point, axis=1) - radii
-        assert disc_distances(centers, radii, point).tobytes() == want.tobytes()
+        centers, radii = a[:, :2], a[:, 2]
+        # one point (2,) and a stack of points (B, 1, 2)
+        for point in (np.array([px, py]), np.array(stack, float).reshape(-1, 1, 2)):
+            want = np.linalg.norm(centers - point, axis=-1) - radii
+            got = disc_distances(centers, radii, point)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_many_random_discs(self, rng):
         centers = rng.normal(size=(20_000, 2)) * rng.uniform(1e-3, 1e3, (20_000, 1))
