@@ -179,15 +179,31 @@ def _type_hints(cls):
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", tuple: "a list"}
+
+
 def _field_value(hint, val, path):
+    """``val`` as the field hinted ``hint`` holds it: a table as its dataclass,
+    a list as a tuple, a number as the hint's float or int.  A value of
+    another type (a bool or string for a number, a float with a fraction for
+    an int) raises ValueError."""
     if val is None:
         return None
-    for kind in typing.get_args(hint) or (hint,):
+    kinds = typing.get_args(hint) or (hint,)
+    for kind in kinds:
         if dataclasses.is_dataclass(kind):
             return _build(kind, val, path)
         if kind is tuple and isinstance(val, list):
             return tuple(val)
-    return val
+        if kind is str and isinstance(val, str):
+            return val
+        if kind in (int, float) and isinstance(val, (int, float)) and not isinstance(val, bool):
+            if kind is float:
+                return float(val)
+            if isinstance(val, int) or val.is_integer():
+                return int(val)
+    want = " or ".join(_KIND_NAMES[k] for k in kinds if k in _KIND_NAMES)
+    raise ValueError(f"config field {path.rstrip('.')} must be {want}, not {val!r}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:

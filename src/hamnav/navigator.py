@@ -94,9 +94,10 @@ def observable_target(y: Observables, m_safe, eps_prog, v_min) -> np.ndarray:
 
 def secant_jacobian_update(J_prev, dy, dzeta, rho, eps):
     """Exponentially smoothed rank-one secant estimate of dy/dzeta."""
-    dy = np.asarray(dy, float).reshape(-1, 1)
-    dzeta = np.asarray(dzeta, float).reshape(1, -1)
-    J_tilde = (dy @ dzeta) / (float(np.dot(dzeta.ravel(), dzeta.ravel())) + eps)
+    dy, dzeta = np.asarray(dy, float), np.asarray(dzeta, float)
+    # a (n, 1) @ (1, m) product, not np.outer: matmul gives +0.0 where a
+    # product is a signed zero
+    J_tilde = (dy[:, None] @ dzeta[None, :]) / (float(np.dot(dzeta, dzeta)) + eps)
     return rho * np.asarray(J_prev, float) + (1.0 - rho) * J_tilde
 
 
@@ -700,6 +701,7 @@ class _Episode:
         b_cap, l_cap, a_cap, m_cap = ad.zeta_cap
         self.caps = np.array([b_cap, l_cap] + [a_cap] * ad.k_alpha + [m_cap])
         self.fixed = None  # the FixedTerms of the current stage goal
+        self.spec = None  # the HamiltonianSpec of the active set and self.fixed
         self.active = (None, None, None)  # the last active set: (memory discs, mask, set)
 
     # -- geometry helpers ---------------------------------------------------
@@ -734,12 +736,18 @@ class _Episode:
         return self.active[2]
 
     def spec_for(self, act: DiscSet):
+        """The HamiltonianSpec on act at the current stage goal.  The spec last
+        formed is handed back, the same object, while act and the goal's
+        FixedTerms are; it reads self.weights, which the loop adapts in place."""
         goal = self.sensing.stage_goal
         if self.fixed is None or self.fixed.goal is not goal:
             self.fixed = FixedTerms(layout=self.layout, goal=goal, d_hat=self.cfg.d_hat,
                                     sensor_gain=self.cfg.sensor_gain, shape=self.shape)
-        return HamiltonianSpec(mass=self.mass, weights=self.weights, discs=act,
-                               fixed=self.fixed)
+        spec = self.spec
+        if spec is None or spec.discs is not act or spec.fixed is not self.fixed:
+            self.spec = spec = HamiltonianSpec(mass=self.mass, weights=self.weights,
+                                               discs=act, fixed=self.fixed)
+        return spec
 
     def clearance(self, q, act: DiscSet, contact) -> float:
         """The sensed clearance at q against act: the ring's contact pass at q

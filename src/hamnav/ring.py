@@ -6,6 +6,12 @@ precomputed basis matrices, X_j = sum_i B_ji P_i, and the contact energy is a
 quadrature over boundary samples of the IPC barrier.  A clearance-dependent
 scale target feeds a quadratic bulk (area) potential, which is what lets the
 ring squeeze through gaps narrower than its rest diameter.
+
+The contact pass (``ContactPass``) takes a fast path when no sample is within
+the barrier's clamp distance d_c of a disc and b(d_c) <= BARRIER_CLAMP: every
+sample is then on the log branch or beyond d_hat, so the barrier and its slope
+are two ``np.where`` over the (M, K) grid, from the elementwise arithmetic of
+``ipc_barrier_and_grad`` and so with its bits.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import RING_LAYOUT, ipc_barrier_and_grad
+from .energy import BARRIER_CLAMP, GRAD_CLAMP, RING_LAYOUT, barrier_knots, ipc_barrier_and_grad
 from .workspace import DiscSet
 
 
@@ -128,6 +134,7 @@ class RingShapeModel:
         self.basis = spline_basis(self.params.n_ctrl, self.params.n_samples)
         p0 = reference_control_points(self.params.n_ctrl, self.params.r_base)
         self._x0 = self.basis.B @ p0          # unit-scale boundary offsets
+        self._x0x, self._x0y = (np.ascontiguousarray(col) for col in self._x0.T)
         self._dx0 = self.basis.D @ p0
         self._l0 = np.linalg.norm(self._dx0, axis=1)
         self.a_ref = shoelace_area(self._x0)  # rest area from the s=1 boundary
@@ -135,6 +142,7 @@ class RingShapeModel:
         # past the rounding error of the distances it bounds
         self._reach = float(np.max(np.linalg.norm(self._x0, axis=1))) * (1.0 + 1e-9) + 1e-12
         self.s_target = 1.0
+        self._rows = (None, None, None)  # (discs, w, w * l0) of the last pass's DiscSet
 
     def _unpack(self, q):
         c = q[self.layout.frame]
@@ -146,6 +154,26 @@ class RingShapeModel:
     def boundary(self, q) -> np.ndarray:
         c, s = self._unpack(q)
         return c[None, :] + s * self._x0
+
+    def _gaps(self, c, s, centers, radii):
+        """(dx, dy, dist, d): the (M, K) planes of offsets from each disc's
+        centre to the boundary samples at frame c and scale s, their lengths
+        and the signed distances (``np.linalg.norm`` of the offsets, bit for bit)."""
+        dx = (c[0] + s * self._x0x) - centers[:, 0, None]
+        dy = (c[1] + s * self._x0y) - centers[:, 1, None]
+        dist = np.sqrt(dx * dx + dy * dy)
+        return dx, dy, dist, dist - radii[:, None]
+
+    def _weight_rows(self, discs: DiscSet):
+        """(w, w * l0): the quadrature weights times each disc's weight, and
+        those times the rest arc lengths, formed once per DiscSet (a DiscSet
+        is never modified, so the object stands for its weights)."""
+        held, w, wl0 = self._rows
+        if held is not discs:
+            w = self.basis.weights[None, :] * discs.weights[:, None]
+            wl0 = w * self._l0
+            self._rows = (discs, w, wl0)
+        return w, wl0
 
     def arc_lengths(self, q) -> np.ndarray:
         """Arc-length weights ||X'_j|| = s ||X0'_j|| of the boundary samples."""
@@ -188,7 +216,7 @@ class RingShapeModel:
         off = discs.centers - c
         gap = np.hypot(off[:, 0], off[:, 1]) - discs.radii
         keep = ~(gap - reach > np.min(gap + reach))  # NaN keeps every disc
-        return ContactPass(self, q, discs[keep]).clearance
+        return float(self._gaps(c, s, discs.centers[keep], discs.radii[keep])[3].min())
 
     def refresh_target(self, d_min):
         """Re-evaluate the clearance-dependent scale target (per shape horizon)
@@ -204,19 +232,29 @@ class ContactPass:
     """The ring at one state against a DiscSet, formed once.
 
     ``d[m, j]`` is the signed distance from boundary sample j to disc m of
-    ``discs``.  Each disc's samples are one contiguous row, so a per-disc sum
-    over the samples reduces a (K,) row, as a loop over the discs would, and
-    gives the same bits.  The clearance is formed with the pass; the barrier
-    features when ``features`` is called.
+    ``discs``; ``dx`` and ``dy`` are the offsets' contiguous (M, K) planes.
+    Each disc's samples are one contiguous row, so a per-disc sum over the
+    samples reduces a (K,) row, as a loop over the discs would, and gives the
+    same bits.  The clearance is formed with the pass; the barrier features
+    when ``features`` is called.
+
+    ``features`` takes a fast path when the clearance is above the clamp
+    distance d_c and b(d_c) <= BARRIER_CLAMP (``barrier_knots``).  Every
+    sample is then on the log branch d_c < d < d_hat, where b(d) < b(d_c), or
+    beyond d_hat: no penetration, linear branch or saturation, and no offset
+    of zero length (a radius is positive).  So the barrier and its slope are
+    one ``np.where`` each over the grid, from the elementwise operations that
+    ``ipc_barrier_and_grad`` applies to the gathered samples, and the value
+    clip is the identity; the slope keeps its +-GRAD_CLAMP clip, which
+    rounding just past d_c can reach.  Any other pass (contact within d_c,
+    penetration, a NaN, or a d_hat whose b(d_c) is above the clamp) takes
+    ``ipc_barrier_and_grad``.
     """
 
     def __init__(self, model: RingShapeModel, q, discs: DiscSet):
         c, s = model._unpack(q)
         self.model, self.s, self.dim, self.discs = model, s, np.size(q), discs
-        self.delta = (c + s * model._x0) - discs.centers[:, None, :]  # (M, K, 2)
-        dx, dy = self.delta[..., 0], self.delta[..., 1]
-        self.dist = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(delta, axis=2), bit for bit
-        self.d = self.dist - discs.radii[:, None]
+        self.dx, self.dy, self.dist, self.d = model._gaps(c, s, discs.centers, discs.radii)
         self.clearance = float(self.d.min()) if len(discs) else np.inf
 
     def features(self, d_hat):
@@ -226,23 +264,32 @@ class ContactPass:
         through X_j and on the scale through both X_j and the arc weights
         l_j = s * l0_j.
         """
-        model, layout = self.model, self.model.layout
-        b, db = ipc_barrier_and_grad(self.d, d_hat)
-        w = model.basis.weights[None, :] * self.discs.weights[:, None]
+        model, layout, d, dist = self.model, self.model.layout, self.d, self.dist
+        w, wl0 = model._weight_rows(self.discs)
         wl = w * (self.s * model._l0)
+        unit = np.empty(d.shape + (2,))  # the (M, K, 2) unit offsets
+        ux, uy = unit[..., 0], unit[..., 1]
+        d_c, b_c, _ = barrier_knots(d_hat)
+        if self.clearance > d_c and b_c <= BARRIER_CLAMP:  # the fast path
+            e, log_r = d - d_hat, np.log(d / d_hat)
+            e2 = e ** 2
+            near = d < d_hat
+            b = np.where(near, -e2 * log_r, 0.0)
+            db = np.where(near, np.clip(-2.0 * e * log_r - e2 / d, -GRAD_CLAMP, GRAD_CLAMP), 0.0)
+            np.divide(self.dx, dist, out=ux)
+            np.divide(self.dy, dist, out=uy)
+        else:
+            b, db = ipc_barrier_and_grad(d, d_hat)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(self.dx, dist, out=ux)
+                np.divide(self.dy, dist, out=uy)
+            unit[~(dist > 1e-12)] = 0.0
         vals = (wl * b).sum(axis=1)
-        safe = self.dist > 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = self.delta / self.dist[:, :, None]
-        if not safe.all():
-            unit[~safe] = 0.0
         coeff = wl * db
         grads = np.zeros((len(vals), self.dim))
         # a stack of (1, K) @ (K, 2) products: each row's bits are those of
         # coeff_m @ unit_m alone, which an einsum over the stack would not keep
         grads[:, layout.frame] = np.matmul(coeff[:, None, :], unit)[:, 0]
-        x0 = model._x0
-        radial = unit[..., 0] * x0[:, 0] + unit[..., 1] * x0[:, 1]  # unit . X0_j
-        grads[:, layout.scale] = ((w * model._l0 * b).sum(axis=1)
-                                  + (coeff * radial).sum(axis=1))[:, None]
+        radial = ux * model._x0x + uy * model._x0y  # unit . X0_j
+        grads[:, layout.scale] = ((wl0 * b).sum(axis=1) + (coeff * radial).sum(axis=1))[:, None]
         return vals, grads

@@ -121,6 +121,36 @@ class TestConfigRoundTrip:
             with pytest.raises(ValueError, match=rf"^unknown config field {re.escape(path)}:"):
                 config_from_dict(doc)
 
+    @pytest.mark.parametrize("table, line, field, want", [
+        ("episode", 'tau = "fast"', "episode.tau", "a number"),
+        ("episode", "tau = true", "episode.tau", "a number"),
+        ("train", 'fd_step = "small"', "train.fd_step", "a number"),
+        ("train", "epochs = 2.5", "train.epochs", "an integer"),
+        ("train", "epochs = true", "train.epochs", "an integer"),
+        ("episode", "n_max = 1e400", "episode.n_max", "an integer"),
+        ("meta", "checkpoint = 3", "meta.checkpoint", "a string"),
+        ("episode", "horizons = 5", "episode.horizons", "a list"),
+        ("pf", 'd_hat = "far"', "pf.d_hat", "a number"),
+    ], ids=["string_float", "bool_float", "train_string", "fraction_int", "bool_int",
+            "inf_int", "int_string", "scalar_tuple", "string_optional_float"])
+    def test_wrong_type_names_its_field(self, tmp_path, table, line, field, want):
+        p = tmp_path / "bad.toml"
+        p.write_text(f"[{table}]\n{line}\n")
+        with pytest.raises(ValueError, match=rf"^config field {re.escape(field)} must be {want}, "):
+            load_config(p)
+
+    def test_numbers_load_as_their_field_type(self, tmp_path):
+        # a float field takes an int, an int field an integral float, and
+        # "inf" still loads as a float
+        p = tmp_path / "cfg.toml"
+        p.write_text('d_thr = 2\n\n[episode]\nd_hat = 1\nn_max = 300.0\n\n'
+                     '[meta]\nmu_boost = "inf"\n')
+        cfg = load_config(p)
+        assert type(cfg.d_thr) is float and cfg.d_thr == 2.0
+        assert type(cfg.episode.d_hat) is float and cfg.episode.d_hat == 1.0
+        assert type(cfg.episode.n_max) is int and cfg.episode.n_max == 300
+        assert cfg.meta.mu_boost == float("inf")
+
     def test_dwa_has_no_d_hat_of_its_own(self):
         # DWA saturates its clearance term at the episode's d_hat
         with pytest.raises(ValueError, match=r"unknown config field dwa\.d_hat"):
@@ -228,6 +258,20 @@ class TestRunCommand:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, line", [("episode", 'tau = "fast"'),
+                                             ("train", 'fd_step = "small"'),
+                                             ("train", "epochs = 2.5")])
+    def test_wrong_type_config_exits_with_its_name(self, tmp_path, workspace_file, capsys,
+                                                   table, line):
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"[{table}]\n{line}\n")
+        rc = main(["run", "--config", str(bad), "--workspace", str(workspace_file),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: config field {table}.{line.split()[0]} must be ")
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_config_field_exits_with_its_name(self, tmp_path, workspace_file,
                                                       capsys):

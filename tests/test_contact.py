@@ -14,12 +14,14 @@ centre.
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamnav import ring
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
+    BARRIER_CLAMP,
     POINT_LAYOUT,
     RING_LAYOUT,
     EnergyWeights,
@@ -250,6 +252,102 @@ class TestRingContactPass:
             fd = central_diff(
                 lambda x: MODEL.contact(x, of(discs)).features(d_hat)[0][k], q, h=1e-7)
             np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-7)
+
+
+def counting_general_path(mp):
+    """Count the contact passes that take ``ipc_barrier_and_grad`` (the
+    general path of ``ContactPass.features``) while ``mp`` is active."""
+    calls = []
+    general = ring.ipc_barrier_and_grad
+
+    def counting(*args):
+        calls.append(1)
+        return general(*args)
+
+    mp.setattr(ring, "ipc_barrier_and_grad", counting)
+    return calls
+
+
+def outward_discs(data, q, d_hat, n):
+    """n discs, each beyond a drawn boundary sample on the ray from the ring's
+    centre through it, at a gap on the log branch or beyond d_hat."""
+    pts, c = MODEL.boundary(q), q[2:4]
+    discs = []
+    for _ in range(n):
+        x = pts[data.draw(st.integers(0, len(pts) - 1))]
+        kind = data.draw(st.sampled_from(("log", "beyond")))
+        radius = data.draw(st.floats(0.05, 1.0))
+        out = (x - c) / np.linalg.norm(x - c)
+        discs.append(Obstacle(x + (gap_of(data, kind, d_hat, radius) + radius) * out, radius,
+                              weight=data.draw(st.sampled_from([0.25, 1.7, 3.0]))))
+    return discs
+
+
+def disc_at_gap(gap, radius=2.0 ** -40):
+    """A ring state and a disc whose clearance from it is ``gap``, bit for bit.
+
+    The rightmost boundary sample lands on x = 0 exactly and the disc's centre
+    at (gap + radius, the sample's y), so the sample's offset is
+    (-(gap + radius), 0.0), its length gap + radius and its signed distance
+    gap: each step is exact for a gap in [2**-9, 2**-8) and this radius.
+    """
+    j = int(np.argmax(MODEL._x0x))
+    q = np.array([0.0, 0.0, -MODEL._x0x[j], 0.0, 0.0, 1.0])
+    center = MODEL.boundary(q)[j] + np.array([gap + radius, 0.0])
+    return q, Obstacle(center, radius)
+
+
+class TestContactFastPath:
+    """Passes whose every sample is on the log branch or beyond d_hat skip
+    ``ipc_barrier_and_grad``, and give the oracle's bits."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([0.3, 0.8, 1.0, 1.5, 8.0]), st.data())
+    def test_log_and_beyond_skip_the_general_path(self, m, d_hat, data):
+        q = ring_state(data)
+        discs = outward_discs(data, q, d_hat, m)
+        d_c, b_c, _ = barrier_knots(d_hat)
+        assert b_c <= BARRIER_CLAMP
+        # the spline's ripple can bring a sample nearer than its anchor
+        assume(MODEL.contact(q, of(discs)).clearance > d_c)
+        fixed = FixedTerms(layout=RING_LAYOUT, goal=np.array([1.0, -2.0]), d_hat=d_hat,
+                           shape=MODEL)
+        want_phi, want_grads = reference_features(q, list(enumerate(discs)), d_hat, fixed)
+        with pytest.MonkeyPatch.context() as mp:
+            general = counting_general_path(mp)
+            vals, grads = MODEL.contact(q, of(discs)).features(d_hat)
+            phi, all_grads = features(q, of(discs), fixed)
+        assert not general
+        for k, ob in enumerate(discs):
+            val, grad = reference_obstacle_feature(MODEL, q, ob, d_hat)
+            assert vals[k] == val and np.array_equal(grads[k], grad)
+        assert phi.tobytes() == want_phi.tobytes()
+        assert all_grads.tobytes() == want_grads.tobytes()
+
+    @pytest.mark.parametrize("d_hat, gap", [
+        (0.8, "d_c"),         # the log branch's first sample: d < d_c is false
+        (0.8, "below d_c"),   # one ulp inside the linear branch
+        (8.0, 0.1),           # inside d_sat (0.265): the slope is zeroed
+        (20.0, 4.0),          # past d_c (2.44) but inside d_sat (6.58): b(d_c) is 648
+    ])
+    def test_other_passes_take_the_general_path(self, monkeypatch, d_hat, gap):
+        d_c, _, d_sat = barrier_knots(d_hat)
+        if isinstance(gap, str):
+            gap = d_c if gap == "d_c" else np.nextafter(d_c, 0.0)
+            q, ob = disc_at_gap(gap)
+            assert MODEL.contact(q, of([ob])).clearance == gap
+        else:
+            q = np.array([0.0, 0.0, 0.3, -0.2, 0.0, 0.9])
+            x = MODEL.boundary(q)[17]
+            out = (x - q[2:4]) / np.linalg.norm(x - q[2:4])
+            ob = Obstacle(x + (gap + 0.5) * out, 0.5)
+            assert MODEL.contact(q, of([ob])).clearance < d_sat
+        general = counting_general_path(monkeypatch)
+        val, grad = MODEL.obstacle_feature(q, ob, d_hat)
+        assert general == [1]
+        want_val, want_grad = reference_obstacle_feature(MODEL, q, ob, d_hat)
+        assert val == want_val and grad.tobytes() == want_grad.tobytes()
 
 
 class TestPointFeatures:

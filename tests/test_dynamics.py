@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamnav.dynamics import (
     IntegratorConfig,
@@ -76,6 +78,63 @@ class TestSymplecticEulerStep:
         b = step_symplectic_euler(z, np.zeros(6), 5.0, np.ones(2), np.ones(6), 0.03, sel6, struct)
         assert a.p[4] == b.p[4] and a.p[5] == b.p[5]
         assert a.p[5] == pytest.approx(1.0 - 0.03 * 2.0)
+
+
+def reference_step(z, grad_q, mu, u_f, mass, tau, selectors, structural_damping=None):
+    """The symplectic Euler step as first written, with a finiteness check per
+    array.  Returns (q', p')."""
+    q, p = z.q, z.p
+    mass = np.asarray(mass, dtype=float)
+    grad_q = np.asarray(grad_q, dtype=float)
+    if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(grad_q).all()):
+        raise FloatingPointError("non-finite state or gradient")
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    v = p / mass
+    damping = np.zeros(selectors.dim)
+    damping[selectors.frame] = mu
+    port = np.zeros(selectors.dim)
+    if u_f is not None:
+        port[selectors.frame] = np.asarray(u_f, dtype=float)
+    p_new = p - tau * grad_q - tau * damping * v + tau * port
+    if structural_damping is not None:
+        p_new = p_new - tau * np.asarray(structural_damping, float) * v
+    return q + tau * (p_new / mass), p_new
+
+
+# finite floats with signed zeros among them
+ENTRIES = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
+
+
+def vectors(n):
+    return st.lists(ENTRIES, min_size=n, max_size=n).map(np.array)
+
+
+class TestStepAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(vectors(6), vectors(6), vectors(6), st.sampled_from([0.0, -0.0, 0.7, 4.0]),
+           st.one_of(st.none(), vectors(2)), st.lists(st.floats(0.2, 3.0), min_size=6,
+                                                    max_size=6).map(np.array),
+           st.sampled_from([0.01, 0.03]), st.booleans())
+    def test_bits_match_the_reference(self, q, p, g, mu, u_f, mass, tau, structural):
+        sel = PortSelectors(dim=6)
+        damping = np.array([0.0, 0.0, 0.0, 0.0, 1.6, 2.0]) if structural else None
+        out = step_symplectic_euler(PhaseState(q, p), g, mu, u_f, mass, tau, sel, damping)
+        want_q, want_p = reference_step(PhaseState(q, p), g, mu, u_f, mass, tau, sel, damping)
+        assert out.q.tobytes() == want_q.tobytes() and out.p.tobytes() == want_p.tobytes()
+
+    @pytest.mark.parametrize("where", ["q", "p", "grad"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_raises(self, where, bad):
+        q, p, g = np.zeros(4), np.ones(4), np.ones(4)
+        {"q": q, "p": p, "grad": g}[where][1] = bad
+        with pytest.raises(FloatingPointError):
+            step_symplectic_euler(PhaseState(q, p), g, 0.5, None, np.ones(4), 0.1, SEL)
+
+    def test_negative_mu_raises(self):
+        z = PhaseState(np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError, match="mu"):
+            step_symplectic_euler(z, np.zeros(4), -1e-9, None, np.ones(4), 0.1, SEL)
 
 
 class TestLeapfrog:

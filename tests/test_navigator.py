@@ -13,6 +13,7 @@ from hamnav.energy import (
     FixedTerms,
     HamiltonianSpec,
     PhaseState,
+    evaluate,
 )
 from hamnav.evalkit import episode_metrics
 from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
@@ -114,7 +115,27 @@ class TestObservableTarget:
         assert t[2] == pytest.approx(-0.05)
 
 
+def reference_secant(J_prev, dy, dzeta, rho, eps):
+    """The secant update as first written, with reshaped (n, 1) and (1, m) factors."""
+    dy = np.asarray(dy, float).reshape(-1, 1)
+    dzeta = np.asarray(dzeta, float).reshape(1, -1)
+    J_tilde = (dy @ dzeta) / (float(np.dot(dzeta.ravel(), dzeta.ravel())) + eps)
+    return rho * np.asarray(J_prev, float) + (1.0 - rho) * J_tilde
+
+
+ENTRIES = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
+
+
 class TestSecant:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from([0.0, 0.6, 0.9]),
+           st.sampled_from([1e-9, 1e-6]), st.data())
+    def test_bits_match_the_reference(self, m, rho, eps, data):
+        vec = lambda n: np.array(data.draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+        J_prev, dy, dz = vec(3 * m).reshape(3, m), vec(3), vec(m)
+        got = secant_jacobian_update(J_prev, dy, dz, rho, eps)
+        assert got.tobytes() == reference_secant(J_prev, dy, dz, rho, eps).tobytes()
+
     def test_zero_dzeta_guarded(self):
         J0 = np.ones((3, 4))
         J = secant_jacobian_update(J0, np.array([1.0, 2.0, 3.0]), np.zeros(4), 0.5, 1e-6)
@@ -416,6 +437,36 @@ def walled_in_start():
                                     (x1, y0, x1, y1), (x0, y0, x0, y1))
              for t in np.linspace(0, 1, 12)]
     return Workspace(12.0, walls, start, (11.0, 6.6))
+
+
+class TestSpecReuse:
+    def test_spec_follows_weights_until_the_set_or_goal_changes(self):
+        near, far = Obstacle(np.array([2.0, 6.3]), 0.5), Obstacle(np.array([3.0, 5.2]), 0.4)
+        ws = Workspace(12.0, [near, far], (1.0, 6.0), (11.0, 6.0))
+        ep = _Episode(ws, empty_point_cfg(), DefaultMetaPolicy(r_offset=0.0))
+        act = DiscSet.of([(0, near), (1, far)])
+        q = np.array([0.3, -0.1, 1.2, 5.9])
+        spec = ep.spec_for(act)
+        assert ep.spec_for(act) is spec and spec.weights is ep.weights
+
+        # the reused spec reads the weights as the loop adapts them in place
+        w = ep.weights
+        w.beta, w.lam, w.mu, w.alpha[0], w.alpha[1] = 1.7, 0.4, 2.0, 3.5, 0.25
+        fresh = HamiltonianSpec(mass=ep.mass, discs=act, fixed=ep.fixed,
+                                weights=EnergyWeights(1.7, 0.4, {0: 3.5, 1: 0.25}, 2.0))
+        got, want = evaluate(q, ep.spec_for(act)), evaluate(q, fresh)
+        assert ep.spec_for(act) is spec
+        assert got.grad.tobytes() == want.grad.tobytes() and got.potential == want.potential
+
+        # another active set, even of the same discs, and a new stage goal
+        # each give a new spec
+        same_discs = DiscSet.of([(0, near), (1, far)])
+        other = ep.spec_for(same_discs)
+        assert other is not spec and other.discs is same_discs and other.fixed is spec.fixed
+        ep.sensing.stage_goal = np.array([6.0, 9.0])
+        moved = ep.spec_for(same_discs)
+        assert moved is not other and moved.fixed.goal is ep.sensing.stage_goal
+        assert moved.weights is ep.weights and ep.spec_for(same_discs) is moved
 
 
 class TestStagewiseSensing:
