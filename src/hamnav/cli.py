@@ -93,7 +93,6 @@ class RunConfig:
         "episode.adapt.rho": (0.0, 0.999),
         "episode.adapt.kappa_beta": (0.0, 0.999),
         "episode.adapt.kappa_gamma": (0.0, 0.999),
-        "episode.adapt.kappa_alpha": (0.0, 0.999),
         "episode.adapt.lam_zeta": (0.0, 1e6),
         "episode.adapt.lam_u": (0.0, float("inf")),
         "meta.beta": (0.0, float("inf")),
@@ -182,11 +181,15 @@ def _type_hints(cls):
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", tuple: "a list"}
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _field_value(hint, val, path):
     """``val`` as the field hinted ``hint`` holds it: a table as its dataclass,
-    a list as a tuple, a number as the hint's float or int.  A value of
-    another type (a bool or string for a number, a float with a fraction for
-    an int) raises ValueError."""
+    a list of numbers as a tuple, a number as the hint's float or int.  A
+    value of another type (a bool or string for a number or a list element, a
+    float with a fraction for an int) raises ValueError."""
     if val is None:
         return None
     kinds = typing.get_args(hint) or (hint,)
@@ -194,10 +197,13 @@ def _field_value(hint, val, path):
         if dataclasses.is_dataclass(kind):
             return _build(kind, val, path)
         if kind is tuple and isinstance(val, list):
+            if not all(map(_is_number, val)):
+                raise ValueError(f"config field {path.rstrip('.')} must be a list of "
+                                 f"numbers, not {val!r}")
             return tuple(val)
         if kind is str and isinstance(val, str):
             return val
-        if kind in (int, float) and isinstance(val, (int, float)) and not isinstance(val, bool):
+        if kind in (int, float) and _is_number(val):
             if kind is float:
                 return float(val)
             if isinstance(val, int) or val.is_integer():

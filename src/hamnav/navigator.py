@@ -3,9 +3,11 @@
 Each step assembles the surrogate Hamiltonian from the current weight state,
 integrates one symplectic Euler step with frame-only damping and port input,
 extracts the observable vector y = [-clearance, goal distance, -speed], and
-corrects the weights with a smoothed secant-Jacobian / Tikhonov update.  The
-residual the weight update cannot explain drives a port-force correction,
-recomputed once per frame horizon (zero-order hold in between).
+corrects the weights [beta, lam, mu] with a smoothed secant-Jacobian /
+Tikhonov update.  A barrier weight alpha_i is the meta-policy's first
+proposal for its disc and is not adapted.  The residual the weight update
+cannot explain drives a port-force correction, recomputed once per frame
+horizon (zero-order hold in between).
 
 Sensing is stagewise (StagewiseSensing, shared with the PF/DWA baselines):
 the world is re-sensed every T_y steps, on a stage change, and when an exit
@@ -99,6 +101,13 @@ def secant_jacobian_update(J_prev, dy, dzeta, rho, eps):
     # product is a signed zero
     J_tilde = (dy[:, None] @ dzeta[None, :]) / (float(np.dot(dzeta, dzeta)) + eps)
     return rho * np.asarray(J_prev, float) + (1.0 - rho) * J_tilde
+
+
+# A step's secant pair updates J only while the ids of the SECANT_SLOTS
+# nearest active discs are those of the step before.  No adapted weight
+# belongs to a disc; the gate stays only because dropping it moves the
+# trajectories (ROADMAP open item 2 decides its fate).
+SECANT_SLOTS = 2
 
 
 @lru_cache(maxsize=64)
@@ -217,21 +226,23 @@ class AdaptConfig:
     eps: float = 1e-6
     kappa_beta: float = 0.25
     kappa_gamma: float = 0.05   # damping head; also governs lam and mu
-    kappa_alpha: float = 0.4
     lam_zeta: float = 1e-2
     lam_u: float = 1e-2
     kappa_v: float = 1.0
     u_box: float = 1.5
-    k_alpha: int = 2
     m_safe: float = 0.2
     eps_prog: float = 0.05
     v_min: float = 0.2
-    zeta_cap: tuple = (8.0, 8.0, 15.0, 12.0)  # ceilings for beta, lam, alpha, mu
+    zeta_cap: tuple = (8.0, 8.0, 12.0)  # ceilings for beta, lam, mu
 
-    def kappa_vector(self, n_alpha):
-        """The step sizes of [beta, lam, alpha_1..n_alpha, mu], each in [0, 1)."""
-        kappa = np.array([self.kappa_beta, self.kappa_gamma]
-                         + [self.kappa_alpha] * n_alpha + [self.kappa_gamma])
+    def __post_init__(self):
+        if not (len(self.zeta_cap) == 3 and all(c >= 0 for c in self.zeta_cap)):
+            raise ValueError(f"episode.adapt.zeta_cap must be three ceilings >= 0 "
+                             f"(beta, lam, mu), not {list(self.zeta_cap)}")
+
+    def kappa_vector(self):
+        """The step sizes of [beta, lam, mu], each in [0, 1)."""
+        kappa = np.array([self.kappa_beta, self.kappa_gamma, self.kappa_gamma])
         if np.any(kappa < 0) or np.any(kappa >= 1):
             raise ValueError("kappa components must lie in [0, 1)")
         return kappa
@@ -688,18 +699,14 @@ class _Episode:
         if self.layout.scale is not None:
             q[self.layout.scale] = 1.0
         self.z = PhaseState(q, np.zeros(self.layout.dim))
-        # the weights the energy reads; adapted values survive sensing refreshes
+        # the weights the energy reads; the loop adapts beta, lam and mu in place
         self.weights = EnergyWeights()
-        self.alpha_base = {}  # proposed barrier weights; adaptation never goes below
         self.u_f = np.zeros(2)
-        ad = cfg.adapt
-        self.J = np.zeros((3, 3 + ad.k_alpha))
-        self.prev_y = self.prev_zeta = None
-        self.prev_slots = None
+        self.J = np.zeros((3, 3))  # dy/d[beta, lam, mu]
+        self.prev_y = self.prev_zeta = self.prev_slots = None
         # the adaptation's constants, formed (and kappa checked) once
-        self.kappa = ad.kappa_vector(ad.k_alpha)
-        b_cap, l_cap, a_cap, m_cap = ad.zeta_cap
-        self.caps = np.array([b_cap, l_cap] + [a_cap] * ad.k_alpha + [m_cap])
+        self.kappa = cfg.adapt.kappa_vector()
+        self.caps = np.array(cfg.adapt.zeta_cap, float)
         self.fixed = None  # the FixedTerms of the current stage goal
         self.spec = None  # the HamiltonianSpec of the active set and self.fixed
         self.active = (None, None, None)  # the last active set: (memory discs, mask, set)
@@ -816,12 +823,11 @@ class _Episode:
                 tokens = build_tokens(self.z.q, self.z.p, self.sensing.memory.discs,
                                       self.sensing.stage_goal, self.mass, self.layout)
                 prop, w = self.meta.propose(tokens), self.weights
-                # the scalars re-anchor; a barrier weight persists once
-                # proposed (the secant loop owns it)
+                # the scalars re-anchor; a barrier weight is set once, at its
+                # disc's first proposal
                 w.beta, w.lam, w.mu = prop.beta, prop.lam, prop.mu
                 for idx, a in prop.alpha.items():
-                    if idx not in w.alpha:
-                        w.alpha[idx] = self.alpha_base[idx] = a
+                    w.alpha.setdefault(idx, a)
 
             act = self.active_set(self.z.q)
             contact = self.contact_at(self.z.q, act, contact)
@@ -863,26 +869,16 @@ class _Episode:
             # safety margin, not a setpoint: never pull clearance down
             dy_des[0] = min(dy_des[0], 0.0)
 
-            # (G) secant / Tikhonov adaptation over [beta, lam, alpha_I, mu]
-            slots = act.nearest(z_next.q[self.layout.frame], ad.k_alpha)
+            # (G) secant / Tikhonov adaptation over [beta, lam, mu]
+            slots = act.nearest(z_next.q[self.layout.frame], SECANT_SLOTS)
             w = self.weights
-            zeta = np.array([w.beta, w.lam]
-                            + [w.alpha.get(i, 0.0) for i in slots]
-                            + [0.0] * (ad.k_alpha - len(slots)) + [w.mu])
+            zeta = np.array([w.beta, w.lam, w.mu])
             if self.prev_zeta is not None and slots == self.prev_slots:
-                # a secant pair is only meaningful while the slot binding holds
                 self.J = secant_jacobian_update(self.J, y_vec - self.prev_y,
                                                 zeta - self.prev_zeta, ad.rho, ad.eps)
             dzeta = tikhonov_step(self.J, dy_des, ad.lam_zeta)
-            if dy_des[0] >= 0.0:
-                # barrier weights only grow while clearance is in deficit;
-                # otherwise progress gets misattributed to alpha via J
-                dzeta[2: 2 + ad.k_alpha] = np.minimum(dzeta[2: 2 + ad.k_alpha], 0.0)
-            zeta_new = np.minimum(project_update(zeta, dzeta, self.kappa), self.caps)
-            w.beta, w.lam, w.mu = float(zeta_new[0]), float(zeta_new[1]), float(zeta_new[-1])
-            for k, idx in enumerate(slots):
-                # adaptation may strengthen a barrier but never disable it
-                w.alpha[idx] = max(float(zeta_new[2 + k]), self.alpha_base.get(idx, 0.0))
+            w.beta, w.lam, w.mu = np.minimum(project_update(zeta, dzeta, self.kappa),
+                                             self.caps).tolist()
 
             # (H) port correction each frame horizon (zero-order hold between)
             if n % t_f == 0:

@@ -58,7 +58,7 @@ class TestConfigRoundTrip:
         p.write_text(example)
         cfg = load_config(p)
         assert cfg.episode.horizons == (10, 5, 1)
-        assert cfg.episode.adapt.kappa_alpha == 0.4 and cfg.meta.mu == 4.0
+        assert cfg.episode.adapt.kappa_beta == 0.25 and cfg.meta.mu == 4.0
 
     def test_toml_subset_parser(self):
         text = dumps_toml({"a": 1, "b": [1.5, 2.0], "sec": {"c": "hi", "d": True}})
@@ -84,11 +84,11 @@ class TestConfigRoundTrip:
         assert cfg.episode.horizons == (4, 2, 1)
 
     def test_nested_tables_rebuilt_from_hints(self):
-        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3, 4]}},
+        doc = {"episode": {"ring": {"r_base": 0.3}, "adapt": {"zeta_cap": [1, 2, 3]}},
                "dwa": {"horizon": 4}}
         cfg = config_from_dict(doc)
         assert cfg.episode.ring == RingParams(r_base=0.3)
-        assert cfg.episode.adapt.zeta_cap == (1, 2, 3, 4)
+        assert cfg.episode.adapt.zeta_cap == (1, 2, 3)
         assert cfg.dwa.horizon == 4
         assert config_from_dict({"episode": {"ring": None}}).episode.ring is None
 
@@ -112,6 +112,8 @@ class TestConfigRoundTrip:
                    "episode.adapt.fixed_targets": [0.3, 0.0, 0.5],
                    "episode.adapt.update_form": "additive",
                    "episode.adapt.clearance_deadband": True,
+                   "episode.adapt.kappa_alpha": 0.4,
+                   "episode.adapt.k_alpha": 2,
                    "train.literal_multi_form": False}
         for path, value in retired.items():
             *tables, key = path.split(".")
@@ -131,8 +133,14 @@ class TestConfigRoundTrip:
         ("meta", "checkpoint = 3", "meta.checkpoint", "a string"),
         ("episode", "horizons = 5", "episode.horizons", "a list"),
         ("pf", 'd_hat = "far"', "pf.d_hat", "a number"),
+        ("episode", 'horizons = ["a", 1, 1]', "episode.horizons", "a list of numbers"),
+        ("episode", "horizons = [10, true, 1]", "episode.horizons", "a list of numbers"),
+        ("train", 'weights = [1.0, "x", 1.0, 1.0]', "train.weights", "a list of numbers"),
+        ("episode.adapt", 'zeta_cap = [8, 8, "c"]', "episode.adapt.zeta_cap",
+         "a list of numbers"),
     ], ids=["string_float", "bool_float", "train_string", "fraction_int", "bool_int",
-            "inf_int", "int_string", "scalar_tuple", "string_optional_float"])
+            "inf_int", "int_string", "scalar_tuple", "string_optional_float",
+            "string_element", "bool_element", "train_string_element", "cap_string_element"])
     def test_wrong_type_names_its_field(self, tmp_path, table, line, field, want):
         p = tmp_path / "bad.toml"
         p.write_text(f"[{table}]\n{line}\n")
@@ -261,7 +269,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("table, line", [("episode", 'tau = "fast"'),
                                              ("train", 'fd_step = "small"'),
-                                             ("train", "epochs = 2.5")])
+                                             ("train", "epochs = 2.5"),
+                                             ("episode", 'horizons = ["a", 1, 1]'),
+                                             ("train", 'weights = [1.0, "x", 1.0, 1.0]'),
+                                             ("episode.adapt", 'zeta_cap = [8, 8, "c"]')])
     def test_wrong_type_config_exits_with_its_name(self, tmp_path, workspace_file, capsys,
                                                    table, line):
         bad = tmp_path / "bad.toml"
@@ -271,6 +282,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"config error: config field {table}.{line.split()[0]} must be ")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("cap", ["[8.0, 8.0, 15.0, 12.0]", "[8.0, 8.0]", "[8.0, -1.0, 12.0]",
+                                     "[]"])
+    def test_bad_zeta_cap_exits_with_its_name(self, tmp_path, workspace_file, capsys, cap):
+        # three ceilings >= 0, for beta, lam and mu; the four-entry cap with
+        # an alpha ceiling is rejected too
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"[episode.adapt]\nzeta_cap = {cap}\n")
+        rc = main(["run", "--config", str(bad), "--workspace", str(workspace_file),
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: episode.adapt.zeta_cap must be three ceilings")
         assert not (tmp_path / "x").exists()
 
     def test_unknown_config_field_exits_with_its_name(self, tmp_path, workspace_file,
