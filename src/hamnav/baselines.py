@@ -17,7 +17,7 @@ import numpy as np
 
 from .navigator import EpisodeConfig, EpisodeRecorder, EpisodeResult, Observables, StagewiseSensing
 from .energy import POINT_LAYOUT
-from .workspace import DeadEndError, Workspace, grid_to_sdf, norm2, row_norms
+from .workspace import DeadEndError, Workspace, norm2, row_norms
 
 _SQRT2 = np.sqrt(2.0)
 _STEPS = [(-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
@@ -41,7 +41,7 @@ def clearance_raster(ws: Workspace, resolution: float):
     dungeon workspaces reuse their grid's Euclidean distance transform.
     """
     if ws.grid is not None:
-        sdf = grid_to_sdf(ws.grid) * ws.grid.cell_size
+        sdf = ws.grid.cell_sdf * ws.grid.cell_size
         return sdf, ws.grid.cell_size
     n = max(2, int(round(ws.side / resolution)))
     cell = ws.side / n

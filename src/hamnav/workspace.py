@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,14 @@ class OccupancyGrid:
     @property
     def shape(self):
         return self.occupied.shape
+
+    @cached_property
+    def cell_sdf(self) -> np.ndarray:
+        """``grid_to_sdf(self)``, read-only, computed once per grid object and
+        shared by disc fitting, ``grid_sdf_world`` and the clearance raster."""
+        sdf = grid_to_sdf(self)
+        sdf.flags.writeable = False
+        return sdf
 
     def extent(self):
         """(width, height) in world units."""
@@ -527,27 +536,49 @@ def mapping_ratio(tracker: CoverageTracker, L: float) -> float:
 # ---------------------------------------------------------------------------
 # Grid signed distance and disc fitting
 
+def _distance_to(target: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance, in cells, from each cell of a 2-D boolean
+    raster to its nearest True cell (the separable transform of Felzenszwalb
+    & Huttenlocher, "Distance Transforms of Sampled Functions", 2012).
+
+    Column pass: g, each cell's row distance to the nearest target in its
+    column, or at least nx + ny (longer than any distance in the raster) where
+    the column has none.  Row pass: d² = min over k of g²(x ± k) + k² for
+    k = 1, 2, ... until k² reaches the largest d², a stop that is exact
+    because every value is an integer.  The result is the square root of d².
+    """
+    ny, nx = target.shape
+    cap = nx + ny
+    rows = np.arange(ny)[:, None]
+    above = np.maximum.accumulate(np.where(target, rows, -cap), axis=0)
+    below = np.minimum.accumulate(np.where(target, rows, ny + cap)[::-1], axis=0)[::-1]
+    g2 = np.minimum(rows - above, below - rows) ** 2
+    d2 = g2.copy()
+    k = 1
+    while k < nx and k * k < d2.max():
+        np.minimum(d2[:, k:], g2[:, :-k] + k * k, out=d2[:, k:])
+        np.minimum(d2[:, :-k], g2[:, k:] + k * k, out=d2[:, :-k])
+        k += 1
+    return np.sqrt(d2.astype(float))
+
+
 def grid_to_sdf(grid: OccupancyGrid) -> np.ndarray:
     """Per-cell signed distance in cell units: positive on free cells
-    (distance to the nearest occupied cell), negative on occupied cells.
-
-    scipy.ndimage is imported here, on the first call, so that disc worlds
-    never load it."""
-    from scipy import ndimage
-
+    (distance to the nearest occupied cell), negative on occupied cells
+    (minus the distance to the nearest free cell).  Each call computes a new
+    array; ``OccupancyGrid.cell_sdf`` is the one a grid shares."""
     occ = grid.occupied
     ny, nx = occ.shape
     cap = float(np.hypot(nx, ny))
     if occ.all() or (~occ).all():
         warnings.warn("degenerate occupancy grid: all cells identical", RuntimeWarning)
         return np.full(occ.shape, -cap if occ.all() else cap)
-    dist_out = ndimage.distance_transform_edt(~occ)
-    dist_in = ndimage.distance_transform_edt(occ)
-    return dist_out - dist_in
+    return _distance_to(occ) - _distance_to(~occ)
 
 
 def grid_sdf_world(grid: OccupancyGrid):
-    """Bilinear world-coordinate sampler of the cell SDF, in world units.
+    """Bilinear world-coordinate sampler of the grid's cell SDF
+    (``OccupancyGrid.cell_sdf``), in world units.
 
     The sampler is cached on the grid object; outside the raster it clamps to
     the border cell.  ``sample`` takes (n, 2) points and returns (n,) values,
@@ -559,7 +590,7 @@ def grid_sdf_world(grid: OccupancyGrid):
     cache = getattr(grid, "_sdf_cache", None)
     if cache is None:
         cs = grid.cell_size
-        sdf = grid_to_sdf(grid) * cs
+        sdf = grid.cell_sdf * cs
         ny, nx = sdf.shape
         at = sdf.item
 
@@ -626,10 +657,7 @@ def extract_circles(grid: OccupancyGrid, window, d_hat_cells=8.0, max_discs=16):
     sub = grid.occupied[r0 : r1 + 1, c0 : c1 + 1]
     if not sub.any():
         return []
-    sdf = getattr(grid, "_cell_sdf", None)
-    if sdf is None:
-        sdf = grid_to_sdf(grid)
-        object.__setattr__(grid, "_cell_sdf", sdf)
+    sdf = grid.cell_sdf
     rows, cols = np.nonzero(sub)
     rows, cols = rows + r0, cols + c0
     depth = -sdf[rows, cols]  # wall half-thickness in cells, >= 1 on walls

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamnav import navigator, workspace
+from hamnav.baselines import clearance_raster
 from hamnav.generation import generate_dungeon
 from hamnav.navigator import ExitSelector, dungeon_setup, run_episode
 from hamnav.workspace import (
@@ -390,33 +391,103 @@ class TestCoverage:
         assert mapping_ratio(tr2, L) == pytest.approx(prev, abs=1e-15)
 
 
-# imports every hamnav module, then computes one grid SDF; prints whether
-# scipy.ndimage was loaded before and after, and the SDF's sha256
-LAZY_NDIMAGE = """
-import hashlib, importlib, pkgutil, sys
+# imports every hamnav module, runs a dungeon episode, a clearance raster and
+# a rigid A* plan on its grid, then prints the scipy modules loaded (a JSON
+# list) and the sha256 of the grid's SDF
+NO_SCIPY = """
+import hashlib, importlib, json, pkgutil, sys
 import hamnav
 for mod in pkgutil.iter_modules(hamnav.__path__):
     importlib.import_module("hamnav." + mod.name)
-before = "scipy.ndimage" in sys.modules
+from hamnav.baselines import astar_rigid, clearance_raster
 from hamnav.generation import generate_dungeon
+from hamnav.navigator import dungeon_setup, run_episode
 from hamnav.workspace import grid_to_sdf
-sdf = grid_to_sdf(generate_dungeon(0, cells=3).grid)
-print(before, "scipy.ndimage" in sys.modules, hashlib.sha256(sdf.tobytes()).hexdigest())
+ws = generate_dungeon(0, cells=3)
+run_episode(ws, *dungeon_setup(n_max=200))
+clearance_raster(ws, 0.5)
+astar_rigid(ws, 0.5, 0.3)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(hashlib.sha256(grid_to_sdf(ws.grid).tobytes()).hexdigest())
 """
 
 
+@st.composite
+def edt_grids(draw):
+    """Occupancy rasters of one row, one column, a single wall cell, or a
+    random wall density from 0.1% to 70%."""
+    kind = draw(st.sampled_from(["row", "column", "single", "density"]))
+    n = draw(st.integers(1, 60))
+    shape = {"row": (1, n), "column": (n, 1)}.get(kind) or (draw(st.integers(1, 60)), n)
+    if kind == "single":
+        occ = np.zeros(shape, dtype=bool)
+        occ[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = True
+        return occ
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < draw(st.floats(0.001, 0.7))
+
+
+def assert_sdf_matches_scipy(occ):
+    """grid_to_sdf of the grid and of its complement equal scipy's exact EDT
+    byte for byte."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for o in (occ, ~occ):
+        want = ndimage.distance_transform_edt(~o) - ndimage.distance_transform_edt(o)
+        got = grid_to_sdf(OccupancyGrid(o))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestGridSdf:
-    def test_ndimage_loads_on_the_first_grid_sdf(self):
-        """No hamnav import loads scipy.ndimage; the first grid SDF does, and
-        the SDF of dungeon 0 (cells=3) keeps its pinned bytes."""
+    def test_engine_never_loads_scipy(self):
+        """No hamnav import, dungeon episode, clearance raster or grid A*
+        loads scipy, and the SDF of dungeon 0 (cells=3) keeps its pinned
+        bytes."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(workspace.__file__).parent.parent)]
             + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        out = subprocess.run([sys.executable, "-c", LAZY_NDIMAGE], env=env,
+        out = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
                              capture_output=True, text=True, check=True,
-                             timeout=120).stdout.split()
-        assert out == ["False", "True",
-                       "d1eb8725d6d767c69de331eb71d354b0db94988aca21ff86dee25ca69055a303"]
+                             timeout=120).stdout.splitlines()
+        assert json.loads(out[0]) == []
+        assert out[1] == "d1eb8725d6d767c69de331eb71d354b0db94988aca21ff86dee25ca69055a303"
+
+    @given(edt_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_edt_bytes(self, occ):
+        assume(occ.any() and not occ.all())
+        assert_sdf_matches_scipy(occ)
+
+    @pytest.mark.parametrize("cells", range(3, 9))
+    def test_dungeon_matches_scipy_edt_bytes(self, cells):
+        for seed in (0, 1):
+            assert_sdf_matches_scipy(generate_dungeon(seed, cells=cells).grid.occupied)
+
+    def test_far_field_of_a_single_wall(self, rng):
+        """The row pass runs to its longest reach (k up to nx - 1) when one
+        corner cell is the only wall; sampled cells equal the brute-force
+        distance."""
+        occ = np.zeros((400, 400), dtype=bool)
+        occ[0, 0] = True
+        sdf = grid_to_sdf(OccupancyGrid(occ))
+        assert sdf[0, 0] == -1.0 and sdf[399, 399] == math.sqrt(2 * 399**2)
+        for r, c in rng.integers(0, 400, (50, 2)):
+            want = -1.0 if r == c == 0 else math.sqrt(int(r) ** 2 + int(c) ** 2)
+            assert sdf[r, c] == want
+
+    def test_one_transform_per_grid(self, monkeypatch):
+        """Disc fitting, the world sampler and the clearance raster share one
+        transform of a grid object, across a whole dungeon episode."""
+        calls = []
+        real = workspace.grid_to_sdf
+        monkeypatch.setattr(workspace, "grid_to_sdf",
+                            lambda grid: calls.append(grid) or real(grid))
+        ws = generate_dungeon(0, cells=3)
+        run_episode(ws, *dungeon_setup(n_max=100))
+        assert extract_circles(ws.grid, (ws.start, ws.side))
+        grid_sdf_world(ws.grid)(ws.start)
+        clearance_raster(ws, 0.5)
+        assert len(calls) == 1 and calls[0] is ws.grid
+        assert not ws.grid.cell_sdf.flags.writeable
 
     def test_single_occupied_345(self):
         occ = np.zeros((8, 8), dtype=bool)
