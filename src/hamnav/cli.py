@@ -1,13 +1,9 @@
 """Command-line entry points: generate | run | train | eval | plot.
 
 Every command is deterministic given (config, seed).  Human-edited configs
-are TOML; machine artifacts are JSON and CSV.  The step CSV schema is
-
-    t, q*, p*, H, clr, true_clr, dist, speed,
-    E_sensor, E_goal, E_obj, E_barrier_total,
-    beta, lam, alpha_sum, active, mu, u_f0, u_f1
-
-and the summary JSON carries termination cause, metrics, coverage and the
+are TOML; machine artifacts are JSON and CSV.  An episode's steps.csv holds
+its step log, one row per state, in the columns of EpisodeRecorder.COLUMNS;
+the summary JSON carries termination cause, metrics, coverage and the
 reference length when available.  HAMNAV_WORKERS > 1 runs eval episodes in
 a process pool.  A malformed config, workspace file or HAMNAV_WORKERS value
 is reported on stderr and the command exits with status 2.
@@ -303,32 +299,13 @@ def save_config(cfg: RunConfig, path):
 # ---------------------------------------------------------------------------
 # Artifact writers
 
-STEP_COLUMNS = ("H", "clr", "true_clr", "dist", "speed", "E_sensor", "E_goal",
-                "E_obj", "E_barrier_total", "beta", "lam", "alpha_sum", "active",
-                "mu")
-
-
 def write_steps_csv(result, path):
-    dim = result.qs.shape[1]
-    header = (["t"] + [f"q{i}" for i in range(dim)] + [f"p{i}" for i in range(dim)]
-              + list(STEP_COLUMNS) + ["u_f0", "u_f1"])
+    """The episode's step log (``result.table`` under ``result.header``) as
+    CSV, each value to 9 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(len(result.times)):
-            row = ([f"{result.times[k]:.9g}"]
-                   + [f"{v:.9g}" for v in result.qs[k]]
-                   + [f"{v:.9g}" for v in result.ps[k]]
-                   + [f"{result.energies[k]:.9g}", f"{result.clearances[k]:.9g}",
-                      f"{result.true_clearances[k]:.9g}", f"{result.goal_dists[k]:.9g}",
-                      f"{result.speeds[k]:.9g}"]
-                   + [f"{result.breakdown[c][k]:.9g}" for c in
-                      ("E_sensor", "E_goal", "E_obj", "E_barrier_total")]
-                   + [f"{result.betas[k]:.9g}", f"{result.lams[k]:.9g}",
-                      f"{result.alpha_sums[k]:.9g}", f"{result.active_counts[k]:.9g}",
-                      f"{result.mus[k]:.9g}", f"{result.u_fs[k][0]:.9g}",
-                      f"{result.u_fs[k][1]:.9g}"])
-            w.writerow(row)
+        w.writerow(result.header)
+        w.writerows([f"{v:.9g}" for v in row] for row in result.table.tolist())
 
 
 def write_summary(result, metrics, path, extra=None):
@@ -460,6 +437,9 @@ def cmd_run(args) -> int:
             w.writerow(["t", "q0", "q1"])
             for k, p in enumerate(plan.waypoints):
                 w.writerow([k, f"{p[0]:.9g}", f"{p[1]:.9g}"])
+        if args.plot:
+            note = cfg.method if plan.feasible else f"{cfg.method}: infeasible"
+            svg.plot_episode(ws, plan.waypoints, extra_note=note).save(out / "trajectory.svg")
         print(f"{cfg.method}: feasible={plan.feasible} L={plan.length:.3f}")
         return 0
     result = run_method(ws, cfg)
@@ -476,21 +456,29 @@ def cmd_run(args) -> int:
         with open(out / "ring_snapshots.json", "w") as fh:
             json.dump({"boundary": [b.tolist() for b in outlines]}, fh)
     if args.plot:
-        _emit_plots(ws, result, outlines, out)
+        _write_plots(out, ws, result.header, result.table,
+                     result.tracker.windows if result.tracker else [], outlines,
+                     result.termination)
     print(f"{cfg.method}: {result.termination} steps={result.n_steps} "
           f"len={result.path_length():.3f} SPL={metrics.spl:.3f}")
     return 0
 
 
-def _emit_plots(ws, result, outlines, out: Path):
-    windows = result.tracker.windows if result.tracker else []
-    canvas = svg.plot_episode(ws, result.positions, windows, outlines,
-                              extra_note=result.termination)
-    canvas.save(out / "trajectory.svg")
-    series = {"beta": result.betas, "lam": result.lams, "alpha_sum": result.alpha_sums,
-              "mu": result.mus, "clr": result.clearances, "H": result.energies}
+def _write_plots(out: Path, ws, header, table, windows, outlines, note):
+    """trajectory.svg (when the workspace ``ws`` is known) and timeseries.svg
+    of a step log: ``table``'s rows under the column names ``header``
+    (steps.csv's), the sensing ``windows`` as (center, half extent), the
+    ring's ``outlines`` and the trajectory's ``note``.  A log with no rows
+    draws no series."""
+    cols = {name: table[:, i] for i, name in enumerate(header)}
+    if ws is not None:
+        positions = np.column_stack([cols["q2"], cols["q3"]])
+        svg.plot_episode(ws, positions, windows, outlines,
+                         extra_note=note).save(out / "trajectory.svg")
+    series = {name: cols[name] for name in ("beta", "lam", "alpha_sum", "mu", "clr", "H")
+              if name in cols and len(table)}
     with open(out / "timeseries.svg", "w") as fh:
-        fh.write(svg.plot_timeseries(result.times, series))
+        fh.write(svg.plot_timeseries(cols["t"], series))
 
 
 def _checked_config(path):
@@ -710,7 +698,6 @@ def cmd_plot(args) -> int:
         print(f"error: steps.csv lacks columns {sorted(required - set(header))}",
               file=sys.stderr)
         return 2
-    cols = {name: i for i, name in enumerate(header)}
     ws = None
     if "workspace" in summary:
         checked = _checked_file(summary["workspace"], workspace_from_json)
@@ -719,23 +706,12 @@ def cmd_plot(args) -> int:
         ws = checked[1]
     out = Path(args.out or run_dir)
     out.mkdir(parents=True, exist_ok=True)
-    positions = data[:, [cols["q2"], cols["q3"]]] if len(data) else np.zeros((0, 2))
     windows = [((w[0], w[1]), w[2]) for w in summary.get("windows", [])]
     outlines = []
     outline_path = run_dir / "ring_snapshots.json"
     if outline_path.exists():
         outlines = [np.asarray(b) for b in json.loads(outline_path.read_text())["boundary"]]
-    if ws is not None:
-        canvas = svg.plot_episode(ws, positions, windows, outlines,
-                                  extra_note=summary.get("termination", ""))
-        canvas.save(out / "trajectory.svg")
-    series = {}
-    for name in ("beta", "lam", "alpha_sum", "mu", "clr", "H"):
-        if name in cols and len(data):
-            series[name] = data[:, cols[name]]
-    with open(out / "timeseries.svg", "w") as fh:
-        fh.write(svg.plot_timeseries(data[:, cols["t"]] if len(data) else np.zeros(0),
-                                     series))
+    _write_plots(out, ws, header, data, windows, outlines, summary.get("termination", ""))
     print(f"wrote plots to {out}")
     return 0
 

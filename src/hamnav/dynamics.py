@@ -170,14 +170,3 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
         clearances=np.asarray(clearances),
         diverged=diverged,
     )
-
-
-def energy_drift(traj: Trajectory) -> float:
-    """max_n |H_n - H_0| along a trajectory."""
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
-    return float(np.max(np.abs(traj.energies - traj.energies[0])))
-
-
-def flip_momentum(z: PhaseState) -> PhaseState:
-    return PhaseState(z.q.copy(), -z.p)

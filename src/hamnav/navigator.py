@@ -331,6 +331,11 @@ class EpisodeResult:
     tracker: CoverageTracker = None
     shape: RingShapeModel = None  # the ring's shape model; None for a point robot
     final_weights: dict = field(default_factory=dict)
+    # the step log, one row per logged state, under the column names of
+    # ``header`` (EpisodeRecorder.COLUMNS, as steps.csv holds them); the
+    # arrays above are views of its columns
+    header: tuple = ()
+    table: np.ndarray = None
 
     @property
     def positions(self):
@@ -551,19 +556,23 @@ class EpisodeRecorder:
 
     ``start`` and ``step`` take each state the episode reaches: they measure
     its ground-truth clearance once (``true_clr``) and return why the episode
-    ends there, or None.  ``record`` writes a state into float64 column
-    buffers, the rows of one block that doubles its capacity when full;
-    ``result`` copies out each column's logged states, zeros in the columns a
-    loop never wrote.  A rigid disc of ``radius`` is judged by its centre's
-    clearance less the radius.
+    ends there, or None.  ``record`` writes a state into one row of a float64
+    step table that doubles its capacity when full; ``result`` hands the
+    logged rows to the EpisodeResult, zeros in the columns a loop never
+    wrote.  A rigid disc of ``radius`` is judged by its centre's clearance
+    less the radius.
     """
 
-    # every loop records the first five; the navigator also records the rest.
-    # In this order each takes rows of the buffer: q and p layout.dim rows,
-    # u_f two, the others one each.
-    COLUMNS = ("q", "clr", "true_clr", "dist", "speed", "p", "u_f", "H", "E_sensor",
-               "E_goal", "E_obj", "E_barrier_total", "beta", "lam", "alpha_sum", "active",
-               "mu")
+    # The step log's columns in steps.csv order, each with the EpisodeResult
+    # field that holds it (None: a key of ``breakdown``).  q and p take
+    # layout.dim values (q0, q1, ...), u_f two (u_f0, u_f1), the others one.
+    # Every loop records t, q and the observables clr, true_clr, dist and
+    # speed; the navigator also records the rest.
+    COLUMNS = {"t": "times", "q": "qs", "p": "ps", "H": "energies", "clr": "clearances",
+               "true_clr": "true_clearances", "dist": "goal_dists", "speed": "speeds",
+               "E_sensor": None, "E_goal": None, "E_obj": None, "E_barrier_total": None,
+               "beta": "betas", "lam": "lams", "alpha_sum": "alpha_sums",
+               "active": "active_counts", "mu": "mus", "u_f": "u_fs"}
 
     def __init__(self, ws: Workspace, cfg: EpisodeConfig, tracker: CoverageTracker,
                  layout, shape=None, radius=0.0):
@@ -573,12 +582,19 @@ class EpisodeRecorder:
         self.sdf = grid_sdf_world(ws.grid) if ws.grid is not None else None
         self.world = DiscSet.of(enumerate(ws.obstacles))
         widths = {"q": layout.dim, "p": layout.dim, "u_f": 2}
-        self.rows, start = {}, 0  # column name -> its buffer row, or slice of rows
+        # column name -> its index in a row, or slice of indices; the header
+        # names each index
+        self.rows, header = {}, []
         for name in self.COLUMNS:
             width = widths.get(name)
+            start = len(header)
             self.rows[name] = start if width is None else slice(start, start + width)
-            start += width or 1
-        self.buffer = np.zeros((start, 64))
+            header += [name] if width is None else [f"{name}{i}" for i in range(width)]
+        self.header = tuple(header)
+        # the columns every loop records besides q, written in one assignment
+        self.observed = np.array([self.rows[name] for name in
+                                  ("t", "clr", "true_clr", "dist", "speed")])
+        self.buffer = np.zeros((64, len(header)))
         self.m = 0  # states logged
         self.navigated = False  # whether the navigator's columns were logged
         self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
@@ -623,46 +639,34 @@ class EpisodeRecorder:
             return "success"
         return "timeout" if self.n >= self.cfg.n_max else None
 
-    def record(self, q, y: Observables, p=None, u_f=None, terms=()):
-        """Log the state last measured, q, with its observables y; the
-        navigator also logs the momentum p, the port input u_f and ``terms``,
-        the values of the COLUMNS after "u_f" in order."""
-        if self.m == self.buffer.shape[1]:
-            self.buffer = np.concatenate([self.buffer, np.zeros_like(self.buffer)], axis=1)
-        d = self.layout.dim
-        col = self.buffer[:, self.m]
-        col[:d] = q
-        col[d:d + 4] = y.clearance, self.true_clr, y.goal_dist, y.speed
-        if p is not None:
-            col[d + 4:2 * d + 4] = p
-            col[2 * d + 4:2 * d + 6] = u_f
-            col[2 * d + 6:] = terms
+    def record(self, q, y: Observables, columns=None):
+        """Log the state last measured, q, at time m * tau, with its
+        observables y; the navigator also passes ``columns``, its other
+        columns by name (p, u_f, the energy terms and the weights)."""
+        if self.m == len(self.buffer):
+            self.buffer = np.concatenate([self.buffer, np.zeros_like(self.buffer)])
+        row, rows = self.buffer[self.m], self.rows
+        row[rows["q"]] = q
+        row[self.observed] = self.cfg.tau * self.m, y.clearance, self.true_clr, y.goal_dist, y.speed
+        if columns:
+            for name, value in columns.items():
+                row[rows[name]] = value
             self.navigated = True
         self.m += 1
 
     def result(self, termination, final_weights=None) -> EpisodeResult:
-        logged = self.buffer[:, :self.m]
-
-        def column(name):
-            return logged[self.rows[name]].T.copy()
-
-        active = column("active")
+        table = self.buffer[:self.m].copy()
+        arrays, breakdown = {}, {}
+        for name, field_name in self.COLUMNS.items():
+            if field_name is None:
+                breakdown[name] = table[:, self.rows[name]]
+            else:
+                arrays[field_name] = table[:, self.rows[name]]
+        if self.navigated:
+            arrays["active_counts"] = arrays["active_counts"].astype(np.int64)
         return EpisodeResult(
-            times=self.cfg.tau * np.arange(self.m),
-            qs=column("q"),
-            ps=column("p"),
-            energies=column("H"),
-            clearances=column("clr"),
-            true_clearances=column("true_clr"),
-            goal_dists=column("dist"),
-            speeds=column("speed"),
-            betas=column("beta"),
-            lams=column("lam"),
-            alpha_sums=column("alpha_sum"),
-            active_counts=active.astype(np.int64) if self.navigated else active,
-            mus=column("mu"),
-            u_fs=column("u_f"),
-            breakdown={k: column(k) for k in ("E_sensor", "E_goal", "E_obj", "E_barrier_total")},
+            **arrays,
+            breakdown=breakdown,
             termination=termination,
             coverage=self.tracker.covered_fraction(),
             layout=self.layout,
@@ -670,6 +674,8 @@ class EpisodeRecorder:
             tracker=self.tracker,
             shape=self.shape,
             final_weights=final_weights or {},
+            header=self.header,
+            table=table,
         )
 
 
@@ -782,10 +788,10 @@ class _Episode:
         """Record self.z with the observables ``logged`` gives, its momentum,
         the port input, the energy terms ``parts`` and the weights."""
         w = self.weights
-        rec.record(self.z.q, self.logged(y, act, contact), self.z.p, self.u_f,
-                   (parts["H"], parts["E_sensor"], parts["E_goal"], parts["E_obj"],
-                    parts["E_barrier_total"], w.beta, w.lam,
-                    sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()), len(act), w.mu))
+        parts.update(p=self.z.p, u_f=self.u_f, beta=w.beta, lam=w.lam,
+                     alpha_sum=sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()),
+                     active=len(act), mu=w.mu)
+        rec.record(self.z.q, self.logged(y, act, contact), parts)
 
     def finish(self, rec: EpisodeRecorder, termination, contact, y) -> EpisodeResult:
         """Record the last state, which no step follows, and build the result."""

@@ -175,11 +175,6 @@ class RingShapeModel:
             self._rows = (discs, w, wl0)
         return w, wl0
 
-    def arc_lengths(self, q) -> np.ndarray:
-        """Arc-length weights ||X'_j|| = s ||X0'_j|| of the boundary samples."""
-        _, s = self._unpack(q)
-        return s * self._l0
-
     def obj_feature(self, q):
         """Bulk potential and its gradient over q (scale coordinate only)."""
         _, s = self._unpack(q)

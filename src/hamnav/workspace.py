@@ -138,22 +138,6 @@ class OccupancyGrid:
     def to_ascii(self) -> str:
         return "\n".join("".join("#" if v else "." for v in row) for row in self.occupied)
 
-    @classmethod
-    def from_pgm(cls, text: str, cell_size: float = 1.0) -> "OccupancyGrid":
-        """Parse plain-text PGM (P2); values below half of maxval are walls."""
-        tokens = []
-        for line in text.splitlines():
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-        if not tokens or tokens[0] != "P2":
-            raise ValueError("not a P2 PGM")
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        vals = np.array([int(t) for t in tokens[4 : 4 + width * height]])
-        if vals.size != width * height:
-            raise ValueError("PGM pixel count mismatch")
-        occ = (vals < maxval / 2.0).reshape(height, width)
-        return cls(occ, cell_size)
-
 
 @dataclass
 class Workspace:
@@ -524,13 +508,6 @@ class CoverageTracker:
 
     def covered_fraction(self) -> float:
         return float(self.covered.sum()) / float(self.n * self.n)
-
-
-def mapping_ratio(tracker: CoverageTracker, L: float) -> float:
-    """Fraction of [0, L]^2 ever inside a sensing window (raster area)."""
-    if L <= 0:
-        raise ValueError("L must be > 0")
-    return float(tracker.covered.sum()) * tracker.cell ** 2 / (L * L)
 
 
 # ---------------------------------------------------------------------------

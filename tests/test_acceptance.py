@@ -55,7 +55,6 @@ from hamnav.workspace import (
     OccupancyGrid,
     Workspace,
     grid_to_sdf,
-    mapping_ratio,
     signed_distances,
 )
 
@@ -384,7 +383,7 @@ def test_criterion_10_oracle_equivalences():
             c = rng.uniform(0.5, 9.5, 2)
             coarse.add_window(c, d)
             fine.add_window(c, d)
-        ratio_ok &= abs(mapping_ratio(coarse, L) - mapping_ratio(fine, L)) <= 0.01
+        ratio_ok &= abs(coarse.covered_fraction() - fine.covered_fraction()) <= 0.01
     ok = astar_ok and edt_ok and ratio_ok
     report(10, "oracle equivalences", ok,
            f"A*=Dijkstra on 50 grids {astar_ok}, EDT exact on 20 grids {edt_ok}, "

@@ -2,9 +2,11 @@
 
 The cases are a ring episode, a ring squeezing through a bottleneck between
 two fence discs, a dungeon point-robot episode, a point-robot
-episode that abandons an exit for lack of progress, a ``scene_rollout``, a
-short ``train_offline``, and the PF and DWA baselines (DWA as a point robot
-and as a 0.4-m disc on ``test_id`` 0 and in a dungeon; PF as a 0.4-m disc).
+episode that abandons an exit for lack of progress, a point-robot and a ring
+episode under a trained ``MetaRegressor`` (``meta_point``, ``meta_ring``), a
+``scene_rollout``, a short ``train_offline``, and the PF and DWA baselines
+(DWA as a point robot and as a 0.4-m disc on ``test_id`` 0 and in a dungeon;
+PF as a 0.4-m disc).
 ``all_columns`` pins the logged arrays the others leave out, for a ring, a
 point-robot and a DWA episode.
 Each case hashes (sha256) its trajectory (``qs``, ``ps``, termination; the
@@ -38,12 +40,18 @@ from hamnav.baselines import run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import PhaseState
 from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
-from hamnav.learning import (TrainConfig, _scene_spec, make_reference_dataset, scene_rollout,
-                            train_offline)
+from hamnav.learning import (MetaRegressor, TrainConfig, _scene_spec, make_reference_dataset,
+                            scene_rollout, train_offline)
 from hamnav.navigator import EpisodeConfig, dungeon_setup, run_episode
 from hamnav.ring import RingParams
 
 GOLDEN = Path(__file__).parent / "golden" / "bench_digest.json"
+# A trained meta-regressor, kept fixed so that the meta_* cases pin the
+# navigator under a learned policy and not the training: made once with
+#   model, _ = train_offline(make_reference_dataset(8, 77),
+#                            TrainConfig(epochs=40, lr=3e-3, seed=3))
+#   model.save("tests/golden/meta_8_77.bin")
+META = Path(__file__).parent / "golden" / "meta_8_77.bin"
 
 EPISODE = ("qs", "ps"), ("energies", "clearances", "true_clearances")
 BASELINE = ("qs",), ("clearances", "true_clearances")
@@ -77,6 +85,15 @@ def abandon_episode():
     that opening."""
     cfg = EpisodeConfig(n_max=400)
     return _episode(run_episode(generate_workspace("test_id", 1), cfg))
+
+
+def meta_case(ring):
+    """``test_id`` 1 under the trained regressor in META: every sensing event
+    re-anchors beta, lam and mu at its proposal, so the weights adapt (the
+    default policy's stay constant)."""
+    cfg = EpisodeConfig(ring=RingParams() if ring else None, n_max=200)
+    return lambda: _episode(run_episode(generate_workspace("test_id", 1), cfg,
+                                        MetaRegressor.load(META)))
 
 
 def scene_rollout_case():
@@ -141,6 +158,8 @@ CASES = {
     "ring_bottleneck": (ring_bottleneck, *EPISODE),
     "point_episode": (point_episode, *EPISODE),
     "abandon_episode": (abandon_episode, *EPISODE),
+    "meta_point": (meta_case(ring=False), *EPISODE),
+    "meta_ring": (meta_case(ring=True), *EPISODE),
     "scene_rollout": (scene_rollout_case, ("qs", "ps"), ("energies", "clearances")),
     "train_offline": (train_offline_case, ("params",), ("loss_curve",)),
     "all_columns": (all_columns_case, (),

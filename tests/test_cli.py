@@ -212,11 +212,44 @@ class TestGenerateCommand:
 MALFORMED_START = {"L": 10.0, "obstacles": [], "start": [-1.0, 1.0], "goal": [9.0, 9.0]}
 
 
-# sha256 of a ring episode's outline artifacts on workspace_file
+# sha256 of a ring episode's artifacts on workspace_file
 RING_ARTIFACTS = {
     "ring_snapshots.json": "b76098f1eb146cdb8ad0a0e4961a6498c816f6469c3e40f244f053cd216a853d",
+    "steps.csv": "8c7b4189a8d3b863289028990908084e37c40a5a61d0e2efb443c696de7b39af",
+    "timeseries.svg": "97550c45256b29f9d8b5f5c883c0f206c5597a3702259dadf822fae1b7220224",
     "trajectory.svg": "45cd5d8bed017b128b569b2a442c4722de33d9f02d6d6e8f18b9e88f01996986",
 }
+
+# sha256 of the artifacts of `run --plot` for the PF and DWA baselines on
+# workspace_file (0.4-m discs) and for the point robot on dungeon_file
+RUN_ARTIFACTS = {
+    "pf": {
+        "steps.csv": "69a2c721b015c9003d730e28554d52254c506f6b11eb8c3d05b3688c9684a57b",
+        "timeseries.svg": "465c7729efce59d6a2c57bfbaedf54d9cd8930474841f1cd1421ac486661e288",
+        "trajectory.svg": "3b80d34bf35b0cfede3037bd90200d48411375591710870454225c8b4ef3f541",
+    },
+    "dwa": {
+        "steps.csv": "156ed8492e7525e237b5c63fbb13dd59f5929b22d323b41eafee828857ba2f93",
+        "timeseries.svg": "d7f5216f73b83cca1677a08d901faba4f957ab4241f993e7b0ea2ec6de4b3b1c",
+        "trajectory.svg": "e333afd828a44882d0014578f4f65db281306ddd7f962fafb8ded89648677ef2",
+    },
+    "dungeon": {
+        "steps.csv": "781da6fb916050b0c584870bdd0fc9e0c65f727890d8f4d5b262e822e1160e7d",
+        "timeseries.svg": "f5b9be300629ce68b9b8aa9d916234d6fff538f122de1a618c3e9f9a5b91cd66",
+        "trajectory.svg": "919345b7906332f5bad71ab60d05d5de2c8e57939d6a81683acec1cb7f248ea2",
+    },
+}
+
+
+def assert_pinned(out, pins):
+    """The files in ``out`` have the sha256 digests ``pins`` names, when
+    numpy is the 2.4 the pins were recorded under (another numpy may round
+    a trajectory differently)."""
+    if not np.__version__.startswith("2.4."):
+        return
+    for name, digest in pins.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, name
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +258,14 @@ def workspace_file(tmp_path_factory):
     main(["generate", "--family", "test_id", "--count", "1", "--seed", "11",
           "--out", str(out)])
     return out / "test_id_0000.json"
+
+
+@pytest.fixture(scope="module")
+def dungeon_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dungeon")
+    main(["generate", "--family", "dungeon", "--count", "1", "--seed", "0",
+          "--out", str(out)])
+    return out / "dungeon_0000.json"
 
 
 class TestRunCommand:
@@ -236,6 +277,23 @@ class TestRunCommand:
         assert "L_ref" in doc and "feasible" in doc
         assert doc["mapping_ratio"] == 1.0
 
+    @pytest.mark.parametrize("method", ["astar_rigid", "astar_deform"])
+    def test_astar_plot_draws_the_plan(self, tmp_path, workspace_file, method):
+        out = tmp_path / method
+        assert main(["run", "--workspace", str(workspace_file), "--method", method,
+                     "--out", str(out), "--plot"]) == 0
+        ws = load_workspace(str(workspace_file))
+        # the plan starts at the centre of the grid cell holding the start
+        cell = ws.side / round(ws.side / RunConfig().astar_resolution)
+        cx, cy = (np.floor(ws.start / cell) + 0.5) * cell
+        pad, width = 20, 640
+        scale = (width - 2 * pad) / ws.side
+        poly = [ln for ln in (out / "trajectory.svg").read_text().splitlines()
+                if "polyline" in ln and "d22" in ln][0]
+        gx, gy = map(float, poly.split('points="')[1].split(" ")[0].split(","))
+        assert gx == pytest.approx(pad + cx * scale, abs=0.01)
+        assert gy == pytest.approx(pad + (ws.side - cy) * scale, abs=0.01)
+
     def test_episode_artifacts_and_determinism(self, tmp_path, workspace_file):
         outs = []
         for tag in ("e1", "e2"):
@@ -246,18 +304,27 @@ class TestRunCommand:
         assert (outs[0] / "steps.csv").read_bytes() == (outs[1] / "steps.csv").read_bytes()
         assert (outs[0] / "trajectory.svg").exists()
         assert (outs[0] / "timeseries.svg").exists()
-        if np.__version__.startswith("2.4."):
-            # the ring artifacts' pinned bytes, recorded under numpy 2.4
-            # (another numpy may round the trajectory differently)
-            for name, digest in RING_ARTIFACTS.items():
-                got = hashlib.sha256((outs[0] / name).read_bytes()).hexdigest()
-                assert got == digest, name
+        assert_pinned(outs[0], RING_ARTIFACTS)
         with open(outs[0] / "steps.csv") as fh:
             header = next(csv.reader(fh))
         for col in ("t", "q0", "p0", "H", "clr", "dist", "speed", "E_sensor",
                     "E_goal", "E_obj", "E_barrier_total", "beta", "lam",
                     "alpha_sum", "active", "mu", "u_f0", "u_f1"):
             assert col in header
+
+    @pytest.mark.parametrize("method", ["pf", "dwa"])
+    def test_baseline_artifacts_are_pinned(self, tmp_path, workspace_file, method):
+        out = tmp_path / method
+        assert main(["run", "--workspace", str(workspace_file), "--method", method,
+                     "--out", str(out), "--plot"]) == 0
+        assert_pinned(out, RUN_ARTIFACTS[method])
+
+    def test_dungeon_artifacts_are_pinned(self, tmp_path, dungeon_file):
+        out = tmp_path / "dungeon"
+        assert main(["run", "--workspace", str(dungeon_file), "--out", str(out),
+                     "--plot"]) == 0
+        assert not (out / "ring_snapshots.json").exists()
+        assert_pinned(out, RUN_ARTIFACTS["dungeon"])
 
     def test_invalid_config_exits_with_message(self, tmp_path, workspace_file, capsys):
         bad = tmp_path / "bad.toml"
@@ -422,6 +489,15 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ep / 'steps.csv'}: ") and message in err
         assert not (tmp_path / "replot").exists()
+
+    def test_header_only_steps_draw_no_series(self, tmp_path):
+        ep = tmp_path / "empty"
+        ep.mkdir()
+        (ep / "summary.json").write_text("{}")
+        (ep / "steps.csv").write_text("t,q0,q1,q2,q3,H,clr,beta,lam,alpha_sum,mu\n")
+        assert main(["plot", "--episode", str(ep)]) == 0
+        assert "<polyline" not in (ep / "timeseries.svg").read_text()
+        assert not (ep / "trajectory.svg").exists()  # no workspace to draw on
 
     def test_missing_columns_schema_error(self, tmp_path, capsys):
         ep = tmp_path / "broken"

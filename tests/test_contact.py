@@ -56,7 +56,7 @@ def reference_obstacle_feature(model, q, obstacle, d_hat):
     b = ipc_barrier(d, d_hat)
     db = ipc_barrier_grad(d, d_hat)
     w = model.basis.weights * obstacle.weight
-    lengths = model.arc_lengths(q)
+    lengths = s * model._l0  # arc-length weights ||X'_j|| = s ||X0'_j||
     val = float(np.sum(w * lengths * b))
     grad = np.zeros_like(np.asarray(q, float))
     safe = dist > 1e-12

@@ -7,8 +7,6 @@ from hamnav.dynamics import (
     IntegratorConfig,
     PortSelectors,
     Trajectory,
-    energy_drift,
-    flip_momentum,
     rollout,
     step_leapfrog,
     step_symplectic_euler,
@@ -32,6 +30,17 @@ def goal_spec(goal, beta=1.0, mass=None, sensor_gain=0.0, obstacles=(), alpha=No
 
 
 SEL = PortSelectors(dim=4)
+
+
+def energy_drift(traj: Trajectory) -> float:
+    """max_n |H_n - H_0| along a trajectory."""
+    if len(traj) == 0:
+        raise ValueError("empty trajectory")
+    return float(np.max(np.abs(traj.energies - traj.energies[0])))
+
+
+def flip_momentum(z: PhaseState) -> PhaseState:
+    return PhaseState(z.q.copy(), -z.p)
 
 
 class TestSymplecticEulerStep:

@@ -30,7 +30,6 @@ from hamnav.workspace import (
     extract_circles,
     grid_sdf_world,
     grid_to_sdf,
-    mapping_ratio,
     norm2,
     row_norms,
     sense,
@@ -355,14 +354,14 @@ class TestCoverage:
     def test_single_window(self):
         tr = CoverageTracker(10.0, 0.125)
         tr.add_window((5.0, 5.0), 1.0)
-        assert mapping_ratio(tr, 10.0) == pytest.approx((2.0 ** 2) / 100.0, rel=0.02)
+        assert tr.covered_fraction() == pytest.approx((2.0 ** 2) / 100.0, rel=0.02)
 
     def test_tiling_reaches_one(self):
         tr = CoverageTracker(8.0, 0.125)
         for x in np.arange(1.0, 8.0, 2.0):
             for y in np.arange(1.0, 8.0, 2.0):
                 tr.add_window((x, y), 1.0)
-        assert mapping_ratio(tr, 8.0) == pytest.approx(1.0)
+        assert tr.covered_fraction() == pytest.approx(1.0)
 
     def test_two_disjoint_windows_vs_refined_oracle(self, rng):
         for _ in range(20):
@@ -373,7 +372,7 @@ class TestCoverage:
             for c in centers:
                 tr.add_window(c, d)
                 fine.add_window(c, d)
-            assert mapping_ratio(tr, L) == pytest.approx(mapping_ratio(fine, L), abs=0.01)
+            assert tr.covered_fraction() == pytest.approx(fine.covered_fraction(), abs=0.01)
 
     def test_monotone_and_order_invariant(self, rng):
         L = 10.0
@@ -382,13 +381,13 @@ class TestCoverage:
         prev = 0.0
         for c, h in wins:
             tr.add_window(c, h)
-            cur = mapping_ratio(tr, L)
+            cur = tr.covered_fraction()
             assert cur >= prev - 1e-15
             prev = cur
         tr2 = CoverageTracker(L, 0.1)
         for c, h in reversed(wins):
             tr2.add_window(c, h)
-        assert mapping_ratio(tr2, L) == pytest.approx(prev, abs=1e-15)
+        assert tr2.covered_fraction() == pytest.approx(prev, abs=1e-15)
 
 
 # imports every hamnav module, runs a dungeon episode, a clearance raster and
@@ -563,17 +562,6 @@ class TestGridIO:
         assert grid.shape == (3, 4)
         assert grid.occupied[1, 1] == False  # noqa: E712
         assert grid.to_ascii() == text
-
-    def test_pgm(self):
-        pgm = "P2\n# comment\n3 2\n255\n0 255 0\n255 255 255\n"
-        grid = OccupancyGrid.from_pgm(pgm)
-        assert grid.shape == (2, 3)
-        assert grid.occupied[0, 0] and grid.occupied[0, 2]
-        assert not grid.occupied[1].any()
-
-    def test_bad_pgm(self):
-        with pytest.raises(ValueError):
-            OccupancyGrid.from_pgm("P5\n2 2\n255\n0 0 0 0")
 
 
 class TestWorkspaceJson:
