@@ -40,6 +40,8 @@ from .ring import RingParams
 from .workspace import Workspace, save_workspace, workspace_from_json
 
 SCHEMA_VERSION = 1
+# the columns of an A* run's steps.csv: its plan's waypoints, t the index
+PLAN_COLUMNS = ["t", "q0", "q1"]
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +431,18 @@ def cmd_run(args) -> int:
             "L_ref": float(plan.length) if plan.feasible else None,
             "expansions": int(plan.expansions),
             "mapping_ratio": 1.0,  # full-map planners by convention
+            "workspace": str(args.workspace),
         }
         with open(out / "summary.json", "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
+        rows = [[str(k), f"{p[0]:.9g}", f"{p[1]:.9g}"] for k, p in enumerate(plan.waypoints)]
         with open(out / "steps.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["t", "q0", "q1"])
-            for k, p in enumerate(plan.waypoints):
-                w.writerow([k, f"{p[0]:.9g}", f"{p[1]:.9g}"])
+            w.writerow(PLAN_COLUMNS)
+            w.writerows(rows)
         if args.plot:
-            note = cfg.method if plan.feasible else f"{cfg.method}: infeasible"
-            svg.plot_episode(ws, plan.waypoints, extra_note=note).save(out / "trajectory.svg")
+            # the waypoints as steps.csv holds them, so that `hamnav plot` draws the same
+            _write_plan_plot(out, ws, np.array(rows, float).reshape(-1, 3), doc)
         print(f"{cfg.method}: feasible={plan.feasible} L={plan.length:.3f}")
         return 0
     result = run_method(ws, cfg)
@@ -479,6 +482,15 @@ def _write_plots(out: Path, ws, header, table, windows, outlines, note):
               if name in cols and len(table)}
     with open(out / "timeseries.svg", "w") as fh:
         fh.write(svg.plot_timeseries(cols["t"], series))
+
+
+def _write_plan_plot(out: Path, ws, table, summary):
+    """trajectory.svg of an A* plan: the waypoints ``table`` (rows under
+    PLAN_COLUMNS) on the workspace ``ws``, noted with the summary's method
+    and whether the plan is feasible."""
+    method = summary.get("method", "")
+    note = method if summary.get("feasible", True) else f"{method}: infeasible"
+    svg.plot_episode(ws, table[:, 1:3], extra_note=note).save(out / "trajectory.svg")
 
 
 def _checked_config(path):
@@ -693,8 +705,9 @@ def cmd_plot(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {steps_path}: {e}", file=sys.stderr)
         return 2
+    plan = header == PLAN_COLUMNS  # an A* run's waypoints
     required = {"t", "q2", "q3"}
-    if not required.issubset(header):
+    if not plan and not required.issubset(header):
         print(f"error: steps.csv lacks columns {sorted(required - set(header))}",
               file=sys.stderr)
         return 2
@@ -704,14 +717,21 @@ def cmd_plot(args) -> int:
         if checked is None:
             return 2
         ws = checked[1]
+    elif plan:
+        print(f"error: {summary_path}: names no workspace to draw the plan on",
+              file=sys.stderr)
+        return 2
     out = Path(args.out or run_dir)
     out.mkdir(parents=True, exist_ok=True)
-    windows = [((w[0], w[1]), w[2]) for w in summary.get("windows", [])]
-    outlines = []
-    outline_path = run_dir / "ring_snapshots.json"
-    if outline_path.exists():
-        outlines = [np.asarray(b) for b in json.loads(outline_path.read_text())["boundary"]]
-    _write_plots(out, ws, header, data, windows, outlines, summary.get("termination", ""))
+    if plan:
+        _write_plan_plot(out, ws, data, summary)
+    else:
+        windows = [((w[0], w[1]), w[2]) for w in summary.get("windows", [])]
+        outlines = []
+        outline_path = run_dir / "ring_snapshots.json"
+        if outline_path.exists():
+            outlines = [np.asarray(b) for b in json.loads(outline_path.read_text())["boundary"]]
+        _write_plots(out, ws, header, data, windows, outlines, summary.get("termination", ""))
     print(f"wrote plots to {out}")
     return 0
 

@@ -601,8 +601,13 @@ class EpisodeRecorder:
         self.n = 0  # steps taken
         self.true_clr = None
 
-    def true_clearance(self, q) -> float:
-        """Clearance against the ground-truth world (not the sensed one)."""
+    def true_clearance(self, q, contact=None) -> float:
+        """Clearance against the ground-truth world (not the sensed one).
+
+        A ring in a disc world takes ``RingShapeModel.pruned_clearance``
+        against every world disc; ``contact``, the navigator's contact pass at
+        q against its active set, is its upper bound when the sensed discs are
+        the world's (the same float either way)."""
         c = q[self.layout.frame]
         if self.ws.grid is not None:
             base = float(self.sdf(c)) - self.radius
@@ -610,7 +615,7 @@ class EpisodeRecorder:
                 base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
             return base
         if self.shape is not None:
-            return self.shape.pruned_clearance(q, self.world)
+            return self.shape.pruned_clearance(q, self.world, contact)
         return self.world.clearance(c) - self.radius
 
     def start(self, q):
@@ -618,13 +623,14 @@ class EpisodeRecorder:
         self.true_clr = self.true_clearance(q)
         return "collision" if self.true_clr < 0 else self._at(q)
 
-    def step(self, q):
+    def step(self, q, contact=None):
         """Measure the state a step reached: 'collision' when it collides,
         'stuck' when the frame moved less than eps_stuck over the last
-        stuck_window steps, else as ``_at``."""
+        stuck_window steps, else as ``_at``.  ``contact`` is the ring's
+        contact pass at q, if one was made (see ``true_clearance``)."""
         cfg = self.cfg
         self.n += 1
-        self.true_clr = self.true_clearance(q)
+        self.true_clr = self.true_clearance(q, contact)
         self.recent.append(q[self.layout.frame].copy())
         if self.true_clr < 0:
             return "collision"
@@ -907,7 +913,7 @@ class _Episode:
             # those (F) measured one step earlier
             self.log(rec, y, act, contact, ev.parts)
             self.z, contact, y = z_next, contact_next, y_obs
-            termination = rec.step(self.z.q)
+            termination = rec.step(self.z.q, contact)
 
         return self.finish(rec, termination, contact, y)
 

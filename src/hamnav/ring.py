@@ -11,11 +11,22 @@ The contact pass (``ContactPass``) takes a fast path when no sample is within
 the barrier's clamp distance d_c of a disc and b(d_c) <= BARRIER_CLAMP: every
 sample is then on the log branch or beyond d_hat, so the barrier and its slope
 are two ``np.where`` over the (M, K) grid, from the elementwise arithmetic of
-``ipc_barrier_and_grad`` and so with its bits.
+``ipc_barrier_and_grad`` and so with its bits.  A pass against no discs forms
+no grid: its clearance is +inf and its features are empty.
+
+Each ring state costs one gap pass.  The ground-truth clearance against the
+whole world (``pruned_clearance``) takes the navigator's pass at the same
+state as an exact upper bound U when every disc of that pass is the world's
+disc of its id, byte for byte: each row of the gap grid depends only on its
+own disc, so the pass's rows are the world's rows, U is the least of them,
+and only the world discs the pass left out whose lower bound is below U
+need a row of their own.  ``min`` is exact, so the clearance is the same
+float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +154,12 @@ class RingShapeModel:
         self._reach = float(np.max(np.linalg.norm(self._x0, axis=1))) * (1.0 + 1e-9) + 1e-12
         self.s_target = 1.0
         self._rows = (None, None, None)  # (discs, w, w * l0) of the last pass's DiscSet
+        # the (0, K) planes of a pass against no discs
+        self._no_gaps = np.zeros((0, len(self._x0)))
+        self._no_gaps.flags.writeable = False
+        # (world, held, the DiscSet of the world's discs not in held, or None
+        # when a held row differs from the world's) of the last bound asked for
+        self._held_rows = (None, None, None)
 
     def _unpack(self, q):
         c = q[self.layout.frame]
@@ -179,7 +196,7 @@ class RingShapeModel:
         """Bulk potential and its gradient over q (scale coordinate only)."""
         _, s = self._unpack(q)
         val = bulk_potential(s, self.s_target, self.params.k_bulk, self.a_ref)
-        grad = np.zeros_like(np.asarray(q, float))
+        grad = np.zeros(np.shape(q))
         grad[self.layout.scale] = bulk_potential_grad(s, self.s_target, self.params.k_bulk, self.a_ref)
         return val, grad
 
@@ -196,22 +213,60 @@ class RingShapeModel:
         """Least signed distance from a boundary sample to a disc (+inf for none)."""
         return self.contact(q, discs).clearance
 
-    def pruned_clearance(self, q, discs: DiscSet) -> float:
+    def pruned_clearance(self, q, discs: DiscSet, held: "ContactPass" = None) -> float:
         """``min_clearance``, skipping the discs that cannot hold the minimum.
 
         A disc whose lower bound (centre distance - ring reach - radius) is
-        above the smallest upper bound (centre distance + reach - radius)
-        cannot hold the minimum and is skipped; the minimum over the rest is
-        the same number, bit for bit.
+        above an upper bound of the minimum cannot hold it and is skipped; the
+        minimum over the rest is the same number, bit for bit.  The upper
+        bound is the smallest of the discs' own (centre distance + reach -
+        radius), or, when ``held`` gives one (``_held_bound``), the clearance
+        of ``held``, a contact pass at q: then only the discs outside the pass
+        are candidates, and the result is the least of that clearance and
+        their rows (``min`` is exact, so it is the same float).
         """
         if not len(discs):
             return np.inf
         c, s = self._unpack(q)
+        bound = self._held_bound(c, s, discs, held)
+        upper, discs = (None, discs) if bound is None else bound
+        if not len(discs):
+            return upper
         reach = s * self._reach
         off = discs.centers - c
         gap = np.hypot(off[:, 0], off[:, 1]) - discs.radii
-        keep = ~(gap - reach > np.min(gap + reach))  # NaN keeps every disc
-        return float(self._gaps(c, s, discs.centers[keep], discs.radii[keep])[3].min())
+        if upper is None:
+            keep = ~(gap - reach > np.min(gap + reach))  # NaN keeps every disc
+            return float(self._gaps(c, s, discs.centers[keep], discs.radii[keep])[3].min())
+        keep = ~(gap - reach > upper)
+        if not keep.any():
+            return upper
+        # the rows' minimum first, so that a NaN row keeps its NaN
+        return min(float(self._gaps(c, s, discs.centers[keep], discs.radii[keep])[3].min()), upper)
+
+    def _held_bound(self, c, s, discs: DiscSet, held):
+        """(U, others): the clearance U of ``held`` and the DiscSet of the
+        discs of ``discs`` it leaves out, when ``held`` is this model's pass at
+        frame c and scale s, U is finite, and each disc of the pass is the
+        disc of that id in ``discs``, centre and radius byte for byte; else
+        None (jittered rows, an empty pass, a NaN, another state).  The row
+        check is made once per pair of DiscSet objects, which are never
+        modified."""
+        if (held is None or held.model is not self or not math.isfinite(held.clearance)
+                or held.at != (float(c[0]), float(c[1]), s)):
+            return None
+        world, rows, others = self._held_rows
+        if world is not discs or rows is not held.discs:
+            rows, others = held.discs, None
+            at = np.searchsorted(discs.ids, rows.ids)
+            if (at < len(discs)).all() and (discs.ids[at] == rows.ids).all() \
+                    and discs.centers[at].tobytes() == rows.centers.tobytes() \
+                    and discs.radii[at].tobytes() == rows.radii.tobytes():
+                outside = np.ones(len(discs), bool)
+                outside[at] = False
+                others = discs[outside]
+            self._held_rows = (discs, rows, others)
+        return None if others is None else (held.clearance, others)
 
     def refresh_target(self, d_min):
         """Re-evaluate the clearance-dependent scale target (per shape horizon)
@@ -231,7 +286,13 @@ class ContactPass:
     Each disc's samples are one contiguous row, so a per-disc sum over the
     samples reduces a (K,) row, as a loop over the discs would, and gives the
     same bits.  The clearance is formed with the pass; the barrier features
-    when ``features`` is called.
+    when ``features`` is called.  Against no discs the planes are the model's
+    read-only (0, K) planes, the clearance is +inf and no gap is formed.
+
+    ``RingShapeModel.pruned_clearance`` takes ``clearance`` as the exact upper
+    bound of the world's clearance at the pass's state (``at``: frame and
+    scale) when every disc of the pass is the world's disc of its id, byte
+    for byte, since the pass's rows are then the world's rows.
 
     ``features`` takes a fast path when the clearance is above the clamp
     distance d_c and b(d_c) <= BARRIER_CLAMP (``barrier_knots``).  Every
@@ -249,8 +310,13 @@ class ContactPass:
     def __init__(self, model: RingShapeModel, q, discs: DiscSet):
         c, s = model._unpack(q)
         self.model, self.s, self.dim, self.discs = model, s, np.size(q), discs
-        self.dx, self.dy, self.dist, self.d = model._gaps(c, s, discs.centers, discs.radii)
-        self.clearance = float(self.d.min()) if len(discs) else np.inf
+        self.at = (float(c[0]), float(c[1]), s)
+        if len(discs):
+            self.dx, self.dy, self.dist, self.d = model._gaps(c, s, discs.centers, discs.radii)
+            self.clearance = float(self.d.min())
+        else:
+            self.dx = self.dy = self.dist = self.d = model._no_gaps
+            self.clearance = np.inf
 
     def features(self, d_hat):
         """Each disc's boundary-integrated barrier and its gradient over q.
@@ -259,6 +325,8 @@ class ContactPass:
         through X_j and on the scale through both X_j and the arc weights
         l_j = s * l0_j.
         """
+        if not len(self.discs):
+            return np.zeros(0), np.zeros((0, self.dim))
         model, layout, d, dist = self.model, self.model.layout, self.d, self.dist
         w, wl0 = model._weight_rows(self.discs)
         wl = w * (self.s * model._l0)

@@ -158,6 +158,8 @@ class Workspace:
     def validate(self):
         L = self.side
         for name, pt in (("start", self.start), ("goal", self.goal)):
+            if pt.shape != (2,) or not np.isfinite(pt).all():
+                raise ValueError(f"{name} must be two finite numbers")
             if not (0 <= pt[0] <= L and 0 <= pt[1] <= L):
                 raise ValueError(f"{name} {pt} outside [0,{L}]^2")
         for pt in (self.start, self.goal):

@@ -1,7 +1,8 @@
 """Golden behaviour digests: short runs must reproduce the pinned output.
 
 The cases are a ring episode, a ring squeezing through a bottleneck between
-two fence discs, a dungeon point-robot episode, a point-robot
+two fence discs, a ring that senses jittered discs (``ring_perturbed``), a
+dungeon point-robot episode, a point-robot
 episode that abandons an exit for lack of progress, a point-robot and a ring
 episode under a trained ``MetaRegressor`` (``meta_point``, ``meta_ring``), a
 ``scene_rollout``, a short ``train_offline``, and the PF and DWA baselines
@@ -39,6 +40,7 @@ import pytest
 from hamnav.baselines import run_baseline_episode
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import PhaseState
+from hamnav.evalkit import ROBUSTNESS_LEVELS, PerturbedWorkspace
 from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
 from hamnav.learning import (MetaRegressor, TrainConfig, _scene_spec, make_reference_dataset,
                             scene_rollout, train_offline)
@@ -72,6 +74,15 @@ def ring_bottleneck():
     floor with two fence discs active for about half of its steps."""
     cfg = EpisodeConfig(ring=RingParams(), n_max=250)
     return _episode(run_episode(generate_bottleneck(0), cfg))
+
+
+def ring_perturbed():
+    """Ring on test_id 0 sensing under the ``mild`` perturbation: its sensed
+    discs are jittered copies of the world's, so its pass at a state is no
+    bound on the ground-truth clearance there."""
+    ws = PerturbedWorkspace(generate_workspace("test_id", 0), ROBUSTNESS_LEVELS["mild"], seed=0)
+    cfg = EpisodeConfig(ring=RingParams(), n_max=200)
+    return _episode(run_episode(ws, cfg))
 
 
 def point_episode():
@@ -156,6 +167,7 @@ def baseline_case(method, robot_radius=0.0, dungeon=False):
 CASES = {
     "ring_episode": (ring_episode, *EPISODE),
     "ring_bottleneck": (ring_bottleneck, *EPISODE),
+    "ring_perturbed": (ring_perturbed, *EPISODE),
     "point_episode": (point_episode, *EPISODE),
     "abandon_episode": (abandon_episode, *EPISODE),
     "meta_point": (meta_case(ring=False), *EPISODE),

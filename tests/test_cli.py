@@ -210,6 +210,9 @@ class TestGenerateCommand:
 
 # a workspace document whose start lies outside [0, L]^2
 MALFORMED_START = {"L": 10.0, "obstacles": [], "start": [-1.0, 1.0], "goal": [9.0, 9.0]}
+# ... and ones whose start is not two coordinates
+THREE_COORD_START = dict(MALFORMED_START, start=[1.0, 1.0, 1.0])
+ONE_COORD_START = dict(MALFORMED_START, start=[1.0])
 
 
 # sha256 of a ring episode's artifacts on workspace_file
@@ -378,9 +381,12 @@ class TestRunCommand:
     @pytest.mark.parametrize("text, message", [
         ("{not json", "Expecting property name"),
         (json.dumps(MALFORMED_START), "outside [0,10.0]^2"),
+        (json.dumps(THREE_COORD_START), "start must be two finite numbers"),
+        (json.dumps(ONE_COORD_START), "start must be two finite numbers"),
         (json.dumps({"obstacles": [], "start": [1, 1], "goal": [9, 9]}), "missing field 'L'"),
         ("[1, 2]", "list indices must be integers"),
-    ], ids=["bad_json", "start_outside", "missing_L", "not_an_object"])
+    ], ids=["bad_json", "start_outside", "start_three_coordinates", "start_one_coordinate",
+            "missing_L", "not_an_object"])
     def test_malformed_workspace_exits_with_message(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -488,6 +494,27 @@ class TestPlotCommand:
         assert main(["plot", "--episode", str(ep), "--out", str(tmp_path / "replot")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ep / 'steps.csv'}: ") and message in err
+        assert not (tmp_path / "replot").exists()
+
+    @pytest.mark.parametrize("method", ["astar_rigid", "astar_deform"])
+    def test_plan_replots_the_same_bytes(self, tmp_path, workspace_file, method):
+        out = tmp_path / method
+        assert main(["run", "--workspace", str(workspace_file), "--method", method,
+                     "--out", str(out), "--plot"]) == 0
+        assert json.loads((out / "summary.json").read_text())["workspace"] == str(workspace_file)
+        assert main(["plot", "--episode", str(out), "--out", str(tmp_path / "replot")]) == 0
+        assert ((tmp_path / "replot" / "trajectory.svg").read_bytes()
+                == (out / "trajectory.svg").read_bytes())
+        assert not (tmp_path / "replot" / "timeseries.svg").exists()
+
+    def test_plan_without_workspace_exits_with_message(self, tmp_path, capsys):
+        ep = tmp_path / "plan"
+        ep.mkdir()
+        (ep / "summary.json").write_text('{"method": "astar_rigid", "feasible": true}')
+        (ep / "steps.csv").write_text("t,q0,q1\n0,1,1\n1,2,2\n")
+        assert main(["plot", "--episode", str(ep), "--out", str(tmp_path / "replot")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ep / 'summary.json'}: ") and "workspace" in err
         assert not (tmp_path / "replot").exists()
 
     def test_header_only_steps_draw_no_series(self, tmp_path):
@@ -664,8 +691,9 @@ class TestEvalCommand:
         assert float(table["pf"][1]) == pytest.approx(pf0["spl"] / 2, abs=1e-4)
         assert float(table["pf"][4]) == pytest.approx(pf0["mapping_ratio"], abs=1e-4)
 
-    @pytest.mark.parametrize("text", ["{not json", json.dumps(MALFORMED_START)],
-                             ids=["bad_json", "start_outside"])
+    @pytest.mark.parametrize("text", ["{not json", json.dumps(MALFORMED_START),
+                                      json.dumps(THREE_COORD_START)],
+                             ids=["bad_json", "start_outside", "start_three_coordinates"])
     def test_malformed_workspace_stops_the_batch_first(self, tmp_path, monkeypatch, capsys,
                                                        text):
         import hamnav.cli as cli

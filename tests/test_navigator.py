@@ -15,7 +15,7 @@ from hamnav.energy import (
     PhaseState,
     evaluate,
 )
-from hamnav.evalkit import episode_metrics
+from hamnav.evalkit import ROBUSTNESS_LEVELS, PerturbedWorkspace, episode_metrics
 from hamnav.generation import generate_bottleneck, generate_dungeon, generate_workspace
 from hamnav.navigator import (
     AdaptConfig,
@@ -643,11 +643,15 @@ def logged_episode(mp, ws, cfg, meta=None):
     it is asserted that a set comes back (the same object) exactly while the
     memory's DiscSet and the selected discs are unchanged, and that a pass
     comes back exactly when it was made against the same DiscSet object.
+    It also counts the ring's ground-truth clearances that took the step's
+    pass as their bound (``world_from_pass``) and those that did not
+    (``world_formed``); each is asserted to be the float formed without one.
     """
     calls, ref, last = [], {}, {}
     reuse = dict.fromkeys(("active_reused", "active_formed", "contact_reused",
-                           "contact_made"), 0)
+                           "contact_made", "world_from_pass", "world_formed"), 0)
     add, active_set, contact_at = ObstacleMemory.add, _Episode.active_set, _Episode.contact_at
+    pruned_clearance = RingShapeModel.pruned_clearance
 
     def recording_add(self, pairs):
         pairs = list(pairs)
@@ -678,7 +682,15 @@ def logged_episode(mp, ws, cfg, meta=None):
         reuse["contact_reused" if reused else "contact_made"] += 1
         return got
 
+    def recording_pruned_clearance(self, q, discs, held=None):
+        got = pruned_clearance(self, q, discs, held)
+        assert np.float64(got).tobytes() == np.float64(pruned_clearance(self, q, discs)).tobytes()
+        taken = self._held_bound(*self._unpack(q), discs, held) is not None
+        reuse["world_from_pass" if taken else "world_formed"] += 1
+        return got
+
     mp.setattr(ObstacleMemory, "add", recording_add)
+    mp.setattr(RingShapeModel, "pruned_clearance", recording_pruned_clearance)
     mp.setattr(_Episode, "active_set", recording_active_set)
     mp.setattr(_Episode, "contact_at", recording_contact_at)
     ep = _Episode(ws, cfg, meta or DefaultMetaPolicy())
@@ -696,6 +708,9 @@ class TestLoggedObservables:
         "bottleneck": lambda: (generate_bottleneck(0),
                                EpisodeConfig(ring=RingParams(), n_max=250), None),
         "dungeon": lambda: (generate_dungeon(0, cells=3), *dungeon_setup(n_max=200)),
+        "perturbed": lambda: (PerturbedWorkspace(generate_workspace("test_id", 0),
+                                                 ROBUSTNESS_LEVELS["mild"], seed=0),
+                              EpisodeConfig(ring=RingParams(), n_max=200), None),
     }
 
     @pytest.fixture(scope="class")
@@ -746,11 +761,19 @@ class TestLoggedObservables:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reuse_rules_fire(self, runs, case):
         """Both reuse rules (asserted on every call by logged_episode) are
-        taken, and so is forming afresh."""
+        taken, and so is forming afresh.  The ground-truth clearance takes the
+        step's pass as its bound in the ring cases, and never where the
+        sensed discs are jittered (or the robot is a point in a grid world);
+        each ring case also forms some without it (an empty active set)."""
         reuse = runs[case][-1]
         assert reuse["active_reused"] > 0 and reuse["active_formed"] > 1
         if case != "dungeon":
             assert reuse["contact_reused"] > 0 and reuse["contact_made"] > 0
+            assert reuse["world_formed"] > 0
+        if case in ("ring", "bottleneck"):
+            assert reuse["world_from_pass"] > 0
+        else:
+            assert reuse["world_from_pass"] == 0
 
 
 def ranked_by_sort(pairs, c):

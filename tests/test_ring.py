@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamnav.ring import (
     RingParams,
@@ -264,6 +266,75 @@ class TestShapeModel:
             RingParams(n_samples=30)
         with pytest.raises(ValueError):
             RingParams(s_min=1.2)
+
+
+def same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestHeldBound:
+    """``pruned_clearance(q, world, held)`` is ``pruned_clearance(q, world)``
+    bit for bit, whatever ``held`` is, and takes ``held`` as its bound
+    exactly when it is a pass at q whose rows are the world's."""
+
+    MODEL = RingShapeModel()  # one model, so its held-rows cache meets many worlds
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_held_pass_keeps_the_bits(self, data):
+        model = self.MODEL
+        s = data.draw(st.floats(0.25, 1.3))
+        q = np.array([0.0, 0.0, data.draw(st.floats(-5.0, 5.0)),
+                      data.draw(st.floats(-5.0, 5.0)), 0.0, s])
+        nan = data.draw(st.booleans())
+        if nan:
+            q[data.draw(st.sampled_from([2, 3, 5]))] = np.nan
+        c = q[2:4]
+
+        # a world of 1-12 discs, under distinct ids in any order, at centre
+        # distances from inside the ring to well past its reach
+        n = data.draw(st.integers(1, 12))
+        ids = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+        pairs = []
+        for i in ids:
+            a = data.draw(st.floats(0.0, 2 * np.pi))
+            r = data.draw(st.floats(0.0, 4.0))
+            ob = Obstacle(np.nan_to_num(c) + r * np.array([np.cos(a), np.sin(a)]),
+                          data.draw(st.floats(0.05, 1.0)))
+            pairs.append((i, ob))
+        world = DiscSet.of(pairs)
+
+        # the held pass: none of the world's discs, some or all, each row the
+        # world's or one off by an ulp, at q or at a state nearby
+        kind = data.draw(st.sampled_from(["empty", "partial", "all"]))
+        held_pairs = {"empty": [], "all": list(pairs),
+                      "partial": data.draw(st.lists(st.sampled_from(pairs), unique_by=lambda p: p[0],
+                                                    min_size=1, max_size=n))}[kind]
+        jitter = bool(held_pairs) and data.draw(st.booleans())
+        if jitter:
+            k = data.draw(st.integers(0, len(held_pairs) - 1))
+            i, ob = held_pairs[k]
+            center, radius = ob.center.copy(), ob.radius
+            if data.draw(st.booleans()):
+                j = data.draw(st.integers(0, 1))
+                center[j] = np.nextafter(center[j], np.inf)
+            else:
+                radius = float(np.nextafter(radius, np.inf))
+            held_pairs = held_pairs[:k] + [(i, Obstacle(center, radius))] + held_pairs[k + 1:]
+        moved = data.draw(st.booleans())
+        q_held = q.copy()
+        if moved:
+            q_held[data.draw(st.sampled_from([2, 3, 5]))] += 1e-9
+        held = model.contact(q_held, DiscSet.of(held_pairs))
+
+        want = model.pruned_clearance(q, world)
+        assert same_float(model.pruned_clearance(q, world, held), want)
+        if not nan:
+            assert want == model.min_clearance(q, world)
+        # asked twice: the second answer comes from the cached row check
+        taken = model._held_bound(c, float(q[5]), world, held) is not None
+        assert taken == (kind != "empty" and not jitter and not nan and not moved)
+        assert same_float(model.pruned_clearance(q, world, held), want)
 
 
 def test_shoelace_unit_square():

@@ -586,6 +586,15 @@ class TestWorkspaceJson:
         with pytest.raises(ValueError):
             Workspace(10.0, [Obstacle(np.array([1.0, 1.0]), 2.0)], (1, 1), (9, 9))
 
+    @pytest.mark.parametrize("name", ["start", "goal"])
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (1.0,), (), ((1.0, 1.0),),
+                                       (np.nan, 1.0), (1.0, np.inf)],
+                             ids=["three", "one", "none", "nested", "nan", "inf"])
+    def test_start_and_goal_are_two_finite_numbers(self, name, point):
+        ends = {"start": (1.0, 1.0), "goal": (9.0, 9.0), name: point}
+        with pytest.raises(ValueError, match=f"^{name} must be two finite numbers$"):
+            Workspace(10.0, [], ends["start"], ends["goal"])
+
 
 class TestRegistry:
     def test_stable_ids(self):
