@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """The BENCH ledger: one machine's end-to-end and per-layer numbers in one file.
 
-    python3 scripts/bench.py LABEL [--seconds N] [--seed S]
+    python3 scripts/bench.py LABEL [--seconds N]
 
 Run from the root of a source checkout.  Writes ``BENCH_<LABEL>.json`` there,
 holding:
 
 - for each workload that ``BENCHMARK.json`` lists, the last JSON line and the
-  ``record {...}`` line of ``perfbench/run.py --trace 0`` and of ``--trace 1``
-  (each a subprocess), with the end-to-end metrics of the first and the
+  ``record {...}`` line of ``perfbench/run.py --seed 1 --trace 0`` and of
+  ``--trace 1`` (each a subprocess), with the end-to-end metrics of the first and the
   per-layer metrics of the second;
 - the time of a rigid A* plan (resolution 0.1, a 0.4-m disc) on ``test_id`` 0;
 - each acceptance criterion's time, from
@@ -33,14 +33,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 ASTAR_REPEATS = 5
 # "12.34s call     tests/test_acceptance.py::test_criterion_09_robustness_ordering"
 DURATION = re.compile(r"^([0-9.]+)s\s+(setup|call|teardown)\s+\S+::(\S+)$")
 
 
-def run_perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_perfbench(workload: str, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its result line, record line and exit code."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -64,9 +65,9 @@ def metric_values(run: dict) -> dict:
     return {k: v["value"] for k, v in result.get("metrics", {}).items()}
 
 
-def bench_workload(workload: str, seed: int, seconds: float) -> dict:
-    plain = run_perfbench(workload, seed, seconds, trace=0)
-    traced = run_perfbench(workload, seed, seconds, trace=1)
+def bench_workload(workload: str, seconds: float) -> dict:
+    plain = run_perfbench(workload, seconds, trace=0)
+    traced = run_perfbench(workload, seconds, trace=1)
     end_to_end = metric_values(plain)
     return {
         "correct": all((r["result"] or {}).get("correct", False) for r in (plain, traced)),
@@ -138,17 +139,16 @@ def main(argv=None) -> int:
     ap.add_argument("label", help="the file written is BENCH_<label>.json at the repo root")
     ap.add_argument("--seconds", type=float, default=25.0,
                     help="perfbench/run.py --seconds for each workload (default 25)")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         ap.error(f"label {args.label!r}: use letters, digits, '_', '.' or '-'")
 
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    doc = {"label": args.label, "seconds": args.seconds, "seed": args.seed,
+    doc = {"label": args.label, "seconds": args.seconds, "seed": SEED,
            "machine": machine(), "workloads": {}}
     for name in workloads:
         print(f"bench: {name}", file=sys.stderr)
-        doc["workloads"][name] = bench_workload(name, args.seed, args.seconds)
+        doc["workloads"][name] = bench_workload(name, args.seconds)
     print("bench: astar_rigid", file=sys.stderr)
     doc["astar_rigid"] = bench_astar()
     print("bench: acceptance", file=sys.stderr)
