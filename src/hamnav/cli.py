@@ -4,9 +4,9 @@ Every command is deterministic given (config, seed).  Human-edited configs
 are TOML; machine artifacts are JSON and CSV.  An episode's steps.csv holds
 its step log, one row per state, in the columns of EpisodeRecorder.COLUMNS;
 the summary JSON carries termination cause, metrics, coverage and the
-reference length when available.  HAMNAV_WORKERS > 1 runs eval episodes in
-a process pool.  A malformed config, workspace file or HAMNAV_WORKERS value
-is reported on stderr and the command exits with status 2.
+reference length when available.  ``eval`` runs its workspaces one after
+another in this process.  A malformed config or workspace file is reported on
+stderr and the command exits with status 2.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -352,9 +350,10 @@ def run_method(ws: Workspace, cfg: RunConfig, method=None):
 
 
 def _reference_radius(ws: Workspace, cfg: RunConfig) -> float:
-    """The radius of the rigid disc whose A* plan is the reference: the ring's
-    rigid radius, or one grid cell for a point robot in a grid world."""
-    if cfg.robot == "point" and ws.grid is not None:
+    """The radius of the rigid disc whose A* plan is the reference: one grid
+    cell in a grid world, where the robot is a point, else the ring's rigid
+    radius."""
+    if ws.grid is not None:
         return ws.grid.cell_size
     return cfg.rigid_radius
 
@@ -404,22 +403,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.method:
-            cfg.method = args.method
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
+    cfg = _checked_config(args.config)
+    if cfg is None:
         return 2
-    checked = _checked_file(args.workspace, workspace_from_json)
-    if checked is None:
+    if args.method:
+        cfg.method = args.method
+    if args.seed is not None:
+        cfg.seed = args.seed
+    ws = _checked_file(args.workspace, workspace_from_json)
+    if ws is None:
         return 2
-    ws = checked[1]
-    if ws.grid is not None:
-        cfg.robot = "point"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.method in ("astar_rigid", "astar_deform"):
@@ -504,32 +497,16 @@ def _checked_config(path):
 
 
 def _checked_file(path, parse):
-    """The JSON document in ``path`` and ``parse(doc)`` (workspace_from_json,
-    SceneDatum.from_json), or None after printing ``error: <path>: <message>``
+    """``parse`` (workspace_from_json, SceneDatum.from_json) of the JSON
+    document in ``path``, or None after printing ``error: <path>: <message>``
     for a file that is missing, not JSON, or rejected by ``parse``."""
     try:
-        doc = json.loads(Path(path).read_text())
-        return doc, parse(doc)
+        return parse(json.loads(Path(path).read_text()))
     # parse indexes and converts the parsed JSON as it goes
     except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
         reason = f"missing field {e}" if isinstance(e, KeyError) else str(e)
         print(f"error: {path}: {reason}", file=sys.stderr)
         return None
-
-
-def _worker_count():
-    """HAMNAV_WORKERS as a positive int (1 when unset), or None after printing
-    an error for any other value."""
-    raw = os.environ.get("HAMNAV_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        print(f"error: HAMNAV_WORKERS must be a positive integer, got {raw!r}",
-              file=sys.stderr)
-        return None
-    return workers
 
 
 def cmd_train(args) -> int:
@@ -540,10 +517,9 @@ def cmd_train(args) -> int:
     scenes = []
     if dataset_dir.exists():
         for p in sorted(dataset_dir.glob("scene_*.json")):
-            checked = _checked_file(p, SceneDatum.from_json)
-            if checked is None:
+            scene = _checked_file(p, SceneDatum.from_json)
+            if scene is None:
                 return 2
-            scene = checked[1]
             if scene.q_ref is None or scene.v_ref is None:
                 print(f"error: {p}: no reference rollout (q_ref and v_ref must be set)",
                       file=sys.stderr)
@@ -577,18 +553,13 @@ def cmd_make_dataset(args) -> int:
     return 0
 
 
-def _eval_one(packed):
-    """Every method on one workspace, against one A* reference plan.
+def _eval_one(ws: Workspace, cfg: RunConfig, methods):
+    """Every method on the workspace ``ws``, against one A* reference plan.
 
     The reference plan is also the ``astar_rigid`` row's plan when it is
     planned for ``rigid_radius`` (always, on disc workspaces).  A method that
     raises gets an error row, which the table counts as a failure.
     """
-    cfg_doc, ws_doc, methods = packed
-    cfg = config_from_dict(cfg_doc)
-    ws = workspace_from_json(ws_doc)
-    if ws.grid is not None:
-        cfg.robot = "point"
     ref = reference_plan(ws, cfg)
     lref = ref.length if ref.feasible else np.nan
     rows = {}
@@ -629,27 +600,18 @@ def cmd_eval(args) -> int:
         print(f"error: unknown methods {unknown}; choose from {list(RunConfig.METHODS)}",
               file=sys.stderr)
         return 2
-    workers = _worker_count()
-    if workers is None:
-        return 2
     ws_paths = sorted(Path(args.workspaces).glob("*.json"))
     ws_paths = [p for p in ws_paths if not p.name.endswith("_stats.json")]
     if not ws_paths:
         print("error: no workspace JSON files found", file=sys.stderr)
         return 2
     # every file is checked before any episode runs
-    checked = [_checked_file(p, workspace_from_json) for p in ws_paths]
-    if any(c is None for c in checked):
+    workspaces = [_checked_file(p, workspace_from_json) for p in ws_paths]
+    if any(ws is None for ws in workspaces):
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg_doc = to_dict(cfg)
-    jobs = [(cfg_doc, doc, methods) for doc, _ in checked]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_one, jobs))
-    else:
-        results = [_eval_one(j) for j in jobs]
+    results = [_eval_one(ws, cfg, methods) for ws in workspaces]
     per_method = {m: {i: rows[m] for i, rows in enumerate(results)} for m in methods}
     for m, rows in per_method.items():
         for i, row in rows.items():
@@ -696,10 +658,9 @@ def cmd_plot(args) -> int:
         print("error: episode artifacts (summary.json, steps.csv) not found",
               file=sys.stderr)
         return 2
-    checked = _checked_file(summary_path, dict)
-    if checked is None:
+    summary = _checked_file(summary_path, dict)
+    if summary is None:
         return 2
-    summary = checked[1]
     try:
         header, data = _steps_table(steps_path)
     except (OSError, ValueError) as e:
@@ -713,10 +674,9 @@ def cmd_plot(args) -> int:
         return 2
     ws = None
     if "workspace" in summary:
-        checked = _checked_file(summary["workspace"], workspace_from_json)
-        if checked is None:
+        ws = _checked_file(summary["workspace"], workspace_from_json)
+        if ws is None:
             return 2
-        ws = checked[1]
     elif plan:
         print(f"error: {summary_path}: names no workspace to draw the plan on",
               file=sys.stderr)
@@ -751,7 +711,7 @@ def main(argv=None) -> int:
     r = sub.add_parser("run", help="run one episode / plan")
     r.add_argument("--config", default=None)
     r.add_argument("--workspace", required=True)
-    r.add_argument("--method", default=None)
+    r.add_argument("--method", default=None, choices=RunConfig.METHODS)
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("--out", required=True)
     r.add_argument("--plot", action="store_true")

@@ -38,11 +38,15 @@ class Obstacle:
     weight: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError(f"obstacle radius must be > 0, got {self.radius}")
-        if self.weight < 0:
-            raise ValueError(f"obstacle weight must be >= 0, got {self.weight}")
+        c = np.asarray(self.center, dtype=float)
+        object.__setattr__(self, "center", c)
+        # scalar tests: fitted and perturbed discs are built on the episode path
+        if c.shape != (2,) or not (math.isfinite(c[0]) and math.isfinite(c[1])):
+            raise ValueError(f"obstacle centre must be two finite numbers, got {c.tolist()}")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError(f"obstacle radius must be > 0 and finite, got {self.radius}")
+        if not (self.weight >= 0 and math.isfinite(self.weight)):
+            raise ValueError(f"obstacle weight must be >= 0 and finite, got {self.weight}")
 
 
 def norm2(v) -> float:
@@ -157,6 +161,8 @@ class Workspace:
 
     def validate(self):
         L = self.side
+        if not (L > 0 and math.isfinite(L)):
+            raise ValueError(f"side L must be > 0 and finite, got {L}")
         for name, pt in (("start", self.start), ("goal", self.goal)):
             if pt.shape != (2,) or not np.isfinite(pt).all():
                 raise ValueError(f"{name} must be two finite numbers")

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from hamnav.generation import gap_statistics, generate_dungeon, generate_workspa
 from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
 from hamnav.navigator import dungeon_setup
 from hamnav.ring import RingParams
-from hamnav.workspace import load_workspace, workspace_to_json
+from hamnav.workspace import load_workspace, save_workspace
 
 
 class TestConfigRoundTrip:
@@ -213,6 +216,15 @@ MALFORMED_START = {"L": 10.0, "obstacles": [], "start": [-1.0, 1.0], "goal": [9.
 # ... and ones whose start is not two coordinates
 THREE_COORD_START = dict(MALFORMED_START, start=[1.0, 1.0, 1.0])
 ONE_COORD_START = dict(MALFORMED_START, start=[1.0])
+# ... and ones with a NaN obstacle centre and radius, a zero side or an
+# infinite one
+NAN_OBSTACLES = dict(MALFORMED_START, start=[1.0, 1.0],
+                     obstacles=[{"c": [float("nan"), 5.0], "r": 0.5},
+                                {"c": [5.0, 5.0], "r": float("nan")}])
+NAN_RADIUS = dict(MALFORMED_START, start=[1.0, 1.0],
+                  obstacles=[{"c": [5.0, 5.0], "r": float("nan")}])
+ZERO_SIDE = dict(MALFORMED_START, L=0.0, start=[0.0, 0.0], goal=[0.0, 0.0])
+INFINITE_SIDE = dict(MALFORMED_START, L=float("inf"), start=[1.0, 1.0])
 
 
 # sha256 of a ring episode's artifacts on workspace_file
@@ -385,8 +397,13 @@ class TestRunCommand:
         (json.dumps(ONE_COORD_START), "start must be two finite numbers"),
         (json.dumps({"obstacles": [], "start": [1, 1], "goal": [9, 9]}), "missing field 'L'"),
         ("[1, 2]", "list indices must be integers"),
+        (json.dumps(NAN_OBSTACLES), "obstacle centre must be two finite numbers"),
+        (json.dumps(NAN_RADIUS), "obstacle radius must be > 0 and finite"),
+        (json.dumps(ZERO_SIDE), "side L must be > 0 and finite"),
+        (json.dumps(INFINITE_SIDE), "side L must be > 0 and finite"),
     ], ids=["bad_json", "start_outside", "start_three_coordinates", "start_one_coordinate",
-            "missing_L", "not_an_object"])
+            "missing_L", "not_an_object", "nan_obstacles", "nan_radius", "zero_side",
+            "infinite_side"])
     def test_malformed_workspace_exits_with_message(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -394,6 +411,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: {bad}: ") and message in err
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_method_exits_2(self, tmp_path, workspace_file, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--workspace", str(workspace_file), "--method", "teleport",
+                  "--out", str(tmp_path / "x")])
+        assert stop.value.code == 2
+        assert "invalid choice: 'teleport'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_missing_workspace_exits_with_message(self, tmp_path, capsys):
@@ -573,6 +598,18 @@ def same_json(a, b):
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+# runs `hamnav eval` on its arguments, then prints its exit status and the
+# process-pool modules loaded (a JSON list)
+NO_POOL = """
+import json, sys
+from hamnav.cli import main
+code = main(sys.argv[1:])
+print(code)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("concurrent", "multiprocessing"))))
+"""
+
+
 class TestEvalCommand:
     def test_table_schema_and_astar_mapping(self, tmp_path):
         ws_dir = tmp_path / "ws"
@@ -624,7 +661,7 @@ class TestEvalCommand:
             # a disc wider than the 0.5-m cells plans a longer path than the
             # one-cell reference disc
             cfg.rigid_radius, ws = 0.6, generate_dungeon(0, cells=3)
-        rows = _eval_one((to_dict(cfg), workspace_to_json(ws), methods))
+        rows = _eval_one(ws, cfg, methods)
         radius = ws.grid.cell_size if robot == "grid" else cfg.rigid_radius
         ref = astar_rigid(ws, cfg.astar_resolution, radius)
         lref = ref.length if ref.feasible else np.nan
@@ -641,25 +678,54 @@ class TestEvalCommand:
                         "min_clearance": r_min, "mapping_ratio": 1.0}
             assert json.dumps(rows[method], sort_keys=True) == json.dumps(want, sort_keys=True)
 
-    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("robot", ["ring", "point"])
+    def test_mixed_directory_rows_as_each_alone(self, tmp_path, robot):
+        # one config serves a dungeon and two test_id workspaces: each row of
+        # their eval equals the row of that workspace evaluated alone
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        suite = {"dungeon.json": generate_dungeon(0, cells=3),
+                 "test_id_0.json": generate_workspace("test_id", 21),
+                 "test_id_1.json": generate_workspace("test_id", 22)}
+        for name, ws in suite.items():
+            save_workspace(ws, mixed / name)
+        cfgp = tmp_path / "cfg.toml"
+        save_config(RunConfig(robot=robot), cfgp)
+        methods = ",".join(RunConfig.METHODS)
+
+        def rows(ws_dir, out):
+            assert main(["eval", "--config", str(cfgp), "--workspaces", str(ws_dir),
+                         "--methods", methods, "--out", str(out)]) == 0
+            return per_episode_rows(out)
+
+        together = rows(mixed, tmp_path / "together")
+        for i, name in enumerate(sorted(suite)):
+            alone_dir = tmp_path / f"alone{i}"
+            alone_dir.mkdir()
+            (alone_dir / name).write_bytes((mixed / name).read_bytes())
+            alone = rows(alone_dir, tmp_path / f"alone{i}_eval")
+            for m in RunConfig.METHODS:
+                assert same_json(together[m][str(i)], alone[m]["0"]), (name, m)
+
+    def test_eval_loads_no_process_pool(self, tmp_path):
+        import hamnav.cli as cli
+
         ws_dir = tmp_path / "ws"
-        main(["generate", "--family", "test_id", "--count", "2", "--seed", "0",
-              "--out", str(ws_dir)])
-        outputs = {}
-        for workers in ("1", "2"):
-            monkeypatch.setenv("HAMNAV_WORKERS", workers)
-            out = tmp_path / f"eval{workers}"
-            assert main(["eval", "--workspaces", str(ws_dir), "--methods",
-                         "pf,dwa,astar_rigid,astar_deform", "--out", str(out)]) == 0
-            outputs[workers] = out
-        serial, pooled = outputs["1"], outputs["2"]
-        assert (serial / "comparison.csv").read_bytes() == (pooled / "comparison.csv").read_bytes()
-        assert same_json(per_episode_rows(serial), per_episode_rows(pooled))
+        ws_dir.mkdir()
+        save_workspace(generate_workspace("test_id", 21), ws_dir / "test_id.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parent.parent)]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        argv = ["eval", "--workspaces", str(ws_dir), "--methods", "pf,astar_rigid",
+                "--out", str(tmp_path / "e")]
+        out = subprocess.run([sys.executable, "-c", NO_POOL, *argv], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout.splitlines()
+        assert out[-2] == "0" and json.loads(out[-1]) == []
 
     def test_failing_episode_becomes_error_row(self, tmp_path, monkeypatch, capsys):
         import hamnav.cli as cli
 
-        monkeypatch.delenv("HAMNAV_WORKERS", raising=False)
         ws_dir = tmp_path / "ws"
         main(["generate", "--family", "test_id", "--count", "2", "--seed", "21",
               "--out", str(ws_dir)])
@@ -691,11 +757,16 @@ class TestEvalCommand:
         assert float(table["pf"][1]) == pytest.approx(pf0["spl"] / 2, abs=1e-4)
         assert float(table["pf"][4]) == pytest.approx(pf0["mapping_ratio"], abs=1e-4)
 
-    @pytest.mark.parametrize("text", ["{not json", json.dumps(MALFORMED_START),
-                                      json.dumps(THREE_COORD_START)],
-                             ids=["bad_json", "start_outside", "start_three_coordinates"])
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        (json.dumps(MALFORMED_START), "outside [0,10.0]^2"),
+        (json.dumps(THREE_COORD_START), "start must be two finite numbers"),
+        (json.dumps(NAN_OBSTACLES), "obstacle centre must be two finite numbers"),
+        (json.dumps(ZERO_SIDE), "side L must be > 0 and finite"),
+    ], ids=["bad_json", "start_outside", "start_three_coordinates", "nan_obstacles",
+            "zero_side"])
     def test_malformed_workspace_stops_the_batch_first(self, tmp_path, monkeypatch, capsys,
-                                                       text):
+                                                       text, message):
         import hamnav.cli as cli
 
         ws_dir = tmp_path / "ws"
@@ -704,28 +775,13 @@ class TestEvalCommand:
         bad = ws_dir / "test_id_0000b.json"  # sorted between the two good files
         bad.write_text(text)
         ran = []
-        monkeypatch.delenv("HAMNAV_WORKERS", raising=False)
-        monkeypatch.setattr(cli, "_eval_one", ran.append)
+        monkeypatch.setattr(cli, "_eval_one", lambda *job: ran.append(job))
         capsys.readouterr()
         rc = main(["eval", "--workspaces", str(ws_dir), "--methods", "pf",
                    "--out", str(tmp_path / "e")])
         assert rc == 2 and ran == []
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
-        assert not (tmp_path / "e").exists()
-
-    @pytest.mark.parametrize("workers", ["two", "0", "-1", "1.5", ""])
-    def test_bad_worker_count_exits_with_message(self, tmp_path, monkeypatch, capsys,
-                                                 workers):
-        ws_dir = tmp_path / "ws"
-        main(["generate", "--family", "test_id", "--count", "1", "--seed", "21",
-              "--out", str(ws_dir)])
-        monkeypatch.setenv("HAMNAV_WORKERS", workers)
-        capsys.readouterr()
-        rc = main(["eval", "--workspaces", str(ws_dir), "--methods", "astar_rigid",
-                   "--out", str(tmp_path / "e")])
-        assert rc == 2
-        assert (f"error: HAMNAV_WORKERS must be a positive integer, got {workers!r}"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err
         assert not (tmp_path / "e").exists()
 
     def test_unknown_method_stops_the_batch_first(self, tmp_path, monkeypatch, capsys):
@@ -735,8 +791,7 @@ class TestEvalCommand:
         main(["generate", "--family", "test_id", "--count", "1", "--seed", "21",
               "--out", str(ws_dir)])
         ran = []
-        monkeypatch.delenv("HAMNAV_WORKERS", raising=False)
-        monkeypatch.setattr(cli, "_eval_one", ran.append)
+        monkeypatch.setattr(cli, "_eval_one", lambda *job: ran.append(job))
         capsys.readouterr()
         rc = main(["eval", "--workspaces", str(ws_dir), "--methods", "pf,astar_rigd",
                    "--out", str(tmp_path / "e")])

@@ -595,6 +595,31 @@ class TestWorkspaceJson:
         with pytest.raises(ValueError, match=f"^{name} must be two finite numbers$"):
             Workspace(10.0, [], ends["start"], ends["goal"])
 
+    @pytest.mark.parametrize("center, radius, weight, message", [
+        ((np.nan, 5.0), 0.5, 1.0, "centre must be two finite numbers"),
+        ((5.0, np.inf), 0.5, 1.0, "centre must be two finite numbers"),
+        ((5.0, 5.0, 5.0), 0.5, 1.0, "centre must be two finite numbers"),
+        ((5.0,), 0.5, 1.0, "centre must be two finite numbers"),
+        ((5.0, 5.0), np.nan, 1.0, "radius must be > 0 and finite"),
+        ((5.0, 5.0), np.inf, 1.0, "radius must be > 0 and finite"),
+        ((5.0, 5.0), 0.0, 1.0, "radius must be > 0 and finite"),
+        ((5.0, 5.0), 0.5, np.nan, "weight must be >= 0 and finite"),
+        ((5.0, 5.0), 0.5, np.inf, "weight must be >= 0 and finite"),
+        ((5.0, 5.0), 0.5, -1.0, "weight must be >= 0 and finite"),
+    ], ids=["centre_nan", "centre_inf", "centre_three", "centre_one", "radius_nan",
+            "radius_inf", "radius_zero", "weight_nan", "weight_inf", "weight_negative"])
+    def test_obstacle_is_a_finite_disc(self, center, radius, weight, message):
+        doc = {"L": 10.0, "obstacles": [{"c": list(center), "r": radius, "w": weight}],
+               "start": [1.0, 1.0], "goal": [9.0, 9.0]}
+        with pytest.raises(ValueError, match=f"^obstacle {message}, got "):
+            workspace_from_json(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("side", [0.0, -10.0, np.nan, np.inf])
+    def test_side_is_finite_and_positive(self, side):
+        doc = {"L": side, "obstacles": [], "start": [0.0, 0.0], "goal": [0.0, 0.0]}
+        with pytest.raises(ValueError, match="^side L must be > 0 and finite, got "):
+            workspace_from_json(json.loads(json.dumps(doc)))
+
 
 class TestRegistry:
     def test_stable_ids(self):
