@@ -1,8 +1,10 @@
 """Command-line entry points: generate | run | train | eval | plot.
 
-Every command is deterministic given (config, seed).  Human-edited configs
-are TOML; machine artifacts are JSON and CSV.  An episode's steps.csv holds
-its step log, one row per state, in the columns of EpisodeRecorder.COLUMNS;
+Every command is deterministic: the same config and input files give the
+same outputs, and ``generate`` and ``make-dataset`` draw their instances from
+``--seed`` (training from ``[train] seed``).  Human-edited configs are TOML;
+machine artifacts are JSON and CSV.  An episode's steps.csv holds its step
+log, one row per state, in the columns of EpisodeRecorder.COLUMNS;
 the summary JSON carries termination cause, metrics, coverage and the
 reference length when available.  ``eval`` runs its workspaces one after
 another in this process.  A malformed config or workspace file is reported on
@@ -61,7 +63,6 @@ class MetaPolicyConfig:
 class RunConfig:
     """Every tunable of the pipeline, validated against per-field ranges."""
 
-    seed: int = 0
     method: str = "grlsnam"
     robot: str = "ring"  # ring | point
     d_thr: float = 1.5
@@ -408,8 +409,6 @@ def cmd_run(args) -> int:
         return 2
     if args.method:
         cfg.method = args.method
-    if args.seed is not None:
-        cfg.seed = args.seed
     ws = _checked_file(args.workspace, workspace_from_json)
     if ws is None:
         return 2
@@ -444,7 +443,7 @@ def cmd_run(args) -> int:
     metrics = episode_metrics(result, lref, cfg.d_thr)
     write_steps_csv(result, out / "steps.csv")
     write_summary(result, metrics, out / "summary.json",
-                  extra={"method": cfg.method, "seed": cfg.seed,
+                  extra={"method": cfg.method,
                          "L_ref": float(lref) if np.isfinite(lref) else None,
                          "workspace": str(args.workspace)})
     outlines = result.outlines()
@@ -712,7 +711,6 @@ def main(argv=None) -> int:
     r.add_argument("--config", default=None)
     r.add_argument("--workspace", required=True)
     r.add_argument("--method", default=None, choices=RunConfig.METHODS)
-    r.add_argument("--seed", type=int, default=None)
     r.add_argument("--out", required=True)
     r.add_argument("--plot", action="store_true")
     r.set_defaults(fn=cmd_run)

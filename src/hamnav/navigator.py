@@ -11,9 +11,12 @@ horizon (zero-order hold in between).
 
 Sensing is stagewise (StagewiseSensing, shared with the PF/DWA baselines):
 the world is re-sensed every T_y steps, on a stage change, and when an exit
-is attained or abandoned; discovered obstacles accumulate in an
-episode-local memory (one DiscSet), and only the active set, the memory's
-discs near the robot, enters the energy.
+is attained or abandoned.  An exit is handed off once: the first step within
+eps_stage of it records the attainment and senses, and the steps near it
+after that do not, until the selector hands out another exit or the exit is
+abandoned.  Discovered obstacles accumulate in an episode-local memory (one
+DiscSet), and only the active set, the memory's discs near the robot, enters
+the energy.
 EpisodeRecorder, shared with the baselines too, logs each state and decides
 when the episode ends.
 """
@@ -513,6 +516,7 @@ class StagewiseSensing:
         self.stage_goal = ws.goal.copy()
         self.stage = None
         self.exit_dists = deque(maxlen=cfg.retarget_window)  # distances to the exit
+        self.handed_off = False  # stage_goal was attained and has not changed since
 
     def refresh(self, c, n) -> bool:
         """Stage bookkeeping at step ``n`` with the robot at ``c``; True if it sensed.
@@ -522,7 +526,11 @@ class StagewiseSensing:
         toward over the last retarget_window steps is abandoned.  Both are
         recorded with the exit selector.  The robot re-senses every T_y steps,
         on a stage change, and on an attained or abandoned exit, and then
-        takes the exit the selector routes it to.  Raises DeadEndError when
+        takes the exit the selector routes it to.  Each exit is attained once
+        (``handed_off``): when the selector hands the attained exit back, the
+        steps within eps_stage of it record nothing and do not sense, though
+        each still releases the sticky stage, until the selector hands out
+        another exit or the exit is abandoned.  Raises DeadEndError when
         the stage is cut off from the goal; the window is sensed (and charged
         to coverage) first.
         """
@@ -530,22 +538,27 @@ class StagewiseSensing:
         pos = c.clip(0.0, self.ws.side)
         dist = norm2(c - self.stage_goal)
         self.exit_dists.append(dist)
-        stage_hit = dist < cfg.eps_stage
+        near = dist < cfg.eps_stage
+        # one hand-off per exit: only the first step near it is a stage hit
+        stage_hit = near and not self.handed_off
         on_exit = not (self.stage_goal == self.ws.goal).all()
         no_progress = (on_exit and len(self.exit_dists) == cfg.retarget_window
                        and self.exit_dists[0] - min(self.exit_dists) < cfg.retarget_eps)
         if on_exit and (stage_hit or no_progress):
             self.exits.record(self.stage_goal, attained=stage_hit)
         # the active stage is sticky while it still contains the robot
-        stage = self.stages.stage_of(pos, current=None if stage_hit else self.stage)
+        stage = self.stages.stage_of(pos, current=None if near else self.stage)
         if not (n % cfg.horizons[0] == 0 or stage != self.stage or stage_hit or no_progress):
             return False
         ctx = sense(self.ws, pos, cfg.window, tracker=self.tracker, registry=self.registry,
                     circle_params={"d_hat_cells": cfg.circle_d_hat_cells})
         goal = self.exits.select(pos, stage)
         self.memory.add(ctx.obstacles)
-        if no_progress or not (goal == self.stage_goal).all():
+        same_exit = (goal == self.stage_goal).all()
+        if no_progress or not same_exit:
             self.exit_dists.clear()
+        # a hand-off holds while the exit stays; an abandon ends it
+        self.handed_off = same_exit and (stage_hit or (self.handed_off and not no_progress))
         self.stage_goal, self.stage = goal, stage
         return True
 

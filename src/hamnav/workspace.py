@@ -327,19 +327,24 @@ class CircleRegistry:
         self._obstacles = []
         self._fits = {}
 
-    def intern(self, obstacle: Obstacle) -> int:
-        key = (round(obstacle.center[0], 6), round(obstacle.center[1], 6), round(obstacle.radius, 6))
-        if key not in self._ids:
-            self._ids[key] = len(self._obstacles)
-            self._obstacles.append(obstacle)
-        return self._ids[key]
+    def intern(self, obstacles) -> list:
+        """The ids of ``obstacles`` in order.  A disc is keyed by its centre and
+        radius rounded to 6 decimals, all of them in one np.round call."""
+        keys = np.round([(*ob.center, ob.radius) for ob in obstacles], 6).tolist()
+        ids = []
+        for key, ob in zip(keys, obstacles):
+            i = self._ids.setdefault(tuple(key), len(self._obstacles))
+            if i == len(self._obstacles):
+                self._obstacles.append(ob)
+            ids.append(i)
+        return ids
 
     def fit(self, grid: OccupancyGrid, window, params) -> list:
         """Interned (id, Obstacle) pairs of extract_circles(grid, window, **params)."""
         key = (window_cells(grid, window), tuple(sorted(params.items())))
         pairs = self._fits.get(key)
         if pairs is None:
-            ids = [self.intern(ob) for ob in extract_circles(grid, window, **params)]
+            ids = self.intern(extract_circles(grid, window, **params))
             pairs = [(i, self._obstacles[i]) for i in ids]
             self._fits[key] = pairs
         return list(pairs)
@@ -649,13 +654,13 @@ def extract_circles(grid: OccupancyGrid, window, d_hat_cells=8.0, max_discs=16):
     # deterministic order: deepest first, then row-major
     order = np.lexsort((cols, rows, -depth))
     rows, cols, depth = rows[order], cols[order], depth[order]
-    uncovered = np.ones(len(rows), dtype=bool)
-    discs = []
     xy = np.stack([(cols + 0.5) * cs, (rows + 0.5) * cs], axis=1)
-    while uncovered.any() and len(discs) < max_discs:
-        k = int(np.argmax(uncovered))  # first uncovered in sorted order
-        r_cells = float(np.clip(depth[k], 1.0, d_hat_cells))
+    left = np.arange(len(rows))  # the uncovered cells, in sorted order
+    discs = []
+    while len(left) and len(discs) < max_discs:
+        k = left[0]
+        r_cells = float(min(max(depth[k], 1.0), d_hat_cells))
         discs.append(Obstacle(xy[k].copy(), r_cells * cs, 1.0))
-        covered = np.linalg.norm(xy - xy[k], axis=1) <= (r_cells + 1.0) * cs
-        uncovered &= ~covered
+        # measured over the uncovered cells only; one cell beyond the disc is covered
+        left = left[disc_distances(xy[left], (r_cells + 1.0) * cs, xy[k]) > 0.0]
     return discs

@@ -2,7 +2,7 @@
 
 The cases are a ring episode, a ring squeezing through a bottleneck between
 two fence discs, a ring that senses jittered discs (``ring_perturbed``), a
-dungeon point-robot episode, a point-robot
+dungeon point-robot episode and a whole one (``dungeon_handoff``), a point-robot
 episode that abandons an exit for lack of progress, a point-robot and a ring
 episode under a trained ``MetaRegressor`` (``meta_point``, ``meta_ring``), a
 ``scene_rollout``, a short ``train_offline``, and the PF and DWA baselines
@@ -90,6 +90,14 @@ def point_episode():
     return _episode(run_episode(generate_dungeon(0, cells=3), cfg, meta))
 
 
+def dungeon_handoff():
+    """A whole point-robot episode in dungeon 0: the robot waits near exits
+    the selector hands back unchanged, and each exit it reaches is one
+    hand-off (one traversal and one sensing event), not one per step near it."""
+    cfg, meta = dungeon_setup()
+    return _episode(run_episode(generate_dungeon(0, cells=3), cfg, meta))
+
+
 def abandon_episode():
     """Point robot on test_id 1: no progress toward its exit makes it record a
     failure and re-sense at steps 203, 283 and 363; the third failure retires
@@ -169,6 +177,7 @@ CASES = {
     "ring_bottleneck": (ring_bottleneck, *EPISODE),
     "ring_perturbed": (ring_perturbed, *EPISODE),
     "point_episode": (point_episode, *EPISODE),
+    "dungeon_handoff": (dungeon_handoff, *EPISODE),
     "abandon_episode": (abandon_episode, *EPISODE),
     "meta_point": (meta_case(ring=False), *EPISODE),
     "meta_ring": (meta_case(ring=True), *EPISODE),

@@ -48,7 +48,7 @@ class TestConfigRoundTrip:
 
     def test_json_round_trip(self, tmp_path):
         cfg = RunConfig()
-        cfg.seed = 42
+        cfg.d_thr = 2.5
         p = tmp_path / "cfg.json"
         save_config(cfg, p)
         assert to_dict(load_config(p)) == to_dict(cfg)
@@ -229,10 +229,10 @@ INFINITE_SIDE = dict(MALFORMED_START, L=float("inf"), start=[1.0, 1.0])
 
 # sha256 of a ring episode's artifacts on workspace_file
 RING_ARTIFACTS = {
-    "ring_snapshots.json": "b76098f1eb146cdb8ad0a0e4961a6498c816f6469c3e40f244f053cd216a853d",
-    "steps.csv": "8c7b4189a8d3b863289028990908084e37c40a5a61d0e2efb443c696de7b39af",
-    "timeseries.svg": "97550c45256b29f9d8b5f5c883c0f206c5597a3702259dadf822fae1b7220224",
-    "trajectory.svg": "45cd5d8bed017b128b569b2a442c4722de33d9f02d6d6e8f18b9e88f01996986",
+    "ring_snapshots.json": "8a0fa5a6744d6556d8e390970789271016994896c84c8a57127c86e31c25b413",
+    "steps.csv": "2a0efa256f44fd89d9fc87ba149c5eaa0e6b51b4cb8447d0ee4d6c9db00ba08d",
+    "timeseries.svg": "f5ce185623d3095f7f533856c8dafbcdecf673f6010e03cd57de51a726d0390e",
+    "trajectory.svg": "93ed808a268b87d603a82ec4002a21652737d45579d4c3c4338f64899a04c9dc",
 }
 
 # sha256 of the artifacts of `run --plot` for the PF and DWA baselines on
@@ -249,9 +249,9 @@ RUN_ARTIFACTS = {
         "trajectory.svg": "e333afd828a44882d0014578f4f65db281306ddd7f962fafb8ded89648677ef2",
     },
     "dungeon": {
-        "steps.csv": "781da6fb916050b0c584870bdd0fc9e0c65f727890d8f4d5b262e822e1160e7d",
-        "timeseries.svg": "f5b9be300629ce68b9b8aa9d916234d6fff538f122de1a618c3e9f9a5b91cd66",
-        "trajectory.svg": "919345b7906332f5bad71ab60d05d5de2c8e57939d6a81683acec1cb7f248ea2",
+        "steps.csv": "1e3cbbc165c55746211be0ff83a29c06e580dd897675456235792e9a168efc99",
+        "timeseries.svg": "fd63d9a00360d5fca7ad68ad5dbb4392d88c9a807dde7f17c16aacd3897907d6",
+        "trajectory.svg": "336de7926d22b357a537ba6bd95e2bdd6f3880a00b1f730576161a0019f94ec4",
     },
 }
 
@@ -314,7 +314,7 @@ class TestRunCommand:
         for tag in ("e1", "e2"):
             out = tmp_path / tag
             assert main(["run", "--workspace", str(workspace_file), "--method",
-                         "grlsnam", "--seed", "0", "--out", str(out), "--plot"]) == 0
+                         "grlsnam", "--out", str(out), "--plot"]) == 0
             outs.append(out)
         assert (outs[0] / "steps.csv").read_bytes() == (outs[1] / "steps.csv").read_bytes()
         assert (outs[0] / "trajectory.svg").exists()
@@ -420,6 +420,31 @@ class TestRunCommand:
         assert stop.value.code == 2
         assert "invalid choice: 'teleport'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_seed_option_is_gone(self, tmp_path, workspace_file, capsys):
+        # an episode draws nothing at random: a seed had no effect, so there is none
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--workspace", str(workspace_file), "--seed", "7",
+                  "--out", str(tmp_path / "x")])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_holding_seed_exits_with_message(self, tmp_path, workspace_file, capsys):
+        old = tmp_path / "old.toml"
+        old.write_text('seed = 0\nmethod = "pf"\n')
+        rc = main(["run", "--config", str(old), "--workspace", str(workspace_file),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: unknown config field seed")
+        assert not (tmp_path / "x").exists()
+
+    def test_summary_has_no_seed(self, tmp_path, workspace_file):
+        out = tmp_path / "pf"
+        assert main(["run", "--workspace", str(workspace_file), "--method", "pf",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["method"] == "pf" and "seed" not in doc
 
     def test_missing_workspace_exits_with_message(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

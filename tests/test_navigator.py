@@ -518,6 +518,24 @@ class TestStagewiseSensing:
         assert sensing.stage_goal[0] > exit0[0]
         assert len(sensing.exit_dists) == 0
 
+    def test_stage_hit_senses_once_per_exit(self):
+        # eps_stage 1.0 reaches 0.9 back from the east exit, where the robot is
+        # still in its stage alone: the selector hands the same exit back
+        sensing = StagewiseSensing(self.ws, EpisodeConfig(horizons=(10, 5, 1), eps_stage=1.0))
+        assert sensing.refresh(np.array([1.0, 6.0]), 0)
+        first_stage, exit0 = sensing.stage, sensing.stage_goal.copy()
+        near = exit0 - np.array([0.9, 0.0])
+        assert sensing.refresh(near, 1)  # the hand-off
+        assert sensing.stage == first_stage
+        np.testing.assert_array_equal(sensing.stage_goal, exit0)
+        assert len(sensing.exits.traversals) == 1 and sensing.exits.traversals[0][1] == 1
+        assert not any(sensing.refresh(near, n) for n in range(2, 10))
+        assert len(sensing.exits.traversals) == 1 and sensing.exits.traversals[0][1] == 1
+        assert len(sensing.tracker.windows) == 2
+        assert sensing.refresh(near, 10)  # the T_y cadence still senses
+        assert sensing.exits.traversals[0][1] == 1 and not sensing.exits.failures
+        assert len(sensing.tracker.windows) == 3
+
     def test_no_progress_abandons_exit(self):
         cfg = EpisodeConfig(horizons=(100, 5, 1), retarget_window=10)
         sensing = StagewiseSensing(self.ws, cfg)

@@ -626,9 +626,9 @@ class TestRegistry:
         reg = CircleRegistry()
         a = Obstacle(np.array([1.0, 2.0]), 0.5)
         b = Obstacle(np.array([3.0, 2.0]), 0.5)
-        assert reg.intern(a) == 0
-        assert reg.intern(b) == 1
-        assert reg.intern(Obstacle(np.array([1.0, 2.0]), 0.5)) == 0
+        assert reg.intern([a]) == [0]
+        assert reg.intern([b, Obstacle(np.array([1.0, 2.0]), 0.5)]) == [1, 0]
+        assert reg.intern([]) == []
 
 
 class TestWindowFitCache:
@@ -678,7 +678,8 @@ class TestWindowFitCache:
         _, events = sensed
         fresh = CircleRegistry()
         for grid, window, _, params, pairs in events:
-            want = [(fresh.intern(ob), ob) for ob in extract_circles(grid, window, **params)]
+            fitted = extract_circles(grid, window, **params)
+            want = list(zip(fresh.intern(fitted), fitted))
             assert [i for i, _ in pairs] == [i for i, _ in want]
             for (_, got), (_, ob) in zip(pairs, want):
                 assert got.center.tobytes() == ob.center.tobytes()
@@ -720,6 +721,80 @@ class TestWindowFitCache:
         served = registry.fit(grid, window, params)
         served.clear()
         assert registry.fit(grid, window, params) == pairs
+
+
+def boolean_mask_extract_circles(grid, window, d_hat_cells=8.0, max_discs=16):
+    """The greedy disc cover as a boolean mask over every wall cell, measured
+    with np.linalg.norm and clipped with np.clip: the oracle of the fit that
+    keeps only the uncovered cells' indices."""
+    cs = grid.cell_size
+    c0, c1, r0, r1 = window_cells(grid, window)
+    if c0 > c1 or r0 > r1:
+        return []
+    sub = grid.occupied[r0 : r1 + 1, c0 : c1 + 1]
+    if not sub.any():
+        return []
+    rows, cols = np.nonzero(sub)
+    rows, cols = rows + r0, cols + c0
+    depth = -grid.cell_sdf[rows, cols]
+    order = np.lexsort((cols, rows, -depth))
+    rows, cols, depth = rows[order], cols[order], depth[order]
+    uncovered = np.ones(len(rows), dtype=bool)
+    discs = []
+    xy = np.stack([(cols + 0.5) * cs, (rows + 0.5) * cs], axis=1)
+    while uncovered.any() and len(discs) < max_discs:
+        k = int(np.argmax(uncovered))
+        r_cells = float(np.clip(depth[k], 1.0, d_hat_cells))
+        discs.append(Obstacle(xy[k].copy(), r_cells * cs, 1.0))
+        uncovered &= ~(np.linalg.norm(xy - xy[k], axis=1) <= (r_cells + 1.0) * cs)
+    return discs
+
+
+class ScalarRoundRegistry:
+    """Interning one disc at a time with the builtin round on each of its
+    three values: the oracle of CircleRegistry.intern's one np.round call."""
+
+    def __init__(self):
+        self._ids, self._obstacles = {}, []
+
+    def fit(self, grid, window, params):
+        pairs = []
+        for ob in boolean_mask_extract_circles(grid, window, **params):
+            key = (round(ob.center[0], 6), round(ob.center[1], 6), round(ob.radius, 6))
+            if key not in self._ids:
+                self._ids[key] = len(self._obstacles)
+                self._obstacles.append(ob)
+            i = self._ids[key]
+            pairs.append((i, self._obstacles[i]))
+        return pairs
+
+
+class TestWindowFitOracle:
+    """extract_circles and CircleRegistry.fit against the boolean-mask fit and
+    the one-disc-at-a-time intern, byte for byte, on random windows."""
+
+    @pytest.mark.parametrize("d_hat_cells", [3.0, 8.0])
+    @pytest.mark.parametrize("cells", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_windows_fit_as_the_oracle(self, seed, cells, d_hat_cells):
+        ws = generate_dungeon(seed, cells=cells)
+        rng = np.random.default_rng(100 * seed + cells)
+        params = {"d_hat_cells": d_hat_cells}
+        registry, oracle = CircleRegistry(), ScalarRoundRegistry()
+        n_discs = 0
+        for _ in range(45):  # 24 cases: 1080 windows
+            window = (rng.uniform(0.0, ws.side, 2), float(rng.uniform(0.5, 6.0)))
+            got = registry.fit(ws.grid, window, params)
+            want = oracle.fit(ws.grid, window, params)
+            assert [i for i, _ in got] == [i for i, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert a.center.tobytes() == b.center.tobytes()
+                assert np.float64(a.radius).tobytes() == np.float64(b.radius).tobytes()
+                assert a.weight == b.weight
+            n_discs += len(got)
+        assert n_discs > 45  # the windows reach walls
+        # the same rounded keys, in the same order
+        assert list(registry._ids.items()) == list(oracle._ids.items())
 
 
 class TestGridSdfSampler:
