@@ -99,6 +99,9 @@ class RunConfig:
         "meta.mu_boost": (0.0, float("inf")),
         "meta.d_ref": (1e-6, float("inf")),
         "train.lr": (1e-8, 1.0),
+        "train.tau": (1e-4, 0.5),
+        "train.d_hat": (0.05, 4.0),
+        "train.r_min": (0.0, 4.0),
         "train.momentum": (0.0, 0.999),
         "d_thr": (0.0, 100.0),
     }

@@ -7,9 +7,9 @@ exogenous port acting only on the frame momentum block:
     q' = q + tau * M^-1 p'
 
 ``step_leapfrog`` is the conservative kick-drift-kick step (no damping, no
-port), exactly time-reversible up to roundoff.  Offline training runs its
-multi-start trials as one batch (``learning.multi_start_penalties``); this
-single-state step is that batch's reference.
+port), exactly time-reversible up to roundoff.  Offline training advances its
+multi-start trials in each scene's batch (``learning._scene_batch``); this
+single-state step is those rows' reference.
 """
 
 from __future__ import annotations

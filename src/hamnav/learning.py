@@ -15,14 +15,13 @@ of the weights is differentiated analytically.  A proposal is an
 ``energy.EnergyWeights``, the type the navigator's energy reads, with one
 alpha per token: a scene's rollouts take it as it is.
 
-A scene's finite-difference stencil is scored as one batch.  Its members
-differ only in their weight vectors: they start from the same ``q0`` and
-draw the same multi-start trials (the trial rng is seeded per scene), so
-their point-robot trajectories are independent rows of one state array.
-Their gradients are ``energy.potential_grads``, the navigator's point-robot
-barrier kernel over a batch of states, whose row b is ``potential_grad`` of
-state b bit for bit; so every member's loss equals the one it would get
-alone, bit for bit.
+A training scene is one batch.  Its finite-difference stencil's members
+differ only in their weights: they start from the same ``q0`` and share the
+multi-start trials (drawn once per scene), so their rollouts and their
+trials are independent rows of one state array, and each step takes one
+``energy.potential_grads`` call, the navigator's point-robot barrier kernel,
+whose row b is ``potential_grad`` of state b bit for bit.  So every member's
+loss equals the one it would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -139,8 +138,9 @@ EPS_FLOOR = 1e-6
 
 
 def _penalties(clearances, r_min, d_hat):
-    """``penalty_from_clearances`` of each row of an (S, m) array, (S,)."""
-    return log_barrier(np.maximum(clearances - r_min, EPS_FLOOR), d_hat).mean(axis=1)
+    """``penalty_from_clearances`` of each row of an (S, m) array, (S,): 0 when m = 0."""
+    b = log_barrier(np.maximum(clearances - r_min, EPS_FLOOR), d_hat)
+    return b.sum(axis=1) / max(b.shape[1], 1)  # np.mean's sum and division
 
 
 def penalty_from_clearances(clearances, r_min, d_hat) -> float:
@@ -152,18 +152,12 @@ def penalty_from_clearances(clearances, r_min, d_hat) -> float:
     log(1/d) near contact.  Each trial scores b(max(clr - r_min, eps)), which
     decays with the safety margin and blows up as clr approaches r_min.
     """
-    clearances = np.asarray(clearances, float)
-    if not clearances.size:
-        return 0.0
-    return float(_penalties(clearances[None], r_min, d_hat)[0])
+    return float(_penalties(np.asarray(clearances, float).reshape(1, -1), r_min, d_hat)[0])
 
 
 def _scene_spec(discs: DiscSet, goal, weights: EnergyWeights, d_hat) -> HamiltonianSpec:
-    """The point robot's Hamiltonian in a training scene (unit mass).
-
-    The batched rollouts and trials integrate its ``fixed`` terms under many
-    weight sets at once (``energy.potential_grads``).
-    """
+    """The point robot's Hamiltonian in a training scene (unit mass); a batch
+    integrates its ``fixed`` terms under many weight sets at once."""
     fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.asarray(goal, float), d_hat=d_hat,
                        sensor_gain=1.0)
     return HamiltonianSpec(mass=np.ones(4), weights=weights, discs=discs, fixed=fixed)
@@ -189,50 +183,30 @@ def _trial_start(obstacles, d_hat, rng):
     return q0, p0
 
 
+def _trial_starts(scene, m_trials, d_hat, rng):
+    """The m_trials ``_trial_start``s of a scene, none when it has no obstacles."""
+    return [_trial_start(scene.obstacles, d_hat, rng)
+            for _ in range(m_trials if scene.obstacles else 0)]
+
+
 def multi_start_penalties(scene, weights, m_trials, t_steps, r_min, d_hat, rng,
                           tau=0.03) -> np.ndarray:
-    """``multi_start_penalty`` under each of S weight sets, (S,).
-
-    The m_trials starts are drawn from ``rng`` once and shared by every
-    weight set, so the S x m_trials leapfrog trajectories run as one
-    (S * m_trials, 4) batch.  Entry s equals ``multi_start_penalty`` with
-    weights[s] and an ``rng`` in the same state, bit for bit.
+    """``multi_start_penalty`` under each of S weight sets, (S,): ``_scene_batch``
+    with no rollout steps.  The m_trials starts are drawn from ``rng`` once
+    and shared by every weight set.  Entry s equals ``multi_start_penalty``
+    with weights[s] and an ``rng`` in the same state, bit for bit.
     """
-    obstacles = scene.obstacles
-    if not obstacles or m_trials < 1:
-        return np.zeros(len(weights))
-    starts = [_trial_start(obstacles, d_hat, rng) for _ in range(m_trials)]
-    q = np.tile([q0 for q0, _ in starts], (len(weights), 1))  # row s * m + j: trial j
-    p = np.tile([p0 for _, p0 in starts], (len(weights), 1))
-    eta = np.repeat(_weight_rows(weights, len(obstacles)), m_trials, axis=0)
-    discs = scene.discs
-    fixed = _scene_spec(discs, scene.goal, EnergyWeights(), d_hat).fixed
-
-    def clearance(q):  # signed_distances of each row's frame, (B,)
-        return disc_distances(discs.centers, discs.radii, q[:, None, 2:4]).min(axis=1)
-
-    clr = clearance(q)
-    g = potential_grads(q, eta, discs, fixed)
-    for _ in range(t_steps):  # kick-drift-kick, unit mass
-        p_half = p - 0.5 * tau * g
-        q = q + tau * p_half
-        g = potential_grads(q, eta, discs, fixed)
-        p = p_half - 0.5 * tau * g
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise FloatingPointError("non-finite state after leapfrog step")
-        clr = np.minimum(clr, clearance(q))
-    return _penalties(clr.reshape(len(weights), m_trials), r_min, d_hat)
+    starts = _trial_starts(scene, m_trials, d_hat, rng)
+    clr = _scene_batch(scene, weights, 0, tau, d_hat, starts, t_steps)[2]
+    return _penalties(clr, r_min, d_hat)
 
 
 def multi_start_penalty(scene, eta_weights: EnergyWeights, m_trials, t_steps, r_min,
                         d_hat, rng, tau=0.03) -> float:
-    """Robustness penalty from perturbed near-obstacle leapfrog rollouts.
-
-    For each trial: seed a state near a random obstacle with momentum aimed
-    at it, integrate t_steps leapfrog steps of length tau conservatively,
-    record the minimum clearance, and average the barrier penalty of the
-    safety margins.
-    """
+    """Robustness penalty from perturbed near-obstacle leapfrog rollouts: each
+    trial starts near a random obstacle with momentum aimed at it, takes t_steps
+    conservative leapfrog steps of length tau and records its minimum clearance,
+    and the penalty averages the barrier of the safety margins."""
     return float(multi_start_penalties(scene, [eta_weights], m_trials, t_steps, r_min,
                                        d_hat, rng, tau)[0])
 
@@ -297,49 +271,74 @@ class SceneDatum:
         )
 
 
-def scene_rollouts(scene: SceneDatum, weights, horizon, tau, d_hat):
-    """``scene_rollout`` under each of S weight sets: (qs, vs), each (S, horizon + 1, 4).
+def _scene_batch(scene: SceneDatum, weights, horizon, tau, d_hat, starts=(), t_steps=0):
+    """One scene's rollouts and multi-start trials under S weight sets, as one batch.
 
-    Every member starts at rest from ``scene.q0``, so the S damped
-    symplectic-Euler rollouts run as one (S, 4) batch.  Member s equals
-    ``dynamics.rollout`` under ``_scene_spec(..., weights[s], ...)`` and
-    mu = weights[s].mu, bit for bit, including where it diverges: from then
-    on its rows hold its last state.
+    Rows 0..S-1 of the state array are damped symplectic-Euler rollouts from
+    ``scene.q0`` at rest; row S + s * m + j is the leapfrog trial from
+    ``starts[j]``, a (q0, p0) pair, under weights[s].  Step i makes one
+    ``potential_grads`` call over the rows still advancing: rollout step i
+    (i < horizon) and the trials' state i (i <= t_steps).  Row b of that
+    kernel depends only on state b and weight row b, so each row gets the
+    bits it gets alone: rollout s those of ``dynamics.rollout`` under
+    weights[s] (a diverged one holds its last state), while a non-finite
+    trial raises FloatingPointError.  Returns (qs, vs), each
+    (S, horizon + 1, 4), and the trials' minimum clearances (S, m).
     """
     q0 = np.asarray(scene.q0, float)
     if not np.all(np.isfinite(q0)):
         raise FloatingPointError("non-finite initial state")
+    S, m = len(weights), len(starts)
     discs = scene.discs
     fixed = _scene_spec(discs, scene.goal, EnergyWeights(), d_hat).fixed
     eta = _weight_rows(weights, len(discs))
-    damping = np.zeros((len(weights), 4))  # Gamma(mu): mu on the frame momenta
+    eta = np.vstack([eta, np.repeat(eta, m, axis=0)])
+    damping = np.zeros((S, 4))  # Gamma(mu): mu on the frame momenta
     damping[:, 2:4] = np.array([w.mu for w in weights], float)[:, None]
-    q = np.tile(q0, (len(weights), 1))
-    p = np.zeros_like(q)
-    qs, ps = [q], [p]
-    live = np.ones(len(weights), bool)
-    for _ in range(horizon):
-        g = potential_grads(q, eta, discs, fixed)
-        ok = live & np.isfinite(np.hstack([q, p, g])).all(axis=1)
-        # unit mass, so v = p; the port input is zero, and p never holds a
-        # -0.0 for "+ tau * 0" to turn into +0.0
-        p_new = p - tau * g - tau * damping * p
-        q_new = q + tau * p_new
-        # the momentum bound is DIVERGENCE_FACTOR x max(1, |p0|) = DIVERGENCE_FACTOR
-        ok &= np.isfinite(q_new).all(axis=1) & ~(row_norms(p_new) > DIVERGENCE_FACTOR)
-        live = ok
-        q = np.where(live[:, None], q_new, q)
-        p = np.where(live[:, None], p_new, p)
-        qs.append(q)
-        ps.append(p)
-    return np.stack(qs, axis=1), np.stack(ps, axis=1)
+    z = np.tile(np.reshape(starts, (m, 2, 4)), (S, 1, 1))  # row s * m + j: starts[j]
+    q = np.vstack([np.tile(q0, (S, 1)), z[:, 0]])
+    p = np.vstack([np.zeros((S, 4)), z[:, 1]])
+    qs, vs = np.empty((2, S, horizon + 1, 4))
+    qs[:, 0], vs[:, 0] = q[:S], p[:S]
+    live, clr = np.ones(S, bool), np.full(S * m, np.inf)
+    for i in range(max(horizon, t_steps + 1) if m else horizon):
+        lo, hi = (0 if i < horizon else S), (len(q) if i <= t_steps else S)
+        g = potential_grads(q[lo:hi], eta[lo:hi], discs, fixed)
+        if i < horizon:
+            qr, pr, gr = q[:S], p[:S], g[:S]
+            ok = live & np.isfinite(np.hstack([qr, pr, gr])).all(axis=1)
+            # unit mass, so v = p; the port input is zero, and p never holds a
+            # -0.0 for "+ tau * 0" to turn into +0.0
+            p_new = pr - tau * gr - tau * damping * pr
+            q_new = qr + tau * p_new
+            # the momentum bound is DIVERGENCE_FACTOR x max(1, |p0|) = DIVERGENCE_FACTOR
+            live = ok & np.isfinite(q_new).all(axis=1) & ~(row_norms(p_new) > DIVERGENCE_FACTOR)
+            qs[:, i + 1] = q[:S] = np.where(live[:, None], q_new, qr)
+            vs[:, i + 1] = p[:S] = np.where(live[:, None], p_new, pr)
+        if i <= t_steps and m:  # kick-drift-kick, unit mass: the trials' state i
+            gt = g[S - lo:]
+            if i:
+                p[S:] = p[S:] - 0.5 * tau * gt
+                if not (np.all(np.isfinite(q[S:])) and np.all(np.isfinite(p[S:]))):
+                    raise FloatingPointError("non-finite state after leapfrog step")
+            # each trial's minimum signed distance so far
+            d = disc_distances(discs.centers, discs.radii, q[S:, None, 2:4])
+            clr = np.minimum(clr, d.min(axis=1))
+            if i < t_steps:
+                p[S:] = p[S:] - 0.5 * tau * gt
+                q[S:] = q[S:] + tau * p[S:]
+    return qs, vs, clr.reshape(S, m)
+
+
+def scene_rollouts(scene: SceneDatum, weights, horizon, tau, d_hat):
+    """``scene_rollout`` under each of S weight sets: (qs, vs), each (S, horizon + 1, 4),
+    as ``_scene_batch`` without trials."""
+    return _scene_batch(scene, weights, horizon, tau, d_hat)[:2]
 
 
 def scene_rollout(scene: SceneDatum, weights: EnergyWeights, horizon, tau, d_hat):
-    """Short damped rollout; returns (qs, vs) including the initial state.
-
-    A diverged rollout is padded to horizon + 1 rows by holding its last state.
-    """
+    """Short damped rollout; returns (qs, vs) including the initial state.  A
+    diverged rollout is padded to horizon + 1 rows by holding its last state."""
     qs, vs = scene_rollouts(scene, [weights], horizon, tau, d_hat)
     return qs[0], vs[0]
 
@@ -560,23 +559,24 @@ class TrainConfig:
             raise ValueError("train.weights must be four loss weights >= 0")
 
 
-def _scene_losses(scene: SceneDatum, weights, cfg: TrainConfig, horizon, rng_seed):
+def _scene_losses(scene: SceneDatum, weights, cfg: TrainConfig, horizon, starts):
     """Composite loss of one scene under each of its weight sets.
 
-    All weight sets roll out as one batch (``scene_rollouts``) and score one
-    batch of multi-start trials (``multi_start_penalties``): they share the
-    start ``scene.q0`` and the trials drawn from ``rng_seed``.
+    The weight sets' rollouts and their multi-start trials from ``starts``
+    advance as one batch (``_scene_batch``); the losses are scored in one
+    vectorized pass, each with ``meta_loss``'s arithmetic in its order.
     """
-    qs, vs = scene_rollouts(scene, weights, horizon, cfg.tau, cfg.d_hat)
-    l_multi = [0.0] * len(weights)
-    if cfg.weights[3] > 0:
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x3A]))
-        l_multi = multi_start_penalties(scene, weights, cfg.m_trials, cfg.multi_steps,
-                                        cfg.r_min, cfg.d_hat, rng, cfg.tau).tolist()
+    qs, vs, clr = _scene_batch(scene, weights, horizon, cfg.tau, cfg.d_hat, starts,
+                               cfg.multi_steps)
+    l_multi = _penalties(clr, cfg.r_min, cfg.d_hat)
     n = min(horizon + 1, len(scene.q_ref))
-    return [meta_loss(q[:n], scene.q_ref[:n], v[:n], scene.v_ref[:n],
-                      w.mu, scene.mu_ref, cfg.weights, l)
-            for q, v, w, l in zip(qs, vs, weights, l_multi)]
+    if len(scene.v_ref[:n]) != n:
+        raise ValueError("rollout and reference lengths differ")
+    d = np.stack([qs[:, :n] - scene.q_ref[:n], vs[:, :n] - scene.v_ref[:n]])
+    terms = np.sum(d ** 2, axis=-1).sum(axis=-1) / max(n, 1)  # np.mean's sum and division
+    w_q, w_v, w_mu, w_d = cfg.weights
+    return [w_q * tq + w_v * tv + w_mu * (w.mu - scene.mu_ref) ** 2 + w_d * lm
+            for tq, tv, w, lm in zip(*terms.tolist(), weights, l_multi.tolist())]
 
 
 def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None):
@@ -586,10 +586,8 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
     differences through the short rollouts; the regressor itself is
     backpropagated analytically.  Gradients are clipped at cfg.clip_norm.
     A scene's stencil (the proposal, then each of beta, lam, mu and alpha_i
-    moved up and down by cfg.fd_step, clamped at zero) is scored as one
-    batch: its members differ only in their weights, with the same start
-    and the same multi-start trials, so each member's loss is the one it
-    would get alone, bit for bit.
+    moved up and down by cfg.fd_step, clamped at zero) is one batch with the
+    scene's multi-start trials, drawn once per call (``_scene_losses``).
     Returns (model, loss_curve).
     """
     if not dataset:
@@ -600,6 +598,10 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
     curve = []
     mass = np.ones(4)
     h = cfg.fd_step
+    trials = cfg.m_trials if cfg.weights[3] > 0 else 0
+    starts = [_trial_starts(scene, trials, cfg.d_hat,
+                            np.random.default_rng(np.random.SeedSequence([cfg.seed + si, 0x3A])))
+              for si, scene in enumerate(dataset)]
     for epoch in range(cfg.epochs):
         total = 0.0
         for si, scene in enumerate(dataset):
@@ -618,15 +620,13 @@ def train_offline(dataset, cfg: TrainConfig = None, model: MetaRegressor = None)
                 stencil += [replace(prop, alpha={**prop.alpha, i: up}),
                             replace(prop, alpha={**prop.alpha, i: dn})]
                 spans.append(up - dn)
-            losses = _scene_losses(scene, stencil, cfg, horizon, rng_seed=cfg.seed + si)
+            losses = _scene_losses(scene, stencil, cfg, horizon, starts[si])
             base = losses[0]
             if not np.isfinite(base):
                 raise FloatingPointError(f"divergent loss on scene {si}")
             total += base
             d = [(losses[2 * j + 1] - losses[2 * j + 2]) / span for j, span in enumerate(spans)]
-            d_beta, d_lam, d_mu = d[:3]
-            d_alpha = dict(zip(prop.alpha, d[3:]))
-            grads = model.backward(cache, d_beta, d_lam, d_mu, d_alpha)
+            grads = model.backward(cache, *d[:3], dict(zip(prop.alpha, d[3:])))  # beta, lam, mu
             norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             scale = min(1.0, cfg.clip_norm / norm) if norm > 0 else 1.0
             for k in model.params:

@@ -893,6 +893,12 @@ class TestTrainCommand:
         ("tau = 0.0", "tau"),
         ("clip_norm = nan", "clip_norm"),
         ("m_trials = -1", "m_trials"),
+        # out of range, where training used to run on: with the multi-start
+        # penalty silently off, at any step, or into a FloatingPointError
+        ("r_min = nan", "r_min"),
+        ("r_min = -1e308", "r_min"),
+        ("tau = 1e9", "tau"),
+        ("d_hat = inf", "d_hat"),
     ])
     def test_malformed_train_config_exits_with_its_name(self, tmp_path, capsys, line, field):
         data = tmp_path / "data"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamnav import learning
 from hamnav.dynamics import IntegratorConfig, rollout, step_leapfrog
 from hamnav.energy import (
     POINT_LAYOUT,
@@ -26,6 +27,7 @@ from hamnav.learning import (
     TrainConfig,
     _scene_losses,
     _scene_spec,
+    _trial_starts,
     gram_matrix,
     identification_loss,
     identification_loss_grad,
@@ -246,7 +248,7 @@ class TestMultiStart:
             rng = np.random.default_rng(np.random.SeedSequence([7, 0x3A]))
             want = multi_start_penalty(scene, w, cfg.m_trials, cfg.multi_steps, cfg.r_min,
                                        cfg.d_hat, rng, tau=tau)
-            assert _scene_losses(scene, [w], cfg, 4, rng_seed=7) == [want]
+            assert _scene_losses(scene, [w], cfg, 4, scene_starts(scene, cfg, 7)) == [want]
 
     def test_eps_floor_and_ordering(self):
         # an unsafe trial (clearance under r_min) hits the eps floor,
@@ -414,6 +416,12 @@ def reference_scene_loss(scene, prop, cfg, horizon, rng_seed):
                      prop.mu, scene.mu_ref, cfg.weights, l_multi)
 
 
+def scene_starts(scene, cfg, seed):
+    """The trial starts ``train_offline`` draws for a scene of trial seed ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3A]))
+    return _trial_starts(scene, cfg.m_trials if cfg.weights[3] > 0 else 0, cfg.d_hat, rng)
+
+
 def same_bits(a, b):
     return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
 
@@ -511,19 +519,44 @@ class TestBatchedStencil:
             assert same_bits(one, ref), s
 
     @given(st.integers(0, 3), st.integers(0, 10_000), st.sampled_from(START_KINDS),
-           st.integers(0, 8), st.sampled_from([0.0, 0.5]), st.sampled_from([0.01, 0.03]))
-    @settings(max_examples=60, deadline=None)
-    def test_scene_losses_match_loop(self, n_obstacles, seed, start_kind, horizon, w_d, tau):
+           st.integers(0, 12), st.integers(0, 5), st.integers(0, 8),
+           st.sampled_from([0.0, 0.5]), st.sampled_from([0.01, 0.03]))
+    @settings(max_examples=80, deadline=None)
+    def test_scene_losses_match_loop(self, n_obstacles, seed, start_kind, horizon, m_trials,
+                                     multi_steps, w_d, tau):
+        # horizons below, at and above multi_steps + 1, so either kind of row
+        # may stop advancing first; huge weights make members diverge and may
+        # make their trials non-finite
         r = np.random.default_rng(seed)
         scene = random_scene(r, n_obstacles, start_kind)
         stencil = random_stencil(r, n_obstacles)
-        cfg = TrainConfig(weights=(1.0, 1.0, 0.1, w_d), tau=tau)
+        cfg = TrainConfig(weights=(1.0, 1.0, 0.1, w_d), tau=tau, m_trials=m_trials,
+                          multi_steps=multi_steps)
+        starts = scene_starts(scene, cfg, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = _scene_losses(scene, stencil, cfg, horizon, rng_seed=seed)
-            want = [reference_scene_loss(scene, p, cfg, horizon, rng_seed=seed)
-                    for p in stencil]
+            try:
+                want = [reference_scene_loss(scene, p, cfg, horizon, rng_seed=seed)
+                        for p in stencil]
+            except FloatingPointError:
+                with pytest.raises(FloatingPointError):
+                    _scene_losses(scene, stencil, cfg, horizon, starts)
+                return
+            got = _scene_losses(scene, stencil, cfg, horizon, starts)
         assert same_bits(got, want)
+
+    @pytest.mark.parametrize("horizon", [3, 7, 12])
+    def test_diverging_member_next_to_live_trials(self, horizon):
+        r = np.random.default_rng(3)
+        scene = random_scene(r, 2)
+        calm = EnergyWeights(beta=1.5, alpha={0: 2.0, 1: 2.0}, mu=4.0)
+        wild = EnergyWeights(beta=5e4, alpha={0: 2.0, 1: 2.0}, mu=4.0)
+        assert reference_rollout(scene, wild, horizon, 0.03, 1.0)[2]  # diverges
+        cfg = TrainConfig()
+        want = [reference_scene_loss(scene, w, cfg, horizon, rng_seed=9)
+                for w in (calm, wild, calm)]
+        got = _scene_losses(scene, [calm, wild, calm], cfg, horizon, scene_starts(scene, cfg, 9))
+        assert same_bits(got, want) and np.all(np.isfinite(got))
 
     def test_diverging_member_is_padded_like_alone(self):
         r = np.random.default_rng(3)
@@ -557,3 +590,34 @@ class TestBatchedStencil:
             with pytest.raises(FloatingPointError):
                 multi_start_penalties(scene, [calm, huge], 3, 4, 0.2, 1.0,
                                       np.random.default_rng(0))
+            # and next to rollouts that run on after the trials stop
+            cfg = TrainConfig(m_trials=3, multi_steps=4)
+            with pytest.raises(FloatingPointError):
+                _scene_losses(scene, [calm, huge], cfg, 12, scene_starts(scene, cfg, 0))
+
+
+class TestSceneBatchCounts:
+    """A scene-epoch advances its rollouts and its trials in one batch, and a
+    scene's trial starts are drawn once per ``train_offline`` call."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls, real = [], getattr(learning, name)
+        monkeypatch.setattr(learning, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("horizon, multi_steps", [(2, 6), (7, 6), (9, 6), (3, 0), (0, 0)])
+    def test_one_kernel_call_per_step(self, monkeypatch, horizon, multi_steps):
+        dataset = make_reference_dataset(2, seed=0)
+        calls = self.counted(monkeypatch, "potential_grads")
+        train_offline(dataset, TrainConfig(epochs=2, horizons=(horizon,), multi_steps=multi_steps))
+        assert len(calls) == 2 * 2 * max(horizon, multi_steps + 1)
+
+    def test_trial_starts_drawn_once_per_scene(self, monkeypatch):
+        dataset = make_reference_dataset(3, seed=1)
+        calls = self.counted(monkeypatch, "_trial_start")
+        train_offline(dataset, TrainConfig(epochs=3, m_trials=4))
+        assert len(calls) == 3 * 4
+        calls.clear()
+        train_offline(dataset, TrainConfig(epochs=2, weights=(1.0, 1.0, 0.1, 0.0)))
+        assert not calls
