@@ -2,6 +2,7 @@
 """The BENCH ledger: one machine's end-to-end and per-layer numbers in one file.
 
     python3 scripts/bench.py LABEL [--seconds N]
+    python3 scripts/bench.py --compare BENCH_A.json BENCH_B.json
 
 Run from the root of a source checkout.  Writes ``BENCH_<LABEL>.json`` there,
 holding:
@@ -13,15 +14,21 @@ holding:
 - the time of a rigid A* plan (resolution 0.1, a 0.4-m disc) on ``test_id`` 0;
 - each acceptance criterion's time, from
   ``pytest --durations=0 tests/test_acceptance.py``;
-- ``nproc``, the CPU model, and the Python and numpy versions.
+- ``nproc``, the CPU model, and the Python and numpy versions;
+- ``source_sha256``, a sha256 over ``src/hamnav/*.py``, naming the code measured.
 
 It only runs the benchmark; it edits nothing under ``perfbench/``.  It exits 1
 when a run fails or prints no result, after writing what it measured.
+
+``--compare A B`` runs nothing: it prints each workload's end-to-end metrics
+in both ledgers with their ratios B/A, the A* plan's median time and its
+ratio, and whether each workload's run-record ``digest`` moved.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -134,18 +141,78 @@ def machine() -> dict:
             "platform": platform.platform()}
 
 
+def source_sha256(root: Path = ROOT) -> str:
+    """sha256 over ``src/hamnav/*.py`` in name order: each file's name, size and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "hamnav").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def _row(name: str, metric: str, a, b) -> str:
+    """One metric of both ledgers and its ratio B/A ("n/a" without two numbers or when A is 0)."""
+    numbers = all(isinstance(v, (int, float)) for v in (a, b))
+    ratio = f"{b / a:.3f}" if numbers and a else "n/a"
+    a, b = (f"{v:.6g}" if isinstance(v, (int, float)) else str(v) for v in (a, b))
+    return f"{name:16s} {metric:14s} A {a:>12s}  B {b:>12s}  B/A {ratio}"
+
+
+def _digest(workload: dict):
+    """The run-record digest of a workload's untraced run (None when the ledger has none)."""
+    return ((workload.get("runs", {}).get("trace0") or {}).get("record") or {}).get("digest")
+
+
+def compare(path_a, path_b) -> list:
+    """The lines ``--compare`` prints for ledgers ``path_a`` (A) and ``path_b`` (B)."""
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    lines = [f"A = {path_a}, B = {path_b}; ratios are B/A",
+             f"source_sha256: A {a.get('source_sha256', 'unknown')}, "
+             f"B {b.get('source_sha256', 'unknown')}"]
+    moved = []
+    for name in sorted(set(a["workloads"]) | set(b["workloads"])):
+        wa, wb = a["workloads"].get(name), b["workloads"].get(name)
+        if wa is None or wb is None:
+            lines.append(f"{name}: only in {'A' if wb is None else 'B'}")
+            continue
+        ea, eb = wa.get("end_to_end", {}), wb.get("end_to_end", {})
+        for metric in sorted(set(ea) | set(eb)):
+            lines.append(_row(name, metric, ea.get(metric), eb.get(metric)))
+        da, db = _digest(wa), _digest(wb)
+        if da is None or db is None:
+            lines.append(f"{name:16s} digest         unknown in {'A' if da is None else 'B'}")
+        elif da == db:
+            lines.append(f"{name:16s} digest         same ({da[:16]}...)")
+        else:
+            moved.append(name)
+            lines.append(f"{name:16s} digest         MOVED: A {da[:16]}... B {db[:16]}...")
+    ta, tb = (d.get("astar_rigid", {}).get("median_s") for d in (a, b))
+    lines.append(_row("astar_rigid", "median_s", ta, tb))
+    lines.append(f"run-record digests MOVED on: {', '.join(moved)}" if moved
+                 else "run-record digests: none moved")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("label", help="the file written is BENCH_<label>.json at the repo root")
+    ap.add_argument("label", nargs="?",
+                    help="the file written is BENCH_<label>.json at the repo root")
     ap.add_argument("--seconds", type=float, default=25.0,
                     help="perfbench/run.py --seconds for each workload (default 25)")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="print ledger B's end-to-end metrics against ledger A's; run nothing")
     args = ap.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
+    if args.label is None:
+        ap.error("give a LABEL, or --compare A B")
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         ap.error(f"label {args.label!r}: use letters, digits, '_', '.' or '-'")
 
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     doc = {"label": args.label, "seconds": args.seconds, "seed": SEED,
-           "machine": machine(), "workloads": {}}
+           "machine": machine(), "source_sha256": source_sha256(), "workloads": {}}
     for name in workloads:
         print(f"bench: {name}", file=sys.stderr)
         doc["workloads"][name] = bench_workload(name, args.seconds)

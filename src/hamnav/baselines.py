@@ -49,8 +49,7 @@ def clearance_raster(ws: Workspace, resolution: float):
     xs, ys = np.meshgrid(centers, centers)  # row-major: [row=y, col=x]
     clear = np.full((n, n), np.inf)
     for ob in ws.obstacles:
-        d = np.hypot(xs - ob.center[0], ys - ob.center[1]) - ob.radius
-        clear = np.minimum(clear, d)
+        clear = np.minimum(clear, np.hypot(xs - ob.center[0], ys - ob.center[1]) - ob.radius)
     return clear, cell
 
 
@@ -66,51 +65,61 @@ def _astar(free, start_rc, goal_rc, cell, edge_multiplier=None):
     ``edge_multiplier``, an array of free's shape whose cells are >= 1,
     scales the geometric cost of edges entering each cell; the heuristic
     stays admissible.
+
+    Padded form: ``free`` gets a blocked border and is flattened, so a
+    neighbour is ``index + offset`` with no bounds test; the heuristic, ``g``
+    and the multipliers (ones by default) are flat float64 rasters read via
+    memoryviews.  Heap entries (f, flat index) tie-break in (row, col) order,
+    and each f, g and step is a per-cell search's float operation on the same
+    operands (+ and * commute, x * 1.0 is x): the same path, cost and expansions.
     """
     ny, nx = free.shape
     if not (free[start_rc] and free[goal_rc]):
         return None, np.inf, 0
-    free = free.tolist()  # nested lists: the loop reads one cell at a time
-    mult = None if edge_multiplier is None else edge_multiplier.tolist()
-
-    def h(rc):
-        dy, dx = abs(rc[0] - goal_rc[0]), abs(rc[1] - goal_rc[1])
-        return cell * (max(dy, dx) + (_SQRT2 - 1.0) * min(dy, dx))
-
-    g = {start_rc: 0.0}
-    came = {}
-    pq = [(h(start_rc), start_rc)]
-    closed = set()
-    expansions = 0
+    width = nx + 2
+    passable = np.pad(np.asarray(free, bool), 1).tobytes()  # one byte a cell, 0 on the border
+    dy = np.abs(np.arange(ny + 2, dtype=float) - (goal_rc[0] + 1))[:, None]
+    dx = np.abs(np.arange(width, dtype=float) - (goal_rc[1] + 1))
+    h = np.minimum(dy, dx) * (_SQRT2 - 1.0)  # cell * (max + (sqrt2 - 1) * min), in place
+    h += np.maximum(dy, dx)
+    h *= cell
+    mult = (np.ones(h.shape) if edge_multiplier is None
+            else np.pad(np.asarray(edge_multiplier, float), 1))
+    h, mult, g = (memoryview(a.ravel()) for a in (h, mult, np.full(h.shape, np.inf)))
+    steps = [(dr * width + dc, float(w * cell)) for dr, dc, w in _STEPS]
+    start, goal = ((r + 1) * width + c + 1 for r, c in (start_rc, goal_rc))
+    g[start] = 0.0
+    came, closed, expansions = {}, bytearray(len(h)), 0
+    pq = [(h[start], start)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while pq:
-        f, cur = heapq.heappop(pq)
-        if cur in closed:
+        cur = heappop(pq)[1]
+        if closed[cur]:
             continue
-        closed.add(cur)
+        closed[cur] = 1
         expansions += 1
-        if cur == goal_rc:
+        if cur == goal:
             path = [cur]
             while cur in came:
                 cur = came[cur]
                 path.append(cur)
-            return path[::-1], g[goal_rc], expansions
-        r, c = cur
-        for dr, dc, w in _STEPS:
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < ny and 0 <= nc < nx) or not free[nr][nc]:
-                continue
-            step = w * cell
-            if mult is not None:
-                step *= mult[nr][nc]
-            cand = g[cur] + step
-            if cand < g.get((nr, nc), np.inf):
-                g[(nr, nc)] = cand
-                came[(nr, nc)] = cur
-                heapq.heappush(pq, (cand + h((nr, nc)), (nr, nc)))
+            return [(i // width - 1, i % width - 1) for i in reversed(path)], g[goal], expansions
+        g_cur = g[cur]
+        for offset, step in steps:
+            nb = cur + offset
+            if passable[nb]:
+                cand = g_cur + step * mult[nb]
+                if cand < g[nb]:
+                    g[nb] = cand
+                    came[nb] = cur
+                    heappush(pq, (cand + h[nb], nb))
     return None, np.inf, expansions
 
 
-def _plan_from(path, cost, expansions, cell):
+def _plan(ws: Workspace, free, cell, edge_multiplier=None) -> GridPlan:
+    """The A* plan on ``free`` from the cell holding ws.start to ws.goal's."""
+    path, _, expansions = _astar(free, _to_cell(ws.start, cell, free.shape),
+                                 _to_cell(ws.goal, cell, free.shape), cell, edge_multiplier)
     if path is None:
         return GridPlan([], np.zeros((0, 2)), np.inf, expansions, False, cell)
     wps = np.array([[(c + 0.5) * cell, (r + 0.5) * cell] for r, c in path])
@@ -127,11 +136,7 @@ def astar_rigid(ws: Workspace, resolution: float, inflation_radius: float) -> Gr
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     clear, cell = clearance_raster(ws, resolution)
-    free = clear >= inflation_radius
-    start = _to_cell(ws.start, cell, free.shape)
-    goal = _to_cell(ws.goal, cell, free.shape)
-    path, cost, exp = _astar(free, start, goal, cell)
-    return _plan_from(path, cost, exp, cell)
+    return _plan(ws, clear >= inflation_radius, cell)
 
 
 def astar_deformable(ws: Workspace, resolution: float, r_min: float,
@@ -151,10 +156,7 @@ def astar_deformable(ws: Workspace, resolution: float, r_min: float,
         clr = clear[free]
         multiplier = np.ones_like(clear)
         multiplier[free] = 1.0 + penalty_gain * np.maximum(0.0, r_rest - clr) / (clr - r_min)
-    start = _to_cell(ws.start, cell, free.shape)
-    goal = _to_cell(ws.goal, cell, free.shape)
-    path, cost, exp = _astar(free, start, goal, cell, multiplier)
-    return _plan_from(path, cost, exp, cell)
+    return _plan(ws, free, cell, multiplier)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +211,19 @@ class DWAResult:
     index: int
 
 
-@lru_cache(maxsize=16)
-def _velocity_grid(v_max, n_per_axis):
-    """DWA's (n**2, 2) candidate velocities (row-major, v_y outer) and their
-    speeds, formed once per (v_max, n) and read-only."""
+@lru_cache(maxsize=64)
+def _candidate_grid(v_max, n_per_axis, horizon, dt):
+    """DWA's (n**2, 2) candidate velocities (row-major, v_y outer), their
+    speeds, the (n, horizon) rollout displacements ``ts * axis`` along one
+    axis and the (n**2, 2) endpoint displacements ``ts[-1] * vel``; formed
+    once per key and read-only."""
     axis = np.linspace(-v_max, v_max, n_per_axis)
     vel = np.column_stack([np.tile(axis, n_per_axis), np.repeat(axis, n_per_axis)])
-    speed = np.hypot(vel[:, 0], vel[:, 1])
-    vel.setflags(write=False)
-    speed.setflags(write=False)
-    return vel, speed
+    ts = np.arange(1, horizon + 1) * dt
+    grid = vel, np.hypot(vel[:, 0], vel[:, 1]), axis[:, None] * ts, ts[-1] * vel
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 def dwa_step(position, centers, radii, stage_goal, cfg: DWAConfig, d_hat: float,
@@ -233,39 +238,43 @@ def dwa_step(position, centers, radii, stage_goal, cfg: DWAConfig, d_hat: float,
     0; with every candidate rejected the result is ``blocked``.  Ties go to
     the lowest candidate index (row-major over the grid, v_y outer).
 
-    Norm forms: the clearance is sqrt(dx*dx + dy*dy), the formula of
-    ``np.linalg.norm(..., axis=-1)`` over a length-2 axis, as in
-    disc_distances; the goal distances in ``progress`` are row_norms, equal
-    to the scalar ``np.linalg.norm`` of each vector.
+    Axis form: candidate ``i*n + j`` moves at (axis[j], axis[i]), so a
+    rollout point's x depends only on (j, step) and its y only on (i, step):
+    the stage box is tested per axis, and the squared gaps to the discs are
+    two (n, horizon, M) arrays summed once to (n, n, horizon, M).  Every float
+    operation has a per-candidate rollout's operands (IEEE ``+`` commutes)
+    and each min runs over the same values, so the bits are that rollout's:
+    the clearance is sqrt(dx*dx + dy*dy), the formula of ``np.linalg.norm(...,
+    axis=-1)`` over a length-2 axis, as in disc_distances, and the goal
+    distances in ``progress`` are row_norms, each the scalar ``np.linalg.norm``.
     """
     position = np.asarray(position, float)
-    vel, speed = _velocity_grid(cfg.v_max, cfg.n_per_axis)
     goal = np.asarray(stage_goal, float)
     d0 = norm2(position - goal)
     # shorten the lookahead near the goal so the coarse grid can close in
     horizon = max(1, min(cfg.horizon, int(np.ceil(d0 / (cfg.v_max * cfg.dt)))))
-    ts = np.arange(1, horizon + 1) * cfg.dt
-    pts = position + ts[None, :, None] * vel[:, None, :]  # (candidate, step, xy)
-    ok = np.ones(len(vel), dtype=bool)
-    if stage_bounds is not None:
-        x0, y0, x1, y1 = stage_bounds
-        x, y = pts[..., 0], pts[..., 1]
-        ok = ~((x < x0) | (x > x1) | (y < y0) | (y > y1)).any(axis=1)
-    if len(radii):
-        dx = pts[:, :, None, 0] - centers[:, 0]  # (candidate, step, disc)
-        dy = pts[:, :, None, 1] - centers[:, 1]
-        dist = np.sqrt(dx * dx + dy * dy) - radii
-        clr = dist.min(axis=(1, 2)) - robot_radius
+    n = cfg.n_per_axis
+    vel, speed, disp, end = _candidate_grid(cfg.v_max, n, horizon, cfg.dt)
+    x, y = position[0] + disp, position[1] + disp  # (v_x index j, step), (v_y index i, step)
+    if stage_bounds is None:
+        ok = np.ones((n, n), dtype=bool)  # [i, j]
     else:
-        clr = np.full(len(vel), d_hat)
+        x0, y0, x1, y1 = stage_bounds
+        ok = ~(((y < y0) | (y > y1)).any(axis=1)[:, None] | ((x < x0) | (x > x1)).any(axis=1))
+    if len(radii):
+        gx = x[:, :, None] - centers[:, 0]  # (j, step, disc)
+        gy = y[:, :, None] - centers[:, 1]  # (i, step, disc)
+        dist = np.sqrt((gy * gy)[:, None] + gx * gx) - radii  # (i, j, step, disc)
+        clr = dist.min(axis=(2, 3)) - robot_radius
+    else:
+        clr = np.full((n, n), d_hat)
     ok &= ~(clr < 0)  # hard rejection of colliding candidates
     if not ok.any():
         return DWAResult(np.zeros(2), True, -np.inf, -1)
-    progress = d0 - row_norms(pts[:, -1] - goal)
-    score = (cfg.w_progress * progress + cfg.w_clearance * np.minimum(clr, d_hat)
+    progress = d0 - row_norms(position + end - goal)
+    score = (cfg.w_progress * progress + cfg.w_clearance * np.minimum(clr.ravel(), d_hat)
              + cfg.w_speed * speed)
-    survivors = np.flatnonzero(ok)
-    best = int(survivors[np.argmax(score[survivors])])
+    best = int(np.where(ok.ravel(), score, -np.inf).argmax())  # the first maximum
     return DWAResult(vel[best].copy(), False, float(score[best]), best)
 
 
@@ -286,12 +295,9 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         raise ValueError(f"unknown baseline method {method!r}")
     sensing = StagewiseSensing(ws, cfg)
     rec = EpisodeRecorder(ws, cfg, sensing.tracker, POINT_LAYOUT, radius=robot_radius)
-    if pf_gains is None:
-        pf_gains = PFGains()
+    pf_gains, dwa_cfg = pf_gains or PFGains(), dwa_cfg or DWAConfig()
     if pf_gains.d_hat is None:
         pf_gains = replace(pf_gains, d_hat=cfg.d_hat)
-    if dwa_cfg is None:
-        dwa_cfg = DWAConfig()
 
     def observe(pos, v):
         """The sensed observables at pos, commanding v."""

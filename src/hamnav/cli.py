@@ -91,12 +91,7 @@ class RunConfig:
         "episode.adapt.kappa_beta": (0.0, 0.999),
         "episode.adapt.kappa_gamma": (0.0, 0.999),
         "episode.adapt.lam_zeta": (0.0, 1e6),
-        "episode.adapt.lam_u": (0.0, float("inf")),
-        "meta.beta": (0.0, float("inf")),
-        "meta.lam": (0.0, float("inf")),
-        "meta.alpha": (0.0, float("inf")),
         "meta.mu": (0.0, 100.0),
-        "meta.mu_boost": (0.0, float("inf")),
         "meta.d_ref": (1e-6, float("inf")),
         "train.lr": (1e-8, 1.0),
         "train.tau": (1e-4, 0.5),
@@ -104,6 +99,15 @@ class RunConfig:
         "train.r_min": (0.0, 4.0),
         "train.momentum": (0.0, 0.999),
         "d_thr": (0.0, 100.0),
+        "astar_resolution": (0.01, 10.0), "rigid_radius": (0.0, 4.0), "deform_r_min": (0.0, 4.0),
+        # n_per_axis and horizon cap DWA's (n, n, horizon, M) clearance array
+        "dwa.v_max": (1e-6, 100.0), "dwa.n_per_axis": (2, 25), "dwa.horizon": (1, 50),
+        "dwa.dt": (1e-4, 10.0), "pf.v_max": (1e-6, 100.0), "pf.d_floor": (1e-9, 1.0),
+        "pf.d_hat": (0.05, 4.0),  # None: the episode's d_hat
+        **dict.fromkeys(["episode.adapt.lam_u", "meta.beta", "meta.lam", "meta.alpha",
+                         "meta.mu_boost", "deform_penalty_gain", "dwa.w_progress",
+                         "dwa.w_clearance", "dwa.w_speed", "pf.k_att", "pf.k_rep"],
+                        (0.0, float("inf"))),
     }
 
     def validate(self):

@@ -106,11 +106,6 @@ def identify_weights(problem: RegressionProblem) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def identification_loss(problem: RegressionProblem, eta) -> float:
-    resid = problem.targets - np.einsum("j,tjd->td", eta, problem.feature_grads)
-    return 0.5 * float(np.sum(resid ** 2)) + 0.5 * problem.ridge * float(np.dot(eta, eta))
-
-
 def identification_loss_grad(problem: RegressionProblem, eta) -> np.ndarray:
     resid = problem.targets - np.einsum("j,tjd->td", eta, problem.feature_grads)
     return -np.einsum("tjd,td->j", problem.feature_grads, resid) + problem.ridge * np.asarray(eta)

@@ -219,11 +219,6 @@ def save_workspace(ws: Workspace, path):
         json.dump(workspace_to_json(ws), fh, indent=1, sort_keys=True)
 
 
-def load_workspace(path) -> Workspace:
-    with open(path) as fh:
-        return workspace_from_json(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Local sensing
 

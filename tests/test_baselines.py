@@ -200,6 +200,47 @@ def astar_reference(free, start_rc, goal_rc, cell, edge_multiplier=None):
     return None, np.inf, expansions
 
 
+class TestAstarOracle:
+    """_astar on random grids against astar_reference, bit for bit."""
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 10_000), st.floats(0.0, 0.6),
+           st.sampled_from([1.0, 0.1, 0.37]), st.booleans(),
+           st.sampled_from(["random", "same", "blocked_start", "blocked_goal", "walled"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, ny, nx, seed, density, cell, weighted, case):
+        r = np.random.default_rng(seed)
+        free = r.random((ny, nx)) >= density
+        start = (int(r.integers(ny)), int(r.integers(nx)))
+        goal = start if case == "same" else (int(r.integers(ny)), int(r.integers(nx)))
+        if case == "walled" and nx >= 3:
+            # a blocked column between start and goal: the goal is unreachable
+            wall = int(r.integers(1, nx - 1))
+            free[:, wall] = False
+            start = (start[0], int(r.integers(wall)))
+            goal = (goal[0], int(r.integers(wall + 1, nx)))
+        free[start] = free[goal] = True
+        if case == "blocked_start":
+            free[start] = False
+        elif case == "blocked_goal":
+            free[goal] = False
+        # multipliers >= 1, with exact ones and integers among them for ties
+        mult = None
+        if weighted:
+            mult = np.where(r.random((ny, nx)) < 0.3, 1.0,
+                            np.where(r.random((ny, nx)) < 0.5, r.integers(1, 4, (ny, nx)),
+                                     1.0 + r.exponential(1.0, (ny, nx))))
+        path, cost, expansions = baselines._astar(free, start, goal, cell, mult)
+        want = astar_reference(free, start, goal, cell,
+                               None if mult is None else (lambda row, col: mult[row, col]))
+        assert path == want[0]
+        assert expansions == want[2]
+        assert np.float64(cost).tobytes() == np.float64(want[1]).tobytes()
+        if case == "same":
+            assert path == [start] and cost == 0.0 and expansions == 1
+        if case in ("blocked_start", "blocked_goal") or (case == "walled" and nx >= 3):
+            assert path is None and cost == np.inf
+
+
 def deformable_reference(ws, resolution, r_min, penalty_gain, r_rest):
     """astar_deformable's search with its edge multiplier as a closure."""
     clear, cell = clearance_raster(ws, resolution)
@@ -424,22 +465,27 @@ def assert_same_as_reference(position, obstacles, goal, cfg, robot_radius=0.0,
 class TestDWAOracle:
     """dwa_step against the per-candidate loop, bit for bit."""
 
-    @given(st.integers(0, 12), st.integers(0, 10_000), st.booleans(),
-           st.floats(0.0, 0.5), st.floats(0.05, 3.0), st.integers(2, 9),
-           st.integers(1, 10))
+    @given(st.one_of(st.integers(0, 12), st.integers(13, 150)), st.integers(0, 10_000),
+           st.sampled_from([None, "around", "anywhere"]), st.floats(0.0, 0.5),
+           st.floats(0.05, 3.0), st.integers(2, 9), st.integers(1, 10))
     @settings(max_examples=120, deadline=None)
-    def test_matches_loop(self, n_obstacles, seed, bounded, robot_radius, goal_dist,
+    def test_matches_loop(self, n_obstacles, seed, box, robot_radius, goal_dist,
                           n_per_axis, horizon):
         r = np.random.default_rng(seed)
         position = r.uniform(-1.0, 1.0, 2)
-        obstacles = [Obstacle(position + r.uniform(-2.0, 2.0, 2), r.uniform(0.1, 0.6))
+        # a memory of up to 150 discs (a dungeon's reaches 140), spread wider
+        # as it grows so that some candidates survive
+        spread = 2.0 + n_obstacles / 20
+        obstacles = [Obstacle(position + r.uniform(-spread, spread, 2), r.uniform(0.1, 0.6))
                      for _ in range(n_obstacles)]
         # goal_dist below v_max * dt * horizon clips the horizon
         ang = r.uniform(0, 2 * np.pi)
         goal = position + goal_dist * np.array([np.cos(ang), np.sin(ang)])
         bounds = None
-        if bounded:
-            lo, hi = position - r.uniform(0.1, 1.5, 2), position + r.uniform(0.1, 1.5, 2)
+        if box is not None:
+            # "anywhere" boxes need not hold the position
+            mid = position if box == "around" else position + r.uniform(-1.5, 1.5, 2)
+            lo, hi = mid - r.uniform(0.1, 1.5, 2), mid + r.uniform(0.1, 1.5, 2)
             bounds = (lo[0], lo[1], hi[0], hi[1])
         cfg = DWAConfig(v_max=r.uniform(0.3, 1.5), n_per_axis=n_per_axis, horizon=horizon,
                         dt=r.uniform(0.05, 0.3), w_progress=r.uniform(0.5, 2.0),

@@ -29,7 +29,12 @@ from hamnav.generation import gap_statistics, generate_dungeon, generate_workspa
 from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
 from hamnav.navigator import dungeon_setup
 from hamnav.ring import RingParams
-from hamnav.workspace import load_workspace, save_workspace
+from hamnav.workspace import save_workspace, workspace_from_json
+
+
+def read_workspace(path):
+    """The workspace a JSON file holds."""
+    return workspace_from_json(json.loads(Path(path).read_text()))
 
 
 class TestConfigRoundTrip:
@@ -189,9 +194,9 @@ class TestGenerateCommand:
               "--out", str(out)])
         main(["generate", "--family", "test_ood", "--count", "6", "--seed", "1",
               "--out", str(out)])
-        stats_id = [gap_statistics(load_workspace(p))
+        stats_id = [gap_statistics(read_workspace(p))
                     for p in sorted(out.glob("test_id_0*.json"))]
-        stats_ood = [gap_statistics(load_workspace(p))
+        stats_ood = [gap_statistics(read_workspace(p))
                      for p in sorted(out.glob("test_ood_0*.json"))]
         # the OOD family is denser with larger radii: both knobs must show up
         assert (np.mean([s["occupied_fraction"] for s in stats_ood])
@@ -207,7 +212,7 @@ class TestGenerateCommand:
         out = tmp_path / "d"
         assert main(["generate", "--family", "dungeon", "--count", "1",
                      "--seed", "2", "--out", str(out)]) == 0
-        ws = load_workspace(out / "dungeon_0000.json")
+        ws = read_workspace(out / "dungeon_0000.json")
         assert ws.grid is not None
 
 
@@ -297,7 +302,7 @@ class TestRunCommand:
         out = tmp_path / method
         assert main(["run", "--workspace", str(workspace_file), "--method", method,
                      "--out", str(out), "--plot"]) == 0
-        ws = load_workspace(str(workspace_file))
+        ws = read_workspace(str(workspace_file))
         # the plan starts at the centre of the grid cell holding the start
         cell = ws.side / round(ws.side / RunConfig().astar_resolution)
         cx, cy = (np.floor(ws.start / cell) + 0.5) * cell
@@ -465,6 +470,29 @@ class TestRunCommand:
             assert err.startswith("config error: ") and f"meta.{line.split()[0]}=" in err
             assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text, field", [
+        ("astar_resolution = 0.0", "astar_resolution"),
+        ("rigid_radius = -1.0", "rigid_radius"),
+        ("[dwa]\nn_per_axis = 0", "dwa.n_per_axis"),
+        ("[dwa]\ndt = 0.0", "dwa.dt"),
+        ("[pf]\nv_max = nan", "pf.v_max"),
+    ], ids=["astar_resolution", "rigid_radius", "dwa_n_per_axis", "dwa_dt", "pf_v_max"])
+    def test_bad_baseline_field_exits_with_its_name(self, tmp_path, workspace_file, capsys,
+                                                    text, field):
+        # each of these ran before: into a ValueError traceback, planning with
+        # a negative inflation, to "stuck" with no DWA candidates, into a
+        # ZeroDivisionError row, or to "stuck"
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"{text}\n")
+        method = field.split(".")[0] if "." in field else "astar_rigid"
+        for args in (["run", "--workspace", str(workspace_file), "--method", method],
+                     ["eval", "--workspaces", str(workspace_file.parent), "--methods", method]):
+            capsys.readouterr()
+            assert main(args + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and f"config field {field}=" in err
+            assert not (tmp_path / "x").exists()
+
 
 class TestRunMethod:
     @pytest.mark.parametrize("method", ["astar_rigid", "astar_rigd"])
@@ -509,7 +537,7 @@ class TestPlotCommand:
         svg_text = (out2 / "trajectory.svg").read_text()
         with open(out / "steps.csv") as fh:
             rows = list(csv.DictReader(fh))
-        ws = load_workspace(str(workspace_file))
+        ws = read_workspace(str(workspace_file))
         # documented affine transform: px = pad + x * scale, py flipped
         pad, width = 20, 640
         scale = (width - 2 * pad) / ws.side

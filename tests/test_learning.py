@@ -29,7 +29,6 @@ from hamnav.learning import (
     _scene_spec,
     _trial_starts,
     gram_matrix,
-    identification_loss,
     identification_loss_grad,
     identify_weights,
     make_reference_dataset,
