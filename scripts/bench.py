@@ -14,7 +14,9 @@ holding:
 - the time of a rigid A* plan (resolution 0.1, a 0.4-m disc) on ``test_id`` 0;
 - each acceptance criterion's time, from
   ``pytest --durations=0 tests/test_acceptance.py``;
-- ``nproc``, the CPU model, and the Python and numpy versions;
+- ``nproc``, the CPU model, the Python version, and the arithmetic key
+  (``arithmetic_key``: the numpy version, the OpenBLAS core and numpy's
+  AVX-512 dispatch), which says whether another machine's bits can match;
 - ``source_sha256``, a sha256 over ``src/hamnav/*.py``, naming the code measured.
 
 It only runs the benchmark; it edits nothing under ``perfbench/``.  It exits 1
@@ -28,6 +30,7 @@ ratio, and whether each workload's run-record ``digest`` moved.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -124,9 +127,42 @@ def bench_acceptance() -> dict:
     return out
 
 
-def machine() -> dict:
+def openblas_core() -> str:
+    """The kernel core that numpy's bundled OpenBLAS selected on this CPU (or
+    that ``OPENBLAS_CORETYPE`` forced), read through ctypes from
+    ``scipy_openblas_get_corename64_``; "unknown" without such a library."""
     import numpy as np
 
+    root = Path(np.__file__).resolve().parent
+    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(
+            root.glob(".dylibs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def arithmetic_key() -> dict:
+    """What sets the last bits of the engine's float64 results besides the
+    code: the numpy version, the OpenBLAS core (``openblas_core``), and
+    whether numpy dispatches AVX-512 loops (``avx512f``, the CPU feature as
+    numpy reports it, and ``x86_v4``, the AVX-512 dispatch group of numpy 2.4
+    and later, which ``NPY_DISABLE_CPU_FEATURES`` can turn off; None where
+    this numpy reports no such entry)."""
+    import numpy as np
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return {"numpy": np.__version__, "openblas_core": openblas_core(),
+            "avx512f": features.get("AVX512F"), "x86_v4": features.get("X86_V4")}
+
+
+def machine() -> dict:
     cpu = None
     try:
         with open("/proc/cpuinfo") as fh:
@@ -137,7 +173,7 @@ def machine() -> dict:
     return {"nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count(),
             "cpu_model": cpu or platform.processor() or None,
-            "python": platform.python_version(), "numpy": np.__version__,
+            "python": platform.python_version(), **arithmetic_key(),
             "platform": platform.platform()}
 
 

@@ -123,7 +123,7 @@ def _plan(ws: Workspace, free, cell, edge_multiplier=None) -> GridPlan:
     if path is None:
         return GridPlan([], np.zeros((0, 2)), np.inf, expansions, False, cell)
     wps = np.array([[(c + 0.5) * cell, (r + 0.5) * cell] for r, c in path])
-    length = float(np.linalg.norm(np.diff(wps, axis=0), axis=1).sum()) if len(wps) > 1 else 0.0
+    length = float(row_norms(np.diff(wps, axis=0)).sum()) if len(wps) > 1 else 0.0
     return GridPlan(path, wps, length, expansions, True, cell)
 
 
@@ -181,7 +181,7 @@ def pf_step(position, centers, radii, stage_goal, gains: PFGains) -> np.ndarray:
     position = np.asarray(position, float)
     v = gains.k_att * (np.asarray(stage_goal, float) - position)
     delta = position - centers
-    dist = row_norms(delta)  # each as np.linalg.norm(delta[k])
+    dist = row_norms(delta)  # each as norm2(delta[k])
     d = np.maximum(dist - radii, gains.d_floor)
     for k in np.flatnonzero((d < gains.d_hat) & (dist > 1e-12)).tolist():
         mag = gains.k_rep * (1.0 / d[k] - 1.0 / gains.d_hat) / (d[k] * d[k])
@@ -244,9 +244,9 @@ def dwa_step(position, centers, radii, stage_goal, cfg: DWAConfig, d_hat: float,
     two (n, horizon, M) arrays summed once to (n, n, horizon, M).  Every float
     operation has a per-candidate rollout's operands (IEEE ``+`` commutes)
     and each min runs over the same values, so the bits are that rollout's:
-    the clearance is sqrt(dx*dx + dy*dy), the formula of ``np.linalg.norm(...,
-    axis=-1)`` over a length-2 axis, as in disc_distances, and the goal
-    distances in ``progress`` are row_norms, each the scalar ``np.linalg.norm``.
+    the clearance is sqrt(dx*dx + dy*dy), the formula of ``row_norms`` and
+    disc_distances, and the goal distances in ``progress`` are row_norms, each
+    the scalar ``norm2``.
     """
     position = np.asarray(position, float)
     goal = np.asarray(stage_goal, float)

@@ -78,6 +78,8 @@ class RunConfig:
 
     METHODS = ("grlsnam", "pf", "dwa", "astar_rigid", "astar_deform")
 
+    # field -> (lo, hi) or (lo, hi, ends): the value must lie in [lo, hi], or
+    # with ends "()", "[)" or "(]" in the interval so written; NaN never does
     RANGES = {
         "episode.tau": (1e-4, 0.5),
         "episode.d_hat": (0.05, 4.0),
@@ -90,7 +92,9 @@ class RunConfig:
         "episode.adapt.rho": (0.0, 0.999),
         "episode.adapt.kappa_beta": (0.0, 0.999),
         "episode.adapt.kappa_gamma": (0.0, 0.999),
-        "episode.adapt.lam_zeta": (0.0, 1e6),
+        # ridges: the adaptation's normal equations are singular without one
+        "episode.adapt.lam_zeta": (0.0, 1e6, "(]"),
+        "episode.adapt.lam_u": (0.0, float("inf"), "(]"),
         "meta.mu": (0.0, 100.0),
         "meta.d_ref": (1e-6, float("inf")),
         "train.lr": (1e-8, 1.0),
@@ -104,10 +108,17 @@ class RunConfig:
         "dwa.v_max": (1e-6, 100.0), "dwa.n_per_axis": (2, 25), "dwa.horizon": (1, 50),
         "dwa.dt": (1e-4, 10.0), "pf.v_max": (1e-6, 100.0), "pf.d_floor": (1e-9, 1.0),
         "pf.d_hat": (0.05, 4.0),  # None: the episode's d_hat
-        **dict.fromkeys(["episode.adapt.lam_u", "meta.beta", "meta.lam", "meta.alpha",
+        **dict.fromkeys(["meta.beta", "meta.lam", "meta.alpha",
                          "meta.mu_boost", "deform_penalty_gain", "dwa.w_progress",
                          "dwa.w_clearance", "dwa.w_speed", "pf.k_att", "pf.k_rep"],
                         (0.0, float("inf"))),
+        # the float step divides by these and compares against them
+        **dict.fromkeys(["episode.adapt.eps", "episode.mass_frame", "episode.inertia",
+                         "episode.eps_stage", "episode.scale_floor", "episode.scale_cap"],
+                        (0.0, float("inf"), "()")),
+        **dict.fromkeys([f"episode.adapt.{name}" for name in
+                         ("m_safe", "eps_prog", "v_min", "kappa_v", "u_box")],
+                        (0.0, float("inf"), "[)")),
     }
 
     def validate(self):
@@ -116,14 +127,20 @@ class RunConfig:
         if self.robot not in ("ring", "point"):
             raise ValueError("robot must be 'ring' or 'point'")
         doc = to_dict(self)
-        for path, (lo, hi) in self.RANGES.items():
+        for path, (lo, hi, *ends) in self.RANGES.items():
             node = doc
             for part in path.split("."):
                 node = node[part]
             if node is None:
                 continue
-            if not (lo <= node <= hi):
-                raise ValueError(f"config field {path}={node} outside [{lo}, {hi}]")
+            left, right = ends[0] if ends else "[]"
+            if not ((lo < node if left == "(" else lo <= node)
+                    and (node < hi if right == ")" else node <= hi)):
+                raise ValueError(f"config field {path}={node} outside {left}{lo}, {hi}{right}")
+        ep = self.episode
+        if ep.scale_floor > ep.scale_cap:
+            raise ValueError(f"config field episode.scale_floor={ep.scale_floor} is above "
+                             f"episode.scale_cap={ep.scale_cap}")
         return self
 
     def episode_config(self) -> EpisodeConfig:

@@ -14,11 +14,13 @@ single-state step is those rows' reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import HamiltonianSpec, PhaseState, evaluate
+from .workspace import norm2
 
 DIVERGENCE_FACTOR = 1e3
 
@@ -67,20 +69,24 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
 
     ``structural_damping`` is an optional constant damping diagonal (e.g. the
     ring's scale/orientation damping); it is independent of (mu, u_f), so the
-    sensor and shape momenta never feel the adaptive port.
+    sensor and shape momenta never feel the adaptive port.  The arithmetic is
+    the array form's, coordinate by coordinate in Python floats: the same
+    bits without the numpy call overhead.
     """
-    q, p = z.q, z.p
-    mass = np.asarray(mass, dtype=float)
-    grad_q = np.asarray(grad_q, dtype=float)
-    if not np.isfinite(np.concatenate((q, p, grad_q))).all():
+    q, p = z.q.tolist(), z.p.tolist()
+    grad = np.asarray(grad_q, dtype=float).tolist()
+    if not all(map(math.isfinite, q + p + grad)):
         raise FloatingPointError("non-finite state or gradient")
-    v = p / mass
-    damping = selectors.gamma_diag(mu)
-    p_new = p - tau * grad_q - tau * damping * v + tau * selectors.embed_port(u_f)
+    mass = np.asarray(mass, dtype=float).tolist()
+    v = [p_i / m_i for p_i, m_i in zip(p, mass)]
+    p_new = [p_i - tau * g_i - tau * d_i * v_i + tau * u_i for p_i, g_i, d_i, v_i, u_i
+             in zip(p, grad, selectors.gamma_diag(mu).tolist(), v,
+                    selectors.embed_port(u_f).tolist())]
     if structural_damping is not None:
-        p_new = p_new - tau * np.asarray(structural_damping, float) * v
-    q_new = q + tau * (p_new / mass)
-    return PhaseState(q_new, p_new)
+        p_new = [p_i - tau * s_i * v_i for p_i, s_i, v_i
+                 in zip(p_new, np.asarray(structural_damping, float).tolist(), v)]
+    q_new = [q_i + tau * (p_i / m_i) for q_i, p_i, m_i in zip(q, p_new, mass)]
+    return PhaseState(np.array(q_new), np.array(p_new))
 
 
 def step_leapfrog(z: PhaseState, grad_fn, mass, tau) -> PhaseState:
@@ -135,7 +141,7 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
     if not np.all(np.isfinite(z0.q)) or not np.all(np.isfinite(z0.p)):
         raise FloatingPointError("non-finite initial state")
     selectors = PortSelectors(dim=z0.q.size, frame=spec.fixed.layout.frame)
-    p_scale = max(1.0, float(np.linalg.norm(z0.p)))
+    p_scale = max(1.0, norm2(z0.p))
     states = [z0.copy()]
     ev, clearance = _evaluate_with_clearance(z0.q, spec, z0.p)
     energies = [ev.H]
@@ -147,14 +153,14 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
         g = ev.grad
         v = z.p / spec.mass
         drift = np.concatenate([v, -g - selectors.gamma_diag(mu) * v + selectors.embed_port(u_f)])
-        score_norms.append(float(np.linalg.norm(drift)))
+        score_norms.append(norm2(drift))
         try:
             z = step_symplectic_euler(z, g, mu, u_f, spec.mass, cfg.tau, selectors,
                                       structural_damping)
         except FloatingPointError:
             diverged = True
             break
-        if not np.all(np.isfinite(z.q)) or np.linalg.norm(z.p) > DIVERGENCE_FACTOR * p_scale:
+        if not np.all(np.isfinite(z.q)) or norm2(z.p) > DIVERGENCE_FACTOR * p_scale:
             diverged = True
             break
         states.append(z.copy())

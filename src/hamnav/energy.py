@@ -209,7 +209,7 @@ class EnergyWeights:
     def vector(self, ids) -> np.ndarray:
         """[beta, lam, alpha_i for i in ids], the feature order of ``features``
         (an id missing from alpha weighs zero)."""
-        return np.concatenate(([self.beta, self.lam], [self.alpha.get(i, 0.0) for i in ids]))
+        return np.array([self.beta, self.lam] + [self.alpha.get(i, 0.0) for i in ids], float)
 
 
 @dataclass
@@ -249,7 +249,7 @@ def _point_barrier_terms(c, discs: DiscSet, d_hat):
     zero, with a warning, on a centre.  The distances are ``row_norms``, so a
     batch of positions gets the bits each one gets alone."""
     delta = c[..., None, :] - discs.centers
-    dist = row_norms(delta.reshape(-1, 2)).reshape(delta.shape[:-1])
+    dist = row_norms(delta)
     terms = _log_terms(dist - discs.radii, d_hat)
     slope = discs.weights * _barrier_slope(*terms, d_hat)
     at_center = dist < 1e-12  # a NaN distance keeps its NaN row
@@ -281,7 +281,7 @@ def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
     phi = np.zeros(2 + m)
     grads = np.zeros((2 + m, q.size))
     diff = q[layout.frame] - fixed.goal
-    phi[0] = float(np.dot(diff, diff))
+    phi[0] = float(np.add.reduce(diff * diff))
     grads[0, layout.frame] = 2.0 * diff
     if fixed.shape is not None:
         phi[1], grads[1] = fixed.shape.obj_feature(q)
@@ -300,19 +300,20 @@ def potential_grads(q, eta, discs: DiscSet, fixed: FixedTerms) -> np.ndarray:
     """Potential gradients (B, dim) of point-robot states q (B, dim) under weight
     rows eta (B, 2 + M) in the feature order of ``features``.  Row b equals
     ``evaluate(q[b], spec).grad`` bit for bit (spec weights with vector eta[b]):
-    it contracts as one (1, 2 + M) @ (2 + M, dim) product, like ``eta @ grads``."""
+    it contracts as ``Evaluation.grad`` does, the products summed over the
+    features in their order."""
     layout = fixed.layout
     grads = np.zeros((len(q), 2 + len(discs), layout.dim))
     grads[:, 0, layout.frame] = 2.0 * (q[:, layout.frame] - fixed.goal)
     _, grads[:, 2:, layout.frame] = _point_barrier_terms(q[:, layout.frame], discs, fixed.d_hat)
-    out = (eta[:, None, :] @ grads)[:, 0]
+    out = np.add.reduce(eta[:, :, None] * grads, axis=1)
     out[:, layout.sensor] += 2.0 * fixed.sensor_gain * q[:, layout.sensor]
     return out
 
 
 def sensor_energy(q, fixed: FixedTerms):
     y = np.asarray(q, float)[fixed.layout.sensor]
-    return fixed.sensor_gain * float(np.dot(y, y))
+    return fixed.sensor_gain * float(np.add.reduce(y * y))
 
 
 class Evaluation:
@@ -337,16 +338,17 @@ class Evaluation:
 
     @property
     def grad(self) -> np.ndarray:
-        """Analytic gradient of the potential with respect to q."""
+        """Analytic gradient of the potential with respect to q: the features'
+        gradients times their weights, summed over the features in order."""
         sensor = self.spec.fixed.layout.sensor
-        out = self.eta @ self.grads
+        out = np.add.reduce(self.eta[:, None] * self.grads, axis=0)
         out[sensor] += 2.0 * self.spec.fixed.sensor_gain * self.q[sensor]
         return out
 
     @property
     def potential(self) -> float:
         """Context-shaped potential R(q)."""
-        return sensor_energy(self.q, self.spec.fixed) + float(self.eta @ self.phi)
+        return sensor_energy(self.q, self.spec.fixed) + float(np.add.reduce(self.eta * self.phi))
 
     @property
     def H(self) -> float:
@@ -359,7 +361,7 @@ class Evaluation:
         e_sensor = sensor_energy(self.q, self.spec.fixed)
         e_goal = eta[0] * phi[0]
         e_obj = eta[1] * phi[1]
-        e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
+        e_barrier = float(np.add.reduce(eta[2:] * phi[2:])) if phi.size > 2 else 0.0
         return {
             "E_sensor": e_sensor,
             "E_goal": e_goal,
@@ -396,7 +398,7 @@ def potential_grad(q, spec: HamiltonianSpec) -> np.ndarray:
 
 def kinetic(p, mass) -> float:
     p = np.asarray(p, dtype=float)
-    return 0.5 * float((p * p / np.asarray(mass, float)).sum())
+    return 0.5 * float(np.add.reduce(p * p / np.asarray(mass, float)))
 
 
 def hamiltonian(z: PhaseState, spec: HamiltonianSpec) -> float:

@@ -27,10 +27,8 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .dynamics import PortSelectors, step_symplectic_euler
 from .energy import (
@@ -66,8 +64,8 @@ class Observables:
     goal_dist: float
     speed: float
 
-    def vector(self) -> np.ndarray:
-        return np.array([-self.clearance, self.goal_dist, -self.speed])
+    def vector(self) -> tuple:
+        return (-self.clearance, self.goal_dist, -self.speed)
 
 
 def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances,
@@ -79,100 +77,105 @@ def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances
     collected from the shape rollout; it is capped at d_hat so the clearance
     channel stays bounded when nothing is active.
     """
-    q, p = z_next.q, z_next.p
     clr = clearance
     for extra in shape_qoi_clearances:
         clr = min(clr, float(extra))
     clr = min(clr, d_hat)
-    dist = norm2(q[layout.frame] - np.asarray(x_g, float))
-    speed = norm2(p / np.asarray(mass, float))
+    dist = norm2(z_next.q[layout.frame] - np.asarray(x_g, float))
+    speed = norm2([p / m for p, m in zip(z_next.p.tolist(), np.asarray(mass, float).tolist())])
     return Observables(clearance=clr, goal_dist=dist, speed=speed)
 
 
-def observable_target(y: Observables, m_safe, eps_prog, v_min) -> np.ndarray:
+def observable_target(y: Observables, m_safe, eps_prog, v_min) -> tuple:
     """Target observable vector y*, relative to the current observables y:
     clearance held at -m_safe, distance asked to shrink by eps_prog, speed
     floored at v_min while clearance is safe."""
     floor = v_min if y.clearance >= m_safe else 0.0
-    return np.array([-m_safe, y.goal_dist - eps_prog, -max(y.speed, floor)])
+    return (-m_safe, y.goal_dist - eps_prog, -max(y.speed, floor))
 
 
-def secant_jacobian_update(J_prev, dy, dzeta, rho, eps):
-    """Exponentially smoothed rank-one secant estimate of dy/dzeta."""
-    dy, dzeta = np.asarray(dy, float), np.asarray(dzeta, float)
-    # a (n, 1) @ (1, m) product, not np.outer: matmul gives +0.0 where a
-    # product is a signed zero
-    J_tilde = (dy[:, None] @ dzeta[None, :]) / (float(np.dot(dzeta, dzeta)) + eps)
-    return rho * np.asarray(J_prev, float) + (1.0 - rho) * J_tilde
+# The adaptation works on the 3 observables y and the 3 adapted weights
+# zeta = [beta, lam, mu] in Python floats: a vector is a tuple, and J, the
+# 3x3 estimate of dy/dzeta, a tuple of its rows.  Every sum runs left to
+# right in a fixed order, so no BLAS or LAPACK kernel sets the bits.
+
+def _dot(u, v) -> float:
+    """u . v for two 3-vectors, summed left to right."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def secant_jacobian_update(J_prev, dy, dzeta, rho, eps) -> tuple:
+    """Exponentially smoothed rank-one secant estimate of dy/dzeta:
+    J = rho J_prev + (1 - rho) dy dzeta^T / (|dzeta|^2 + eps)."""
+    z0, z1, z2 = dzeta
+    denom = _dot(dzeta, dzeta) + eps
+    return tuple((rho * a + (1.0 - rho) * (d * z0 / denom),
+                  rho * b + (1.0 - rho) * (d * z1 / denom),
+                  rho * c + (1.0 - rho) * (d * z2 / denom))
+                 for (a, b, c), d in zip(J_prev, dy))
 
 
 # A step's secant pair updates J only while the ids of the SECANT_SLOTS
 # nearest active discs are those of the step before.  No adapted weight
 # belongs to a disc; the gate stays only because dropping it moves the
-# trajectories (ROADMAP open item 2 decides its fate).
+# trajectories (ROADMAP open item 3 decides its fate).
 SECANT_SLOTS = 2
 
 
-@lru_cache(maxsize=64)
-def _ridge(lam, n):
-    """lam * I_n, formed once per (lam, n) and read-only."""
-    out = lam * np.eye(n)
-    out.setflags(write=False)
-    return out
+def _pivot(value):
+    """The square root of a Cholesky pivot; LinAlgError unless it is > 0."""
+    if not value > 0.0:  # NaN too
+        raise np.linalg.LinAlgError("singular normal equations: need lam > 0")
+    return math.sqrt(value)
 
 
-# numpy.linalg's own LAPACK gufuncs are called directly, as np.linalg.cholesky
-# and np.linalg.solve call them: the same C routines on the same float64
-# arrays, so the same bits, without the wrappers' argument checks (these
-# callers form their square float64 systems themselves).  As in the wrappers,
-# an invalid result raises LinAlgError and the other flags are ignored.
-# tests/test_navigator.py compares both paths bit for bit.
-_LAPACK_FLAGS = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+def tikhonov_step(J, dy_des, lam) -> tuple:
+    """Solve (J^T J + lam I) dzeta = J^T dy_des for the 3 weights: an
+    unrolled Cholesky factorization A = L L^T in a fixed order (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 10), then
+    L y = J^T dy_des and L^T dzeta = y.  A pivot that is not positive raises
+    LinAlgError."""
+    c0, c1, c2 = zip(*J)  # the columns of J
+    l00 = _pivot(_dot(c0, c0) + lam)
+    l10, l20 = _dot(c1, c0) / l00, _dot(c2, c0) / l00
+    l11 = _pivot(_dot(c1, c1) + lam - l10 * l10)
+    l21 = (_dot(c2, c1) - l20 * l10) / l11
+    l22 = _pivot(_dot(c2, c2) + lam - l20 * l20 - l21 * l21)
+    y0 = _dot(c0, dy_des) / l00
+    y1 = (_dot(c1, dy_des) - l10 * y0) / l11
+    y2 = (_dot(c2, dy_des) - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
 
 
-def _not_positive_definite(err, flag):
-    raise np.linalg.LinAlgError("singular normal equations: need lam > 0")
-
-
-def _singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def tikhonov_step(J, dy_des, lam):
-    """Solve (J^T J + lam I) dzeta = J^T dy_des via an SPD factorization."""
-    J = np.asarray(J, float)
-    A = J.T @ J + _ridge(lam, J.shape[1])
-    rhs = J.T @ np.asarray(dy_des, float)
-    with np.errstate(call=_not_positive_definite, **_LAPACK_FLAGS):
-        L = _umath_linalg.cholesky_lo(A)
-        return _umath_linalg.solve1(L.T, _umath_linalg.solve1(L, rhs))
-
-
-def project_update(zeta, dzeta, kappa):
+def project_update(zeta, dzeta, kappa) -> tuple:
     """Damped weight step projected onto the nonnegative orthant:
-    zeta' = max(0, zeta + kappa .* dzeta).
+    zeta' = max(0, zeta + kappa .* dzeta), componentwise (a NaN stays NaN).
 
     ``kappa``'s components lie in [0, 1); AdaptConfig.kappa_vector checks
     them once per episode.
     """
-    zeta = np.asarray(zeta, float)
-    kappa = np.asarray(kappa, float)
-    return np.maximum(zeta + kappa * np.asarray(dzeta, float), 0.0)
+    return tuple(max(z + k * d, 0.0) for z, d, k in zip(zeta, dzeta, kappa))
 
 
-def port_correction(P, r, lam_u, box):
-    """Least-squares port input from the adaptation residual, clipped to box.
+def port_correction(P, r, lam_u, box) -> tuple:
+    """Least-squares port input from the adaptation residual, clipped to box:
+    (P^T P + lam_u I) u = P^T r for a 3x2 P (rows), solved in closed form
+    (LinAlgError when singular).
 
     lam_u = inf disables the port exactly (returns zeros).
     """
-    P = np.asarray(P, float)
     if math.isinf(lam_u):
-        return np.zeros(P.shape[1])
-    A = P.T @ P + _ridge(lam_u, P.shape[1])
-    rhs = P.T @ np.asarray(r, float)
-    with np.errstate(call=_singular, **_LAPACK_FLAGS):
-        u = _umath_linalg.solve1(A, rhs)
-    return np.clip(u, -box, box)
+        return 0.0, 0.0
+    c0, c1 = zip(*P)
+    a00, a01, a11 = _dot(c0, c0) + lam_u, _dot(c0, c1), _dot(c1, c1) + lam_u
+    b0, b1 = _dot(c0, r), _dot(c1, r)
+    det = a00 * a11 - a01 * a01
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    u0, u1 = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+    return min(max(u0, -box), box), min(max(u1, -box), box)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +246,10 @@ class AdaptConfig:
             raise ValueError(f"episode.adapt.zeta_cap must be three ceilings >= 0 "
                              f"(beta, lam, mu), not {list(self.zeta_cap)}")
 
-    def kappa_vector(self):
+    def kappa_vector(self) -> tuple:
         """The step sizes of [beta, lam, mu], each in [0, 1)."""
-        kappa = np.array([self.kappa_beta, self.kappa_gamma, self.kappa_gamma])
-        if np.any(kappa < 0) or np.any(kappa >= 1):
+        kappa = (float(self.kappa_beta), float(self.kappa_gamma), float(self.kappa_gamma))
+        if not all(0.0 <= k < 1.0 for k in kappa):
             raise ValueError("kappa components must lie in [0, 1)")
         return kappa
 
@@ -350,7 +353,7 @@ class EpisodeResult:
 
     def path_length(self) -> float:
         d = np.diff(self.positions, axis=0)
-        return float(np.linalg.norm(d, axis=1).sum())
+        return float(row_norms(d).sum())
 
     def outlines(self) -> list:
         """The ring's boundary (RingShapeModel.boundary) at every
@@ -726,12 +729,12 @@ class _Episode:
         self.z = PhaseState(q, np.zeros(self.layout.dim))
         # the weights the energy reads; the loop adapts beta, lam and mu in place
         self.weights = EnergyWeights()
-        self.u_f = np.zeros(2)
-        self.J = np.zeros((3, 3))  # dy/d[beta, lam, mu]
+        self.u_f = (0.0, 0.0)
+        self.J = ((0.0, 0.0, 0.0),) * 3  # dy/d[beta, lam, mu], in rows
         self.prev_y = self.prev_zeta = self.prev_slots = None
         # the adaptation's constants, formed (and kappa checked) once
         self.kappa = cfg.adapt.kappa_vector()
-        self.caps = np.array(cfg.adapt.zeta_cap, float)
+        self.caps = tuple(float(c) for c in cfg.adapt.zeta_cap)
         self.fixed = None  # the FixedTerms of the current stage goal
         self.spec = None  # the HamiltonianSpec of the active set and self.fixed
         self.active = (None, None, None)  # the last active set: (memory discs, mask, set)
@@ -762,7 +765,7 @@ class _Episode:
         mem = self.sensing.memory.discs
         mask = row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach
         held_mem, held_mask, held = self.active
-        if held_mem is mem and (held_mask == mask).all():
+        if held_mem is mem and held_mask.tobytes() == mask.tobytes():
             return held
         self.active = (mem, mask, mem[mask])
         return self.active[2]
@@ -886,40 +889,43 @@ class _Episode:
                                                           cfg.scale_cap)
                     z_next.p[self.layout.scale] = 0.0  # inelastic stop at the limits
 
-            # (F) observables from the committed step
+            # (F) observables from the committed step; from here to (H) the
+            # vectors are Python floats (see the note above _dot)
             contact_next = self.contact_at(z_next.q, act)
             y_obs = self.observe(z_next, act, shape_clearances, contact_next)
             y_vec = y_obs.vector()
-            dy_des = observable_target(y_obs, ad.m_safe, ad.eps_prog, ad.v_min) - y_vec
+            target = observable_target(y_obs, ad.m_safe, ad.eps_prog, ad.v_min)
             # safety margin, not a setpoint: never pull clearance down
-            dy_des[0] = min(dy_des[0], 0.0)
+            dy_des = (min(target[0] - y_vec[0], 0.0), target[1] - y_vec[1],
+                      target[2] - y_vec[2])
 
             # (G) secant / Tikhonov adaptation over [beta, lam, mu]
             slots = act.nearest(z_next.q[self.layout.frame], SECANT_SLOTS)
             w = self.weights
-            zeta = np.array([w.beta, w.lam, w.mu])
+            zeta = (w.beta, w.lam, w.mu)
             if self.prev_zeta is not None and slots == self.prev_slots:
-                self.J = secant_jacobian_update(self.J, y_vec - self.prev_y,
-                                                zeta - self.prev_zeta, ad.rho, ad.eps)
+                self.J = secant_jacobian_update(
+                    self.J, [a - b for a, b in zip(y_vec, self.prev_y)],
+                    [a - b for a, b in zip(zeta, self.prev_zeta)], ad.rho, ad.eps)
             dzeta = tikhonov_step(self.J, dy_des, ad.lam_zeta)
-            w.beta, w.lam, w.mu = np.minimum(project_update(zeta, dzeta, self.kappa),
-                                             self.caps).tolist()
+            w.beta, w.lam, w.mu = map(min, project_update(zeta, dzeta, self.kappa), self.caps)
 
             # (H) port correction each frame horizon (zero-order hold between)
             if n % t_f == 0:
-                r = dy_des - self.J @ dzeta
-                v_frame = z_next.p[self.layout.frame] / self.mass[self.layout.frame]
-                sp = norm2(v_frame)
-                P = np.zeros((3, 2))
+                r = [d - _dot(row, dzeta) for d, row in zip(dy_des, self.J)]
+                vx, vy = (z_next.p[self.layout.frame] / self.mass[self.layout.frame]).tolist()
+                sp = norm2((vx, vy))
+                row = (0.0, 0.0)
                 if sp > 1e-6:
-                    P[2] = -ad.kappa_v * v_frame / sp  # braking raises y3 = -speed
+                    # braking raises y3 = -speed
+                    row = (-ad.kappa_v * vx / sp, -ad.kappa_v * vy / sp)
                 else:
                     # from rest, "more speed" means toward the stage goal
-                    to_goal = self.sensing.stage_goal - z_next.q[self.layout.frame]
-                    dg = norm2(to_goal)
+                    gx, gy = (self.sensing.stage_goal - z_next.q[self.layout.frame]).tolist()
+                    dg = norm2((gx, gy))
                     if dg > 1e-9:
-                        P[2] = -ad.kappa_v * to_goal / dg
-                self.u_f = port_correction(P, r, ad.lam_u, ad.u_box)
+                        row = (-ad.kappa_v * gx / dg, -ad.kappa_v * gy / dg)
+                self.u_f = port_correction(((0.0, 0.0), (0.0, 0.0), row), r, ad.lam_u, ad.u_box)
             self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
 
             # (I) log, then commit; the goal distance and speed of self.z are

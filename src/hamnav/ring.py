@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import BARRIER_CLAMP, GRAD_CLAMP, RING_LAYOUT, barrier_knots, ipc_barrier_and_grad
-from .workspace import DiscSet
+from .workspace import DiscSet, row_norms
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def bulk_potential_grad(s: float, s_target: float, k_bulk: float, a_ref: float) 
 
 def shoelace_area(points: np.ndarray) -> float:
     x, y = points[:, 0], points[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return 0.5 * abs(float((x * np.roll(y, -1)).sum() - (y * np.roll(x, -1)).sum()))
 
 
 class RingShapeModel:
@@ -144,14 +144,14 @@ class RingShapeModel:
         self.params = params or RingParams()
         self.basis = spline_basis(self.params.n_ctrl, self.params.n_samples)
         p0 = reference_control_points(self.params.n_ctrl, self.params.r_base)
-        self._x0 = self.basis.B @ p0          # unit-scale boundary offsets
+        # B p0 and D p0 as products summed over the control points (no BLAS)
+        self._x0 = (self.basis.B[:, :, None] * p0).sum(axis=1)  # unit-scale boundary offsets
         self._x0x, self._x0y = (np.ascontiguousarray(col) for col in self._x0.T)
-        self._dx0 = self.basis.D @ p0
-        self._l0 = np.linalg.norm(self._dx0, axis=1)
+        self._l0 = row_norms((self.basis.D[:, :, None] * p0).sum(axis=1))
         self.a_ref = shoelace_area(self._x0)  # rest area from the s=1 boundary
         # every sample's distance from the centre at unit scale, rounded up far
         # past the rounding error of the distances it bounds
-        self._reach = float(np.max(np.linalg.norm(self._x0, axis=1))) * (1.0 + 1e-9) + 1e-12
+        self._reach = float(np.max(row_norms(self._x0))) * (1.0 + 1e-9) + 1e-12
         self.s_target = 1.0
         self._rows = (None, None, None)  # (discs, w, w * l0) of the last pass's DiscSet
         # the (0, K) planes of a pass against no discs
@@ -175,7 +175,7 @@ class RingShapeModel:
     def _gaps(self, c, s, centers, radii):
         """(dx, dy, dist, d): the (M, K) planes of offsets from each disc's
         centre to the boundary samples at frame c and scale s, their lengths
-        and the signed distances (``np.linalg.norm`` of the offsets, bit for bit)."""
+        and the signed distances (``row_norms`` of the offsets, bit for bit)."""
         dx = (c[0] + s * self._x0x) - centers[:, 0, None]
         dy = (c[1] + s * self._x0y) - centers[:, 1, None]
         dist = np.sqrt(dx * dx + dy * dy)
@@ -330,8 +330,6 @@ class ContactPass:
         model, layout, d, dist = self.model, self.model.layout, self.d, self.dist
         w, wl0 = model._weight_rows(self.discs)
         wl = w * (self.s * model._l0)
-        unit = np.empty(d.shape + (2,))  # the (M, K, 2) unit offsets
-        ux, uy = unit[..., 0], unit[..., 1]
         d_c, b_c, _ = barrier_knots(d_hat)
         if self.clearance > d_c and b_c <= BARRIER_CLAMP:  # the fast path
             e, log_r = d - d_hat, np.log(d / d_hat)
@@ -339,20 +337,21 @@ class ContactPass:
             near = d < d_hat
             b = np.where(near, -e2 * log_r, 0.0)
             db = np.where(near, np.clip(-2.0 * e * log_r - e2 / d, -GRAD_CLAMP, GRAD_CLAMP), 0.0)
-            np.divide(self.dx, dist, out=ux)
-            np.divide(self.dy, dist, out=uy)
+            ux, uy = self.dx / dist, self.dy / dist  # the unit offsets' planes
         else:
             b, db = ipc_barrier_and_grad(d, d_hat)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(self.dx, dist, out=ux)
-                np.divide(self.dy, dist, out=uy)
-            unit[~(dist > 1e-12)] = 0.0
-        vals = (wl * b).sum(axis=1)
+                ux, uy = self.dx / dist, self.dy / dist
+            degenerate = ~(dist > 1e-12)
+            ux[degenerate] = uy[degenerate] = 0.0
+        vals = np.add.reduce(wl * b, axis=1)
         coeff = wl * db
         grads = np.zeros((len(vals), self.dim))
-        # a stack of (1, K) @ (K, 2) products: each row's bits are those of
-        # coeff_m @ unit_m alone, which an einsum over the stack would not keep
-        grads[:, layout.frame] = np.matmul(coeff[:, None, :], unit)[:, 0]
+        # each disc's row sums its own (K,) products, as a loop over the discs would
+        fx = layout.frame.start
+        grads[:, fx] = np.add.reduce(coeff * ux, axis=1)
+        grads[:, fx + 1] = np.add.reduce(coeff * uy, axis=1)
         radial = ux * model._x0x + uy * model._x0y  # unit . X0_j
-        grads[:, layout.scale] = ((wl0 * b).sum(axis=1) + (coeff * radial).sum(axis=1))[:, None]
+        grads[:, layout.scale] = (np.add.reduce(wl0 * b, axis=1)
+                                  + np.add.reduce(coeff * radial, axis=1))[:, None]
         return vals, grads

@@ -50,13 +50,14 @@ class Obstacle:
 
 
 def norm2(v) -> float:
-    """Euclidean norm of a contiguous 1-D float array, ``np.linalg.norm(v)`` bit
-    for bit: that is its own formula, sqrt(v.dot(v)), without its wrapper.
-
-    Not ``math.hypot`` or sqrt(x*x + y*y): the dot product may fuse a
-    multiply-add, so those round differently for some vectors.
-    """
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a 1-D vector (an array or a sequence of numbers): the
+    square root of the left-to-right sum of squares, in Python floats, so
+    portable (no BLAS kernel, whose bits depend on the CPU).  ``row_norms``
+    gives rows of fewer than 8 entries the same bits."""
+    total = 0.0
+    for x in (v.tolist() if isinstance(v, np.ndarray) else v):
+        total += x * x
+    return math.sqrt(total)
 
 
 def signed_distance(obstacle: Obstacle, point) -> float:
@@ -66,21 +67,16 @@ def signed_distance(obstacle: Obstacle, point) -> float:
 
 def disc_distances(centers, radii, point) -> np.ndarray:
     """Signed distances from points to the discs of (M, 2) ``centers`` and (M,)
-    ``radii``: ``np.linalg.norm(centers - point, axis=-1) - radii`` bit for
-    bit, as that norm's own formula (the square root of each row's sum of
-    squares) without its wrapper.  One point (2,) gives (M,); a stack of
-    points (..., 1, 2) gives (..., M)."""
+    ``radii``: ``row_norms(centers - point) - radii``, the portable norm
+    formula, written out.  One point (2,) gives (M,); a stack of points
+    (..., 1, 2) gives (..., M)."""
     d = centers - np.asarray(point, float)
-    return np.sqrt((d * d).sum(axis=-1)) - radii
+    return np.sqrt(np.add.reduce(d * d, axis=-1)) - radii
 
 
 def signed_distances(obstacles, point) -> np.ndarray:
-    """Vectorized signed_distance over a list of obstacles.
-
-    The distances are ``np.linalg.norm(..., axis=1)`` reductions, which can
-    differ in the last bit from the scalar ``np.linalg.norm`` of
-    signed_distance (see row_norms).
-    """
+    """Vectorized signed_distance over a list of obstacles, with its bits
+    (``row_norms`` and ``norm2`` share their formula)."""
     if not obstacles:
         return np.empty(0)
     centers = np.stack([ob.center for ob in obstacles])
@@ -89,14 +85,12 @@ def signed_distances(obstacles, point) -> np.ndarray:
 
 
 def row_norms(d) -> np.ndarray:
-    """Euclidean norm of each row of an (n, k) array.
-
-    Bit-identical to ``np.linalg.norm(row)`` called on each row alone (a dot
-    product), which ``np.linalg.norm(d, axis=1)`` is not: that one sums the
-    squares separately and rounds differently in the last bit for some rows.
-    """
+    """Euclidean norm along the last axis of an (..., k) array: the square
+    root of the elementwise squares summed by numpy (``np.add.reduce``, which
+    ``ndarray.sum`` calls through a Python wrapper), so portable: no BLAS.
+    For k < 8 numpy sums left to right, so each row gets ``norm2``'s bits."""
     d = np.asarray(d, float)
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ class DiscSet:
 
     def nearest(self, point, k) -> list:
         """Ids of the k discs whose surfaces lie nearest point, ties in id
-        order: a stable sort by each disc's np.linalg.norm(point - center) - radius."""
+        order: a stable sort by each disc's norm2(point - center) - radius."""
         if not len(self.radii):
             return []
         d = row_norms(self.centers - point) - self.radii
@@ -460,7 +454,7 @@ def _edge_blocked_intervals(p0, p1, workspace, r_inflate):
     """Blocked sub-intervals of segment p0->p1 (circles or grid walls, inflated)."""
     p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
     axis = p1 - p0
-    length = float(np.linalg.norm(axis))
+    length = norm2(axis)
     u = axis / length
     blocked = []
     if workspace.grid is not None:
@@ -481,13 +475,14 @@ def _edge_blocked_intervals(p0, p1, workspace, r_inflate):
             else:
                 i += 1
     else:
+        ux, uy = u.tolist()
         for ob in workspace.obstacles:
             r = ob.radius + r_inflate
-            w = ob.center - p0
-            t0 = float(np.dot(w, u))
-            h2 = float(np.dot(w, w)) - t0 * t0
+            wx, wy = (ob.center - p0).tolist()
+            t0 = wx * ux + wy * uy
+            h2 = (wx * wx + wy * wy) - t0 * t0
             if h2 < r * r:
-                half = np.sqrt(r * r - h2)
+                half = math.sqrt(r * r - h2)
                 blocked.append((t0 - half, t0 + half))
     return length, blocked
 

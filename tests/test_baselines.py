@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -316,25 +317,35 @@ class TestPotentialField:
         assert np.linalg.norm(v) == pytest.approx(1.2)
 
 
-def pf_reference(position, obstacles, stage_goal, gains):
+def vector_norm(v, linalg=False):
+    """The portable norm of a 2-vector, sqrt(x*x + y*y), or with ``linalg``
+    ``np.linalg.norm`` (a BLAS dot, whose bits depend on the CPU)."""
+    if linalg:
+        return float(np.linalg.norm(v))
+    x, y = np.asarray(v, float).tolist()
+    return math.sqrt(x * x + y * y)
+
+
+def pf_reference(position, obstacles, stage_goal, gains, linalg=False):
     """The per-obstacle loop pf_step replaced, kept as its oracle."""
     position = np.asarray(position, float)
     v = gains.k_att * (np.asarray(stage_goal, float) - position)
     for ob in obstacles:
         delta = position - ob.center
-        dist = float(np.linalg.norm(delta))
+        dist = vector_norm(delta, linalg)
         d = max(dist - ob.radius, gains.d_floor)
         if d < gains.d_hat and dist > 1e-12:
             mag = gains.k_rep * (1.0 / d - 1.0 / gains.d_hat) / (d * d)
             v = v + mag * (delta / dist)
-    speed = float(np.linalg.norm(v))
+    speed = vector_norm(v, linalg)
     if speed > gains.v_max:
         v = v * (gains.v_max / speed)
     return v
 
 
 class TestPotentialFieldOracle:
-    """pf_step on centre/radius arrays against the per-obstacle loop, bit for bit."""
+    """pf_step on centre/radius arrays against the per-obstacle loop, bit for
+    bit, and against its np.linalg form to rounding."""
 
     @given(st.integers(0, 12), st.integers(0, 10_000), st.floats(0.0, 0.5))
     @settings(max_examples=150, deadline=None)
@@ -350,6 +361,8 @@ class TestPotentialFieldOracle:
         got = pf_step(position, centers, radii + robot_radius, goal, gains)
         inflated = [Obstacle(ob.center, ob.radius + robot_radius) for ob in obstacles]
         assert got.tobytes() == pf_reference(position, inflated, goal, gains).tobytes()
+        np.testing.assert_allclose(got, pf_reference(position, inflated, goal, gains, True),
+                                   rtol=1e-9, atol=1e-12)
 
 
 class TestDWA:
@@ -416,12 +429,12 @@ class TestDWA:
 
 
 def dwa_reference(position, obstacles, stage_goal, cfg, d_hat, robot_radius=0.0,
-                  stage_bounds=None):
+                  stage_bounds=None, linalg=False):
     """The per-candidate loop dwa_step replaced, kept as its oracle."""
     position = np.asarray(position, float)
     axis = np.linspace(-cfg.v_max, cfg.v_max, cfg.n_per_axis)
     goal = np.asarray(stage_goal, float)
-    d0 = float(np.linalg.norm(position - goal))
+    d0 = vector_norm(position - goal, linalg)
     horizon = max(1, min(cfg.horizon, int(np.ceil(d0 / (cfg.v_max * cfg.dt)))))
     best = None  # (score, index, velocity)
     idx = -1
@@ -441,7 +454,7 @@ def dwa_reference(position, obstacles, stage_goal, cfg, d_hat, robot_radius=0.0,
                 clr = d_hat
             if clr < 0:
                 continue
-            progress = d0 - float(np.linalg.norm(pts[-1] - goal))
+            progress = d0 - vector_norm(pts[-1] - goal, linalg)
             score = (cfg.w_progress * progress + cfg.w_clearance * min(clr, d_hat)
                      + cfg.w_speed * float(np.hypot(vx, vy)))
             if best is None or score > best[0]:
@@ -459,11 +472,17 @@ def assert_same_as_reference(position, obstacles, goal, cfg, robot_radius=0.0,
     assert (out.index, out.blocked) == (index, blocked)
     assert out.velocity.tobytes() == np.asarray(velocity, float).tobytes()
     assert np.float64(out.score).tobytes() == np.float64(score).tobytes()
+    # the np.linalg form may break a near tie the other way, but not move the best score
+    _, blocked, score, _ = dwa_reference(position, obstacles, goal, cfg, d_hat, robot_radius,
+                                         stage_bounds, linalg=True)
+    assert out.blocked == blocked
+    assert out.score == pytest.approx(score, rel=1e-9, abs=1e-12)
     return out
 
 
 class TestDWAOracle:
-    """dwa_step against the per-candidate loop, bit for bit."""
+    """dwa_step against the per-candidate loop, bit for bit, and against its
+    np.linalg form to rounding."""
 
     @given(st.one_of(st.integers(0, 12), st.integers(13, 150)), st.integers(0, 10_000),
            st.sampled_from([None, "around", "anywhere"]), st.floats(0.0, 0.5),

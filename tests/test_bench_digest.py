@@ -15,12 +15,22 @@ baselines have no momenta, so ``qs`` alone; the trained parameters for
 ``train_offline``) and its logged observables (energies and clearances;
 clearances only for the baselines; the loss curve for ``train_offline``) and
 compares both with
-``tests/golden/bench_digest.json``.  The file also keeps the arrays and the
-numpy version it was made with.  When numpy's major.minor matches that
-version the digests must match exactly, bit for bit.  Under another numpy,
-whose math routines may round differently in the last ulp, the termination
-and the step count must still match exactly and every array must agree with
-the stored one to ``np.allclose(rtol=1e-12, atol=0)``.
+``tests/golden/bench_digest.json``.  The file also keeps the arrays, the
+numpy version it was made with and its arithmetic key (``scripts/bench.py``'s
+``arithmetic_key``: numpy version, OpenBLAS core, AVX-512 dispatch).  When
+numpy's major.minor matches that version the digests must match exactly,
+bit for bit.  Under another numpy, whose math routines may round differently
+in the last ulp, the termination and the step count must still match exactly
+and every array must agree with the stored one to
+``np.allclose(rtol=1e-12, atol=0)``.
+
+The engine takes no BLAS or LAPACK call on small operands: its norms,
+contractions and 2x2/3x3 solves are elementwise numpy or Python floats, whose
+bits no kernel choice changes.  So ``test_digests_hold_under_other_blas_kernels``
+records every case but the three that run a ``MetaRegressor`` (``MLP_CASES``:
+its MLP's matmuls are matrix work left to BLAS) in a subprocess under
+``OPENBLAS_CORETYPE=Haswell`` and again under ``Prescott``, and their digests
+must be the stored ones.
 
 A change that moves a digest on purpose must say why; regenerate the file
 with ``PYTHONPATH=src python tests/test_bench_digest.py --write``.  A new
@@ -29,8 +39,11 @@ case is added without rewriting the others by naming it:
 """
 
 import hashlib
+import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,6 +60,7 @@ from hamnav.learning import (MetaRegressor, TrainConfig, _scene_spec, make_refer
 from hamnav.navigator import EpisodeConfig, dungeon_setup, run_episode
 from hamnav.ring import RingParams
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden" / "bench_digest.json"
 # A trained meta-regressor, kept fixed so that the meta_* cases pin the
 # navigator under a learned policy and not the training: made once with
@@ -194,6 +208,20 @@ CASES = {
 }
 
 
+# The cases that run a MetaRegressor: its MLP's matmuls are matrix work left
+# to BLAS, so their bits follow the OpenBLAS kernel (ROADMAP item 9b).
+MLP_CASES = ("meta_point", "meta_ring", "train_offline")
+
+
+def arithmetic_key():
+    """``scripts/bench.py``'s arithmetic key: numpy version, OpenBLAS core and
+    AVX-512 dispatch."""
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench.arithmetic_key()
+
+
 def sha256(arrays, names, termination=None):
     h = hashlib.sha256()
     for name in names:
@@ -244,6 +272,36 @@ def test_digest(name, golden):
         assert np.allclose(arr, ref, rtol=1e-12, atol=0), key
 
 
+def digests_under(core, names):
+    """The arithmetic key and the digests of the cases ``names``, recorded in
+    one subprocess whose OpenBLAS kernel core is forced to ``core``."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, __file__, "--digests", *names], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_digests_hold_under_other_blas_kernels(core, golden):
+    """The cases that avoid the MLP keep their digests under another OpenBLAS
+    kernel: the episode path makes no BLAS or LAPACK call."""
+    if major_minor(np.__version__) != major_minor(golden["numpy"]):
+        pytest.skip(f"the digests are pinned under numpy {golden['numpy']}")
+    names = sorted(set(CASES) - set(MLP_CASES))
+    native = arithmetic_key()["openblas_core"]
+    if native == "unknown":
+        pytest.skip("numpy has no OpenBLAS whose kernel core can be switched")
+    got = digests_under(core, names)
+    forced = got["arithmetic"]["openblas_core"]
+    if forced == native:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} left the {native} kernels in place "
+                    f"(no core switch, or this CPU's own core)")
+    for name in names:
+        want = golden["cases"][name]
+        assert got["cases"][name] == {k: want[k] for k in got["cases"][name]}, (name, forced)
+
+
 def write_golden(path=GOLDEN, names=None):
     """Record every case, or only ``names`` into the existing file."""
     if names:
@@ -251,13 +309,15 @@ def write_golden(path=GOLDEN, names=None):
         if unknown:
             raise SystemExit(f"unknown cases {unknown}; known: {sorted(CASES)}")
         doc = json.loads(path.read_text())
-        if major_minor(doc["numpy"]) != major_minor(np.__version__):
-            raise SystemExit(f"{path.name} was made with numpy {doc['numpy']}; "
-                             f"regenerate every case under numpy {np.__version__}")
+        if doc.get("arithmetic") != arithmetic_key():
+            raise SystemExit(f"{path.name} was made under the arithmetic "
+                             f"{doc.get('arithmetic')}; regenerate every case under "
+                             f"{arithmetic_key()}")
         doc["cases"].update((n, record(n)) for n in names)
         doc["cases"] = dict(sorted(doc["cases"].items()))
     else:
-        doc = {"numpy": np.__version__, "cases": {n: record(n) for n in sorted(CASES)}}
+        doc = {"numpy": np.__version__, "arithmetic": arithmetic_key(),
+               "cases": {n: record(n) for n in sorted(CASES)}}
     text = json.dumps(doc, indent=1)
     # one line per array: collapse the innermost lists of numbers
     text = re.sub(r"\[\s*([^\[\]{}\"]*?)\s*\]",
@@ -268,7 +328,16 @@ def write_golden(path=GOLDEN, names=None):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--digests"]:
+        cases = {}
+        for name in sys.argv[2:]:
+            got = record(name)
+            cases[name] = {k: got[k] for k in ("termination", "n_steps", "trajectory_sha256",
+                                               "observed_sha256")}
+        print(json.dumps({"arithmetic": arithmetic_key(), "cases": cases}))
+        sys.exit(0)
     if sys.argv[1:2] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_bench_digest.py --write [NAME...]")
+        sys.exit("usage: PYTHONPATH=src python tests/test_bench_digest.py "
+                 "--write [NAME...] | --digests NAME...")
     write_golden(names=sys.argv[2:])
     print(f"wrote {GOLDEN}")

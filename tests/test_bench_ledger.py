@@ -1,7 +1,11 @@
-"""scripts/bench.py's ledger tooling: ``--compare`` and the source hash."""
+"""scripts/bench.py's ledger tooling: ``--compare``, the source hash and the
+arithmetic key."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +98,36 @@ def test_source_sha256_follows_the_engine_files(bench, tmp_path):
     (pkg / "b.py").write_text("x = 1\ny = 2\n")
     assert bench.source_sha256(tmp_path) != first
     assert len(bench.source_sha256()) == 64
+
+
+class TestArithmeticKey:
+    def test_machine_block_holds_the_key(self, bench):
+        import numpy as np
+
+        block = bench.machine()
+        assert block["numpy"] == np.__version__
+        assert isinstance(block["openblas_core"], str) and block["openblas_core"]
+        for key in ("avx512f", "x86_v4"):
+            assert block[key] in (True, False, None), key
+        assert {k: block[k] for k in bench.arithmetic_key()} == bench.arithmetic_key()
+
+    def test_core_follows_the_coretype_switch(self, bench):
+        """A subprocess forced to another kernel core reports it (where numpy's
+        OpenBLAS can switch cores)."""
+        if bench.openblas_core() == "unknown":
+            pytest.skip("numpy has no OpenBLAS whose kernel core can be switched")
+        code = ("import importlib.util, sys; spec = importlib.util.spec_from_file_location("
+                f"'bench', {str(ROOT / 'scripts' / 'bench.py')!r}); bench = "
+                "importlib.util.module_from_spec(spec); spec.loader.exec_module(bench); "
+                "print(bench.openblas_core())")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.strip()
+        assert out in ("Haswell", bench.openblas_core())
+
+    def test_unknown_without_a_bundled_openblas(self, bench, monkeypatch, tmp_path):
+        import numpy as np
+
+        (tmp_path / "numpy").mkdir()
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert bench.openblas_core() == "unknown"

@@ -234,7 +234,7 @@ INFINITE_SIDE = dict(MALFORMED_START, L=float("inf"), start=[1.0, 1.0])
 
 # sha256 of a ring episode's artifacts on workspace_file
 RING_ARTIFACTS = {
-    "ring_snapshots.json": "8a0fa5a6744d6556d8e390970789271016994896c84c8a57127c86e31c25b413",
+    "ring_snapshots.json": "ac8d7f00bb3c12552f7e9cb9af59e60683ea9252b46dbcdcc9de79b6d9978131",
     "steps.csv": "2a0efa256f44fd89d9fc87ba149c5eaa0e6b51b4cb8447d0ee4d6c9db00ba08d",
     "timeseries.svg": "f5ce185623d3095f7f533856c8dafbcdecf673f6010e03cd57de51a726d0390e",
     "trajectory.svg": "93ed808a268b87d603a82ec4002a21652737d45579d4c3c4338f64899a04c9dc",
@@ -254,9 +254,9 @@ RUN_ARTIFACTS = {
         "trajectory.svg": "e333afd828a44882d0014578f4f65db281306ddd7f962fafb8ded89648677ef2",
     },
     "dungeon": {
-        "steps.csv": "1e3cbbc165c55746211be0ff83a29c06e580dd897675456235792e9a168efc99",
-        "timeseries.svg": "fd63d9a00360d5fca7ad68ad5dbb4392d88c9a807dde7f17c16aacd3897907d6",
-        "trajectory.svg": "336de7926d22b357a537ba6bd95e2bdd6f3880a00b1f730576161a0019f94ec4",
+        "steps.csv": "51eaf9911ef5c3854634b136e408cb7d9eb9e0f8f6d50995529fa9036cd6df4d",
+        "timeseries.svg": "b193e5a9e7ac4ce7cb75ebaaf07af0b6941ed84e42792b648d3dbc4f8861bfd8",
+        "trajectory.svg": "71a894066c49aae3b5336b839cfcb00687c7ee1ca8b701cb413bc6076d917ca2",
     },
 }
 
@@ -487,6 +487,36 @@ class TestRunCommand:
         method = field.split(".")[0] if "." in field else "astar_rigid"
         for args in (["run", "--workspace", str(workspace_file), "--method", method],
                      ["eval", "--workspaces", str(workspace_file.parent), "--methods", method]):
+            capsys.readouterr()
+            assert main(args + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and f"config field {field}=" in err
+            assert not (tmp_path / "x").exists()
+
+
+    @pytest.mark.parametrize("text, field", [
+        ("[episode.adapt]\neps = 0.0", "episode.adapt.eps"),
+        ("[episode]\nmass_frame = 0.0", "episode.mass_frame"),
+        ("[episode]\ninertia = 0.0", "episode.inertia"),
+        ("[episode.adapt]\nu_box = -1.0", "episode.adapt.u_box"),
+        ("[episode.adapt]\nv_min = inf", "episode.adapt.v_min"),
+        ("[episode]\neps_stage = nan", "episode.eps_stage"),
+        ("[episode]\nscale_floor = nan", "episode.scale_floor"),
+        ("[episode]\nscale_floor = 2.0", "episode.scale_floor"),
+        ("[episode.adapt]\nlam_zeta = 0.0", "episode.adapt.lam_zeta"),
+        ("[episode.adapt]\nlam_u = 0.0", "episode.adapt.lam_u"),
+    ], ids=["adapt_eps", "mass_frame", "inertia", "u_box", "v_min", "eps_stage",
+            "scale_floor_nan", "scale_floor_above_cap", "lam_zeta", "lam_u"])
+    def test_bad_step_field_exits_with_its_name(self, tmp_path, workspace_file, capsys,
+                                                text, field):
+        # on a test_id workspace these ran before to "diverged" (adapt eps,
+        # v_min, scale_floor nan), into a traceback (mass_frame, inertia, and
+        # the zero ridges' LinAlgError), to "stuck" (u_box), or to "success"
+        # (eps_stage nan, with no exit ever attained; a floor above the cap)
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"{text}\n")
+        for args in (["run", "--workspace", str(workspace_file)],
+                     ["eval", "--workspaces", str(workspace_file.parent), "--methods", "grlsnam"]):
             capsys.readouterr()
             assert main(args + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
             err = capsys.readouterr().err

@@ -4,13 +4,20 @@ per-obstacle code they replaced.
 ``reference_obstacle_feature``, ``reference_min_clearance``,
 ``reference_point_feature`` and ``reference_features`` are that code, kept
 as the oracle: one obstacle at a time, with its own boundary points,
-distances, barrier and gradient.  The batched pass must give the same
-numbers bit for bit (``np.array_equal``), in every branch of the barrier:
-penetration, the clamped linear branch, the saturated plateau (d_hat > 6.97),
-the log branch, beyond d_hat, and a sample (or the point robot) on a disc's
-centre.
+distances, barrier and gradient, in the portable arithmetic (norms as
+square roots of summed squares, contractions as elementwise products
+summed).  The batched pass must give the same numbers bit for bit
+(``np.array_equal``), in every branch of the barrier: penetration, the
+clamped linear branch, the saturated plateau (d_hat > 6.97), the log branch,
+beyond d_hat, and a sample (or the point robot) on a disc's centre.  With
+``linalg=True`` the oracle takes its contractions from ``np.dot`` and ``@``
+instead (BLAS kernels, whose bits depend on the CPU), and the pass must
+agree with it to rounding (``assert_linalg_close``).  Its distances stay
+the portable ones: an ulp there can cross a branch of the barrier (the
+norms are checked against ``np.linalg.norm`` in test_workspace.py).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -47,7 +54,13 @@ def of(obstacles):
     return DiscSet.of(enumerate(obstacles))
 
 
-def reference_obstacle_feature(model, q, obstacle, d_hat):
+def assert_linalg_close(got, want):
+    """The portable result against the np.linalg oracle, to rounding: sums of
+    up to 240 terms of magnitude up to about 1e3, which may cancel."""
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def reference_obstacle_feature(model, q, obstacle, d_hat, linalg=False):
     c, s = q[2:4], float(q[5])
     pts = c[None, :] + s * model._x0
     delta = pts - obstacle.center[None, :]
@@ -63,7 +76,10 @@ def reference_obstacle_feature(model, q, obstacle, d_hat):
     unit = np.zeros_like(delta)
     unit[safe] = delta[safe] / dist[safe, None]
     coeff = w * lengths * db
-    grad[2:4] = coeff @ unit
+    if linalg:
+        grad[2:4] = coeff @ unit
+    else:
+        grad[2:4] = (coeff * unit[:, 0]).sum(), (coeff * unit[:, 1]).sum()
     grad[5] = float(np.sum(w * model._l0 * b)
                     + np.sum(coeff * np.einsum("ij,ij->i", unit, model._x0)))
     return val, grad
@@ -82,7 +98,8 @@ def reference_min_clearance(model, q, obstacles):
 def reference_point_feature(q, layout, obstacle, d_hat):
     c = q[layout.frame]
     delta = c - obstacle.center
-    dist = float(np.linalg.norm(delta))
+    dx, dy = delta.tolist()
+    dist = math.sqrt(dx * dx + dy * dy)
     d = dist - obstacle.radius
     val = ipc_barrier(d, d_hat) * obstacle.weight
     grad = np.zeros_like(q)
@@ -94,19 +111,20 @@ def reference_point_feature(q, layout, obstacle, d_hat):
     return val, grad
 
 
-def reference_features(q, pairs, d_hat, fixed):
+def reference_features(q, pairs, d_hat, fixed, linalg=False):
     layout = fixed.layout
     m = len(pairs)
     phi = np.zeros(2 + m)
     grads = np.zeros((2 + m, q.size))
     diff = q[layout.frame] - fixed.goal
-    phi[0] = float(np.dot(diff, diff))
+    dx, dy = diff.tolist()
+    phi[0] = float(np.dot(diff, diff)) if linalg else dx * dx + dy * dy
     grads[0, layout.frame] = 2.0 * diff
     if fixed.shape is not None:
         phi[1], grads[1] = fixed.shape.obj_feature(q)
     for row, (_, ob) in enumerate(sorted(pairs, key=lambda kv: kv[0]), start=2):
         if fixed.shape is not None:
-            phi[row], grads[row] = reference_obstacle_feature(fixed.shape, q, ob, d_hat)
+            phi[row], grads[row] = reference_obstacle_feature(fixed.shape, q, ob, d_hat, linalg)
         else:
             phi[row], grads[row] = reference_point_feature(q, layout, ob, d_hat)
     return phi, grads
@@ -171,6 +189,8 @@ class TestRingContactPass:
             assert np.array_equal(grads[k], grad)
             one_val, one_grad = MODEL.obstacle_feature(q, ob, d_hat)
             assert one_val == val and np.array_equal(one_grad, grad)
+            assert_linalg_close(grads[k], reference_obstacle_feature(MODEL, q, ob, d_hat,
+                                                                     linalg=True)[1])
 
         # energy.features, with and without a pass made beforehand
         pairs = list(zip(data.draw(st.permutations(range(m))), discs))
@@ -181,6 +201,8 @@ class TestRingContactPass:
         for contact in (None, MODEL.contact(q, disc_set)):
             phi, grads = features(q, disc_set, fixed, contact)
             assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
+        for got, want in zip((phi, grads), reference_features(q, pairs, d_hat, fixed, True)):
+            assert_linalg_close(got, want)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 8), D_HATS, st.data())
@@ -324,6 +346,9 @@ class TestContactFastPath:
             assert vals[k] == val and np.array_equal(grads[k], grad)
         assert phi.tobytes() == want_phi.tobytes()
         assert all_grads.tobytes() == want_grads.tobytes()
+        linalg = reference_features(q, list(enumerate(discs)), d_hat, fixed, linalg=True)
+        assert_linalg_close(phi, linalg[0])
+        assert_linalg_close(all_grads, linalg[1])
 
     @pytest.mark.parametrize("d_hat, gap", [
         (0.8, "d_c"),         # the log branch's first sample: d < d_c is false
@@ -348,6 +373,7 @@ class TestContactFastPath:
         assert general == [1]
         want_val, want_grad = reference_obstacle_feature(MODEL, q, ob, d_hat)
         assert val == want_val and grad.tobytes() == want_grad.tobytes()
+        assert_linalg_close(grad, reference_obstacle_feature(MODEL, q, ob, d_hat, linalg=True)[1])
 
 
 class TestPointFeatures:
@@ -366,6 +392,11 @@ class TestPointFeatures:
             phi, grads = features(q, of(discs), fixed)
         assert np.array_equal(phi, want_phi) and np.array_equal(grads, want_grads)
         assert bool(warned) == bool(want_warned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            linalg = reference_features(q, list(enumerate(discs)), d_hat, fixed, linalg=True)
+        assert_linalg_close(phi, linalg[0])
+        assert_linalg_close(grads, linalg[1])
 
 
 class TestRolloutContact:

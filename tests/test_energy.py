@@ -344,20 +344,33 @@ def random_state(data, ring):
     return q, p, spec
 
 
-def separate_formulas(q, p, spec):
+def left_to_right(terms):
+    """The sum of ``terms`` (numbers or arrays), one after another from the
+    first, as numpy sums a short vector, or the rows of a stack elementwise."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def separate_formulas(q, p, spec, linalg=False):
     """Gradient, potential, H and logged terms, each from its own features
-    call, written out as the energy module computes them."""
+    call, written out as the energy module computes them: each contraction
+    as products summed left to right (at most 5 features), or, with
+    ``linalg``, as the ``@`` products the module took before (BLAS)."""
     fixed, w = spec.fixed, spec.weights
     phi, grads = features(q, spec.discs, fixed)
     eta = np.concatenate(([w.beta, w.lam], [w.alpha.get(i, 0.0)
                                             for i in sorted(spec.discs.ids.tolist())]))
-    grad = eta @ grads
+    dot = (lambda a, b: a @ b) if linalg else (
+        lambda a, b: left_to_right([x * y for x, y in zip(a, b)]))
+    grad = dot(eta, grads)
     grad[fixed.layout.sensor] += 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
-    pot = sensor_energy(q, fixed) + float(eta @ phi)
+    pot = sensor_energy(q, fixed) + float(dot(eta, phi))
     phi, _ = features(q, spec.discs, fixed)
     e_sensor = sensor_energy(q, fixed)
     e_goal, e_obj = w.beta * phi[0], w.lam * phi[1]
-    e_barrier = float(eta[2:] @ phi[2:]) if phi.size > 2 else 0.0
+    e_barrier = float(dot(eta[2:], phi[2:])) if phi.size > 2 else 0.0
     parts = {"E_sensor": e_sensor, "E_goal": e_goal, "E_obj": e_obj,
              "E_barrier_total": e_barrier,
              "H": kinetic(p, spec.mass) + e_sensor + e_goal + e_obj + e_barrier}
@@ -378,6 +391,10 @@ class TestEvaluate:
         assert ev.H == H == hamiltonian(z, spec)
         assert ev.parts == parts == energy_breakdown(z, spec)
         np.testing.assert_array_equal(ev.phi, features(q, spec.discs, spec.fixed)[0])
+        grad, pot, H, parts = separate_formulas(q, p, spec, linalg=True)
+        np.testing.assert_allclose(ev.grad, grad, rtol=1e-9, atol=1e-9)
+        assert ev.potential == pytest.approx(pot, rel=1e-9, abs=1e-9)
+        assert ev.parts == pytest.approx(parts, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,11 +118,23 @@ class TestObservableTarget:
 
 
 def reference_secant(J_prev, dy, dzeta, rho, eps):
-    """The secant update as first written, with reshaped (n, 1) and (1, m) factors."""
-    dy = np.asarray(dy, float).reshape(-1, 1)
-    dzeta = np.asarray(dzeta, float).reshape(1, -1)
-    J_tilde = (dy @ dzeta) / (float(np.dot(dzeta.ravel(), dzeta.ravel())) + eps)
-    return rho * np.asarray(J_prev, float) + (1.0 - rho) * J_tilde
+    """The secant update written out in floats: each entry
+    rho J_ij + (1 - rho) (dy_i dzeta_j / (|dzeta|^2 + eps)), the squares
+    summed left to right."""
+    denom = left_to_right([z * z for z in dzeta]) + eps
+    return [[rho * J_prev[i][j] + (1.0 - rho) * (dy[i] * dzeta[j] / denom) for j in range(3)]
+            for i in range(3)]
+
+
+def left_to_right(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def as_bytes(rows):
+    return np.array(rows, float).tobytes()
 
 
 ENTRIES = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
@@ -128,32 +142,82 @@ ENTRIES = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0]))
 
 class TestSecant:
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 8), st.sampled_from([0.0, 0.6, 0.9]),
-           st.sampled_from([1e-9, 1e-6]), st.data())
-    def test_bits_match_the_reference(self, m, rho, eps, data):
-        vec = lambda n: np.array(data.draw(st.lists(ENTRIES, min_size=n, max_size=n)))
-        J_prev, dy, dz = vec(3 * m).reshape(3, m), vec(3), vec(m)
+    @given(st.sampled_from([0.0, 0.6, 0.9]), st.sampled_from([1e-9, 1e-6]), st.data())
+    def test_bits_match_the_reference(self, rho, eps, data):
+        vec = lambda n: data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        J_prev, dy, dz = np.reshape(vec(9), (3, 3)).tolist(), vec(3), vec(3)
         got = secant_jacobian_update(J_prev, dy, dz, rho, eps)
-        assert got.tobytes() == reference_secant(J_prev, dy, dz, rho, eps).tobytes()
+        assert as_bytes(got) == as_bytes(reference_secant(J_prev, dy, dz, rho, eps))
+        # the numpy form: an outer product over a BLAS dot
+        dy, dz = np.array(dy), np.array(dz)
+        want = rho * np.array(J_prev) + (1.0 - rho) * np.outer(dy, dz) / (np.dot(dz, dz) + eps)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_dzeta_guarded(self):
-        J0 = np.ones((3, 4))
-        J = secant_jacobian_update(J0, np.array([1.0, 2.0, 3.0]), np.zeros(4), 0.5, 1e-6)
+        J0 = np.ones((3, 3))
+        J = secant_jacobian_update(J0, (1.0, 2.0, 3.0), (0.0, 0.0, 0.0), 0.5, 1e-6)
         np.testing.assert_allclose(J, 0.5 * J0)
 
     def test_rho_zero_pure_secant(self):
         dy = np.array([1.0, 0.0, 0.0])
-        dz = np.array([2.0, 0.0])
-        J = secant_jacobian_update(np.zeros((3, 2)), dy, dz, 0.0, 0.0)
-        np.testing.assert_allclose(J @ dz, dy)
+        dz = np.array([2.0, 0.0, 0.0])
+        J = secant_jacobian_update(np.zeros((3, 3)), dy, dz, 0.0, 0.0)
+        np.testing.assert_allclose(np.array(J) @ dz, dy)
 
     def test_rank_one_consistency(self, rng):
         dy = rng.normal(size=3)
-        dz = rng.normal(size=5)
+        dz = rng.normal(size=3)
         eps = 1e-6
-        J = secant_jacobian_update(np.zeros((3, 5)), dy, dz, 0.0, eps)
+        J = secant_jacobian_update(np.zeros((3, 3)), dy, dz, 0.0, eps)
         expected = dy * (dz @ dz) / (dz @ dz + eps)
-        np.testing.assert_allclose(J @ dz, expected, rtol=1e-12)
+        np.testing.assert_allclose(np.array(J) @ dz, expected, rtol=1e-12)
+
+
+def reference_cholesky_solve(A, b):
+    """A x = b by the textbook Cholesky loops (Higham, 2002, alg. 10.2): L
+    column by column, then L y = b and L^T x = y, each sum subtracted term
+    by term in ascending index order.  LinAlgError on a pivot that is not
+    positive."""
+    n = len(b)
+    L = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            acc = A[i][j]
+            for k in range(j):
+                acc = acc - L[i][k] * L[j][k]
+            if i == j:
+                if not acc > 0.0:
+                    raise np.linalg.LinAlgError("not positive definite")
+                L[j][j] = math.sqrt(acc)
+            else:
+                L[i][j] = acc / L[j][j]
+    y = [0.0] * n
+    for i in range(n):
+        acc = b[i]
+        for k in range(i):
+            acc = acc - L[i][k] * y[k]
+        y[i] = acc / L[i][i]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        acc = y[i]
+        for k in range(i + 1, n):
+            acc = acc - L[k][i] * x[k]
+        x[i] = acc / L[i][i]
+    return x
+
+
+def normal_equations(M, r, lam):
+    """(M^T M + lam I, M^T r) for M in rows, each sum over M's rows left to right."""
+    n = len(M[0])
+    A = [[left_to_right([row[j] * row[k] for row in M]) + (lam if j == k else 0.0)
+          for k in range(n)] for j in range(n)]
+    return A, [left_to_right([row[j] * ri for row, ri in zip(M, r)]) for j in range(n)]
+
+
+def solve_bound(A, x):
+    """32 eps cond(A) max|x|: the distance allowed between two backward-stable
+    solves of A x = b."""
+    return 32 * np.finfo(float).eps * np.linalg.cond(A) * np.abs(x).max()
 
 
 class TestTikhonov:
@@ -171,60 +235,70 @@ class TestTikhonov:
         np.testing.assert_allclose(out, [0.4, 0.0, 0.0])
 
     def test_singular_without_ridge(self):
-        J = np.zeros((3, 2))
+        J = np.zeros((3, 3))
         with pytest.raises(np.linalg.LinAlgError):
             tikhonov_step(J, np.ones(3), 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            tikhonov_step(J.tolist(), [1.0, 1.0, 1.0], 0.0)
 
-    @pytest.mark.parametrize("outer", ["warn", "raise"])
+    @pytest.mark.parametrize("outer", ["warn", "raise", "ignore"])
     def test_not_positive_definite_raises_linalg_error(self, outer):
-        """Under any floating-point state the caller holds, as np.linalg does."""
+        """LinAlgError, never ZeroDivisionError or FloatingPointError, under
+        any floating-point state the caller holds, on arrays or floats."""
+        rank_one = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
         with np.errstate(all=outer):
-            with pytest.raises(np.linalg.LinAlgError):
-                tikhonov_step(np.ones((3, 2)), np.ones(3), -1.0)
-            with pytest.raises(np.linalg.LinAlgError):
-                port_correction(np.zeros((3, 2)), np.ones(3), 0.0, 1.0)
+            for convert in (np.asarray, lambda a: np.asarray(a).tolist()):
+                with pytest.raises(np.linalg.LinAlgError):
+                    tikhonov_step(convert(np.ones((3, 3))), convert(np.ones(3)), -1.0)
+                with pytest.raises(np.linalg.LinAlgError):
+                    tikhonov_step(convert(np.zeros((3, 3))), convert(np.ones(3)), 0.0)
+                with pytest.raises(np.linalg.LinAlgError):
+                    port_correction(convert(np.zeros((3, 2))), convert(np.ones(3)), 0.0, 1.0)
+                with pytest.raises(np.linalg.LinAlgError):
+                    port_correction(convert(rank_one), convert(np.ones(3)), 0.0, 1.0)
 
-    @given(st.integers(0, 10_000), st.booleans())
+    @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
-    def test_zero_columns_drop_out(self, seed, scalars_zero):
-        """The step over [beta, lam, mu] is the step over [beta, lam, alpha_1,
-        alpha_2, mu] with zero alpha columns, which leaves the alphas at zero:
-        bit for bit while the beta and lam columns are zero too (only mu
-        learned).  Otherwise LAPACK may order its sums differently, so the two
-        agree to rounding: within 32 eps cond(A) of the step's largest
-        component (up to 7.6 eps cond(A) over 100000 draws)."""
+    def test_zero_columns_drop_out(self, seed):
+        """With the beta and lam columns of J zero (only mu learned), the step
+        leaves beta and lam alone, and mu's step is the one-weight ridge
+        solution (J_mu . dy) / (|J_mu|^2 + lam), its sums taken left to right,
+        to rounding (the solve divides by the square root of the pivot twice)."""
         rng = np.random.default_rng(seed)
-        J = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 2)
-        if scalars_zero:
-            J[:, :2] = 0.0
+        J = np.zeros((3, 3))
+        J[:, 2] = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 2)
         dy, lam = rng.normal(size=3), 10.0 ** rng.uniform(-4, 1)
-        J5 = np.zeros((3, 5))
-        J5[:, [0, 1, 4]] = J
-        wide = tikhonov_step(J5, dy, lam)
-        narrow = tikhonov_step(J, dy, lam)
-        assert not wide[2:4].any()
-        if scalars_zero:
-            assert narrow.tobytes() == wide[[0, 1, 4]].tobytes()
-        else:
-            cond = np.linalg.cond(J.T @ J + lam * np.eye(3))
-            bound = 32 * np.finfo(float).eps * cond * np.abs(wide).max()
-            assert np.abs(narrow - wide[[0, 1, 4]]).max() <= bound
+        out = tikhonov_step(J, dy, lam)
+        assert out[0] == 0.0 and out[1] == 0.0
+        col = J[:, 2].tolist()
+        want = left_to_right([c * d for c, d in zip(col, dy.tolist())]) / (
+            left_to_right([c * c for c in col]) + lam)
+        assert out[2] == pytest.approx(want, rel=1e-13, abs=1e-300)
 
-    def test_lapack_gufuncs_match_np_linalg_bit_for_bit(self):
-        """tikhonov_step and port_correction call numpy.linalg's private LAPACK
-        gufuncs without the np.linalg wrappers; on random ridge systems 3 to 5
-        wide and on random 2x2 port systems they must return the wrappers'
-        bits, so a numpy whose private module changes fails here."""
+    def test_matches_the_loops_and_np_linalg(self):
+        """tikhonov_step and port_correction against the textbook loops,
+        bit for bit, and np.linalg's LAPACK solves to rounding, on random
+        ridge systems and random 2x2 port systems."""
         rng = np.random.default_rng(20)
         for n in range(5000):
-            J = rng.normal(size=(3, 3 + n % 3)) * 10.0 ** rng.uniform(-3, 2)
+            J = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 2)
             dy, lam = rng.normal(size=3), 10.0 ** rng.uniform(-4, 1)
-            L = np.linalg.cholesky(J.T @ J + lam * np.eye(J.shape[1]))
-            want = np.linalg.solve(L.T, np.linalg.solve(L, J.T @ dy))
-            assert tikhonov_step(J, dy, lam).tobytes() == want.tobytes(), n
+            got = tikhonov_step(J.tolist(), dy.tolist(), lam)
+            A, b = normal_equations(J.tolist(), dy.tolist(), lam)
+            assert as_bytes(got) == as_bytes(reference_cholesky_solve(A, b)), n
+            A = J.T @ J + lam * np.eye(3)
+            want = np.linalg.solve(A, J.T @ dy)
+            assert np.abs(np.subtract(got, want)).max() <= solve_bound(A, want), n
+
             P, r = rng.normal(size=(3, 2)), rng.normal(size=3)
-            want = np.linalg.solve(P.T @ P + lam * np.eye(2), P.T @ r)
-            assert port_correction(P, r, lam, np.inf).tobytes() == want.tobytes(), n
+            got = port_correction(P.tolist(), r.tolist(), lam, np.inf)
+            ((a00, a01), (a10, a11)), (b0, b1) = normal_equations(P.tolist(), r.tolist(), lam)
+            det = a00 * a11 - a01 * a10  # Cramer's rule
+            cramer = ((b0 * a11 - a01 * b1) / det, (a00 * b1 - b0 * a10) / det)
+            assert as_bytes(got) == as_bytes(cramer), n
+            A = P.T @ P + lam * np.eye(2)
+            want = np.linalg.solve(A, P.T @ r)
+            assert np.abs(np.subtract(got, want)).max() <= solve_bound(A, want), n
 
 
 class TestProjectUpdate:
@@ -599,6 +673,15 @@ def sensed_memory(r, n_events):
     return ref, memory
 
 
+def vector_norm(v, linalg=False):
+    """The portable norm of a 2-vector, sqrt(x*x + y*y), or with ``linalg``
+    ``np.linalg.norm`` (a BLAS dot, whose bits depend on the CPU)."""
+    if linalg:
+        return float(np.linalg.norm(v))
+    x, y = np.asarray(v, float).tolist()
+    return math.sqrt(x * x + y * y)
+
+
 def reference_active_pairs(ep, memory, q):
     """_Episode.active_set as the loop over a dict memory it replaced."""
     c = q[ep.layout.frame]
@@ -608,19 +691,19 @@ def reference_active_pairs(ep, memory, q):
     out = []
     for idx in sorted(memory):
         ob = memory[idx]
-        if float(np.linalg.norm(c - ob.center)) - ob.radius <= reach:
+        if vector_norm(c - ob.center) - ob.radius <= reach:
             out.append((idx, ob))
     return out
 
 
-def reference_tokens(q, pairs, layout):
+def reference_tokens(q, pairs, layout, linalg=False):
     """build_tokens' token rows as the per-obstacle loop it replaced."""
     c = q[layout.frame]
     ids, rows = [], []
     for idx, ob in sorted(pairs, key=lambda kv: kv[0]):
         rel = ob.center - c
         ids.append(idx)
-        rows.append([rel[0], rel[1], ob.radius, float(np.linalg.norm(rel)) - ob.radius])
+        rows.append([rel[0], rel[1], ob.radius, vector_norm(rel, linalg) - ob.radius])
     return ids, np.asarray(rows, float).reshape(len(ids), 4)
 
 
@@ -648,6 +731,8 @@ class TestObstacleMemoryInEpisode:
             assert tokens.obstacle_ids == ids
             assert tokens.tokens.shape == rows.shape
             assert tokens.tokens.tobytes() == rows.tobytes()
+            _, rows = reference_tokens(q, ref.items(), ep.layout, linalg=True)
+            np.testing.assert_allclose(tokens.tokens, rows, rtol=1e-12, atol=1e-12)
 
 
 def logged_episode(mp, ws, cfg, meta=None):

@@ -126,20 +126,46 @@ class TestSense:
         assert tracker.covered_fraction() > 0
 
 
+def norm_formula(values):
+    """The portable norm, written out: the square root of the left-to-right
+    sum of squares, in Python floats."""
+    total = 0.0
+    for x in values:
+        total = total + x * x
+    return math.sqrt(total)
+
+
+# norm2 and row_norms against np.linalg.norm (a BLAS dot for a 1-D vector):
+# two roundings of a sum of k < 8 nonnegative squares and a square root
+NORM_RTOL = 8 * np.finfo(float).eps
+
+
 class TestRowNorms:
-    """row_norms equals the scalar np.linalg.norm of each row, bit for bit."""
+    """row_norms equals the norm formula on each row, bit for bit, for rows of
+    fewer than 8 entries (numpy sums those left to right), and np.linalg.norm
+    to rounding."""
 
     @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_norm(self, rows):
         d = np.array(rows, float).reshape(-1, 2)
-        want = np.array([np.linalg.norm(row) for row in d])
+        want = np.array([norm_formula(row) for row in d.tolist()])
         assert row_norms(d).tobytes() == want.tobytes()
+        np.testing.assert_allclose(row_norms(d), [np.linalg.norm(row) for row in d],
+                                   rtol=NORM_RTOL, atol=0)
 
     def test_many_random_rows(self, rng):
-        d = rng.normal(size=(20_000, 2)) * rng.uniform(1e-3, 1e3, (20_000, 1))
-        want = np.array([np.linalg.norm(row) for row in d])
-        assert row_norms(d).tobytes() == want.tobytes()
+        for k in range(1, 8):
+            d = rng.normal(size=(5_000, k)) * rng.uniform(1e-3, 1e3, (5_000, 1))
+            want = np.array([norm_formula(row) for row in d.tolist()])
+            assert row_norms(d).tobytes() == want.tobytes(), k
+            assert [norm2(row) for row in d] == want.tolist(), k
+            np.testing.assert_allclose(row_norms(d), [np.linalg.norm(row) for row in d],
+                                       rtol=NORM_RTOL, atol=0)
+
+    def test_stacked_rows(self, rng):
+        d = rng.normal(size=(5, 7, 2))
+        assert row_norms(d).tobytes() == row_norms(d.reshape(-1, 2)).reshape(5, 7).tobytes()
 
     def test_empty(self):
         assert row_norms(np.empty((0, 2))).shape == (0,)
@@ -150,7 +176,8 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e200,
 
 
 class TestNorm2:
-    """norm2 is np.linalg.norm of a 1-D float vector, bit for bit."""
+    """norm2 is the norm formula of a 1-D vector, bit for bit, and
+    np.linalg.norm to rounding."""
 
     @staticmethod
     def same(got, want):
@@ -167,20 +194,27 @@ class TestNorm2:
         v = np.array(values, float)
         with np.errstate(over="ignore", invalid="ignore"):
             for x in (v, -v, v * 1e-3):
-                self.same(norm2(x), float(np.linalg.norm(x)))
+                self.same(norm2(x), norm_formula(x.tolist()))
+                self.same(norm2(x.tolist()), norm_formula(x.tolist()))
+                blas = float(np.linalg.norm(x))
+                if math.isfinite(blas) and blas > 1e-290:  # no overflow or underflow
+                    assert norm2(x) == pytest.approx(blas, rel=NORM_RTOL, abs=0)
+                else:
+                    assert math.isfinite(norm2(x)) == math.isfinite(blas)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6), st.integers(0, 6),
            st.integers(0, 6))
     @settings(max_examples=200, deadline=None)
     def test_slices_of_q(self, values, a, b):
         q = np.array(values, float)
-        for x in (q[2:4], q[0:2], q[4:6], q[min(a, b):max(a, b)], q[2:4] - q[0:2]):
-            assert x.flags.c_contiguous
-            self.same(norm2(x), float(np.linalg.norm(x)))
+        for x in (q[2:4], q[0:2], q[4:6], q[min(a, b):max(a, b)], q[2:4] - q[0:2], q[::2]):
+            self.same(norm2(x), norm_formula(x.tolist()))
+            assert norm2(x) == pytest.approx(float(np.linalg.norm(x)), rel=NORM_RTOL, abs=1e-300)
 
 
 class TestDiscDistances:
-    """disc_distances equals np.linalg.norm(..., axis=-1) - radii, bit for bit."""
+    """disc_distances equals np.linalg.norm(..., axis=-1) - radii, bit for bit
+    (that norm sums each row's squares elementwise, as row_norms does)."""
 
     @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0, 10)),
                     max_size=40), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
