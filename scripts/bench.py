@@ -14,6 +14,12 @@ holding:
 - the time of a rigid A* plan (resolution 0.1, a 0.4-m disc) on ``test_id`` 0;
 - each acceptance criterion's time, from
   ``pytest --durations=0 tests/test_acceptance.py``;
+- for the A* plan and the acceptance run, ``kernel_ms``: the median time of
+  ``perfbench/speed.py``'s calibration kernel just before and just after the
+  measurement, and each time also in reference seconds (``*_ref_s``): the raw
+  seconds times ``speed.REF_KERNEL_S`` over the kernel's mean time, as the
+  perfbench metrics are, so that two ledgers' times compare across the VM's
+  fast and slow spells;
 - ``nproc``, the CPU model, the Python version, and the arithmetic key
   (``arithmetic_key``: the numpy version, the OpenBLAS core and numpy's
   AVX-512 dispatch), which says whether another machine's bits can match;
@@ -23,15 +29,18 @@ It only runs the benchmark; it edits nothing under ``perfbench/``.  It exits 1
 when a run fails or prints no result, after writing what it measured.
 
 ``--compare A B`` runs nothing: it prints each workload's end-to-end metrics
-in both ledgers with their ratios B/A, the A* plan's median time and its
-ratio, and whether each workload's run-record ``digest`` moved.
+in both ledgers with their ratios B/A, the A* plan's median time and the
+acceptance run's wall time (raw and in reference seconds) with their ratios,
+and whether each workload's run-record ``digest`` moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -45,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 ASTAR_REPEATS = 5
+KERNEL_REPEATS = 20
 # "12.34s call     tests/test_acceptance.py::test_criterion_09_robustness_ordering"
 DURATION = re.compile(r"^([0-9.]+)s\s+(setup|call|teardown)\s+\S+::(\S+)$")
 
@@ -89,6 +99,35 @@ def bench_workload(workload: str, seconds: float) -> dict:
     }
 
 
+@functools.cache
+def _speed():
+    """``perfbench/speed.py``, imported once from its file (perfbench is no package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_speed", ROOT / "perfbench" / "speed.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def kernel_ms() -> float:
+    """The median time, in ms, of KERNEL_REPEATS runs of the calibration kernel."""
+    kernel = _speed().kernel
+    times = []
+    for _ in range(KERNEL_REPEATS):
+        t0 = time.perf_counter()
+        kernel()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def calibrated(measure) -> tuple:
+    """``measure()``, the kernel's median time (ms) before and after it, and
+    the factor that turns its raw seconds into reference seconds."""
+    before = kernel_ms()
+    out = measure()
+    after = kernel_ms()
+    return out, [before, after], _speed().REF_KERNEL_S * 1e3 / statistics.mean((before, after))
+
+
 def bench_astar() -> dict:
     """A rigid 0.4-m disc's A* plan at resolution 0.1 on test_id 0, in-process."""
     sys.path.insert(0, str(ROOT / "src"))
@@ -96,15 +135,21 @@ def bench_astar() -> dict:
     from hamnav.generation import generate_workspace
 
     ws = generate_workspace("test_id", 0)
-    times, plan = [], None
-    for _ in range(ASTAR_REPEATS):
-        t0 = time.perf_counter()
-        plan = astar_rigid(ws, 0.1, 0.4)
-        times.append(time.perf_counter() - t0)
+
+    def plans():
+        times, plan = [], None
+        for _ in range(ASTAR_REPEATS):
+            t0 = time.perf_counter()
+            plan = astar_rigid(ws, 0.1, 0.4)
+            times.append(time.perf_counter() - t0)
+        return times, plan
+
+    (times, plan), kernel, scale = calibrated(plans)
+    median = statistics.median(times)
     return {"resolution": 0.1, "inflation_radius": 0.4, "test_id": 0,
-            "repeats": ASTAR_REPEATS, "median_s": statistics.median(times),
-            "times_s": times, "expansions": plan.expansions, "length": plan.length,
-            "feasible": plan.feasible}
+            "repeats": ASTAR_REPEATS, "median_s": median, "median_ref_s": median * scale,
+            "times_s": times, "kernel_ms": kernel, "expansions": plan.expansions,
+            "length": plan.length, "feasible": plan.feasible}
 
 
 def bench_acceptance() -> dict:
@@ -113,15 +158,22 @@ def bench_acceptance() -> dict:
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
            "-vv", "tests/test_acceptance.py"]
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env)
-    wall = time.perf_counter() - t0
+
+    def suite():
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, env=env)
+        return proc, time.perf_counter() - t0
+
+    (proc, wall), kernel, scale = calibrated(suite)
     criteria = {}
     for line in proc.stdout.splitlines():
         m = DURATION.match(line.strip())
         if m:
             criteria[m.group(3)] = criteria.get(m.group(3), 0.0) + float(m.group(1))
-    out = {"returncode": proc.returncode, "wall_s": wall, "criteria_s": dict(sorted(criteria.items()))}
+    criteria = dict(sorted(criteria.items()))
+    out = {"returncode": proc.returncode, "wall_s": wall, "wall_ref_s": wall * scale,
+           "criteria_s": criteria, "criteria_ref_s": {k: v * scale for k, v in criteria.items()},
+           "kernel_ms": kernel}
     if proc.returncode:
         out["stdout_tail"] = proc.stdout[-2000:]
     return out
@@ -222,8 +274,10 @@ def compare(path_a, path_b) -> list:
         else:
             moved.append(name)
             lines.append(f"{name:16s} digest         MOVED: A {da[:16]}... B {db[:16]}...")
-    ta, tb = (d.get("astar_rigid", {}).get("median_s") for d in (a, b))
-    lines.append(_row("astar_rigid", "median_s", ta, tb))
+    for block, metric in (("astar_rigid", "median_s"), ("astar_rigid", "median_ref_s"),
+                          ("acceptance", "wall_s"), ("acceptance", "wall_ref_s")):
+        ta, tb = (d.get(block, {}).get(metric) for d in (a, b))
+        lines.append(_row(block, metric, ta, tb))
     lines.append(f"run-record digests MOVED on: {', '.join(moved)}" if moved
                  else "run-record digests: none moved")
     return lines

@@ -7,8 +7,9 @@ import time
 
 import numpy as np
 
+from hamnav.cli import config_from_dict
 from hamnav.energy import POINT_LAYOUT
-from hamnav.learning import TrainConfig, make_reference_dataset, scene_rollout, train_offline
+from hamnav.learning import make_reference_dataset, scene_rollout, train_offline
 from hamnav.navigator import build_tokens
 from hamnav.workspace import signed_distances
 
@@ -30,19 +31,25 @@ def main():
     ap.add_argument("--epochs", type=int, default=40)
     ap.add_argument("--lr", type=float, default=3e-3)
     args = ap.parse_args()
-
-    t0 = time.perf_counter()
-    dataset = make_reference_dataset(args.scenes, seed=77, mu_ref=4.0,
-                                     beta_ref=1.5, alpha_ref=2.0)
+    # each variant's TrainConfig is built and checked as a config's [train] table
     variants = {
         "no_fric_no_multi": (1.0, 1.0, 0.0, 0.0),
         "fric_only": (1.0, 1.0, 0.1, 0.0),
         "fric_and_multi": (1.0, 1.0, 0.1, 0.5),
     }
+    try:
+        configs = {name: config_from_dict({"train": {"epochs": args.epochs, "lr": args.lr,
+                                                     "weights": list(weights), "seed": 3}}).train
+                   for name, weights in variants.items()}
+    except ValueError as e:
+        ap.error(str(e))
+
+    t0 = time.perf_counter()
+    dataset = make_reference_dataset(args.scenes, seed=77, mu_ref=4.0,
+                                     beta_ref=1.5, alpha_ref=2.0)
     held_out = make_reference_dataset(10, seed=99, mu_ref=4.0)
     print(f"{'variant':20s} {'loss':>9s} {'mu_mean':>8s} {'penetration':>12s}")
-    for name, weights in variants.items():
-        cfg = TrainConfig(epochs=args.epochs, lr=args.lr, weights=weights, seed=3)
+    for name, cfg in configs.items():
         model, curve = train_offline(dataset, cfg)
         mass = np.ones(4)
         mus = []

@@ -17,16 +17,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import struct
 import sys
+import tomllib
 import typing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # python 3.10: parse the subset we emit
-    tomllib = None
 
 import numpy as np
 
@@ -59,9 +56,48 @@ class MetaPolicyConfig:
     checkpoint: str = ""  # trained regressor; empty selects the default policy
 
 
+INF = float("inf")
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The values one config field may hold: numbers from ``lo`` to ``hi``, in
+    the closed interval or in the one ``ends`` writes ("()", "[)" or "(]"),
+    never NaN; for a list field, ``length`` such numbers (0: any number from
+    one), ints when ``ints``; for a string field, one of ``choices`` (any
+    string when there are none); None only where ``none``."""
+
+    lo: float = -INF
+    hi: float = INF
+    ends: str = "[]"
+    none: bool = False
+    length: int | None = None
+    ints: bool = False
+    choices: tuple | None = None
+
+    def __contains__(self, val) -> bool:
+        if val is None:
+            return self.none
+        if self.choices is not None:
+            return isinstance(val, str) and (not self.choices or val in self.choices)
+        xs = [val] if self.length is None else val
+        return (isinstance(xs, list) and 0 < len(xs) == (self.length or len(xs))
+                and all(_is_number(x) and (isinstance(x, int) or not self.ints)
+                        and (self.lo < x if self.ends[0] == "(" else self.lo <= x)
+                        and (x < self.hi if self.ends[1] == ")" else x <= self.hi) for x in xs))
+
+    def __str__(self):
+        if self.choices is not None:
+            return "{" + ", ".join(self.choices) + "}" if self.choices else "a string"
+        bounds = f"{self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+        if self.length is None:
+            return bounds + (" or None" if self.none else "")
+        return f"{self.length or 'one or more'} {'ints' if self.ints else 'numbers'} in {bounds}"
+
+
 @dataclass
 class RunConfig:
-    """Every tunable of the pipeline, validated against per-field ranges."""
+    """Every tunable of the pipeline, each validated against its domain."""
 
     method: str = "grlsnam"
     robot: str = "ring"  # ring | point
@@ -78,65 +114,72 @@ class RunConfig:
 
     METHODS = ("grlsnam", "pf", "dwa", "astar_rigid", "astar_deform")
 
-    # field -> (lo, hi) or (lo, hi, ends): the value must lie in [lo, hi], or
-    # with ends "()", "[)" or "(]" in the interval so written; NaN never does
-    RANGES = {
-        "episode.tau": (1e-4, 0.5),
-        "episode.d_hat": (0.05, 4.0),
-        "episode.n_max": (0, 200_000),
-        "episode.eps_goal": (1e-3, 2.0),
-        "episode.stage_w": (0.2, 100.0),
-        "episode.stage_h": (0.2, 100.0),
-        "episode.stage_overlap": (0.0, 0.9),
-        "episode.r_inflate": (0.0, 2.0),
-        "episode.adapt.rho": (0.0, 0.999),
-        "episode.adapt.kappa_beta": (0.0, 0.999),
-        "episode.adapt.kappa_gamma": (0.0, 0.999),
-        # ridges: the adaptation's normal equations are singular without one
-        "episode.adapt.lam_zeta": (0.0, 1e6, "(]"),
-        "episode.adapt.lam_u": (0.0, float("inf"), "(]"),
-        "meta.mu": (0.0, 100.0),
-        "meta.d_ref": (1e-6, float("inf")),
-        "train.lr": (1e-8, 1.0),
-        "train.tau": (1e-4, 0.5),
-        "train.d_hat": (0.05, 4.0),
-        "train.r_min": (0.0, 4.0),
-        "train.momentum": (0.0, 0.999),
-        "d_thr": (0.0, 100.0),
-        "astar_resolution": (0.01, 10.0), "rigid_radius": (0.0, 4.0), "deform_r_min": (0.0, 4.0),
+    # dotted path -> the Domain of that leaf of the config tree; every leaf
+    # has one, and validate is the one place that checks them
+    DOMAINS = {
+        "method": Domain(choices=METHODS), "robot": Domain(choices=("ring", "point")),
+        "meta.checkpoint": Domain(choices=()),  # a trained regressor's path, or empty
+        "episode.ring": Domain(none=True),  # None: the robot's default (episode_config)
+        "episode.n_max": Domain(0, 200_000), "episode.eps_goal": Domain(1e-3, 2.0),
+        "episode.stage_overlap": Domain(0.0, 0.9), "episode.r_inflate": Domain(0.0, 2.0),
+        "episode.horizons": Domain(1, INF, "[)", length=3, ints=True),  # T_y, T_f, T_o
+        # the coverage cell is the window's half extent over coverage_cells_per_window
+        "episode.sense_half_extent": Domain(0.0, INF, "()", none=True),  # None: d_hat
+        "episode.ring.n_ctrl": Domain(8, INF, "[)"),  # K >= 4 n_ctrl is RingParams' check
+        "episode.ring.s_min": Domain(0.0, 1.0, "()"),
+        "episode.adapt.zeta_cap": Domain(0.0, INF, length=3),  # beta, lam and mu's ceilings
+        "meta.mu": Domain(0.0, 100.0), "meta.d_ref": Domain(1e-6, INF),
+        "train.lr": Domain(1e-8, 1.0), "train.r_min": Domain(0.0, 4.0),
+        "train.weights": Domain(0.0, INF, "[)", length=4),  # w_q, w_v, w_mu, w_d
+        "train.horizons": Domain(0, INF, "[)", length=0, ints=True),
+        "d_thr": Domain(0.0, 100.0), "astar_resolution": Domain(0.01, 10.0),
         # n_per_axis and horizon cap DWA's (n, n, horizon, M) clearance array
-        "dwa.v_max": (1e-6, 100.0), "dwa.n_per_axis": (2, 25), "dwa.horizon": (1, 50),
-        "dwa.dt": (1e-4, 10.0), "pf.v_max": (1e-6, 100.0), "pf.d_floor": (1e-9, 1.0),
-        "pf.d_hat": (0.05, 4.0),  # None: the episode's d_hat
-        **dict.fromkeys(["meta.beta", "meta.lam", "meta.alpha",
-                         "meta.mu_boost", "deform_penalty_gain", "dwa.w_progress",
-                         "dwa.w_clearance", "dwa.w_speed", "pf.k_att", "pf.k_rep"],
-                        (0.0, float("inf"))),
-        # the float step divides by these and compares against them
+        "dwa.n_per_axis": Domain(2, 25), "dwa.horizon": Domain(1, 50),
+        "dwa.dt": Domain(1e-4, 10.0), "pf.d_floor": Domain(1e-9, 1.0),
+        "pf.d_hat": Domain(0.05, 4.0, none=True),  # None: the episode's d_hat
+        **dict.fromkeys(["episode.tau", "train.tau"], Domain(1e-4, 0.5)),
+        **dict.fromkeys(["episode.d_hat", "train.d_hat"], Domain(0.05, 4.0)),
+        **dict.fromkeys(["episode.stage_w", "episode.stage_h"], Domain(0.2, 100.0)),
+        **dict.fromkeys(["rigid_radius", "deform_r_min"], Domain(0.0, 4.0)),
+        **dict.fromkeys(["dwa.v_max", "pf.v_max"], Domain(1e-6, 100.0)),
+        **dict.fromkeys(["episode.adapt.rho", "episode.adapt.kappa_beta",
+                         "episode.adapt.kappa_gamma", "train.momentum"], Domain(0.0, 0.999)),
+        # ridges (the adaptation's normal equations are singular without one;
+        # lam_u = inf turns the port off) and the gradient clip (inf: none)
+        "episode.adapt.lam_zeta": Domain(0.0, 1e6, "(]"),
+        **dict.fromkeys(["episode.adapt.lam_u", "train.clip_norm"], Domain(0.0, INF, "(]")),
+        **dict.fromkeys(["meta.beta", "meta.lam", "meta.alpha", "meta.mu_boost",
+                         "deform_penalty_gain", "dwa.w_progress", "dwa.w_clearance",
+                         "dwa.w_speed", "pf.k_att", "pf.k_rep", "episode.passable_width"],
+                        Domain(0.0, INF)),
+        # divisors, and thresholds that a zero would make every comparison fail
         **dict.fromkeys(["episode.adapt.eps", "episode.mass_frame", "episode.inertia",
-                         "episode.eps_stage", "episode.scale_floor", "episode.scale_cap"],
-                        (0.0, float("inf"), "()")),
-        **dict.fromkeys([f"episode.adapt.{name}" for name in
-                         ("m_safe", "eps_prog", "v_min", "kappa_v", "u_box")],
-                        (0.0, float("inf"), "[)")),
+                         "episode.eps_stage", "episode.scale_floor", "episode.scale_cap",
+                         "episode.ring.r_base", "episode.ring.k_bulk",
+                         "episode.ring.mass_scale", "episode.ring.delta", "train.fd_step"],
+                        Domain(0.0, INF, "()")),
+        # thresholds, gains, damping and offsets, where a negative value flips a
+        # comparison or injects energy
+        **dict.fromkeys([*(f"episode.adapt.{name}" for name in
+                           ("m_safe", "eps_prog", "v_min", "kappa_v", "u_box")),
+                         "episode.eps_stuck", "episode.sensor_gain", "episode.gamma_theta",
+                         "episode.gamma_scale", "episode.retarget_eps",
+                         "episode.exit_merge_radius", "meta.r_offset"],
+                        Domain(0.0, INF, "[)")),
+        # window lengths and divisors counted in steps, cells or samples, and
+        # the disc fit's radius clamp [1, circle_d_hat_cells]
+        **dict.fromkeys(["episode.stuck_window", "episode.retarget_window",
+                         "episode.coverage_cells_per_window", "episode.circle_d_hat_cells",
+                         "episode.ring.n_samples", "train.epochs"], Domain(1, INF, "[)")),
+        # counts, and the seed numpy's generators take
+        **dict.fromkeys(["train.m_trials", "train.multi_steps", "train.seed"],
+                        Domain(0, INF, "[)")),
     }
 
     def validate(self):
-        if self.method not in self.METHODS:
-            raise ValueError(f"method must be one of {self.METHODS}")
-        if self.robot not in ("ring", "point"):
-            raise ValueError("robot must be 'ring' or 'point'")
-        doc = to_dict(self)
-        for path, (lo, hi, *ends) in self.RANGES.items():
-            node = doc
-            for part in path.split("."):
-                node = node[part]
-            if node is None:
-                continue
-            left, right = ends[0] if ends else "[]"
-            if not ((lo < node if left == "(" else lo <= node)
-                    and (node < hi if right == ")" else node <= hi)):
-                raise ValueError(f"config field {path}={node} outside {left}{lo}, {hi}{right}")
+        for path, val in _leaves(to_dict(self)):
+            if val not in self.DOMAINS[path]:
+                raise ValueError(f"config field {path}={val!r} outside {self.DOMAINS[path]}")
         ep = self.episode
         if ep.scale_floor > ep.scale_cap:
             raise ValueError(f"config field episode.scale_floor={ep.scale_floor} is above "
@@ -174,6 +217,15 @@ def to_dict(obj):
     return obj
 
 
+def _leaves(doc, prefix=""):
+    """The (dotted path, value) of each leaf of the nested dict ``doc``."""
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key, val
+
+
 def _build(cls, data, path=""):
     """Rebuild a dataclass tree from parsed TOML/JSON by the fields' type hints.
 
@@ -188,8 +240,11 @@ def _build(cls, data, path=""):
         if key not in hints:
             raise ValueError(f"unknown config field {path}{key}: "
                              f"{cls.__name__} has no field {key!r}")
-    return cls(**{key: _field_value(hints[key], val, f"{path}{key}.")
-                  for key, val in data.items()})
+    kwargs = {key: _field_value(hints[key], val, f"{path}{key}.") for key, val in data.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as e:  # a cross-field check, whose message starts with its field
+        raise ValueError(f"config field {path}{e}") from None
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +266,8 @@ def _field_value(hint, val, path):
     a list of numbers as a tuple, a number as the hint's float or int.  A
     value of another type (a bool or string for a number or a list element, a
     float with a fraction for an int) raises ValueError."""
-    if val is None:
-        return None
+    if val is None and not dataclasses.is_dataclass(hint):
+        return None  # RunConfig.DOMAINS says which fields may be None
     kinds = typing.get_args(hint) or (hint,)
     for kind in kinds:
         if dataclasses.is_dataclass(kind):
@@ -253,44 +308,13 @@ def _toml_value(v):
 
 def dumps_toml(doc: dict, prefix="") -> str:
     """Write the restricted TOML subset our configs use (nested tables)."""
-    scalars, tables = [], []
-    for key in doc:
-        val = doc[key]
-        if isinstance(val, dict):
-            tables.append(key)
-        elif val is None:
-            continue
-        else:
-            scalars.append(key)
-    lines = []
-    for key in scalars:
-        lines.append(f"{key} = {_toml_value(doc[key])}")
+    tables = [key for key, val in doc.items() if isinstance(val, dict)]
+    lines = [f"{key} = {_toml_value(val)}" for key, val in doc.items()
+             if val is not None and key not in tables]
     for key in tables:
         name = f"{prefix}{key}"
-        lines.append("")
-        lines.append(f"[{name}]")
-        lines.append(dumps_toml(doc[key], prefix=name + "."))
+        lines += ["", f"[{name}]", dumps_toml(doc[key], prefix=name + ".")]
     return "\n".join(lines).strip() + "\n"
-
-
-def loads_toml(text: str) -> dict:
-    """Parse the TOML subset dumps_toml produces (JSON-compatible values)."""
-    if tomllib is not None:
-        return tomllib.loads(text)
-    root: dict = {}
-    node = root
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip() if not raw.strip().startswith('"') else raw.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            node = root
-            for part in line[1:-1].strip().split("."):
-                node = node.setdefault(part, {})
-            continue
-        key, _, val = line.partition("=")
-        node[key.strip()] = json.loads(val.strip())
-    return root
 
 
 def _parse_special_floats(doc):
@@ -305,10 +329,7 @@ def _parse_special_floats(doc):
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if path.suffix == ".json":
-        doc = json.loads(path.read_text())
-    else:
-        doc = loads_toml(path.read_text())
+    doc = (json.loads if path.suffix == ".json" else tomllib.loads)(path.read_text())
     return config_from_dict(_parse_special_floats(doc))
 
 
@@ -354,17 +375,14 @@ def run_method(ws: Workspace, cfg: RunConfig, method=None):
 
     Grid workspaces always run the dungeon point-robot defaults
     (``dungeon_setup``), with the configured checkpoint's policy when one is
-    set; disc workspaces run the configured episode and meta-policy.
+    set; disc workspaces run the configured episode and meta-policy.  Only
+    ``grlsnam`` reads a meta-policy, so only it loads the checkpoint.
     """
     method = method or cfg.method
-    if ws.grid is not None:
-        ep, meta = dungeon_setup()
-        if cfg.meta.checkpoint:
-            meta = cfg.meta_policy()
-    else:
-        ep = cfg.episode_config()
-        meta = cfg.meta_policy()
+    ep, meta = dungeon_setup() if ws.grid is not None else (cfg.episode_config(), None)
     if method == "grlsnam":
+        if ws.grid is None or cfg.meta.checkpoint:
+            meta = cfg.meta_policy()
         return run_episode(ws, ep, meta)
     if method in ("pf", "dwa"):
         radius = cfg.rigid_radius if (cfg.robot == "ring" and ws.grid is None) else 0.0
@@ -428,7 +446,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _checked_config(args.config)
+    cfg = _checked_config(args.config, policy=True)
     if cfg is None:
         return 2
     if args.method:
@@ -509,14 +527,22 @@ def _write_plan_plot(out: Path, ws, table, summary):
     svg.plot_episode(ws, table[:, 1:3], extra_note=note).save(out / "trajectory.svg")
 
 
-def _checked_config(path):
+def _checked_config(path, policy=False):
     """The validated RunConfig in ``path`` (the defaults without one), or None
-    after printing ``config error: ...`` for a malformed file."""
+    after printing ``config error: ...`` for a missing or malformed file, and
+    with ``policy`` for a ``meta.checkpoint`` that does not load."""
     try:
-        return (load_config(path) if path else RunConfig()).validate()
-    except ValueError as e:
+        cfg = load_config(path) if path else RunConfig().validate()
+    except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return None
+    try:
+        if policy and cfg.meta.checkpoint:
+            MetaRegressor.load(cfg.meta.checkpoint)
+    except (OSError, ValueError, KeyError, TypeError, struct.error) as e:
+        print(f"config error: meta.checkpoint: {e}", file=sys.stderr)
+        return None
+    return cfg
 
 
 def _checked_file(path, parse):
@@ -611,7 +637,7 @@ def _method_row(ws, cfg, method, ref, lref):
 
 
 def cmd_eval(args) -> int:
-    cfg = _checked_config(args.config)
+    cfg = _checked_config(args.config, policy=True)
     if cfg is None:
         return 2
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

@@ -538,21 +538,6 @@ class TrainConfig:
     fd_step: float = 1e-4
     seed: int = 0
 
-    def __post_init__(self):
-        for name in ("fd_step", "tau", "d_hat", "clip_norm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"train.{name} must be > 0")
-        if not self.epochs >= 1:
-            raise ValueError("train.epochs must be >= 1")
-        if not (self.m_trials >= 0 and self.multi_steps >= 0):
-            raise ValueError("train.m_trials and train.multi_steps must be >= 0")
-        if not (isinstance(self.horizons, (list, tuple)) and self.horizons
-                and all(isinstance(h, int) and h >= 0 for h in self.horizons)):
-            raise ValueError("train.horizons must be a non-empty list of ints >= 0")
-        if not (isinstance(self.weights, (list, tuple)) and len(self.weights) == 4
-                and all(w >= 0 for w in self.weights)):
-            raise ValueError("train.weights must be four loss weights >= 0")
-
 
 def _scene_losses(scene: SceneDatum, weights, cfg: TrainConfig, horizon, starts):
     """Composite loss of one scene under each of its weight sets.

@@ -153,8 +153,8 @@ def project_update(zeta, dzeta, kappa) -> tuple:
     """Damped weight step projected onto the nonnegative orthant:
     zeta' = max(0, zeta + kappa .* dzeta), componentwise (a NaN stays NaN).
 
-    ``kappa``'s components lie in [0, 1); AdaptConfig.kappa_vector checks
-    them once per episode.
+    ``kappa``'s components lie in [0, 1): the config's domain table
+    (``cli.RunConfig.DOMAINS``) holds the step sizes in [0, 0.999].
     """
     return tuple(max(z + k * d, 0.0) for z, d, k in zip(zeta, dzeta, kappa))
 
@@ -241,18 +241,6 @@ class AdaptConfig:
     v_min: float = 0.2
     zeta_cap: tuple = (8.0, 8.0, 12.0)  # ceilings for beta, lam, mu
 
-    def __post_init__(self):
-        if not (len(self.zeta_cap) == 3 and all(c >= 0 for c in self.zeta_cap)):
-            raise ValueError(f"episode.adapt.zeta_cap must be three ceilings >= 0 "
-                             f"(beta, lam, mu), not {list(self.zeta_cap)}")
-
-    def kappa_vector(self) -> tuple:
-        """The step sizes of [beta, lam, mu], each in [0, 1)."""
-        kappa = (float(self.kappa_beta), float(self.kappa_gamma), float(self.kappa_gamma))
-        if not all(0.0 <= k < 1.0 for k in kappa):
-            raise ValueError("kappa components must lie in [0, 1)")
-        return kappa
-
 
 @dataclass
 class EpisodeConfig:
@@ -284,11 +272,6 @@ class EpisodeConfig:
     retarget_window: int = 80   # steps without exit progress before retarget
     retarget_eps: float = 0.02
     exit_merge_radius: float = 1.2
-
-    def __post_init__(self):
-        t_y, t_f, t_o = self.horizons
-        if min(t_y, t_f, t_o) < 1:
-            raise ValueError("all horizons must be >= 1")
 
     @property
     def window(self) -> float:
@@ -732,8 +715,9 @@ class _Episode:
         self.u_f = (0.0, 0.0)
         self.J = ((0.0, 0.0, 0.0),) * 3  # dy/d[beta, lam, mu], in rows
         self.prev_y = self.prev_zeta = self.prev_slots = None
-        # the adaptation's constants, formed (and kappa checked) once
-        self.kappa = cfg.adapt.kappa_vector()
+        # the adaptation's constants, formed once: the step sizes of [beta, lam, mu]
+        self.kappa = (float(cfg.adapt.kappa_beta), float(cfg.adapt.kappa_gamma),
+                      float(cfg.adapt.kappa_gamma))
         self.caps = tuple(float(c) for c in cfg.adapt.zeta_cap)
         self.fixed = None  # the FixedTerms of the current stage goal
         self.spec = None  # the HamiltonianSpec of the active set and self.fixed

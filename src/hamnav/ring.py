@@ -46,14 +46,9 @@ class RingParams:
     delta: float = 2.0  # tanh rate of the scale target
 
     def __post_init__(self):
-        if self.n_ctrl < 8:
-            raise ValueError("need at least 8 control points")
         if self.n_samples < 4 * self.n_ctrl:
-            raise ValueError("need K >= 4 * n_ctrl boundary samples")
-        if not (0 < self.s_min < 1):
-            raise ValueError("s_0 must lie in (0, 1)")
-        if min(self.k_bulk, self.mass_scale, self.delta) <= 0:
-            raise ValueError("k_bulk, M_s and delta must be > 0")
+            raise ValueError(f"n_samples={self.n_samples} is below 4 * n_ctrl = "
+                             f"{4 * self.n_ctrl} (K >= 4 n boundary samples)")
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,30 @@ class TestCompare:
         assert "run-record digests MOVED on: ring_nav" in capsys.readouterr().out
 
 
+class TestCalibration:
+    def test_reference_seconds_follow_the_kernel(self, bench, monkeypatch):
+        # a kernel twice as slow as the reference (1 ms) halves the seconds
+        times = iter([2.0, 2.0])
+        monkeypatch.setattr(bench, "kernel_ms", lambda: next(times))
+        out, kernel, scale = bench.calibrated(lambda: "measured")
+        assert (out, kernel, scale) == ("measured", [2.0, 2.0], 0.5)
+
+    def test_kernel_is_perfbench_own(self, bench):
+        speed = bench._speed()
+        assert speed.__file__ == str(ROOT / "perfbench" / "speed.py")
+        assert bench.kernel_ms() > 0
+
+    def test_compare_prints_reference_times(self, bench, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        for path, ref in ((a, 0.02), (b, 0.03)):
+            path.write_text(json.dumps({"workloads": {}, "astar_rigid": {"median_ref_s": ref},
+                                        "acceptance": {"wall_s": 40.0, "wall_ref_s": 30.0}}))
+        lines = bench.compare(a, b)
+        assert row(lines, "astar_rigid", "median_ref_s").endswith("B/A 1.500")
+        assert row(lines, "acceptance", "wall_ref_s").endswith("B/A 1.000")
+
+
 def test_source_sha256_follows_the_engine_files(bench, tmp_path):
     pkg = tmp_path / "src" / "hamnav"
     pkg.mkdir(parents=True)

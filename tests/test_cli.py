@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ import pytest
 from hamnav.cli import (
     RunConfig,
     _eval_one,
+    _leaves,
     config_from_dict,
     dumps_toml,
     load_config,
-    loads_toml,
     main,
     plan_method,
     run_method,
@@ -70,7 +71,7 @@ class TestConfigRoundTrip:
 
     def test_toml_subset_parser(self):
         text = dumps_toml({"a": 1, "b": [1.5, 2.0], "sec": {"c": "hi", "d": True}})
-        doc = loads_toml(text)
+        doc = tomllib.loads(text)
         assert doc == {"a": 1, "b": [1.5, 2.0], "sec": {"c": "hi", "d": True}}
 
     def test_validation_rejects_bad_field(self):
@@ -84,6 +85,56 @@ class TestConfigRoundTrip:
         cfg.method = "teleport"
         with pytest.raises(ValueError):
             cfg.validate()
+
+    def test_every_leaf_has_a_domain_and_rejects_outside_it(self):
+        # every field of the tree is declared in the one table, and a value
+        # just outside its domain (below its low end, an unknown choice, or
+        # None where None may not stand) is rejected, naming the field
+        for path, default in _leaves(to_dict(RunConfig())):
+            domain = RunConfig.DOMAINS[path]
+            assert default in domain, path
+            if domain.choices is not None:
+                bad = "bogus" if domain.choices else None
+            else:
+                bad = domain.lo if domain.ends[0] == "(" else domain.lo - 1
+                bad = bad if domain.length is None else [bad] * (domain.length or 1)
+            *tables, key = path.split(".")
+            doc = {key: bad}
+            for table in reversed(tables):
+                doc = {table: doc}
+            with pytest.raises(ValueError, match=rf"^config field {re.escape(path)}="):
+                config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"episode": {"ring": {"n_ctrl": 4}}}, "episode.ring.n_ctrl"),
+        ({"episode": {"ring": {"s_min": 1.2}}}, "episode.ring.s_min"),
+        ({"episode": {"ring": {"r_base": float("nan")}}}, "episode.ring.r_base"),
+        ({"episode": {"horizons": [10, 5, 1.5]}}, "episode.horizons"),
+        ({"episode": {"horizons": [10, 5]}}, "episode.horizons"),
+        ({"train": {"horizons": [2, 3.0]}}, "train.horizons"),
+        ({"train": {"weights": [1.0, 1.0, 0.1, float("inf")]}}, "train.weights"),
+        ({"method": "teleport"}, "method"),
+        ({"robot": "car"}, "robot"),
+        ({"episode": {"tau": None}}, "episode.tau"),
+        ({"meta": {"checkpoint": None}}, "meta.checkpoint"),
+    ], ids=["n_ctrl", "s_min", "r_base_nan", "fraction_horizon", "two_horizons",
+            "fraction_train_horizon", "infinite_loss_weight", "method", "robot",
+            "null_number", "null_checkpoint"])
+    def test_outside_the_domain_names_its_field(self, doc, field):
+        with pytest.raises(ValueError, match=rf"^config field {re.escape(field)}="):
+            config_from_dict(doc)
+
+    def test_none_stands_only_where_declared(self):
+        cfg = config_from_dict({"episode": {"ring": None}, "pf": {"d_hat": None}})
+        assert cfg.episode.ring is None and cfg.pf.d_hat is None
+        assert config_from_dict({"episode": {"sense_half_extent": 4.0}}).episode.window == 4.0
+        with pytest.raises(ValueError, match=r"^config field episode\.adapt must be a table"):
+            config_from_dict({"episode": {"adapt": None}})
+
+    def test_cross_field_check_names_its_field(self):
+        # K >= 4 n_ctrl is RingParams' own check; the config names its path
+        with pytest.raises(ValueError, match=r"^config field episode\.ring\.n_samples=30 "):
+            config_from_dict({"episode": {"ring": {"n_samples": 30}}})
 
     def test_tuple_fields_rebuilt(self):
         doc = to_dict(RunConfig())
@@ -382,7 +433,7 @@ class TestRunCommand:
                    "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("config error: episode.adapt.zeta_cap must be three ceilings")
+        assert err.startswith("config error: config field episode.adapt.zeta_cap=")
         assert not (tmp_path / "x").exists()
 
     def test_unknown_config_field_exits_with_its_name(self, tmp_path, workspace_file,
@@ -524,7 +575,77 @@ class TestRunCommand:
             assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("text, field", [
+        ("[episode]\nstuck_window = -1", "episode.stuck_window"),
+        ("[episode]\nretarget_window = 0", "episode.retarget_window"),
+        ("[episode]\ncoverage_cells_per_window = 0", "episode.coverage_cells_per_window"),
+        ("[episode]\nsense_half_extent = -1.0", "episode.sense_half_extent"),
+        ("[episode.ring]\nr_base = -0.4", "episode.ring.r_base"),
+        ("[episode]\nsensor_gain = nan", "episode.sensor_gain"),
+    ], ids=["stuck_window", "retarget_window", "coverage_cells", "sense_half_extent",
+            "ring_r_base", "sensor_gain"])
+    def test_bad_episode_field_exits_with_its_name(self, tmp_path, workspace_file, capsys,
+                                                   text, field):
+        # on a test_id workspace these ran before into an IndexError (the two
+        # windows) or a ZeroDivisionError traceback (coverage cells), to
+        # "collision" (a negative window or ring radius), or to "diverged"
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f"{text}\n")
+        for args in (["run", "--workspace", str(workspace_file)],
+                     ["eval", "--workspaces", str(workspace_file.parent), "--methods", "grlsnam"]):
+            capsys.readouterr()
+            assert main(args + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config field {field}=")
+            assert not (tmp_path / "x").exists()
+
+    def test_missing_config_exits_with_message(self, tmp_path, workspace_file, capsys):
+        missing = tmp_path / "missing.toml"
+        for args in (["run", "--workspace", str(workspace_file)],
+                     ["eval", "--workspaces", str(workspace_file.parent), "--methods", "pf"]):
+            capsys.readouterr()
+            assert main(args + ["--config", str(missing), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(missing) in err
+            assert not (tmp_path / "x").exists()
+
+    def test_missing_checkpoint_exits_before_any_episode(self, tmp_path, workspace_file,
+                                                          capsys, monkeypatch):
+        import hamnav.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_episode", lambda *a: ran.append(a))
+        monkeypatch.setattr(cli, "run_baseline_episode", lambda *a, **k: ran.append(a))
+        bad = tmp_path / "bad.toml"
+        bad.write_text(f'[meta]\ncheckpoint = "{tmp_path / "missing.bin"}"\n')
+        for args in (["run", "--workspace", str(workspace_file), "--method", "pf"],
+                     ["eval", "--workspaces", str(workspace_file.parent),
+                      "--methods", "grlsnam,pf"]):
+            capsys.readouterr()
+            assert main(args + ["--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: meta.checkpoint: ") and "missing.bin" in err
+            assert not (tmp_path / "x").exists()
+        (tmp_path / "junk.bin").write_bytes(b"not a checkpoint")
+        bad.write_text(f'[meta]\ncheckpoint = "{tmp_path / "junk.bin"}"\n')
+        assert main(["run", "--workspace", str(workspace_file), "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error: meta.checkpoint: ")
+        assert ran == []
+
+
 class TestRunMethod:
+    @pytest.mark.parametrize("method", ["pf", "dwa"])
+    def test_baselines_do_not_load_the_checkpoint(self, method, tmp_path):
+        # PF and DWA read no meta-policy, so a missing checkpoint cannot fail them
+        cfg = RunConfig()
+        cfg.episode.n_max = 50
+        cfg.meta.checkpoint = str(tmp_path / "missing.bin")
+        ws = generate_workspace("test_id", 21)
+        assert run_method(ws, cfg, method).n_steps > 0
+        with pytest.raises(FileNotFoundError):
+            run_method(ws, cfg, "grlsnam")
+
     @pytest.mark.parametrize("method", ["astar_rigid", "astar_rigd"])
     def test_other_methods_are_unknown(self, method):
         ws = generate_workspace("test_id", 21)
@@ -951,6 +1072,7 @@ class TestTrainCommand:
         ("tau = 0.0", "tau"),
         ("clip_norm = nan", "clip_norm"),
         ("m_trials = -1", "m_trials"),
+        ("seed = -1", "seed"),
         # out of range, where training used to run on: with the multi-start
         # penalty silently off, at any step, or into a FloatingPointError
         ("r_min = nan", "r_min"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hamnav import navigator
 from hamnav.baselines import astar_rigid, run_baseline_episode
+from hamnav.cli import config_from_dict
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     POINT_LAYOUT,
@@ -315,15 +316,12 @@ class TestProjectUpdate:
         assert out[0] == pytest.approx(1.5)
 
     def test_kappa_validated(self):
-        # the loop's kappa comes from AdaptConfig.kappa_vector, checked once
-        # per episode rather than on every project_update
-        with pytest.raises(ValueError):
-            AdaptConfig(kappa_gamma=1.0).kappa_vector()
-        with pytest.raises(ValueError):
-            AdaptConfig(kappa_beta=-0.1).kappa_vector()
-        ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
-        with pytest.raises(ValueError):
-            run_episode(ws, EpisodeConfig(ring=None, adapt=AdaptConfig(kappa_gamma=1.0)))
+        # the loop's kappa comes from the config, whose domain table holds
+        # each step size in [0, 0.999], rather than from a check on every
+        # project_update
+        for name, value in (("kappa_gamma", 1.0), ("kappa_beta", -0.1)):
+            with pytest.raises(ValueError, match=rf"^config field episode\.adapt\.{name}="):
+                config_from_dict({"episode": {"adapt": {name: value}}})
 
 
 class TestPortCorrection:
@@ -520,8 +518,8 @@ class TestRunEpisode:
                 assert res.alpha_sums[k] >= res.alpha_sums[k - 1] - 1e-12
 
     def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            EpisodeConfig(horizons=(0, 1, 1))
+        with pytest.raises(ValueError, match=r"^config field episode\.horizons="):
+            config_from_dict({"episode": {"horizons": [0, 1, 1]}})
 
 
 def walled_in_start():
