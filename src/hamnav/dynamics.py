@@ -71,17 +71,25 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
     ring's scale/orientation damping); it is independent of (mu, u_f), so the
     sensor and shape momenta never feel the adaptive port.  The arithmetic is
     the array form's, coordinate by coordinate in Python floats: the same
-    bits without the numpy call overhead.
+    bits without the numpy call overhead, Gamma(mu) and the port included.
     """
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
     q, p = z.q.tolist(), z.p.tolist()
     grad = np.asarray(grad_q, dtype=float).tolist()
     if not all(map(math.isfinite, q + p + grad)):
         raise FloatingPointError("non-finite state or gradient")
     mass = np.asarray(mass, dtype=float).tolist()
+    dim, frame = selectors.dim, selectors.frame
+    gamma, port = [0.0] * dim, [0.0] * dim  # Gamma(mu) and G u_f
+    gamma[frame] = [float(mu)] * len(gamma[frame])
+    if u_f is not None:
+        port[frame] = map(float, u_f)
+    if len(port) != dim:
+        raise ValueError(f"port input {u_f} does not fit the frame {frame}")
     v = [p_i / m_i for p_i, m_i in zip(p, mass)]
     p_new = [p_i - tau * g_i - tau * d_i * v_i + tau * u_i for p_i, g_i, d_i, v_i, u_i
-             in zip(p, grad, selectors.gamma_diag(mu).tolist(), v,
-                    selectors.embed_port(u_f).tolist())]
+             in zip(p, grad, gamma, v, port)]
     if structural_damping is not None:
         p_new = [p_i - tau * s_i * v_i for p_i, s_i, v_i
                  in zip(p_new, np.asarray(structural_damping, float).tolist(), v)]

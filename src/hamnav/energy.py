@@ -14,6 +14,7 @@ finite differences are used only as test oracles.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -243,15 +244,39 @@ class HamiltonianSpec:
             raise ValueError("mass diagonal must be positive definite")
 
 
+def contact_barrier(d, d_hat, d_min):
+    """``ipc_barrier_and_grad(d, d_hat)`` of distances d whose least is d_min,
+    the one barrier kernel of both robots.  Its fast path: when d_c < d_min <
+    inf and b(d_c) <= BARRIER_CLAMP (``barrier_knots``), every d is on the log
+    branch, where b(d) < b(d_c), or beyond d_hat, so the barrier and its slope
+    are one ``np.where`` each of ``ipc_barrier_and_grad``'s elementwise
+    operations (its bits; the value clip is the identity, the slope keeps its
+    clip, which rounding just past d_c can reach).  Any other input (contact
+    within d_c, penetration, NaN, inf, b(d_c) above the clamp) takes
+    ``ipc_barrier_and_grad``."""
+    d_c, b_c, _ = barrier_knots(d_hat)
+    if not (d_c < d_min < math.inf and b_c <= BARRIER_CLAMP):
+        return ipc_barrier_and_grad(d, d_hat)
+    e, log_r = d - d_hat, np.log(d / d_hat)
+    e2, near = e ** 2, d < d_hat
+    return (np.where(near, -e2 * log_r, 0.0),
+            np.where(near, np.clip(-2.0 * e * log_r - e2 / d, -GRAD_CLAMP, GRAD_CLAMP), 0.0))
+
+
 def _point_barrier_terms(c, discs: DiscSet, d_hat):
-    """The ``_log_terms`` of the signed distances from point-robot frame positions
-    c (..., 2) to ``discs``, and the (..., M, 2) gradient rows w_i b'(d_i) n_i:
-    zero, with a warning, on a centre.  The distances are ``row_norms``, so a
-    batch of positions gets the bits each one gets alone."""
+    """The barrier values (``contact_barrier``) of the signed distances d_i from
+    point-robot frame positions c (..., 2) to ``discs``, and the (..., M, 2)
+    gradient rows w_i b'(d_i) n_i: zero, with a warning, on a centre (sought
+    only when some d_i is not finite and above 1e-12).  The distances are
+    ``row_norms``, so a batch of positions gets the bits each one gets alone."""
     delta = c[..., None, :] - discs.centers
     dist = row_norms(delta)
-    terms = _log_terms(dist - discs.radii, d_hat)
-    slope = discs.weights * _barrier_slope(*terms, d_hat)
+    d = dist - discs.radii
+    d_min = float(d.min()) if d.size else math.inf
+    b, db = contact_barrier(d, d_hat, d_min)
+    slope = discs.weights * db
+    if 1e-12 < d_min < math.inf:  # every offset is finite and longer than 1e-12
+        return b, slope[..., None] * (delta / dist[..., None])
     at_center = dist < 1e-12  # a NaN distance keeps its NaN row
     if at_center.any():
         warnings.warn("configuration coincides with an obstacle center; "
@@ -259,7 +284,7 @@ def _point_barrier_terms(c, discs: DiscSet, d_hat):
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = slope[..., None] * (delta / dist[..., None])
     rows[at_center] = 0.0
-    return terms, rows
+    return b, rows
 
 
 def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
@@ -273,7 +298,7 @@ def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
 
     For a ring, ``contact`` is its ``ContactPass`` at q against ``discs``
     (that object), when the caller has made it already; it is made here when
-    None.
+    None.  Both robots' barriers come from ``contact_barrier``.
     """
     q = np.asarray(q, dtype=float)
     layout = fixed.layout
@@ -291,8 +316,8 @@ def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
             raise ValueError("contact pass was made against another disc set")
         phi[2:], grads[2:] = contact.features(fixed.d_hat)
     elif m:
-        terms, grads[2:, layout.frame] = _point_barrier_terms(q[layout.frame], discs, fixed.d_hat)
-        phi[2:] = _barrier(*terms, fixed.d_hat) * discs.weights
+        b, grads[2:, layout.frame] = _point_barrier_terms(q[layout.frame], discs, fixed.d_hat)
+        phi[2:] = b * discs.weights
     return phi, grads
 
 

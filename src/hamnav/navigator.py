@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -75,15 +76,17 @@ def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances
     Clearance is the min of ``clearance``, the new configuration's measured
     distance to the active discs (+inf for none), and any clearances
     collected from the shape rollout; it is capped at d_hat so the clearance
-    channel stays bounded when nothing is active.
+    channel stays bounded when nothing is active.  ``x_g`` and ``mass`` are
+    sequences of numbers.
     """
     clr = clearance
     for extra in shape_qoi_clearances:
         clr = min(clr, float(extra))
     clr = min(clr, d_hat)
-    dist = norm2(z_next.q[layout.frame] - np.asarray(x_g, float))
-    speed = norm2([p / m for p, m in zip(z_next.p.tolist(), np.asarray(mass, float).tolist())])
-    return Observables(clearance=clr, goal_dist=dist, speed=speed)
+    cx, cy = z_next.q[layout.frame].tolist()
+    dx, dy = cx - x_g[0], cy - x_g[1]
+    speed = norm2([p / m for p, m in zip(z_next.p.tolist(), mass)])
+    return Observables(clearance=clr, goal_dist=math.sqrt(dx * dx + dy * dy), speed=speed)
 
 
 def observable_target(y: Observables, m_safe, eps_prog, v_min) -> tuple:
@@ -504,6 +507,18 @@ class StagewiseSensing:
         self.exit_dists = deque(maxlen=cfg.retarget_window)  # distances to the exit
         self.handed_off = False  # stage_goal was attained and has not changed since
 
+    @property
+    def stage_goal(self) -> np.ndarray:
+        """An array; setting it sets its float pair ``stage_goal_xy`` and
+        ``on_exit`` (whether it is not the goal)."""
+        return self._stage_goal
+
+    @stage_goal.setter
+    def stage_goal(self, goal):
+        self._stage_goal = goal
+        self.stage_goal_xy = tuple(goal.tolist())
+        self.on_exit = not (goal == self.ws.goal).all()
+
     def refresh(self, c, n) -> bool:
         """Stage bookkeeping at step ``n`` with the robot at ``c``; True if it sensed.
 
@@ -518,24 +533,26 @@ class StagewiseSensing:
         each still releases the sticky stage, until the selector hands out
         another exit or the exit is abandoned.  Raises DeadEndError when
         the stage is cut off from the goal; the window is sensed (and charged
-        to coverage) first.
+        to coverage) first.  The bookkeeping is in Python floats (``min``/``max``
+        give ``np.clip``'s bits); the position is an array only to sense.
         """
-        cfg = self.cfg
-        pos = c.clip(0.0, self.ws.side)
-        dist = norm2(c - self.stage_goal)
+        cfg, side, (gx, gy) = self.cfg, self.ws.side, self.stage_goal_xy
+        cx, cy = c.tolist()
+        pos = (min(max(cx, 0.0), side), min(max(cy, 0.0), side))
+        dist = math.sqrt((cx - gx) * (cx - gx) + (cy - gy) * (cy - gy))
         self.exit_dists.append(dist)
         near = dist < cfg.eps_stage
         # one hand-off per exit: only the first step near it is a stage hit
         stage_hit = near and not self.handed_off
-        on_exit = not (self.stage_goal == self.ws.goal).all()
-        no_progress = (on_exit and len(self.exit_dists) == cfg.retarget_window
+        no_progress = (self.on_exit and len(self.exit_dists) == cfg.retarget_window
                        and self.exit_dists[0] - min(self.exit_dists) < cfg.retarget_eps)
-        if on_exit and (stage_hit or no_progress):
+        if self.on_exit and (stage_hit or no_progress):
             self.exits.record(self.stage_goal, attained=stage_hit)
         # the active stage is sticky while it still contains the robot
         stage = self.stages.stage_of(pos, current=None if near else self.stage)
         if not (n % cfg.horizons[0] == 0 or stage != self.stage or stage_hit or no_progress):
             return False
+        pos = np.array(pos, dtype=float)
         ctx = sense(self.ws, pos, cfg.window, tracker=self.tracker, registry=self.registry,
                     circle_params={"d_hat_cells": cfg.circle_d_hat_cells})
         goal = self.exits.select(pos, stage)
@@ -555,11 +572,11 @@ class EpisodeRecorder:
 
     ``start`` and ``step`` take each state the episode reaches: they measure
     its ground-truth clearance once (``true_clr``) and return why the episode
-    ends there, or None.  ``record`` writes a state into one row of a float64
-    step table that doubles its capacity when full; ``result`` hands the
-    logged rows to the EpisodeResult, zeros in the columns a loop never
-    wrote.  A rigid disc of ``radius`` is judged by its centre's clearance
-    less the radius.
+    ends there, or None.  ``record`` appends a state's row, a Python list in
+    header order, to a flat float64 ``array``; ``result`` hands the rows to
+    the EpisodeResult as one table, zeros in the columns a loop never wrote.
+    A rigid disc of ``radius`` is judged by its centre's clearance less the
+    radius.
     """
 
     # The step log's columns in steps.csv order, each with the EpisodeResult
@@ -590,10 +607,8 @@ class EpisodeRecorder:
             self.rows[name] = start if width is None else slice(start, start + width)
             header += [name] if width is None else [f"{name}{i}" for i in range(width)]
         self.header = tuple(header)
-        # the columns every loop records besides q, written in one assignment
-        self.observed = np.array([self.rows[name] for name in
-                                  ("t", "clr", "true_clr", "dist", "speed")])
-        self.buffer = np.zeros((64, len(header)))
+        self.goal_xy = tuple(ws.goal.tolist())
+        self.table = array("d")  # the logged rows, one after another
         self.m = 0  # states logged
         self.navigated = False  # whether the navigator's columns were logged
         self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
@@ -620,7 +635,7 @@ class EpisodeRecorder:
     def start(self, q):
         """Measure the start state: 'collision' if it collides, else as ``_at``."""
         self.true_clr = self.true_clearance(q)
-        return "collision" if self.true_clr < 0 else self._at(q)
+        return "collision" if self.true_clr < 0 else self._at(q[self.layout.frame].tolist())
 
     def step(self, q, contact=None):
         """Measure the state a step reached: 'collision' when it collides,
@@ -630,17 +645,21 @@ class EpisodeRecorder:
         cfg = self.cfg
         self.n += 1
         self.true_clr = self.true_clearance(q, contact)
-        self.recent.append(q[self.layout.frame].copy())
+        xy = q[self.layout.frame].tolist()
+        self.recent.append(xy)
         if self.true_clr < 0:
             return "collision"
         if len(self.recent) == cfg.stuck_window + 1:
-            if norm2(self.recent[-1] - self.recent[0]) < cfg.eps_stuck:
+            dx, dy = xy[0] - self.recent[0][0], xy[1] - self.recent[0][1]
+            if math.sqrt(dx * dx + dy * dy) < cfg.eps_stuck:
                 return "stuck"
-        return self._at(q)
+        return self._at(xy)
 
-    def _at(self, q):
-        """'success' at the goal, 'timeout' after n_max steps, else None."""
-        if norm2(q[self.layout.frame] - self.ws.goal) < self.cfg.eps_goal:
+    def _at(self, xy):
+        """'success' with the frame ``xy`` (a float pair) at the goal,
+        'timeout' after n_max steps, else None."""
+        dx, dy = xy[0] - self.goal_xy[0], xy[1] - self.goal_xy[1]
+        if math.sqrt(dx * dx + dy * dy) < self.cfg.eps_goal:
             return "success"
         return "timeout" if self.n >= self.cfg.n_max else None
 
@@ -648,19 +667,19 @@ class EpisodeRecorder:
         """Log the state last measured, q, at time m * tau, with its
         observables y; the navigator also passes ``columns``, its other
         columns by name (p, u_f, the energy terms and the weights)."""
-        if self.m == len(self.buffer):
-            self.buffer = np.concatenate([self.buffer, np.zeros_like(self.buffer)])
-        row, rows = self.buffer[self.m], self.rows
-        row[rows["q"]] = q
-        row[self.observed] = self.cfg.tau * self.m, y.clearance, self.true_clr, y.goal_dist, y.speed
+        row, at = [0.0] * len(self.header), self.rows
+        row[at["q"]] = q.tolist()
+        row[at["t"]], row[at["clr"]], row[at["true_clr"]], row[at["dist"]], row[at["speed"]] = (
+            self.cfg.tau * self.m, y.clearance, self.true_clr, y.goal_dist, y.speed)
         if columns:
             for name, value in columns.items():
-                row[rows[name]] = value
+                row[at[name]] = value
             self.navigated = True
+        self.table.fromlist(row)
         self.m += 1
 
     def result(self, termination, final_weights=None) -> EpisodeResult:
-        table = self.buffer[:self.m].copy()
+        table = np.array(self.table, dtype=float).reshape(self.m, len(self.header))
         arrays, breakdown = {}, {}
         for name, field_name in self.COLUMNS.items():
             if field_name is None:
@@ -702,6 +721,7 @@ class _Episode:
             self.shape = None
             self.mass = np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame])
             self.structural = np.zeros(4)
+        self.mass_list, self.goal_xy = self.mass.tolist(), tuple(ws.goal.tolist())
         self.selectors = PortSelectors(dim=self.layout.dim, frame=self.layout.frame)
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
         self.sensing = StagewiseSensing(ws, cfg)
@@ -721,7 +741,8 @@ class _Episode:
         self.caps = tuple(float(c) for c in cfg.adapt.zeta_cap)
         self.fixed = None  # the FixedTerms of the current stage goal
         self.spec = None  # the HamiltonianSpec of the active set and self.fixed
-        self.active = (None, None, None)  # the last active set: (memory discs, mask, set)
+        # the last full active-set test: (memory, c0x, c0y, reach0, slack, mask, set)
+        self.active = (None, 0.0, 0.0, 0.0, -math.inf, None, None)
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -736,23 +757,35 @@ class _Episode:
         return self.shape.contact(q, discs)
 
     def active_set(self, q) -> DiscSet:
-        """The memory's discs whose barrier can be non-zero at q.
+        """The memory's discs whose barrier can be non-zero at q: those with
+        g_i(c) = row_norms(c - centre_i) - radius_i <= reach at the frame c.
 
-        For the ring the activation test expands by the current ring radius,
-        since the barrier acts on boundary samples rather than the center.
-        The set last formed is handed back, the same object, while the
-        memory's DiscSet and the mask are unchanged.
+        For the ring the reach expands by the current ring radius, since the
+        barrier acts on boundary samples rather than the center.  The set last
+        formed is handed back, the same object, while the memory's DiscSet
+        and the mask are unchanged.  The full test runs only when the mask can
+        have changed: it keeps c0, reach0 and slack = min_i |g_i(c0) - reach0|
+        - 1e-9; each g_i is 1-Lipschitz in c, so no g_i - reach crosses zero
+        while the DiscSet is the same and |c - c0| + |reach - reach0| < slack.
+        The pad 1e-9 exceeds the float error of the g_i (a few ulps, about
+        1e-13 at coordinates of 1e3) by orders of magnitude.  A NaN or an
+        empty memory always re-tests.
         """
         reach = self.cfg.d_hat
         if self.shape is not None:
             reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
         mem = self.sensing.memory.discs
-        mask = row_norms(q[self.layout.frame] - mem.centers) - mem.radii <= reach
-        held_mem, held_mask, held = self.active
-        if held_mem is mem and held_mask.tobytes() == mask.tobytes():
+        cx, cy = q[self.layout.frame].tolist()
+        held_mem, c0x, c0y, reach0, slack, held_mask, held = self.active
+        if held_mem is mem and math.hypot(cx - c0x, cy - c0y) + abs(reach - reach0) < slack:
             return held
-        self.active = (mem, mask, mem[mask])
-        return self.active[2]
+        gaps = row_norms((cx, cy) - mem.centers) - mem.radii
+        mask = gaps <= reach
+        slack = float(np.abs(gaps - reach).min()) - 1e-9 if len(mem) else -math.inf
+        if held_mem is not mem or held_mask.tobytes() != mask.tobytes():
+            held = mem[mask]
+        self.active = (mem, cx, cy, reach, slack, mask, held)
+        return held
 
     def spec_for(self, act: DiscSet):
         """The HamiltonianSpec on act at the current stage goal.  The spec last
@@ -776,8 +809,8 @@ class _Episode:
     def observe(self, z, act: DiscSet, shape_clearances=(), contact=None):
         """Observables of z; ``contact``, the ring's pass at z against act,
         gives the clearance."""
-        return compute_observables(z, self.clearance(z.q, act, contact), self.ws.goal,
-                                   shape_clearances, self.mass, self.layout, self.cfg.d_hat)
+        return compute_observables(z, self.clearance(z.q, act, contact), self.goal_xy,
+                                   shape_clearances, self.mass_list, self.layout, self.cfg.d_hat)
 
     # -- logging ------------------------------------------------------------
 
@@ -794,7 +827,7 @@ class _Episode:
         """Record self.z with the observables ``logged`` gives, its momentum,
         the port input, the energy terms ``parts`` and the weights."""
         w = self.weights
-        parts.update(p=self.z.p, u_f=self.u_f, beta=w.beta, lam=w.lam,
+        parts.update(p=self.z.p.tolist(), u_f=self.u_f, beta=w.beta, lam=w.lam,
                      alpha_sum=sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()),
                      active=len(act), mu=w.mu)
         rec.record(self.z.q, self.logged(y, act, contact), parts)

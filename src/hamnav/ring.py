@@ -7,12 +7,11 @@ quadrature over boundary samples of the IPC barrier.  A clearance-dependent
 scale target feeds a quadratic bulk (area) potential, which is what lets the
 ring squeeze through gaps narrower than its rest diameter.
 
-The contact pass (``ContactPass``) takes a fast path when no sample is within
-the barrier's clamp distance d_c of a disc and b(d_c) <= BARRIER_CLAMP: every
-sample is then on the log branch or beyond d_hat, so the barrier and its slope
-are two ``np.where`` over the (M, K) grid, from the elementwise arithmetic of
-``ipc_barrier_and_grad`` and so with its bits.  A pass against no discs forms
-no grid: its clearance is +inf and its features are empty.
+The contact pass (``ContactPass``) takes its barrier from
+``energy.contact_barrier``, the barrier kernel of both robots, whose fast
+path (no sample within the clamp distance d_c of a disc) is two ``np.where``
+over the (M, K) grid.  A pass against no discs forms no grid: its clearance
+is +inf and its features are empty.
 
 Each ring state costs one gap pass.  The ground-truth clearance against the
 whole world (``pruned_clearance``) takes the navigator's pass at the same
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import BARRIER_CLAMP, GRAD_CLAMP, RING_LAYOUT, barrier_knots, ipc_barrier_and_grad
+from .energy import RING_LAYOUT, contact_barrier
 from .workspace import DiscSet, row_norms
 
 
@@ -289,17 +288,11 @@ class ContactPass:
     scale) when every disc of the pass is the world's disc of its id, byte
     for byte, since the pass's rows are then the world's rows.
 
-    ``features`` takes a fast path when the clearance is above the clamp
-    distance d_c and b(d_c) <= BARRIER_CLAMP (``barrier_knots``).  Every
-    sample is then on the log branch d_c < d < d_hat, where b(d) < b(d_c), or
-    beyond d_hat: no penetration, linear branch or saturation, and no offset
-    of zero length (a radius is positive).  So the barrier and its slope are
-    one ``np.where`` each over the grid, from the elementwise operations that
-    ``ipc_barrier_and_grad`` applies to the gathered samples, and the value
-    clip is the identity; the slope keeps its +-GRAD_CLAMP clip, which
-    rounding just past d_c can reach.  Any other pass (contact within d_c,
-    penetration, a NaN, or a d_hat whose b(d_c) is above the clamp) takes
-    ``ipc_barrier_and_grad``.
+    ``features`` takes the barrier and its slope over the grid from
+    ``energy.contact_barrier``, the clearance as their least distance.  The
+    unit offsets are a plain division when the clearance is finite and above
+    1e-12 (then so is every offset, a radius being positive); otherwise a
+    degenerate offset (a sample on a centre, or a NaN) gets a zero direction.
     """
 
     def __init__(self, model: RingShapeModel, q, discs: DiscSet):
@@ -325,16 +318,10 @@ class ContactPass:
         model, layout, d, dist = self.model, self.model.layout, self.d, self.dist
         w, wl0 = model._weight_rows(self.discs)
         wl = w * (self.s * model._l0)
-        d_c, b_c, _ = barrier_knots(d_hat)
-        if self.clearance > d_c and b_c <= BARRIER_CLAMP:  # the fast path
-            e, log_r = d - d_hat, np.log(d / d_hat)
-            e2 = e ** 2
-            near = d < d_hat
-            b = np.where(near, -e2 * log_r, 0.0)
-            db = np.where(near, np.clip(-2.0 * e * log_r - e2 / d, -GRAD_CLAMP, GRAD_CLAMP), 0.0)
+        b, db = contact_barrier(d, d_hat, self.clearance)
+        if 1e-12 < self.clearance < math.inf:  # every offset is finite and longer than 1e-12
             ux, uy = self.dx / dist, self.dy / dist  # the unit offsets' planes
         else:
-            b, db = ipc_barrier_and_grad(d, d_hat)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ux, uy = self.dx / dist, self.dy / dist
             degenerate = ~(dist > 1e-12)

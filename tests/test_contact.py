@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamnav import ring
+from hamnav import energy, ring
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     BARRIER_CLAMP,
@@ -40,6 +40,7 @@ from hamnav.energy import (
     features,
     ipc_barrier,
     ipc_barrier_grad,
+    potential_grads,
 )
 from hamnav.ring import RingShapeModel
 from hamnav.workspace import DiscSet, Obstacle
@@ -277,16 +278,17 @@ class TestRingContactPass:
 
 
 def counting_general_path(mp):
-    """Count the contact passes that take ``ipc_barrier_and_grad`` (the
-    general path of ``ContactPass.features``) while ``mp`` is active."""
+    """Count the barrier evaluations that take ``ipc_barrier_and_grad`` (the
+    general path of ``energy.contact_barrier``, which both robots' contact
+    terms call) while ``mp`` is active."""
     calls = []
-    general = ring.ipc_barrier_and_grad
+    general = energy.ipc_barrier_and_grad
 
     def counting(*args):
         calls.append(1)
         return general(*args)
 
-    mp.setattr(ring, "ipc_barrier_and_grad", counting)
+    mp.setattr(energy, "ipc_barrier_and_grad", counting)
     return calls
 
 
@@ -374,6 +376,96 @@ class TestContactFastPath:
         want_val, want_grad = reference_obstacle_feature(MODEL, q, ob, d_hat)
         assert val == want_val and grad.tobytes() == want_grad.tobytes()
         assert_linalg_close(grad, reference_obstacle_feature(MODEL, q, ob, d_hat, linalg=True)[1])
+
+
+def general_point_path(mp):
+    """Make ``energy.contact_barrier`` take ``ipc_barrier_and_grad`` on every
+    input while ``mp`` is active: the point robot's barrier terms without the
+    fast path."""
+    mp.setattr(energy, "contact_barrier", lambda d, d_hat, d_min: energy.ipc_barrier_and_grad(d, d_hat))
+
+
+def point_state(data):
+    fl = lambda lo, hi: data.draw(st.floats(lo, hi))
+    return np.array([fl(-1, 1), fl(-1, 1), fl(-3, 3), fl(-3, 3)])
+
+
+class TestPointFastPath:
+    """Point states whose every disc is beyond the clamp distance d_c take the
+    fast path of ``contact_barrier``, skip ``ipc_barrier_and_grad``, and give
+    the general path's bits in ``features`` and ``potential_grads``."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([0.3, 0.8, 1.0, 1.5, 8.0]),
+           st.data())
+    def test_log_and_beyond_skip_the_general_path(self, m, batch, d_hat, data):
+        qs = np.array([point_state(data) for _ in range(batch)])
+        d_c, b_c, _ = barrier_knots(d_hat)
+        assert b_c <= BARRIER_CLAMP
+        discs = []
+        for _ in range(m):  # a disc beyond d_c of the first state
+            kind = data.draw(st.sampled_from(("log", "beyond")))
+            radius = data.draw(st.floats(0.05, 1.0))
+            ang = data.draw(st.floats(0.0, 2 * np.pi))
+            gap = gap_of(data, kind, d_hat, radius)
+            discs.append(Obstacle(qs[0, 2:4] + (gap + radius) * np.array([np.cos(ang), np.sin(ang)]),
+                                  radius, weight=data.draw(st.sampled_from([0.25, 1.7, 3.0]))))
+        disc_set = of(discs)
+        # rounding can bring a drawn gap just under d_c; the other states are
+        # free draws, so any of them may be in contact
+        assume(disc_set.clearance(qs[0, 2:4]) > d_c)
+        free = [b for b in range(batch) if disc_set.clearance(qs[b, 2:4]) > d_c]
+        fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]), d_hat=d_hat)
+        eta = np.array([[data.draw(st.floats(0.0, 3.0)) for _ in range(2 + m)] for _ in qs])
+        with pytest.MonkeyPatch.context() as mp:
+            general = counting_general_path(mp)
+            phi, grads = features(qs[0], disc_set, fixed)
+            rows = potential_grads(qs[free], eta[free], disc_set, fixed)
+        assert not general
+        with pytest.MonkeyPatch.context() as mp:
+            general_point_path(mp)
+            want_phi, want_grads = features(qs[0], disc_set, fixed)
+            want_rows = potential_grads(qs[free], eta[free], disc_set, fixed)
+        assert phi.tobytes() == want_phi.tobytes() and grads.tobytes() == want_grads.tobytes()
+        assert rows.tobytes() == want_rows.tobytes()
+        oracle = reference_features(qs[0], list(enumerate(discs)), d_hat, fixed)
+        assert phi.tobytes() == oracle[0].tobytes() and grads.tobytes() == oracle[1].tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d_hat, case", [
+        (0.8, "d_c"),          # the clearance is d_c itself: d > d_c is false
+        (0.8, "contact"),      # inside d_c, on the linear branch
+        (0.8, "penetration"),
+        (8.0, "contact"),      # inside d_sat (0.265): the slope is zeroed
+        (20.0, 4.0),           # past d_c (2.44) but b(d_c) is 648, above the clamp
+        (0.8, "nan"),
+        (0.8, "+inf"),
+        (0.8, "-inf"),
+    ])
+    def test_other_states_take_the_general_path(self, monkeypatch, d_hat, case):
+        d_c, _, _ = barrier_knots(d_hat)
+        ob = Obstacle(np.array([0.5, 0.25]), 0.75)
+        gap = {"d_c": d_c, "contact": 0.5 * d_c, "penetration": -0.25}.get(case, case)
+        q = np.array([0.1, -0.2, 0.5 + 0.75, 0.25])
+        if isinstance(gap, float):
+            q[2] += gap
+        else:
+            q[2] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[gap]
+        if case == "d_c":  # 0.5 + 0.75 + d_c - 0.5 - 0.75 may round off d_c
+            assert of([ob]).clearance(q[2:4]) <= d_c
+        fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]), d_hat=d_hat)
+        general = counting_general_path(monkeypatch)
+        phi, grads = features(q, of([ob]), fixed)
+        rows = potential_grads(q[None], np.ones((1, 3)), of([ob]), fixed)
+        assert general == [1, 1]
+        with warnings.catch_warnings():  # the oracle divides inf by inf
+            warnings.simplefilter("ignore")
+            want_phi, want_grads = reference_features(q, [(0, ob)], d_hat, fixed)
+        assert phi.tobytes() == want_phi.tobytes() and grads.tobytes() == want_grads.tobytes()
+        if math.isfinite(q[2]):
+            assert rows.tobytes() == evaluate(q, HamiltonianSpec(
+                np.ones(4), EnergyWeights(1.0, 1.0, {0: 1.0}), of([ob]), fixed)).grad[None].tobytes()
 
 
 class TestPointFeatures:

@@ -499,7 +499,8 @@ class TestWeights:
         weights = [EnergyWeights(b, l, a, m) for b, l, a, m in drawn]
         for w in weights:
             restricted = {i: w.alpha.get(i, 0.0) for i in ids}
-            want = np.concatenate(([w.beta, w.lam], [restricted.get(i, 0.0) for i in ids]))
+            want = np.concatenate(([w.beta, w.lam], [restricted.get(i, 0.0) for i in ids]),
+                                  dtype=float)
             got = w.vector(ids)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         want_rows = np.array([[w.beta, w.lam] + [w.alpha.get(i, 0.0) for i in range(k)]

@@ -45,6 +45,7 @@ from hamnav.workspace import (
     ObstacleMemory,
     StageManager,
     Workspace,
+    row_norms,
     signed_distances,
 )
 
@@ -629,6 +630,58 @@ class TestStagewiseSensing:
             sensing.refresh(ws.start, 0)
         assert len(sensing.tracker.windows) == 1  # the window is charged first
 
+    @pytest.mark.parametrize("method", ["grlsnam", "pf"])
+    def test_cached_goal_pair_and_clipped_position(self, monkeypatch, method):
+        """After every refresh of a dungeon episode, ``stage_goal_xy`` is the
+        stage goal's float pair and ``on_exit`` says whether it is an exit;
+        the position each refresh hands ``stage_of`` is ``np.clip`` of the
+        frame, bit for bit."""
+        refresh, stage_of = StagewiseSensing.refresh, StageManager.stage_of
+        seen = {"refreshes": 0, "exits": 0, "positions": []}
+
+        def checking_refresh(self, c, n):
+            seen["positions"].clear()
+            out = refresh(self, c, n)
+            assert self.stage_goal_xy == tuple(self.stage_goal.tolist())
+            assert self.on_exit == (not np.array_equal(self.stage_goal, self.ws.goal))
+            want = np.clip(c, 0.0, self.ws.side)
+            # the first: exit selection may place the goal's stage after it
+            assert np.array(seen["positions"][0], float).tobytes() == want.tobytes()
+            seen["refreshes"] += 1
+            seen["exits"] += self.on_exit
+            return out
+
+        def recording_stage_of(self, position, current=None):
+            seen["positions"].append(position)
+            return stage_of(self, position, current)
+
+        monkeypatch.setattr(StagewiseSensing, "refresh", checking_refresh)
+        monkeypatch.setattr(StageManager, "stage_of", recording_stage_of)
+        cfg, meta = dungeon_setup()
+        ws = generate_dungeon(0, cells=3)
+        if method == "grlsnam":
+            res = run_episode(ws, cfg, meta)
+        else:
+            res = run_baseline_episode(ws, "pf", cfg)
+        # both reach the goal: the stage goal is an exit, then the goal
+        assert res.termination == "success"
+        assert seen["refreshes"] > 400 and 0 < seen["exits"] < seen["refreshes"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-3.0, 15.0), st.sampled_from([-0.0, 0.0, 12.0])),
+                    min_size=2, max_size=2))
+    def test_clip_matches_numpy(self, xy):
+        """The float clip of the frame into the world gives ``np.clip``'s bits,
+        a -0.0 and the walls included."""
+        positions = []
+        sensing = StagewiseSensing(self.ws, EpisodeConfig())
+        stage_of = sensing.stages.stage_of
+        sensing.stages.stage_of = lambda pos, current=None: positions.append(pos) or stage_of(
+            pos, current)
+        c = np.array(xy)
+        sensing.refresh(c, 0)
+        assert np.array(positions[0], float).tobytes() == np.clip(c, 0.0, self.ws.side).tobytes()
+
     @pytest.mark.parametrize("method", ["grlsnam", "pf", "dwa"])
     def test_dead_end_episode(self, method):
         ws, cfg = walled_in_start(), EpisodeConfig()
@@ -731,6 +784,86 @@ class TestObstacleMemoryInEpisode:
             assert tokens.tokens.tobytes() == rows.tobytes()
             _, rows = reference_tokens(q, ref.items(), ep.layout, linalg=True)
             np.testing.assert_allclose(tokens.tokens, rows, rtol=1e-12, atol=1e-12)
+
+
+class TestActiveSetReuse:
+    """``_Episode.active_set`` runs its full test only when the mask can have
+    changed, and hands back what the full test would."""
+
+    @staticmethod
+    def full_test(ep, q):
+        """The memory's discs with row_norms(c - centres) - radii <= reach."""
+        mem = ep.sensing.memory.discs
+        reach = ep.cfg.d_hat
+        if ep.shape is not None:
+            reach += float(q[ep.layout.scale][0]) * ep.shape.params.r_base * 1.05
+        return mem, reach, row_norms(q[ep.layout.frame] - mem.centers) - mem.radii <= reach
+
+    @given(st.integers(0, 10_000), st.booleans(), st.integers(1, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_random_walk_matches_the_full_test(self, seed, ring, m):
+        r = np.random.default_rng(seed)
+        ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
+        cfg = EpisodeConfig(ring=RingParams() if ring else None, d_hat=r.uniform(0.3, 2.0))
+        ep = _Episode(ws, cfg, DefaultMetaPolicy())
+        frame, scale = ep.layout.frame, ep.layout.scale
+
+        def memory(n):
+            return ObstacleMemory([(i, Obstacle(r.uniform(0, 10, 2), r.uniform(0.1, 0.8)))
+                                   for i in range(n)])
+
+        ep.sensing.memory = memory(m)
+        q = ep.z.q.copy()
+        q[frame] = r.uniform(0, 10, 2)
+        full = navigator.row_norms
+        counts = {"calls": 0, "full": 0}
+
+        def counting(d):
+            counts["full"] += 1
+            return full(d)
+
+        held = held_mem = None
+        for k in range(240):
+            if k == 120:  # the memory replaced partway
+                ep.sensing.memory = memory(int(r.integers(1, 121)))
+            kind = int(r.integers(0, 4))
+            if kind == 0:
+                q[frame] += r.normal(scale=1e-3, size=2)
+            elif kind == 1:
+                q[frame] = r.uniform(0, 10, 2)
+            elif kind == 2:  # within 1e-12 of a disc's activation edge
+                mem, reach, _ = self.full_test(ep, q)
+                i, ang = int(r.integers(len(mem))), r.uniform(0, 2 * np.pi)
+                edge = mem.radii[i] + reach + r.uniform(-1e-12, 1e-12)
+                q[frame] = mem.centers[i] + edge * np.array([np.cos(ang), np.sin(ang)])
+            elif scale is not None:  # a scale change on the ring
+                q[scale] = np.clip(q[scale] + r.normal(scale=0.02), 0.25, 1.3)
+            navigator.row_norms = counting
+            try:
+                act = ep.active_set(q)
+            finally:
+                navigator.row_norms = full
+            counts["calls"] += 1
+            mem, _, mask = self.full_test(ep, q)
+            assert act.ids.tolist() == mem.ids[mask].tolist()
+            assert act.centers.tobytes() == mem.centers[mask].tobytes()
+            unchanged = held_mem is mem and held.ids.tolist() == act.ids.tolist()
+            assert (act is held) == unchanged
+            held, held_mem = act, mem
+        assert counts["full"] < counts["calls"]  # the small steps reuse the set
+
+    def test_nan_and_empty_memory_retest(self):
+        ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
+        ep = _Episode(ws, EpisodeConfig(ring=None, d_hat=0.8), DefaultMetaPolicy())
+        q = ep.z.q.copy()
+        empty = ep.active_set(q)
+        assert len(empty) == 0 and ep.active_set(q) is empty and ep.active[4] == -math.inf
+        ep.sensing.memory = ObstacleMemory([(0, Obstacle(np.array([1.5, 1.0]), 0.2))])
+        assert ep.active_set(q).ids.tolist() == [0]
+        q[2] = np.nan
+        assert len(ep.active_set(q)) == 0 and math.isnan(ep.active[4])
+        q[2] = 1.0
+        assert ep.active_set(q).ids.tolist() == [0]
 
 
 def logged_episode(mp, ws, cfg, meta=None):
