@@ -63,6 +63,10 @@ class PortSelectors:
         return u
 
 
+def _floats(v) -> list:
+    return v if isinstance(v, list) else np.asarray(v, dtype=float).tolist()
+
+
 def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
                           selectors: PortSelectors, structural_damping=None) -> PhaseState:
     """One momentum-first symplectic Euler step.
@@ -72,14 +76,16 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
     sensor and shape momenta never feel the adaptive port.  The arithmetic is
     the array form's, coordinate by coordinate in Python floats: the same
     bits without the numpy call overhead, Gamma(mu) and the port included.
+    ``grad_q``, ``mass`` and ``structural_damping`` are vectors or lists of
+    floats (a list is read as it is).
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
     q, p = z.q.tolist(), z.p.tolist()
-    grad = np.asarray(grad_q, dtype=float).tolist()
+    grad = _floats(grad_q)
     if not all(map(math.isfinite, q + p + grad)):
         raise FloatingPointError("non-finite state or gradient")
-    mass = np.asarray(mass, dtype=float).tolist()
+    mass = _floats(mass)
     dim, frame = selectors.dim, selectors.frame
     gamma, port = [0.0] * dim, [0.0] * dim  # Gamma(mu) and G u_f
     gamma[frame] = [float(mu)] * len(gamma[frame])
@@ -92,7 +98,7 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
              in zip(p, grad, gamma, v, port)]
     if structural_damping is not None:
         p_new = [p_i - tau * s_i * v_i for p_i, s_i, v_i
-                 in zip(p_new, np.asarray(structural_damping, float).tolist(), v)]
+                 in zip(p_new, _floats(structural_damping), v)]
     q_new = [q_i + tau * (p_i / m_i) for q_i, p_i, m_i in zip(q, p_new, mass)]
     return PhaseState(np.array(q_new), np.array(p_new))
 

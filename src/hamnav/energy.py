@@ -9,6 +9,15 @@ so it is linear in the weight vector (beta, lam, {alpha_i}) once the sensor
 term is subtracted.  That linear view is exposed by ``features`` and is what
 the offline identification stage regresses on.  All gradients are analytic;
 finite differences are used only as test oracles.
+
+The single-state evaluation (``features``, ``Evaluation``) is in Python
+floats.  Numpy stays in a point robot's one ``np.log`` call over its active
+discs (``math.log`` does not always give its bits), on the barrier's general
+path, in the ring's contact pass and in the batched ``potential_grads``.
+Sums keep numpy's order, so both forms give the same bits: a gradient adds
+the features' rows left to right from 0.0, as ``np.add.reduce(..., axis=0)``
+does at any length, and a dot product (``_dot``) adds left to right from
+0.0 below 8 terms and is ``np.add.reduce``, which sums pairwise, from 8 on.
 """
 
 from __future__ import annotations
@@ -207,10 +216,15 @@ class EnergyWeights:
         if self.beta < 0 or self.lam < 0 or self.mu < 0 or any(a < 0 for a in self.alpha.values()):
             raise ValueError("energy weights must be nonnegative")
 
+    def floats(self, ids) -> list:
+        """[beta, lam, alpha_i for i in ids] in Python floats, the feature
+        order of ``features`` (an id missing from alpha weighs zero)."""
+        alpha = self.alpha
+        return [float(self.beta), float(self.lam)] + [float(alpha.get(i, 0.0)) for i in ids]
+
     def vector(self, ids) -> np.ndarray:
-        """[beta, lam, alpha_i for i in ids], the feature order of ``features``
-        (an id missing from alpha weighs zero)."""
-        return np.array([self.beta, self.lam] + [self.alpha.get(i, 0.0) for i in ids], float)
+        """``floats(ids)`` as an array."""
+        return np.array(self.floats(ids))
 
 
 @dataclass
@@ -227,6 +241,7 @@ class FixedTerms:
         self.goal = np.asarray(self.goal, dtype=float)
         if self.d_hat <= 0:
             raise ValueError("d_hat must be > 0")
+        self.goal_xy = tuple(self.goal.tolist())  # the goal is never modified
 
 
 @dataclass
@@ -242,17 +257,20 @@ class HamiltonianSpec:
         self.mass = np.asarray(self.mass, dtype=float)
         if (self.mass <= 0).any():
             raise ValueError("mass diagonal must be positive definite")
+        self.mass_list = self.mass.tolist()  # the mass is never modified
 
 
 def contact_barrier(d, d_hat, d_min):
-    """``ipc_barrier_and_grad(d, d_hat)`` of distances d whose least is d_min,
-    the one barrier kernel of both robots.  Its fast path: when d_c < d_min <
-    inf and b(d_c) <= BARRIER_CLAMP (``barrier_knots``), every d is on the log
-    branch, where b(d) < b(d_c), or beyond d_hat, so the barrier and its slope
-    are one ``np.where`` each of ``ipc_barrier_and_grad``'s elementwise
-    operations (its bits; the value clip is the identity, the slope keeps its
-    clip, which rounding just past d_c can reach).  Any other input (contact
-    within d_c, penetration, NaN, inf, b(d_c) above the clamp) takes
+    """``ipc_barrier_and_grad(d, d_hat)`` of distances d whose least is d_min:
+    the barrier kernel of the ring's contact pass and of the point robot's
+    array path (``_point_barrier_floats`` is its fast path in floats, for one
+    point state).  Its fast path: when d_c < d_min < inf and b(d_c) <=
+    BARRIER_CLAMP (``barrier_knots``), every d is on the log branch, where
+    b(d) < b(d_c), or beyond d_hat, so the barrier and its slope are one
+    ``np.where`` each of ``ipc_barrier_and_grad``'s elementwise operations
+    (its bits; the value clip is the identity, the slope keeps its clip,
+    which rounding just past d_c can reach).  Any other input (contact within
+    d_c, penetration, NaN, inf, b(d_c) above the clamp) takes
     ``ipc_barrier_and_grad``."""
     d_c, b_c, _ = barrier_knots(d_hat)
     if not (d_c < d_min < math.inf and b_c <= BARRIER_CLAMP):
@@ -287,37 +305,62 @@ def _point_barrier_terms(c, discs: DiscSet, d_hat):
     return b, rows
 
 
+def _point_barrier_floats(cx, cy, discs: DiscSet, d_hat):
+    """``_point_barrier_terms`` at frame (cx, cy) on ``contact_barrier``'s fast
+    path, in floats with its operations in its order and one ``np.log`` call:
+    (b_i w_i, w_i b'(d_i) n_i) per disc.  None off that path (a d_i not above
+    d_c and 1e-12, NaN or inf, or b(d_c) above the clamp)."""
+    d_c, b_c, _ = barrier_knots(d_hat)
+    lo, geo = max(d_c, 1e-12) if b_c <= BARRIER_CLAMP else math.inf, []
+    for x, y, r, w in discs.rows:
+        dx, dy = cx - x, cy - y
+        dist = math.sqrt(dx * dx + dy * dy)
+        if not lo < dist - r < math.inf:
+            return None
+        geo.append((dist - r, w, dx / dist, dy / dist))
+    terms = []
+    for (d, w, ux, uy), log_r in zip(geo, np.log([g[0] / d_hat for g in geo]).tolist()):
+        e = d - d_hat
+        b, db = (-(e * e) * log_r, -2.0 * e * log_r - e * e / d) if d < d_hat else (0.0, 0.0)
+        db = min(max(db, -GRAD_CLAMP), GRAD_CLAMP)
+        terms.append((b * w, w * db * ux, w * db * uy))
+    return terms
+
+
 def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
-    """Linear-in-weights view of the potential.
+    """Linear-in-weights view of the potential, in Python floats.
 
-    Returns (phi, grads) with phi = [E_goal, E_obj, b_1, ..., b_m], one
-    barrier per disc of ``discs`` in its (ascending id) order, and grads the
-    stacked per-feature gradients (rows match phi), at the activation
-    distance ``fixed.d_hat``.  R(q; weights) = E_sensor + eta . phi by
-    construction, with eta = ``weights.vector(discs.ids.tolist())``.
+    Returns (phi, grads): the list phi = [E_goal, E_obj, b_1, ..., b_m], one
+    barrier per disc of ``discs`` in its (ascending id) order, and the
+    features' gradient rows over q (lists of floats), at the activation
+    distance ``fixed.d_hat``; R(q; weights) = E_sensor + eta . phi with eta =
+    ``weights.floats(discs.id_list)``.  q is a vector or a list of floats.
 
-    For a ring, ``contact`` is its ``ContactPass`` at q against ``discs``
-    (that object), when the caller has made it already; it is made here when
-    None.  Both robots' barriers come from ``contact_barrier``.
+    A point robot's barriers are ``_point_barrier_floats`` (one ``np.log``
+    call), or off its path the array form ``_point_barrier_terms``.  For a
+    ring, ``contact`` is its ``ContactPass`` at q against ``discs`` (that
+    object), made here when None; the pass's (M, K) work is numpy.
     """
-    q = np.asarray(q, dtype=float)
-    layout = fixed.layout
-    m = len(discs)
-    phi = np.zeros(2 + m)
-    grads = np.zeros((2 + m, q.size))
-    diff = q[layout.frame] - fixed.goal
-    phi[0] = float(np.add.reduce(diff * diff))
-    grads[0, layout.frame] = 2.0 * diff
-    if fixed.shape is not None:
-        phi[1], grads[1] = fixed.shape.obj_feature(q)
+    q = q if isinstance(q, list) else np.asarray(q, dtype=float).tolist()
+    fx, shape = fixed.layout.frame.start, fixed.shape
+    dx, dy = q[fx] - fixed.goal_xy[0], q[fx + 1] - fixed.goal_xy[1]
+    zero = [0.0] * len(q)
+    phi, grads = [dx * dx + dy * dy, 0.0], [zero[:fx] + [2.0 * dx, 2.0 * dy] + zero[fx + 2:], zero]
+    if shape is not None:
+        phi[1], grads[1] = shape.obj_feature(q)
         if contact is None:
-            contact = fixed.shape.contact(q, discs)
+            contact = shape.contact(np.array(q), discs)
         elif contact.discs is not discs:
             raise ValueError("contact pass was made against another disc set")
-        phi[2:], grads[2:] = contact.features(fixed.d_hat)
-    elif m:
-        b, grads[2:, layout.frame] = _point_barrier_terms(q[layout.frame], discs, fixed.d_hat)
-        phi[2:] = b * discs.weights
+        vals, rows = contact.features(fixed.d_hat)
+        return phi + vals.tolist(), grads + rows.tolist()
+    terms = _point_barrier_floats(q[fx], q[fx + 1], discs, fixed.d_hat) if len(discs) else []
+    if terms is None:
+        b, rows = _point_barrier_terms(np.array(q[fx:fx + 2]), discs, fixed.d_hat)
+        terms = [(v, *row) for v, row in zip((b * discs.weights).tolist(), rows.tolist())]
+    for v, rx, ry in terms:
+        phi.append(v)
+        grads.append(zero[:fx] + [rx, ry] + zero[fx + 2:])
     return phi, grads
 
 
@@ -336,44 +379,81 @@ def potential_grads(q, eta, discs: DiscSet, fixed: FixedTerms) -> np.ndarray:
     return out
 
 
-def sensor_energy(q, fixed: FixedTerms):
-    y = np.asarray(q, float)[fixed.layout.sensor]
-    return fixed.sensor_gain * float(np.add.reduce(y * y))
+def _dot(u, v) -> float:
+    """u . v of two lists of floats as ``np.add.reduce(u * v)`` gives it: the
+    products added left to right from 0.0 below 8 terms, as numpy adds them,
+    and numpy's pairwise sum from 8 on."""
+    if len(u) >= 8:
+        return float(np.add.reduce(np.array(u) * np.array(v)))
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def sensor_energy(q, fixed: FixedTerms) -> float:
+    y = q[fixed.layout.sensor]
+    return fixed.sensor_gain * _dot(y, y)
+
+
+def kinetic(p, mass) -> float:
+    """(1/2) p^T M^-1 p, added left to right from 0.0: numpy's order for the
+    fewer than 8 coordinates of every layout."""
+    if len(p) != len(mass):
+        raise ValueError("momentum and mass differ in length")
+    total = 0.0
+    for p_i, m_i in zip(p, mass):
+        total += p_i * p_i / m_i
+    return 0.5 * total
 
 
 class Evaluation:
-    """The energy of one state, from one ``features`` call.
+    """The energy of one state from one ``features`` call, in Python floats.
 
-    ``phi``, the weight vector ``eta`` and the kinetic energy are formed
-    once; the gradient, the potential R(q), H and the logged terms are
-    derived from them each time they are read.  ``H`` is kinetic + R(q), as
-    ``hamiltonian`` returns it; ``parts["H"]`` sums the logged terms one by
-    one, as ``energy_breakdown`` returns it, so the two may differ in the
-    last ulp.
+    q, ``phi``, ``grads``, the weights ``eta`` and the kinetic energy are
+    formed once; the gradient, R(q), H and the logged terms each time they are
+    read, each sum in numpy's order (see the module docstring), with no numpy
+    call below 8 terms.  ``H`` is kinetic + R(q) (``hamiltonian``);
+    ``parts["H"]`` sums the logged terms one by one (``energy_breakdown``), so
+    the two may differ in the last ulp.
     """
 
     def __init__(self, q, spec: HamiltonianSpec, p=None, contact=None):
-        self.q = np.array(q, dtype=float)  # a copy: the properties read q later
-        if p is not None and self.q.size != spec.fixed.layout.dim:
-            raise ValueError("phase state dimension does not match the spec layout")
-        self.spec = spec
-        self.kinetic = 0.0 if p is None else kinetic(p, spec.mass)
+        q, mass = np.asarray(q, dtype=float), spec.mass_list
+        p = None if p is None else np.asarray(p, dtype=float)
+        if q.shape != (spec.fixed.layout.dim,) or p is not None and p.shape != (len(mass),):
+            raise ValueError("state does not match the spec's layout and mass")
+        self.q, self.spec = q.tolist(), spec
+        self.kinetic = 0.0 if p is None else kinetic(p.tolist(), mass)
         self.phi, self.grads = features(self.q, spec.discs, spec.fixed, contact)
-        self.eta = spec.weights.vector(spec.discs.ids.tolist())
+        self.eta = spec.weights.floats(spec.discs.id_list)
+
+    @property
+    def grad_list(self) -> list:
+        """Analytic gradient of the potential with respect to q: each entry
+        adds the features' gradient entries times their weights in feature
+        order from 0.0, then the sensor term's."""
+        out = []
+        for column in zip(*self.grads):
+            total = 0.0
+            for e, g in zip(self.eta, column):
+                total += e * g
+            out.append(total)
+        fixed = self.spec.fixed
+        k = 2.0 * fixed.sensor_gain
+        for i in range(len(out))[fixed.layout.sensor]:
+            out[i] += k * self.q[i]
+        return out
 
     @property
     def grad(self) -> np.ndarray:
-        """Analytic gradient of the potential with respect to q: the features'
-        gradients times their weights, summed over the features in order."""
-        sensor = self.spec.fixed.layout.sensor
-        out = np.add.reduce(self.eta[:, None] * self.grads, axis=0)
-        out[sensor] += 2.0 * self.spec.fixed.sensor_gain * self.q[sensor]
-        return out
+        """``grad_list`` as an array."""
+        return np.array(self.grad_list)
 
     @property
     def potential(self) -> float:
         """Context-shaped potential R(q)."""
-        return sensor_energy(self.q, self.spec.fixed) + float(np.add.reduce(self.eta * self.phi))
+        return sensor_energy(self.q, self.spec.fixed) + _dot(self.eta, self.phi)
 
     @property
     def H(self) -> float:
@@ -384,16 +464,11 @@ class Evaluation:
         """Per-term values for the step log (CSV columns)."""
         phi, eta = self.phi, self.eta
         e_sensor = sensor_energy(self.q, self.spec.fixed)
-        e_goal = eta[0] * phi[0]
-        e_obj = eta[1] * phi[1]
-        e_barrier = float(np.add.reduce(eta[2:] * phi[2:])) if phi.size > 2 else 0.0
-        return {
-            "E_sensor": e_sensor,
-            "E_goal": e_goal,
-            "E_obj": e_obj,
-            "E_barrier_total": e_barrier,
-            "H": self.kinetic + e_sensor + e_goal + e_obj + e_barrier,
-        }
+        e_goal, e_obj = eta[0] * phi[0], eta[1] * phi[1]
+        e_barrier = _dot(eta[2:], phi[2:])
+        return {"E_sensor": e_sensor, "E_goal": e_goal, "E_obj": e_obj,
+                "E_barrier_total": e_barrier,
+                "H": self.kinetic + e_sensor + e_goal + e_obj + e_barrier}
 
 
 def evaluate(q, spec: HamiltonianSpec, p=None, contact=None) -> Evaluation:
@@ -402,7 +477,8 @@ def evaluate(q, spec: HamiltonianSpec, p=None, contact=None) -> Evaluation:
     ``contact`` is a ring's contact pass at q against the spec's discs (see
     ``features``), when the caller has it already.
 
-    Raises ValueError when a phase state (p given) does not match the layout.
+    Raises ValueError when q is not a vector of the layout's dimension, or p
+    (when given) of the mass's.
 
     ``potential``, ``potential_grad``, ``hamiltonian`` and
     ``energy_breakdown`` are views of this evaluation; a loop that needs
@@ -419,11 +495,6 @@ def potential(q, spec: HamiltonianSpec) -> float:
 def potential_grad(q, spec: HamiltonianSpec) -> np.ndarray:
     """Analytic gradient of the potential with respect to q."""
     return evaluate(q, spec).grad
-
-
-def kinetic(p, mass) -> float:
-    p = np.asarray(p, dtype=float)
-    return 0.5 * float(np.add.reduce(p * p / np.asarray(mass, float)))
 
 
 def hamiltonian(z: PhaseState, spec: HamiltonianSpec) -> float:

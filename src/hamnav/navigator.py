@@ -713,14 +713,12 @@ class _Episode:
             self.shape = RingShapeModel(cfg.ring)
             self.mass = np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame,
                                   cfg.inertia, cfg.ring.mass_scale])
-            self.structural = np.zeros(6)
-            self.structural[4] = cfg.gamma_theta
-            self.structural[5] = cfg.gamma_scale
+            self.structural = [0.0] * 4 + [float(cfg.gamma_theta), float(cfg.gamma_scale)]
         else:
             self.layout = POINT_LAYOUT
             self.shape = None
             self.mass = np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame])
-            self.structural = np.zeros(4)
+            self.structural = [0.0] * 4
         self.mass_list, self.goal_xy = self.mass.tolist(), tuple(ws.goal.tolist())
         self.selectors = PortSelectors(dim=self.layout.dim, frame=self.layout.frame)
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
@@ -743,6 +741,10 @@ class _Episode:
         self.spec = None  # the HamiltonianSpec of the active set and self.fixed
         # the last full active-set test: (memory, c0x, c0y, reach0, slack, mask, set)
         self.active = (None, 0.0, 0.0, 0.0, -math.inf, None, None)
+        # the clearances observe measured last, the older first: (DiscSet, q's
+        # bytes, clearance) each; a step observes the state it reaches before
+        # it logs the state it left, so the log reads the older one
+        self.observed = ((None, None, math.inf),) * 2
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -808,27 +810,36 @@ class _Episode:
 
     def observe(self, z, act: DiscSet, shape_clearances=(), contact=None):
         """Observables of z; ``contact``, the ring's pass at z against act,
-        gives the clearance."""
-        return compute_observables(z, self.clearance(z.q, act, contact), self.goal_xy,
-                                   shape_clearances, self.mass_list, self.layout, self.cfg.d_hat)
+        gives the clearance, which is kept for ``logged``."""
+        clr = self.clearance(z.q, act, contact)
+        self.observed = (self.observed[1], (act, z.q.tobytes(), clr))
+        return compute_observables(z, clr, self.goal_xy, shape_clearances, self.mass_list,
+                                   self.layout, self.cfg.d_hat)
 
     # -- logging ------------------------------------------------------------
 
     def logged(self, y, act: DiscSet, contact) -> Observables:
         """Observables of self.z for its log row.  ``y``, measured by the step
         that reached self.z (None at the start), gives the goal distance and
-        speed; the clearance is taken against the current active set."""
+        speed; the clearance is taken against the current active set: one of
+        the last two ``observe`` measured, when it was at the same q bytes
+        against the same DiscSet object (the same float, measured once)."""
         if y is None:
             return self.observe(self.z, act, (), contact)
-        return Observables(min(self.clearance(self.z.q, act, contact), self.cfg.d_hat),
-                           y.goal_dist, y.speed)
+        key = self.z.q.tobytes()
+        for held, held_key, clr in self.observed:
+            if held is act and held_key == key:
+                break
+        else:
+            clr = self.clearance(self.z.q, act, contact)
+        return Observables(min(clr, self.cfg.d_hat), y.goal_dist, y.speed)
 
     def log(self, rec: EpisodeRecorder, y, act: DiscSet, contact, parts):
         """Record self.z with the observables ``logged`` gives, its momentum,
         the port input, the energy terms ``parts`` and the weights."""
         w = self.weights
         parts.update(p=self.z.p.tolist(), u_f=self.u_f, beta=w.beta, lam=w.lam,
-                     alpha_sum=sum(w.alpha.get(i, 0.0) for i in act.ids.tolist()),
+                     alpha_sum=sum(w.alpha.get(i, 0.0) for i in act.id_list),
                      active=len(act), mu=w.mu)
         rec.record(self.z.q, self.logged(y, act, contact), parts)
 
@@ -892,9 +903,9 @@ class _Episode:
 
             # (E) one port-Hamiltonian step (damping scale models plant mismatch)
             try:
-                z_next = step_symplectic_euler(self.z, ev.grad,
+                z_next = step_symplectic_euler(self.z, ev.grad_list,
                                                self.weights.mu * self.damping_scale,
-                                               self.u_f, self.mass, cfg.tau,
+                                               self.u_f, self.mass_list, cfg.tau,
                                                self.selectors, self.structural)
             except FloatingPointError:
                 termination = "diverged"

@@ -187,12 +187,14 @@ class RingShapeModel:
         return w, wl0
 
     def obj_feature(self, q):
-        """Bulk potential and its gradient over q (scale coordinate only)."""
+        """Bulk potential and its gradient over q (scale coordinate only), in
+        Python floats: (value, gradient list)."""
         _, s = self._unpack(q)
         val = bulk_potential(s, self.s_target, self.params.k_bulk, self.a_ref)
-        grad = np.zeros(np.shape(q))
-        grad[self.layout.scale] = bulk_potential_grad(s, self.s_target, self.params.k_bulk, self.a_ref)
-        return val, grad
+        grad = [0.0] * len(q)
+        grad[self.layout.scale.start] = float(
+            bulk_potential_grad(s, self.s_target, self.params.k_bulk, self.a_ref))
+        return float(val), grad
 
     def contact(self, q, discs: DiscSet) -> "ContactPass":
         """The contact pass of the ring at q against a DiscSet."""

@@ -251,6 +251,18 @@ class DiscSet:
     def __len__(self):
         return len(self.ids)
 
+    @cached_property
+    def id_list(self) -> list:
+        """``ids`` as a list of ints, formed once."""
+        return self.ids.tolist()
+
+    @cached_property
+    def rows(self) -> list:
+        """(x, y, radius, weight) of each disc in Python floats, formed once:
+        the single-state energy reads the discs through them."""
+        return [(x, y, r, w) for (x, y), r, w
+                in zip(self.centers.tolist(), self.radii.tolist(), self.weights.tolist())]
+
     def __getitem__(self, mask) -> "DiscSet":
         return DiscSet(self.ids[mask], self.centers[mask], self.radii[mask], self.weights[mask])
 

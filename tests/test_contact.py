@@ -341,7 +341,7 @@ class TestContactFastPath:
         with pytest.MonkeyPatch.context() as mp:
             general = counting_general_path(mp)
             vals, grads = MODEL.contact(q, of(discs)).features(d_hat)
-            phi, all_grads = features(q, of(discs), fixed)
+            phi, all_grads = features_as_arrays(q, of(discs), fixed)
         assert not general
         for k, ob in enumerate(discs):
             val, grad = reference_obstacle_feature(MODEL, q, ob, d_hat)
@@ -380,9 +380,16 @@ class TestContactFastPath:
 
 def general_point_path(mp):
     """Make ``energy.contact_barrier`` take ``ipc_barrier_and_grad`` on every
-    input while ``mp`` is active: the point robot's barrier terms without the
-    fast path."""
+    input, and ``features`` its array path, while ``mp`` is active: the point
+    robot's barrier terms without the fast path."""
     mp.setattr(energy, "contact_barrier", lambda d, d_hat, d_min: energy.ipc_barrier_and_grad(d, d_hat))
+    mp.setattr(energy, "_point_barrier_floats", lambda cx, cy, discs, d_hat: None)
+
+
+def features_as_arrays(*args):
+    """``features``' phi and gradient rows as arrays."""
+    phi, grads = features(*args)
+    return np.array(phi), np.array(grads)
 
 
 def point_state(data):
@@ -420,12 +427,12 @@ class TestPointFastPath:
         eta = np.array([[data.draw(st.floats(0.0, 3.0)) for _ in range(2 + m)] for _ in qs])
         with pytest.MonkeyPatch.context() as mp:
             general = counting_general_path(mp)
-            phi, grads = features(qs[0], disc_set, fixed)
+            phi, grads = features_as_arrays(qs[0], disc_set, fixed)
             rows = potential_grads(qs[free], eta[free], disc_set, fixed)
         assert not general
         with pytest.MonkeyPatch.context() as mp:
             general_point_path(mp)
-            want_phi, want_grads = features(qs[0], disc_set, fixed)
+            want_phi, want_grads = features_as_arrays(qs[0], disc_set, fixed)
             want_rows = potential_grads(qs[free], eta[free], disc_set, fixed)
         assert phi.tobytes() == want_phi.tobytes() and grads.tobytes() == want_grads.tobytes()
         assert rows.tobytes() == want_rows.tobytes()
@@ -456,7 +463,7 @@ class TestPointFastPath:
             assert of([ob]).clearance(q[2:4]) <= d_c
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]), d_hat=d_hat)
         general = counting_general_path(monkeypatch)
-        phi, grads = features(q, of([ob]), fixed)
+        phi, grads = features_as_arrays(q, of([ob]), fixed)
         rows = potential_grads(q[None], np.ones((1, 3)), of([ob]), fixed)
         assert general == [1, 1]
         with warnings.catch_warnings():  # the oracle divides inf by inf

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hamnav import energy
 from hamnav.energy import (
     BARRIER_CLAMP,
     GRAD_CLAMP,
@@ -28,6 +29,7 @@ from hamnav.energy import (
     potential_grads,
     sensor_energy,
 )
+from hamnav.energy import _point_barrier_terms
 from hamnav.learning import _weight_rows
 from hamnav.ring import RingShapeModel, scale_target
 from hamnav.workspace import DiscSet, Obstacle
@@ -268,10 +270,10 @@ class TestFeatures:
     def test_no_obstacles(self):
         fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([1.0, 0.0]), d_hat=1.0)
         phi, grads = features(np.array([0.0, 0.0, 0.0, 0.0]), discs_of([]), fixed)
-        assert phi.shape == (2,)
+        assert len(phi) == 2
         assert phi[0] == pytest.approx(1.0)
         assert phi[1] == 0.0  # no shape attached
-        assert grads.shape == (2, 4)
+        assert np.shape(grads) == (2, 4)
 
     def test_dot_product_reconstructs_potential(self, rng):
         obstacles = [Obstacle(rng.uniform(0, 6, 2), 0.5) for _ in range(4)]
@@ -298,7 +300,7 @@ class TestFeatures:
             if np.any(np.abs(d) < 1e-2) or np.any(np.abs(d - 1.5) < 1e-2):
                 continue
             phi, grads = features(q, discs, fixed)
-            for j in range(phi.size):
+            for j in range(len(phi)):
                 fd = central_diff(lambda x: features(x, discs, fixed)[0][j], q)
                 np.testing.assert_allclose(grads[j], fd, rtol=1e-4, atol=1e-8)
 
@@ -314,8 +316,10 @@ OBSTACLE = st.tuples(
 )
 
 
-def random_state(data, ring):
-    """A spec with 0-3 obstacles placed at drawn gaps, and a state (q, p)."""
+def random_state(data, ring, max_discs=3, gaps=lambda d_hat: OBSTACLE):
+    """A spec with 0-``max_discs`` obstacles placed at drawn gaps, and a state
+    (q, p); ``gaps(d_hat)`` is the strategy of an obstacle's (direction, gap,
+    radius, weight)."""
     layout = RING_LAYOUT if ring else POINT_LAYOUT
     model = RingShapeModel() if ring else None
     fl = lambda lo, hi: data.draw(st.floats(lo, hi))
@@ -324,7 +328,7 @@ def random_state(data, ring):
     p = np.array([fl(-2, 2) for _ in range(layout.dim)])
     d_hat = fl(0.3, 1.5)
     obstacles, alpha = [], {}
-    for k, (ang, gap, r, a) in enumerate(data.draw(st.lists(OBSTACLE, max_size=3))):
+    for k, (ang, gap, r, a) in enumerate(data.draw(st.lists(gaps(d_hat), max_size=max_discs))):
         if ring:
             pts = model.boundary(q)
             x = pts[int(ang / (2 * np.pi) * (len(pts) - 1))]
@@ -359,7 +363,7 @@ def separate_formulas(q, p, spec, linalg=False):
     as products summed left to right (at most 5 features), or, with
     ``linalg``, as the ``@`` products the module took before (BLAS)."""
     fixed, w = spec.fixed, spec.weights
-    phi, grads = features(q, spec.discs, fixed)
+    phi, grads = map(np.array, features(q, spec.discs, fixed))
     eta = np.concatenate(([w.beta, w.lam], [w.alpha.get(i, 0.0)
                                             for i in sorted(spec.discs.ids.tolist())]))
     dot = (lambda a, b: a @ b) if linalg else (
@@ -367,7 +371,7 @@ def separate_formulas(q, p, spec, linalg=False):
     grad = dot(eta, grads)
     grad[fixed.layout.sensor] += 2.0 * fixed.sensor_gain * q[fixed.layout.sensor]
     pot = sensor_energy(q, fixed) + float(dot(eta, phi))
-    phi, _ = features(q, spec.discs, fixed)
+    phi = np.array(features(q, spec.discs, fixed)[0])
     e_sensor = sensor_energy(q, fixed)
     e_goal, e_obj = w.beta * phi[0], w.lam * phi[1]
     e_barrier = float(dot(eta[2:], phi[2:])) if phi.size > 2 else 0.0
@@ -412,6 +416,250 @@ class TestEvaluate:
         assert evaluate(q, spec).H == evaluate(q, spec).potential == potential(q, spec)
         with pytest.raises(ValueError):
             evaluate(np.zeros(6), spec, np.zeros(6))
+
+    @pytest.mark.parametrize("n_q", [3, 6])
+    def test_q_of_another_dimension_is_refused(self, n_q):
+        """A q whose length is not layout.dim, with or without p, also where a
+        zip would read the first four entries."""
+        spec = point_spec([Obstacle(np.array([0.5, 0.0]), 0.1)], (1.0, 1.0), EnergyWeights())
+        q = np.full(n_q, 0.25)
+        for call in (lambda: evaluate(q, spec), lambda: evaluate(q, spec, np.ones(4)),
+                     lambda: potential(q, spec), lambda: potential_grad(q, spec)):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("n_p", [3, 5])
+    def test_p_of_another_length_than_the_mass_is_refused(self, n_p):
+        spec = point_spec([Obstacle(np.array([0.5, 0.0]), 0.1)], (1.0, 1.0), EnergyWeights())
+        p = np.ones(n_p)
+        with pytest.raises(ValueError):
+            evaluate(np.full(4, 0.25), spec, p)
+        with pytest.raises(ValueError):
+            kinetic(p, spec.mass)
+
+    def test_non_vector_state_is_refused(self):
+        spec = point_spec([], (1.0, 1.0), EnergyWeights())
+        with pytest.raises(ValueError):
+            evaluate(np.zeros((1, 4)), spec)
+        with pytest.raises(ValueError):
+            evaluate(np.zeros(4), spec, np.zeros((4, 1)))
+
+
+def array_features(q, discs, fixed, contact=None):
+    """``features`` in the array form the float core replaced, kept as its
+    oracle: phi an array, the gradients a (2 + m, dim) stack, each sum a
+    numpy reduce, and the point robot's barrier terms from
+    ``_point_barrier_terms``."""
+    q = np.asarray(q, dtype=float)
+    layout = fixed.layout
+    m = len(discs)
+    phi = np.zeros(2 + m)
+    grads = np.zeros((2 + m, q.size))
+    diff = q[layout.frame] - fixed.goal
+    phi[0] = float(np.add.reduce(diff * diff))
+    grads[0, layout.frame] = 2.0 * diff
+    if fixed.shape is not None:
+        phi[1], grads[1] = fixed.shape.obj_feature(q)
+        if contact is None:
+            contact = fixed.shape.contact(q, discs)
+        phi[2:], grads[2:] = contact.features(fixed.d_hat)
+    elif m:
+        b, grads[2:, layout.frame] = _point_barrier_terms(q[layout.frame], discs, fixed.d_hat)
+        phi[2:] = b * discs.weights
+    return phi, grads
+
+
+def array_evaluation(q, spec, p=None):
+    """(phi, grads, grad, potential, H, parts) as ``Evaluation`` formed them in
+    its array form, the float core's oracle: the gradient contracted by
+    ``np.add.reduce(..., axis=0)``, every 1-D sum an ``np.add.reduce``."""
+    q = np.array(q, dtype=float)
+    fixed, w = spec.fixed, spec.weights
+    phi, grads = array_features(q, spec.discs, fixed)
+    eta = np.array([w.beta, w.lam] + [w.alpha.get(i, 0.0) for i in spec.discs.ids.tolist()],
+                   float)
+    kin = 0.0 if p is None else 0.5 * float(np.add.reduce(p * p / spec.mass))
+    sensor = fixed.layout.sensor
+    grad = np.add.reduce(eta[:, None] * grads, axis=0)
+    grad[sensor] += 2.0 * fixed.sensor_gain * q[sensor]
+    e_sensor = fixed.sensor_gain * float(np.add.reduce(q[sensor] * q[sensor]))
+    pot = e_sensor + float(np.add.reduce(eta * phi))
+    e_goal, e_obj = eta[0] * phi[0], eta[1] * phi[1]
+    e_barrier = float(np.add.reduce(eta[2:] * phi[2:])) if phi.size > 2 else 0.0
+    parts = {"E_sensor": e_sensor, "E_goal": e_goal, "E_obj": e_obj,
+             "E_barrier_total": e_barrier, "H": kin + e_sensor + e_goal + e_obj + e_barrier}
+    return phi, grads, grad, pot, kin + pot, parts
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def near(x):
+    """x itself, or x moved by up to a few parts in 1e12 either way."""
+    return st.one_of(st.just(x), st.floats(-4e-12, 4e-12).map(lambda t: x * (1.0 + t)))
+
+
+def knot_obstacles(d_hat):
+    """OBSTACLE's draws with the gap at or just around d_c or d_hat, or
+    between them."""
+    d_c = barrier_knots(d_hat)[0]
+    return st.tuples(st.floats(0.0, 2 * np.pi),
+                     st.one_of(near(d_c), near(d_hat), st.floats(d_c, d_hat)),
+                     st.floats(0.05, 0.6), st.floats(0.0, 5.0))
+
+
+# the gap of a point robot's disc: at or just around d_c or d_hat, on the log
+# branch, beyond d_hat, on the linear branch, penetrating, or a disc centred
+# on the frame; the first four keep the fast path when every disc draws them
+FAST_GAPS = ("d_c+", "d_hat", "log", "beyond")
+POINT_GAPS = FAST_GAPS + ("d_c", "linear", "penetrating", "centre")
+
+
+def point_case(data, gaps, d_hats=(0.3, 0.8, 1.0, 1.5, 8.0)):
+    """A point robot's state (q, p) and spec with 0-12 discs (ids drawn from
+    0-40, some without a weight) at gaps of the kinds ``gaps``."""
+    fl = lambda lo, hi: data.draw(st.floats(lo, hi))
+    d_hat = data.draw(st.sampled_from(d_hats))
+    d_c = barrier_knots(d_hat)[0]
+    q = np.array([fl(-1, 1), fl(-1, 1), fl(-3, 3), fl(-3, 3)])
+    p = np.array([fl(-2, 2) for _ in range(4)])
+    pairs, alpha = [], {}
+    for i in sorted(data.draw(st.sets(st.integers(0, 40), max_size=12))):
+        kind, r = data.draw(st.sampled_from(gaps)), fl(0.05, 1.0)
+        if kind == "centre":
+            center = q[2:4].copy()
+        else:
+            gap = {"d_c": lambda: data.draw(near(d_c)),
+                   "d_c+": lambda: d_c * (1.0 + fl(1e-9, 1e-6)),
+                   "d_hat": lambda: data.draw(near(d_hat)),
+                   "log": lambda: fl(d_c * (1.0 + 1e-9), d_hat),
+                   "beyond": lambda: fl(d_hat, 3.0 * d_hat),
+                   "linear": lambda: fl(0.0, d_c),
+                   "penetrating": lambda: fl(-r, 0.0)}[kind]()
+            ang = fl(0.0, 2 * np.pi)
+            center = q[2:4] + (gap + r) * np.array([np.cos(ang), np.sin(ang)])
+        pairs.append((i, Obstacle(center, r, weight=data.draw(st.sampled_from([0.25, 1.7, 3.0])))))
+        if data.draw(st.booleans()):
+            alpha[i] = fl(0.0, 5.0)
+    fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([fl(-3, 3), fl(-3, 3)]), d_hat=d_hat,
+                       sensor_gain=fl(0.1, 2.0))
+    weights = EnergyWeights(beta=fl(0, 3), lam=fl(0, 3), alpha=alpha)
+    mass = np.array([fl(0.5, 2.0) for _ in range(4)])
+    return q, p, HamiltonianSpec(mass=mass, weights=weights, discs=DiscSet.of(pairs), fixed=fixed)
+
+
+def on_fast_path(q, spec):
+    """Whether the point robot's barrier at q takes ``contact_barrier``'s fast
+    path: every disc beyond d_c (and 1e-12) and finite, b(d_c) within the clamp."""
+    d_c, b_c, _ = barrier_knots(spec.fixed.d_hat)
+    if not len(spec.discs) or b_c > BARRIER_CLAMP:
+        return False
+    d = np.sqrt(((q[2:4] - spec.discs.centers) ** 2).sum(axis=1)) - spec.discs.radii
+    return bool(max(d_c, 1e-12) < d.min() < np.inf)
+
+
+def warned(fn):
+    """fn() and the messages of the RuntimeWarnings it raised about a centre."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, [str(w.message) for w in caught if "obstacle center" in str(w.message)]
+
+
+class TestFloatCore:
+    """``features`` and ``Evaluation`` in Python floats give the bits of their
+    array form (``array_features``, ``array_evaluation``): phi, the gradient
+    rows, the gradient, the potential, H and the logged parts."""
+
+    def assert_matches_oracle(self, q, p, spec):
+        with np.errstate(all="ignore"):
+            want, want_warned = warned(lambda: array_evaluation(q, spec, p))
+            ev, got_warned = warned(lambda: evaluate(q, spec, p))
+            got = (ev.phi, ev.grads, ev.grad_list, ev.potential, ev.H, ev.parts)
+        assert got_warned == want_warned
+        for name, g, w in zip(("phi", "grads", "grad", "potential", "H"), got, want):
+            assert bits(g) == bits(w), name
+        assert ev.grad.tobytes() == want[2].tobytes()
+        assert list(got[5]) == list(want[5])
+        for key in want[5]:
+            assert bits(got[5][key]) == bits(want[5][key]), key
+        return ev
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_point_states_match_the_array_form(self, fast, data):
+        """0-12 discs, so the potential's and the barrier total's sums reach
+        the 8 terms from which numpy sums pairwise; the gaps at and around
+        d_c and d_hat.  The barrier takes ``ipc_barrier_and_grad`` exactly
+        when the state is off the fast path."""
+        q, p, spec = point_case(data, FAST_GAPS if fast else POINT_GAPS)
+        calls = []
+        general = energy.ipc_barrier_and_grad
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "ipc_barrier_and_grad", lambda *a: calls.append(1) or general(*a))
+            ev, _ = warned(lambda: evaluate(q, spec, p))
+        assert len(calls) == (len(spec.discs) > 0 and not on_fast_path(q, spec))
+        self.assert_matches_oracle(q, p, spec)
+        assert ev.parts == warned(lambda: energy_breakdown(PhaseState(q, p), spec))[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.data())
+    def test_ring_states_match_the_array_form(self, at_knots, data):
+        """0-8 discs around a ring, with gaps anywhere or at and around the
+        knots d_c and d_hat."""
+        q, p, spec = random_state(data, ring=True, max_discs=8,
+                                  gaps=knot_obstacles if at_knots else lambda d_hat: OBSTACLE)
+        self.assert_matches_oracle(q, p, spec)
+
+    @pytest.mark.parametrize("kind", ["centre", "nan", "+inf", "-inf", "penetration",
+                                      "contact", "d_hat 8", "d_hat 20"])
+    def test_states_off_the_fast_path(self, kind):
+        """Each takes ``ipc_barrier_and_grad`` once, gives the oracle's bits
+        and warns about a centre only on a centre, as the array form does."""
+        d_hat = {"d_hat 8": 8.0, "d_hat 20": 20.0}.get(kind, 0.8)
+        d_c = barrier_knots(d_hat)[0]
+        ob = Obstacle(np.array([0.5, 0.25]), 0.75)
+        q = np.array([0.1, -0.2, 0.5, 0.25])
+        q[2] += {"centre": 0.0, "penetration": 0.5, "contact": 0.75 + 0.5 * d_c,
+                 "d_hat 8": 0.75 + 0.1, "d_hat 20": 0.75 + 4.0}.get(kind, 0.0)
+        if kind in ("nan", "+inf", "-inf"):
+            q[2] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[kind]
+        spec = HamiltonianSpec(np.ones(4), EnergyWeights(1.0, 1.0, {0: 1.0}), DiscSet.of([(0, ob)]),
+                               FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]),
+                                          d_hat=d_hat))
+        calls = []
+        general = energy.ipc_barrier_and_grad
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "ipc_barrier_and_grad", lambda *a: calls.append(1) or general(*a))
+            with np.errstate(all="ignore"):
+                _, messages = warned(lambda: evaluate(q, spec, np.ones(4)).grad_list)
+        assert calls == [1]
+        assert len(messages) == (kind == "centre")
+        self.assert_matches_oracle(q, np.ones(4), spec)
+
+    def test_numpy_calls(self, monkeypatch):
+        """A point robot's ``features`` makes no numpy call without discs and
+        one, ``np.log``, with discs all on the fast path."""
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if not callable(attr):
+                    return attr
+                return lambda *a, **k: calls.append(name) or attr(*a, **k)
+
+        fixed = FixedTerms(layout=POINT_LAYOUT, goal=np.array([2.0, 1.0]), d_hat=1.0)
+        q = [0.1, -0.2, 0.5, 0.25]
+        discs = DiscSet.of([(3, Obstacle(np.array([1.5, 0.5]), 0.5)),
+                            (7, Obstacle(np.array([-0.5, 0.2]), 0.4))])
+        discs.rows  # formed once per DiscSet, outside the evaluation
+        monkeypatch.setattr(energy, "np", CountingNumpy())
+        features(q, DiscSet.of([]), fixed)
+        assert calls == []
+        features(q, discs, fixed)
+        assert calls == ["log"]
 
 
 FRAME_KINDS = ("free", "barrier_linear", "barrier_log", "inside_disc", "on_center", "nan")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamnav import navigator
+from hamnav import navigator, workspace
 from hamnav.baselines import astar_rigid, run_baseline_episode
 from hamnav.cli import config_from_dict
 from hamnav.dynamics import IntegratorConfig, rollout
@@ -378,13 +378,13 @@ class TestRunEpisode:
         # the gradient turns NaN at the sixth step: the integrator refuses the
         # step, the episode ends "diverged" (not "collision") with the five
         # finite states it reached, and it scores as a failure
-        grad, calls = Evaluation.grad.fget, []
+        grad, calls = Evaluation.grad_list.fget, []
 
         def nan_after_five(ev):
             calls.append(None)
-            return grad(ev) if len(calls) <= 5 else np.full(ev.q.size, np.nan)
+            return grad(ev) if len(calls) <= 5 else [math.nan] * len(ev.q)
 
-        monkeypatch.setattr(Evaluation, "grad", property(nan_after_five))
+        monkeypatch.setattr(Evaluation, "grad_list", property(nan_after_five))
         ws = Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0))
         res = run_episode(ws, empty_point_cfg(), DefaultMetaPolicy(r_offset=0.0))
         assert res.termination == "diverged"
@@ -1008,6 +1008,37 @@ class TestLoggedObservables:
             assert reuse["world_from_pass"] > 0
         else:
             assert reuse["world_from_pass"] == 0
+
+
+def test_point_clearance_is_measured_once_per_state(monkeypatch):
+    """A point robot's log row reuses the clearance that the step's
+    observables measured at the same state bytes against the same DiscSet
+    object: such a row makes no ``disc_distances`` call, any other one call
+    against a non-empty active set and none against an empty one.
+    (``TestLoggedObservables`` checks each logged clearance against one
+    measured from scratch.)"""
+    calls, observed, rows = [], {}, []
+    distances, observe, logged = workspace.disc_distances, _Episode.observe, _Episode.logged
+
+    def recording_observe(self, z, act, shape_clearances=(), contact=None):
+        observed[z.q.tobytes()] = act
+        return observe(self, z, act, shape_clearances, contact)
+
+    def counting_logged(self, y, act, contact):
+        same, before = observed.get(self.z.q.tobytes()) is act, len(calls)
+        out = logged(self, y, act, contact)
+        rows.append((same, len(act), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(workspace, "disc_distances", lambda *a: calls.append(1) or distances(*a))
+    monkeypatch.setattr(_Episode, "observe", recording_observe)
+    monkeypatch.setattr(_Episode, "logged", counting_logged)
+    cfg, meta = dungeon_setup()
+    res = _Episode(generate_dungeon(0, cells=3), cfg, meta).run()
+    assert len(rows) == len(res.qs)
+    repeated = [n for same, m, n in rows if same and m]
+    assert len(repeated) > 50 and not any(repeated)
+    assert all(n == (m > 0) for same, m, n in rows if not same)
 
 
 def ranked_by_sort(pairs, c):
