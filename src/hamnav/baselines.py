@@ -17,7 +17,7 @@ import numpy as np
 
 from .navigator import EpisodeConfig, EpisodeRecorder, EpisodeResult, Observables, StagewiseSensing
 from .energy import POINT_LAYOUT
-from .workspace import DeadEndError, Workspace, norm2, row_norms
+from .workspace import DeadEndError, SharedWorkspace, Workspace, norm2, row_norms
 
 _SQRT2 = np.sqrt(2.0)
 _STEPS = [(-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2), (0, -1, 1.0),
@@ -38,7 +38,11 @@ def clearance_raster(ws: Workspace, resolution: float):
     """Per-cell clearance (distance to the nearest obstacle surface).
 
     Continuous workspaces get exact circle distances at cell centers;
-    dungeon workspaces reuse their grid's Euclidean distance transform.
+    dungeon workspaces reuse their grid's Euclidean distance transform.  The
+    planners read it through ``_raster``, which on a SharedWorkspace makes it
+    once per resolution: it depends on the world and the resolution alone, so
+    the reference plan and the A* rows of one ``hamnav eval`` workspace share
+    one raster and the same floats.
     """
     if ws.grid is not None:
         sdf = ws.grid.cell_sdf * ws.grid.cell_size
@@ -51,6 +55,17 @@ def clearance_raster(ws: Workspace, resolution: float):
     for ob in ws.obstacles:
         clear = np.minimum(clear, np.hypot(xs - ob.center[0], ys - ob.center[1]) - ob.radius)
     return clear, cell
+
+
+def _raster(ws: Workspace, resolution: float):
+    """clearance_raster(ws, resolution), read-only, and made once per
+    resolution on a SharedWorkspace."""
+    rasters = ws.rasters if isinstance(ws, SharedWorkspace) else {}
+    if resolution not in rasters:
+        clear, cell = clearance_raster(ws, resolution)
+        clear.flags.writeable = False
+        rasters[resolution] = clear, cell
+    return rasters[resolution]
 
 
 def _to_cell(point, cell, shape):
@@ -135,7 +150,7 @@ def astar_rigid(ws: Workspace, resolution: float, inflation_radius: float) -> Gr
     """
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    clear, cell = clearance_raster(ws, resolution)
+    clear, cell = _raster(ws, resolution)
     return _plan(ws, clear >= inflation_radius, cell)
 
 
@@ -149,7 +164,7 @@ def astar_deformable(ws: Workspace, resolution: float, r_min: float,
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     r_rest = r_min * 2.0 if r_rest is None else r_rest
-    clear, cell = clearance_raster(ws, resolution)
+    clear, cell = _raster(ws, resolution)
     free = clear > r_min
     multiplier = None
     if penalty_gain > 0:

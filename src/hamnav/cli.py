@@ -34,7 +34,7 @@ from .generation import FAMILIES, generate_bottleneck, generate_dungeon, generat
 from .learning import MetaRegressor, SceneDatum, TrainConfig, make_reference_dataset, train_offline
 from .navigator import DefaultMetaPolicy, EpisodeConfig, dungeon_setup, run_episode
 from .ring import RingParams
-from .workspace import Workspace, save_workspace, workspace_from_json
+from .workspace import SharedWorkspace, Workspace, save_workspace, workspace_from_json
 
 SCHEMA_VERSION = 1
 # the columns of an A* run's steps.csv: its plan's waypoints, t the index
@@ -605,10 +605,14 @@ def cmd_make_dataset(args) -> int:
 def _eval_one(ws: Workspace, cfg: RunConfig, methods):
     """Every method on the workspace ``ws``, against one A* reference plan.
 
-    The reference plan is also the ``astar_rigid`` row's plan when it is
-    planned for ``rigid_radius`` (always, on disc workspaces).  A method that
-    raises gets an error row, which the table counts as a failure.
+    The methods run on one SharedWorkspace copy of ``ws``, dropped on return:
+    the reference plan and the A* rows read one clearance raster, and the
+    episodes one table of stage-edge openings.  The reference plan is also
+    the ``astar_rigid`` row's plan when it is planned for ``rigid_radius``
+    (always, on disc workspaces).  A method that raises gets an error row,
+    which the table counts as a failure.
     """
+    ws = SharedWorkspace(ws)
     ref = reference_plan(ws, cfg)
     lref = ref.length if ref.feasible else np.nan
     rows = {}

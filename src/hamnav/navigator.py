@@ -27,7 +27,7 @@ import math
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,10 @@ from .workspace import (
     DeadEndError,
     DiscSet,
     ObstacleMemory,
+    SharedWorkspace,
     StageManager,
     Workspace,
+    disc_distances,
     grid_sdf_world,
     norm2,
     row_norms,
@@ -359,6 +361,11 @@ class ExitSelector:
     opening on that directed edge (fewest traversals, then widest capped
     width, then nearest the goal).  Openings at the robot's feet are skipped
     so a just-attained exit hands over to the next one.
+
+    An edge's openings are measured once, into a table.  On a SharedWorkspace
+    every episode with this stage tiling reads the workspace's one table: the
+    openings depend on the world, the goal and the tiling alone (traversals
+    and failures are the episode's), and each exit is a read-only array.
     """
 
     DIRS = {"e": (1, 0), "w": (-1, 0), "n": (0, 1), "s": (0, -1)}
@@ -370,7 +377,9 @@ class ExitSelector:
         self.max_failures = max_failures
         self.traversals = []  # [point, n]: successful attains rotate openings
         self.failures = []    # [point, n]: abandons; too many kill the opening
-        self._openings = {}   # (i, j, dir) -> list of (score, dist, mid)
+        # (i, j, dir) -> list of (score, dist, mid)
+        self._openings = (ws.openings.setdefault(astuple(stages), {})
+                          if isinstance(ws, SharedWorkspace) else {})
         self._broken = set()  # (stage, dir) edges with no live opening left
         self._next_dir = None
 
@@ -400,6 +409,7 @@ class ExitSelector:
                 if width <= 1e-9:
                     continue
                 mid = p0 + u * ((a + b) / 2.0)
+                mid.flags.writeable = False
                 score = min(width, self.stages.passable_width)
                 out.append((score, norm2(mid - self.ws.goal), mid))
         self._openings[key] = out
@@ -566,6 +576,11 @@ class StagewiseSensing:
         return True
 
 
+# world_clearance holds its candidate discs while the centre stays within
+# this distance (m) of where it chose them
+HELD_REACH = 0.5
+
+
 class EpisodeRecorder:
     """One episode's log, termination checks and result, shared by the
     navigator and the PF/DWA baselines.
@@ -614,6 +629,7 @@ class EpisodeRecorder:
         self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
         self.n = 0  # steps taken
         self.true_clr = None
+        self.held = (math.nan, math.nan, [])  # world_clearance's c0 and its held discs
 
     def true_clearance(self, q, contact=None) -> float:
         """Clearance against the ground-truth world (not the sensed one).
@@ -621,7 +637,10 @@ class EpisodeRecorder:
         A ring in a disc world takes ``RingShapeModel.pruned_clearance``
         against every world disc; ``contact``, the navigator's contact pass at
         q against its active set, is its upper bound when the sensed discs are
-        the world's (the same float either way)."""
+        the world's (the same float either way).  A point or a rigid disc in
+        a disc world takes ``world_clearance``, which holds the discs that can
+        be nearest while the centre stays near (the same float as
+        ``DiscSet.clearance`` over every world disc)."""
         c = q[self.layout.frame]
         if self.ws.grid is not None:
             base = float(self.sdf(c)) - self.radius
@@ -630,7 +649,33 @@ class EpisodeRecorder:
             return base
         if self.shape is not None:
             return self.shape.pruned_clearance(q, self.world, contact)
-        return self.world.clearance(c) - self.radius
+        return self.world_clearance(c) - self.radius
+
+    def world_clearance(self, c) -> float:
+        """``self.world.clearance(c)``, the least gap sqrt(dx*dx + dy*dy) - r
+        from c to the world's discs, from a held candidate set.
+
+        At a centre c0 it takes every gap g_i by disc_distances and holds the
+        discs with g_i <= min g + 2R + 1e-9 (R = HELD_REACH).  While
+        |c - c0| < R the minimum over those alone, by disc_distances' formula
+        in Python floats, is the same float: each g_i is 1-Lipschitz in c, so
+        a dropped gap stays above min g + R + 1e-9 and the held minimum below
+        min g + R.  The pad, as in ``_Episode.active_set``, dwarfs the gaps'
+        float error.  A non-finite c or an empty world takes DiscSet.clearance.
+        """
+        cx, cy = c.tolist()
+        x0, y0, held = self.held
+        if math.hypot(cx - x0, cy - y0) < HELD_REACH:
+            return min([math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r
+                        for x, y, r, _ in held])
+        world = self.world
+        if not (len(world) and math.isfinite(cx) and math.isfinite(cy)):
+            return world.clearance(c)
+        gaps = disc_distances(world.centers, world.radii, c)
+        g = float(gaps.min())
+        keep = (gaps <= g + 2.0 * HELD_REACH + 1e-9).tolist()
+        self.held = (cx, cy, [row for row, k in zip(world.rows, keep) if k])
+        return g
 
     def start(self, q):
         """Measure the start state: 'collision' if it collides, else as ``_at``."""

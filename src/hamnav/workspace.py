@@ -175,6 +175,22 @@ class Workspace:
         return bool(0 <= point[0] <= self.side and 0 <= point[1] <= self.side)
 
 
+class SharedWorkspace(Workspace):
+    """A copy of a workspace that keeps what its plans and episodes would each
+    compute alike: ``rasters``, clearance rasters by resolution, and
+    ``openings``, ExitSelector's stage-edge openings by stage tiling.  Each
+    depends only on the world, the goal and its key, so a kept one holds the
+    floats a fresh one would.  ``hamnav eval`` makes one per workspace and
+    drops it after that workspace's rows; a copy, it does not see obstacles
+    assigned to the original later.
+    """
+
+    def __init__(self, ws: Workspace):
+        super().__init__(ws.side, list(ws.obstacles), ws.start, ws.goal, grid=ws.grid,
+                         seed=ws.seed)
+        self.rasters, self.openings = {}, {}
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 
@@ -306,10 +322,18 @@ class ObstacleMemory:
 
 
 def disc_intersects_window(obstacle: Obstacle, center, half_extent) -> bool:
-    """Exact disc vs axis-aligned-square test by closest-point clamping."""
-    c = np.asarray(center, float)
-    closest = np.clip(obstacle.center, c - half_extent, c + half_extent)
-    return norm2(closest - obstacle.center) <= obstacle.radius
+    """Exact disc vs axis-aligned-square test by closest-point clamping, for
+    a finite window (sense's always is), in Python floats.
+
+    Per axis the closest point is min(max(o, c - h), c + h): np.clip's
+    operands and bits (see StagewiseSensing.refresh), since of two equal
+    operands only the sign of a zero can differ and the square drops it.
+    Its distance to the centre is norm2's formula, sqrt(dx*dx + dy*dy).
+    """
+    (ox, oy), (cx, cy), h = obstacle.center.tolist(), map(float, center), float(half_extent)
+    dx = min(max(ox, cx - h), cx + h) - ox
+    dy = min(max(oy, cy - h), cy + h) - oy
+    return math.sqrt(dx * dx + dy * dy) <= obstacle.radius
 
 
 class CircleRegistry:
@@ -371,11 +395,9 @@ def sense(workspace: Workspace, position, half_extent, tracker=None,
         registry = CircleRegistry() if registry is None else registry
         pairs = registry.fit(workspace.grid, (position, half_extent), circle_params or {})
     else:
-        pairs = [
-            (i, ob)
-            for i, ob in enumerate(workspace.obstacles)
-            if disc_intersects_window(ob, position, half_extent)
-        ]
+        xy = position.tolist()
+        pairs = [(i, ob) for i, ob in enumerate(workspace.obstacles)
+                 if disc_intersects_window(ob, xy, half_extent)]
     corrupt = getattr(workspace, "corrupt_context", None)
     if corrupt is not None:
         pairs = corrupt(pairs)

@@ -29,8 +29,9 @@ contractions and 2x2/3x3 solves are elementwise numpy or Python floats, whose
 bits no kernel choice changes.  So ``test_digests_hold_under_other_blas_kernels``
 records every case but the three that run a ``MetaRegressor`` (``MLP_CASES``:
 its MLP's matmuls are matrix work left to BLAS) in a subprocess under
-``OPENBLAS_CORETYPE=Haswell`` and again under ``Prescott``, and their digests
-must be the stored ones.
+``OPENBLAS_CORETYPE=Haswell``, again under ``Prescott``, and again with
+numpy's AVX-512 loops off (``NPY_DISABLE_CPU_FEATURES``, on a CPU where numpy
+reports them), and their digests must be the stored ones.
 
 A change that moves a digest on purpose must say why; regenerate the file
 with ``PYTHONPATH=src python tests/test_bench_digest.py --write``.  A new
@@ -272,34 +273,47 @@ def test_digest(name, golden):
         assert np.allclose(arr, ref, rtol=1e-12, atol=0), key
 
 
-def digests_under(core, names):
+# The other arithmetic each non-MLP case must keep its digests under: an
+# OpenBLAS kernel core forced by OPENBLAS_CORETYPE, or numpy's loops with its
+# AVX-512 dispatch groups (numpy 2.4's names) turned off.
+OTHER_ARITHMETIC = {
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+def digests_under(setting, names):
     """The arithmetic key and the digests of the cases ``names``, recorded in
-    one subprocess whose OpenBLAS kernel core is forced to ``core``."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+    one subprocess under the environment variables ``setting``."""
+    env = dict(os.environ, **setting, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, __file__, "--digests", *names], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
-def test_digests_hold_under_other_blas_kernels(core, golden):
+@pytest.mark.parametrize("setting", sorted(OTHER_ARITHMETIC))
+def test_digests_hold_under_other_blas_kernels(setting, golden):
     """The cases that avoid the MLP keep their digests under another OpenBLAS
-    kernel: the episode path makes no BLAS or LAPACK call."""
+    kernel, where the episode path makes no BLAS or LAPACK call, and without
+    numpy's AVX-512 loops."""
     if major_minor(np.__version__) != major_minor(golden["numpy"]):
         pytest.skip(f"the digests are pinned under numpy {golden['numpy']}")
     names = sorted(set(CASES) - set(MLP_CASES))
-    native = arithmetic_key()["openblas_core"]
-    if native == "unknown":
-        pytest.skip("numpy has no OpenBLAS whose kernel core can be switched")
-    got = digests_under(core, names)
-    forced = got["arithmetic"]["openblas_core"]
-    if forced == native:
-        pytest.skip(f"OPENBLAS_CORETYPE={core} left the {native} kernels in place "
-                    f"(no core switch, or this CPU's own core)")
+    native = arithmetic_key()
+    # the key that the setting changes, when it takes effect
+    key = "x86_v4" if setting == "no_avx512" else "openblas_core"
+    if native[key] in ("unknown", None, False):
+        pytest.skip(f"numpy reports no {key} to switch (here {native[key]!r})")
+    got = digests_under(OTHER_ARITHMETIC[setting], names)
+    if got["arithmetic"][key] == native[key]:
+        pytest.skip(f"{OTHER_ARITHMETIC[setting]} left {key} {native[key]!r} in place "
+                    f"(no switch, or this CPU's own setting)")
     for name in names:
         want = golden["cases"][name]
-        assert got["cases"][name] == {k: want[k] for k in got["cases"][name]}, (name, forced)
+        assert got["cases"][name] == {k: want[k] for k in got["cases"][name]}, (
+            name, got["arithmetic"])
 
 
 def write_golden(path=GOLDEN, names=None):

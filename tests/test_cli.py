@@ -30,7 +30,7 @@ from hamnav.generation import gap_statistics, generate_dungeon, generate_workspa
 from hamnav.learning import SceneDatum, make_reference_dataset, scene_rollout
 from hamnav.navigator import dungeon_setup
 from hamnav.ring import RingParams
-from hamnav.workspace import save_workspace, workspace_from_json
+from hamnav.workspace import Workspace, save_workspace, workspace_from_json
 
 
 def read_workspace(path):
@@ -312,6 +312,24 @@ RUN_ARTIFACTS = {
 }
 
 
+# sha256 of `hamnav eval` of every method (RunConfig.METHODS) on eval_dir,
+# under RunConfig(rigid_radius=0.0) and under the defaults: comparison.csv,
+# comparison.md, and per_episode_rows.json, per_episode.json's rows without
+# their wall times as sorted JSON text
+EVAL_ARTIFACTS = {
+    "rigid_radius_0": {
+        "comparison.csv": "9526002882c0611a9275eb0a2cfc3a64f1fefb1339018cf35ac2fb9a6eacf8f6",
+        "comparison.md": "757d4b0893f418ecc99596674277a10a726901cbf7625131c9e5e5ba344d6b9a",
+        "per_episode_rows.json": "fbf62183d9afd1e38d20ae008e65cc9b5958f3b315e0238baf4b51da675bcdec",
+    },
+    "default": {
+        "comparison.csv": "c26dd2dd767588f08e91ce499a22b01493ea5f4c81219943a6dab85a4f7839e9",
+        "comparison.md": "c80aa6a06af07faecf8770d82e64a142660d7ffb45b6011b9828e879e6a5246a",
+        "per_episode_rows.json": "3ad3a2b352db42643c8b2424cede837e121e4325c259e59930e6e3af0e469075",
+    },
+}
+
+
 def assert_pinned(out, pins):
     """The files in ``out`` have the sha256 digests ``pins`` names, when
     numpy is the 2.4 the pins were recorded under (another numpy may round
@@ -337,6 +355,18 @@ def dungeon_file(tmp_path_factory):
     main(["generate", "--family", "dungeon", "--count", "1", "--seed", "0",
           "--out", str(out)])
     return out / "dungeon_0000.json"
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    """A directory holding a dungeon and the test_id workspaces 21 and 22."""
+    out = tmp_path_factory.mktemp("eval_ws")
+    suite = {"dungeon.json": generate_dungeon(0, cells=3),
+             "test_id_0.json": generate_workspace("test_id", 21),
+             "test_id_1.json": generate_workspace("test_id", 22)}
+    for name, ws in suite.items():
+        save_workspace(ws, out / name)
+    return out
 
 
 class TestRunCommand:
@@ -854,6 +884,59 @@ class TestEvalCommand:
                      "astar_deform", "--out", str(tmp_path / "r")]) == 0
         assert calls == []
 
+    @pytest.mark.parametrize("tag", sorted(EVAL_ARTIFACTS))
+    def test_outputs_are_pinned(self, tmp_path, eval_dir, tag):
+        cfgp = tmp_path / "cfg.toml"
+        save_config(RunConfig(rigid_radius=0.0) if tag == "rigid_radius_0" else RunConfig(), cfgp)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfgp), "--workspaces", str(eval_dir),
+                     "--methods", ",".join(RunConfig.METHODS), "--out", str(out)]) == 0
+        (out / "per_episode_rows.json").write_text(json.dumps(per_episode_rows(out),
+                                                              sort_keys=True))
+        assert_pinned(out, EVAL_ARTIFACTS[tag])
+
+    def test_one_raster_and_openings_table_per_workspace(self, tmp_path, monkeypatch):
+        # the reference plan and the astar_deform row share one clearance
+        # raster, and the grlsnam, PF and DWA episodes measure each stage
+        # edge once, per workspace
+        import hamnav.baselines as baselines
+        import hamnav.workspace as workspace
+
+        rasters, edges = [], []
+        raster, edge = baselines.clearance_raster, workspace._edge_blocked_intervals
+
+        def counted_raster(ws, resolution):
+            rasters.append(ws.seed)
+            return raster(ws, resolution)
+
+        def counted_edge(p0, p1, ws, r_inflate):
+            edges.append((ws.seed, tuple(p0.tolist()), tuple(p1.tolist())))
+            return edge(p0, p1, ws, r_inflate)
+
+        ws_dir = tmp_path / "ws"
+        main(["generate", "--family", "test_id", "--count", "2", "--seed", "21",
+              "--out", str(ws_dir)])
+        monkeypatch.setattr(baselines, "clearance_raster", counted_raster)
+        monkeypatch.setattr(workspace, "_edge_blocked_intervals", counted_edge)
+        assert main(["eval", "--workspaces", str(ws_dir), "--methods",
+                     ",".join(RunConfig.METHODS), "--out", str(tmp_path / "e")]) == 0
+        assert rasters == [21, 22]
+        assert len(edges) == len(set(edges)) and {e[0] for e in edges} == {21, 22}
+
+    def test_reassigned_obstacles_are_seen(self):
+        # nothing outlives _eval_one: after ws.obstacles is reassigned, its
+        # rows are those of a new workspace holding the new obstacles
+        cfg, methods = RunConfig(), ["pf", "astar_rigid", "astar_deform"]
+        ws = generate_workspace("test_id", 21)
+        before = _eval_one(ws, cfg, methods)
+        ws.obstacles = []
+        after = _eval_one(ws, cfg, methods)
+        fresh = _eval_one(Workspace(ws.side, ws.obstacles, ws.start, ws.goal, seed=ws.seed),
+                          cfg, methods)
+        for rows in (before, after, fresh):
+            del rows["pf"]["wall_time"]
+        assert same_json(after, fresh) and not same_json(after, before)
+
     @pytest.mark.parametrize("robot", ["ring", "point", "grid"])
     def test_rows_as_from_separate_reference_and_plans(self, robot):
         # the rows _eval_one builds from one reference plan equal those built
@@ -883,16 +966,10 @@ class TestEvalCommand:
             assert json.dumps(rows[method], sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("robot", ["ring", "point"])
-    def test_mixed_directory_rows_as_each_alone(self, tmp_path, robot):
+    def test_mixed_directory_rows_as_each_alone(self, tmp_path, eval_dir, robot):
         # one config serves a dungeon and two test_id workspaces: each row of
         # their eval equals the row of that workspace evaluated alone
-        mixed = tmp_path / "mixed"
-        mixed.mkdir()
-        suite = {"dungeon.json": generate_dungeon(0, cells=3),
-                 "test_id_0.json": generate_workspace("test_id", 21),
-                 "test_id_1.json": generate_workspace("test_id", 22)}
-        for name, ws in suite.items():
-            save_workspace(ws, mixed / name)
+        mixed = eval_dir
         cfgp = tmp_path / "cfg.toml"
         save_config(RunConfig(robot=robot), cfgp)
         methods = ",".join(RunConfig.METHODS)
@@ -903,7 +980,7 @@ class TestEvalCommand:
             return per_episode_rows(out)
 
         together = rows(mixed, tmp_path / "together")
-        for i, name in enumerate(sorted(suite)):
+        for i, name in enumerate(sorted(p.name for p in mixed.glob("*.json"))):
             alone_dir = tmp_path / f"alone{i}"
             alone_dir.mkdir()
             (alone_dir / name).write_bytes((mixed / name).read_bytes())

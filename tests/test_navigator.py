@@ -931,6 +931,64 @@ def logged_episode(mp, ws, cfg, meta=None):
     return ep, ep.run(), calls, reuse
 
 
+class TestHeldWorldClearance:
+    """``EpisodeRecorder.world_clearance`` is ``DiscSet.clearance`` over every
+    world disc, byte for byte, though it re-measures every disc only when the
+    centre has moved HELD_REACH from where it last did."""
+
+    @staticmethod
+    def recorder(obstacles):
+        ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
+        ws.obstacles = obstacles  # bypass validation: a disc may cover the start
+        tracker = workspace.CoverageTracker(10.0, 0.5)
+        return navigator.EpisodeRecorder(ws, EpisodeConfig(ring=None), tracker, POINT_LAYOUT)
+
+    @given(st.integers(0, 10_000), st.integers(0, 12), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_walk_matches_every_disc(self, seed, m, equal_gaps):
+        r = np.random.default_rng(seed)
+        hub = r.uniform(2, 8, 2)
+        if equal_gaps:  # m discs of one radius at one distance from hub
+            ang = 2 * np.pi * np.arange(m) / max(m, 1) + r.uniform(0, 2 * np.pi)
+            dist, radius = r.uniform(0.5, 2.0), r.uniform(0.1, 0.4)
+            obstacles = [Obstacle(hub + dist * np.array([np.cos(a), np.sin(a)]), radius)
+                         for a in ang]
+        else:
+            obstacles = [Obstacle(r.uniform(0, 10, 2), r.uniform(0.1, 0.8)) for _ in range(m)]
+        rec, world = self.recorder(obstacles), DiscSet.of(enumerate(obstacles))
+        reach = navigator.HELD_REACH
+        c = r.uniform(0, 10, 2)
+        for _ in range(200):
+            kind = int(r.integers(0, 6))
+            if kind == 0:  # well inside the held reach
+                c = c + r.normal(scale=0.02, size=2)
+            elif kind == 1:  # about the reach
+                c = c + r.normal(scale=reach, size=2)
+            elif kind == 2:  # a jump
+                c = r.uniform(-2, 12, 2)
+            elif kind == 3:  # a few ulps either side of the reach
+                x0, y0, _ = rec.held
+                a = r.uniform(0, 2 * np.pi)
+                step = reach * (1.0 + r.choice([-1e-15, 0.0, 1e-15]))
+                c = np.array([x0, y0]) + step * np.array([np.cos(a), np.sin(a)])
+            elif kind == 4:  # at or near the point of equal gaps
+                c = hub + r.choice([0.0, 1e-12]) * r.normal(size=2)
+            else:
+                c = np.array(r.choice([math.nan, math.inf, -math.inf, 5.0], 2))
+            want = world.clearance(c)
+            assert np.float64(rec.world_clearance(c)).tobytes() == np.float64(want).tobytes()
+
+    def test_small_steps_measure_the_world_once(self, monkeypatch):
+        calls = []
+        full = navigator.disc_distances
+        monkeypatch.setattr(navigator, "disc_distances", lambda *a: calls.append(1) or full(*a))
+        rec = self.recorder([Obstacle(np.array([x, y]), 0.3)
+                             for x in (2.0, 5.0, 8.0) for y in (2.0, 5.0, 8.0)])
+        for k in range(40):  # 0.39 m in all
+            rec.world_clearance(np.array([3.5 + 0.01 * k, 3.4]))
+        assert len(calls) == 1 and len(rec.held[2]) < 9
+
+
 class TestLoggedObservables:
     """Each logged (clearance, goal distance, speed) row is compute_observables
     at that state, with the clearance measured from scratch against that

@@ -140,6 +140,58 @@ def norm_formula(values):
 NORM_RTOL = 8 * np.finfo(float).eps
 
 
+class TestWindowFloats:
+    """disc_intersects_window's float form against the np.clip form it
+    replaced, on discs tangent to a window edge or near a window corner, on
+    windows that cross the workspace border, and through sense."""
+
+    @staticmethod
+    def clip_form(ob, center, half):
+        c = np.asarray(center, float)
+        closest = np.clip(ob.center, c - half, c + half)
+        return norm2(closest - ob.center) <= ob.radius
+
+    @given(st.integers(0, 10_000), st.sampled_from(["any", "tangent", "corner", "border"]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_clip_form(self, seed, kind):
+        r = np.random.default_rng(seed)
+        half, radius = r.uniform(0.05, 3.0), r.uniform(0.05, 1.5)
+        center = r.uniform(0, 10, 2)
+        # a gap off tangency of 0, a few ulps, or a visible amount, either way
+        off = r.choice([0.0, 1e-15, -1e-15, 4e-16, 1e-3, -1e-3])
+        if kind == "border":
+            center = np.array([r.choice([0.0, 10.0, r.uniform(0, half)]) for _ in range(2)])
+            o = r.uniform(-1, 11, 2)
+        elif kind == "tangent":
+            axis, sign = int(r.integers(2)), r.choice([-1.0, 1.0])
+            o = center + r.uniform(-half, half, 2)
+            o[axis] = center[axis] + sign * (half + radius + off)
+        elif kind == "corner":
+            sx, sy = r.choice([-1.0, 1.0], 2)
+            d = (radius + off) / math.sqrt(2.0)
+            o = center + np.array([sx * (half + d), sy * (half + d)])
+        else:
+            o = r.uniform(-1, 11, 2)
+        ob = Obstacle(o, radius)
+        want = self.clip_form(ob, center, half)
+        assert disc_intersects_window(ob, center, half) == want
+        assert disc_intersects_window(ob, tuple(center.tolist()), half) == want
+
+    @given(st.integers(0, 10_000), st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_sense_keeps_the_clip_form_discs(self, seed, m):
+        r = np.random.default_rng(seed)
+        obstacles = [Obstacle(r.uniform(0, 10, 2), r.uniform(0.05, 1.5)) for _ in range(m)]
+        ws = empty_workspace()
+        ws.obstacles = obstacles  # bypass validation: a disc may cover the start
+        for _ in range(10):
+            pos = np.array([r.choice([0.0, 10.0, r.uniform(0, 10)]) for _ in range(2)])
+            half = r.uniform(0.1, 4.0)
+            got = sense(ws, pos, half).obstacles
+            assert got == [(i, ob) for i, ob in enumerate(obstacles)
+                           if self.clip_form(ob, pos, half)]
+
+
 class TestRowNorms:
     """row_norms equals the norm formula on each row, bit for bit, for rows of
     fewer than 8 entries (numpy sums those left to right), and np.linalg.norm
