@@ -322,11 +322,11 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
         return Observables(min(clr, cfg.d_hat), norm2(pos - ws.goal), norm2(v))
 
     pos = ws.start.copy()
-    q = np.concatenate([np.zeros(2), pos])  # the point layout: (sensor, frame)
+    q = [0.0, 0.0, *pos.tolist()]  # the point layout: (sensor, frame), in floats
     termination = rec.start(q)
     while termination is None:
         try:
-            sensing.refresh(pos, rec.n)
+            sensing.refresh(q[2:], rec.n)
         except DeadEndError:
             termination = "dead_end"
             break
@@ -343,7 +343,7 @@ def run_baseline_episode(ws: Workspace, method: str, cfg: EpisodeConfig,
                          robot_radius, (x0 - pad, y0 - pad, x1 + pad, y1 + pad)).velocity
         rec.record(q, observe(pos, v))
         pos = pos + cfg.tau * v
-        q = np.concatenate([np.zeros(2), pos])
+        q = [0.0, 0.0, *pos.tolist()]
         termination = rec.step(q)
     rec.record(q, observe(pos, np.zeros(2)))
     return rec.result(termination)

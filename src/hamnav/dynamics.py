@@ -63,10 +63,6 @@ class PortSelectors:
         return u
 
 
-def _floats(v) -> list:
-    return v if isinstance(v, list) else np.asarray(v, dtype=float).tolist()
-
-
 def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
                           selectors: PortSelectors, structural_damping=None) -> PhaseState:
     """One momentum-first symplectic Euler step.
@@ -76,16 +72,15 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
     sensor and shape momenta never feel the adaptive port.  The arithmetic is
     the array form's, coordinate by coordinate in Python floats: the same
     bits without the numpy call overhead, Gamma(mu) and the port included.
-    ``grad_q``, ``mass`` and ``structural_damping`` are vectors or lists of
-    floats (a list is read as it is).
+    The state, ``grad_q``, ``mass`` and ``structural_damping`` are read entry
+    by entry as they are, lists of floats or vectors; the new state holds q
+    and p as lists.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    q, p = z.q.tolist(), z.p.tolist()
-    grad = _floats(grad_q)
-    if not all(map(math.isfinite, q + p + grad)):
+    q, p = z.q, z.p
+    if not all(map(math.isfinite, [*q, *p, *grad_q])):
         raise FloatingPointError("non-finite state or gradient")
-    mass = _floats(mass)
     dim, frame = selectors.dim, selectors.frame
     gamma, port = [0.0] * dim, [0.0] * dim  # Gamma(mu) and G u_f
     gamma[frame] = [float(mu)] * len(gamma[frame])
@@ -95,12 +90,12 @@ def step_symplectic_euler(z: PhaseState, grad_q, mu, u_f, mass, tau,
         raise ValueError(f"port input {u_f} does not fit the frame {frame}")
     v = [p_i / m_i for p_i, m_i in zip(p, mass)]
     p_new = [p_i - tau * g_i - tau * d_i * v_i + tau * u_i for p_i, g_i, d_i, v_i, u_i
-             in zip(p, grad, gamma, v, port)]
+             in zip(p, grad_q, gamma, v, port)]
     if structural_damping is not None:
         p_new = [p_i - tau * s_i * v_i for p_i, s_i, v_i
-                 in zip(p_new, _floats(structural_damping), v)]
+                 in zip(p_new, structural_damping, v)]
     q_new = [q_i + tau * (p_i / m_i) for q_i, p_i, m_i in zip(q, p_new, mass)]
-    return PhaseState(np.array(q_new), np.array(p_new))
+    return PhaseState(q_new, p_new)
 
 
 def step_leapfrog(z: PhaseState, grad_fn, mass, tau) -> PhaseState:
@@ -152,17 +147,18 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
     A rollout is truncated with ``diverged=True`` when momentum exceeds
     DIVERGENCE_FACTOR x its initial scale or a non-finite state appears.
     """
-    if not np.all(np.isfinite(z0.q)) or not np.all(np.isfinite(z0.p)):
+    # the states are vectors here: the rollout does array arithmetic on them
+    z = PhaseState(np.array(z0.q, dtype=float), np.array(z0.p, dtype=float))
+    if not np.all(np.isfinite(z.q)) or not np.all(np.isfinite(z.p)):
         raise FloatingPointError("non-finite initial state")
-    selectors = PortSelectors(dim=z0.q.size, frame=spec.fixed.layout.frame)
-    p_scale = max(1.0, norm2(z0.p))
-    states = [z0.copy()]
-    ev, clearance = _evaluate_with_clearance(z0.q, spec, z0.p)
+    selectors = PortSelectors(dim=z.q.size, frame=spec.fixed.layout.frame)
+    p_scale = max(1.0, norm2(z.p))
+    states = [z]
+    ev, clearance = _evaluate_with_clearance(z.q, spec, z.p)
     energies = [ev.H]
     clearances = [clearance]
     score_norms = []
     diverged = False
-    z = z0.copy()
     for _ in range(cfg.horizon):
         g = ev.grad
         v = z.p / spec.mass
@@ -174,10 +170,11 @@ def rollout(z0: PhaseState, spec: HamiltonianSpec, cfg: IntegratorConfig,
         except FloatingPointError:
             diverged = True
             break
+        z = PhaseState(np.array(z.q), np.array(z.p))
         if not np.all(np.isfinite(z.q)) or norm2(z.p) > DIVERGENCE_FACTOR * p_scale:
             diverged = True
             break
-        states.append(z.copy())
+        states.append(z)
         ev, clearance = _evaluate_with_clearance(z.q, spec, z.p)  # H now, the next step's gradient
         energies.append(ev.H)
         clearances.append(clearance)

@@ -188,14 +188,14 @@ RING_LAYOUT = StateLayout(dim=6, angle=slice(4, 5), scale=slice(5, 6))
 
 @dataclass
 class PhaseState:
-    q: np.ndarray
-    p: np.ndarray
+    """(q, p) as given: lists of floats on the episode path, vectors offline."""
+
+    q: list
+    p: list
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.q.shape != self.p.shape:
-            raise ValueError("q and p must share a shape")
+        if len(self.q) != len(self.p):
+            raise ValueError("q and p must share a length")
 
     def copy(self):
         return PhaseState(self.q.copy(), self.p.copy())
@@ -327,6 +327,16 @@ def _point_barrier_floats(cx, cy, discs: DiscSet, d_hat):
     return terms
 
 
+def _state_floats(v, n) -> list:
+    """A state vector of n entries as a list of floats; a list is read as it is."""
+    if not isinstance(v, list):
+        v = np.asarray(v, dtype=float)
+        v = v.tolist() if v.ndim == 1 else []
+    if len(v) != n:
+        raise ValueError("state does not match the spec's layout and mass")
+    return v
+
+
 def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
     """Linear-in-weights view of the potential, in Python floats.
 
@@ -341,7 +351,7 @@ def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
     ring, ``contact`` is its ``ContactPass`` at q against ``discs`` (that
     object), made here when None; the pass's (M, K) work is numpy.
     """
-    q = q if isinstance(q, list) else np.asarray(q, dtype=float).tolist()
+    q = _state_floats(q, fixed.layout.dim)
     fx, shape = fixed.layout.frame.start, fixed.shape
     dx, dy = q[fx] - fixed.goal_xy[0], q[fx + 1] - fixed.goal_xy[1]
     zero = [0.0] * len(q)
@@ -349,7 +359,7 @@ def features(q, discs: DiscSet, fixed: FixedTerms, contact=None):
     if shape is not None:
         phi[1], grads[1] = shape.obj_feature(q)
         if contact is None:
-            contact = shape.contact(np.array(q), discs)
+            contact = shape.contact(q, discs)
         elif contact.discs is not discs:
             raise ValueError("contact pass was made against another disc set")
         vals, rows = contact.features(fixed.d_hat)
@@ -419,12 +429,9 @@ class Evaluation:
     """
 
     def __init__(self, q, spec: HamiltonianSpec, p=None, contact=None):
-        q, mass = np.asarray(q, dtype=float), spec.mass_list
-        p = None if p is None else np.asarray(p, dtype=float)
-        if q.shape != (spec.fixed.layout.dim,) or p is not None and p.shape != (len(mass),):
-            raise ValueError("state does not match the spec's layout and mass")
-        self.q, self.spec = q.tolist(), spec
-        self.kinetic = 0.0 if p is None else kinetic(p.tolist(), mass)
+        mass = spec.mass_list
+        self.q, self.spec = _state_floats(q, spec.fixed.layout.dim), spec
+        self.kinetic = 0.0 if p is None else kinetic(_state_floats(p, len(mass)), mass)
         self.phi, self.grads = features(self.q, spec.discs, spec.fixed, contact)
         self.eta = spec.weights.floats(spec.discs.id_list)
 

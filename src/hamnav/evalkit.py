@@ -11,6 +11,7 @@ rows into its columns of the comparison table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,14 @@ def spl(success, length, length_ref) -> float:
 
 
 def heading_changes(positions) -> np.ndarray:
-    """Absolute heading change per step; sub-nanometer steps are skipped."""
+    """Absolute heading change per step; sub-nanometer steps are skipped.  The
+    headings are libm's atan2 (numpy's AVX-512 arctan2 rounds some otherwise)."""
     d = np.diff(np.asarray(positions, float), axis=0)
     keep = np.linalg.norm(d, axis=1) > 1e-9
     d = d[keep]
     if len(d) < 2:
         return np.zeros(0)
-    ang = np.arctan2(d[:, 1], d[:, 0])
+    ang = np.array([math.atan2(y, x) for x, y in d.tolist()])
     turn = np.diff(ang)
     return np.abs((turn + np.pi) % (2 * np.pi) - np.pi)
 

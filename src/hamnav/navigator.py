@@ -1,13 +1,14 @@
 """Online adaptive navigation loop.
 
-Each step assembles the surrogate Hamiltonian from the current weight state,
-integrates one symplectic Euler step with frame-only damping and port input,
-extracts the observable vector y = [-clearance, goal distance, -speed], and
-corrects the weights [beta, lam, mu] with a smoothed secant-Jacobian /
-Tikhonov update.  A barrier weight alpha_i is the meta-policy's first
-proposal for its disc and is not adapted.  The residual the weight update
-cannot explain drives a port-force correction, recomputed once per frame
-horizon (zero-order hold in between).
+Each step of ``_Episode.run`` calls its phase methods in turn:
+``sense_and_propose`` (stagewise sensing; the meta policy proposes weights),
+``compose`` (the surrogate Hamiltonian on the active set, evaluated once),
+``step`` (symplectic Euler with frame-only damping and port input),
+``observe`` (y = [-clearance, goal distance, -speed]), ``adapt`` (a smoothed
+secant-Jacobian / Tikhonov update of [beta, lam, mu]), ``port`` (a port force
+from the residual the update leaves, held for a frame horizon) and ``log``,
+on a state whose q and p are lists of floats.  A barrier weight alpha_i is
+the meta-policy's first proposal for its disc and is not adapted.
 
 Sensing is stagewise (StagewiseSensing, shared with the PF/DWA baselines):
 the world is re-sensed every T_y steps, on a stage change, and when an exit
@@ -78,16 +79,16 @@ def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances
     Clearance is the min of ``clearance``, the new configuration's measured
     distance to the active discs (+inf for none), and any clearances
     collected from the shape rollout; it is capped at d_hat so the clearance
-    channel stays bounded when nothing is active.  ``x_g`` and ``mass`` are
-    sequences of numbers.
+    channel stays bounded when nothing is active.  The state, ``x_g`` and
+    ``mass`` are sequences of numbers.
     """
     clr = clearance
     for extra in shape_qoi_clearances:
         clr = min(clr, float(extra))
     clr = min(clr, d_hat)
-    cx, cy = z_next.q[layout.frame].tolist()
+    cx, cy = z_next.q[layout.frame]
     dx, dy = cx - x_g[0], cy - x_g[1]
-    speed = norm2([p / m for p, m in zip(z_next.p.tolist(), mass)])
+    speed = norm2([p / m for p, m in zip(z_next.p, mass)])
     return Observables(clearance=clr, goal_dist=math.sqrt(dx * dx + dy * dy), speed=speed)
 
 
@@ -254,6 +255,8 @@ class EpisodeConfig:
     n_max: int = 4000
     eps_goal: float = 0.15
     eps_stage: float = 0.3   # attainment radius for stage exits (handoff)
+    # stuck_window < retarget_window, as by default: a robot at rest while on
+    # an exit ends "stuck" before the no-progress abandon can retarget it
     stuck_window: int = 50
     eps_stuck: float = 0.002
     d_hat: float = 0.8
@@ -543,11 +546,12 @@ class StagewiseSensing:
         each still releases the sticky stage, until the selector hands out
         another exit or the exit is abandoned.  Raises DeadEndError when
         the stage is cut off from the goal; the window is sensed (and charged
-        to coverage) first.  The bookkeeping is in Python floats (``min``/``max``
-        give ``np.clip``'s bits); the position is an array only to sense.
+        to coverage) first.  ``c`` is a pair of numbers, read as it is.  The
+        bookkeeping is in Python floats (``min``/``max`` give ``np.clip``'s
+        bits); the position is an array only to sense.
         """
         cfg, side, (gx, gy) = self.cfg, self.ws.side, self.stage_goal_xy
-        cx, cy = c.tolist()
+        cx, cy = c
         pos = (min(max(cx, 0.0), side), min(max(cy, 0.0), side))
         dist = math.sqrt((cx - gx) * (cx - gx) + (cy - gy) * (cy - gy))
         self.exit_dists.append(dist)
@@ -585,11 +589,12 @@ class EpisodeRecorder:
     """One episode's log, termination checks and result, shared by the
     navigator and the PF/DWA baselines.
 
-    ``start`` and ``step`` take each state the episode reaches: they measure
-    its ground-truth clearance once (``true_clr``) and return why the episode
-    ends there, or None.  ``record`` appends a state's row, a Python list in
-    header order, to a flat float64 ``array``; ``result`` hands the rows to
-    the EpisodeResult as one table, zeros in the columns a loop never wrote.
+    ``start`` and ``step`` take each state the episode reaches, q a list of
+    floats: they measure its ground-truth clearance once (``true_clr``) and
+    return why the episode ends there, or None.  ``record`` appends a state's
+    row, a Python list in header order, to a flat float64 ``array``;
+    ``result`` hands the rows to the EpisodeResult as one table, zeros in the
+    columns a loop never wrote.
     A rigid disc of ``radius`` is judged by its centre's clearance less the
     radius.
     """
@@ -645,7 +650,7 @@ class EpisodeRecorder:
         if self.ws.grid is not None:
             base = float(self.sdf(c)) - self.radius
             if self.shape is not None:
-                base -= float(q[self.layout.scale][0]) * self.shape.params.r_base
+                base -= float(q[self.layout.scale.start]) * self.shape.params.r_base
             return base
         if self.shape is not None:
             return self.shape.pruned_clearance(q, self.world, contact)
@@ -663,7 +668,7 @@ class EpisodeRecorder:
         min g + R.  The pad, as in ``_Episode.active_set``, dwarfs the gaps'
         float error.  A non-finite c or an empty world takes DiscSet.clearance.
         """
-        cx, cy = c.tolist()
+        cx, cy = c
         x0, y0, held = self.held
         if math.hypot(cx - x0, cy - y0) < HELD_REACH:
             return min([math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r
@@ -680,7 +685,7 @@ class EpisodeRecorder:
     def start(self, q):
         """Measure the start state: 'collision' if it collides, else as ``_at``."""
         self.true_clr = self.true_clearance(q)
-        return "collision" if self.true_clr < 0 else self._at(q[self.layout.frame].tolist())
+        return "collision" if self.true_clr < 0 else self._at(q[self.layout.frame])
 
     def step(self, q, contact=None):
         """Measure the state a step reached: 'collision' when it collides,
@@ -690,7 +695,7 @@ class EpisodeRecorder:
         cfg = self.cfg
         self.n += 1
         self.true_clr = self.true_clearance(q, contact)
-        xy = q[self.layout.frame].tolist()
+        xy = q[self.layout.frame]
         self.recent.append(xy)
         if self.true_clr < 0:
             return "collision"
@@ -713,7 +718,7 @@ class EpisodeRecorder:
         observables y; the navigator also passes ``columns``, its other
         columns by name (p, u_f, the energy terms and the weights)."""
         row, at = [0.0] * len(self.header), self.rows
-        row[at["q"]] = q.tolist()
+        row[at["q"]] = q
         row[at["t"]], row[at["clr"]], row[at["true_clr"]], row[at["dist"]], row[at["speed"]] = (
             self.cfg.tau * self.m, y.clearance, self.true_clr, y.goal_dist, y.speed)
         if columns:
@@ -749,30 +754,27 @@ class EpisodeRecorder:
 
 
 class _Episode:
-    """One episode's mutable state; run() drives the loop."""
+    """One episode's state (z, the weights, J, u_f and the previous y, zeta and
+    slots); run() drives the phase methods, which pass a step's values along."""
 
     def __init__(self, ws: Workspace, cfg: EpisodeConfig, meta):
         self.ws, self.cfg, self.meta = ws, cfg, meta
+        mass, self.structural = [1.0, 1.0, cfg.mass_frame, cfg.mass_frame], [0.0] * 4
         if cfg.ring is not None:
-            self.layout = RING_LAYOUT
-            self.shape = RingShapeModel(cfg.ring)
-            self.mass = np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame,
-                                  cfg.inertia, cfg.ring.mass_scale])
-            self.structural = [0.0] * 4 + [float(cfg.gamma_theta), float(cfg.gamma_scale)]
+            self.layout, self.shape = RING_LAYOUT, RingShapeModel(cfg.ring)
+            mass += [cfg.inertia, cfg.ring.mass_scale]
+            self.structural += [float(cfg.gamma_theta), float(cfg.gamma_scale)]
         else:
-            self.layout = POINT_LAYOUT
-            self.shape = None
-            self.mass = np.array([1.0, 1.0, cfg.mass_frame, cfg.mass_frame])
-            self.structural = [0.0] * 4
-        self.mass_list, self.goal_xy = self.mass.tolist(), tuple(ws.goal.tolist())
+            self.layout, self.shape = POINT_LAYOUT, None
+        self.mass, self.goal_xy = [float(m) for m in mass], tuple(ws.goal.tolist())
         self.selectors = PortSelectors(dim=self.layout.dim, frame=self.layout.frame)
         self.damping_scale = float(getattr(ws, "damping_scale", 1.0))
         self.sensing = StagewiseSensing(ws, cfg)
-        q = np.zeros(self.layout.dim)
-        q[self.layout.frame] = ws.start
+        q = [0.0] * self.layout.dim
+        q[self.layout.frame] = ws.start.tolist()
         if self.layout.scale is not None:
-            q[self.layout.scale] = 1.0
-        self.z = PhaseState(q, np.zeros(self.layout.dim))
+            q[self.layout.scale.start] = 1.0
+        self.z = PhaseState(q, [0.0] * self.layout.dim)
         # the weights the energy reads; the loop adapts beta, lam and mu in place
         self.weights = EnergyWeights()
         self.u_f = (0.0, 0.0)
@@ -786,10 +788,6 @@ class _Episode:
         self.spec = None  # the HamiltonianSpec of the active set and self.fixed
         # the last full active-set test: (memory, c0x, c0y, reach0, slack, mask, set)
         self.active = (None, 0.0, 0.0, 0.0, -math.inf, None, None)
-        # the clearances observe measured last, the older first: (DiscSet, q's
-        # bytes, clearance) each; a step observes the state it reaches before
-        # it logs the state it left, so the log reads the older one
-        self.observed = ((None, None, math.inf),) * 2
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -820,9 +818,9 @@ class _Episode:
         """
         reach = self.cfg.d_hat
         if self.shape is not None:
-            reach += float(q[self.layout.scale][0]) * self.shape.params.r_base * 1.05
+            reach += q[self.layout.scale.start] * self.shape.params.r_base * 1.05
         mem = self.sensing.memory.discs
-        cx, cy = q[self.layout.frame].tolist()
+        cx, cy = q[self.layout.frame]
         held_mem, c0x, c0y, reach0, slack, held_mask, held = self.active
         if held_mem is mem and math.hypot(cx - c0x, cy - c0y) + abs(reach - reach0) < slack:
             return held
@@ -849,51 +847,129 @@ class _Episode:
         return spec
 
     def clearance(self, q, act: DiscSet, contact) -> float:
-        """The sensed clearance at q against act: the ring's contact pass at q
-        (``contact``), or the point's distance to the discs."""
+        """The sensed clearance at q: the ring's pass there, or the point's to act."""
         return act.clearance(q[self.layout.frame]) if contact is None else contact.clearance
 
-    def observe(self, z, act: DiscSet, shape_clearances=(), contact=None):
+    # -- phases ---------------------------------------------------------------
+
+    def sense_and_propose(self, n):
+        """Sensing refresh at step n (DeadEndError when the stage is cut off);
+        at each sensing event the meta policy re-proposes the weights: the
+        scalars re-anchor, a barrier weight is set at its disc's first one."""
+        z = self.z
+        if not self.sensing.refresh(z.q[self.layout.frame], n):
+            return
+        tokens = build_tokens(z.q, z.p, self.sensing.memory.discs, self.sensing.stage_goal,
+                              self.mass, self.layout)
+        prop, w = self.meta.propose(tokens), self.weights
+        w.beta, w.lam, w.mu = prop.beta, prop.lam, prop.mu
+        for idx, a in prop.alpha.items():
+            w.alpha.setdefault(idx, a)
+
+    def compose(self, n, contact):
+        """(act, contact, ev, shape_clearances): the surrogate Hamiltonian at
+        self.z on the active set, evaluated once for the step and the log.
+        ``contact``, the ring's pass at self.z, is reused while act is; the
+        ring refreshes its scale target each shape horizon."""
+        q = self.z.q
+        act = self.active_set(q)
+        contact = self.contact_at(q, act, contact)
+        shape_clearances = ()
+        if self.shape is not None:
+            if n % self.cfg.horizons[2] == 0:
+                self.shape.refresh_target(contact.clearance)
+            shape_clearances = (contact.clearance,)
+        return act, contact, evaluate(q, self.spec_for(act), self.z.p, contact), shape_clearances
+
+    def step(self, ev) -> PhaseState:
+        """One port-Hamiltonian step from self.z (the damping scale models
+        plant mismatch); a ring's scale stops inelastically at [scale_floor,
+        scale_cap] (``min``/``max``: np.clip's bits)."""
+        cfg = self.cfg
+        z = step_symplectic_euler(self.z, ev.grad_list, self.weights.mu * self.damping_scale,
+                                  self.u_f, self.mass, cfg.tau, self.selectors, self.structural)
+        if self.layout.scale is not None:
+            k = self.layout.scale.start
+            if not cfg.scale_floor <= z.q[k] <= cfg.scale_cap:
+                z.q[k], z.p[k] = min(max(z.q[k], cfg.scale_floor), cfg.scale_cap), 0.0
+        return z
+
+    def observe(self, z, act: DiscSet, shape_clearances=(), contact=None) -> Observables:
         """Observables of z; ``contact``, the ring's pass at z against act,
-        gives the clearance, which is kept for ``logged``."""
-        clr = self.clearance(z.q, act, contact)
-        self.observed = (self.observed[1], (act, z.q.tobytes(), clr))
-        return compute_observables(z, clr, self.goal_xy, shape_clearances, self.mass_list,
-                                   self.layout, self.cfg.d_hat)
+        gives the clearance."""
+        return compute_observables(z, self.clearance(z.q, act, contact), self.goal_xy,
+                                   shape_clearances, self.mass, self.layout, self.cfg.d_hat)
 
-    # -- logging ------------------------------------------------------------
+    def adapt(self, y: Observables, act: DiscSet, z) -> tuple:
+        """Secant / Tikhonov adaptation of [beta, lam, mu] from y at z, in
+        floats (see the note above _dot): (dy_des, dzeta), the change asked of
+        y (clearance is a safety margin, never pulled down) and the step."""
+        ad = self.cfg.adapt
+        y_vec = y.vector()
+        target = observable_target(y, ad.m_safe, ad.eps_prog, ad.v_min)
+        dy_des = (min(target[0] - y_vec[0], 0.0), target[1] - y_vec[1], target[2] - y_vec[2])
+        slots = act.nearest(z.q[self.layout.frame], SECANT_SLOTS)
+        w = self.weights
+        zeta = (w.beta, w.lam, w.mu)
+        if self.prev_zeta is not None and slots == self.prev_slots:
+            self.J = secant_jacobian_update(
+                self.J, [a - b for a, b in zip(y_vec, self.prev_y)],
+                [a - b for a, b in zip(zeta, self.prev_zeta)], ad.rho, ad.eps)
+        dzeta = tikhonov_step(self.J, dy_des, ad.lam_zeta)
+        w.beta, w.lam, w.mu = map(min, project_update(zeta, dzeta, self.kappa), self.caps)
+        self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
+        return dy_des, dzeta
 
-    def logged(self, y, act: DiscSet, contact) -> Observables:
-        """Observables of self.z for its log row.  ``y``, measured by the step
-        that reached self.z (None at the start), gives the goal distance and
-        speed; the clearance is taken against the current active set: one of
-        the last two ``observe`` measured, when it was at the same q bytes
-        against the same DiscSet object (the same float, measured once)."""
-        if y is None:
-            return self.observe(self.z, act, (), contact)
-        key = self.z.q.tobytes()
-        for held, held_key, clr in self.observed:
-            if held is act and held_key == key:
-                break
+    def port(self, n, z, dy_des, dzeta):
+        """The port input from the residual the weight step leaves, at z, once
+        per frame horizon (zero-order hold between): braking raises y3 =
+        -speed, and from rest "more speed" means toward the stage goal."""
+        if n % self.cfg.horizons[1]:
+            return
+        ad, fx = self.cfg.adapt, self.layout.frame.start
+        r = [d - _dot(row, dzeta) for d, row in zip(dy_des, self.J)]
+        vx, vy = z.p[fx] / self.mass[fx], z.p[fx + 1] / self.mass[fx + 1]
+        sp = norm2((vx, vy))
+        row = (0.0, 0.0)
+        if sp > 1e-6:
+            row = (-ad.kappa_v * vx / sp, -ad.kappa_v * vy / sp)
         else:
-            clr = self.clearance(self.z.q, act, contact)
+            sx, sy = self.sensing.stage_goal_xy
+            gx, gy = sx - z.q[fx], sy - z.q[fx + 1]
+            dg = norm2((gx, gy))
+            if dg > 1e-9:
+                row = (-ad.kappa_v * gx / dg, -ad.kappa_v * gy / dg)
+        self.u_f = port_correction(((0.0, 0.0), (0.0, 0.0), row), r, ad.lam_u, ad.u_box)
+
+    def logged(self, seen, act: DiscSet, contact) -> Observables:
+        """Observables of self.z for its log row.  ``seen`` is (y, DiscSet),
+        what the step that reached self.z observed there (None at the start):
+        y's goal distance and speed, and the clearance against act: the ring's
+        pass at self.z, or a point's y's own (measured, capped) if act is the
+        DiscSet y was measured against."""
+        if seen is None:
+            return self.observe(self.z, act, (), contact)
+        y, measured = seen
+        if contact is None and measured is act:
+            return y
+        clr = self.clearance(self.z.q, act, contact)
         return Observables(min(clr, self.cfg.d_hat), y.goal_dist, y.speed)
 
-    def log(self, rec: EpisodeRecorder, y, act: DiscSet, contact, parts):
+    def log(self, rec: EpisodeRecorder, seen, act: DiscSet, contact, parts):
         """Record self.z with the observables ``logged`` gives, its momentum,
         the port input, the energy terms ``parts`` and the weights."""
         w = self.weights
-        parts.update(p=self.z.p.tolist(), u_f=self.u_f, beta=w.beta, lam=w.lam,
+        parts.update(p=self.z.p, u_f=self.u_f, beta=w.beta, lam=w.lam,
                      alpha_sum=sum(w.alpha.get(i, 0.0) for i in act.id_list),
                      active=len(act), mu=w.mu)
-        rec.record(self.z.q, self.logged(y, act, contact), parts)
+        rec.record(self.z.q, self.logged(seen, act, contact), parts)
 
-    def finish(self, rec: EpisodeRecorder, termination, contact, y) -> EpisodeResult:
+    def finish(self, rec: EpisodeRecorder, termination, contact, seen) -> EpisodeResult:
         """Record the last state, which no step follows, and build the result."""
         act = self.active_set(self.z.q)
         contact = self.contact_at(self.z.q, act, contact)
         ev = evaluate(self.z.q, self.spec_for(act), self.z.p, contact)
-        self.log(rec, y, act, contact, ev.parts)
+        self.log(rec, seen, act, contact, ev.parts)
         w = self.weights
         return rec.result(termination, {"beta": w.beta, "lam": w.lam, "mu": w.mu,
                                         "alpha": dict(w.alpha)})
@@ -902,112 +978,31 @@ class _Episode:
 
     def run(self) -> EpisodeResult:
         rec = EpisodeRecorder(self.ws, self.cfg, self.sensing.tracker, self.layout, self.shape)
-        cfg, ad = self.cfg, self.cfg.adapt
-        _, t_f, t_o = cfg.horizons
         termination = rec.start(self.z.q)
-        # the ring's contact pass at self.z, made with the state after the last
-        # step; reused while the active set is the same DiscSet
-        contact = None
-        y = None  # the observables (F) measured at self.z
+        # made by the step that reached self.z (None at the start): the ring's
+        # contact pass there, and what observe measured there with its DiscSet
+        contact = seen = None
         while termination is None:
             n = rec.n
-            c = self.z.q[self.layout.frame]
-
-            # (A) sensing refresh and stage bookkeeping; the meta policy
-            # re-proposes weights on every sensing event
             try:
-                sensed = self.sensing.refresh(c, n)
+                self.sense_and_propose(n)
             except DeadEndError:
                 termination = "dead_end"
                 break
-            if sensed:
-                tokens = build_tokens(self.z.q, self.z.p, self.sensing.memory.discs,
-                                      self.sensing.stage_goal, self.mass, self.layout)
-                prop, w = self.meta.propose(tokens), self.weights
-                # the scalars re-anchor; a barrier weight is set once, at its
-                # disc's first proposal
-                w.beta, w.lam, w.mu = prop.beta, prop.lam, prop.mu
-                for idx, a in prop.alpha.items():
-                    w.alpha.setdefault(idx, a)
-
-            act = self.active_set(self.z.q)
-            contact = self.contact_at(self.z.q, act, contact)
-
-            # (B) shape horizon: refresh the clearance-dependent scale target
-            shape_clearances = []
-            if self.shape is not None:
-                clr = contact.clearance
-                if n % t_o == 0:
-                    self.shape.refresh_target(clr)
-                shape_clearances = [clr]
-
-            # (D) compose the surrogate Hamiltonian on the active set and
-            # evaluate it once: the step takes its gradient, the log its terms
-            spec = self.spec_for(act)
-            ev = evaluate(self.z.q, spec, self.z.p, contact)
-
-            # (E) one port-Hamiltonian step (damping scale models plant mismatch)
+            act, contact, ev, shape_clearances = self.compose(n, contact)
             try:
-                z_next = step_symplectic_euler(self.z, ev.grad_list,
-                                               self.weights.mu * self.damping_scale,
-                                               self.u_f, self.mass_list, cfg.tau,
-                                               self.selectors, self.structural)
+                z_next = self.step(ev)
             except FloatingPointError:
                 termination = "diverged"
                 break
-            if self.layout.scale is not None:
-                s_val = float(z_next.q[self.layout.scale][0])
-                if not (cfg.scale_floor <= s_val <= cfg.scale_cap):
-                    z_next.q[self.layout.scale] = np.clip(s_val, cfg.scale_floor,
-                                                          cfg.scale_cap)
-                    z_next.p[self.layout.scale] = 0.0  # inelastic stop at the limits
-
-            # (F) observables from the committed step; from here to (H) the
-            # vectors are Python floats (see the note above _dot)
             contact_next = self.contact_at(z_next.q, act)
-            y_obs = self.observe(z_next, act, shape_clearances, contact_next)
-            y_vec = y_obs.vector()
-            target = observable_target(y_obs, ad.m_safe, ad.eps_prog, ad.v_min)
-            # safety margin, not a setpoint: never pull clearance down
-            dy_des = (min(target[0] - y_vec[0], 0.0), target[1] - y_vec[1],
-                      target[2] - y_vec[2])
-
-            # (G) secant / Tikhonov adaptation over [beta, lam, mu]
-            slots = act.nearest(z_next.q[self.layout.frame], SECANT_SLOTS)
-            w = self.weights
-            zeta = (w.beta, w.lam, w.mu)
-            if self.prev_zeta is not None and slots == self.prev_slots:
-                self.J = secant_jacobian_update(
-                    self.J, [a - b for a, b in zip(y_vec, self.prev_y)],
-                    [a - b for a, b in zip(zeta, self.prev_zeta)], ad.rho, ad.eps)
-            dzeta = tikhonov_step(self.J, dy_des, ad.lam_zeta)
-            w.beta, w.lam, w.mu = map(min, project_update(zeta, dzeta, self.kappa), self.caps)
-
-            # (H) port correction each frame horizon (zero-order hold between)
-            if n % t_f == 0:
-                r = [d - _dot(row, dzeta) for d, row in zip(dy_des, self.J)]
-                vx, vy = (z_next.p[self.layout.frame] / self.mass[self.layout.frame]).tolist()
-                sp = norm2((vx, vy))
-                row = (0.0, 0.0)
-                if sp > 1e-6:
-                    # braking raises y3 = -speed
-                    row = (-ad.kappa_v * vx / sp, -ad.kappa_v * vy / sp)
-                else:
-                    # from rest, "more speed" means toward the stage goal
-                    gx, gy = (self.sensing.stage_goal - z_next.q[self.layout.frame]).tolist()
-                    dg = norm2((gx, gy))
-                    if dg > 1e-9:
-                        row = (-ad.kappa_v * gx / dg, -ad.kappa_v * gy / dg)
-                self.u_f = port_correction(((0.0, 0.0), (0.0, 0.0), row), r, ad.lam_u, ad.u_box)
-            self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
-
-            # (I) log, then commit; the goal distance and speed of self.z are
-            # those (F) measured one step earlier
-            self.log(rec, y, act, contact, ev.parts)
-            self.z, contact, y = z_next, contact_next, y_obs
+            y = self.observe(z_next, act, shape_clearances, contact_next)
+            dy_des, dzeta = self.adapt(y, act, z_next)
+            self.port(n, z_next, dy_des, dzeta)
+            self.log(rec, seen, act, contact, ev.parts)
+            self.z, contact, seen = z_next, contact_next, (y, act)
             termination = rec.step(self.z.q, contact)
-
-        return self.finish(rec, termination, contact, y)
+        return self.finish(rec, termination, contact, seen)
 
 
 def run_episode(ws: Workspace, cfg: EpisodeConfig, meta=None) -> EpisodeResult:

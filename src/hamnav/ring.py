@@ -156,15 +156,16 @@ class RingShapeModel:
         self._held_rows = (None, None, None)
 
     def _unpack(self, q):
-        c = q[self.layout.frame]
-        s = float(q[self.layout.scale][0])
+        """The frame (a float pair) and the scale of q, a list or a vector."""
+        fx = self.layout.frame.start
+        s = float(q[self.layout.scale.start])
         if s <= 0:
             raise ValueError("degenerate ring: scale must be > 0")
-        return c, s
+        return (float(q[fx]), float(q[fx + 1])), s
 
     def boundary(self, q) -> np.ndarray:
         c, s = self._unpack(q)
-        return c[None, :] + s * self._x0
+        return s * self._x0 + c
 
     def _gaps(self, c, s, centers, radii):
         """(dx, dy, dist, d): the (M, K) planes of offsets from each disc's
@@ -299,8 +300,8 @@ class ContactPass:
 
     def __init__(self, model: RingShapeModel, q, discs: DiscSet):
         c, s = model._unpack(q)
-        self.model, self.s, self.dim, self.discs = model, s, np.size(q), discs
-        self.at = (float(c[0]), float(c[1]), s)
+        self.model, self.s, self.dim, self.discs = model, s, len(q), discs
+        self.at = (*c, s)
         if len(discs):
             self.dx, self.dy, self.dist, self.d = model._gaps(c, s, discs.centers, discs.radii)
             self.clearance = float(self.d.min())

@@ -60,11 +60,6 @@ def norm2(v) -> float:
     return math.sqrt(total)
 
 
-def signed_distance(obstacle: Obstacle, point) -> float:
-    """Euclidean distance from point to the disc surface; negative inside."""
-    return norm2(np.asarray(point, float) - obstacle.center) - obstacle.radius
-
-
 def disc_distances(centers, radii, point) -> np.ndarray:
     """Signed distances from points to the discs of (M, 2) ``centers`` and (M,)
     ``radii``: ``row_norms(centers - point) - radii``, the portable norm
@@ -75,8 +70,8 @@ def disc_distances(centers, radii, point) -> np.ndarray:
 
 
 def signed_distances(obstacles, point) -> np.ndarray:
-    """Vectorized signed_distance over a list of obstacles, with its bits
-    (``row_norms`` and ``norm2`` share their formula)."""
+    """Euclidean distances from point to the surfaces of a list of obstacles,
+    negative inside (``disc_distances`` of their centres and radii)."""
     if not obstacles:
         return np.empty(0)
     centers = np.stack([ob.center for ob in obstacles])
@@ -595,11 +590,12 @@ def grid_sdf_world(grid: OccupancyGrid):
     (``OccupancyGrid.cell_sdf``), in world units.
 
     The sampler is cached on the grid object; outside the raster it clamps to
-    the border cell.  ``sample`` takes (n, 2) points and returns (n,) values,
-    or one point and returns a float.  A finite single point is read with
-    Python float arithmetic in the array path's order of operations, so it
-    returns the same bits as ``sample(point[None])[0]`` without the array
-    overhead; a non-finite one goes through the array path.
+    the border cell.  ``sample`` takes an (n, 2) array of points and returns
+    (n,) values, or one point (a float pair or a vector) and returns a float.
+    A finite single point is read with Python float arithmetic in the array
+    path's order of operations, so it returns the same bits as
+    ``sample(point[None])[0]`` without the array overhead; a non-finite one
+    goes through the array path.
     """
     cache = getattr(grid, "_sdf_cache", None)
     if cache is None:
@@ -621,7 +617,7 @@ def grid_sdf_world(grid: OccupancyGrid):
                     + sdf[y1, x0] * (1 - tx) * ty + sdf[y1, x1] * tx * ty)
 
         def sample(points):
-            if np.ndim(points) > 1:
+            if getattr(points, "ndim", 1) > 1:
                 return sample_array(points)
             x, y = float(points[0]), float(points[1])
             if not (math.isfinite(x) and math.isfinite(y)):

@@ -320,12 +320,12 @@ EVAL_ARTIFACTS = {
     "rigid_radius_0": {
         "comparison.csv": "9526002882c0611a9275eb0a2cfc3a64f1fefb1339018cf35ac2fb9a6eacf8f6",
         "comparison.md": "757d4b0893f418ecc99596674277a10a726901cbf7625131c9e5e5ba344d6b9a",
-        "per_episode_rows.json": "fbf62183d9afd1e38d20ae008e65cc9b5958f3b315e0238baf4b51da675bcdec",
+        "per_episode_rows.json": "eff9c42afa69f1ec37fddd13a3298e58f867cbb8a5dda8aabe0108c0532c073f",
     },
     "default": {
         "comparison.csv": "c26dd2dd767588f08e91ce499a22b01493ea5f4c81219943a6dab85a4f7839e9",
         "comparison.md": "c80aa6a06af07faecf8770d82e64a142660d7ffb45b6011b9828e879e6a5246a",
-        "per_episode_rows.json": "3ad3a2b352db42643c8b2424cede837e121e4325c259e59930e6e3af0e469075",
+        "per_episode_rows.json": "6faba88ff2be171bc518206fa46ed66dc0fa277d979609a0bd2c5d2d65d572e9",
     },
 }
 
@@ -1228,3 +1228,29 @@ class TestTrainCommand:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["train", "--dataset", str(empty), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("setting", ["Haswell", "no_avx512"])
+def test_cli_pins_hold_under_other_arithmetic(setting):
+    """Every pinned CLI output (the tests here that call ``assert_pinned``)
+    holds under another OpenBLAS kernel and without numpy's AVX-512 loops,
+    run in a subprocess under the setting's environment variables; skipped
+    where the setting does not take effect, as the golden digests' check is
+    (``test_digests_hold_under_other_blas_kernels``)."""
+    from test_bench_digest import OTHER_ARITHMETIC, arithmetic_key, digests_under
+
+    if not np.__version__.startswith("2.4."):
+        pytest.skip("the pins are recorded under numpy 2.4")
+    native, key = arithmetic_key(), "x86_v4" if setting == "no_avx512" else "openblas_core"
+    if native[key] in ("unknown", None, False):
+        pytest.skip(f"numpy reports no {key} to switch (here {native[key]!r})")
+    if digests_under(OTHER_ARITHMETIC[setting], [])["arithmetic"][key] == native[key]:
+        pytest.skip(f"{OTHER_ARITHMETIC[setting]} left {key} {native[key]!r} in place")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, **OTHER_ARITHMETIC[setting], PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "pinned or determinism"],
+                          env=env, cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert re.search(r"\b6 passed\b", proc.stdout), proc.stdout[-3000:]

@@ -769,7 +769,7 @@ class TestObstacleMemoryInEpisode:
         cfg = EpisodeConfig(ring=RingParams() if ring else None, d_hat=r.uniform(0.3, 2.0))
         ep = _Episode(ws, cfg, DefaultMetaPolicy())
         ref, ep.sensing.memory = sensed_memory(r, n_events)
-        q = ep.z.q.copy()
+        q = np.array(ep.z.q)
         q[ep.layout.frame] = r.uniform(0, 10, 2)
         if ep.layout.scale is not None:
             q[ep.layout.scale] = r.uniform(0.25, 1.3)
@@ -813,7 +813,7 @@ class TestActiveSetReuse:
                                    for i in range(n)])
 
         ep.sensing.memory = memory(m)
-        q = ep.z.q.copy()
+        q = np.array(ep.z.q)
         q[frame] = r.uniform(0, 10, 2)
         full = navigator.row_norms
         counts = {"calls": 0, "full": 0}
@@ -855,7 +855,7 @@ class TestActiveSetReuse:
     def test_nan_and_empty_memory_retest(self):
         ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
         ep = _Episode(ws, EpisodeConfig(ring=None, d_hat=0.8), DefaultMetaPolicy())
-        q = ep.z.q.copy()
+        q = np.array(ep.z.q)
         empty = ep.active_set(q)
         assert len(empty) == 0 and ep.active_set(q) is empty and ep.active[4] == -math.inf
         ep.sensing.memory = ObstacleMemory([(0, Obstacle(np.array([1.5, 1.0]), 0.2))])
@@ -1023,7 +1023,7 @@ class TestLoggedObservables:
         assert any(len(pairs) for _, pairs in calls)
         got = np.column_stack([res.clearances, res.goal_dists, res.speeds])
         for i, (q, pairs) in enumerate(calls):
-            assert q.tobytes() == res.qs[i].tobytes()
+            assert np.array(q).tobytes() == res.qs[i].tobytes()
             z = PhaseState(res.qs[i], res.ps[i])
             if ep.shape is not None:
                 clr = ep.shape.min_clearance(q, DiscSet.of(pairs))
@@ -1079,11 +1079,11 @@ def test_point_clearance_is_measured_once_per_state(monkeypatch):
     distances, observe, logged = workspace.disc_distances, _Episode.observe, _Episode.logged
 
     def recording_observe(self, z, act, shape_clearances=(), contact=None):
-        observed[z.q.tobytes()] = act
+        observed[np.array(z.q).tobytes()] = act
         return observe(self, z, act, shape_clearances, contact)
 
     def counting_logged(self, y, act, contact):
-        same, before = observed.get(self.z.q.tobytes()) is act, len(calls)
+        same, before = observed.get(np.array(self.z.q).tobytes()) is act, len(calls)
         out = logged(self, y, act, contact)
         rows.append((same, len(act), len(calls) - before))
         return out

@@ -33,7 +33,6 @@ from hamnav.workspace import (
     norm2,
     row_norms,
     sense,
-    signed_distance,
     signed_distances,
     window_cells,
     workspace_from_json,
@@ -50,20 +49,20 @@ def empty_workspace(L=10.0, start=(1.0, 1.0), goal=(9.0, 9.0)):
 class TestSignedDistance:
     def test_345_triangle(self):
         ob = Obstacle(np.array([0.0, 0.0]), 2.0)
-        assert signed_distance(ob, (3.0, 4.0)) == pytest.approx(3.0)
+        assert signed_distances([ob], (3.0, 4.0))[0] == pytest.approx(3.0)
 
     def test_boundary(self):
         ob = Obstacle(np.array([1.0, 1.0]), 0.5)
-        assert signed_distance(ob, (1.5, 1.0)) == pytest.approx(0.0, abs=1e-15)
+        assert signed_distances([ob], (1.5, 1.0))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_center_penetration(self):
         ob = Obstacle(np.array([0.0, 0.0]), 1.0)
-        assert signed_distance(ob, (0.0, 0.0)) == pytest.approx(-1.0)
+        assert signed_distances([ob], (0.0, 0.0))[0] == pytest.approx(-1.0)
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.1, 3.0))
     def test_sign_iff_outside(self, x, y, r):
         ob = Obstacle(np.array([0.0, 0.0]), r)
-        d = signed_distance(ob, (x, y))
+        d = signed_distances([ob], (x, y))[0]
         outside = np.hypot(x, y) >= r
         assert (d >= 0) == outside
 
