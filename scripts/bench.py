@@ -21,8 +21,9 @@ holding:
   perfbench metrics are, so that two ledgers' times compare across the VM's
   fast and slow spells;
 - ``nproc``, the CPU model, the Python version, and the arithmetic key
-  (``arithmetic_key``: the numpy version, the OpenBLAS core and numpy's
-  AVX-512 dispatch), which says whether another machine's bits can match;
+  (``hamnav.cli.arithmetic_key``, which ``hamnav run`` also writes into
+  summary.json: the numpy version, the OpenBLAS core and numpy's AVX-512
+  dispatch), which says whether another machine's bits can match;
 - ``source_sha256``, a sha256 over ``src/hamnav/*.py``, naming the code measured.
 
 It only runs the benchmark; it edits nothing under ``perfbench/``.  It exits 1
@@ -37,7 +38,6 @@ and whether each workload's run-record ``digest`` moved.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import hashlib
 import importlib.util
@@ -52,6 +52,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from hamnav.cli import arithmetic_key, openblas_core  # noqa: E402  (one definition, the engine's)
+
 SEED = 1
 ASTAR_REPEATS = 5
 KERNEL_REPEATS = 20
@@ -130,7 +133,6 @@ def calibrated(measure) -> tuple:
 
 def bench_astar() -> dict:
     """A rigid 0.4-m disc's A* plan at resolution 0.1 on test_id 0, in-process."""
-    sys.path.insert(0, str(ROOT / "src"))
     from hamnav.baselines import astar_rigid
     from hamnav.generation import generate_workspace
 
@@ -177,41 +179,6 @@ def bench_acceptance() -> dict:
     if proc.returncode:
         out["stdout_tail"] = proc.stdout[-2000:]
     return out
-
-
-def openblas_core() -> str:
-    """The kernel core that numpy's bundled OpenBLAS selected on this CPU (or
-    that ``OPENBLAS_CORETYPE`` forced), read through ctypes from
-    ``scipy_openblas_get_corename64_``; "unknown" without such a library."""
-    import numpy as np
-
-    root = Path(np.__file__).resolve().parent
-    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(
-            root.glob(".dylibs/*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
-def arithmetic_key() -> dict:
-    """What sets the last bits of the engine's float64 results besides the
-    code: the numpy version, the OpenBLAS core (``openblas_core``), and
-    whether numpy dispatches AVX-512 loops (``avx512f``, the CPU feature as
-    numpy reports it, and ``x86_v4``, the AVX-512 dispatch group of numpy 2.4
-    and later, which ``NPY_DISABLE_CPU_FEATURES`` can turn off; None where
-    this numpy reports no such entry)."""
-    import numpy as np
-
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as features
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__ as features
-    return {"numpy": np.__version__, "openblas_core": openblas_core(),
-            "avx512f": features.get("AVX512F"), "x86_v4": features.get("X86_V4")}
 
 
 def machine() -> dict:

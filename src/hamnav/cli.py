@@ -5,8 +5,9 @@ same outputs, and ``generate`` and ``make-dataset`` draw their instances from
 ``--seed`` (training from ``[train] seed``).  Human-edited configs are TOML;
 machine artifacts are JSON and CSV.  An episode's steps.csv holds its step
 log, one row per state, in the columns of EpisodeRecorder.COLUMNS;
-the summary JSON carries termination cause, metrics, coverage and the
-reference length when available.  ``eval`` runs its workspaces one after
+the summary JSON carries termination cause, metrics, coverage, the
+reference length when available and the arithmetic key
+(``arithmetic_key``), which says whether another machine's bits can match.  ``eval`` runs its workspaces one after
 another in this process.  A malformed config or workspace file is reported on
 stderr and the command exits with status 2.
 """
@@ -354,9 +355,43 @@ def write_steps_csv(result, path):
         w.writerows([f"{v:.9g}" for v in row] for row in result.table.tolist())
 
 
+def openblas_core() -> str:
+    """The kernel core that numpy's bundled OpenBLAS selected on this CPU (or
+    that ``OPENBLAS_CORETYPE`` forced), read through ctypes from
+    ``scipy_openblas_get_corename64_``; "unknown" without such a library."""
+    import ctypes
+
+    root = Path(np.__file__).resolve().parent
+    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(
+            root.glob(".dylibs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def arithmetic_key() -> dict:
+    """What sets the last bits of the engine's float64 results besides the
+    code: the numpy version, the OpenBLAS core (``openblas_core``), and
+    whether numpy dispatches AVX-512 loops (``avx512f``, the CPU feature as
+    numpy reports it, and ``x86_v4``, the AVX-512 dispatch group of numpy 2.4
+    and later, which ``NPY_DISABLE_CPU_FEATURES`` can turn off; None where
+    this numpy reports no such entry)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return {"numpy": np.__version__, "openblas_core": openblas_core(),
+            "avx512f": features.get("AVX512F"), "x86_v4": features.get("X86_V4")}
+
+
 def write_summary(result, metrics, path, extra=None):
     doc = {
         "schema_version": SCHEMA_VERSION,
+        "arithmetic": arithmetic_key(),
         "termination": result.termination,
         "n_steps": int(result.n_steps),
         "coverage": float(result.coverage),
@@ -460,6 +495,7 @@ def cmd_run(args) -> int:
         plan = plan_method(ws, cfg)
         doc = {
             "schema_version": SCHEMA_VERSION,
+            "arithmetic": arithmetic_key(),
             "method": cfg.method,
             "feasible": bool(plan.feasible),
             "L_ref": float(plan.length) if plan.feasible else None,

@@ -580,8 +580,9 @@ class StagewiseSensing:
         return True
 
 
-# world_clearance holds its candidate discs while the centre stays within
-# this distance (m) of where it chose them
+# world_clearance holds its candidate discs while the frame, plus the ring's
+# reach times the change of scale, stays within this distance (m) of where
+# it chose them
 HELD_REACH = 0.5
 
 
@@ -634,18 +635,17 @@ class EpisodeRecorder:
         self.recent = deque(maxlen=cfg.stuck_window + 1)  # frames after each step
         self.n = 0  # steps taken
         self.true_clr = None
-        self.held = (math.nan, math.nan, [])  # world_clearance's c0 and its held discs
+        # the ring's reach, rounded up (0 for a point), and world_clearance's
+        # frame c0, scale s0 and held discs
+        self.reach = 0.0 if shape is None else shape.reach
+        self.held = (math.nan, math.nan, math.nan, [])
 
-    def true_clearance(self, q, contact=None) -> float:
-        """Clearance against the ground-truth world (not the sensed one).
-
-        A ring in a disc world takes ``RingShapeModel.pruned_clearance``
-        against every world disc; ``contact``, the navigator's contact pass at
-        q against its active set, is its upper bound when the sensed discs are
-        the world's (the same float either way).  A point or a rigid disc in
-        a disc world takes ``world_clearance``, which holds the discs that can
-        be nearest while the centre stays near (the same float as
-        ``DiscSet.clearance`` over every world disc)."""
+    def true_clearance(self, q) -> float:
+        """Clearance against the ground-truth world (not the sensed one): in a
+        grid world the SDF at the frame, less a rigid disc's radius or the
+        ring's rest radius times its scale; in a disc world
+        ``world_clearance`` at the frame (and the ring's scale), less a rigid
+        disc's radius."""
         c = q[self.layout.frame]
         if self.ws.grid is not None:
             base = float(self.sdf(c)) - self.radius
@@ -653,48 +653,59 @@ class EpisodeRecorder:
                 base -= float(q[self.layout.scale.start]) * self.shape.params.r_base
             return base
         if self.shape is not None:
-            return self.shape.pruned_clearance(q, self.world, contact)
+            return self.world_clearance(c, q[self.layout.scale.start])
         return self.world_clearance(c) - self.radius
 
-    def world_clearance(self, c) -> float:
-        """``self.world.clearance(c)``, the least gap sqrt(dx*dx + dy*dy) - r
-        from c to the world's discs, from a held candidate set.
+    def world_clearance(self, c, s=0.0) -> float:
+        """The least signed distance from the robot at frame c (a ring at
+        scale s) to the world's discs, from a held candidate set: for a point
+        the float of ``self.world.clearance(c)``, for a ring that of
+        ``RingShapeModel.min_clearance`` over every world disc.
 
-        At a centre c0 it takes every gap g_i by disc_distances and holds the
-        discs with g_i <= min g + 2R + 1e-9 (R = HELD_REACH).  While
-        |c - c0| < R the minimum over those alone, by disc_distances' formula
-        in Python floats, is the same float: each g_i is 1-Lipschitz in c, so
-        a dropped gap stays above min g + R + 1e-9 and the held minimum below
-        min g + R.  The pad, as in ``_Episode.active_set``, dwarfs the gaps'
-        float error.  A non-finite c or an empty world takes DiscSet.clearance.
+        At (c0, s0) it takes every centre gap g_i = |c0 - C_i| - r_i by
+        disc_distances and holds the discs with
+        g_i <= min g + 2 s0 R + 2H + 1e-9, R being ``self.reach`` and H
+        HELD_REACH.  The set stands while |c - c0| + |s - s0| R < H.  A disc's
+        least distance lies in [g_i(c) - sR, g_i(c) + sR], and g_i is
+        1-Lipschitz in c, so a dropped disc's stays above
+        min g + 2 s0 R + 2H - |c - c0| - sR + 1e-9, and the held minimum is at
+        most min g + |c - c0| + sR, which is less while the set stands.  The
+        pad, as in ``_Episode.active_set``, dwarfs the float error.  A point
+        takes the held minimum by disc_distances' formula in Python floats,
+        a ring by ``RingShapeModel.rows_clearance``.  A non-finite state or
+        an empty world holds nothing and takes every disc.
         """
         cx, cy = c
-        x0, y0, held = self.held
-        if math.hypot(cx - x0, cy - y0) < HELD_REACH:
-            return min([math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r
-                        for x, y, r, _ in held])
-        world = self.world
-        if not (len(world) and math.isfinite(cx) and math.isfinite(cy)):
-            return world.clearance(c)
+        x0, y0, s0, held = self.held
+        moved = math.hypot(cx - x0, cy - y0)
+        if self.shape is None:  # reach 0: the scale term drops out
+            if moved < HELD_REACH:
+                return min([math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r
+                            for x, y, r, _ in held])
+        elif moved + abs(s - s0) * self.reach < HELD_REACH:
+            return self.shape.rows_clearance((cx, cy), s, held)
+        world, shape = self.world, self.shape
+        if not (len(world) and math.isfinite(cx) and math.isfinite(cy) and math.isfinite(s)):
+            return world.clearance(c) if shape is None else shape.rows_clearance(c, s, world.rows)
         gaps = disc_distances(world.centers, world.radii, c)
         g = float(gaps.min())
-        keep = (gaps <= g + 2.0 * HELD_REACH + 1e-9).tolist()
-        self.held = (cx, cy, [row for row, k in zip(world.rows, keep) if k])
-        return g
+        keep = (gaps <= g + 2.0 * (s * self.reach + HELD_REACH) + 1e-9).tolist()
+        held = [row for row, k in zip(world.rows, keep) if k]
+        self.held = (cx, cy, s, held)
+        return g if shape is None else shape.rows_clearance((cx, cy), s, held)
 
     def start(self, q):
         """Measure the start state: 'collision' if it collides, else as ``_at``."""
         self.true_clr = self.true_clearance(q)
         return "collision" if self.true_clr < 0 else self._at(q[self.layout.frame])
 
-    def step(self, q, contact=None):
+    def step(self, q):
         """Measure the state a step reached: 'collision' when it collides,
         'stuck' when the frame moved less than eps_stuck over the last
-        stuck_window steps, else as ``_at``.  ``contact`` is the ring's
-        contact pass at q, if one was made (see ``true_clearance``)."""
+        stuck_window steps, else as ``_at``."""
         cfg = self.cfg
         self.n += 1
-        self.true_clr = self.true_clearance(q, contact)
+        self.true_clr = self.true_clearance(q)
         xy = q[self.layout.frame]
         self.recent.append(xy)
         if self.true_clr < 0:
@@ -1001,7 +1012,7 @@ class _Episode:
             self.port(n, z_next, dy_des, dzeta)
             self.log(rec, seen, act, contact, ev.parts)
             self.z, contact, seen = z_next, contact_next, (y, act)
-            termination = rec.step(self.z.q, contact)
+            termination = rec.step(self.z.q)
         return self.finish(rec, termination, contact, seen)
 
 

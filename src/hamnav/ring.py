@@ -13,25 +13,30 @@ path (no sample within the clamp distance d_c of a disc) is two ``np.where``
 over the (M, K) grid.  A pass against no discs forms no grid: its clearance
 is +inf and its features are empty.
 
-Each ring state costs one gap pass.  The ground-truth clearance against the
-whole world (``pruned_clearance``) takes the navigator's pass at the same
-state as an exact upper bound U when every disc of that pass is the world's
-disc of its id, byte for byte: each row of the gap grid depends only on its
-own disc, so the pass's rows are the world's rows, U is the least of them,
-and only the world discs the pass left out whose lower bound is below U
-need a row of their own.  ``min`` is exact, so the clearance is the same
-float.
+Each ring state costs one gap pass, against the navigator's active set.
+That pass is not the world's bound: the ground-truth clearance against the
+whole world (``rows_clearance``) is Python floats over a candidate set that
+the episode recorder holds (``navigator.EpisodeRecorder.world_clearance``).
+Each disc's least distance comes from the few boundary samples nearest in
+angle to its centre (``disc_clearance``), which a bound on every other sample
+proves to hold the row's minimum; where it does not, the disc takes its
+numpy row.  Either way the clearance is ``min_clearance``'s float.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import RING_LAYOUT, contact_barrier
 from .workspace import DiscSet, row_norms
+
+# disc_clearance's window: the boundary samples within this many of the one
+# nearest in angle to a disc's centre
+WINDOW = 1
 
 
 @dataclass(frozen=True)
@@ -141,19 +146,34 @@ class RingShapeModel:
         # B p0 and D p0 as products summed over the control points (no BLAS)
         self._x0 = (self.basis.B[:, :, None] * p0).sum(axis=1)  # unit-scale boundary offsets
         self._x0x, self._x0y = (np.ascontiguousarray(col) for col in self._x0.T)
+        self._x0xs, self._x0ys = self._x0x.tolist(), self._x0y.tolist()
         self._l0 = row_norms((self.basis.D[:, :, None] * p0).sum(axis=1))
         self.a_ref = shoelace_area(self._x0)  # rest area from the s=1 boundary
         # every sample's distance from the centre at unit scale, rounded up far
         # past the rounding error of the distances it bounds
-        self._reach = float(np.max(row_norms(self._x0))) * (1.0 + 1e-9) + 1e-12
+        self.reach = float(np.max(row_norms(self._x0))) * (1.0 + 1e-9) + 1e-12
+        self._angles = self._angle_table()
         self.s_target = 1.0
         self._rows = (None, None, None)  # (discs, w, w * l0) of the last pass's DiscSet
         # the (0, K) planes of a pass against no discs
         self._no_gaps = np.zeros((0, len(self._x0)))
         self._no_gaps.flags.writeable = False
-        # (world, held, the DiscSet of the world's discs not in held, or None
-        # when a held row differs from the world's) of the last bound asked for
-        self._held_rows = (None, None, None)
+
+    def _angle_table(self):
+        """(phi0, angles, index) for ``disc_clearance``: the samples' angles
+        about the centre, unwrapped from sample 0's angle phi0, padded by
+        WINDOW + 3 samples at either end of the turn [0, 2 pi], and the sample
+        each entry stands for.  The spline of the convex rest polygon winds
+        once about the centre, so the angles increase through less than a
+        turn; the window's bound rests on that, so it is checked."""
+        phi = np.unwrap(np.arctan2(self._x0y, self._x0x))
+        rel = (phi - phi[0]).tolist()
+        if not (np.all(np.diff(phi) > 0) and rel[-1] < math.tau):
+            raise ValueError("ring boundary samples do not wind once about the centre")
+        K, pad = len(rel), WINDOW + 3
+        index = [(e - pad) % K for e in range(K + 2 * pad)]
+        angles = [rel[j] + math.tau * ((e - pad) // K) for e, j in enumerate(index)]
+        return float(phi[0]), angles, index
 
     def _unpack(self, q):
         """The frame (a float pair) and the scale of q, a list or a vector."""
@@ -210,60 +230,70 @@ class RingShapeModel:
         """Least signed distance from a boundary sample to a disc (+inf for none)."""
         return self.contact(q, discs).clearance
 
-    def pruned_clearance(self, q, discs: DiscSet, held: "ContactPass" = None) -> float:
-        """``min_clearance``, skipping the discs that cannot hold the minimum.
+    def disc_clearance(self, cx, cy, s, x, y, r) -> float:
+        """The least signed distance from the boundary samples at frame
+        (cx, cy) and scale s to the disc of centre (x, y) and radius r, all
+        finite floats: ``min_clearance`` against that one disc, bit for bit.
 
-        A disc whose lower bound (centre distance - ring reach - radius) is
-        above an upper bound of the minimum cannot hold it and is skipped; the
-        minimum over the rest is the same number, bit for bit.  The upper
-        bound is the smallest of the discs' own (centre distance + reach -
-        radius), or, when ``held`` gives one (``_held_bound``), the clearance
-        of ``held``, a contact pass at q: then only the discs outside the pass
-        are candidates, and the result is the least of that clearance and
-        their rows (``min`` is exact, so it is the same float).
+        It takes the samples within WINDOW of the one nearest in angle to the
+        centre's offset v = (x, y) - c, by ``_gaps``' formula in floats.  Every
+        other sample lies at an angle of at least e from v, e being the angle
+        to the nearer of the window's two outer neighbours (the samples' angles
+        increase), so its offset s x0_j is at least |v| - s reach max(cos e, 0)
+        from v: v's length less the offset's projection on v.  Where that
+        bound, less r, exceeds the window's minimum by 1e-9 (far past the
+        float error of either), the window holds the row's minimum; otherwise
+        (a centre within about the ring's reach) the row is ``_gaps``'.
         """
-        if not len(discs):
-            return np.inf
-        c, s = self._unpack(q)
-        bound = self._held_bound(c, s, discs, held)
-        upper, discs = (None, discs) if bound is None else bound
-        if not len(discs):
-            return upper
-        reach = s * self._reach
-        off = discs.centers - c
-        gap = np.hypot(off[:, 0], off[:, 1]) - discs.radii
-        if upper is None:
-            keep = ~(gap - reach > np.min(gap + reach))  # NaN keeps every disc
-            return float(self._gaps(c, s, discs.centers[keep], discs.radii[keep])[3].min())
-        keep = ~(gap - reach > upper)
-        if not keep.any():
-            return upper
-        # the rows' minimum first, so that a NaN row keeps its NaN
-        return min(float(self._gaps(c, s, discs.centers[keep], discs.radii[keep])[3].min()), upper)
+        phi0, angles, index = self._angles
+        vx, vy = x - cx, y - cy
+        t = (math.atan2(vy, vx) - phi0) % math.tau
+        i = bisect_right(angles, t)
+        n = i - 1 if t - angles[i - 1] <= angles[i] - t else i
+        xs, ys = self._x0xs, self._x0ys
+        best = math.inf
+        for j in index[n - WINDOW:n + WINDOW + 1]:
+            dx, dy = (cx + s * xs[j]) - x, (cy + s * ys[j]) - y
+            d = math.sqrt(dx * dx + dy * dy) - r
+            if d < best:
+                best = d
+        edge = min(t - angles[n - WINDOW - 1], angles[n + WINDOW + 1] - t)
+        if math.sqrt(vx * vx + vy * vy) - s * self.reach * max(math.cos(edge), 0.0) - r \
+                > best + 1e-9:
+            return best
+        return float(self._gaps((cx, cy), s, np.array([[x, y]]), np.array([r]))[3].min())
 
-    def _held_bound(self, c, s, discs: DiscSet, held):
-        """(U, others): the clearance U of ``held`` and the DiscSet of the
-        discs of ``discs`` it leaves out, when ``held`` is this model's pass at
-        frame c and scale s, U is finite, and each disc of the pass is the
-        disc of that id in ``discs``, centre and radius byte for byte; else
-        None (jittered rows, an empty pass, a NaN, another state).  The row
-        check is made once per pair of DiscSet objects, which are never
-        modified."""
-        if (held is None or held.model is not self or not math.isfinite(held.clearance)
-                or held.at != (float(c[0]), float(c[1]), s)):
-            return None
-        world, rows, others = self._held_rows
-        if world is not discs or rows is not held.discs:
-            rows, others = held.discs, None
-            at = np.searchsorted(discs.ids, rows.ids)
-            if (at < len(discs)).all() and (discs.ids[at] == rows.ids).all() \
-                    and discs.centers[at].tobytes() == rows.centers.tobytes() \
-                    and discs.radii[at].tobytes() == rows.radii.tobytes():
-                outside = np.ones(len(discs), bool)
-                outside[at] = False
-                others = discs[outside]
-            self._held_rows = (discs, rows, others)
-        return None if others is None else (held.clearance, others)
+    def rows_clearance(self, c, s, rows) -> float:
+        """``min_clearance`` at frame c and scale s against the discs of
+        ``rows``, (x, y, radius, weight) float tuples as ``DiscSet.rows``
+        holds them, in Python floats: the same float.
+
+        It visits the discs in order of their lower bound g - s reach (g, the
+        centre's distance less the radius, is within s reach of every sample's)
+        and stops once that bound exceeds the least row minimum so far by
+        1e-9; each row minimum is ``disc_clearance``'s.  A non-finite frame or
+        scale takes ``_gaps``' grid over every disc (NaN included), as
+        ``min_clearance`` does; a disc is finite (``Obstacle`` checks it).
+        """
+        if s <= 0:
+            raise ValueError("degenerate ring: scale must be > 0")
+        if not rows:
+            return math.inf
+        cx, cy = c
+        if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(s)):
+            return float(self._gaps(c, s, np.array([row[:2] for row in rows]),
+                                    np.array([row[2] for row in rows]))[3].min())
+        reach, best = s * self.reach, math.inf
+        gaps = [(math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) - r, x, y, r)
+                for x, y, r, _ in rows]
+        gaps.sort()
+        for g, x, y, r in gaps:
+            if g - reach > best + 1e-9:
+                break
+            d = self.disc_clearance(cx, cy, s, x, y, r)
+            if d < best:
+                best = d
+        return best
 
     def refresh_target(self, d_min):
         """Re-evaluate the clearance-dependent scale target (per shape horizon)
@@ -286,10 +316,9 @@ class ContactPass:
     when ``features`` is called.  Against no discs the planes are the model's
     read-only (0, K) planes, the clearance is +inf and no gap is formed.
 
-    ``RingShapeModel.pruned_clearance`` takes ``clearance`` as the exact upper
-    bound of the world's clearance at the pass's state (``at``: frame and
-    scale) when every disc of the pass is the world's disc of its id, byte
-    for byte, since the pass's rows are then the world's rows.
+    The pass serves the navigator's sensed discs only: the ground-truth
+    clearance against the world is ``RingShapeModel.rows_clearance``'s, over
+    the episode recorder's held candidates, and takes nothing from a pass.
 
     ``features`` takes the barrier and its slope over the grid from
     ``energy.contact_barrier``, the clearance as their least distance.  The
@@ -301,7 +330,6 @@ class ContactPass:
     def __init__(self, model: RingShapeModel, q, discs: DiscSet):
         c, s = model._unpack(q)
         self.model, self.s, self.dim, self.discs = model, s, len(q), discs
-        self.at = (*c, s)
         if len(discs):
             self.dx, self.dy, self.dist, self.d = model._gaps(c, s, discs.centers, discs.radii)
             self.clearance = float(self.d.min())

@@ -286,11 +286,16 @@ class DiscSet:
 
     def nearest(self, point, k) -> list:
         """Ids of the k discs whose surfaces lie nearest point, ties in id
-        order: a stable sort by each disc's norm2(point - center) - radius."""
-        if not len(self.radii):
-            return []
-        d = row_norms(self.centers - point) - self.radii
-        return self.ids[np.argsort(d, kind="stable")[:k]].tolist()
+        order: a stable sort by each disc's norm2(center - point) - radius.
+        The gaps are ``row_norms``' formula in Python floats over ``rows``,
+        ranked by ``sorted`` (stable); a non-finite gap (or a sum of gaps that
+        overflows) takes numpy's stable argsort, which ranks a NaN last."""
+        px, py = float(point[0]), float(point[1])
+        d = [math.sqrt((x - px) * (x - px) + (y - py) * (y - py)) - r for x, y, r, _ in self.rows]
+        if not math.isfinite(sum(d)):
+            return self.ids[np.argsort(np.array(d), kind="stable")[:k]].tolist()
+        ids = self.id_list
+        return [ids[i] for i in sorted(range(len(d)), key=d.__getitem__)[:k]]
 
 
 class ObstacleMemory:

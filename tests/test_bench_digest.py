@@ -16,7 +16,7 @@ baselines have no momenta, so ``qs`` alone; the trained parameters for
 clearances only for the baselines; the loss curve for ``train_offline``) and
 compares both with
 ``tests/golden/bench_digest.json``.  The file also keeps the arrays, the
-numpy version it was made with and its arithmetic key (``scripts/bench.py``'s
+numpy version it was made with and its arithmetic key (``hamnav.cli``'s
 ``arithmetic_key``: numpy version, OpenBLAS core, AVX-512 dispatch).  When
 numpy's major.minor matches that version the digests must match exactly,
 bit for bit.  Under another numpy, whose math routines may round differently
@@ -40,7 +40,6 @@ case is added without rewriting the others by naming it:
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -52,6 +51,7 @@ import numpy as np
 import pytest
 
 from hamnav.baselines import run_baseline_episode
+from hamnav.cli import arithmetic_key
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import PhaseState
 from hamnav.evalkit import ROBUSTNESS_LEVELS, PerturbedWorkspace
@@ -212,15 +212,6 @@ CASES = {
 # The cases that run a MetaRegressor: its MLP's matmuls are matrix work left
 # to BLAS, so their bits follow the OpenBLAS kernel (ROADMAP item 9b).
 MLP_CASES = ("meta_point", "meta_ring", "train_offline")
-
-
-def arithmetic_key():
-    """``scripts/bench.py``'s arithmetic key: numpy version, OpenBLAS core and
-    AVX-512 dispatch."""
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench.arithmetic_key()
 
 
 def sha256(arrays, names, termination=None):

@@ -15,6 +15,7 @@ from hamnav.cli import (
     RunConfig,
     _eval_one,
     _leaves,
+    arithmetic_key,
     config_from_dict,
     dumps_toml,
     load_config,
@@ -377,6 +378,16 @@ class TestRunCommand:
         doc = json.loads((out / "summary.json").read_text())
         assert "L_ref" in doc and "feasible" in doc
         assert doc["mapping_ratio"] == 1.0
+
+    @pytest.mark.parametrize("method", ["astar_rigid", "pf"])
+    def test_summary_records_the_arithmetic_key(self, tmp_path, workspace_file, method):
+        """summary.json names the arithmetic its numbers were made under."""
+        out = tmp_path / method
+        assert main(["run", "--workspace", str(workspace_file), "--method", method,
+                     "--out", str(out)]) == 0
+        key = json.loads((out / "summary.json").read_text())["arithmetic"]
+        assert key == arithmetic_key() and set(key) == {"numpy", "openblas_core", "avx512f",
+                                                        "x86_v4"}
 
     @pytest.mark.parametrize("method", ["astar_rigid", "astar_deform"])
     def test_astar_plot_draws_the_plan(self, tmp_path, workspace_file, method):
@@ -1237,7 +1248,7 @@ def test_cli_pins_hold_under_other_arithmetic(setting):
     run in a subprocess under the setting's environment variables; skipped
     where the setting does not take effect, as the golden digests' check is
     (``test_digests_hold_under_other_blas_kernels``)."""
-    from test_bench_digest import OTHER_ARITHMETIC, arithmetic_key, digests_under
+    from test_bench_digest import OTHER_ARITHMETIC, digests_under
 
     if not np.__version__.startswith("2.4."):
         pytest.skip("the pins are recorded under numpy 2.4")

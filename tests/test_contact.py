@@ -216,7 +216,8 @@ class TestRingContactPass:
         # a world: the drawn discs among others farther out and "twins" (a
         # disc turned about the ring's centre, within 1e-3 of its centre
         # distance: which of the two holds the minimum turns on the spline's
-        # ripple), in any order; pruning drops discs, never the minimum
+        # ripple), in any order; the float clearance over the world's rows
+        # prunes discs and windows samples, never the minimum
         c = q[2:4]
         far = [Obstacle(c + data.draw(st.floats(1.0, 15.0)) * np.array(
             [np.cos(a), np.sin(a)]), data.draw(st.floats(0.05, 1.0)))
@@ -228,14 +229,15 @@ class TestRingContactPass:
             r = np.linalg.norm(ob.center - c) + data.draw(st.floats(-1e-3, 1e-3))
             twins.append(Obstacle(c + r * np.array([np.cos(a), np.sin(a)]), ob.radius))
         world = data.draw(st.permutations(discs + far + twins))
-        assert MODEL.pruned_clearance(q, of(world)) == reference_min_clearance(MODEL, q, world)
+        assert MODEL.rows_clearance(q[2:4], q[5], of(world).rows) == \
+            reference_min_clearance(MODEL, q, world)
 
     def test_no_discs(self):
         q = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.8])
         contact = MODEL.contact(q, of([]))
         vals, grads = contact.features(1.0)
         assert contact.clearance == np.inf and vals.shape == (0,) and grads.shape == (0, 6)
-        assert MODEL.pruned_clearance(q, of([])) == np.inf
+        assert MODEL.rows_clearance(q[2:4], q[5], of([]).rows) == np.inf
 
     def test_pass_for_other_discs_is_refused(self):
         q = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])

@@ -877,15 +877,19 @@ def logged_episode(mp, ws, cfg, meta=None):
     it is asserted that a set comes back (the same object) exactly while the
     memory's DiscSet and the selected discs are unchanged, and that a pass
     comes back exactly when it was made against the same DiscSet object.
-    It also counts the ring's ground-truth clearances that took the step's
-    pass as their bound (``world_from_pass``) and those that did not
-    (``world_formed``); each is asserted to be the float formed without one.
+    It also counts the ring's ground-truth clearances taken from the held
+    candidate set (``world_held``) and those that formed it afresh
+    (``world_formed``), each asserted to be ``min_clearance``'s float over
+    every world disc, and the discs whose row minimum fell back from the
+    window of samples to the numpy row (``window_fallbacks``).
     """
     calls, ref, last = [], {}, {}
-    reuse = dict.fromkeys(("active_reused", "active_formed", "contact_reused",
-                           "contact_made", "world_from_pass", "world_formed"), 0)
+    reuse = dict.fromkeys(("active_reused", "active_formed", "contact_reused", "contact_made",
+                           "world_held", "world_formed", "window_fallbacks"), 0)
     add, active_set, contact_at = ObstacleMemory.add, _Episode.active_set, _Episode.contact_at
-    pruned_clearance = RingShapeModel.pruned_clearance
+    world_clearance = navigator.EpisodeRecorder.world_clearance
+    disc_clearance = RingShapeModel.disc_clearance
+    gaps, in_disc = RingShapeModel._gaps, [False]
 
     def recording_add(self, pairs):
         pairs = list(pairs)
@@ -916,15 +920,31 @@ def logged_episode(mp, ws, cfg, meta=None):
         reuse["contact_reused" if reused else "contact_made"] += 1
         return got
 
-    def recording_pruned_clearance(self, q, discs, held=None):
-        got = pruned_clearance(self, q, discs, held)
-        assert np.float64(got).tobytes() == np.float64(pruned_clearance(self, q, discs)).tobytes()
-        taken = self._held_bound(*self._unpack(q), discs, held) is not None
-        reuse["world_from_pass" if taken else "world_formed"] += 1
+    def recording_world_clearance(self, c, s=0.0):
+        held = self.held
+        got = world_clearance(self, c, s)
+        if self.shape is not None:
+            q = [0.0, 0.0, *c, 0.0, s]
+            want = self.shape.min_clearance(q, self.world)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            reuse["world_held" if self.held is held else "world_formed"] += 1
         return got
 
+    def recording_disc_clearance(self, *args):
+        in_disc[0] = True
+        try:
+            return disc_clearance(self, *args)
+        finally:
+            in_disc[0] = False
+
+    def recording_gaps(self, *args):
+        reuse["window_fallbacks"] += in_disc[0]
+        return gaps(self, *args)
+
     mp.setattr(ObstacleMemory, "add", recording_add)
-    mp.setattr(RingShapeModel, "pruned_clearance", recording_pruned_clearance)
+    mp.setattr(navigator.EpisodeRecorder, "world_clearance", recording_world_clearance)
+    mp.setattr(RingShapeModel, "disc_clearance", recording_disc_clearance)
+    mp.setattr(RingShapeModel, "_gaps", recording_gaps)
     mp.setattr(_Episode, "active_set", recording_active_set)
     mp.setattr(_Episode, "contact_at", recording_contact_at)
     ep = _Episode(ws, cfg, meta or DefaultMetaPolicy())
@@ -967,7 +987,7 @@ class TestHeldWorldClearance:
             elif kind == 2:  # a jump
                 c = r.uniform(-2, 12, 2)
             elif kind == 3:  # a few ulps either side of the reach
-                x0, y0, _ = rec.held
+                x0, y0, _, _ = rec.held
                 a = r.uniform(0, 2 * np.pi)
                 step = reach * (1.0 + r.choice([-1e-15, 0.0, 1e-15]))
                 c = np.array([x0, y0]) + step * np.array([np.cos(a), np.sin(a)])
@@ -978,6 +998,24 @@ class TestHeldWorldClearance:
             want = world.clearance(c)
             assert np.float64(rec.world_clearance(c)).tobytes() == np.float64(want).tobytes()
 
+    def test_disc_an_ulp_past_the_threshold_is_held(self):
+        """Far disc B's gap at c0 is min g + 2 HELD_REACH and a few ulps, so
+        only the held threshold's 1e-9 pad keeps it; after a move toward it
+        just under HELD_REACH, rounding makes it the nearer disc by an ulp."""
+        c0 = (1.6568588316971122, 3.601044791027289)
+        near = Obstacle(np.array([3.0575634313756983, 2.9371852836721835]), 0.7263755280912464)
+        far = Obstacle(np.array([-0.141278300063576, 4.453266187831075]), 0.1661855085985881)
+        c = (1.2050358289270924, 3.815184871740551)
+        rec, world = self.recorder([near, far]), DiscSet.of(enumerate([near, far]))
+        gaps = world.clearance(c0), DiscSet.of([(1, far)]).clearance(c0)
+        assert 0 < gaps[1] - (gaps[0] + 2 * navigator.HELD_REACH) < 1e-12
+        assert rec.world_clearance(c0) == gaps[0]
+        held = rec.held
+        got = rec.world_clearance(c)
+        assert rec.held is held
+        assert got == world.clearance(c) == DiscSet.of([(1, far)]).clearance(c) \
+            < DiscSet.of([(0, near)]).clearance(c)
+
     def test_small_steps_measure_the_world_once(self, monkeypatch):
         calls = []
         full = navigator.disc_distances
@@ -986,7 +1024,7 @@ class TestHeldWorldClearance:
                              for x in (2.0, 5.0, 8.0) for y in (2.0, 5.0, 8.0)])
         for k in range(40):  # 0.39 m in all
             rec.world_clearance(np.array([3.5 + 0.01 * k, 3.4]))
-        assert len(calls) == 1 and len(rec.held[2]) < 9
+        assert len(calls) == 1 and len(rec.held[3]) < 9
 
 
 class TestLoggedObservables:
@@ -1053,19 +1091,18 @@ class TestLoggedObservables:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reuse_rules_fire(self, runs, case):
         """Both reuse rules (asserted on every call by logged_episode) are
-        taken, and so is forming afresh.  The ground-truth clearance takes the
-        step's pass as its bound in the ring cases, and never where the
-        sensed discs are jittered (or the robot is a point in a grid world);
-        each ring case also forms some without it (an empty active set)."""
+        taken, and so is forming afresh.  In the ring cases the ground-truth
+        clearance mostly comes from the held candidate set and sometimes
+        forms it afresh, and every row minimum comes from its window of
+        samples; a point in a grid world takes none of it."""
         reuse = runs[case][-1]
         assert reuse["active_reused"] > 0 and reuse["active_formed"] > 1
-        if case != "dungeon":
-            assert reuse["contact_reused"] > 0 and reuse["contact_made"] > 0
-            assert reuse["world_formed"] > 0
-        if case in ("ring", "bottleneck"):
-            assert reuse["world_from_pass"] > 0
+        if case == "dungeon":
+            assert reuse["world_held"] == reuse["world_formed"] == 0
         else:
-            assert reuse["world_from_pass"] == 0
+            assert reuse["contact_reused"] > 0 and reuse["contact_made"] > 0
+            assert reuse["world_held"] > 10 * reuse["world_formed"] > 0
+        assert reuse["window_fallbacks"] == 0
 
 
 def test_point_clearance_is_measured_once_per_state(monkeypatch):
@@ -1144,6 +1181,36 @@ class TestSlotRanking:
         want = ranked_by_sort([p for p, keep in zip(pairs, mask) if keep], c)
         for k in range(len(act) + 1):
             assert act.nearest(c, k) == want[:k]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_ranking_is_the_numpy_form(self, data):
+        """``nearest`` in Python floats ranks as the numpy form it replaced, a
+        stable argsort of row_norms(centers - point) - radii: over discs at
+        equal gaps (one radius on a circle of dyadic points), repeated discs
+        under other ids, and NaN or infinite points."""
+        c = np.array([data.draw(st.integers(128, 512)) / 64.0 for _ in range(2)])
+        pairs, ids = [], iter(data.draw(st.permutations(range(40))))
+        for _ in range(data.draw(st.integers(0, 6))):
+            kind = data.draw(st.sampled_from(["any", "equal_gaps", "repeat"]))
+            if kind == "repeat" and pairs:
+                pairs.append((next(ids), data.draw(st.sampled_from(pairs))[1]))
+                continue
+            off = np.array([data.draw(st.integers(-128, 128)) / 64.0 for _ in range(2)])
+            rad = data.draw(st.integers(4, 32)) / 64.0
+            pairs.append((next(ids), Obstacle(c + off, rad)))
+            if kind == "equal_gaps":  # the mirror images about c, same gap
+                for mirror in ([-1, 1], [1, -1], [-1, -1]):
+                    pairs.append((next(ids), Obstacle(c + off * np.array(mirror), rad)))
+        discs = DiscSet.of(pairs)
+        point = data.draw(st.sampled_from(["c", "nan", "inf"]))
+        if point != "c":
+            c[data.draw(st.integers(0, 1))] = np.nan if point == "nan" else np.inf
+        gaps = row_norms(discs.centers - c) - discs.radii
+        want = discs.ids[np.argsort(gaps, kind="stable")].tolist()
+        for k in range(len(discs) + 2):
+            assert discs.nearest(c, k) == want[:k]
+            assert discs.nearest(c.tolist(), k) == want[:k]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

@@ -13,7 +13,9 @@ from hamnav.ring import (
     shoelace_area,
     spline_basis,
 )
-from hamnav.workspace import DiscSet, Obstacle
+from hamnav.energy import RING_LAYOUT
+from hamnav.navigator import HELD_REACH, EpisodeConfig, EpisodeRecorder
+from hamnav.workspace import CoverageTracker, DiscSet, Obstacle, Workspace
 
 from conftest import central_diff
 
@@ -270,69 +272,166 @@ def same_float(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-class TestHeldBound:
-    """``pruned_clearance(q, world, held)`` is ``pruned_clearance(q, world)``
-    bit for bit, whatever ``held`` is, and takes ``held`` as its bound
-    exactly when it is a pass at q whose rows are the world's."""
+def ring_recorder(model, obstacles):
+    """An EpisodeRecorder of the ring ``model`` in a 10-m world of ``obstacles``
+    (validation bypassed: a disc may cover the start)."""
+    ws = Workspace(10.0, [], (1.0, 1.0), (9.0, 9.0))
+    ws.obstacles = obstacles
+    return EpisodeRecorder(ws, EpisodeConfig(ring=model.params), CoverageTracker(10.0, 0.5),
+                           RING_LAYOUT, model)
 
-    MODEL = RingShapeModel()  # one model, so its held-rows cache meets many worlds
 
-    @settings(max_examples=300, deadline=None)
+def world_min(model, c, s, world) -> float:
+    """``min_clearance`` at frame c and scale s over every disc of world."""
+    return model.min_clearance(np.array([0.0, 0.0, c[0], c[1], 0.0, s]), world)
+
+
+class TestHeldClearance:
+    """The ring's ground-truth clearance, ``EpisodeRecorder.world_clearance``
+    over a held candidate set and ``RingShapeModel.rows_clearance`` over a
+    window of samples per disc, is ``min_clearance`` over every world disc,
+    byte for byte."""
+
+    MODEL = RingShapeModel()
+
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_held_pass_keeps_the_bits(self, data):
+    def test_walk_matches_min_clearance(self, data):
         model = self.MODEL
-        s = data.draw(st.floats(0.25, 1.3))
-        q = np.array([0.0, 0.0, data.draw(st.floats(-5.0, 5.0)),
-                      data.draw(st.floats(-5.0, 5.0)), 0.0, s])
-        nan = data.draw(st.booleans())
-        if nan:
-            q[data.draw(st.sampled_from([2, 3, 5]))] = np.nan
-        c = q[2:4]
-
-        # a world of 1-12 discs, under distinct ids in any order, at centre
-        # distances from inside the ring to well past its reach
-        n = data.draw(st.integers(1, 12))
-        ids = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
-        pairs = []
-        for i in ids:
-            a = data.draw(st.floats(0.0, 2 * np.pi))
-            r = data.draw(st.floats(0.0, 4.0))
-            ob = Obstacle(np.nan_to_num(c) + r * np.array([np.cos(a), np.sin(a)]),
-                          data.draw(st.floats(0.05, 1.0)))
-            pairs.append((i, ob))
-        world = DiscSet.of(pairs)
-
-        # the held pass: none of the world's discs, some or all, each row the
-        # world's or one off by an ulp, at q or at a state nearby
-        kind = data.draw(st.sampled_from(["empty", "partial", "all"]))
-        held_pairs = {"empty": [], "all": list(pairs),
-                      "partial": data.draw(st.lists(st.sampled_from(pairs), unique_by=lambda p: p[0],
-                                                    min_size=1, max_size=n))}[kind]
-        jitter = bool(held_pairs) and data.draw(st.booleans())
-        if jitter:
-            k = data.draw(st.integers(0, len(held_pairs) - 1))
-            i, ob = held_pairs[k]
-            center, radius = ob.center.copy(), ob.radius
-            if data.draw(st.booleans()):
-                j = data.draw(st.integers(0, 1))
-                center[j] = np.nextafter(center[j], np.inf)
+        fl = lambda lo, hi: data.draw(st.floats(lo, hi))
+        c, s = np.array([fl(2.0, 8.0), fl(2.0, 8.0)]), fl(0.25, 1.3)
+        obstacles = []
+        for _ in range(data.draw(st.integers(0, 15))):
+            kind = data.draw(st.sampled_from(["free", "tangent", "within_reach", "on_centre"]))
+            radius, a = fl(0.05, 1.0), fl(0.0, 2 * np.pi)
+            u = np.array([np.cos(a), np.sin(a)])
+            if kind == "free":
+                center = c + fl(0.0, 4.0) * u
+            elif kind == "tangent":  # a sample at the disc's surface, give or take an ulp
+                x = model.boundary([0.0, 0.0, *c, 0.0, s])[data.draw(st.integers(0, 239))]
+                center = x + (radius + data.draw(st.sampled_from([0.0, 1e-15, -1e-15]))) * u
+            elif kind == "within_reach":
+                center = c + fl(0.0, s * model.reach) * u
+            else:  # on the ring's centre: the offset's angle is atan2(0, 0)
+                center = c.copy()
+            obstacles.append(Obstacle(center, radius))
+        rec, world = ring_recorder(model, obstacles), DiscSet.of(enumerate(obstacles))
+        for _ in range(data.draw(st.integers(1, 12))):
+            kind = data.draw(st.sampled_from(["small", "reach", "jump", "non_finite"]))
+            x0, y0, s0, _ = rec.held
+            if kind == "small":
+                c = c + np.array([fl(-0.02, 0.02), fl(-0.02, 0.02)])
+                s = min(max(s + fl(-0.02, 0.02), 0.25), 1.3)
+            elif kind == "reach" and np.isfinite(x0):
+                # a move of HELD_REACH times 1 - 1e-12 ... 1 + 1e-12, shared
+                # between the frame and the scale
+                step = HELD_REACH * (1.0 + data.draw(
+                    st.sampled_from([-1e-12, -1e-15, 0.0, 1e-15, 1e-12])))
+                share = data.draw(st.sampled_from([1.0, 0.5, 0.0]))
+                a = fl(0.0, 2 * np.pi)
+                c = np.array([x0, y0]) + share * step * np.array([np.cos(a), np.sin(a)])
+                ds = (1.0 - share) * step / model.reach
+                s = s0 + ds if s0 - ds < 0.25 else s0 - ds
+            elif kind == "non_finite":
+                c = np.array([data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 5.0])),
+                              fl(2.0, 8.0)])
+                s = data.draw(st.sampled_from([s, np.nan]))
             else:
-                radius = float(np.nextafter(radius, np.inf))
-            held_pairs = held_pairs[:k] + [(i, Obstacle(center, radius))] + held_pairs[k + 1:]
-        moved = data.draw(st.booleans())
-        q_held = q.copy()
-        if moved:
-            q_held[data.draw(st.sampled_from([2, 3, 5]))] += 1e-9
-        held = model.contact(q_held, DiscSet.of(held_pairs))
+                c, s = np.array([fl(0.0, 10.0), fl(0.0, 10.0)]), fl(0.25, 1.3)
+            want = world_min(model, c, s, world)
+            assert same_float(rec.world_clearance(tuple(c.tolist()), s), want)
 
-        want = model.pruned_clearance(q, world)
-        assert same_float(model.pruned_clearance(q, world, held), want)
-        if not nan:
-            assert want == model.min_clearance(q, world)
-        # asked twice: the second answer comes from the cached row check
-        taken = model._held_bound(c, float(q[5]), world, held) is not None
-        assert taken == (kind != "empty" and not jitter and not nan and not moved)
-        assert same_float(model.pruned_clearance(q, world, held), want)
+    def test_ties_between_neighbouring_samples(self, monkeypatch):
+        """A centre on the bisector of two neighbouring samples' directions
+        is equally far from both in angle, and the spline's ripple decides
+        which is nearer: every window holds the row's minimum either way,
+        and none falls back to the numpy row."""
+        model, c, s = self.MODEL, (5.0, 5.0), 0.9
+        angles = np.unwrap(np.arctan2(model._x0y, model._x0x))
+        mids = (angles + np.append(angles[1:], angles[0] + 2 * np.pi)) / 2
+        worlds = [DiscSet.of([(0, Obstacle(np.array(c) + 0.6 * np.array(
+            [np.cos(mid), np.sin(mid)]), 0.2))]) for mid in mids]
+        want = [world_min(model, c, s, world) for world in worlds]
+        # the sample holding each row's minimum, against the first of the two
+        holders = [int(np.argmin(model._gaps(c, s, w.centers, w.radii)[3][0])) for w in worlds]
+        assert 0 < sum(h != k for k, h in enumerate(holders)) < len(mids)
+        monkeypatch.setattr(RingShapeModel, "_gaps", None)  # no numpy row
+        for world, d in zip(worlds, want):
+            assert same_float(model.disc_clearance(*c, s, *world.rows[0][:3]), d)
+
+    def test_centre_within_reach_takes_the_numpy_row(self, monkeypatch):
+        """A disc whose centre lies inside the ring defeats the window's
+        bound, and its row is ``_gaps``'; a disc well outside takes none."""
+        model, calls = RingShapeModel(), []
+        gaps = RingShapeModel._gaps
+        monkeypatch.setattr(RingShapeModel, "_gaps", lambda *a: calls.append(1) or gaps(*a))
+        for center, rows in (((5.1, 5.0), 1), ((5.0, 5.0), 1), ((7.0, 5.0), 0)):
+            world = DiscSet.of([(0, Obstacle(np.array(center), 0.1))])
+            calls.clear()
+            got = model.disc_clearance(5.0, 5.0, 1.0, *world.rows[0][:3])
+            assert len(calls) == rows
+            assert same_float(got, world_min(model, (5.0, 5.0), 1.0, world))
+
+    def test_scale_growth_keeps_the_discs_it_can_reach(self):
+        """Held at scale 0.3 beside a small disc on its centre, the ring grows
+        to 1.3 (a change of 0.4 m at its reach, inside HELD_REACH): a disc
+        that the 2 s0 reach term alone keeps in the held set then holds the
+        clearance."""
+        model = self.MODEL
+        c, s0, s1 = (5.0, 5.0), 0.3, 1.3
+        gap = -0.05 + 2 * HELD_REACH + 0.015  # past min g + 2 HELD_REACH, within 2 s0 reach
+        inner = Obstacle(np.array(c), 0.05)
+        outer = Obstacle(np.array([c[0] + gap + 0.2, c[1]]), 0.2)
+        rec, world = ring_recorder(model, [inner, outer]), DiscSet.of(enumerate([inner, outer]))
+        assert same_float(rec.world_clearance(c, s0), world_min(model, c, s0, world))
+        held = rec.held
+        got = rec.world_clearance(c, s1)
+        assert rec.held is held and len(held[3]) == 2
+        assert same_float(got, world_min(model, c, s1, world))
+        assert got == world_min(model, c, s1, DiscSet.of([(1, outer)])) \
+            < world_min(model, c, s1, DiscSet.of([(0, inner)]))
+
+    def test_scale_change_past_held_reach_forms_the_set_afresh(self):
+        """Held at scale 0.25 beside a small disc on its centre, the ring
+        grows to 2.5 (0.89 m at its reach, past HELD_REACH) without moving:
+        the set is formed afresh, and the disc it first left out now holds
+        the clearance."""
+        model = self.MODEL
+        c = (5.0, 5.0)
+        inner = Obstacle(np.array(c), 0.05)
+        outer = Obstacle(np.array([c[0] + 1.2 + 0.2, c[1]]), 0.2)  # gap 1.2
+        rec, world = ring_recorder(model, [inner, outer]), DiscSet.of(enumerate([inner, outer]))
+        assert same_float(rec.world_clearance(c, 0.25), world_min(model, c, 0.25, world))
+        assert len(rec.held[3]) == 1
+        got = rec.world_clearance(c, 2.5)
+        assert len(rec.held[3]) == 2 and same_float(got, world_min(model, c, 2.5, world))
+        assert got == world_min(model, c, 2.5, DiscSet.of([(1, outer)]))
+
+    def test_samples_must_wind_once_about_the_centre(self):
+        """The window's bound rests on the samples' angles increasing through
+        one turn; a boundary traversed the other way is refused."""
+        model = RingShapeModel()
+        model._x0x, model._x0y = model._x0x[::-1].copy(), model._x0y[::-1].copy()
+        with pytest.raises(ValueError, match="wind once"):
+            model._angle_table()
+
+    def test_rows_clearance_matches_min_clearance(self):
+        """``rows_clearance`` against a DiscSet's rows, in and out of the
+        float path: finite states, NaN and infinite frames, a NaN scale and
+        no discs."""
+        model, r = self.MODEL, np.random.default_rng(5)
+        for _ in range(300):
+            obstacles = [Obstacle(r.uniform(0, 10, 2), r.uniform(0.05, 1.0))
+                         for _ in range(int(r.integers(0, 8)))]
+            world = DiscSet.of(enumerate(obstacles))
+            c = r.uniform(0, 10, 2)
+            if r.random() < 0.2:
+                c[int(r.integers(0, 2))] = r.choice([np.nan, np.inf, -np.inf])
+            s = np.nan if r.random() < 0.05 else r.uniform(0.25, 1.3)
+            got = model.rows_clearance(tuple(c.tolist()), s, world.rows)
+            assert same_float(got, world_min(model, c, s, world))
+        with pytest.raises(ValueError, match="degenerate ring"):
+            model.rows_clearance((5.0, 5.0), 0.0, [])
 
 
 def test_shoelace_unit_square():
