@@ -62,14 +62,12 @@ from .workspace import (
 
 @dataclass
 class Observables:
-    """Low-dimensional feedback: min clearance, goal distance, speed."""
+    """Low-dimensional feedback: min clearance, goal distance, speed.  The
+    adaptation's observable vector is y = [-clearance, goal distance, -speed]."""
 
     clearance: float
     goal_dist: float
     speed: float
-
-    def vector(self) -> tuple:
-        return (-self.clearance, self.goal_dist, -self.speed)
 
 
 def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances,
@@ -80,45 +78,45 @@ def compute_observables(z_next: PhaseState, clearance, x_g, shape_qoi_clearances
     distance to the active discs (+inf for none), and any clearances
     collected from the shape rollout; it is capped at d_hat so the clearance
     channel stays bounded when nothing is active.  The state, ``x_g`` and
-    ``mass`` are sequences of numbers.
+    ``mass`` are sequences of numbers; the speed is ``norm2`` of p / mass,
+    its squares summed from 0.0 in index order.
     """
     clr = clearance
     for extra in shape_qoi_clearances:
         clr = min(clr, float(extra))
     clr = min(clr, d_hat)
-    cx, cy = z_next.q[layout.frame]
-    dx, dy = cx - x_g[0], cy - x_g[1]
-    speed = norm2([p / m for p, m in zip(z_next.p, mass)])
-    return Observables(clearance=clr, goal_dist=math.sqrt(dx * dx + dy * dy), speed=speed)
-
-
-def observable_target(y: Observables, m_safe, eps_prog, v_min) -> tuple:
-    """Target observable vector y*, relative to the current observables y:
-    clearance held at -m_safe, distance asked to shrink by eps_prog, speed
-    floored at v_min while clearance is safe."""
-    floor = v_min if y.clearance >= m_safe else 0.0
-    return (-m_safe, y.goal_dist - eps_prog, -max(y.speed, floor))
+    q, f = z_next.q, layout.frame.start
+    dx, dy = q[f] - x_g[0], q[f + 1] - x_g[1]
+    total = 0.0
+    for p, m in zip(z_next.p, mass):
+        v = p / m
+        total += v * v
+    return Observables(clr, math.sqrt(dx * dx + dy * dy), math.sqrt(total))
 
 
 # The adaptation works on the 3 observables y and the 3 adapted weights
 # zeta = [beta, lam, mu] in Python floats: a vector is a tuple, and J, the
-# 3x3 estimate of dy/dzeta, a tuple of its rows.  Every sum runs left to
-# right in a fixed order, so no BLAS or LAPACK kernel sets the bits.
-
-def _dot(u, v) -> float:
-    """u . v for two 3-vectors, summed left to right."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+# 3x3 estimate of dy/dzeta, a tuple of its rows.  Each helper unpacks its
+# vectors and J's rows once and writes every dot product out as
+# (u0 v0 + u1 v1) + u2 v2, the left-to-right order of the ``_dot`` loop form
+# that tests/test_navigator.py keeps as the bit-exact reference; so no BLAS
+# or LAPACK kernel sets the bits.
 
 
 def secant_jacobian_update(J_prev, dy, dzeta, rho, eps) -> tuple:
     """Exponentially smoothed rank-one secant estimate of dy/dzeta:
     J = rho J_prev + (1 - rho) dy dzeta^T / (|dzeta|^2 + eps)."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = J_prev
+    d0, d1, d2 = dy
     z0, z1, z2 = dzeta
-    denom = _dot(dzeta, dzeta) + eps
-    return tuple((rho * a + (1.0 - rho) * (d * z0 / denom),
-                  rho * b + (1.0 - rho) * (d * z1 / denom),
-                  rho * c + (1.0 - rho) * (d * z2 / denom))
-                 for (a, b, c), d in zip(J_prev, dy))
+    denom = z0 * z0 + z1 * z1 + z2 * z2 + eps
+    w = 1.0 - rho
+    return ((rho * a0 + w * (d0 * z0 / denom), rho * a1 + w * (d0 * z1 / denom),
+             rho * a2 + w * (d0 * z2 / denom)),
+            (rho * b0 + w * (d1 * z0 / denom), rho * b1 + w * (d1 * z1 / denom),
+             rho * b2 + w * (d1 * z2 / denom)),
+            (rho * c0 + w * (d2 * z0 / denom), rho * c1 + w * (d2 * z1 / denom),
+             rho * c2 + w * (d2 * z2 / denom)))
 
 
 # A step's secant pair updates J only while the ids of the SECANT_SLOTS
@@ -141,28 +139,35 @@ def tikhonov_step(J, dy_des, lam) -> tuple:
     *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 10), then
     L y = J^T dy_des and L^T dzeta = y.  A pivot that is not positive raises
     LinAlgError."""
-    c0, c1, c2 = zip(*J)  # the columns of J
-    l00 = _pivot(_dot(c0, c0) + lam)
-    l10, l20 = _dot(c1, c0) / l00, _dot(c2, c0) / l00
-    l11 = _pivot(_dot(c1, c1) + lam - l10 * l10)
-    l21 = (_dot(c2, c1) - l20 * l10) / l11
-    l22 = _pivot(_dot(c2, c2) + lam - l20 * l20 - l21 * l21)
-    y0 = _dot(c0, dy_des) / l00
-    y1 = (_dot(c1, dy_des) - l10 * y0) / l11
-    y2 = (_dot(c2, dy_des) - l20 * y0 - l21 * y1) / l22
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = J  # J's columns are a, b and c
+    d0, d1, d2 = dy_des
+    l00 = _pivot(a0 * a0 + a1 * a1 + a2 * a2 + lam)
+    l10, l20 = (b0 * a0 + b1 * a1 + b2 * a2) / l00, (c0 * a0 + c1 * a1 + c2 * a2) / l00
+    l11 = _pivot(b0 * b0 + b1 * b1 + b2 * b2 + lam - l10 * l10)
+    l21 = (c0 * b0 + c1 * b1 + c2 * b2 - l20 * l10) / l11
+    l22 = _pivot(c0 * c0 + c1 * c1 + c2 * c2 + lam - l20 * l20 - l21 * l21)
+    y0 = (a0 * d0 + a1 * d1 + a2 * d2) / l00
+    y1 = (b0 * d0 + b1 * d1 + b2 * d2 - l10 * y0) / l11
+    y2 = (c0 * d0 + c1 * d1 + c2 * d2 - l20 * y0 - l21 * y1) / l22
     x2 = y2 / l22
     x1 = (y1 - l21 * x2) / l11
     return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
 
 
-def project_update(zeta, dzeta, kappa) -> tuple:
-    """Damped weight step projected onto the nonnegative orthant:
-    zeta' = max(0, zeta + kappa .* dzeta), componentwise (a NaN stays NaN).
+def project_update(zeta, dzeta, kappa, caps) -> tuple:
+    """Damped weight step projected onto the box [0, caps]:
+    zeta' = min(max(zeta + kappa .* dzeta, 0), caps), componentwise, for the
+    3 weights (a NaN stays NaN).
 
     ``kappa``'s components lie in [0, 1): the config's domain table
     (``cli.RunConfig.DOMAINS``) holds the step sizes in [0, 0.999].
     """
-    return tuple(max(z + k * d, 0.0) for z, d, k in zip(zeta, dzeta, kappa))
+    z0, z1, z2 = zeta
+    d0, d1, d2 = dzeta
+    k0, k1, k2 = kappa
+    c0, c1, c2 = caps
+    return (min(max(z0 + k0 * d0, 0.0), c0), min(max(z1 + k1 * d1, 0.0), c1),
+            min(max(z2 + k2 * d2, 0.0), c2))
 
 
 def port_correction(P, r, lam_u, box) -> tuple:
@@ -174,13 +179,16 @@ def port_correction(P, r, lam_u, box) -> tuple:
     """
     if math.isinf(lam_u):
         return 0.0, 0.0
-    c0, c1 = zip(*P)
-    a00, a01, a11 = _dot(c0, c0) + lam_u, _dot(c0, c1), _dot(c1, c1) + lam_u
-    b0, b1 = _dot(c0, r), _dot(c1, r)
+    (a0, b0), (a1, b1), (a2, b2) = P  # P's columns are a and b
+    r0, r1, r2 = r
+    a00 = a0 * a0 + a1 * a1 + a2 * a2 + lam_u
+    a01 = a0 * b0 + a1 * b1 + a2 * b2
+    a11 = b0 * b0 + b1 * b1 + b2 * b2 + lam_u
+    v0, v1 = a0 * r0 + a1 * r1 + a2 * r2, b0 * r0 + b1 * r1 + b2 * r2
     det = a00 * a11 - a01 * a01
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
-    u0, u1 = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+    u0, u1 = (a11 * v0 - a01 * v1) / det, (a00 * v1 - a01 * v0) / det
     return min(max(u0, -box), box), min(max(u1, -box), box)
 
 
@@ -913,22 +921,26 @@ class _Episode:
 
     def adapt(self, y: Observables, act: DiscSet, z) -> tuple:
         """Secant / Tikhonov adaptation of [beta, lam, mu] from y at z, in
-        floats (see the note above _dot): (dy_des, dzeta), the change asked of
-        y (clearance is a safety margin, never pulled down) and the step."""
+        floats (see the note above secant_jacobian_update): (dy_des, dzeta),
+        the change asked of y = [-clearance, goal distance, -speed] and the
+        step.  The target y* holds clearance at m_safe (a safety margin, never
+        pulled down), asks the distance to shrink by eps_prog and floors the
+        speed at v_min while clearance is safe."""
         ad = self.cfg.adapt
-        y_vec = y.vector()
-        target = observable_target(y, ad.m_safe, ad.eps_prog, ad.v_min)
-        dy_des = (min(target[0] - y_vec[0], 0.0), target[1] - y_vec[1], target[2] - y_vec[2])
+        clr, dist, speed = y.clearance, y.goal_dist, y.speed
+        y0, y2 = -clr, -speed
+        floor = ad.v_min if clr >= ad.m_safe else 0.0
+        dy_des = (min(-ad.m_safe - y0, 0.0), dist - ad.eps_prog - dist, -max(speed, floor) - y2)
         slots = act.nearest(z.q[self.layout.frame], SECANT_SLOTS)
         w = self.weights
-        zeta = (w.beta, w.lam, w.mu)
+        beta, lam, mu = zeta = (w.beta, w.lam, w.mu)
         if self.prev_zeta is not None and slots == self.prev_slots:
-            self.J = secant_jacobian_update(
-                self.J, [a - b for a, b in zip(y_vec, self.prev_y)],
-                [a - b for a, b in zip(zeta, self.prev_zeta)], ad.rho, ad.eps)
+            (p0, p1, p2), (q0, q1, q2) = self.prev_y, self.prev_zeta
+            self.J = secant_jacobian_update(self.J, (y0 - p0, dist - p1, y2 - p2),
+                                            (beta - q0, lam - q1, mu - q2), ad.rho, ad.eps)
         dzeta = tikhonov_step(self.J, dy_des, ad.lam_zeta)
-        w.beta, w.lam, w.mu = map(min, project_update(zeta, dzeta, self.kappa), self.caps)
-        self.prev_y, self.prev_zeta, self.prev_slots = y_vec, zeta, slots
+        w.beta, w.lam, w.mu = project_update(zeta, dzeta, self.kappa, self.caps)
+        self.prev_y, self.prev_zeta, self.prev_slots = (y0, dist, y2), zeta, slots
         return dy_des, dzeta
 
     def port(self, n, z, dy_des, dzeta):
@@ -938,7 +950,11 @@ class _Episode:
         if n % self.cfg.horizons[1]:
             return
         ad, fx = self.cfg.adapt, self.layout.frame.start
-        r = [d - _dot(row, dzeta) for d, row in zip(dy_des, self.J)]
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = self.J
+        d0, d1, d2 = dy_des
+        z0, z1, z2 = dzeta
+        r = (d0 - (a0 * z0 + b0 * z1 + c0 * z2), d1 - (a1 * z0 + b1 * z1 + c1 * z2),
+             d2 - (a2 * z0 + b2 * z1 + c2 * z2))
         vx, vy = z.p[fx] / self.mass[fx], z.p[fx + 1] / self.mass[fx + 1]
         sp = norm2((vx, vy))
         row = (0.0, 0.0)

@@ -289,7 +289,11 @@ class DiscSet:
         order: a stable sort by each disc's norm2(center - point) - radius.
         The gaps are ``row_norms``' formula in Python floats over ``rows``,
         ranked by ``sorted`` (stable); a non-finite gap (or a sum of gaps that
-        overflows) takes numpy's stable argsort, which ranks a NaN last."""
+        overflows) takes numpy's stable argsort, which ranks a NaN last.  A
+        set of at most one disc ranks nothing: both forms give ``id_list[:k]``
+        at any point."""
+        if len(self.ids) < 2:
+            return self.id_list[:k]
         px, py = float(point[0]), float(point[1])
         d = [math.sqrt((x - px) * (x - px) + (y - py) * (y - py)) - r for x, y, r, _ in self.rows]
         if not math.isfinite(sum(d)):

@@ -11,6 +11,7 @@ from hamnav.cli import config_from_dict
 from hamnav.dynamics import IntegratorConfig, rollout
 from hamnav.energy import (
     POINT_LAYOUT,
+    RING_LAYOUT,
     EnergyWeights,
     Evaluation,
     FixedTerms,
@@ -30,7 +31,6 @@ from hamnav.navigator import (
     build_tokens,
     compute_observables,
     dungeon_setup,
-    observable_target,
     port_correction,
     project_update,
     run_episode,
@@ -85,9 +85,8 @@ class TestObservables:
         z = PhaseState(np.array([0.0, 0.0, 2.0, 2.0]), np.zeros(4))
         obs = [Obstacle(np.array([5.0, 5.0]), 0.5)]
         y = point_observables(z, obs, (2.0, 2.0), [], d_hat=1.0)
-        vec = y.vector()
-        assert vec[1] == 0.0 and vec[2] == 0.0
-        assert vec[0] == -y.clearance
+        assert y.goal_dist == 0.0 and y.speed == 0.0
+        assert y.clearance == 1.0  # capped at d_hat
 
     def test_empty_min_capped_at_dhat(self):
         z = PhaseState(np.zeros(4), np.zeros(4))
@@ -99,7 +98,6 @@ class TestObservables:
         obs = [Obstacle(np.array([5.0, 5.0]), 0.5)]
         y = point_observables(z, obs, (9.0, 9.0), [], d_hat=1.0)
         assert y.clearance < 0
-        assert y.vector()[0] > 0
 
     def test_shape_qoi_folds_in(self):
         z = PhaseState(np.zeros(4), np.zeros(4))
@@ -107,16 +105,27 @@ class TestObservables:
         assert y.clearance == 0.25
 
 
+def adapt_once(y, m_safe, eps_prog, v_min):
+    """dy_des, the change ``_Episode.adapt`` asks of y = [-clearance, goal
+    distance, -speed], at the start of a point episode with no discs."""
+    cfg = empty_point_cfg(adapt=AdaptConfig(m_safe=m_safe, eps_prog=eps_prog, v_min=v_min))
+    ep = _Episode(Workspace(12.0, [], (1.0, 6.0), (11.0, 6.0)), cfg, DefaultMetaPolicy())
+    return ep.adapt(y, DiscSet.of(()), ep.z)[0]
+
+
 class TestObservableTarget:
+    """The target y* that ``_Episode.adapt`` steers toward: clearance held at
+    m_safe (never pulled down), the distance asked to shrink by eps_prog, the
+    speed floored at v_min while clearance is safe."""
+
     def test_relative_speed_floor_on(self):
-        y = Observables(clearance=0.5, goal_dist=3.0, speed=0.05)
-        t = observable_target(y, 0.2, 0.1, 0.3)
-        np.testing.assert_allclose(t, [-0.2, 2.9, -0.3])
+        dy_des = adapt_once(Observables(clearance=0.5, goal_dist=3.0, speed=0.05), 0.2, 0.1, 0.3)
+        np.testing.assert_allclose(dy_des, [0.0, -0.1, -0.25])
 
     def test_relative_floor_off_when_unsafe(self):
-        y = Observables(clearance=0.1, goal_dist=3.0, speed=0.05)
-        t = observable_target(y, 0.2, 0.1, 0.3)
-        assert t[2] == pytest.approx(-0.05)
+        dy_des = adapt_once(Observables(clearance=0.1, goal_dist=3.0, speed=0.05), 0.2, 0.1, 0.3)
+        np.testing.assert_allclose(dy_des, [-0.1, -0.1, 0.0])
+        assert dy_des[2] == 0.0  # the target speed is the current one
 
 
 def reference_secant(J_prev, dy, dzeta, rho, eps):
@@ -304,17 +313,23 @@ class TestTikhonov:
 
 
 class TestProjectUpdate:
+    CAPS = (8.0, 8.0, 12.0)
+
     def test_zero_step(self):
-        z = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(project_update(z, np.zeros(2), np.full(2, 0.5)), z)
+        z = (1.0, 2.0, 3.0)
+        assert project_update(z, (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), self.CAPS) == z
 
     def test_clamped_at_zero(self):
-        out = project_update(np.array([0.1]), np.array([-10.0]), np.array([0.5]))
+        out = project_update((0.1, 1.0, 1.0), (-10.0, 0.0, 0.0), (0.5, 0.5, 0.5), self.CAPS)
         assert out[0] == 0.0
 
     def test_damped_step(self):
-        out = project_update(np.array([1.0]), np.array([2.0]), np.array([0.25]))
+        out = project_update((1.0, 1.0, 1.0), (2.0, 0.0, 0.0), (0.25, 0.5, 0.5), self.CAPS)
         assert out[0] == pytest.approx(1.5)
+
+    def test_capped(self):
+        out = project_update((7.9, 7.9, 11.9), (1.0, 1.0, 1.0), (0.5, 0.5, 0.5), self.CAPS)
+        assert out == self.CAPS
 
     def test_kappa_validated(self):
         # the loop's kappa comes from the config, whose domain table holds
@@ -352,6 +367,269 @@ class TestPortCorrection:
         P = np.ones((3, 2))
         u = port_correction(P, np.ones(3), np.inf, 1.0)
         assert np.array_equal(u, np.zeros(2))
+
+
+# The feedback path's loop forms, kept as bit-exact references for the
+# straight-line helpers: each dot product is _dot's left-to-right sum, the
+# secant update and the projection are generators, the Tikhonov step and
+# the port correction read J's and P's columns through zip(*rows).
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def loop_secant(J_prev, dy, dzeta, rho, eps):
+    z0, z1, z2 = dzeta
+    denom = _dot(dzeta, dzeta) + eps
+    return tuple((rho * a + (1.0 - rho) * (d * z0 / denom),
+                  rho * b + (1.0 - rho) * (d * z1 / denom),
+                  rho * c + (1.0 - rho) * (d * z2 / denom))
+                 for (a, b, c), d in zip(J_prev, dy))
+
+
+def loop_pivot(value):
+    if not value > 0.0:
+        raise np.linalg.LinAlgError("singular normal equations: need lam > 0")
+    return math.sqrt(value)
+
+
+def loop_tikhonov(J, dy_des, lam):
+    c0, c1, c2 = zip(*J)
+    l00 = loop_pivot(_dot(c0, c0) + lam)
+    l10, l20 = _dot(c1, c0) / l00, _dot(c2, c0) / l00
+    l11 = loop_pivot(_dot(c1, c1) + lam - l10 * l10)
+    l21 = (_dot(c2, c1) - l20 * l10) / l11
+    l22 = loop_pivot(_dot(c2, c2) + lam - l20 * l20 - l21 * l21)
+    y0 = _dot(c0, dy_des) / l00
+    y1 = (_dot(c1, dy_des) - l10 * y0) / l11
+    y2 = (_dot(c2, dy_des) - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
+
+
+def loop_project(zeta, dzeta, kappa, caps):
+    return tuple(map(min, (max(z + k * d, 0.0) for z, d, k in zip(zeta, dzeta, kappa)), caps))
+
+
+def loop_port_correction(P, r, lam_u, box):
+    if math.isinf(lam_u):
+        return 0.0, 0.0
+    c0, c1 = zip(*P)
+    a00, a01, a11 = _dot(c0, c0) + lam_u, _dot(c0, c1), _dot(c1, c1) + lam_u
+    b0, b1 = _dot(c0, r), _dot(c1, r)
+    det = a00 * a11 - a01 * a01
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    u0, u1 = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+    return min(max(u0, -box), box), min(max(u1, -box), box)
+
+
+def loop_observables(z_next, clearance, x_g, shape_qoi_clearances, mass, layout, d_hat):
+    clr = clearance
+    for extra in shape_qoi_clearances:
+        clr = min(clr, float(extra))
+    clr = min(clr, d_hat)
+    cx, cy = z_next.q[layout.frame]
+    dx, dy = cx - x_g[0], cy - x_g[1]
+    speed = workspace.norm2([p / m for p, m in zip(z_next.p, mass)])
+    return Observables(clearance=clr, goal_dist=math.sqrt(dx * dx + dy * dy), speed=speed)
+
+
+def loop_nearest(discs, point, k):
+    """DiscSet.nearest with no short cut for a set of at most one disc."""
+    px, py = float(point[0]), float(point[1])
+    d = [math.sqrt((x - px) * (x - px) + (y - py) * (y - py)) - r for x, y, r, _ in discs.rows]
+    if not math.isfinite(sum(d)):
+        return discs.ids[np.argsort(np.array(d), kind="stable")[:k]].tolist()
+    return [discs.id_list[i] for i in sorted(range(len(d)), key=d.__getitem__)[:k]]
+
+
+def outcome(fn, *args):
+    """fn(*args) as bytes (nested tuples of floats, or Observables), or the
+    type and arguments of what it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001  (the same exception is the point)
+        return type(exc), exc.args
+    if isinstance(out, Observables):
+        out = (out.clearance, out.goal_dist, out.speed)
+    return as_bytes(out)
+
+
+# every kind of float: signed zeros, subnormals, values near the largest
+# double, NaN and the infinities, and plain ones
+EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e308, -1e308,
+                     1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    st.floats(-5.0, 5.0), st.floats(allow_nan=True, allow_infinity=True))
+# finite values only, for the vectors whose rounding a reordered sum moves
+PLAIN = st.floats(-1e3, 1e3)
+
+
+def draw_vec(data, n, zero=False):
+    """n floats: signed zeros when ``zero``, else, for one vector in four,
+    EDGE floats, and plain ones otherwise."""
+    elem = (st.sampled_from([0.0, -0.0]) if zero
+            else data.draw(st.sampled_from([PLAIN, PLAIN, PLAIN, EDGE])))
+    return tuple(data.draw(st.lists(elem, min_size=n, max_size=n)))
+
+
+def draw_rows(data, n_rows, n_cols):
+    """An n_rows x n_cols matrix of EDGE floats, in rows; a drawn set of its
+    columns is zero."""
+    zero_cols = data.draw(st.sets(st.integers(0, n_cols - 1)))
+    cols = [draw_vec(data, n_rows, zero=j in zero_cols) for j in range(n_cols)]
+    return tuple(zip(*cols))
+
+
+class TestStraightLineFeedback:
+    """The straight-line helpers against their loop forms, byte for byte, and
+    raising the same exception where the loop forms raise."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_secant_is_the_loop_form(self, data):
+        J = draw_rows(data, 3, 3)
+        dy = draw_vec(data, 3)
+        dz = draw_vec(data, 3, zero=data.draw(st.booleans()))
+        rho = data.draw(st.one_of(st.sampled_from([0.0, 0.6, 1.0]), PLAIN, EDGE))
+        eps = data.draw(st.one_of(st.sampled_from([0.0, 1e-6]), PLAIN, EDGE))
+        assert (outcome(secant_jacobian_update, J, dy, dz, rho, eps)
+                == outcome(loop_secant, J, dy, dz, rho, eps))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_tikhonov_is_the_loop_form(self, data):
+        J, dy = draw_rows(data, 3, 3), draw_vec(data, 3)
+        lam = data.draw(st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1e-2]), PLAIN, EDGE))
+        got = outcome(tikhonov_step, J, dy, lam)
+        assert got == outcome(loop_tikhonov, J, dy, lam)
+
+    def test_tikhonov_raises_as_the_loop_form(self):
+        """A pivot that is not positive: zero J without a ridge, a negative
+        ridge, and NaN."""
+        for J, lam in ((((0.0,) * 3,) * 3, 0.0), (((1.0,) * 3,) * 3, -1.0),
+                       (((math.nan,) * 3,) * 3, 1.0), ((((1.0, 2.0, 3.0),) * 3), 0.0)):
+            got = outcome(tikhonov_step, J, (1.0, 1.0, 1.0), lam)
+            assert got[0] is np.linalg.LinAlgError
+            assert got == outcome(loop_tikhonov, J, (1.0, 1.0, 1.0), lam)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_project_is_the_loop_form(self, data):
+        zeta, dz, kappa, caps = (draw_vec(data, 3) for _ in range(4))
+        assert (outcome(project_update, zeta, dz, kappa, caps)
+                == outcome(loop_project, zeta, dz, kappa, caps))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_port_correction_is_the_loop_form(self, data):
+        P, r = draw_rows(data, 3, 2), draw_vec(data, 3)
+        lam_u = data.draw(st.one_of(st.sampled_from([0.0, 1e-2, math.inf]), PLAIN, EDGE))
+        box = data.draw(st.one_of(st.sampled_from([1.5]), EDGE))
+        assert outcome(port_correction, P, r, lam_u, box) == outcome(
+            loop_port_correction, P, r, lam_u, box)
+
+    def test_port_correction_raises_as_the_loop_form(self):
+        """A singular 2x2 system: P zero or of rank one, without a ridge."""
+        for P in (((0.0, 0.0),) * 3, ((1.0, 2.0), (2.0, 4.0), (0.0, 0.0))):
+            got = outcome(port_correction, P, (1.0, 1.0, 1.0), 0.0, 1.0)
+            assert got[0] is np.linalg.LinAlgError
+            assert got == outcome(loop_port_correction, P, (1.0, 1.0, 1.0), 0.0, 1.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([POINT_LAYOUT, RING_LAYOUT]), st.data())
+    def test_observables_are_the_loop_form(self, layout, data):
+        z = PhaseState(list(draw_vec(data, layout.dim)), list(draw_vec(data, layout.dim)))
+        mass = [data.draw(st.one_of(st.sampled_from([1.0, 1.5, 0.6]), EDGE))
+                for _ in range(layout.dim)]
+        args = (z, data.draw(EDGE), draw_vec(data, 2),
+                draw_vec(data, data.draw(st.integers(0, 2))), mass, layout, data.draw(EDGE))
+        assert outcome(compute_observables, *args) == outcome(loop_observables, *args)
+
+
+class TestStraightLineAdapt:
+    """``_Episode.adapt`` and ``port`` over a point episode whose proposals
+    move every adapted weight, each call against the loop forms on a copy of
+    the state it started from, byte for byte."""
+
+    def test_adapt_and_port_are_the_loop_forms(self, monkeypatch):
+        real_adapt, real_port = _Episode.adapt, _Episode.port
+        seen = {"adapt": 0, "learned": 0, "port": 0}
+
+        def checked_adapt(self, y, act, z):
+            ad, w = self.cfg.adapt, self.weights
+            J = self.J
+            # the loop form of adapt's body
+            y_vec = (-y.clearance, y.goal_dist, -y.speed)
+            floor = ad.v_min if y.clearance >= ad.m_safe else 0.0
+            target = (-ad.m_safe, y.goal_dist - ad.eps_prog, -max(y.speed, floor))
+            dy_des = (min(target[0] - y_vec[0], 0.0), target[1] - y_vec[1], target[2] - y_vec[2])
+            slots = loop_nearest(act, z.q[self.layout.frame], navigator.SECANT_SLOTS)
+            zeta = (w.beta, w.lam, w.mu)
+            if self.prev_zeta is not None and slots == self.prev_slots:
+                J = loop_secant(J, [a - b for a, b in zip(y_vec, self.prev_y)],
+                                [a - b for a, b in zip(zeta, self.prev_zeta)], ad.rho, ad.eps)
+                seen["learned"] += 1
+            dzeta = loop_tikhonov(J, dy_des, ad.lam_zeta)
+            weights = loop_project(zeta, dzeta, self.kappa, self.caps)
+
+            got = real_adapt(self, y, act, z)
+            assert as_bytes(got) == as_bytes((dy_des, dzeta))
+            assert as_bytes(self.J) == as_bytes(J)
+            assert as_bytes((w.beta, w.lam, w.mu)) == as_bytes(weights)
+            assert as_bytes((self.prev_y, self.prev_zeta)) == as_bytes((y_vec, zeta))
+            assert self.prev_slots == slots
+            seen["adapt"] += 1
+            return got
+
+        def checked_port(self, n, z, dy_des, dzeta):
+            u_f = self.u_f
+            if not n % self.cfg.horizons[1]:
+                ad, fx = self.cfg.adapt, self.layout.frame.start
+                r = [d - _dot(row, dzeta) for d, row in zip(dy_des, self.J)]
+                vx, vy = z.p[fx] / self.mass[fx], z.p[fx + 1] / self.mass[fx + 1]
+                sp = workspace.norm2((vx, vy))
+                row = (0.0, 0.0)
+                if sp > 1e-6:
+                    row = (-ad.kappa_v * vx / sp, -ad.kappa_v * vy / sp)
+                else:
+                    sx, sy = self.sensing.stage_goal_xy
+                    gx, gy = sx - z.q[fx], sy - z.q[fx + 1]
+                    dg = workspace.norm2((gx, gy))
+                    if dg > 1e-9:
+                        row = (-ad.kappa_v * gx / dg, -ad.kappa_v * gy / dg)
+                u_f = loop_port_correction(((0.0, 0.0), (0.0, 0.0), row), r, ad.lam_u, ad.u_box)
+                seen["port"] += 1
+            real_port(self, n, z, dy_des, dzeta)
+            assert as_bytes(self.u_f) == as_bytes(u_f)
+
+        monkeypatch.setattr(_Episode, "adapt", checked_adapt)
+        monkeypatch.setattr(_Episode, "port", checked_port)
+        meta = RisingMeta(DefaultMetaPolicy(r_offset=0.0))
+        ep = _Episode(generate_workspace("test_id", 1), empty_point_cfg(n_max=400), meta)
+        meta.weights = ep.weights
+        res = ep.run()
+        assert seen["adapt"] == res.n_steps > 100
+        assert seen["learned"] > 50 and seen["port"] > 20
+        assert len(np.unique(res.betas)) > 2 and len(np.unique(res.lams)) > 2
+
+
+class TestNearestShortCut:
+    """A set of at most one disc ranks without gaps, as the loop form."""
+
+    @pytest.mark.parametrize("point", [(5.0, 5.0), (math.nan, 5.0), (5.0, math.nan),
+                                       (math.inf, 5.0), (-math.inf, 5.0), (5.0, -math.inf)])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_at_most_one_disc(self, n, point):
+        discs = DiscSet.of([(4, Obstacle(np.array([6.0, 5.5]), 0.25))][:n])
+        c = np.array(point)
+        gaps = row_norms(discs.centers - c) - discs.radii
+        for k in (0, 1, 2):
+            want = discs.ids[np.argsort(gaps, kind="stable")[:k]].tolist()
+            assert discs.nearest(point, k) == loop_nearest(discs, point, k) == want
+            assert discs.nearest(c, k) == want
 
 
 def empty_point_cfg(**kw):
